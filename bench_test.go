@@ -10,11 +10,11 @@
 package repro
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"fmt"
 	"maps"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -559,24 +559,6 @@ func BenchmarkAblationQuadrature(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMultistart compares the multi-start Nelder–Mead
-// fit against a single scale-seeded start.
-func BenchmarkAblationMultistart(b *testing.B) {
-	b.ReportAllocs()
-	d := paperNLMEData(b, dataset.Stmts, dataset.FanInLC)
-	b.Run("multistart", func(b *testing.B) {
-		var sigma float64
-		for i := 0; i < b.N; i++ {
-			r, err := nlme.Fit(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sigma = r.SigmaEps
-		}
-		b.ReportMetric(sigma, "sigma_eps")
-	})
-}
-
 // BenchmarkAblationCSE measures the metric impact of the netlist
 // optimization passes (constant folding + structural hashing + dead
 // removal) on a representative component.
@@ -775,10 +757,10 @@ func benchNetlist(b *testing.B) *netlist.Netlist {
 	return res.Optimized
 }
 
-// BenchmarkCacheEncode compares serializing one representative cached
-// netlist with the binary codec (raw and flate-compressed entries)
-// against the gob encoding the cache used through schema 2. Entry sizes
-// are reported so the bench run doubles as a size-regression check.
+// BenchmarkCacheEncode serializes one representative cached netlist
+// with the binary codec, as raw and as flate-compressed entries. Entry
+// sizes are reported so the bench run doubles as a size-regression
+// check.
 func BenchmarkCacheEncode(b *testing.B) {
 	nl := benchNetlist(b)
 	key := cache.Key("bench-encode")
@@ -804,33 +786,16 @@ func BenchmarkCacheEncode(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(nl); err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(buf.Len()), "entry_bytes")
-			}
-		}
-	})
 }
 
 // BenchmarkCacheDecode is the warm-path kernel: one representative
-// entry decoded per iteration, codec (raw and compressed) vs gob.
+// entry decoded per iteration, raw and compressed.
 func BenchmarkCacheDecode(b *testing.B) {
 	nl := benchNetlist(b)
 	key := cache.Key("bench-decode")
 	payload := codec.AppendNetlist(nil, nl)
 	entryRaw := codec.EncodeEntry(nil, cache.SchemaVersion, key, payload, -1)
 	entryFlate := codec.EncodeEntry(nil, cache.SchemaVersion, key, payload, 0)
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(nl); err != nil {
-		b.Fatal(err)
-	}
 	wantHash := nl.Hash()
 
 	decodeEntry := func(b *testing.B, entry []byte) {
@@ -853,18 +818,6 @@ func BenchmarkCacheDecode(b *testing.B) {
 	}
 	b.Run("codec-raw", func(b *testing.B) { decodeEntry(b, entryRaw) })
 	b.Run("codec-flate", func(b *testing.B) { decodeEntry(b, entryFlate) })
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var got netlist.Netlist
-			if err := gob.NewDecoder(bytes.NewReader(gobBuf.Bytes())).Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 && got.Hash() != wantHash {
-				b.Fatal("decode changed the netlist")
-			}
-		}
-	})
 }
 
 // BenchmarkNLMEFit times a single mixed-effects calibration.
@@ -876,6 +829,60 @@ func BenchmarkNLMEFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEvaluateEstimators1000 fits all 12 Table 4 estimators, mixed
+// and fixed, on a seeded 1000-row, 24-project synthetic table: the
+// fitting load of a corpus-scale sweep with no synthesis in front of
+// it. On the paper's 18 rows the per-observation cost of a fit is
+// invisible.
+func BenchmarkEvaluateEstimators1000(b *testing.B) {
+	b.ReportAllocs()
+	comps := syntheticComponents(1000, 24, 1)
+	var dee1 float64
+	for i := 0; i < b.N; i++ {
+		rows, err := core.EvaluateEstimatorsN(comps, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.Name == "DEE1" {
+				dee1 = r.SigmaEps
+			}
+		}
+	}
+	b.ReportMetric(dee1, "dee1_sigma_eps")
+}
+
+// syntheticComponents draws an n-row database over every Table 3
+// metric from a seeded model: each component has a lognormal latent
+// size, each metric is that size times a per-metric scale and its own
+// lognormal noise, and effort follows Equation 1 over Stmts and
+// FanInLC with a lognormal productivity per project (components are
+// dealt to projects round-robin) and lognormal error.
+func syntheticComponents(n, projects int, seed int64) []dataset.Component {
+	rng := rand.New(rand.NewSource(seed))
+	prod := make([]float64, projects)
+	for p := range prod {
+		prod[p] = math.Exp(0.4 * rng.NormFloat64())
+	}
+	comps := make([]dataset.Component, n)
+	for i := range comps {
+		size := math.Exp(4 + 1.5*rng.NormFloat64())
+		m := make(map[dataset.Metric]float64, len(dataset.AllMetrics))
+		for j, metric := range dataset.AllMetrics {
+			m[metric] = size * float64(j+1) * math.Exp(0.5*rng.NormFloat64())
+		}
+		p := i % projects
+		eta := 0.01*m[dataset.Stmts] + 0.001*m[dataset.FanInLC]
+		comps[i] = dataset.Component{
+			Project: fmt.Sprintf("P%02d", p),
+			Name:    fmt.Sprintf("c%04d", i),
+			Effort:  eta / prod[p] * math.Exp(0.4*rng.NormFloat64()),
+			Metrics: m,
+		}
+	}
+	return comps
 }
 
 // BenchmarkParse times the µHDL front end on the full corpus sources.

@@ -132,38 +132,65 @@ type CalibrationOptions struct {
 // productivity distribution) for the given metric set on a measurement
 // database.
 func Calibrate(comps []dataset.Component, metrics []dataset.Metric, opts CalibrationOptions) (*Calibration, error) {
+	d, floor, err := assemble(comps, metrics, opts.ZeroFloor)
+	if err != nil {
+		return nil, err
+	}
+	return calibrate(d, metrics, floor, opts)
+}
+
+// assemble builds one estimator's regression table: a row per
+// component over the given metrics, zero values replaced by zeroFloor
+// (0 means 1). It returns the floor it applied, or 0 if no value
+// needed one.
+func assemble(comps []dataset.Component, metrics []dataset.Metric, zeroFloor float64) (*nlme.Data, float64, error) {
 	if len(comps) == 0 {
-		return nil, fmt.Errorf("core: empty measurement database")
+		return nil, 0, fmt.Errorf("core: empty measurement database")
 	}
 	if len(metrics) == 0 {
-		return nil, fmt.Errorf("core: no metrics selected")
+		return nil, 0, fmt.Errorf("core: no metrics selected")
 	}
-	floor := opts.ZeroFloor
+	floor := zeroFloor
 	if floor == 0 {
 		floor = 1
 	}
-	d := &nlme.Data{}
+	k := len(metrics)
+	d := &nlme.Data{
+		Groups:  make([]string, len(comps)),
+		Efforts: make([]float64, len(comps)),
+		Metrics: make([][]float64, len(comps)),
+	}
+	values := make([]float64, len(comps)*k)
 	floored := false
-	for _, c := range comps {
-		row := make([]float64, len(metrics))
-		for k, m := range metrics {
+	for i, c := range comps {
+		row := values[i*k : (i+1)*k : (i+1)*k]
+		for j, m := range metrics {
 			v, err := c.Metric(m)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if v == 0 {
 				v = floor
 				floored = true
 			}
-			row[k] = v
+			row[j] = v
 		}
-		d.Groups = append(d.Groups, c.Project)
-		d.Efforts = append(d.Efforts, c.Effort)
-		d.Metrics = append(d.Metrics, row)
+		d.Groups[i] = c.Project
+		d.Efforts[i] = c.Effort
+		d.Metrics[i] = row
 	}
 	for _, m := range metrics {
 		d.MetricNames = append(d.MetricNames, string(m))
 	}
+	if !floored {
+		floor = 0
+	}
+	return d, floor, nil
+}
+
+// calibrate fits an assembled table; zeroFloor is what assemble
+// applied.
+func calibrate(d *nlme.Data, metrics []dataset.Metric, zeroFloor float64, opts CalibrationOptions) (*Calibration, error) {
 	var fit *nlme.Result
 	var err error
 	fitOpts := nlme.FitOptions{Concurrency: opts.Concurrency}
@@ -175,14 +202,11 @@ func Calibrate(comps []dataset.Component, metrics []dataset.Metric, opts Calibra
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration failed: %w", err)
 	}
-	cal := &Calibration{
-		Metrics: append([]dataset.Metric(nil), metrics...),
-		Fit:     fit,
-	}
-	if floored {
-		cal.ZeroFloor = floor
-	}
-	return cal, nil
+	return &Calibration{
+		Metrics:   append([]dataset.Metric(nil), metrics...),
+		Fit:       fit,
+		ZeroFloor: zeroFloor,
+	}, nil
 }
 
 // CalibrateDEE1 fits the paper's recommended DEE1 estimator
@@ -281,9 +305,10 @@ func EvaluateEstimators(comps []dataset.Component) ([]EstimatorAccuracy, error) 
 
 // EvaluateEstimatorsN is EvaluateEstimators with a concurrency bound
 // (0 = GOMAXPROCS, 1 = exact sequential path). Each estimator's mixed
-// and fixed calibrations form one work item; when the outer pool is
-// parallel the inner multi-start pool is serialized so the machine is
-// not oversubscribed. Results are bit-identical for every value.
+// and fixed calibrations form one work item over one assembled table;
+// when the outer pool is parallel the inner multi-start pool is
+// serialized so the machine is not oversubscribed. Results are
+// bit-identical for every value.
 func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]EstimatorAccuracy, error) {
 	type spec struct {
 		name    string
@@ -299,11 +324,15 @@ func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]Estimato
 	}
 	out, err := parallel.Map(concurrency, len(specs), func(i int) (EstimatorAccuracy, error) {
 		s := specs[i]
-		mixed, err := Calibrate(comps, s.metrics, CalibrationOptions{Mixed: true, Concurrency: inner})
+		d, floor, err := assemble(comps, s.metrics, 0)
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
-		fixed, err := Calibrate(comps, s.metrics, CalibrationOptions{Mixed: false, Concurrency: inner})
+		mixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: true, Concurrency: inner})
+		if err != nil {
+			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
+		}
+		fixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: false, Concurrency: inner})
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s (ρ=1): %w", s.name, err)
 		}

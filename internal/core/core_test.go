@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -95,6 +96,33 @@ func TestEvaluateEstimatorsOrdering(t *testing.T) {
 	for _, r := range rows {
 		if r.SigmaEps > r.SigmaEpsRho1+1e-6 {
 			t.Errorf("%s: mixed σε %v > fixed %v", r.Name, r.SigmaEps, r.SigmaEpsRho1)
+		}
+	}
+}
+
+// TestEvaluateEstimatorsMatchesCalibrate pins the one-table-per-
+// estimator path to Calibrate: every row's calibration and fixed-model
+// σε must equal what separate Calibrate calls produce.
+func TestEvaluateEstimatorsMatchesCalibrate(t *testing.T) {
+	comps := dataset.Paper()
+	rows, err := EvaluateEstimatorsN(comps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		mixed, err := Calibrate(comps, r.Metrics, CalibrationOptions{Mixed: true, Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed, err := Calibrate(comps, r.Metrics, CalibrationOptions{Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Calibration, mixed) {
+			t.Errorf("%s: calibration differs from Calibrate:\n got %+v\nwant %+v", r.Name, r.Calibration, mixed)
+		}
+		if r.SigmaEpsRho1 != fixed.SigmaEps() {
+			t.Errorf("%s: σε(ρ=1) %v, Calibrate %v", r.Name, r.SigmaEpsRho1, fixed.SigmaEps())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 func BenchmarkFitDEE1(b *testing.B) {
@@ -35,4 +36,38 @@ func BenchmarkLogLikelihoodClosedForm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAblationMultistart compares the multi-start Nelder–Mead
+// DEE1 fit against a single start (the first seed: scale-heuristic
+// weight ratio, λ = ¼), reporting each arm's σε.
+func BenchmarkAblationMultistart(b *testing.B) {
+	d := paperData(dataset.Stmts, dataset.FanInLC)
+	b.Run("multistart", func(b *testing.B) {
+		b.ReportAllocs()
+		var sigma float64
+		for i := 0; i < b.N; i++ {
+			r, err := Fit(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sigma = r.SigmaEps
+		}
+		b.ReportMetric(sigma, "sigma_eps")
+	})
+	b.Run("single-start", func(b *testing.B) {
+		b.ReportAllocs()
+		names, members := d.groupIndex()
+		var sigma float64
+		for i := 0; i < b.N; i++ {
+			p := newProfile(d, members, true)
+			start := startingPoints(d, true)[0]
+			r, err := p.result(stats.Minimize(p.objective, start, fitOptions), names)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sigma = r.SigmaEps
+		}
+		b.ReportMetric(sigma, "sigma_eps")
+	})
 }

@@ -24,8 +24,10 @@
 // multivariate normal with compound-symmetric covariance σε²·I + σρ²·J.
 // The marginal log-likelihood therefore has a closed form
 // (Sherman–Morrison inverse and rank-one determinant), which this
-// package maximizes over the weights w_k and the variance ratio
-// λ = σρ²/σε², with σε² profiled out analytically. This is exactly the
+// package maximizes over the weight ratios w_k/w_1 and the variance
+// ratio λ = σρ²/σε², with σε² and the overall scale w_1 profiled out
+// analytically (the scale enters the log-scale model additively, so
+// its ML value is a GLS mean). This is exactly the
 // ML objective that SAS PROC NLMIXED and R nlme(method="ML") maximize
 // for this model, so σε, σρ, AIC, and BIC are directly comparable with
 // the paper's Table 4 and Section 5.1.1.

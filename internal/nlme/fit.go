@@ -3,6 +3,7 @@ package nlme
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -80,62 +81,212 @@ func (r *Result) ConfidenceInterval(eff, conf float64) (lo, hi float64) {
 	return yl * eff, yh * eff
 }
 
-// profiledObjective builds the negative profiled log-likelihood of the
-// mixed model over θ = (log w_1..log w_k, log λ) where λ = σρ²/σε².
+// profile is the one objective Fit and FitFixed minimize. Write the
+// log-scale model with the overall scale c = log w_1 and the weight
+// ratios r_k = w_k/w_1 apart:
 //
-// With residuals r_ij = log Eff_ij − log η_ij and group sizes n_i, the
-// marginal covariance of group i is σε²(I + λJ), giving
+//	log Eff_ij = c + log u_ij + b_i + e_ij,   u_ij = m_ij1 + Σ_{k≥2} r_k·m_ijk
 //
-//	−2·logL = n·log 2π + n·log σε² + Σ_i log(1+n_i·λ) + Q(λ,w)/σε²
-//	Q(λ,w)  = Σ_i [ Σ_j r_ij² − λ/(1+n_i·λ)·(Σ_j r_ij)² ]
+// c enters additively, exactly as the random effect b_i does, so for
+// fixed ratios and λ = σρ²/σε² its ML value is the GLS mean of
+// y_ij = log Eff_ij − log u_ij, and σε² = Q/n follows. With y centered
+// at its mean ȳ, per-group sums n_i, S_i = Σ_j y_ij, SS_i = Σ_j y_ij²
+// and a_i = 1/(1+n_i·λ):
 //
-// and the ML σε² given (w, λ) is Q/n, which is substituted back in.
+//	δ*     = Σ_i a_i·S_i / Σ_i a_i·n_i          (c* = ȳ + δ*)
+//	Q      = Σ_i (SS_i − λ·a_i·S_i²) − δ*·Σ_i a_i·S_i
+//	−logL  = ½·(n·log 2π + n·log(Q/n) + Σ_i log(1+n_i·λ) + n)
 //
-// The returned closure owns reusable weight and predictor-log scratch,
-// so repeated evaluations allocate nothing — and for the same reason it
-// is NOT safe for concurrent calls. Multi-start optimization hands each
-// pool worker its own closure via stats.MinimizeMultistartFunc; the
-// scratch never changes a computed value (every entry read is written
-// first on each evaluation), so results stay bit-identical to the
-// allocate-per-eval form.
-func (d *Data) profiledObjective(members [][]int, logEff []float64) func(theta []float64) float64 {
-	k := d.NumMetrics()
-	n := d.NumObs()
-	w := make([]float64, k)
-	logEta := make([]float64, n)
-	return func(theta []float64) float64 {
-		for i := 0; i < k; i++ {
-			if theta[i] > 400 || theta[i] < -400 {
-				return math.Inf(1)
-			}
-			w[i] = math.Exp(theta[i])
+// The fixed model is λ = 0, where c* is the plain mean. The optimizer
+// therefore searches only φ = (log r_2..log r_k[, log λ]); once y's
+// group sums are built, an evaluation costs O(groups). With one metric
+// y does not depend on φ at all, so its sums are built once per fit.
+//
+// The ratio and y buffers are scratch: a profile is NOT safe for
+// concurrent calls, and each optimizer pool worker evaluates its own
+// copy (worker). Every scratch entry is written before it is read on
+// each evaluation, so the copies compute bit-identical values.
+type profile struct {
+	d       *Data
+	members [][]int
+	logEff  []float64
+	n       []float64 // group sizes n_i
+	k       int
+	mixed   bool
+
+	w     []float64 // (1, r_2..r_k)
+	y     []float64 // y_ij in observation order
+	mean  float64   // ȳ
+	s, ss []float64 // centered per-group S_i and SS_i
+}
+
+// fitOptions are the Nelder–Mead tolerances of every fit.
+var fitOptions = stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}
+
+func newProfile(d *Data, members [][]int, mixed bool) *profile {
+	p := &profile{
+		d:       d,
+		members: members,
+		logEff:  make([]float64, d.NumObs()),
+		n:       make([]float64, len(members)),
+		k:       d.NumMetrics(),
+		mixed:   mixed,
+	}
+	for i, e := range d.Efforts {
+		p.logEff[i] = math.Log(e)
+	}
+	for gi, idx := range members {
+		p.n[gi] = float64(len(idx))
+	}
+	p.alloc()
+	if p.k == 1 {
+		// u_ij = m_ij1, which Validate made positive, so this cannot
+		// fail; the sums are read-only from here on.
+		p.sums(nil)
+	}
+	return p
+}
+
+func (p *profile) alloc() {
+	p.w = make([]float64, p.k)
+	p.w[0] = 1
+	p.y = make([]float64, len(p.logEff))
+	p.s = make([]float64, len(p.n))
+	p.ss = make([]float64, len(p.n))
+}
+
+// worker returns a profile one optimizer pool worker may evaluate
+// without synchronization. With one metric nothing is written after
+// newProfile, so every worker shares p.
+func (p *profile) worker() *profile {
+	if p.k == 1 {
+		return p
+	}
+	q := *p
+	q.alloc()
+	return &q
+}
+
+// sums computes y, ȳ and the centered group sums at the log weight
+// ratios logR. It reports false for a point outside the ±400 bounds or
+// with a non-positive predictor.
+func (p *profile) sums(logR []float64) bool {
+	for j, lr := range logR {
+		if lr > 400 || lr < -400 {
+			return false
 		}
-		lambda := math.Exp(theta[k])
+		p.w[j+1] = math.Exp(lr)
+	}
+	if p.d.predictorLogsInto(p.y, p.w) != nil {
+		return false
+	}
+	var total float64
+	for i, logU := range p.y {
+		v := p.logEff[i] - logU
+		p.y[i] = v
+		total += v
+	}
+	p.mean = total / float64(len(p.y))
+	for gi, idx := range p.members {
+		var s, ss float64
+		for _, i := range idx {
+			v := p.y[i] - p.mean
+			s += v
+			ss += v * v
+		}
+		p.s[gi], p.ss[gi] = s, ss
+	}
+	return true
+}
+
+// scale profiles c out of the current sums at variance ratio λ (0 for
+// the fixed model): it returns the centered GLS shift δ* (c* = ȳ + δ*),
+// the residual quadratic form Q at c*, and Σ_i log(1+n_i·λ).
+func (p *profile) scale(lambda float64) (delta, q, logDet float64) {
+	var q0, sa, na float64
+	for gi, ng := range p.n {
+		s := p.s[gi]
+		a := 1 / (1 + ng*lambda)
+		q0 += p.ss[gi] - lambda*a*s*s
+		sa += a * s
+		na += a * ng
+		if lambda != 0 {
+			logDet += math.Log(1 + ng*lambda)
+		}
+	}
+	delta = sa / na
+	return delta, q0 - delta*sa, logDet
+}
+
+// objective returns −logL at φ with c and σε² profiled out.
+func (p *profile) objective(phi []float64) float64 {
+	k1 := p.k - 1
+	if k1 > 0 && !p.sums(phi[:k1]) {
+		return math.Inf(1)
+	}
+	var lambda float64
+	if p.mixed {
+		lambda = math.Exp(phi[k1])
 		if math.IsInf(lambda, 1) {
 			return math.Inf(1)
 		}
-		if d.predictorLogsInto(logEta, w) != nil {
-			return math.Inf(1)
-		}
-		var q, logDetTerm float64
-		for _, idx := range members {
-			var sum, sumsq float64
-			for _, i := range idx {
-				r := logEff[i] - logEta[i]
-				sum += r
-				sumsq += r * r
-			}
-			ni := float64(len(idx))
-			q += sumsq - lambda/(1+ni*lambda)*sum*sum
-			logDetTerm += math.Log(1 + ni*lambda)
-		}
-		if q <= 0 || math.IsNaN(q) {
-			return math.Inf(1)
-		}
-		nn := float64(n)
-		// −logL with σε² profiled at Q/n.
-		return 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(q/nn) + logDetTerm + nn)
 	}
+	_, q, logDet := p.scale(lambda)
+	if math.IsNaN(q) || (q <= 0 && p.mixed) {
+		return math.Inf(1)
+	}
+	if q <= 0 {
+		// A perfect fixed-model fit: the likelihood is unbounded, so
+		// report the limit and let the optimizer accept it.
+		return math.Inf(-1)
+	}
+	nn := float64(len(p.y))
+	return 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(q/nn) + logDet + nn)
+}
+
+// result recovers the weights, variance components and productivities
+// at the optimizer's best point.
+func (p *profile) result(best stats.MinimizeResult, names []string) (*Result, error) {
+	k1 := p.k - 1
+	if k1 > 0 && !p.sums(best.X[:k1]) {
+		return nil, fmt.Errorf("nlme: internal: optimum infeasible")
+	}
+	var lambda float64
+	if p.mixed {
+		lambda = math.Exp(best.X[k1])
+	}
+	delta, q, _ := p.scale(lambda)
+	sigmaEps2 := math.Max(q, 0) / float64(len(p.y))
+	w := make([]float64, p.k)
+	w[0] = math.Exp(p.mean + delta)
+	for j := 1; j < p.k; j++ {
+		w[j] = w[0] * p.w[j]
+	}
+	// Empirical-Bayes (BLUP) productivities: the posterior mean of the
+	// random effect b_i is λ·Σ_j r_ij / (1 + n_i·λ) with residuals
+	// r_ij = y_ij − c*, and ρ_i = exp(−b_i) since b_i = −log ρ_i. The
+	// fixed model's λ = 0 gives every project ρ = 1.
+	prods := make(map[string]float64, len(names))
+	for gi, name := range names {
+		b := lambda * (p.s[gi] - p.n[gi]*delta) / (1 + p.n[gi]*lambda)
+		prods[name] = math.Exp(-b)
+	}
+	params := p.k + 1
+	if p.mixed {
+		params = p.k + 2
+	}
+	return &Result{
+		Weights:        w,
+		MetricNames:    append([]string(nil), p.d.MetricNames...),
+		SigmaEps:       math.Sqrt(sigmaEps2),
+		SigmaRho:       math.Sqrt(lambda * sigmaEps2),
+		LogLik:         -best.F,
+		NumParams:      params,
+		NumObs:         len(p.y),
+		Productivities: prods,
+		Converged:      best.Converged,
+		Mixed:          p.mixed,
+	}, nil
 }
 
 // FitOptions configures Fit and FitFixed.
@@ -150,204 +301,68 @@ type FitOptions struct {
 
 // Fit maximizes the marginal likelihood of the mixed-effects model and
 // returns the fitted weights, variance components, productivities, and
-// information criteria. It uses multi-start Nelder–Mead over
-// log-weights and the log variance ratio; starting points are seeded
-// from per-metric effort/metric scale ratios and an OLS fit. The
-// restarts run concurrently on every available core; use FitOpts to
-// bound or serialize them.
+// information criteria. The overall scale and σε are profiled out in
+// closed form; multi-start Nelder–Mead searches the log weight ratios
+// and the log variance ratio, seeded from per-metric effort/metric
+// scale ratios and an OLS fit. The restarts run concurrently on every
+// available core; use FitOpts to bound or serialize them.
 func Fit(d *Data) (*Result, error) {
 	return FitOpts(d, FitOptions{})
 }
 
 // FitOpts is Fit with explicit options.
 func FitOpts(d *Data, opts FitOptions) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	n := d.NumObs()
-	k := d.NumMetrics()
-	names, members := d.groupIndex()
-	if len(names) < 2 {
-		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
-	}
-	logEff := make([]float64, n)
-	for i, e := range d.Efforts {
-		logEff[i] = math.Log(e)
-	}
-
-	// Each pool worker gets its own objective closure so the reusable
-	// scratch inside profiledObjective is never shared.
-	obj := func() func([]float64) float64 { return d.profiledObjective(members, logEff) }
-	starts := startingPoints(d, true)
-	best := stats.MinimizeMultistartFunc(obj, starts, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, opts.Concurrency)
-	if math.IsInf(best.F, 1) {
-		return nil, fmt.Errorf("nlme: optimization found no feasible point")
-	}
-
-	w := make([]float64, k)
-	for i := 0; i < k; i++ {
-		w[i] = math.Exp(best.X[i])
-	}
-	lambda := math.Exp(best.X[k])
-	logEta, err := d.predictorLogs(w)
-	if err != nil {
-		return nil, fmt.Errorf("nlme: internal: optimum infeasible: %w", err)
-	}
-	// Recover σε² = Q/n at the optimum.
-	var q float64
-	groupSum := make([]float64, len(members))
-	for gi, idx := range members {
-		var sum, sumsq float64
-		for _, i := range idx {
-			r := logEff[i] - logEta[i]
-			sum += r
-			sumsq += r * r
-		}
-		ni := float64(len(idx))
-		q += sumsq - lambda/(1+ni*lambda)*sum*sum
-		groupSum[gi] = sum
-	}
-	sigmaEps2 := q / float64(n)
-	sigmaRho2 := lambda * sigmaEps2
-
-	// Empirical-Bayes (BLUP) productivities: the posterior mean of the
-	// random effect b_i is σρ²·Σ_j r_ij / (σε² + n_i·σρ²), and
-	// ρ_i = exp(−b_i) since b_i = −log ρ_i.
-	prods := make(map[string]float64, len(names))
-	for gi, name := range names {
-		ni := float64(len(members[gi]))
-		b := sigmaRho2 * groupSum[gi] / (sigmaEps2 + ni*sigmaRho2)
-		prods[name] = math.Exp(-b)
-	}
-
-	res := &Result{
-		Weights:        w,
-		MetricNames:    append([]string(nil), d.MetricNames...),
-		SigmaEps:       math.Sqrt(sigmaEps2),
-		SigmaRho:       math.Sqrt(sigmaRho2),
-		LogLik:         -best.F,
-		NumParams:      k + 2,
-		NumObs:         n,
-		Productivities: prods,
-		Converged:      best.Converged,
-		Mixed:          true,
-	}
-	return res, nil
+	return fit(d, true, opts)
 }
 
 // FitFixed fits the model of Section 3.2 with every ρ_i forced to 1:
 // log Eff_ij = log(Σ_k w_k·m_ijk) + N(0, σε²). This is nonlinear least
-// squares on the log scale, with σε² profiled at RSS/n (the ML
-// estimate). Productivities in the result are all exactly 1.
+// squares on the log scale, with σε² and the overall scale profiled
+// out (their ML estimates), so a single-metric fit is closed form.
+// Productivities in the result are all exactly 1.
 func FitFixed(d *Data) (*Result, error) {
 	return FitFixedOpts(d, FitOptions{})
 }
 
 // FitFixedOpts is FitFixed with explicit options.
 func FitFixedOpts(d *Data, opts FitOptions) (*Result, error) {
+	return fit(d, false, opts)
+}
+
+func fit(d *Data, mixed bool, opts FitOptions) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	n := d.NumObs()
-	k := d.NumMetrics()
-	logEff := make([]float64, n)
-	for i, e := range d.Efforts {
-		logEff[i] = math.Log(e)
+	names, members := d.groupIndex()
+	if mixed && len(names) < 2 {
+		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
 	}
-	// As in FitOpts, the objective factory gives each pool worker a
-	// closure owning its own scratch, so evaluations allocate nothing.
-	obj := func() func([]float64) float64 {
-		w := make([]float64, k)
-		logEta := make([]float64, n)
-		return func(theta []float64) float64 {
-			for i := 0; i < k; i++ {
-				if theta[i] > 400 || theta[i] < -400 {
-					return math.Inf(1)
-				}
-				w[i] = math.Exp(theta[i])
-			}
-			if d.predictorLogsInto(logEta, w) != nil {
-				return math.Inf(1)
-			}
-			var rss float64
-			for i := range logEff {
-				r := logEff[i] - logEta[i]
-				rss += r * r
-			}
-			if rss <= 0 {
-				// A perfect fit; return the limit (−∞ likelihood objective
-				// would be −Inf, i.e. unboundedly good — report a huge
-				// negative number to let the optimizer accept it).
-				return math.Inf(-1)
-			}
-			nn := float64(n)
-			return 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(rss/nn) + nn)
-		}
+	p := newProfile(d, members, mixed)
+	starts := startingPoints(d, mixed)
+	var best stats.MinimizeResult
+	if len(starts[0]) == 0 {
+		// One metric and no random effect: nothing is left to search.
+		best = stats.MinimizeResult{F: p.objective(nil), Converged: true}
+	} else {
+		obj := func() func([]float64) float64 { return p.worker().objective }
+		best = stats.MinimizeMultistartFunc(obj, starts, fitOptions, opts.Concurrency)
 	}
-	starts := startingPoints(d, false)
-	best := stats.MinimizeMultistartFunc(obj, starts, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, opts.Concurrency)
 	if math.IsInf(best.F, 1) {
 		return nil, fmt.Errorf("nlme: optimization found no feasible point")
 	}
-	w := make([]float64, k)
-	for i := 0; i < k; i++ {
-		w[i] = math.Exp(best.X[i])
-	}
-	logEta, err := d.predictorLogs(w)
-	if err != nil {
-		return nil, fmt.Errorf("nlme: internal: optimum infeasible: %w", err)
-	}
-	var rss float64
-	for i := range logEff {
-		r := logEff[i] - logEta[i]
-		rss += r * r
-	}
-	names, _ := d.groupIndex()
-	prods := make(map[string]float64, len(names))
-	for _, name := range names {
-		prods[name] = 1
-	}
-	return &Result{
-		Weights:        w,
-		MetricNames:    append([]string(nil), d.MetricNames...),
-		SigmaEps:       math.Sqrt(rss / float64(n)),
-		SigmaRho:       0,
-		LogLik:         -best.F,
-		NumParams:      k + 1,
-		NumObs:         n,
-		Productivities: prods,
-		Converged:      best.Converged,
-		Mixed:          false,
-	}, nil
+	return p.result(best, names)
 }
 
-// startingPoints builds a set of optimizer seeds in θ-space. Each seed
-// sets log-weights from a heuristic and, for the mixed model, appends a
-// log variance-ratio seed.
-func startingPoints(d *Data, mixed bool) [][]float64 {
+// weightSeeds returns two heuristic log-weight vectors θ = log w.
+func weightSeeds(d *Data) (scale, ols []float64) {
 	k := d.NumMetrics()
 	n := d.NumObs()
-
-	// All seeds live in one backing array: fitting is called once per
-	// bootstrap/probe evaluation, so the dozen-plus small slices the
-	// naive construction allocates add up on the measurement hot path.
-	nb := 4
-	if k == 2 {
-		nb = 6
-	}
-	dim, per := k, 1
-	if mixed {
-		dim, per = k+1, 3
-	}
-	count := nb * per
-	backing := make([]float64, count*dim+nb*k)
-	baseArea := backing[count*dim:]
-	baseAt := func(i int) []float64 { return baseArea[i*k : (i+1)*k] }
+	scale = make([]float64, k)
+	ols = make([]float64, k)
 
 	// Heuristic 1: w_k = mean(effort) / (k · mean(metric_k)), the scale
 	// that makes each term contribute equally on average.
 	meanEff := stats.Mean(d.Efforts)
-	scaleSeed := baseAt(0)
 	for j := 0; j < k; j++ {
 		var s float64
 		cnt := 0
@@ -358,16 +373,15 @@ func startingPoints(d *Data, mixed bool) [][]float64 {
 			}
 		}
 		if cnt == 0 || s == 0 {
-			scaleSeed[j] = math.Log(1e-6)
+			scale[j] = math.Log(1e-6)
 			continue
 		}
-		scaleSeed[j] = math.Log(meanEff / (float64(k) * s / float64(cnt)))
+		scale[j] = math.Log(meanEff / (float64(k) * s / float64(cnt)))
 	}
 
 	// Heuristic 2: non-negative OLS of effort on metrics (negative
 	// coefficients clipped to a tiny positive fraction of the scale seed).
-	olsSeed := baseAt(1)
-	copy(olsSeed, scaleSeed)
+	copy(ols, scale)
 	x := stats.NewMatrix(n, k)
 	for i := 0; i < n; i++ {
 		for j := 0; j < k; j++ {
@@ -377,51 +391,52 @@ func startingPoints(d *Data, mixed bool) [][]float64 {
 	if beta, _, err := stats.OLS(x, d.Efforts); err == nil {
 		for j := 0; j < k; j++ {
 			if beta[j] > 0 {
-				olsSeed[j] = math.Log(beta[j])
+				ols[j] = math.Log(beta[j])
 			} else {
-				olsSeed[j] = scaleSeed[j] - 4 // strongly down-weighted
+				ols[j] = scale[j] - 4 // strongly down-weighted
 			}
 		}
 	}
+	return scale, ols
+}
 
-	// Perturbed variants widen the basin coverage deterministically.
-	for bi, delta := range []float64{-2, 2} {
-		v := baseAt(2 + bi)
-		copy(v, scaleSeed)
-		for j := range v {
-			v[j] += delta
+// startingPoints builds the optimizer seeds in φ-space: the log weight
+// ratios log(w_k/w_1), k ≥ 2, followed for the mixed model by log λ.
+// Each θ-space weight seed becomes θ_k − θ_1 and duplicates drop out in
+// order. Only ratios matter because the overall scale is profiled, so
+// the scale seed's ±2 shifts (every log-weight moved alike) are gone,
+// and with one metric every weight seed is the empty ratio vector.
+func startingPoints(d *Data, mixed bool) [][]float64 {
+	ratios := [][]float64{{}}
+	if k := d.NumMetrics(); k > 1 {
+		scale, ols := weightSeeds(d)
+		bases := [][]float64{scale, ols}
+		if k == 2 {
+			// Lopsided seeds matter for two-metric estimators like DEE1
+			// where one metric may dominate.
+			bases = append(bases,
+				[]float64{scale[0] + 3, scale[1] - 3},
+				[]float64{scale[0] - 3, scale[1] + 3})
+		}
+		ratios = ratios[:0]
+		for _, theta := range bases {
+			r := make([]float64, k-1)
+			for j := range r {
+				r[j] = theta[j+1] - theta[0]
+			}
+			if !slices.ContainsFunc(ratios, func(s []float64) bool { return slices.Equal(s, r) }) {
+				ratios = append(ratios, r)
+			}
 		}
 	}
-	if k == 2 {
-		// Lopsided seeds matter for two-metric estimators like DEE1
-		// where one metric may dominate.
-		a := baseAt(4)
-		copy(a, scaleSeed)
-		a[0] += 3
-		a[1] -= 3
-		b := baseAt(5)
-		copy(b, scaleSeed)
-		b[0] -= 3
-		b[1] += 3
-	}
-
-	starts := make([][]float64, count)
 	if !mixed {
-		for i := range starts {
-			row := backing[i*dim : (i+1)*dim]
-			copy(row, baseAt(i))
-			starts[i] = row
-		}
-		return starts
+		return ratios
 	}
 	logLambdas := [3]float64{math.Log(0.25), math.Log(1), math.Log(4)}
-	for bi := 0; bi < nb; bi++ {
-		for li, logLambda := range logLambdas {
-			i := bi*per + li
-			row := backing[i*dim : (i+1)*dim]
-			copy(row, baseAt(bi))
-			row[k] = logLambda
-			starts[i] = row
+	starts := make([][]float64, 0, len(ratios)*len(logLambdas))
+	for _, r := range ratios {
+		for _, logLambda := range logLambdas {
+			starts = append(starts, append(slices.Clip(r), logLambda))
 		}
 	}
 	return starts

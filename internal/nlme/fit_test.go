@@ -305,6 +305,33 @@ func TestProductivitiesCenterNearOne(t *testing.T) {
 	}
 }
 
+// TestStartingPointCounts pins the seed sets over weight ratios and λ:
+// the scale seed's ±2 shifts collapse onto it, DEE1 keeps four ratio
+// seeds, and a single metric has none to search.
+func TestStartingPointCounts(t *testing.T) {
+	for _, c := range []struct {
+		metrics []dataset.Metric
+		mixed   bool
+		n, dim  int
+	}{
+		{[]dataset.Metric{dataset.Stmts, dataset.FanInLC}, true, 12, 2},
+		{[]dataset.Metric{dataset.Stmts, dataset.FanInLC}, false, 4, 1},
+		{[]dataset.Metric{dataset.Stmts}, true, 3, 1},
+		{[]dataset.Metric{dataset.Stmts}, false, 1, 0},
+		{[]dataset.Metric{dataset.Stmts, dataset.FanInLC, dataset.Nets}, true, 6, 3},
+	} {
+		starts := startingPoints(paperData(c.metrics...), c.mixed)
+		if len(starts) != c.n {
+			t.Errorf("%v mixed=%v: %d starts, want %d", c.metrics, c.mixed, len(starts), c.n)
+		}
+		for _, s := range starts {
+			if len(s) != c.dim {
+				t.Errorf("%v mixed=%v: start %v has dimension %d, want %d", c.metrics, c.mixed, s, len(s), c.dim)
+			}
+		}
+	}
+}
+
 func TestFitRejectsInvalidData(t *testing.T) {
 	d := validData()
 	d.Efforts[0] = -1

@@ -17,6 +17,7 @@ func TestFitParallelDeterminism(t *testing.T) {
 		{dataset.Stmts},
 		{dataset.Stmts, dataset.FanInLC},
 		{dataset.FFs},
+		{dataset.Stmts, dataset.FanInLC, dataset.Nets},
 	} {
 		d := paperData(metrics...)
 		seq, err := FitOpts(d, FitOptions{Concurrency: 1})
@@ -33,17 +34,24 @@ func TestFitParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFitFixedParallelDeterminism covers the optimizer path (two
+// metrics) and the closed-form single-metric path.
 func TestFitFixedParallelDeterminism(t *testing.T) {
-	d := paperData(dataset.Stmts, dataset.FanInLC)
-	seq, err := FitFixedOpts(d, FitOptions{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FitFixedOpts(d, FitOptions{Concurrency: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel FitFixed diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	for _, metrics := range [][]dataset.Metric{
+		{dataset.Stmts, dataset.FanInLC},
+		{dataset.Stmts},
+	} {
+		d := paperData(metrics...)
+		seq, err := FitFixedOpts(d, FitOptions{Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := FitFixedOpts(d, FitOptions{Concurrency: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("%v: parallel FitFixed diverged from sequential:\nseq: %+v\npar: %+v", metrics, seq, par)
+		}
 	}
 }

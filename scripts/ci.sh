@@ -41,6 +41,7 @@
 #   SKIP_FUZZ=1 scripts/ci.sh          # skip the fuzz smoke stage
 #   SKIP_GOGC=1 scripts/ci.sh          # skip the GOGC sensitivity smoke
 #   SKIP_SCALE=1 scripts/ci.sh         # skip the generated-corpus scale smoke
+#   SKIP_BENCHMOD=1 scripts/ci.sh      # skip the bench/ module's tests
 #   SKIP_SERVE=1 scripts/ci.sh         # skip the ucserved daemon smoke
 #   FUZZTIME=30s scripts/ci.sh         # longer fuzz smoke (default 10s)
 #   BENCHCOUNT=10 scripts/ci.sh        # more bench repetitions (default 5)
@@ -60,6 +61,16 @@ go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/el
 if [ "${SKIP_SCALE:-0}" != "1" ]; then
 	echo "== scale smoke (generated 100-component corpus, -race) =="
 	go test -race -run '^TestMeasureStreamMatchesBatchGenerated$' ./internal/measure
+fi
+
+if [ "${SKIP_BENCHMOD:-0}" != "1" ]; then
+	# bench/ is a Go module of its own (bench/README.md), so the root
+	# `go test ./...` never reaches its tests: the workload checkers
+	# (the Table 4 bound, the DEE1 AIC/BIC bound, corpus-cold's σε
+	# identity), the BENCHMARK.json metric list, and a reduced smoke run
+	# of every workload.
+	echo "== benchmark module tests (bench/) =="
+	(cd bench && go test ./...)
 fi
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
