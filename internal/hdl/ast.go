@@ -1,12 +1,25 @@
 package hdl
 
 // SourceFile is a parsed µHDL file: a list of module declarations.
+// A SourceFile returned by this package is shared and read-only (see
+// the package documentation).
 type SourceFile struct {
 	File    string
 	Modules []*Module
 	// CodeLines is the set of source lines carrying at least one token,
 	// used for the paper's LoC metric.
 	CodeLines map[int]bool
+
+	hashes []string // ModuleHash of Modules[i], filled by Parse
+}
+
+// moduleHash returns the hash of f.Modules[i]: the one Parse stored,
+// or, for a SourceFile assembled by hand, a freshly computed one.
+func (f *SourceFile) moduleHash(i int) string {
+	if len(f.hashes) == len(f.Modules) {
+		return f.hashes[i]
+	}
+	return hashModule(f.Modules[i])
 }
 
 // Module is a module declaration.

@@ -9,21 +9,30 @@ import (
 )
 
 // Design is a collection of parsed source files forming one design:
-// every module name maps to exactly one declaration.
+// every module name maps to exactly one declaration. The files may be
+// shared with other designs (see ParseDesignParallel); a Design never
+// writes to them.
 type Design struct {
 	Files   []*SourceFile
-	modules map[string]*Module
+	modules map[string]decl
 
-	mu           sync.Mutex
-	fingerprint  string            // memoized Fingerprint; reset by AddFile
-	moduleHashes map[string]string // memoized ModuleHash per module; reset by AddFile
-	subtreeHash  map[string]string // memoized SubtreeHash per top; reset by AddFile
+	mu          sync.Mutex
+	fingerprint string            // memoized Fingerprint; reset by AddFile
+	subtreeHash map[string]string // memoized SubtreeHash per top; reset by AddFile
 }
+
+// decl locates a module declaration: file.Modules[i].
+type decl struct {
+	file *SourceFile
+	i    int
+}
+
+func (c decl) module() *Module { return c.file.Modules[c.i] }
 
 // NewDesign builds a Design from parsed files, rejecting duplicate
 // module names.
 func NewDesign(files ...*SourceFile) (*Design, error) {
-	d := &Design{modules: map[string]*Module{}}
+	d := &Design{modules: map[string]decl{}}
 	for _, f := range files {
 		if err := d.AddFile(f); err != nil {
 			return nil, err
@@ -34,50 +43,34 @@ func NewDesign(files ...*SourceFile) (*Design, error) {
 
 // AddFile adds a parsed file to the design.
 func (d *Design) AddFile(f *SourceFile) error {
-	for _, m := range f.Modules {
+	for i, m := range f.Modules {
 		if prev, ok := d.modules[m.Name]; ok {
-			return fmt.Errorf("hdl: module %q declared at both %s and %s", m.Name, prev.Pos, m.Pos)
+			return fmt.Errorf("hdl: module %q declared at both %s and %s", m.Name, prev.module().Pos, m.Pos)
 		}
-		d.modules[m.Name] = m
+		d.modules[m.Name] = decl{file: f, i: i}
 	}
 	d.Files = append(d.Files, f)
 	d.mu.Lock()
 	d.fingerprint = ""
-	d.moduleHashes = nil
 	d.subtreeHash = nil
 	d.mu.Unlock()
 	return nil
 }
 
-// ParseDesign parses named sources (name → text) into one Design.
-// Sources are processed in sorted name order for determinism.
+// ParseDesign parses named sources (name → text) into one Design,
+// sequentially: it is ParseDesignParallel(sources, 1).
 func ParseDesign(sources map[string]string) (*Design, error) {
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	d := &Design{modules: map[string]*Module{}}
-	for _, n := range names {
-		f, err := Parse(n, sources[n])
-		if err != nil {
-			return nil, err
-		}
-		if err := d.AddFile(f); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return ParseDesignParallel(sources, 1)
 }
 
 // Module returns the module named name, or an error listing what the
 // design does contain.
 func (d *Design) Module(name string) (*Module, error) {
-	m, ok := d.modules[name]
+	c, ok := d.modules[name]
 	if !ok {
 		return nil, fmt.Errorf("hdl: no module %q in design (have %v)", name, d.ModuleNames())
 	}
-	return m, nil
+	return c.module(), nil
 }
 
 // HasModule reports whether the design declares name.
@@ -104,26 +97,31 @@ func (d *Design) ModuleNames() []string {
 // internal/cache.
 //
 // The hash is memoized (and invalidated by AddFile): a measurement
-// session derives one disk-cache key per unit from the same design,
-// and re-formatting the whole corpus for every lookup would dominate
-// the warm path. The per-module hashes it is built from are shared
-// with SubtreeHash and internal/depgraph, so one formatting pass over
-// the design serves all three identity levels.
+// session derives one disk-cache key per unit from the same design.
+// The per-module hashes it is built from were computed once, when
+// their file was parsed, and are shared with SubtreeHash and
+// internal/depgraph.
 func (d *Design) Fingerprint() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.fingerprint != "" {
 		return d.fingerprint
 	}
+	d.fingerprint = d.mixHashes(d.ModuleNames())
+	return d.fingerprint
+}
+
+// mixHashes hashes the (name, ModuleHash) pairs of names, in order.
+func (d *Design) mixHashes(names []string) string {
 	h := sha256.New()
-	for _, name := range d.ModuleNames() {
+	for _, name := range names {
+		c := d.modules[name]
 		h.Write([]byte(name))
 		h.Write([]byte{0})
-		h.Write([]byte(d.moduleHashLocked(name)))
+		h.Write([]byte(c.file.moduleHash(c.i)))
 		h.Write([]byte{0})
 	}
-	d.fingerprint = hex.EncodeToString(h.Sum(nil))
-	return d.fingerprint
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ModuleHash returns a stable content hash of one module declaration:
@@ -131,30 +129,20 @@ func (d *Design) Fingerprint() string {
 // the incremental-remeasurement dependency graph (internal/depgraph):
 // two modules hash equal exactly when their formatted declarations are
 // byte-identical, which is the precision every downstream stage —
-// elaboration, synthesis, source metrics — keys off. Hashes are
-// memoized per module and invalidated by AddFile.
+// elaboration, synthesis, source metrics — keys off. The hash is read
+// from the module's file, which Parse hashed once.
 func (d *Design) ModuleHash(name string) (string, error) {
 	if _, err := d.Module(name); err != nil {
 		return "", err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.moduleHashLocked(name), nil
+	c := d.modules[name]
+	return c.file.moduleHash(c.i), nil
 }
 
-// moduleHashLocked computes (or serves memoized) the hash of a module
-// known to exist. Caller holds d.mu.
-func (d *Design) moduleHashLocked(name string) string {
-	if h, ok := d.moduleHashes[name]; ok {
-		return h
-	}
-	if d.moduleHashes == nil {
-		d.moduleHashes = map[string]string{}
-	}
-	sum := sha256.Sum256([]byte(Format(d.modules[name])))
-	h := hex.EncodeToString(sum[:])
-	d.moduleHashes[name] = h
-	return h
+// hashModule is ModuleHash's definition: SHA-256 over Format(m).
+func hashModule(m *Module) string {
+	sum := sha256.Sum256([]byte(Format(m)))
+	return hex.EncodeToString(sum[:])
 }
 
 // SubtreeHash returns a stable content hash of the module subtree
@@ -178,16 +166,9 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	sum := d.mixHashes(modules)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h := sha256.New()
-	for _, name := range modules {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write([]byte(d.moduleHashLocked(name)))
-		h.Write([]byte{0})
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
 	if d.subtreeHash == nil {
 		d.subtreeHash = map[string]string{}
 	}

@@ -37,4 +37,14 @@
 // Unsupported (rejected at parse or synthesis time rather than silently
 // mis-handled): signed arithmetic, functions/tasks, initial blocks,
 // delays, events, strengths, and four-state X/Z values.
+//
+// # Parsed files are shared and read-only
+//
+// ParseDesign and ParseDesignParallel reuse the *SourceFile of a file
+// whose name and text they have seen before, so one parsed file — its
+// modules, every AST node under them, CodeLines, and the module hashes
+// Parse stored — may belong to many designs, measurement sessions and
+// daemon tenants at once, on many goroutines. Nothing may write to a
+// SourceFile or anything reachable from it once Parse has returned. Code
+// that needs a modified tree builds a new one.
 package hdl

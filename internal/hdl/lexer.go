@@ -16,6 +16,7 @@ type Lexer struct {
 	line     int
 	col      int
 	codeLine map[int]bool
+	lastCode int // the line most recently recorded in codeLine
 }
 
 // NewLexer returns a lexer over src. file is used in positions and
@@ -115,7 +116,10 @@ func (l *Lexer) Next() (Token, error) {
 	if l.off >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: pos}, nil
 	}
-	l.codeLine[pos.Line] = true
+	if pos.Line != l.lastCode { // lines only grow: one map write per line
+		l.codeLine[pos.Line] = true
+		l.lastCode = pos.Line
+	}
 	c := l.peek()
 
 	switch {

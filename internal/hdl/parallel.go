@@ -1,8 +1,6 @@
 package hdl
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sort"
 
 	"repro/internal/parallel"
@@ -11,8 +9,13 @@ import (
 // ParseDesignParallel parses named sources (name → text) into one
 // Design on a bounded worker pool. Files parse concurrently but are
 // added in sorted name order, so the result — modules, file order,
-// error selection — is bit-identical to ParseDesign for every worker
-// count. concurrency 0 means GOMAXPROCS, 1 means sequential.
+// error selection — is identical for every worker count. concurrency 0
+// means GOMAXPROCS, 1 means sequential.
+//
+// A file whose name and text match what the process last parsed under
+// that name is not parsed again: the design shares the earlier
+// *SourceFile, module hashes included (see parseMemo). Re-parsing an
+// edited corpus therefore costs the files that changed.
 func ParseDesignParallel(sources map[string]string, concurrency int) (*Design, error) {
 	names := make([]string, 0, len(sources))
 	for n := range sources {
@@ -20,55 +23,10 @@ func ParseDesignParallel(sources map[string]string, concurrency int) (*Design, e
 	}
 	sort.Strings(names)
 	files, err := parallel.Map(concurrency, len(names), func(i int) (*SourceFile, error) {
-		return Parse(names[i], sources[names[i]])
+		return parsed.parse(names[i], sources[names[i]])
 	})
 	if err != nil {
 		return nil, err
 	}
-	d := &Design{modules: map[string]*Module{}}
-	for _, f := range files {
-		if err := d.AddFile(f); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// PrehashModules computes and memoizes every module's ModuleHash on a
-// bounded worker pool. Formatting each module declaration is the
-// dominant cost of the first Fingerprint/SubtreeHash call on a large
-// design, and those are otherwise computed serially under the
-// design's mutex; pre-filling the memo turns the planning front end's
-// hash lookups into map reads. Calling it is purely an optimization —
-// hashes are identical with or without it.
-func (d *Design) PrehashModules(concurrency int) {
-	names := d.ModuleNames()
-
-	d.mu.Lock()
-	todo := names[:0]
-	for _, n := range names {
-		if _, ok := d.moduleHashes[n]; !ok {
-			todo = append(todo, n)
-		}
-	}
-	d.mu.Unlock()
-	if len(todo) == 0 {
-		return
-	}
-
-	hashes, _ := parallel.Map(concurrency, len(todo), func(i int) (string, error) {
-		sum := sha256.Sum256([]byte(Format(d.modules[todo[i]])))
-		return hex.EncodeToString(sum[:]), nil
-	})
-
-	d.mu.Lock()
-	if d.moduleHashes == nil {
-		d.moduleHashes = make(map[string]string, len(todo))
-	}
-	for i, n := range todo {
-		if _, ok := d.moduleHashes[n]; !ok {
-			d.moduleHashes[n] = hashes[i]
-		}
-	}
-	d.mu.Unlock()
+	return NewDesign(files...)
 }

@@ -20,7 +20,10 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parse parses a µHDL source file.
+// Parse parses a µHDL source file and hashes each of its modules once
+// (the values Design.ModuleHash reports). It is the per-file step of
+// both ParseDesign and ParseDesignParallel, which reuse its result for
+// unchanged text (see parseMemo).
 func Parse(file, src string) (*SourceFile, error) {
 	p := &Parser{lex: NewLexer(file, src)}
 	if err := p.next(); err != nil {
@@ -35,6 +38,10 @@ func Parse(file, src string) (*SourceFile, error) {
 		sf.Modules = append(sf.Modules, m)
 	}
 	sf.CodeLines = p.lex.CodeLines()
+	sf.hashes = make([]string, len(sf.Modules))
+	for i, m := range sf.Modules {
+		sf.hashes[i] = hashModule(m)
+	}
 	return sf, nil
 }
 

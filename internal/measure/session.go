@@ -189,26 +189,19 @@ type plan struct {
 	err        error      // deferred so one failed unit does not strand flights
 }
 
-// batchPrepThreshold is the unit count above which a batch pays the
-// up-front scans — parallel module pre-hashing and one cache-directory
-// snapshot — that replace per-unit locking and per-entry open calls.
-// Small batches (the 18-component paper corpus) skip both: the scans
-// would cost more than they save there.
+// batchPrepThreshold is the unit count above which a batch pays for
+// one up-front cache-directory snapshot, which replaces per-entry open
+// calls. Small batches (the 18-component paper corpus) skip it: the
+// scan would cost more than it saves there.
 const batchPrepThreshold = 32
 
-// prepBatch amortizes a large batch's front-end costs: it pre-fills
-// the design's module-hash memo on the worker pool (so the per-unit
-// SubtreeHash calls become map reads instead of serialized formatting
-// under the design mutex) and takes one cache-directory snapshot that
-// lets cold keys skip their per-entry open(2). Returns nil — meaning
-// "probe the disk as before" — for small batches, cache-off runs, and
-// verify mode.
+// prepBatch amortizes a large batch's cache probes: it takes one
+// cache-directory snapshot that lets cold keys skip their per-entry
+// open(2). (Module hashes need no preparation: Parse computed them.)
+// Returns nil — meaning "probe the disk as before" — for small
+// batches, cache-off runs, and verify mode.
 func (s *Session) prepBatch(n int, opts Options) *cache.Snapshot {
-	if opts.Cache == nil || n < batchPrepThreshold {
-		return nil
-	}
-	s.design.PrehashModules(opts.Concurrency)
-	if opts.Cache.Verifying() {
+	if opts.Cache == nil || n < batchPrepThreshold || opts.Cache.Verifying() {
 		return nil
 	}
 	snap, err := opts.Cache.Snapshot()

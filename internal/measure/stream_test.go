@@ -51,8 +51,8 @@ func sameKey(t *testing.T, label string, got, want resultKey) {
 // accounting) measured through the streaming path must be
 // bit-identical to the batch path, sequentially and in parallel, with
 // the cache off, cold, and warm. The 200-unit batch crosses the
-// prepBatch threshold, so the cold cached pass exercises the module
-// prehash + directory-snapshot planning front end, and the warm pass
+// prepBatch threshold, so the cold cached pass exercises the
+// directory-snapshot planning front end, and the warm pass
 // must answer entirely from disk (nothing planned, nothing missed).
 // scripts/ci.sh runs this under -race as its scale smoke.
 func TestMeasureStreamMatchesBatchGenerated(t *testing.T) {

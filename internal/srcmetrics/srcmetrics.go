@@ -67,10 +67,7 @@ func MeasureSource(file, src string) (perModule map[string]Counts, total Counts,
 		}
 		perModule[m.Name] = Counts{LoC: loc, Stmts: CountModuleStmts(m)}
 	}
-	for line := range sf.CodeLines {
-		total.LoC++
-		_ = line
-	}
+	total.LoC = len(sf.CodeLines)
 	for _, c := range perModule {
 		total.Stmts += c.Stmts
 	}
