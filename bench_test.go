@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/accounting"
 	"repro/internal/cache"
 	"repro/internal/codec"
 	"repro/internal/cones"
@@ -730,7 +729,7 @@ func BenchmarkMinimizeParamsCorpus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range preps {
-			if _, err := accounting.MinimizeParamsN(p.d, p.c.Top, 1); err != nil {
+			if _, err := measure.MinimizeParamsN(p.d, p.c.Top, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

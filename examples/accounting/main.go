@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/accounting"
 	"repro/internal/hdl"
 	"repro/internal/measure"
 )
@@ -67,11 +66,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	with, err := accounting.MeasureComponent(design, "simd4", true, measure.Options{})
+	with, err := measure.MeasureComponent(design, "simd4", true, measure.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := accounting.MeasureComponent(design, "simd4", false, measure.Options{})
+	without, err := measure.MeasureComponent(design, "simd4", false, measure.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/accounting"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/designs"
@@ -51,7 +50,7 @@ func main() {
 				errs[i] = err
 				return
 			}
-			res, err := accounting.MeasureComponent(d, c.Top, true, measure.Options{})
+			res, err := measure.MeasureComponent(d, c.Top, true, measure.Options{})
 			if err != nil {
 				errs[i] = err
 				return

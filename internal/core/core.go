@@ -2,7 +2,7 @@
 // the paper's primary contribution. It ties the three parts of
 // Section 2 together:
 //
-//  1. the accounting procedure (internal/accounting) that measures a
+//  1. the accounting procedure (internal/measure) that measures a
 //     design's components — each reused module once, parameters
 //     minimized;
 //  2. the nonlinear mixed-effects regression (internal/nlme) that
@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/accounting"
 	"repro/internal/dataset"
 	"repro/internal/hdl"
 	"repro/internal/measure"
@@ -42,7 +41,7 @@ type Measurement struct {
 	Name    string
 	Metrics *measure.Metrics
 	// Accounting describes how the measurement was taken.
-	Accounting *accounting.Result
+	Accounting *measure.ComponentResult
 }
 
 // Component converts the measurement into a database row with the
@@ -61,7 +60,7 @@ func (m *Measurement) Component(effort float64) dataset.Component {
 // useAccounting to false only for methodological comparisons like
 // Figure 6 of the paper.
 func MeasureComponent(design *hdl.Design, project, top string, useAccounting bool, opts measure.Options) (*Measurement, error) {
-	res, err := accounting.MeasureComponent(design, top, useAccounting, opts)
+	res, err := measure.MeasureComponent(design, top, useAccounting, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package designs
 import (
 	"testing"
 
-	"repro/internal/accounting"
 	"repro/internal/equiv"
 	"repro/internal/measure"
 	"repro/internal/synth"
@@ -83,11 +82,11 @@ func TestReplicationGradientAcrossProjects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := accounting.MeasureComponent(d, c.Top, true, measure.Options{})
+			w, err := measure.MeasureComponent(d, c.Top, true, measure.Options{})
 			if err != nil {
 				t.Fatalf("%s with accounting: %v", c.Label(), err)
 			}
-			wo, err := accounting.MeasureComponent(d, c.Top, false, measure.Options{})
+			wo, err := measure.MeasureComponent(d, c.Top, false, measure.Options{})
 			if err != nil {
 				t.Fatalf("%s without accounting: %v", c.Label(), err)
 			}

@@ -11,7 +11,7 @@
 // that does not cause any loops or conditional statements in the RTL
 // description to be optimized away by traditional program analysis
 // techniques such as constant propagation and dead code elimination."
-// internal/accounting searches parameter values downward and accepts a
-// candidate only while its report stays compatible with the reference
-// parameterization's report.
+// internal/measure's accounting search lowers parameter values and
+// accepts a candidate only while its report stays compatible with the
+// reference parameterization's report.
 package elab

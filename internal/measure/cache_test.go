@@ -1,0 +1,269 @@
+package measure
+
+import (
+	"errors"
+	"maps"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/codec"
+	"repro/internal/designs"
+	"repro/internal/hdl"
+)
+
+// The cache contract: a component measured with the cache off, with a
+// cold cache, and from a warm cache yields bit-identical paper-facing
+// results, and a warm hit carries the optimized netlist so downstream
+// timing analysis sees the identical structure. A cold one-unit batch
+// writes two entries: the unit's "component" record and its
+// signature's "sig" record.
+
+func execDesign(t *testing.T) (*hdl.Design, string) {
+	t.Helper()
+	c, err := designs.ByLabel("IVM-Execute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := designs.Design(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, c.Top
+}
+
+func measureExec(t *testing.T, opts Options) *ComponentResult {
+	t.Helper()
+	d, top := execDesign(t)
+	res, err := MeasureComponent(d, top, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestCacheOffColdWarmBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	off := measureExec(t, Options{})
+	cold := measureExec(t, Options{Cache: ch})
+	warm := measureExec(t, Options{Cache: ch})
+
+	for name, got := range map[string]*ComponentResult{"cold": cold, "warm": warm} {
+		if *got.Metrics != *off.Metrics {
+			t.Errorf("%s metrics diverged from uncached:\n%+v\n%+v", name, *got.Metrics, *off.Metrics)
+		}
+		if !reflect.DeepEqual(got.MinimizedParams, off.MinimizedParams) {
+			t.Errorf("%s minimized params diverged: %v vs %v", name, got.MinimizedParams, off.MinimizedParams)
+		}
+		if got.InstanceCount != off.InstanceCount || got.DedupedInstances != off.DedupedInstances {
+			t.Errorf("%s accounting counts diverged", name)
+		}
+		if got.Synth == nil || got.Synth.Optimized == nil {
+			t.Fatalf("%s result carries no optimized netlist", name)
+		}
+		if got.Synth.Optimized.Hash() != off.Synth.Optimized.Hash() {
+			t.Errorf("%s optimized netlist structure diverged from uncached", name)
+		}
+	}
+
+	s := ch.Stats()
+	if s.Misses != 2 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 2 misses (cold component + sig) and 1 hit (warm component)", s)
+	}
+	// The search counters describe a run, not a result: the cold run
+	// searched, the warm hit ran no search and reports none.
+	if cold.ElabCacheHits+cold.ElabCacheMisses == 0 {
+		t.Errorf("cold result carries no search counters: %d/%d", cold.ElabCacheHits, cold.ElabCacheMisses)
+	}
+	if warm.ElabCacheHits != 0 || warm.ElabCacheMisses != 0 {
+		t.Errorf("warm result carries probe counters %d/%d, want 0/0", warm.ElabCacheHits, warm.ElabCacheMisses)
+	}
+
+	// A fresh handle on the same directory must also hit: the entry is
+	// content-addressed on disk, not process state.
+	ch2, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := measureExec(t, Options{Cache: ch2})
+	if *again.Metrics != *off.Metrics {
+		t.Error("reopened cache served diverging metrics")
+	}
+	if s := ch2.Stats(); s.Hits != 1 || s.Misses != 0 {
+		t.Errorf("reopened cache stats = %+v, want pure hit", s)
+	}
+}
+
+func TestCacheVerifyModePassesOnConsistentEntry(t *testing.T) {
+	ch, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := measureExec(t, Options{Cache: ch})
+	ch.SetVerify(true)
+	verified := measureExec(t, Options{Cache: ch})
+	if *verified.Metrics != *first.Metrics {
+		t.Error("verify-mode hit diverged from original measurement")
+	}
+	s := ch.Stats()
+	if s.VerifyChecks != 2 || s.VerifyMismatches != 0 {
+		t.Errorf("stats = %+v, want 2 clean verify checks (component + sig)", s)
+	}
+}
+
+func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := measureExec(t, Options{Cache: ch})
+
+	entries, err := filepath.Glob(filepath.Join(dir, "component-*.ucx"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("component entries = %v (err %v), want exactly one", entries, err)
+	}
+	if err := os.WriteFile(entries[0], []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	again := measureExec(t, Options{Cache: ch})
+	if *again.Metrics != *first.Metrics {
+		t.Error("recomputed measurement diverged after corruption")
+	}
+	// Cold: component + sig misses. Again: the damaged component entry
+	// is discarded and missed; the intact sig entry hits.
+	s := ch.Stats()
+	if s.DecodeErrors == 0 || s.Misses != 3 {
+		t.Errorf("stats = %+v, want the corrupt entry discarded and recomputed", s)
+	}
+}
+
+// recordV1Codec writes the version-1 component record layout, which
+// also stored the search's probe counters and the subtree counters of
+// whichever run populated the entry.
+var recordV1Codec = codec.Codec[*componentRecord]{
+	Name: "measure.componentRecord.v1",
+	Append: func(dst []byte, rec *componentRecord) []byte {
+		dst = codec.AppendByte(dst, 1)
+		dst = codec.AppendBool(dst, true)
+		dst = appendMetrics(dst, rec.Metrics)
+		dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
+		for _, name := range rec.UniqueModules {
+			dst = codec.AppendString(dst, name)
+		}
+		names := make([]string, 0, len(rec.MinimizedParams))
+		for name := range rec.MinimizedParams {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		dst = codec.AppendUvarint(dst, uint64(len(names)))
+		for _, name := range names {
+			dst = codec.AppendString(dst, name)
+			dst = codec.AppendVarint(dst, rec.MinimizedParams[name])
+		}
+		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
+		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
+		for _, counter := range []int64{7, 3, 11, 5, 13} {
+			dst = codec.AppendVarint(dst, counter)
+		}
+		dst = codec.AppendBool(dst, true)
+		return codec.AppendNetlist(dst, rec.Optimized)
+	},
+}
+
+// TestRecordV1EntryRecomputes plants a version-1 component record
+// under the unit's key: it must decode as corrupt, be discarded, and be
+// recomputed bit-identically, with this run's search counters rather
+// than the planted ones.
+func TestRecordV1EntryRecomputes(t *testing.T) {
+	d, top := execDesign(t)
+	ch, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: ch}
+	want, err := measureComponentRef(d, top, true, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := measureExec(t, opts)
+	key, err := componentKey(d, top, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := cache.Get(ch, key, recordCodec)
+	if !ok {
+		t.Fatal("cold run wrote no component record")
+	}
+	if err := cache.Put(ch, key, recordV1Codec, rec); err != nil {
+		t.Fatal(err)
+	}
+	payload := recordV1Codec.Append(nil, rec)
+	if _, err := recordCodec.Decode(codec.NewReader(payload)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("v1 payload decoded with err %v, want ErrCorrupt", err)
+	}
+
+	before := ch.Stats()
+	again := measureExec(t, opts)
+	after := ch.Stats()
+	if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
+		t.Errorf("decode errors grew by %d, want 1 (the planted v1 record)", got)
+	}
+	if after.Puts-before.Puts != 1 {
+		t.Errorf("puts grew by %d, want the component record rewritten once", after.Puts-before.Puts)
+	}
+	for name, got := range map[string]*ComponentResult{"first": first, "recomputed": again} {
+		if *got.Metrics != *want.Metrics || !maps.Equal(got.MinimizedParams, want.MinimizedParams) ||
+			got.InstanceCount != want.InstanceCount || got.DedupedInstances != want.DedupedInstances ||
+			got.Synth.Optimized.Hash() != want.Synth.Optimized.Hash() {
+			t.Errorf("%s result diverged from the reference", name)
+		}
+	}
+	if again.ElabCacheHits != first.ElabCacheHits || again.ElabCacheMisses != first.ElabCacheMisses {
+		t.Errorf("recomputed search counters %d/%d, want this run's %d/%d",
+			again.ElabCacheHits, again.ElabCacheMisses, first.ElabCacheHits, first.ElabCacheMisses)
+	}
+	if _, ok := cache.Get(ch, key, recordCodec); !ok {
+		t.Error("recomputed record not readable at the current version")
+	}
+}
+
+// TestComponentKeyPinned pins component- keys byte for byte, accounting
+// on and off, with and without a namespace: the key is the name a
+// persisted record lives under, so a layout change would leave every
+// existing entry orphaned on disk instead of overwritten.
+func TestComponentKeyPinned(t *testing.T) {
+	c := designs.All()[0]
+	d, err := designs.Design(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"component-e2d387254b367064c7f80a259bc1e31a92547159086e792f131d5af662c67098",
+		"component-14123b1e8c2f84fb225dda35bd1cecf320998aa04fdf3916faee2c5214e79538",
+		"component-2968ec4e0fc19089ca14fe6a2bcdf430dc6a94236b1de3587229f42d6589c9fd",
+		"component-7b4e2d9ccdd19f4f2ceb8da83b55b93275f983ead890c665ade12fc98f40d9c1",
+	}
+	i := 0
+	for _, ns := range []string{"", "t"} {
+		for _, acct := range []bool{false, true} {
+			got, err := componentKey(d, c.Top, acct, Options{Namespace: ns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Errorf("%s acct=%t ns=%q: key %s, want %s", c.Label(), acct, ns, got, want[i])
+			}
+			i++
+		}
+	}
+}

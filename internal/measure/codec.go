@@ -5,38 +5,25 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/elab"
 	"repro/internal/netlist"
 )
 
-// Binary codecs for the two types the disk cache persists: the full
+// Binary codecs for the two records the disk cache persists: the full
 // component record (metrics + accounting details + the optimized
-// netlist timing analysis reuses) and the bare metric vector of
-// measure.Module. Explicit field-by-field encoders over
+// netlist timing analysis reuses) and the signature record of one
+// synthesized design point. Explicit field-by-field encoders over
 // internal/codec's primitives — what encoding/gob did by reflection,
 // without the reflection. Each payload opens with its own structure
-// version byte so the layout can evolve under one cache schema.
+// version byte so the layout can evolve under one cache schema: an
+// entry of another version decodes as codec.ErrCorrupt and is
+// recomputed.
 
 const (
-	metricsVersion = 1
-	recordVersion  = 1
-	sigVersion     = 1
+	// recordVersion 2 dropped the search counters version 1 stored:
+	// they described whichever run wrote the entry, not the result.
+	recordVersion = 2
+	sigVersion    = 1
 )
-
-// metricsCodec persists *Metrics (the measure.Module cache entries).
-var metricsCodec = codec.Codec[*Metrics]{
-	Name: "measure.Metrics",
-	Append: func(dst []byte, m *Metrics) []byte {
-		dst = codec.AppendByte(dst, metricsVersion)
-		return appendMetrics(dst, m)
-	},
-	Decode: func(r *codec.Reader) (*Metrics, error) {
-		if v := r.Byte(); r.Err() == nil && v != metricsVersion {
-			return nil, fmt.Errorf("%w: metrics structure version %d, want %d", codec.ErrCorrupt, v, metricsVersion)
-		}
-		return decodeMetrics(r)
-	},
-}
 
 func appendMetrics(dst []byte, m *Metrics) []byte {
 	dst = codec.AppendVarint(dst, int64(m.Stmts))
@@ -150,11 +137,10 @@ func compareSigRecords(cached, fresh *sigRecord) string {
 	return ""
 }
 
-// recordCodec persists *componentRecord — the shape both
-// MeasureComponent and Session.MeasureAll store and serve. The
-// MinimizedParams map is written in sorted key order so identical
-// records encode to identical bytes (the cache's verify mode and the
-// golden tests rely on byte-stable encodes).
+// recordCodec persists *componentRecord — the shape a Session stores
+// and serves per unit. The MinimizedParams map is written in sorted key
+// order so identical records encode to identical bytes (the cache's
+// verify mode and the golden tests rely on byte-stable encodes).
 var recordCodec = codec.Codec[*componentRecord]{
 	Name: "measure.componentRecord",
 	Append: func(dst []byte, rec *componentRecord) []byte {
@@ -179,11 +165,6 @@ var recordCodec = codec.Codec[*componentRecord]{
 		}
 		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
 		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
-		dst = codec.AppendVarint(dst, int64(rec.ElabCacheHits))
-		dst = codec.AppendVarint(dst, int64(rec.ElabCacheMisses))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.Hits))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.Misses))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.InstancesReused))
 		dst = codec.AppendBool(dst, rec.Optimized != nil)
 		if rec.Optimized != nil {
 			dst = codec.AppendNetlist(dst, rec.Optimized)
@@ -220,13 +201,6 @@ var recordCodec = codec.Codec[*componentRecord]{
 		}
 		rec.InstanceCount = int(r.Varint())
 		rec.DedupedInstances = int(r.Varint())
-		rec.ElabCacheHits = int(r.Varint())
-		rec.ElabCacheMisses = int(r.Varint())
-		rec.ElabStats = elab.CacheStats{
-			Hits:            int(r.Varint()),
-			Misses:          int(r.Varint()),
-			InstancesReused: int(r.Varint()),
-		}
 		var opt *netlist.Netlist
 		if r.Bool() && r.Err() == nil {
 			var err error

@@ -1,19 +1,18 @@
 package measure
 
 import (
+	"context"
 	"fmt"
 	"maps"
 
 	"repro/internal/cache"
-	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/netlist"
 	"repro/internal/synth"
 )
 
 // ComponentResult carries a component measurement along with the
-// accounting details that produced it. internal/accounting re-exports
-// it as accounting.Result.
+// accounting details that produced it.
 type ComponentResult struct {
 	Metrics *Metrics
 	// UniqueModules lists the distinct modules in the component's
@@ -34,19 +33,15 @@ type ComponentResult struct {
 	Synth *synth.Result
 	// ElabCacheHits and ElabCacheMisses count memoized versus fresh
 	// point verdicts during the parameter-minimization search
-	// (accounting mode only).
+	// (accounting mode only). They describe this run's search, so a
+	// result answered from the disk cache, which ran none, reports
+	// zero; subtree-level counters are per batch, in
+	// Options.ElabStats and Session.ElabStats.
 	ElabCacheHits, ElabCacheMisses int
-	// ElabStats counts the session elaboration cache's subtree-level
-	// activity — fragments and trees reused versus elaborated fresh,
-	// and how many instances the reuse skipped (accounting mode only;
-	// when the measurement ran inside a Session the cache is shared
-	// across the whole batch, so per-component deltas are not
-	// attributable and this is left zero — read Session.ElabStats).
-	ElabStats elab.CacheStats
 }
 
 // MeasureComponent measures one component (a module plus everything it
-// instantiates).
+// instantiates): a one-unit Session batch on a fresh session.
 //
 // With useAccounting (Section 2.2 of the paper), the component is
 // measured at its minimized parameterization and every repeated
@@ -58,25 +53,17 @@ type ComponentResult struct {
 // The software metrics (LoC, Stmts) sum each unique module's source
 // once in both modes — the paper notes in Section 5.3 that the
 // accounting procedure does not affect them.
+//
+// To measure a whole component set, use NewSession and
+// Session.MeasureAll, which share the elaboration cache and
+// deduplicate synthesis across components.
 func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
-	if opts.Cache == nil {
-		return measureComponent(design, top, useAccounting, opts)
-	}
-	key, err := componentKey(design, top, useAccounting, opts)
+	res, err := NewSession(design).measureAll(context.Background(),
+		[]Unit{{Top: top, UseAccounting: useAccounting}}, opts, opts.Concurrency)
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := cache.DoEq(opts.Cache, key, recordCodec, func() (*componentRecord, error) {
-		res, err := measureComponent(design, top, useAccounting, opts)
-		if err != nil {
-			return nil, err
-		}
-		return recordOf(res), nil
-	}, compareRecords)
-	if err != nil {
-		return nil, err
-	}
-	return rec.toResult(), nil
+	return res[0], nil
 }
 
 // componentKey derives the on-disk cache key of one component
@@ -84,18 +71,17 @@ func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts O
 // sources (hdl.Design.SubtreeHash), not the whole design's
 // fingerprint, so an edit elsewhere in the design — or measuring the
 // same component from a differently-composed design — leaves the
-// entry warm. The Session uses the same key, so warm entries are
-// shared between the batch and per-component paths.
+// entry warm. The dedup= part sits between the FPGA part and the
+// namespace, where earlier key layouts placed it, so a record whose
+// version changed is rewritten under its old key, not beside it.
 func componentKey(design *hdl.Design, top string, useAccounting bool, opts Options) (string, error) {
 	st, err := design.SubtreeHash(top)
 	if err != nil {
 		return "", err
 	}
-	eff := opts
-	eff.DedupInstances = useAccounting
 	return cache.KindKey("component", append([]string{
 		st, top, fmt.Sprintf("acct=%t", useAccounting),
-	}, eff.CacheKeyParts()...)...), nil
+	}, opts.keyParts(fmt.Sprintf("dedup=%t", useAccounting))...)...), nil
 }
 
 // componentRecord is the cacheable projection of a ComponentResult:
@@ -108,12 +94,7 @@ type componentRecord struct {
 	MinimizedParams  map[string]int64
 	InstanceCount    int
 	DedupedInstances int
-	// ElabCacheHits/Misses and ElabStats describe the run that
-	// populated the entry (they depend on probe scheduling, not on the
-	// result).
-	ElabCacheHits, ElabCacheMisses int
-	ElabStats                      elab.CacheStats
-	Optimized                      *netlist.Netlist
+	Optimized        *netlist.Netlist
 }
 
 func recordOf(res *ComponentResult) *componentRecord {
@@ -123,9 +104,6 @@ func recordOf(res *ComponentResult) *componentRecord {
 		MinimizedParams:  res.MinimizedParams,
 		InstanceCount:    res.InstanceCount,
 		DedupedInstances: res.DedupedInstances,
-		ElabCacheHits:    res.ElabCacheHits,
-		ElabCacheMisses:  res.ElabCacheMisses,
-		ElabStats:        res.ElabStats,
 		Optimized:        res.Synth.Optimized,
 	}
 }
@@ -137,16 +115,12 @@ func (r *componentRecord) toResult() *ComponentResult {
 		MinimizedParams:  r.MinimizedParams,
 		InstanceCount:    r.InstanceCount,
 		DedupedInstances: r.DedupedInstances,
-		ElabCacheHits:    r.ElabCacheHits,
-		ElabCacheMisses:  r.ElabCacheMisses,
-		ElabStats:        r.ElabStats,
 		Synth:            &synth.Result{Optimized: r.Optimized},
 	}
 }
 
 // compareRecords is the cache's verify-mode comparator: every
-// paper-facing value must match bit-for-bit; the elaboration-memo
-// counters are scheduling-dependent and excluded.
+// paper-facing value must match bit-for-bit.
 func compareRecords(cached, fresh *componentRecord) string {
 	switch {
 	case *cached.Metrics != *fresh.Metrics:
@@ -161,66 +135,4 @@ func compareRecords(cached, fresh *componentRecord) string {
 		return "optimized netlist structure differs"
 	}
 	return ""
-}
-
-func measureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
-	modules, err := design.TransitiveModules(top)
-	if err != nil {
-		return nil, err
-	}
-	res := &ComponentResult{UniqueModules: modules}
-
-	var inst *elab.Instance
-	var report *elab.Report
-	if useAccounting {
-		params, memo, err := minimizeParams(design, top, opts.Concurrency, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.MinimizedParams = params
-		// The search probed candidates in report-only mode; the full
-		// instance tree is materialized only here, for the point the
-		// search ended on, reusing every subtree the minimized
-		// parameters left unchanged from the reference elaboration.
-		inst, report, err = elab.ElaborateOpts(design, top, params, elab.Options{Cache: memo.sess})
-		if err != nil {
-			return nil, err
-		}
-		res.ElabCacheHits, res.ElabCacheMisses = memo.counters()
-		res.ElabStats = memo.sess.Stats()
-		if opts.ElabStats != nil {
-			opts.ElabStats.Add(res.ElabStats, res.ElabCacheHits, res.ElabCacheMisses)
-		}
-	} else {
-		inst, report, err = elab.Elaborate(design, top, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.InstanceCount = inst.CountInstances()
-
-	mopts := opts
-	mopts.DedupInstances = useAccounting
-	synres, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{
-		DedupInstances:   useAccounting,
-		DisableTemplates: opts.DisableTemplates,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Synth = synres
-	res.DedupedInstances = synres.Deduped
-	m := SynthMetricsOnly(synres, mopts)
-
-	// Software metrics: each unique module's source once.
-	for _, name := range modules {
-		src, err := SourceOnly(design, name)
-		if err != nil {
-			return nil, err
-		}
-		m.Stmts += src.Stmts
-		m.LoC += src.LoC
-	}
-	res.Metrics = m
-	return res, nil
 }

@@ -39,6 +39,8 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	s := NewSession(tinyDesign(t))
 	u := Unit{Top: "m"}
 	var opts Options
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ecache := elab.NewCache()
@@ -58,7 +60,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	// Cancel between planning and synthesis: the owner must resolve the
 	// flight with the context error and evict it.
 	cancel()
-	s.synthesizeFlight(ctx, p, opts, ecache, nil, nil)
+	s.synthesizeFlight(ctx, p, opts, ecache, ws, nil)
 	if _, err := s.assembleUnit(context.Background(), u, waiter, opts, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter on the abandoned flight got %v, want context.Canceled", err)
 	}
@@ -72,7 +74,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	if p2.owned == nil {
 		t.Fatal("abandoned flight was not evicted: fresh plan became a waiter on the dead entry")
 	}
-	s.synthesizeFlight(context.Background(), p2, opts, ecache, nil, nil)
+	s.synthesizeFlight(context.Background(), p2, opts, ecache, ws, nil)
 	res, err := s.assembleUnit(context.Background(), u, p2, opts, nil)
 	if err != nil {
 		t.Fatalf("measurement after an abandoned flight: %v", err)
@@ -90,6 +92,8 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	s := NewSession(tinyDesign(t))
 	u := Unit{Top: "m"}
 	var opts Options
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 
 	ecache := elab.NewCache()
 	owner := s.planUnit(context.Background(), u, opts, 1, ecache, nil)
@@ -105,7 +109,7 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	}
 
 	// Resolve the owner's flight so the session ends consistent.
-	s.synthesizeFlight(context.Background(), owner, opts, ecache, nil, nil)
+	s.synthesizeFlight(context.Background(), owner, opts, ecache, ws, nil)
 	if _, err := s.assembleUnit(context.Background(), u, owner, opts, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -99,10 +99,10 @@ func TestMinimizeParamsCorpusMatchesUncachedReference(t *testing.T) {
 			}
 		}
 
-		// Downstream pin: the accounting measurement's optimized netlist
-		// (built from session-cached subtrees) must hash identically to
-		// a synthesis of the same point elaborated entirely from scratch.
-		res, err := MeasureComponent(d, c.Top, true, Options{Concurrency: 1})
+		// Downstream pin: the reference measurement's optimized netlist
+		// (built from search-cached subtrees) must hash identically to a
+		// synthesis of the same point elaborated entirely from scratch.
+		res, err := measureComponentRef(d, c.Top, true, Options{Concurrency: 1})
 		if err != nil {
 			t.Fatalf("%s: measure: %v", c.Label(), err)
 		}
@@ -120,9 +120,10 @@ func TestMinimizeParamsCorpusMatchesUncachedReference(t *testing.T) {
 }
 
 // TestMeasureComponentElabStats pins that the accounting path reports
-// session-cache activity: the search must reuse subtrees on a design
-// whose submodules repeat across probes, and the counters must reach
-// both the Result and a shared StatsRecorder.
+// elaboration-cache activity: the search must reuse subtrees on a
+// design whose submodules repeat across probes, the subtree counters
+// must reach the shared StatsRecorder, and its probe counters must
+// agree with the result's.
 func TestMeasureComponentElabStats(t *testing.T) {
 	d := design(t, replicatedDesign)
 	rec := &elab.StatsRecorder{}
@@ -130,12 +131,12 @@ func TestMeasureComponentElabStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ElabStats.Hits == 0 || res.ElabStats.InstancesReused == 0 {
-		t.Errorf("accounting search reused no subtrees: %+v", res.ElabStats)
-	}
 	s, probeHits, probeMisses := rec.Snapshot()
-	if s != res.ElabStats {
-		t.Errorf("recorder stats %+v differ from result stats %+v", s, res.ElabStats)
+	if s.Hits == 0 || s.InstancesReused == 0 {
+		t.Errorf("accounting search reused no subtrees: %+v", s)
+	}
+	if probeMisses == 0 {
+		t.Error("accounting search recorded no probes")
 	}
 	if probeHits != res.ElabCacheHits || probeMisses != res.ElabCacheMisses {
 		t.Errorf("recorder probes %d/%d, result %d/%d",

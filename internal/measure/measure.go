@@ -1,8 +1,10 @@
 // Package measure runs the full µComplexity measurement pipeline on
-// one module: elaborate → synthesize → optimize, then extract every
-// Table 3 metric (software metrics from the source, ASIC metrics from
-// the optimized netlist and cell library, FPGA metrics from the LUT
-// mapping).
+// components — a top module plus everything it instantiates, with or
+// without the accounting procedure (minimize.go): elaborate →
+// synthesize → optimize, then extract every Table 3 metric (software
+// metrics from the source, ASIC metrics from the optimized netlist and
+// cell library, FPGA metrics from the LUT mapping). A Session measures
+// batches; MeasureComponent is a one-unit batch.
 package measure
 
 import (
@@ -13,9 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/elab"
 	"repro/internal/fpga"
-	"repro/internal/hdl"
 	"repro/internal/power"
-	"repro/internal/srcmetrics"
 	"repro/internal/stdcell"
 	"repro/internal/synth"
 )
@@ -105,18 +105,12 @@ func (m *Metrics) MetricMap() map[dataset.Metric]float64 {
 type Options struct {
 	Library *stdcell.Library // nil means stdcell.Default180nm()
 	FPGA    fpga.Options
-	// DedupInstances applies the single-instance rule during lowering
-	// (used by internal/accounting).
-	DedupInstances bool
-	// DisableTemplates turns off template-stamped lowering (see
-	// synth.LowerOptions.DisableTemplates). Stamping is bit-identical
-	// to direct lowering, so this is excluded from CacheKeyParts, like
-	// Concurrency: both modes share cache entries.
-	DisableTemplates bool
 	// Concurrency bounds the worker pool of any parallelizable step in
-	// the measurement (the accounting procedure's candidate probes):
-	// 0 means GOMAXPROCS, 1 forces the exact sequential path. Measured
-	// metrics are identical for every value.
+	// the measurement (a batch's component groups; the accounting
+	// procedure's candidate probes, which a batch serializes while its
+	// group pool is parallel and MeasureComponent does not): 0 means
+	// GOMAXPROCS, 1 forces the exact sequential path. Measured metrics
+	// are identical for every value.
 	Concurrency int
 	// Cache, when non-nil, stores measurement results on disk keyed by
 	// the design fingerprint, parameter signature, and measurement
@@ -156,93 +150,38 @@ func (o Options) library() *stdcell.Library {
 // must partition the key space. The empty namespace appends nothing,
 // keeping every pre-namespace key bit-identical.
 func (o Options) CacheKeyParts() []string {
+	return o.keyParts()
+}
+
+// keyParts is CacheKeyParts with extra parts placed before the
+// namespace.
+func (o Options) keyParts(extra ...string) []string {
 	f := o.FPGA
-	parts := []string{
+	parts := append([]string{
 		"lib=" + o.library().Name,
 		fmt.Sprintf("fpga=K%d;%g;%g;%g;%g;%g", f.K, f.ClkToQ, f.LUTDelay, f.RouteDelay, f.Setup, f.RAMAccess),
-		fmt.Sprintf("dedup=%t", o.DedupInstances),
-	}
+	}, extra...)
 	if o.Namespace != "" {
 		parts = append(parts, "ns="+o.Namespace)
 	}
 	return parts
 }
 
-// Module measures one module of the design, synthesized standalone
-// with the given parameter overrides (nil = declared defaults). The
-// software metrics (LoC, Stmts) are measured on the module's own
-// source text and are parameter-independent; the synthesis metrics
-// cover the module with its full submodule hierarchy flattened.
-func Module(design *hdl.Design, top string, overrides map[string]int64, opts Options) (*Metrics, error) {
-	mod, err := design.Module(top)
-	if err != nil {
-		return nil, err
-	}
-	compute := func() (*Metrics, error) {
-		res, err := synth.SynthesizeOpts(design, top, overrides, synth.LowerOptions{
-			DedupInstances:   opts.DedupInstances,
-			DisableTemplates: opts.DisableTemplates,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("measure: synthesize %s: %w", top, err)
-		}
-		return fromNetlist(res, mod, opts, nil)
-	}
-	if opts.Cache == nil {
-		return compute()
-	}
-	// Keyed by the module's transitive subtree sources, not the design
-	// fingerprint: an edit outside the subtree leaves the entry warm.
-	st, err := design.SubtreeHash(top)
-	if err != nil {
-		return nil, err
-	}
-	key := cache.KindKey("module", append([]string{
-		st, synth.ParamSignature(top, overrides),
-	}, opts.CacheKeyParts()...)...)
-	m, _, err := cache.Do(opts.Cache, key, metricsCodec, compute)
-	return m, err
-}
-
-// SynthMetricsOnly measures only the synthesis-derived metrics of an
-// already-synthesized result (used by accounting to avoid re-running
-// synthesis).
-func SynthMetricsOnly(res *synth.Result, opts Options) *Metrics {
-	return synthMetricsWS(res, opts, nil)
-}
-
-// synthMetricsWS is SynthMetricsOnly with optional reusable scratch:
-// under a workspace the cone, LUT, and power kernels run their
-// summary/arena variants, whose aggregates are pinned bit-identical to
-// the fresh kernels by their package tests and the session golden
-// tests.
-func synthMetricsWS(res *synth.Result, opts Options, ws *Workspace) *Metrics {
-	m, err := fromNetlist(res, nil, opts, ws)
-	if err != nil {
-		panic(err) // fromNetlist only errors on source measurement
-	}
-	return m
-}
-
-func fromNetlist(res *synth.Result, mod *hdl.Module, opts Options, ws *Workspace) (*Metrics, error) {
+// synthMetrics extracts the synthesis-derived metrics of a
+// synthesized result through one worker's workspace: the cone, LUT,
+// and power kernels run their summary/arena variants, whose aggregates
+// are pinned bit-identical to the fresh kernels by their package tests
+// and the session golden tests. The software metrics (Stmts, LoC) are
+// left zero; the session adds them per unit at assembly.
+func synthMetrics(res *synth.Result, opts Options, ws *Workspace) *Metrics {
 	lib := opts.library()
 	nl := res.Optimized
 	stats := nl.Stats()
-	var fanInExact int
-	var mapping *fpga.Mapping
-	var pw power.Estimate
-	if ws != nil {
-		fanInExact = cones.AnalyzeSummary(nl, &ws.cones).FanInLC
-		mapping = fpga.MapWS(nl, opts.FPGA, &ws.fpga)
-		pw = power.AnalyzeWS(nl, lib, mapping.FreqMHz, &ws.power)
-	} else {
-		fanInExact = cones.Analyze(nl).FanInLC
-		mapping = fpga.Map(nl, opts.FPGA)
-		pw = power.Analyze(nl, lib, mapping.FreqMHz)
-	}
+	fanInExact := cones.AnalyzeSummary(nl, &ws.cones).FanInLC
+	mapping := fpga.MapWS(nl, opts.FPGA, &ws.fpga)
+	pw := power.AnalyzeWS(nl, lib, mapping.FreqMHz, &ws.power)
 	areaL, areaS := lib.Areas(nl)
-
-	m := &Metrics{
+	return &Metrics{
 		FanInLC:      mapping.LUTInputSum,
 		FanInLCExact: fanInExact,
 		Nets:         stats.Nets,
@@ -254,20 +193,4 @@ func fromNetlist(res *synth.Result, mod *hdl.Module, opts Options, ws *Workspace
 		PowerD:       pw.DynamicMW,
 		PowerS:       pw.StaticUW,
 	}
-	if mod != nil {
-		sc := srcmetrics.MeasureModule(mod)
-		m.Stmts = sc.Stmts
-		m.LoC = sc.LoC
-	}
-	return m, nil
-}
-
-// SourceOnly measures just the software metrics of one module.
-func SourceOnly(design *hdl.Design, name string) (*Metrics, error) {
-	mod, err := design.Module(name)
-	if err != nil {
-		return nil, err
-	}
-	sc := srcmetrics.MeasureModule(mod)
-	return &Metrics{Stmts: sc.Stmts, LoC: sc.LoC}, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hdl"
+	"repro/internal/srcmetrics"
 )
 
 const sampleSrc = `
@@ -23,13 +24,23 @@ func sampleDesign(t *testing.T) *hdl.Design {
 	return d
 }
 
-func TestModuleProducesAllMetrics(t *testing.T) {
-	m, err := Module(sampleDesign(t), "sample", nil, Options{})
+// TestMeasureComponentProducesAllMetrics pins the full Table 3 vector
+// of one measured component: every synthesis and physical metric is
+// populated, the software metrics are the module's own source counts,
+// and every metric is retrievable by name.
+func TestMeasureComponentProducesAllMetrics(t *testing.T) {
+	d := sampleDesign(t)
+	res, err := MeasureComponent(d, "sample", false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stmts <= 0 || m.LoC <= 0 {
-		t.Errorf("software metrics missing: %+v", m)
+	m := res.Metrics
+	mod, err := d.Module("sample")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := srcmetrics.MeasureModule(mod); m.Stmts != sc.Stmts || m.LoC != sc.LoC || sc.Stmts <= 0 {
+		t.Errorf("software metrics %d/%d, source counts %+v", m.Stmts, m.LoC, sc)
 	}
 	if m.Cells <= 0 || m.Nets <= 0 || m.FFs != 8 {
 		t.Errorf("synthesis metrics wrong: %+v", m)
@@ -40,7 +51,6 @@ func TestModuleProducesAllMetrics(t *testing.T) {
 	if m.FreqMHz <= 0 || m.AreaL <= 0 || m.AreaS <= 0 || m.PowerD <= 0 || m.PowerS <= 0 {
 		t.Errorf("physical metrics missing: %+v", m)
 	}
-	// Every Table 3 metric must be retrievable by name.
 	for _, metric := range dataset.AllMetrics {
 		if _, err := m.Value(metric); err != nil {
 			t.Error(err)
@@ -49,28 +59,11 @@ func TestModuleProducesAllMetrics(t *testing.T) {
 	if _, err := m.Value("bogus"); err == nil {
 		t.Error("expected error for unknown metric")
 	}
-	mm := m.MetricMap()
-	if len(mm) != len(dataset.AllMetrics) {
+	if mm := m.MetricMap(); len(mm) != len(dataset.AllMetrics) {
 		t.Errorf("MetricMap size = %d", len(mm))
 	}
-}
-
-func TestModuleParameterOverridesScaleMetrics(t *testing.T) {
-	d := sampleDesign(t)
-	small, err := Module(d, "sample", map[string]int64{"W": 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Module(d, "sample", map[string]int64{"W": 32}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Cells >= big.Cells || small.FFs >= big.FFs || small.AreaL >= big.AreaL {
-		t.Errorf("parameters must scale synthesis metrics: %+v vs %+v", small, big)
-	}
-	// Software metrics are parameter independent.
-	if small.Stmts != big.Stmts || small.LoC != big.LoC {
-		t.Errorf("software metrics must not depend on parameters")
+	if _, err := MeasureComponent(d, "nosuch", false, Options{}); err == nil {
+		t.Error("measuring an unknown module: expected error")
 	}
 }
 
@@ -83,23 +76,5 @@ func TestAddAggregates(t *testing.T) {
 	}
 	if a.FreqMHz != 80 {
 		t.Errorf("Freq must aggregate as min: %v", a.FreqMHz)
-	}
-}
-
-func TestSourceOnly(t *testing.T) {
-	m, err := SourceOnly(sampleDesign(t), "sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Stmts != 4 {
-		// parameter W + wire decl + assign + always(+assign inside) —
-		// count: parameter(1)+wire(1)+assign(1)+always(1)+acc<=(1) = 5
-		t.Logf("Stmts = %d", m.Stmts)
-	}
-	if m.Cells != 0 {
-		t.Errorf("SourceOnly must not synthesize: %+v", m)
-	}
-	if _, err := SourceOnly(sampleDesign(t), "nosuch"); err == nil {
-		t.Error("expected error")
 	}
 }

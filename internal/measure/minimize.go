@@ -1,10 +1,37 @@
 package measure
 
-// The parameter-minimization search of the accounting procedure's
-// scaling rule (Section 2.2 of the paper) lives here so that both the
-// per-component path (internal/accounting, which delegates) and the
-// batch measurement Session can run it against a shared session
-// elaboration cache without an import cycle.
+// The µComplexity accounting procedure of Section 2.2 of the paper:
+//
+//  1. Account for a single instance of each component — when a design
+//     reuses a module, only one instance contributes to the metrics,
+//     because designing and verifying a reusable component is a
+//     one-time cost.
+//  2. Minimize the value of component parameters (the scaling rule) —
+//     each parameter is set to the smallest value that does not cause
+//     any loops or conditional statements in the RTL to be optimized
+//     away, because parameterized code is not much harder to write
+//     than its smallest nontrivial instance.
+//
+// A Unit (or MeasureComponent) runs with the procedure enabled (the
+// paper's recommended mode) or disabled (every instance, full
+// parameters), which is exactly the comparison Figure 6 of the paper
+// draws. Rule 1 is the single-instance rule of internal/synth's
+// lowering; rule 2 is the search in this file.
+//
+// The search memoizes at two levels, both keyed by the structural
+// signature of the single-instance rule (module + resolved
+// parameters). Point verdicts: a candidate that names a design point
+// already probed — which the fixpoint iteration does constantly —
+// reuses the stored verdict instead of re-elaborating. Subtrees:
+// probes run in elab's report-only mode against the component's
+// elaboration cache, so a probe skips every submodule subtree whose
+// resolved parameter binding was already elaborated and walks only
+// what the candidate's changed parameter actually reaches; full
+// instance trees are built once, for the point the search ends on,
+// reusing the reference elaboration's unchanged subtrees. Candidate
+// probes run on a bounded worker pool; the search visits candidates
+// lowest-first in batches, so the minimized parameters are identical
+// for every worker count.
 
 import (
 	"fmt"
@@ -102,8 +129,8 @@ func MinimizeParamsN(design *hdl.Design, module string, concurrency int) (map[st
 
 // minimizeParams runs the search. When sess is nil a fresh session
 // elaboration cache is created for this search alone; a Session passes
-// its shared cache so reference elaborations and probes reuse every
-// subtree any earlier component in the batch already elaborated. The
+// its component group's cache so the group's units and its final
+// elaborations reuse every subtree the search already elaborated. The
 // minimized parameters are bit-identical either way: cached report
 // fragments and trees are themselves bit-identical to uncached
 // elaboration (the internal/elab invariant), so every compatibility

@@ -1,0 +1,84 @@
+package measure
+
+import (
+	"repro/internal/cones"
+	"repro/internal/elab"
+	"repro/internal/fpga"
+	"repro/internal/hdl"
+	"repro/internal/power"
+	"repro/internal/srcmetrics"
+	"repro/internal/synth"
+)
+
+// measureComponentRef is the reference the session is pinned against:
+// one component measured alone, with no session, no flight table, no
+// disk cache, and no workspaces — a fresh elaboration of the measured
+// point (minimized against its own search cache in accounting mode),
+// fresh lowering, and the fresh cone, LUT, and power kernels. The
+// golden tests require every Session result to match it bit for bit.
+func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
+	modules, err := design.TransitiveModules(top)
+	if err != nil {
+		return nil, err
+	}
+	res := &ComponentResult{UniqueModules: modules}
+
+	var inst *elab.Instance
+	var report *elab.Report
+	if useAccounting {
+		params, memo, err := minimizeParams(design, top, opts.Concurrency, nil)
+		if err != nil {
+			return nil, err
+		}
+		res.MinimizedParams = params
+		inst, report, err = elab.ElaborateOpts(design, top, params, elab.Options{Cache: memo.sess})
+		if err != nil {
+			return nil, err
+		}
+		res.ElabCacheHits, res.ElabCacheMisses = memo.counters()
+	} else {
+		inst, report, err = elab.Elaborate(design, top, nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	res.InstanceCount = inst.CountInstances()
+
+	synres, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{DedupInstances: useAccounting})
+	if err != nil {
+		return nil, err
+	}
+	res.Synth = synres
+	res.DedupedInstances = synres.Deduped
+
+	lib := opts.library()
+	nl := synres.Optimized
+	stats := nl.Stats()
+	mapping := fpga.Map(nl, opts.FPGA)
+	pw := power.Analyze(nl, lib, mapping.FreqMHz)
+	areaL, areaS := lib.Areas(nl)
+	m := &Metrics{
+		FanInLC:      mapping.LUTInputSum,
+		FanInLCExact: cones.Analyze(nl).FanInLC,
+		Nets:         stats.Nets,
+		Cells:        stats.Cells,
+		FFs:          stats.FFs,
+		FreqMHz:      mapping.FreqMHz,
+		AreaL:        areaL,
+		AreaS:        areaS,
+		PowerD:       pw.DynamicMW,
+		PowerS:       pw.StaticUW,
+	}
+	// Software metrics: each unique module's source once.
+	for _, name := range modules {
+		mod, err := design.Module(name)
+		if err != nil {
+			return nil, err
+		}
+		sc := srcmetrics.MeasureModule(mod)
+		m.Stmts += sc.Stmts
+		m.LoC += sc.LoC
+	}
+	res.Metrics = m
+	return res, nil
+}

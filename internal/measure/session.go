@@ -49,11 +49,12 @@ type SessionStats struct {
 // design point is synthesized and metric-extracted exactly once no
 // matter how many units — or MeasureAll calls — land on it.
 //
-// Every result is bit-identical to the per-component MeasureComponent
-// path on the same parsed design: the elaboration cache's entries are
-// bit-identical to uncached elaboration, signatures only collapse when
-// the synthesized netlist is provably identical, and the on-disk cache
-// records use the same keys and codec.
+// Every result is bit-identical to measuring the component alone with
+// fresh, uncached elaboration and synthesis (the golden tests pin this
+// against a test-only reference pipeline): the elaboration cache's
+// entries are bit-identical to uncached elaboration, signatures only
+// collapse when the synthesized netlist is provably identical, and the
+// workspace kernels are pinned to the fresh ones.
 //
 // A Session must not outlive its design and must not be shared across
 // designs. It is safe for concurrent use.
@@ -115,16 +116,15 @@ func (s *Session) flightFor(key string) (f *sigFlight, owned bool) {
 	return f, true
 }
 
-// evictFlights drops the given keys from the flight table, releasing
-// the optimized netlists they retain. Only the streaming path evicts —
-// and only keys whose every possible waiter has already assembled.
-func (s *Session) evictFlights(keys []string) {
-	for _, k := range keys {
-		sh := s.shardOf(k)
-		sh.mu.Lock()
-		delete(sh.m, k)
-		sh.mu.Unlock()
-	}
+// evictFlight drops key from the flight table, releasing the optimized
+// netlist it retains. Two callers: a streaming group, once every unit
+// that could wait on its flights has assembled, and an owner that
+// abandons its flight to cancellation.
+func (s *Session) evictFlight(key string) {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	delete(sh.m, key)
+	sh.mu.Unlock()
 }
 
 // sigFlight is the single-flight synthesis of one signature: the first
@@ -214,27 +214,12 @@ func (s *Session) prepBatch(n int, opts Options) *cache.Snapshot {
 // MeasureAll measures every unit of the batch, sharing the parse, the
 // elaboration cache, and one synthesis per distinct signature across
 // all of them. Results are returned in unit order and are bit-identical
-// to calling MeasureComponent(design, u.Top, u.UseAccounting, opts)
-// per unit, at every concurrency and with the disk cache off, cold, or
-// warm.
+// at every concurrency and with the disk cache off, cold, or warm.
 //
-// The batch is processed grouped by top module, each group owning a
-// fresh elaboration cache that dies with it. Almost all the reuse that
-// cache offers is component-local anyway — full-tree keys are
-// hierarchical paths rooted at the top module name, so only a
-// component's own reference elaboration and flights can ever hit them,
-// and cross-component report-fragment hits are limited to shared
-// library subtrees — while a batch-global cache accretes every
-// component's trees and fragments into the live heap, and the
-// garbage-collector mark time that costs across a cold sweep outweighs
-// the extra hits. Each group plans its units — the minimization search
-// for accounting units, the declared defaults otherwise (units with a
-// warm disk-cache record skip planning entirely) — registers their
-// canonical signatures in the shared flight table, and synthesizes the
-// distinct signatures it owns exactly once. Aggregate: each unit
-// assembles its result from its signature's shared entry plus its own
-// per-module source metrics, and persists it through the disk cache
-// under the same key the per-component path uses.
+// The flights the batch synthesizes stay in the session's table, so a
+// later MeasureAll call on the same session answers every signature it
+// shares with this one without synthesizing it again (the paper
+// workload's extension reuses Figure 6's flights this way).
 func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, error) {
 	return s.MeasureAllCtx(context.Background(), units, opts)
 }
@@ -254,75 +239,19 @@ func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, er
 // it, but can never poison the session (the ctx tests pin a post-cancel
 // MeasureAll bit-identical to a fresh session's).
 func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options) ([]*ComponentResult, error) {
-	// When the group pool is parallel the minimization search's inner
-	// candidate pool is serialized so the machine is not oversubscribed
-	// (same policy as the per-component corpus path).
-	inner := opts.Concurrency
-	if parallel.Workers(opts.Concurrency) > 1 {
-		inner = 1
-	}
-	elabBefore := s.ElabStats()
-	snap := s.prepBatch(len(units), opts)
+	return s.measureAll(ctx, units, opts, searchConcurrency(opts.Concurrency))
+}
 
-	var tops []string
-	groups := map[string][]int{}
-	for i, u := range units {
-		if _, ok := groups[u.Top]; !ok {
-			tops = append(tops, u.Top)
-		}
-		groups[u.Top] = append(groups[u.Top], i)
-	}
-
-	// Phase 1: plan and synthesize, one component per worker. Errors are
-	// carried in the plan, not returned, so every registered flight has
-	// an owner that will resolve it even when a sibling unit fails;
-	// owned flights are always resolved — synthesizeFlight closes done
-	// unconditionally — so concurrent MeasureAll calls waiting on them
-	// cannot deadlock.
-	plans := make([]*plan, len(units))
-	// Each worker holds one scratch workspace from the process-wide
-	// pool for its whole run, so steady-state synthesis and metric
-	// extraction reuse buffers instead of reallocating per flight.
-	locals := parallel.NewLocal(opts.Concurrency, getWorkspace)
-	parallel.ForEachWorker(opts.Concurrency, len(tops), func(worker, gi int) error {
-		top := tops[gi]
-		ecache := elab.NewCache()
-		var owned []*plan
-		for _, i := range groups[top] {
-			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
-			plans[i] = p
-			if p.owned != nil {
-				owned = append(owned, p)
-			}
-		}
-		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap)
-		}
-		// Every signature of this component this call can ever own is
-		// now resolved; later hits come from the flight table, not from
-		// re-elaboration, so the component's cache retires here.
-		s.addElabStats(ecache.Stats())
+// measureAll is MeasureAllCtx with the minimization search's inner
+// pool size given by the entry point.
+func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, inner int) ([]*ComponentResult, error) {
+	results := make([]*ComponentResult, len(units))
+	err := s.measureGroups(ctx, units, opts, inner, false, func(i int, res *ComponentResult) error {
+		results[i] = res
 		return nil
-	})
-	for _, w := range locals.All() {
-		putWorkspace(w)
-	}
-
-	// Phase 2: aggregate per unit and persist through the disk cache.
-	results, err := parallel.Map(opts.Concurrency, len(units), func(i int) (*ComponentResult, error) {
-		return s.assembleUnit(ctx, units[i], plans[i], opts, snap)
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	totalHits, totalMisses := 0, 0
-	for _, p := range plans {
-		totalHits += p.hits
-		totalMisses += p.misses
-	}
-	if opts.ElabStats != nil {
-		opts.ElabStats.Add(s.ElabStats().Sub(elabBefore), totalHits, totalMisses)
 	}
 	return results, nil
 }
@@ -355,10 +284,43 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 // cancellation contract: unit-granular checks, abandoned flights
 // resolved with the context error and evicted.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
-	inner := opts.Concurrency
-	if parallel.Workers(opts.Concurrency) > 1 {
-		inner = 1
+	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), true, yield)
+}
+
+// searchConcurrency is a batch's minimization-search pool size: when
+// the group pool is parallel the search's inner candidate pool is
+// serialized so the machine is not oversubscribed. MeasureComponent,
+// whose one-unit batch has no sibling group, bypasses it and searches
+// with the full pool.
+func searchConcurrency(concurrency int) int {
+	if parallel.Workers(concurrency) > 1 {
+		return 1
 	}
+	return concurrency
+}
+
+// measureGroups is the one batch loop behind MeasureAllCtx and
+// MeasureStreamCtx. The batch is processed grouped by top module, one
+// group per pool worker, each group owning a fresh elaboration cache
+// that dies with it. Almost all the reuse that cache offers is
+// component-local anyway — full-tree keys are hierarchical paths rooted
+// at the top module name, so only a component's own reference
+// elaboration and flights can ever hit them, and cross-component
+// report-fragment hits are limited to shared library subtrees — while a
+// batch-global cache accretes every component's trees and fragments
+// into the live heap, and the garbage-collector mark time that costs
+// across a cold sweep outweighs the extra hits.
+//
+// Each group plans its units — the minimization search for accounting
+// units, the declared defaults otherwise (units with a warm disk-cache
+// record skip planning entirely) — registers their canonical signatures
+// in the shared flight table, synthesizes the distinct signatures it
+// owns exactly once, then assembles each unit from its signature's
+// shared entry plus its own per-module source metrics, persists it
+// through the disk cache, and hands it to yield (calls serialized).
+// With evict, the group's owned flights leave the table once its units
+// are assembled; without, they stay for later calls on the session.
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, evict bool, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	snap := s.prepBatch(len(units), opts)
 
@@ -373,37 +335,49 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 
 	var ymu sync.Mutex
 	var hits, misses atomic.Int64
+	// Each worker holds one scratch workspace from the process-wide
+	// pool for its whole run, so steady-state synthesis and metric
+	// extraction reuse buffers instead of reallocating per flight.
 	locals := parallel.NewLocal(opts.Concurrency, getWorkspace)
 	err := parallel.ForEachWorker(opts.Concurrency, len(tops), func(worker, gi int) error {
-		top := tops[gi]
 		ecache := elab.NewCache()
-		idx := groups[top]
+		idx := groups[tops[gi]]
+		// Planning errors are carried in the plan, not returned, so every
+		// registered flight has an owner that resolves it even when a
+		// sibling unit fails: synthesizeFlight closes done
+		// unconditionally, so concurrent calls waiting on an owned flight
+		// cannot deadlock.
 		plans := make([]*plan, len(idx))
 		var owned []*plan
-		var keys []string
 		for j, i := range idx {
 			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
 			plans[j] = p
+			hits.Add(int64(p.hits))
+			misses.Add(int64(p.misses))
 			if p.owned != nil {
 				owned = append(owned, p)
-				keys = append(keys, p.sigKey)
 			}
 		}
 		for _, p := range owned {
 			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap)
 		}
+		// Every signature of this component this call can ever own is
+		// now resolved; later hits come from the flight table, not from
+		// re-elaboration, so the component's cache retires here.
 		s.addElabStats(ecache.Stats())
-		// Evict only the flights this group owns: every one is resolved
-		// (synthesizeFlight always closes done before this point), and
-		// waiters holding the pointer — a concurrent call that planned the
-		// same top — are unaffected by the map delete. A flight some
-		// other call owns stays put.
-		defer s.evictFlights(keys)
+		if evict {
+			// Evict only the flights this group owns: every one is
+			// resolved, and waiters holding the pointer — a concurrent
+			// call that planned the same top — are unaffected by the map
+			// delete. A flight some other call owns stays put.
+			defer func() {
+				for _, p := range owned {
+					s.evictFlight(p.sigKey)
+				}
+			}()
+		}
 		for j, i := range idx {
-			p := plans[j]
-			hits.Add(int64(p.hits))
-			misses.Add(int64(p.misses))
-			res, err := s.assembleUnit(ctx, units[i], p, opts, snap)
+			res, err := s.assembleUnit(ctx, units[i], plans[j], opts, snap)
 			if err != nil {
 				return err
 			}
@@ -484,7 +458,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 	}
 	p.sigKey = cache.Key(append([]string{
 		"session-sig", sig, "dedup=" + dedupKey,
-		fmt.Sprintf("notmpl=%t", opts.DisableTemplates),
 	}, opts.CacheKeyParts()...)...)
 	if opts.Cache != nil {
 		// The disk form of the signature entry additionally hashes the
@@ -497,7 +470,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 		}
 		p.diskSigKey = cache.KindKey("sig", append([]string{
 			st, sig, "dedup=" + dedupKey,
-			fmt.Sprintf("notmpl=%t", opts.DisableTemplates),
 		}, opts.CacheKeyParts()...)...)
 	}
 
@@ -638,7 +610,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
 		f.err = fmt.Errorf("measure: synthesis of %s abandoned: %w", p.top, err)
-		s.evictFlights([]string{p.sigKey})
+		s.evictFlight(p.sigKey)
 		return
 	}
 	compute := func() (*sigRecord, error) {
@@ -646,23 +618,16 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		if err != nil {
 			return nil, err
 		}
-		var sws *synth.Workspace
-		if ws != nil {
-			sws = ws.synth
-		}
 		synres, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{
-			DedupInstances:   p.dedup,
-			DisableTemplates: opts.DisableTemplates,
-			Workspace:        sws,
+			DedupInstances: p.dedup,
+			Workspace:      ws.synth,
 		})
 		if err != nil {
 			return nil, err
 		}
-		mopts := opts
-		mopts.DedupInstances = p.dedup
 		// Metrics are extracted before Slim trims the netlist's derived
 		// tables in place.
-		metrics := synthMetricsWS(synres, mopts, ws)
+		metrics := synthMetrics(synres, opts, ws)
 		slim := synres.Slim()
 		return &sigRecord{
 			Metrics:       metrics,
@@ -758,14 +723,17 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	if opts.Cache == nil {
 		return res, nil
 	}
-	// Same key and codec as the per-component path: a cold batch
-	// populates the entries MeasureComponent would, and in verify mode
-	// the batch result is compared against the stored record.
-	rec, _, err := cache.DoEqHint(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
+	// In verify mode the assembled result is compared against the
+	// stored record. A hit serves the record, which carries no search
+	// counters; a miss keeps this run's.
+	rec, hit, err := cache.DoEqHint(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
 		return recordOf(res), nil
 	}, compareRecords, snap)
 	if err != nil {
 		return nil, err
 	}
-	return rec.toResult(), nil
+	if hit {
+		return rec.toResult(), nil
+	}
+	return res, nil
 }

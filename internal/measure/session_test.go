@@ -38,9 +38,10 @@ func sameResult(t *testing.T, label string, got, want *measure.ComponentResult) 
 // TestSessionMatchesPerComponentCorpus is the golden differential test
 // of the batch path: every corpus component, measured with and without
 // the accounting procedure through one Session over the full corpus
-// design, must be bit-identical to the per-component MeasureComponent
-// path on the component's own two-file design — at concurrency 1 and
-// 8, with the disk cache off, cold, and warm. The warm batch must be
+// design, must be bit-identical to the test-only reference pipeline
+// (fresh elaboration, synthesis, and kernels; no session, cache, or
+// workspace) on the component's own two-file design — at concurrency 1
+// and 8, with the disk cache off, cold, and warm. The warm batch must be
 // answered entirely from disk: nothing planned, nothing synthesized,
 // zero cache misses.
 func TestSessionMatchesPerComponentCorpus(t *testing.T) {
@@ -52,15 +53,15 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 		}
 	}
 
-	// Reference: the per-component path, each component on its own
-	// parsed design, sequential, no cache.
+	// Reference: the fresh pipeline, each component on its own parsed
+	// design, sequential, no cache.
 	want := make([]*measure.ComponentResult, len(units))
 	for i, c := range append(append([]designs.Component{}, comps...), comps...) {
 		d, err := designs.Design(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := measure.MeasureComponent(d, c.Top, units[i].UseAccounting, measure.Options{Concurrency: 1})
+		res, err := measure.MeasureComponentRef(d, c.Top, units[i].UseAccounting, measure.Options{Concurrency: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Label(), err)
 		}
@@ -130,8 +131,8 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 					t.Errorf("cold sig-kind counters %+v: want 0/%d/%d", kc, synthesized, synthesized)
 				}
 
-				// The per-component path on the same parsed design reads
-				// the entries the batch just wrote.
+				// A one-unit MeasureComponent on the same parsed design
+				// reads the entries the batch just wrote.
 				warm0, err := cache.Open(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -317,5 +318,62 @@ endmodule`}
 	}
 	if s.Shared != s.Planned-s.Synthesized {
 		t.Errorf("stats %+v: shared != planned-synthesized", s)
+	}
+}
+
+// TestFlightsKeptByMeasureAllEvictedByStream pins the entry points'
+// flight-table rule. MeasureAll keeps its flights, so a second
+// MeasureAll of the same batch on the same session synthesizes nothing
+// and answers every planned unit from the table (the paper workload's
+// extension depends on this reuse of Figure 6's flights). MeasureStream
+// evicts each group's flights once the group is assembled, so a second
+// stream of the same tops synthesizes them all again.
+func TestFlightsKeptByMeasureAllEvictedByStream(t *testing.T) {
+	d, err := designs.FullDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []measure.Unit
+	for _, c := range designs.All()[:4] {
+		for _, acct := range []bool{true, false} {
+			units = append(units, measure.Unit{Top: c.Top, UseAccounting: acct})
+		}
+	}
+	opts := measure.Options{Concurrency: 2}
+
+	sess := measure.NewSession(d)
+	if _, err := sess.MeasureAll(units, opts); err != nil {
+		t.Fatal(err)
+	}
+	first := sess.Stats()
+	if first.Synthesized == 0 {
+		t.Fatalf("stats %+v: first batch synthesized nothing", first)
+	}
+	if _, err := sess.MeasureAll(units, opts); err != nil {
+		t.Fatal(err)
+	}
+	second := sess.Stats()
+	if got := second.Synthesized - first.Synthesized; got != 0 {
+		t.Errorf("second MeasureAll synthesized %d signatures, want 0", got)
+	}
+	planned := second.Planned - first.Planned
+	if planned != len(units) {
+		t.Errorf("second MeasureAll planned %d units, want %d", planned, len(units))
+	}
+	if got := second.Shared - first.Shared; got != planned {
+		t.Errorf("second MeasureAll shared %d, want every planned unit (%d)", got, planned)
+	}
+
+	stream := measure.NewSession(d)
+	drain := func(int, *measure.ComponentResult) error { return nil }
+	if err := stream.MeasureStream(units, opts, drain); err != nil {
+		t.Fatal(err)
+	}
+	once := stream.Stats().Synthesized
+	if err := stream.MeasureStream(units, opts, drain); err != nil {
+		t.Fatal(err)
+	}
+	if got := stream.Stats().Synthesized - once; got != once {
+		t.Errorf("second MeasureStream synthesized %d signatures, want all %d again", got, once)
 	}
 }

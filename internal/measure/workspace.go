@@ -13,9 +13,9 @@ import (
 // kernel chain — lowering and netlist optimization, cone extraction,
 // LUT mapping, and power analysis — so one pool worker can measure
 // design point after design point with near-zero steady-state heap
-// allocation. A workspace is owned by exactly one goroutine at a time;
-// nil everywhere a *Workspace is accepted selects the fresh-allocation
-// reference path the golden tests pin reuse against.
+// allocation. A workspace is owned by exactly one goroutine at a time.
+// The golden tests pin the workspace kernels against a fresh-allocation
+// reference pipeline that lives in the tests.
 type Workspace struct {
 	synth *synth.Workspace
 	cones cones.Workspace

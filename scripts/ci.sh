@@ -56,7 +56,7 @@ go vet ./...
 echo "== tier-1: test =="
 go test ./...
 echo "== tier-1: race =="
-go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/elab ./internal/accounting ./internal/measure ./internal/core ./internal/depgraph ./internal/serve ./internal/hdl
+go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/elab ./internal/measure ./internal/core ./internal/depgraph ./internal/serve ./internal/hdl
 
 if [ "${SKIP_SCALE:-0}" != "1" ]; then
 	echo "== scale smoke (generated 100-component corpus, -race) =="
