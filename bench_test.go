@@ -77,7 +77,7 @@ func BenchmarkTable4(b *testing.B) {
 	b.ReportAllocs()
 	var last *paper.Table4Result
 	for i := 0; i < b.N; i++ {
-		res, err := paper.Table4()
+		res, err := paper.Table4N(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ReportAllocs()
 	var pos float64
 	for i := 0; i < b.N; i++ {
-		res, err := paper.Figure4()
+		res, err := paper.Figure4N(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ReportAllocs()
 	var corr float64
 	for i := 0; i < b.N; i++ {
-		res, err := paper.Figure5()
+		res, err := paper.Figure5N(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ReportAllocs()
 	var res *paper.Figure6Result
 	for i := 0; i < b.N; i++ {
-		r, err := paper.Figure6()
+		r, err := paper.Figure6Opts(paper.Opts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkAICBIC(b *testing.B) {
 	b.ReportAllocs()
 	var res *paper.AICBICResult
 	for i := 0; i < b.N; i++ {
-		r, err := paper.AICBIC()
+		r, err := paper.AICBICN(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,13 +217,13 @@ func BenchmarkFitDEE1Parallel(b *testing.B) {
 	b.ReportAllocs()
 	d := paperNLMEData(b, dataset.Stmts, dataset.FanInLC)
 	seqStart := time.Now()
-	if _, err := nlme.FitOpts(d, nlme.FitOptions{Concurrency: 1}); err != nil {
+	if _, err := nlme.Fit(d, nlme.FitOptions{Concurrency: 1}); err != nil {
 		b.Fatal(err)
 	}
 	seq := time.Since(seqStart)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nlme.FitOpts(d, nlme.FitOptions{}); err != nil {
+		if _, err := nlme.Fit(d, nlme.FitOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,13 +239,13 @@ func BenchmarkFitDEE1Parallel(b *testing.B) {
 func BenchmarkMeasureCorpusParallel(b *testing.B) {
 	b.ReportAllocs()
 	seqStart := time.Now()
-	if _, err := paper.MeasureCorpusN(true, 1); err != nil {
+	if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Concurrency: 1}); err != nil {
 		b.Fatal(err)
 	}
 	seq := time.Since(seqStart)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.MeasureCorpusN(true, 0); err != nil {
+		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Concurrency: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func BenchmarkTable4WarmCache(b *testing.B) {
 		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Cache: ch}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := paper.Table4(); err != nil {
+		if _, err := paper.Table4N(0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,37 +527,6 @@ func BenchmarkRemeasureNoop(b *testing.B) {
 // Ablations (DESIGN.md Section 5)
 // ---------------------------------------------------------------
 
-// BenchmarkAblationQuadrature compares the closed-form marginal
-// likelihood against adaptive Gauss–Hermite quadrature (the NLMIXED
-// approach): identical values, very different cost.
-func BenchmarkAblationQuadrature(b *testing.B) {
-	b.ReportAllocs()
-	d := paperNLMEData(b, dataset.Stmts, dataset.FanInLC)
-	w := []float64{0.004, 0.0001}
-	exact, err := nlme.LogLikelihood(d, w, 0.5, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("closed-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := nlme.LogLikelihood(d, w, 0.5, 0.3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gauss-hermite-30", func(b *testing.B) {
-		var gh float64
-		for i := 0; i < b.N; i++ {
-			v, err := nlme.LogLikelihoodGH(d, w, 0.5, 0.3, 30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gh = v
-		}
-		b.ReportMetric(math.Abs(gh-exact), "abs_disagreement")
-	})
-}
-
 // BenchmarkAblationCSE measures the metric impact of the netlist
 // optimization passes (constant folding + structural hashing + dead
 // removal) on a representative component.
@@ -604,12 +573,12 @@ func BenchmarkAblationFanInLC(b *testing.B) {
 	var exact, approx int
 	b.Run("exact-cones", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exact = cones.Analyze(res.Optimized).FanInLC
+			exact = cones.AnalyzeSummary(res.Optimized, nil).FanInLC
 		}
 	})
 	b.Run("lut-approximation", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			approx = fpga.Map(res.Optimized, fpga.Options{}).LUTInputSum
+			approx = fpga.MapWS(res.Optimized, fpga.Options{}, nil).LUTInputSum
 		}
 	})
 	if exact > 0 {
@@ -673,7 +642,7 @@ func BenchmarkElaborateCorpus(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, p := range preps {
-				if _, _, err := elab.Elaborate(p.d, p.c.Top, nil); err != nil {
+				if _, _, err := elab.ElaborateOpts(p.d, p.c.Top, nil, elab.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -911,7 +880,7 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := netlist.Optimize(res.Raw); err != nil {
+		if _, _, err := netlist.OptimizeWS(res.Raw, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

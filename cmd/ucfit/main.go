@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -77,7 +78,7 @@ func run(usePaper bool, dbPath, metricsFlag string, fixed bool) error {
 	}
 	fmt.Printf(")\n")
 	fmt.Printf("sigma_eps = %.3f", cal.Fit.SigmaEps)
-	lo, hi := core.ConfidenceFactors(cal.Fit.SigmaEps, 0.90)
+	lo, hi := stats.ConfidenceFactors(cal.Fit.SigmaEps, 0.90)
 	fmt.Printf("  (90%% CI factors: %.2fx .. %.2fx)\n", lo, hi)
 	if !fixed {
 		fmt.Printf("sigma_rho = %.3f\n", cal.Fit.SigmaRho)

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/elab"
+	"repro/internal/gencorpus"
 	"repro/internal/paper"
 )
 
@@ -157,7 +158,7 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 	}
 
 	if corpusScale > 0 {
-		res, err := paper.CorpusScale(corpusScale, corpusSeed, opts)
+		res, err := paper.CorpusScaleConfig(gencorpus.Config{Components: corpusScale, Seed: corpusSeed}, opts)
 		if err != nil {
 			return err
 		}

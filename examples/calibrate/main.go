@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -17,14 +18,14 @@ func main() {
 		len(comps), len(dataset.Projects(comps)))
 
 	// Rank every estimator, as Table 4 does.
-	rows, err := core.EvaluateEstimators(comps)
+	rows, err := core.EvaluateEstimatorsN(comps, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("estimator ranking (lower sigma_eps = tighter confidence interval):")
 	fmt.Printf("  %-8s  %9s  %9s  %14s\n", "name", "sigma_eps", "rho=1", "90% CI factors")
 	for _, r := range rows {
-		lo, hi := core.ConfidenceFactors(r.SigmaEps, 0.90)
+		lo, hi := stats.ConfidenceFactors(r.SigmaEps, 0.90)
 		fmt.Printf("  %-8s  %9.2f  %9.2f  (%.2fx, %.2fx)\n",
 			r.Name, r.SigmaEps, r.SigmaEpsRho1, lo, hi)
 	}

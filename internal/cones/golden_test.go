@@ -169,6 +169,92 @@ func TestAnalyzeMatchesReferenceDFS(t *testing.T) {
 	}
 }
 
+// Cone describes one extracted logic cone.
+type Cone struct {
+	// Endpoint identifies the cone's root: "out:<name>" for a primary
+	// output bit, "ff:<i>:<pin>" for a sequential cell input, or
+	// "ram:<name>:<pin>" for a RAM input pin.
+	Endpoint string
+	// Leaves is the number of distinct cone leaves (primary inputs and
+	// sequential/RAM outputs) feeding the endpoint.
+	Leaves int
+	// Gates is the number of combinational cells inside the cone.
+	Gates int
+	// Depth is the longest gate chain from any leaf to the endpoint.
+	Depth int
+}
+
+// Analysis is the result of cone extraction over a netlist.
+type Analysis struct {
+	Cones []Cone
+	// FanInLC is the sum of Leaves over all cones (the paper's
+	// metric).
+	FanInLC int
+	// MaxDepth is the deepest cone.
+	MaxDepth int
+}
+
+// Analyze is the per-cone form of AnalyzeSummary: it runs the
+// production traversal kernel over the same endpoints and keeps one
+// record per cone, sorted by endpoint, so the tests can diff the
+// kernel cone by cone against analyzeRef and the golden corpus.
+func Analyze(n *netlist.Netlist) *Analysis {
+	a := newAnalyzer(n, &Workspace{})
+	analysis := &Analysis{}
+
+	cone := func(endpoint string, root netlist.NetID) {
+		if root == netlist.Nil {
+			return
+		}
+		leaves, gates := a.collect(root)
+		c := Cone{
+			Endpoint: endpoint,
+			Leaves:   leaves,
+			Gates:    gates,
+			Depth:    int(a.depthOf(root)),
+		}
+		analysis.Cones = append(analysis.Cones, c)
+		analysis.FanInLC += c.Leaves
+		if c.Depth > analysis.MaxDepth {
+			analysis.MaxDepth = c.Depth
+		}
+	}
+
+	for _, p := range n.Outputs {
+		cone("out:"+p.Name, p.Net)
+	}
+	for ci := range n.Cells {
+		c := &n.Cells[ci]
+		switch c.Type {
+		case netlist.DFF:
+			cone(key("ff", ci, "d"), c.In[0])
+		case netlist.Latch:
+			cone(key("lat", ci, "d"), c.In[0])
+			cone(key("lat", ci, "en"), c.In[1])
+		}
+	}
+	for _, r := range n.RAMs {
+		for wi, wp := range r.WritePorts {
+			cone(key2("ram", r.Name, "wen", wi), wp.En)
+			for i, b := range wp.Addr {
+				cone(key2("ram", r.Name, itoa(wi)+".waddr", i), b)
+			}
+			for i, b := range wp.Data {
+				cone(key2("ram", r.Name, itoa(wi)+".wdata", i), b)
+			}
+		}
+		for pi, rp := range r.ReadPorts {
+			for i, b := range rp.Addr {
+				cone(key2("ram", r.Name, itoa(pi)+".raddr", i), b)
+			}
+		}
+	}
+	sort.Slice(analysis.Cones, func(i, j int) bool {
+		return analysis.Cones[i].Endpoint < analysis.Cones[j].Endpoint
+	})
+	return analysis
+}
+
 // analyzeRef is the seed map-based DFS implementation of Analyze, kept
 // verbatim as the executable specification the optimized kernel is
 // tested against.
@@ -296,4 +382,34 @@ func refDrivers(n *netlist.Netlist) []int {
 		d[n.Cells[i].Out] = i
 	}
 	return d
+}
+
+func key(kind string, cell int, pin string) string {
+	return kind + ":" + itoa(cell) + ":" + pin
+}
+
+func key2(kind, name, pin string, bit int) string {
+	return kind + ":" + name + ":" + pin + "[" + itoa(bit) + "]"
+}
+
+func itoa(v int) string {
+	if v == 0 {
+		return "0"
+	}
+	neg := v < 0
+	if neg {
+		v = -v
+	}
+	var buf [20]byte
+	i := len(buf)
+	for v > 0 {
+		i--
+		buf[i] = byte('0' + v%10)
+		v /= 10
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return string(buf[i:])
 }

@@ -23,21 +23,19 @@ func (w *Workspace) Reset() {
 	w.slab.Reset()
 }
 
-// Summary is the aggregate of a cone analysis without the per-cone
-// records: exactly Analysis.FanInLC / MaxDepth / len(Cones) of a full
-// Analyze of the same netlist. The measurement path needs only these
-// sums, so it can skip endpoint strings, the Cone slice, and the sort.
+// Summary is the aggregate of a cone analysis: the paper's FanInLC,
+// the deepest cone, and the number of cones. No per-cone records are
+// kept — the measurement path needs only these sums.
 type Summary struct {
 	FanInLC  int
 	MaxDepth int
 	NumCones int
 }
 
-// AnalyzeSummary computes the cone summary of the netlist using the
-// same traversal kernel as Analyze over the same endpoints (the
-// enumeration below mirrors Analyze's; both visit primary outputs,
-// then sequential cell inputs, then RAM pins). ws may be nil (fresh
-// scratch) or a reused workspace.
+// AnalyzeSummary extracts every logic cone of the netlist and returns
+// their summary. Endpoints are visited as primary outputs, then
+// sequential cell inputs, then RAM pins. ws may be nil (fresh scratch)
+// or a reused workspace; the summary is identical either way.
 func AnalyzeSummary(n *netlist.Netlist, ws *Workspace) Summary {
 	if ws == nil {
 		ws = &Workspace{}

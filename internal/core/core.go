@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dataset"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/measure"
 	"repro/internal/nlme"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 )
 
 // DEE1Metrics is the metric pair of Design Effort Estimator 1
@@ -118,9 +116,6 @@ type CalibrationOptions struct {
 	// productivities (the paper's recommended model). When false the
 	// simpler ρ=1 fixed-effects model of Section 3.2 is fitted.
 	Mixed bool
-	// ZeroFloor replaces zero metric values. Zero means 1, the value
-	// that reproduces the paper's FFs row exactly.
-	ZeroFloor float64
 	// Concurrency bounds the worker pool of the fit's multi-start
 	// restarts: 0 means GOMAXPROCS, 1 forces the exact sequential
 	// path. Calibration results are bit-identical for every value.
@@ -131,27 +126,44 @@ type CalibrationOptions struct {
 // productivity distribution) for the given metric set on a measurement
 // database.
 func Calibrate(comps []dataset.Component, metrics []dataset.Metric, opts CalibrationOptions) (*Calibration, error) {
-	d, floor, err := assemble(comps, metrics, opts.ZeroFloor)
+	d, floor, err := assemble(comps, metrics)
 	if err != nil {
 		return nil, err
 	}
 	return calibrate(d, metrics, floor, opts)
 }
 
+// zeroFloor replaces zero metric values in a regression table: the
+// lognormal model needs positive predictors, and 1 reproduces the
+// paper's FFs row exactly.
+const zeroFloor = 1
+
+// floorZeros replaces the zero entries of row with floor, when floor
+// is positive, and reports whether it replaced any. Calibration and
+// every estimate path floor their metric rows through it.
+func floorZeros(row []float64, floor float64) bool {
+	if floor <= 0 {
+		return false
+	}
+	floored := false
+	for i, v := range row {
+		if v == 0 {
+			row[i] = floor
+			floored = true
+		}
+	}
+	return floored
+}
+
 // assemble builds one estimator's regression table: a row per
-// component over the given metrics, zero values replaced by zeroFloor
-// (0 means 1). It returns the floor it applied, or 0 if no value
-// needed one.
-func assemble(comps []dataset.Component, metrics []dataset.Metric, zeroFloor float64) (*nlme.Data, float64, error) {
+// component over the given metrics, zero values replaced by zeroFloor.
+// It returns the floor it applied, or 0 if no value needed one.
+func assemble(comps []dataset.Component, metrics []dataset.Metric) (*nlme.Data, float64, error) {
 	if len(comps) == 0 {
 		return nil, 0, fmt.Errorf("core: empty measurement database")
 	}
 	if len(metrics) == 0 {
 		return nil, 0, fmt.Errorf("core: no metrics selected")
-	}
-	floor := zeroFloor
-	if floor == 0 {
-		floor = 1
 	}
 	k := len(metrics)
 	d := &nlme.Data{
@@ -168,11 +180,10 @@ func assemble(comps []dataset.Component, metrics []dataset.Metric, zeroFloor flo
 			if err != nil {
 				return nil, 0, err
 			}
-			if v == 0 {
-				v = floor
-				floored = true
-			}
 			row[j] = v
+		}
+		if floorZeros(row, zeroFloor) {
+			floored = true
 		}
 		d.Groups[i] = c.Project
 		d.Efforts[i] = c.Effort
@@ -182,9 +193,9 @@ func assemble(comps []dataset.Component, metrics []dataset.Metric, zeroFloor flo
 		d.MetricNames = append(d.MetricNames, string(m))
 	}
 	if !floored {
-		floor = 0
+		return d, 0, nil
 	}
-	return d, floor, nil
+	return d, zeroFloor, nil
 }
 
 // calibrate fits an assembled table; zeroFloor is what assemble
@@ -194,9 +205,9 @@ func calibrate(d *nlme.Data, metrics []dataset.Metric, zeroFloor float64, opts C
 	var err error
 	fitOpts := nlme.FitOptions{Concurrency: opts.Concurrency}
 	if opts.Mixed {
-		fit, err = nlme.FitOpts(d, fitOpts)
+		fit, err = nlme.Fit(d, fitOpts)
 	} else {
-		fit, err = nlme.FitFixedOpts(d, fitOpts)
+		fit, err = nlme.FitFixed(d, fitOpts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration failed: %w", err)
@@ -250,9 +261,6 @@ func (c *Calibration) Estimate(m *measure.Metrics, rho float64) (*Estimate, erro
 		if err != nil {
 			return nil, err
 		}
-		if v == 0 && c.ZeroFloor > 0 {
-			v = c.ZeroFloor
-		}
 		row[k] = v
 	}
 	return c.estimateRow(row, rho)
@@ -264,10 +272,13 @@ func (c *Calibration) EstimateFromValues(values []float64, rho float64) (*Estima
 	if len(values) != len(c.Metrics) {
 		return nil, fmt.Errorf("core: %d values for %d metrics", len(values), len(c.Metrics))
 	}
-	return c.estimateRow(values, rho)
+	return c.estimateRow(append([]float64(nil), values...), rho)
 }
 
+// estimateRow floors row in place with the calibration's floor and
+// predicts from it.
 func (c *Calibration) estimateRow(row []float64, rho float64) (*Estimate, error) {
+	floorZeros(row, c.ZeroFloor)
 	median, err := c.Fit.Predict(row, rho)
 	if err != nil {
 		return nil, err
@@ -293,21 +304,14 @@ type EstimatorAccuracy struct {
 	Calibration  *Calibration
 }
 
-// EvaluateEstimators reproduces the Table 4 analysis on a database:
+// EvaluateEstimatorsN reproduces the Table 4 analysis on a database:
 // every single-metric estimator plus DEE1, each fitted with and
 // without the productivity adjustment, sorted by σε. The estimators
-// are fitted concurrently on every available core; use
-// EvaluateEstimatorsN to bound or serialize the pool.
-func EvaluateEstimators(comps []dataset.Component) ([]EstimatorAccuracy, error) {
-	return EvaluateEstimatorsN(comps, 0)
-}
-
-// EvaluateEstimatorsN is EvaluateEstimators with a concurrency bound
-// (0 = GOMAXPROCS, 1 = exact sequential path). Each estimator's mixed
-// and fixed calibrations form one work item over one assembled table;
-// when the outer pool is parallel the inner multi-start pool is
-// serialized so the machine is not oversubscribed. Results are
-// bit-identical for every value.
+// run on a pool of the given concurrency (0 = GOMAXPROCS, 1 = exact
+// sequential path); each estimator's mixed and fixed calibrations form
+// one work item over one assembled table, and when the outer pool is
+// parallel the inner multi-start pool is serialized so the machine is
+// not oversubscribed. Results are bit-identical for every value.
 func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]EstimatorAccuracy, error) {
 	type spec struct {
 		name    string
@@ -323,7 +327,7 @@ func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]Estimato
 	}
 	out, err := parallel.Map(concurrency, len(specs), func(i int) (EstimatorAccuracy, error) {
 		s := specs[i]
-		d, floor, err := assemble(comps, s.metrics, 0)
+		d, floor, err := assemble(comps, s.metrics)
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
@@ -350,16 +354,4 @@ func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]Estimato
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].SigmaEps < out[j].SigmaEps })
 	return out, nil
-}
-
-// ConfidenceFactors exposes the σε → multiplicative-interval mapping
-// of Figures 3 and 4.
-func ConfidenceFactors(sigmaEps, conf float64) (lo, hi float64) {
-	return stats.ConfidenceFactors(sigmaEps, conf)
-}
-
-// MeanFactor returns Equation 4's median-to-mean correction for the
-// given variance components.
-func MeanFactor(sigmaEps, sigmaRho float64) float64 {
-	return math.Exp((sigmaEps*sigmaEps + sigmaRho*sigmaRho) / 2)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hdl"
 	"repro/internal/measure"
+	"repro/internal/stats"
 )
 
 func TestCalibrateDEE1OnPaperData(t *testing.T) {
@@ -62,7 +63,7 @@ func TestEstimateLeon3Pipeline(t *testing.T) {
 }
 
 func TestEvaluateEstimatorsOrdering(t *testing.T) {
-	rows, err := EvaluateEstimators(dataset.Paper())
+	rows, err := EvaluateEstimatorsN(dataset.Paper(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +223,57 @@ endmodule`})
 	}
 }
 
+// TestConfidenceFactorsAndMeanFactor pins how an estimate carries its
+// uncertainty: the 90% interval is the median scaled by the Figure 4
+// confidence factors of the calibration's σε, and the mean is the
+// median scaled by Equation 4's e^((σε²+σρ²)/2).
 func TestConfidenceFactorsAndMeanFactor(t *testing.T) {
-	lo, hi := ConfidenceFactors(0.45, 0.90)
-	if lo > 0.52 || lo < 0.45 || hi < 2.0 || hi > 2.2 {
-		t.Errorf("factors = (%v, %v)", lo, hi)
+	cal, err := CalibrateDEE1(dataset.Paper())
+	if err != nil {
+		t.Fatal(err)
 	}
-	mf := MeanFactor(0.46, 0.28)
-	want := math.Exp((0.46*0.46 + 0.28*0.28) / 2)
-	if math.Abs(mf-want) > 1e-12 {
-		t.Errorf("MeanFactor = %v, want %v", mf, want)
+	est, err := cal.EstimateFromValues([]float64{1200, 8000}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, sr := cal.Fit.SigmaEps, cal.Fit.SigmaRho
+	lo, hi := stats.ConfidenceFactors(se, 0.90)
+	if want := [2]float64{lo * est.Median, hi * est.Median}; est.CI90 != want {
+		t.Errorf("CI90 = %v, want %v", est.CI90, want)
+	}
+	want := est.Median * math.Exp((se*se+sr*sr)/2)
+	if math.Abs(est.Mean-want) > 1e-12*want {
+		t.Errorf("Mean = %v, want %v", est.Mean, want)
+	}
+}
+
+// TestEstimatePathsAgreeOnZeroMetric pins that both estimate paths
+// floor a zero metric the way the calibration floored its table. On a
+// Stmts+FFs mixed calibration of the paper data (the IVM rows have
+// FFs = 0, so the floor is 1) Estimate and EstimateFromValues must
+// agree bit for bit, and the caller's values stay untouched.
+func TestEstimatePathsAgreeOnZeroMetric(t *testing.T) {
+	cal, err := Calibrate(dataset.Paper(), []dataset.Metric{dataset.Stmts, dataset.FFs}, CalibrationOptions{Mixed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.ZeroFloor != 1 {
+		t.Fatalf("ZeroFloor = %v, want 1", cal.ZeroFloor)
+	}
+	viaMetrics, err := cal.Estimate(&measure.Metrics{Stmts: 500}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{500, 0}
+	viaValues, err := cal.EstimateFromValues(values, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *viaValues != *viaMetrics {
+		t.Errorf("EstimateFromValues = %+v, Estimate = %+v", *viaValues, *viaMetrics)
+	}
+	if values[1] != 0 {
+		t.Errorf("EstimateFromValues floored the caller's slice: %v", values)
 	}
 }
 

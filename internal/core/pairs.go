@@ -81,11 +81,9 @@ func (c *Calibration) UpdateProductivity(completed []dataset.Component) (float64
 			if err != nil {
 				return 1, err
 			}
-			if v == 0 && c.ZeroFloor > 0 {
-				v = c.ZeroFloor
-			}
 			row[k] = v
 		}
+		floorZeros(row, c.ZeroFloor)
 		pred, err := c.Fit.Predict(row, 1)
 		if err != nil {
 			return 1, err

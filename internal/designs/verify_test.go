@@ -20,7 +20,7 @@ func rtlSim(t *testing.T, label string, overrides map[string]int64) *sim.RTLSim 
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := elab.Elaborate(d, c.Top, overrides)
+	inst, _, err := elab.ElaborateOpts(d, c.Top, overrides, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,7 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 }
 
 // Cache memoizes elaborated subtrees within one measurement session
-// (one design under one Options limit set — do not share a Cache
-// across designs or across different MaxGenIterations/MaxInstances).
+// (one design — do not share a Cache across designs).
 // It holds two tables:
 //
 //   - report fragments keyed by (module, resolved parameters): the

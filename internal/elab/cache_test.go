@@ -77,7 +77,7 @@ func TestCacheCorpusBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Label(), err)
 		}
-		plain, plainRep, err := Elaborate(d, c.Top, nil)
+		plain, plainRep, err := ElaborateOpts(d, c.Top, nil, Options{})
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", c.Label(), err)
 		}
@@ -169,7 +169,7 @@ func TestCacheProbePattern(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		_, plainRep, err := Elaborate(d, "pair", p)
+		_, plainRep, err := ElaborateOpts(d, "pair", p, Options{})
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", label, err)
 		}
@@ -188,7 +188,7 @@ func TestCacheProbePattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := Elaborate(d, "pair", map[string]int64{"W": 4, "N": 1})
+	plain, _, err := ElaborateOpts(d, "pair", map[string]int64{"W": 4, "N": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCacheSharedConcurrent(t *testing.T) {
 				if reportOnly && inst != nil {
 					errs <- fmt.Errorf("worker %d point %v: report-only returned a tree", w, p)
 				}
-				_, plainRep, err := Elaborate(d, "pair", p)
+				_, plainRep, err := ElaborateOpts(d, "pair", p, Options{})
 				if err != nil {
 					errs <- err
 					continue
@@ -254,7 +254,7 @@ module m (input a, output y);
   leaf u (.a(a), .y(t));
   leaf u (.a(t), .y(y));
 endmodule`})
-	plain, _, err := Elaborate(d, "m", nil)
+	plain, _, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ endmodule`,
 	}
 	for name, src := range cases {
 		d := design(t, map[string]string{"m.v": src})
-		_, _, plainErr := Elaborate(d, "m", nil)
+		_, _, plainErr := ElaborateOpts(d, "m", nil, Options{})
 		if plainErr == nil {
 			t.Fatalf("%s: uncached elaboration unexpectedly succeeded", name)
 		}

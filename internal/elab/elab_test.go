@@ -23,7 +23,7 @@ module m #(parameter W = 8) (input clk, input [W-1:0] a, output reg [W-1:0] q);
   assign t = a + 1;
   always @(posedge clk) q <= t;
 endmodule`})
-	inst, _, err := Elaborate(d, "m", nil)
+	inst, _, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestElaborateParameterOverride(t *testing.T) {
 module m #(parameter W = 8, parameter HALF = W / 2) (input [W-1:0] a, output [HALF-1:0] y);
   assign y = a[HALF-1:0];
 endmodule`})
-	inst, _, err := Elaborate(d, "m", map[string]int64{"W": 16})
+	inst, _, err := ElaborateOpts(d, "m", map[string]int64{"W": 16}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ endmodule`})
 	if inst.Nets["y"].Width != 8 {
 		t.Errorf("y width = %d", inst.Nets["y"].Width)
 	}
-	if _, _, err := Elaborate(d, "m", map[string]int64{"NOPE": 1}); err == nil {
+	if _, _, err := ElaborateOpts(d, "m", map[string]int64{"NOPE": 1}, Options{}); err == nil {
 		t.Error("expected unknown-parameter error")
 	}
 }
@@ -73,7 +73,7 @@ endmodule
 module top #(parameter N = 3) (input [N-1:0] x, output [N-1:0] z);
   leaf #(.W(N)) u (.a(x), .y(z));
 endmodule`})
-	inst, _, err := Elaborate(d, "top", nil)
+	inst, _, err := ElaborateOpts(d, "top", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ module vec #(parameter N = 4) (input [N-1:0] a, output [N-1:0] y);
     assign y[i] = t;
   end endgenerate
 endmodule`})
-	inst, rep, err := Elaborate(d, "vec", nil)
+	inst, rep, err := ElaborateOpts(d, "vec", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ module vec #(parameter N = 0) (input a, output y);
     wire t;
   end endgenerate
 endmodule`})
-	_, rep, err := Elaborate(d, "vec", nil)
+	_, rep, err := ElaborateOpts(d, "vec", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ module m #(parameter P = 4) (input a, output y);
   end endgenerate
 endmodule`}
 	d := design(t, src)
-	_, repBig, err := Elaborate(d, "m", nil)
+	_, repBig, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repSmall, err := Elaborate(d, "m", map[string]int64{"P": 1})
+	_, repSmall, err := ElaborateOpts(d, "m", map[string]int64{"P": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ endmodule`}
 		t.Errorf("self-compatibility failed: %s", reason)
 	}
 	// P=3 keeps the then-branch: compatible.
-	_, rep3, err := Elaborate(d, "m", map[string]int64{"P": 3})
+	_, rep3, err := ElaborateOpts(d, "m", map[string]int64{"P": 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,12 @@ module m #(parameter N = 4) (input [7:0] a, output [7:0] y);
   end endgenerate
 endmodule`}
 	d := design(t, src)
-	_, ref, err := Elaborate(d, "m", nil)
+	_, ref, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// N=1 gives zero iterations: the loop is optimized away.
-	_, cand, err := Elaborate(d, "m", map[string]int64{"N": 1})
+	_, cand, err := ElaborateOpts(d, "m", map[string]int64{"N": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ endmodule`}
 		t.Error("loop collapse must be incompatible")
 	}
 	// N=2 keeps one iteration: compatible.
-	_, cand2, err := Elaborate(d, "m", map[string]int64{"N": 2})
+	_, cand2, err := ElaborateOpts(d, "m", map[string]int64{"N": 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ module m #(parameter MODE = 1) (input clk, input [3:0] a, output reg [3:0] q);
   end
 endmodule`}
 	d := design(t, src)
-	_, ref, err := Elaborate(d, "m", nil)
+	_, ref, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ endmodule`}
 	}
 	_ = sigIf
 	// MODE=0 flips the constant branch: incompatible.
-	_, cand, err := Elaborate(d, "m", map[string]int64{"MODE": 0})
+	_, cand, err := ElaborateOpts(d, "m", map[string]int64{"MODE": 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ module m #(parameter D = 16, parameter W = 8) (input clk, input [3:0] addr, inpu
   always @(posedge clk) mem[addr] <= din;
   assign dout = mem[addr];
 endmodule`})
-	inst, rep, err := Elaborate(d, "m", nil)
+	inst, rep, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +289,14 @@ endmodule`})
 		t.Fatalf("mem = %+v", mem)
 	}
 	// Depth 1 degenerates the memory.
-	_, cand, err := Elaborate(d, "m", map[string]int64{"D": 1})
+	_, cand, err := ElaborateOpts(d, "m", map[string]int64{"D": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, _ := rep.CompatibleWith(cand); ok {
 		t.Error("depth-1 memory must be incompatible")
 	}
-	_, cand2, err := Elaborate(d, "m", map[string]int64{"D": 2})
+	_, cand2, err := ElaborateOpts(d, "m", map[string]int64{"D": 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ module top (input x); leaf #(.V(2)) u (.a(x)); endmodule`, "no parameter"},
 		if strings.Contains(c.src, "module top") {
 			top = "top"
 		}
-		_, _, err := Elaborate(d, top, nil)
+		_, _, err := ElaborateOpts(d, top, nil, Options{})
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue

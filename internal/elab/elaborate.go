@@ -7,25 +7,26 @@ import (
 	"repro/internal/hdl"
 )
 
-// Options tunes elaboration limits and modes.
+// Elaboration limits: the trip count of one generate/procedural for
+// loop and the total instance count.
+const (
+	maxLoopIterations = 4096
+	maxInstances      = 100000
+)
+
+// Options selects elaboration modes.
 type Options struct {
-	// MaxGenIterations caps a single generate/procedural for loop.
-	// Zero means 4096.
-	MaxGenIterations int
-	// MaxInstances caps the total instance count. Zero means 100000.
-	MaxInstances int
 	// Cache, when non-nil, memoizes elaborated subtrees across calls
 	// within one measurement session: a submodule whose resolved
 	// parameter binding (and, for full trees, hierarchical path) was
 	// already elaborated is reused instead of rebuilt, so elaborating a
 	// nearby parameter point costs proportional to what the changed
 	// parameter actually touches. Results are bit-identical to uncached
-	// elaboration. The cache must not be shared across designs or
-	// across differing limit options.
+	// elaboration. The cache must not be shared across designs.
 	Cache *Cache
 	// ReportOnly computes just the construct Report (generate-loop trip
 	// counts, branch polarities, memory shapes, behavioral signatures)
-	// without retaining instance trees: Elaborate returns a nil
+	// without retaining instance trees: ElaborateOpts returns a nil
 	// *Instance. Success/failure and the Report are bit-identical to a
 	// full elaboration — every declaration, range check, and constant
 	// evaluation still runs — but subtrees are discarded as soon as
@@ -33,20 +34,6 @@ type Options struct {
 	// on repeat signatures). This is the probe mode of the accounting
 	// search's scaling rule.
 	ReportOnly bool
-}
-
-func (o Options) maxIter() int {
-	if o.MaxGenIterations == 0 {
-		return 4096
-	}
-	return o.MaxGenIterations
-}
-
-func (o Options) maxInst() int {
-	if o.MaxInstances == 0 {
-		return 100000
-	}
-	return o.MaxInstances
 }
 
 type elaborator struct {
@@ -107,14 +94,9 @@ func (b *bump[T]) new() *T {
 	return p
 }
 
-// Elaborate builds the elaborated instance tree of module top with the
-// given parameter overrides (nil for defaults) and returns it together
-// with the construct report used by the scaling rule.
-func Elaborate(design *hdl.Design, top string, overrides map[string]int64) (*Instance, *Report, error) {
-	return ElaborateOpts(design, top, overrides, Options{})
-}
-
-// ElaborateOpts is Elaborate with explicit limits and modes. In
+// ElaborateOpts builds the elaborated instance tree of module top with
+// the given parameter overrides (nil for defaults) and returns it
+// together with the construct report used by the scaling rule. In
 // report-only mode (Options.ReportOnly) the returned Instance is nil.
 func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, opts Options) (*Instance, *Report, error) {
 	m, err := design.Module(top)
@@ -210,8 +192,8 @@ func (el *elaborator) elaborateSubtree(m *hdl.Module, path string, params map[st
 // against the global limit, exactly as elaborating it fresh would.
 func (el *elaborator) reuseInstances(count int, path string) error {
 	el.instCount += count
-	if el.instCount > el.opts.maxInst() {
-		return fmt.Errorf("elab: instance limit %d exceeded at %s", el.opts.maxInst(), path)
+	if el.instCount > maxInstances {
+		return fmt.Errorf("elab: instance limit %d exceeded at %s", maxInstances, path)
 	}
 	return nil
 }
@@ -226,8 +208,8 @@ func (el *elaborator) elaborateModule(m *hdl.Module, path string, params map[str
 	defer func() { el.stack = el.stack[:len(el.stack)-1] }()
 
 	el.instCount++
-	if el.instCount > el.opts.maxInst() {
-		return nil, fmt.Errorf("elab: instance limit %d exceeded at %s", el.opts.maxInst(), path)
+	if el.instCount > maxInstances {
+		return nil, fmt.Errorf("elab: instance limit %d exceeded at %s", maxInstances, path)
 	}
 
 	// Pre-size Nets and Children from an exact count of the
@@ -599,8 +581,8 @@ func (el *elaborator) elaborateGenFor(inst *Instance, v *hdl.GenFor, env *Env) e
 			break
 		}
 		trips++
-		if trips > int64(el.opts.maxIter()) {
-			return fmt.Errorf("elab: %s: generate loop exceeds %d iterations", v.Pos, el.opts.maxIter())
+		if trips > maxLoopIterations {
+			return fmt.Errorf("elab: %s: generate loop exceeds %d iterations", v.Pos, maxLoopIterations)
 		}
 		// Rebuilt from parts every trip (not hoisted) so a nested
 		// generate loop clobbering the shared prefix scratch is harmless.
@@ -779,8 +761,8 @@ func (el *elaborator) forTripCount(inst *Instance, v *hdl.For, env *Env) (int64,
 			return trips, nil
 		}
 		trips++
-		if trips > int64(el.opts.maxIter()) {
-			return 0, fmt.Errorf("for loop exceeds %d iterations", el.opts.maxIter())
+		if trips > maxLoopIterations {
+			return 0, fmt.Errorf("for loop exceeds %d iterations", maxLoopIterations)
 		}
 		next, err := Eval(stepA.RHS, iter)
 		if err != nil {

@@ -23,7 +23,7 @@ module m #(parameter W = 4) (input clk, input [W-1:0] a, output [W-1:0] y);
   end
   assign y = scratch;
 endmodule`})
-	inst, _, err := Elaborate(d, "m", nil)
+	inst, _, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestIsConstant(t *testing.T) {
 module m #(parameter W = 8) (input [W-1:0] a, output [W-1:0] y);
   assign y = a + W;
 endmodule`})
-	inst, _, err := Elaborate(d, "m", nil)
+	inst, _, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ module m #(parameter N = 8) (input [7:0] a, output reg [7:0] y);
   end
 endmodule`}
 	d := design(t, src)
-	_, ref, err := Elaborate(d, "m", nil)
+	_, ref, err := ElaborateOpts(d, "m", nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ endmodule`}
 		t.Fatal("behavioral for loop not in the signature")
 	}
 	// N=0 collapses the loop: incompatible.
-	_, cand, err := Elaborate(d, "m", map[string]int64{"N": 0})
+	_, cand, err := ElaborateOpts(d, "m", map[string]int64{"N": 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ endmodule`}
 		t.Error("zero-trip behavioral loop must be incompatible")
 	}
 	// N=1 keeps it alive: compatible.
-	_, cand1, err := Elaborate(d, "m", map[string]int64{"N": 1})
+	_, cand1, err := ElaborateOpts(d, "m", map[string]int64{"N": 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ module m #(parameter W = 8) (input clk, input [W-1:0] a, output reg [W-1:0] y);
       y <= a;
   end
 endmodule`})
-	if _, _, err := Elaborate(d, "m", map[string]int64{"W": 4}); err == nil {
+	if _, _, err := ElaborateOpts(d, "m", map[string]int64{"W": 4}, Options{}); err == nil {
 		t.Fatal("a[7] with W=4 must fail elaboration")
 	}
-	if _, _, err := Elaborate(d, "m", nil); err != nil {
+	if _, _, err := ElaborateOpts(d, "m", nil, Options{}); err != nil {
 		t.Fatalf("W=8 must elaborate: %v", err)
 	}
 }
@@ -152,7 +152,7 @@ endmodule
 module m #(parameter W = 8) (input [W-1:0] a, output y);
   leaf u (.x(a[6]), .y(y));
 endmodule`})
-	if _, _, err := Elaborate(d, "m", map[string]int64{"W": 4}); err == nil {
+	if _, _, err := ElaborateOpts(d, "m", map[string]int64{"W": 4}, Options{}); err == nil {
 		t.Fatal("binding a[6] with W=4 must fail")
 	}
 }

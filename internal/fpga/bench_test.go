@@ -22,6 +22,6 @@ endmodule`})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Map(res.Optimized, Options{})
+		MapWS(res.Optimized, Options{}, nil)
 	}
 }

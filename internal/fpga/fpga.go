@@ -23,42 +23,21 @@ type Options struct {
 	// K is the LUT input count. Zero means 8, matching the paper's
 	// description of the Stratix-II ALM.
 	K int
-	// Timing parameters in ns. Zeros select Stratix-II-class defaults.
-	ClkToQ, LUTDelay, RouteDelay, Setup, RAMAccess float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.K == 0 {
-		o.K = 8
-	}
-	if o.ClkToQ == 0 {
-		o.ClkToQ = 0.2
-	}
-	if o.LUTDelay == 0 {
-		o.LUTDelay = 0.45
-	}
-	if o.RouteDelay == 0 {
-		o.RouteDelay = 0.6
-	}
-	if o.Setup == 0 {
-		o.Setup = 0.1
-	}
-	if o.RAMAccess == 0 {
-		o.RAMAccess = 1.8
-	}
-	return o
-}
-
-// LUT is one mapped lookup table.
-type LUT struct {
-	Root   netlist.NetID // the net the LUT produces
-	Inputs []netlist.NetID
-	Level  int // LUT depth from the leaves (1 = fed only by leaves)
-}
+// Stratix-II-class timing model, in ns.
+const (
+	clkToQ     = 0.2
+	lutDelay   = 0.45
+	routeDelay = 0.6
+	setup      = 0.1
+	ramAccess  = 1.8
+)
 
 // Mapping is the result of LUT covering.
 type Mapping struct {
-	LUTs []LUT
+	// LUTs counts the mapped lookup tables.
+	LUTs int
 	// LUTInputSum is Σ inputs over all LUTs — the paper's FanInLC
 	// approximation.
 	LUTInputSum int
@@ -73,19 +52,19 @@ type Mapping struct {
 	FFs int
 }
 
-// Map covers the netlist's combinational logic with k-LUTs and
-// evaluates the timing model.
-func Map(n *netlist.Netlist, opts Options) *Mapping {
-	return mapImpl(n, opts, &Workspace{}, true)
-}
-
-// mapImpl is the covering kernel behind Map and MapWS. All scratch —
-// the per-net tables, merge buffers, and the arena every cut set is
-// carved from — comes from ws, so cut sets are only valid until the
-// workspace is reused; they escape through Mapping.LUTs only when
-// wantLUTs is set, which Map pairs with a private workspace.
-func mapImpl(n *netlist.Netlist, opts Options, ws *Workspace, wantLUTs bool) *Mapping {
-	o := opts.withDefaults()
+// MapWS covers the netlist's combinational logic with k-LUTs and
+// evaluates the timing model. All scratch — the per-net tables, merge
+// buffers, and the arena every cut set is carved from — comes from ws,
+// which may be nil (fresh scratch) or a reused workspace; the mapping
+// is bit-identical either way.
+func MapWS(n *netlist.Netlist, opts Options, ws *Workspace) *Mapping {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	lutInputs := opts.K
+	if lutInputs == 0 {
+		lutInputs = 8
+	}
 	drivers := n.Drivers()
 
 	isLeaf := func(id netlist.NetID) bool {
@@ -144,9 +123,7 @@ func mapImpl(n *netlist.Netlist, opts Options, ws *Workspace, wantLUTs bool) *Ma
 			return
 		}
 		level[id] = maxIn + 1
-		if wantLUTs {
-			m.LUTs = append(m.LUTs, LUT{Root: id, Inputs: cut, Level: level[id]})
-		}
+		m.LUTs++
 		m.LUTInputSum += len(cut)
 		if level[id] > m.Levels {
 			m.Levels = level[id]
@@ -197,7 +174,7 @@ func mapImpl(n *netlist.Netlist, opts Options, ws *Workspace, wantLUTs bool) *Ma
 			next = append(next, cut[j:]...)
 			cur, next = next, cur
 		}
-		if len(cur) <= o.K {
+		if len(cur) <= lutInputs {
 			cut := ws.arena.Take(len(cur))
 			copy(cut, cur)
 			info[c.Out].cut = cut
@@ -267,12 +244,9 @@ func mapImpl(n *netlist.Netlist, opts Options, ws *Workspace, wantLUTs bool) *Ma
 
 	// Timing: clk-to-q, L LUT+route stages, setup; RAM read access
 	// adds its latency when memories are present.
-	period := o.ClkToQ + float64(m.Levels)*(o.LUTDelay+o.RouteDelay) + o.Setup
+	period := clkToQ + float64(m.Levels)*(lutDelay+routeDelay) + setup
 	if hasRAM {
-		period += o.RAMAccess
-	}
-	if period <= 0 {
-		period = o.ClkToQ + o.Setup
+		period += ramAccess
 	}
 	m.FreqMHz = 1000.0 / period
 	return m

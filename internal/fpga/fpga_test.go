@@ -28,9 +28,9 @@ func TestMapSmallConeFitsOneLUT(t *testing.T) {
 module m (input a, b, c, d, output y);
   assign y = (a & b) | (c & d);
 endmodule`, "m", nil)
-	mp := Map(nl, Options{})
-	if len(mp.LUTs) != 1 {
-		t.Fatalf("LUTs = %d, want 1: %+v", len(mp.LUTs), mp.LUTs)
+	mp := MapWS(nl, Options{}, nil)
+	if mp.LUTs != 1 {
+		t.Fatalf("LUTs = %d, want 1", mp.LUTs)
 	}
 	if mp.LUTInputSum != 4 {
 		t.Errorf("LUT input sum = %d, want 4", mp.LUTInputSum)
@@ -46,9 +46,9 @@ func TestMapWideConeCascades(t *testing.T) {
 module m (input [15:0] a, output y);
   assign y = &a;
 endmodule`, "m", nil)
-	mp := Map(nl, Options{})
-	if len(mp.LUTs) < 2 {
-		t.Fatalf("LUTs = %d, want >= 2 (cascade)", len(mp.LUTs))
+	mp := MapWS(nl, Options{}, nil)
+	if mp.LUTs < 2 {
+		t.Fatalf("LUTs = %d, want >= 2 (cascade)", mp.LUTs)
 	}
 	if mp.Levels < 2 {
 		t.Errorf("levels = %d, want >= 2", mp.Levels)
@@ -63,10 +63,10 @@ func TestMapSmallerKGivesMoreLUTs(t *testing.T) {
 module m (input [15:0] a, b, output [15:0] s);
   assign s = a + b;
 endmodule`, "m", nil)
-	k8 := Map(nl, Options{K: 8})
-	k4 := Map(nl, Options{K: 4})
-	if len(k4.LUTs) <= len(k8.LUTs) {
-		t.Errorf("K=4 LUTs (%d) must exceed K=8 LUTs (%d)", len(k4.LUTs), len(k8.LUTs))
+	k8 := MapWS(nl, Options{K: 8}, nil)
+	k4 := MapWS(nl, Options{K: 4}, nil)
+	if k4.LUTs <= k8.LUTs {
+		t.Errorf("K=4 LUTs (%d) must exceed K=8 LUTs (%d)", k4.LUTs, k8.LUTs)
 	}
 	if k4.Levels < k8.Levels {
 		t.Errorf("K=4 levels (%d) must be >= K=8 levels (%d)", k4.Levels, k8.Levels)
@@ -78,8 +78,8 @@ func TestMapFreqDecreasesWithDepth(t *testing.T) {
 module add #(parameter W = 8) (input [W-1:0] a, b, output [W-1:0] s);
   assign s = a + b;
 endmodule`
-	f8 := Map(netlistOf(t, src, "add", map[string]int64{"W": 8}), Options{}).FreqMHz
-	f32 := Map(netlistOf(t, src, "add", map[string]int64{"W": 32}), Options{}).FreqMHz
+	f8 := MapWS(netlistOf(t, src, "add", map[string]int64{"W": 8}), Options{}, nil).FreqMHz
+	f32 := MapWS(netlistOf(t, src, "add", map[string]int64{"W": 32}), Options{}, nil).FreqMHz
 	if f32 >= f8 {
 		t.Errorf("wider adder must be slower: f8=%v f32=%v", f8, f32)
 	}
@@ -93,13 +93,13 @@ func TestMapCountsFFs(t *testing.T) {
 module m (input clk, input [4:0] d, output reg [4:0] q);
   always @(posedge clk) q <= d;
 endmodule`, "m", nil)
-	mp := Map(nl, Options{})
+	mp := MapWS(nl, Options{}, nil)
 	if mp.FFs != 5 {
 		t.Errorf("FFs = %d, want 5", mp.FFs)
 	}
 	// A pure register has no LUTs (D comes straight from inputs).
-	if len(mp.LUTs) != 0 {
-		t.Errorf("LUTs = %d, want 0", len(mp.LUTs))
+	if mp.LUTs != 0 {
+		t.Errorf("LUTs = %d, want 0", mp.LUTs)
 	}
 	if mp.Levels != 0 {
 		t.Errorf("levels = %d, want 0", mp.Levels)
@@ -117,8 +117,8 @@ endmodule`
 module m (input [3:0] a, output [3:0] y);
   assign y = ~a;
 endmodule`
-	fRAM := Map(netlistOf(t, ramSrc, "m", nil), Options{}).FreqMHz
-	fPlain := Map(netlistOf(t, plainSrc, "m", nil), Options{}).FreqMHz
+	fRAM := MapWS(netlistOf(t, ramSrc, "m", nil), Options{}, nil).FreqMHz
+	fPlain := MapWS(netlistOf(t, plainSrc, "m", nil), Options{}, nil).FreqMHz
 	if fRAM >= fPlain {
 		t.Errorf("RAM access must slow the clock: %v vs %v", fRAM, fPlain)
 	}
@@ -139,8 +139,8 @@ module m (input clk, input [7:0] a, b, input [1:0] op, output reg [7:0] y);
     endcase
   end
 endmodule`, "m", nil)
-	exact := cones.Analyze(nl).FanInLC
-	approx := Map(nl, Options{}).LUTInputSum
+	exact := cones.AnalyzeSummary(nl, nil).FanInLC
+	approx := MapWS(nl, Options{}, nil).LUTInputSum
 	if exact == 0 || approx == 0 {
 		t.Fatalf("degenerate metrics: exact=%d approx=%d", exact, approx)
 	}

@@ -30,14 +30,3 @@ func (w *Workspace) Reset() {
 	w.info = w.info[:0]
 	w.arena.Reset()
 }
-
-// MapWS is Map with reusable scratch and without materializing the
-// per-LUT list: Mapping.LUTs is nil, while LUTInputSum, Levels, FFs,
-// and FreqMHz are bit-identical to Map's. The measurement path only
-// reads the aggregates, so it never pays for the list.
-func MapWS(n *netlist.Netlist, opts Options, ws *Workspace) *Mapping {
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	return mapImpl(n, opts, ws, false)
-}

@@ -8,9 +8,10 @@ import (
 	"repro/internal/synth"
 )
 
-// TestMapWSMatchesMap pins the workspace fast path against the full
-// mapping over the whole corpus, reusing one workspace dirty across
-// components and K values the way a session pool worker does.
+// TestMapWSMatchesMap pins the mapping through a reused workspace
+// against a fresh-scratch mapping over the whole corpus, reusing one
+// workspace dirty across components and K values the way a session
+// pool worker does.
 func TestMapWSMatchesMap(t *testing.T) {
 	ws := &fpga.Workspace{}
 	for _, c := range designs.All() {
@@ -24,22 +25,11 @@ func TestMapWSMatchesMap(t *testing.T) {
 		}
 		for _, k := range []int{0, 4} {
 			opts := fpga.Options{K: k}
-			full := fpga.Map(res.Optimized, opts)
-			if got := fpga.MapWS(res.Optimized, opts, nil); got.LUTInputSum != full.LUTInputSum {
-				t.Errorf("%s K=%d: nil-workspace MapWS LUTInputSum %d != %d",
-					c.Label(), k, got.LUTInputSum, full.LUTInputSum)
-			}
+			fresh := fpga.MapWS(res.Optimized, opts, nil)
 			for run := 0; run < 2; run++ {
-				got := fpga.MapWS(res.Optimized, opts, ws)
-				if got.LUTs != nil {
-					t.Fatalf("%s K=%d: MapWS materialized %d LUTs", c.Label(), k, len(got.LUTs))
-				}
-				if got.LUTInputSum != full.LUTInputSum || got.Levels != full.Levels ||
-					got.FFs != full.FFs || got.FreqMHz != full.FreqMHz {
-					t.Errorf("%s K=%d run %d: MapWS (%d, %d, %d, %g) != Map (%d, %d, %d, %g)",
-						c.Label(), k, run,
-						got.LUTInputSum, got.Levels, got.FFs, got.FreqMHz,
-						full.LUTInputSum, full.Levels, full.FFs, full.FreqMHz)
+				if got := fpga.MapWS(res.Optimized, opts, ws); *got != *fresh {
+					t.Errorf("%s K=%d run %d: reused-workspace mapping %+v != fresh %+v",
+						c.Label(), k, run, *got, *fresh)
 				}
 			}
 		}

@@ -267,3 +267,44 @@ func TestComponentKeyPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSigAndOptionsKeysPinned pins the other two key families byte for
+// byte: the disk key of a signature record (read back from the file a
+// cold one-unit batch writes) and the dependency graph's options key.
+// Both embed the fixed measurement target's key parts, which must keep
+// the spelling of the library and FPGA options they replaced.
+func TestSigAndOptionsKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "lib=generic180|fpga=K0;0;0;0;0;0"},
+		{Options{Namespace: "t"}, "lib=generic180|fpga=K0;0;0;0;0;0|ns=t"},
+	} {
+		if got := optionsKey(tc.opts); got != tc.want {
+			t.Errorf("optionsKey(%+v) = %q, want %q", tc.opts, got, tc.want)
+		}
+	}
+
+	c := designs.All()[0]
+	d, err := designs.Design(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureComponent(d, c.Top, false, Options{Cache: ch}); err != nil {
+		t.Fatal(err)
+	}
+	sigs, err := filepath.Glob(filepath.Join(dir, "sig-*.ucx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "sig-11ee2d4b7fe80628d16103734546760a9e150e536c2022146a6f9f6d8127c768.ucx"
+	if len(sigs) != 1 || filepath.Base(sigs[0]) != want {
+		t.Errorf("%s: sig records %v, want [%s]", c.Label(), sigs, want)
+	}
+}

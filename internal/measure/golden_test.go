@@ -23,7 +23,7 @@ func referenceMinimize(t *testing.T, d *hdl.Design, module string) map[string]in
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, refReport, err := elab.Elaborate(d, module, nil)
+	_, refReport, err := elab.ElaborateOpts(d, module, nil, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func referenceMinimize(t *testing.T, d *hdl.Design, module string) map[string]in
 					cand[k] = cv
 				}
 				cand[name] = v
-				_, rep, err := elab.Elaborate(d, module, cand)
+				_, rep, err := elab.ElaborateOpts(d, module, cand, elab.Options{})
 				if err != nil {
 					continue
 				}
@@ -109,7 +109,11 @@ func TestMinimizeParamsCorpusMatchesUncachedReference(t *testing.T) {
 		if !maps.Equal(res.MinimizedParams, want) {
 			t.Errorf("%s: measured at %v, reference %v", c.Label(), res.MinimizedParams, want)
 		}
-		fresh, err := synth.SynthesizeOpts(d, c.Top, want, synth.LowerOptions{DedupInstances: true})
+		inst, rep, err := elab.ElaborateOpts(d, c.Top, want, elab.Options{})
+		if err != nil {
+			t.Fatalf("%s: fresh elaboration: %v", c.Label(), err)
+		}
+		fresh, err := synth.SynthesizeInstance(inst, rep, synth.LowerOptions{DedupInstances: true})
 		if err != nil {
 			t.Fatalf("%s: fresh synthesis: %v", c.Label(), err)
 		}

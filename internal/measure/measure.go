@@ -101,10 +101,10 @@ func (m *Metrics) MetricMap() map[dataset.Metric]float64 {
 	return out
 }
 
-// Options configures a measurement run.
+// Options configures a measurement run. The measurement target is
+// fixed: ASIC metrics come from stdcell.Default180nm() and FPGA
+// metrics from fpga.MapWS with its default 8-input LUTs (§4.3).
 type Options struct {
-	Library *stdcell.Library // nil means stdcell.Default180nm()
-	FPGA    fpga.Options
 	// Concurrency bounds the worker pool of any parallelizable step in
 	// the measurement (a batch's component groups; the accounting
 	// procedure's candidate probes, which a batch serializes while its
@@ -135,20 +135,13 @@ type Options struct {
 	Namespace string
 }
 
-func (o Options) library() *stdcell.Library {
-	if o.Library == nil {
-		return stdcell.Default180nm()
-	}
-	return o.Library
-}
-
 // CacheKeyParts renders the result-determining options as stable key
-// components for internal/cache: the cell library's name and the FPGA
-// mapping parameters. Concurrency and the cache handle itself are
-// excluded (neither changes any measured value). A non-empty Namespace
-// is appended — it does not change any measured value either, but it
-// must partition the key space. The empty namespace appends nothing,
-// keeping every pre-namespace key bit-identical.
+// components for internal/cache: the fixed measurement target, then a
+// non-empty Namespace. Concurrency and the cache handle itself are
+// excluded (neither changes any measured value). The namespace does
+// not change any measured value either, but it must partition the key
+// space; the empty namespace appends nothing, keeping every
+// pre-namespace key bit-identical.
 func (o Options) CacheKeyParts() []string {
 	return o.keyParts()
 }
@@ -156,10 +149,13 @@ func (o Options) CacheKeyParts() []string {
 // keyParts is CacheKeyParts with extra parts placed before the
 // namespace.
 func (o Options) keyParts(extra ...string) []string {
-	f := o.FPGA
+	// The first two parts name the fixed measurement target in the
+	// spelling of the library and FPGA options it replaced (K and five
+	// timing values, zero meaning the default), so entries written
+	// under those options stay warm.
 	parts := append([]string{
-		"lib=" + o.library().Name,
-		fmt.Sprintf("fpga=K%d;%g;%g;%g;%g;%g", f.K, f.ClkToQ, f.LUTDelay, f.RouteDelay, f.Setup, f.RAMAccess),
+		"lib=" + stdcell.Default180nm().Name,
+		"fpga=K0;0;0;0;0;0",
 	}, extra...)
 	if o.Namespace != "" {
 		parts = append(parts, "ns="+o.Namespace)
@@ -169,16 +165,16 @@ func (o Options) keyParts(extra ...string) []string {
 
 // synthMetrics extracts the synthesis-derived metrics of a
 // synthesized result through one worker's workspace: the cone, LUT,
-// and power kernels run their summary/arena variants, whose aggregates
-// are pinned bit-identical to the fresh kernels by their package tests
-// and the session golden tests. The software metrics (Stmts, LoC) are
-// left zero; the session adds them per unit at assembly.
-func synthMetrics(res *synth.Result, opts Options, ws *Workspace) *Metrics {
-	lib := opts.library()
+// and power kernels reuse its scratch, and their results are pinned
+// bit-identical to fresh scratch by their package tests and the
+// session golden tests. The software metrics (Stmts, LoC) are left
+// zero; the session adds them per unit at assembly.
+func synthMetrics(res *synth.Result, ws *Workspace) *Metrics {
+	lib := stdcell.Default180nm()
 	nl := res.Optimized
 	stats := nl.Stats()
 	fanInExact := cones.AnalyzeSummary(nl, &ws.cones).FanInLC
-	mapping := fpga.MapWS(nl, opts.FPGA, &ws.fpga)
+	mapping := fpga.MapWS(nl, fpga.Options{}, &ws.fpga)
 	pw := power.AnalyzeWS(nl, lib, mapping.FreqMHz, &ws.power)
 	areaL, areaS := lib.Areas(nl)
 	return &Metrics{

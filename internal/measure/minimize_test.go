@@ -51,7 +51,7 @@ func TestMinimizeParamsMemoizesRepeatedPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, plainRep, err := elab.Elaborate(d, "m", params)
+	plain, plainRep, err := elab.ElaborateOpts(d, "m", params, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/hdl"
 	"repro/internal/power"
 	"repro/internal/srcmetrics"
+	"repro/internal/stdcell"
 	"repro/internal/synth"
 )
 
@@ -14,7 +15,8 @@ import (
 // one component measured alone, with no session, no flight table, no
 // disk cache, and no workspaces — a fresh elaboration of the measured
 // point (minimized against its own search cache in accounting mode),
-// fresh lowering, and the fresh cone, LUT, and power kernels. The
+// fresh lowering, and the cone, LUT, and power kernels on fresh
+// scratch (nil workspaces). The
 // golden tests require every Session result to match it bit for bit.
 func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
 	modules, err := design.TransitiveModules(top)
@@ -37,7 +39,7 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 		}
 		res.ElabCacheHits, res.ElabCacheMisses = memo.counters()
 	} else {
-		inst, report, err = elab.Elaborate(design, top, nil)
+		inst, report, err = elab.ElaborateOpts(design, top, nil, elab.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -51,15 +53,15 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 	res.Synth = synres
 	res.DedupedInstances = synres.Deduped
 
-	lib := opts.library()
+	lib := stdcell.Default180nm()
 	nl := synres.Optimized
 	stats := nl.Stats()
-	mapping := fpga.Map(nl, opts.FPGA)
-	pw := power.Analyze(nl, lib, mapping.FreqMHz)
+	mapping := fpga.MapWS(nl, fpga.Options{}, nil)
+	pw := power.AnalyzeWS(nl, lib, mapping.FreqMHz, nil)
 	areaL, areaS := lib.Areas(nl)
 	m := &Metrics{
 		FanInLC:      mapping.LUTInputSum,
-		FanInLCExact: cones.Analyze(nl).FanInLC,
+		FanInLCExact: cones.AnalyzeSummary(nl, nil).FanInLC,
 		Nets:         stats.Nets,
 		Cells:        stats.Cells,
 		FFs:          stats.FFs,

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/designs"
-	"repro/internal/fpga"
 	"repro/internal/hdl"
 	"repro/internal/measure"
 )
@@ -219,8 +218,9 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 }
 
 // TestRemeasureWithoutBaselineOptions pins the options guard: a
-// baseline recorded under different result-determining options (here
-// the LUT size) must not serve any unit, even with identical sources.
+// baseline recorded under different key-determining options (here
+// another namespace) must not serve any unit, even with identical
+// sources.
 func TestRemeasureWithoutBaselineOptions(t *testing.T) {
 	src := designs.Sources()
 	d, err := hdl.ParseDesign(src)
@@ -242,7 +242,7 @@ func TestRemeasureWithoutBaselineOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := measure.Options{Concurrency: 1, FPGA: fpga.Options{K: 6}}
+	other := measure.Options{Concurrency: 1, Namespace: "other"}
 	_, _, stats, err := measure.NewSession(d2).Remeasure(prev, units, other)
 	if err != nil {
 		t.Fatal(err)

@@ -627,7 +627,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		}
 		// Metrics are extracted before Slim trims the netlist's derived
 		// tables in place.
-		metrics := synthMetrics(synres, opts, ws)
+		metrics := synthMetrics(synres, ws)
 		slim := synres.Slim()
 		return &sigRecord{
 			Metrics:       metrics,

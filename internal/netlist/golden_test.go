@@ -50,7 +50,7 @@ func corpusRaws(t *testing.T) map[string]*netlist.Netlist {
 			t.Fatalf("%s: %v", c.Label(), err)
 		}
 		for _, dedup := range []bool{false, true} {
-			inst, _, err := elab.Elaborate(d, c.Top, nil)
+			inst, _, err := elab.ElaborateOpts(d, c.Top, nil, elab.Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", c.Label(), err)
 			}
@@ -134,7 +134,7 @@ func TestGoldenOptimizeCorpus(t *testing.T) {
 		if raw.Hash() != g.RawHash {
 			t.Errorf("%s: raw netlist hash %s, golden %s (lowering output changed)", key, raw.Hash()[:16], g.RawHash[:16])
 		}
-		opt, res, err := netlist.Optimize(raw)
+		opt, res, err := netlist.OptimizeWS(raw, nil)
 		if err != nil {
 			t.Errorf("%s: %v", key, err)
 			continue
@@ -157,7 +157,7 @@ func TestGoldenOptimizeCorpus(t *testing.T) {
 // hash and identical removal counts.
 func TestOptimizeMatchesReference(t *testing.T) {
 	for key, raw := range corpusRaws(t) {
-		got, res, err := netlist.Optimize(raw)
+		got, res, err := netlist.OptimizeWS(raw, nil)
 		if err != nil {
 			t.Errorf("%s: %v", key, err)
 			continue

@@ -138,7 +138,7 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 		ramsBefore = append(ramsBefore, rc)
 	}
 
-	opt, res, err := Optimize(nl)
+	opt, res, err := OptimizeWS(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

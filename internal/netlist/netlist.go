@@ -146,7 +146,7 @@ type PortBit struct {
 
 // Netlist is a flattened gate-level design.
 //
-// Once built (by Builder.Build or Optimize) a netlist is treated as
+// Once built (by Builder.Build or OptimizeWS) a netlist is treated as
 // immutable; the derived structures below (driver table, topological
 // order, structural hash) are computed lazily on first use and cached,
 // so every downstream pass — cones, fpga, timing, power, optimize —

@@ -200,7 +200,7 @@ func TestOptimizeConstantPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, res, err := Optimize(nl)
+	opt, res, err := OptimizeWS(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestOptimizeRemovesDeadLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, res, err := Optimize(nl)
+	opt, res, err := OptimizeWS(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOptimizeRemovesUnobservedFF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := Optimize(nl)
+	opt, _, err := OptimizeWS(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestOptimizePreservesRAMLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := Optimize(nl)
+	opt, _, err := OptimizeWS(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

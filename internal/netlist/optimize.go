@@ -17,14 +17,14 @@ type OptimizeResult struct {
 	// initial topological sweep (the common case) reports 1.
 	Iterations int
 	// Converged reports that the worklist drained within the revisit
-	// budget. It is false only when Optimize also returns an error.
+	// budget. It is false only when OptimizeWS also returns an error.
 	Converged bool
 }
 
-// Optimize runs the standard post-synthesis cleanup: constant folding,
+// OptimizeWS runs the standard post-synthesis cleanup: constant folding,
 // structural hashing, buffer elision, and dead-logic removal. The
 // passes preserve the observable behaviour at primary outputs and
-// RAM/FF state. Optimize returns a new Netlist; the input is not
+// RAM/FF state. OptimizeWS returns a new Netlist; the input is not
 // modified.
 //
 // The accounting experiments (Figure 6) depend on this pass: the paper
@@ -44,15 +44,11 @@ type OptimizeResult struct {
 // order, folding rules, CSE winner selection, and dead-removal roots
 // are all preserved, which internal/netlist's golden tests pin against
 // a reference implementation of the old pass.
-func Optimize(n *Netlist) (*Netlist, OptimizeResult, error) {
-	return OptimizeWS(n, nil)
-}
-
-// OptimizeWS is Optimize with the pass's scratch (union-find, consumer
-// adjacency, hash table, worklist, liveness) drawn from a reusable
-// workspace. A nil workspace allocates fresh, which is exactly
-// Optimize; the returned netlist is freshly allocated either way and
-// never aliases workspace memory. The output is bit-identical for any
+//
+// The pass's scratch (union-find, consumer adjacency, hash table,
+// worklist, liveness) comes from ws. A nil workspace allocates fresh;
+// the returned netlist is freshly allocated either way and never
+// aliases workspace memory. The output is bit-identical for any
 // workspace, dirty or fresh — the property tests pin ws == nil-ws.
 func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 	res := OptimizeResult{Converged: true}

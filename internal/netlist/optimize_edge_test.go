@@ -30,7 +30,7 @@ func chainNetlist() *netlist.Netlist {
 
 func TestOptimizeBufferChainRenamedNets(t *testing.T) {
 	n := chainNetlist()
-	opt, res, err := netlist.Optimize(n)
+	opt, res, err := netlist.OptimizeWS(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func ffLoopNetlist() *netlist.Netlist {
 
 func TestOptimizeConstantLoopFeedingFF(t *testing.T) {
 	n := ffLoopNetlist()
-	opt, res, err := netlist.Optimize(n)
+	opt, res, err := netlist.OptimizeWS(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestOptimizeCSEChain(t *testing.T) {
 		Outputs: []netlist.PortBit{{Name: "y", Net: 6}},
 	}
 	n.SetNetNames([]string{"const0", "const1", "a", "b", "t1", "t2", "y"})
-	opt, res, err := netlist.Optimize(n)
+	opt, res, err := netlist.OptimizeWS(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestOptimizeProperties(t *testing.T) {
 		if err := netlist.Validate(raw); err != nil {
 			t.Fatalf("seed %d: raw netlist invalid: %v", seed, err)
 		}
-		opt, res, err := netlist.Optimize(raw)
+		opt, res, err := netlist.OptimizeWS(raw, nil)
 		if err != nil {
 			t.Fatalf("seed %d: optimize: %v", seed, err)
 		}
@@ -120,7 +120,7 @@ func TestOptimizeProperties(t *testing.T) {
 			t.Fatalf("seed %d: optimized netlist invalid: %v", seed, err)
 		}
 
-		opt2, res2, err := netlist.Optimize(opt)
+		opt2, res2, err := netlist.OptimizeWS(opt, nil)
 		if err != nil {
 			t.Fatalf("seed %d: second optimize: %v", seed, err)
 		}

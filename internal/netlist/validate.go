@@ -3,7 +3,7 @@ package netlist
 import "fmt"
 
 // Validate checks the structural invariants every netlist built by
-// Builder.Build or Optimize satisfies: all net references (cell pins,
+// Builder.Build or OptimizeWS satisfies: all net references (cell pins,
 // RAM ports, top-level ports, constants) are Nil or inside [0, Nets),
 // cell types are known, and the packed debug-name tables are either
 // absent or exactly one monotone offset run per net. It exists for

@@ -32,10 +32,9 @@
 // for this model, so σε, σρ, AIC, and BIC are directly comparable with
 // the paper's Table 4 and Section 5.1.1.
 //
-// An adaptive Gauss–Hermite integrator over the random effect is
-// provided as an independent cross-check of the closed form
-// (LogLikelihoodGH), mirroring how NLMIXED actually evaluates such
-// integrals.
+// The package tests cross-check the closed form against an adaptive
+// Gauss–Hermite integral over the random effect, mirroring how NLMIXED
+// actually evaluates such integrals.
 //
 // Setting ρ_i = 1 for all i (Section 3.2) removes the random effect;
 // FitFixed implements that simpler multiple-regression model for the

@@ -304,14 +304,9 @@ type FitOptions struct {
 // information criteria. The overall scale and σε are profiled out in
 // closed form; multi-start Nelder–Mead searches the log weight ratios
 // and the log variance ratio, seeded from per-metric effort/metric
-// scale ratios and an OLS fit. The restarts run concurrently on every
-// available core; use FitOpts to bound or serialize them.
-func Fit(d *Data) (*Result, error) {
-	return FitOpts(d, FitOptions{})
-}
-
-// FitOpts is Fit with explicit options.
-func FitOpts(d *Data, opts FitOptions) (*Result, error) {
+// scale ratios and an OLS fit. The restarts run on the worker pool
+// opts.Concurrency bounds.
+func Fit(d *Data, opts FitOptions) (*Result, error) {
 	return fit(d, true, opts)
 }
 
@@ -320,12 +315,7 @@ func FitOpts(d *Data, opts FitOptions) (*Result, error) {
 // squares on the log scale, with σε² and the overall scale profiled
 // out (their ML estimates), so a single-metric fit is closed form.
 // Productivities in the result are all exactly 1.
-func FitFixed(d *Data) (*Result, error) {
-	return FitFixedOpts(d, FitOptions{})
-}
-
-// FitFixedOpts is FitFixed with explicit options.
-func FitFixedOpts(d *Data, opts FitOptions) (*Result, error) {
+func FitFixed(d *Data, opts FitOptions) (*Result, error) {
 	return fit(d, false, opts)
 }
 

@@ -39,7 +39,7 @@ func TestFitReproducesTable4SigmaEps(t *testing.T) {
 	// 2-decimal precision (±0.015 absolute tolerance).
 	want := dataset.PaperSigmaEps()
 	for _, m := range dataset.AllMetrics {
-		r, err := Fit(paperData(m))
+		r, err := Fit(paperData(m), FitOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -55,7 +55,7 @@ func TestFitReproducesTable4SigmaEps(t *testing.T) {
 func TestFitFixedReproducesTable4LastRow(t *testing.T) {
 	want := dataset.PaperSigmaEpsNoRho()
 	for _, m := range dataset.AllMetrics {
-		r, err := FitFixed(paperData(m))
+		r, err := FitFixed(paperData(m), FitOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -72,7 +72,7 @@ func TestFitFixedReproducesTable4LastRow(t *testing.T) {
 
 func TestFitDEE1ReproducesPaper(t *testing.T) {
 	d := paperData(dataset.Stmts, dataset.FanInLC)
-	r, err := Fit(d)
+	r, err := Fit(d, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFitDEE1ReproducesPaper(t *testing.T) {
 		t.Errorf("DEE1 BIC = %.2f, paper 38.4", r.BIC())
 	}
 	// Fixed-effects comparison value from Table 4's last row.
-	rf, err := FitFixed(d)
+	rf, err := FitFixed(d, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFitDEE1ReproducesPaper(t *testing.T) {
 func TestFitStmtsAICBIC(t *testing.T) {
 	// Section 5.1.1: "the AIC and BIC values of Stmts are 37.0 and
 	// 39.7, respectively".
-	r, err := Fit(paperData(dataset.Stmts))
+	r, err := Fit(paperData(dataset.Stmts), FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDEE1ColumnMatchesPaper(t *testing.T) {
 	// productivities) — every one must match the published column to
 	// ±0.15 person-months.
 	d := paperData(dataset.Stmts, dataset.FanInLC)
-	r, err := Fit(d)
+	r, err := Fit(d, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFitLogLikConsistency(t *testing.T) {
 	// The reported LogLik must equal the closed-form likelihood
 	// re-evaluated at the fitted parameters.
 	d := paperData(dataset.Stmts, dataset.FanInLC)
-	r, err := Fit(d)
+	r, err := Fit(d, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFitRecoverySynthetic(t *testing.T) {
 			d.Metrics = append(d.Metrics, []float64{m})
 		}
 	}
-	r, err := Fit(d)
+	r, err := Fit(d, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestFitWeightScaleInvariance(t *testing.T) {
 	for i := range d2.Metrics {
 		d2.Metrics[i][0] *= c
 	}
-	r1, err := Fit(d1)
+	r1, err := Fit(d1, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fit(d2)
+	r2, err := Fit(d2, FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestFitNeedsTwoProjects(t *testing.T) {
 		Efforts: []float64{1, 2, 3},
 		Metrics: [][]float64{{10}, {20}, {30}},
 	}
-	if _, err := Fit(d); err == nil {
+	if _, err := Fit(d, FitOptions{}); err == nil {
 		t.Error("expected error for single-project mixed fit")
 	}
-	if _, err := FitFixed(d); err != nil {
+	if _, err := FitFixed(d, FitOptions{}); err != nil {
 		t.Errorf("FitFixed should handle a single project: %v", err)
 	}
 }
@@ -237,11 +237,11 @@ func TestFixedNeverBeatsMixed(t *testing.T) {
 	// (up to optimizer tolerance).
 	for _, m := range []dataset.Metric{dataset.Stmts, dataset.Nets, dataset.Cells} {
 		d := paperData(m)
-		rm, err := Fit(d)
+		rm, err := Fit(d, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, err := FitFixed(d)
+		rf, err := FitFixed(d, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestMeanFactorAndCI(t *testing.T) {
 func TestProductivitiesCenterNearOne(t *testing.T) {
 	// With µ=0 random effects, the fitted ρ_i cluster around 1 (their
 	// median). All paper-team values fall well inside (0.5, 2).
-	r, err := Fit(paperData(dataset.Stmts, dataset.FanInLC))
+	r, err := Fit(paperData(dataset.Stmts, dataset.FanInLC), FitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +335,10 @@ func TestStartingPointCounts(t *testing.T) {
 func TestFitRejectsInvalidData(t *testing.T) {
 	d := validData()
 	d.Efforts[0] = -1
-	if _, err := Fit(d); err == nil {
+	if _, err := Fit(d, FitOptions{}); err == nil {
 		t.Error("Fit must validate")
 	}
-	if _, err := FitFixed(d); err == nil {
+	if _, err := FitFixed(d, FitOptions{}); err == nil {
 		t.Error("FitFixed must validate")
 	}
 }

@@ -20,11 +20,11 @@ func TestFitParallelDeterminism(t *testing.T) {
 		{dataset.Stmts, dataset.FanInLC, dataset.Nets},
 	} {
 		d := paperData(metrics...)
-		seq, err := FitOpts(d, FitOptions{Concurrency: 1})
+		seq, err := Fit(d, FitOptions{Concurrency: 1})
 		if err != nil {
 			t.Fatalf("%v sequential: %v", metrics, err)
 		}
-		par, err := FitOpts(d, FitOptions{Concurrency: 8})
+		par, err := Fit(d, FitOptions{Concurrency: 8})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", metrics, err)
 		}
@@ -42,11 +42,11 @@ func TestFitFixedParallelDeterminism(t *testing.T) {
 		{dataset.Stmts},
 	} {
 		d := paperData(metrics...)
-		seq, err := FitFixedOpts(d, FitOptions{Concurrency: 1})
+		seq, err := FitFixed(d, FitOptions{Concurrency: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := FitFixedOpts(d, FitOptions{Concurrency: 8})
+		par, err := FitFixed(d, FitOptions{Concurrency: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestSweepSigmaEpsRecovery(t *testing.T) {
 		var estimates []float64
 		for rep := 0; rep < 6; rep++ {
 			d := synthData(rng, 8, 12, []float64{0.01}, trueSigma, 0.4)
-			r, err := Fit(d)
+			r, err := Fit(d, FitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestSweepSigmaRhoRecovery(t *testing.T) {
 		var estimates []float64
 		for rep := 0; rep < 6; rep++ {
 			d := synthData(rng, 12, 8, []float64{0.02}, 0.3, trueRho)
-			r, err := Fit(d)
+			r, err := Fit(d, FitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 	hits90, hits68, total := 0, 0, 0
 	for rep := 0; rep < reps; rep++ {
 		d := synthData(rng, 6, 8, []float64{0.01}, 0.45, 0.4)
-		r, err := Fit(d)
+		r, err := Fit(d, FitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestSweepSampleSizePrecision(t *testing.T) {
 		var ests []float64
 		for rep := 0; rep < 8; rep++ {
 			d := synthData(rng, 6, perGroup, []float64{0.01}, 0.5, 0.3)
-			r, err := Fit(d)
+			r, err := Fit(d, FitOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ func TestMeasureCorpusCacheDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := MeasureCorpusN(true, 1)
+	plain, err := MeasureCorpusOpts(true, Opts{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,25 +27,12 @@ type TimingAwareResult struct {
 	SigmaEps map[string]float64
 }
 
-// TimingAware runs the extension experiment on the synthetic corpus,
-// measuring components on a GOMAXPROCS-bounded pool. Use TimingAwareN
-// to bound or serialize it.
-func TimingAware() (*TimingAwareResult, error) {
-	return TimingAwareN(0)
-}
-
-// TimingAwareN is TimingAware with a concurrency bound (0 = GOMAXPROCS,
-// 1 = exact sequential path). Timing analysis reuses the synthesis the
-// accounting measurement already ran rather than synthesizing the
-// component a second time.
-func TimingAwareN(concurrency int) (*TimingAwareResult, error) {
-	return TimingAwareOpts(Opts{Concurrency: concurrency})
-}
-
-// TimingAwareOpts is TimingAware with full options (concurrency bound
-// and measurement cache). Cached measurements carry their optimized
-// netlist, so warm runs skip synthesis but still feed timing analysis
-// the identical structure.
+// TimingAwareOpts runs the extension experiment on the synthetic
+// corpus. Timing analysis reuses the synthesis the accounting
+// measurement already ran rather than synthesizing the component a
+// second time; cached measurements carry their optimized netlist, so
+// warm runs skip synthesis but still feed timing analysis the
+// identical structure.
 func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 	concurrency := o.Concurrency
 	comps := designs.All()
@@ -108,7 +95,7 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 			d.Efforts = append(d.Efforts, r.effort)
 			d.Metrics = append(d.Metrics, vals)
 		}
-		res, err := nlme.FitOpts(d, nlme.FitOptions{Concurrency: inner})
+		res, err := nlme.Fit(d, nlme.FitOptions{Concurrency: inner})
 		if err != nil {
 			return 0, fmt.Errorf("paper: timing estimator %s: %w", name, err)
 		}

@@ -9,7 +9,7 @@ func TestTimingAwareExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus measurement")
 	}
-	res, err := TimingAware()
+	res, err := TimingAwareOpts(Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

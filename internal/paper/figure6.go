@@ -10,32 +10,16 @@ import (
 	"repro/internal/measure"
 )
 
-// MeasureCorpus measures all 18 synthetic components through the full
-// pipeline, with or without the accounting procedure, and returns them
-// as a fit-ready measurement database (efforts are the Table 2 values
-// their real counterparts reported). Components are measured on a
-// GOMAXPROCS-bounded pool; the result order matches designs.All().
-// Use MeasureCorpusN to bound or serialize the pool.
-func MeasureCorpus(useAccounting bool) ([]dataset.Component, error) {
-	return MeasureCorpusN(useAccounting, 0)
-}
-
-// MeasureCorpusN is MeasureCorpus with a concurrency bound
-// (0 = GOMAXPROCS, 1 = exact sequential path). One component is one
-// work item; when the component pool is parallel the accounting
-// search's inner candidate pool is serialized so the machine is not
-// oversubscribed. The measured corpus is identical for every value.
-func MeasureCorpusN(useAccounting bool, concurrency int) ([]dataset.Component, error) {
-	return MeasureCorpusOpts(useAccounting, Opts{Concurrency: concurrency})
-}
-
-// MeasureCorpusOpts is MeasureCorpus with full options (concurrency
-// bound, measurement cache, shared session). The measured corpus is
-// identical for every concurrency value and for cache off / cold /
-// warm. The 18 components run as one measure.Session batch over the
-// corpus-wide parsed design: one parse, a shared elaboration cache,
-// and one synthesis per distinct (module, parameters) signature —
-// bit-identical to measuring each component in isolation.
+// MeasureCorpusOpts measures all 18 synthetic components through the
+// full pipeline, with or without the accounting procedure, and returns
+// them as a fit-ready measurement database (efforts are the Table 2
+// values their real counterparts reported) in designs.All() order.
+// The measured corpus is identical for every concurrency value and for
+// cache off / cold / warm. The 18 components run as one
+// measure.Session batch over the corpus-wide parsed design: one parse,
+// a shared elaboration cache, and one synthesis per distinct (module,
+// parameters) signature — bit-identical to measuring each component in
+// isolation.
 func MeasureCorpusOpts(useAccounting bool, o Opts) ([]dataset.Component, error) {
 	comps := designs.All()
 	sess, err := o.session()
@@ -83,29 +67,18 @@ type Figure6Result struct {
 	PaperWithout map[string]float64
 }
 
-// Figure6 runs the experiment. The paper's raw per-component metrics
-// without the accounting procedure were never published, so this is
-// the one experiment that substitutes the synthetic corpus for the
-// original designs (see DESIGN.md); the success criterion is the
+// Figure6Opts runs the experiment. The paper's raw per-component
+// metrics without the accounting procedure were never published, so
+// this is the one experiment that substitutes the synthetic corpus for
+// the original designs (see DESIGN.md); the success criterion is the
 // *shape*: synthesis-metric estimators lose accuracy without the
 // procedure, software-metric estimators do not change at all.
-func Figure6() (*Figure6Result, error) {
-	return Figure6N(0)
-}
-
-// Figure6N is Figure6 with a concurrency bound (0 = GOMAXPROCS,
-// 1 = exact sequential path). Both corpus measurements and both
-// estimator-evaluation batches run their items on the bounded pool.
-func Figure6N(concurrency int) (*Figure6Result, error) {
-	return Figure6Opts(Opts{Concurrency: concurrency})
-}
-
-// Figure6Opts is Figure6 with full options (concurrency bound,
-// measurement cache, shared session). Both sweeps — accounting on and
-// off — are planned as one session batch, so the two measurements of a
-// component whose minimization lands on its declared defaults (and
-// whose hierarchy gives the single-instance rule nothing to remove)
-// share a single synthesis.
+//
+// Both sweeps — accounting on and off — are planned as one session
+// batch, so the two measurements of a component whose minimization
+// lands on its declared defaults (and whose hierarchy gives the
+// single-instance rule nothing to remove) share a single synthesis.
+// Both estimator-evaluation batches run on the Opts.Concurrency pool.
 func Figure6Opts(o Opts) (*Figure6Result, error) {
 	concurrency := o.Concurrency
 	comps := designs.All()

@@ -75,16 +75,10 @@ type Figure4Result struct {
 	Plot      string
 }
 
-// Figure4 fits the Table 4 estimators and marks them on the 90%
+// Figure4N fits the Table 4 estimators and marks them on the 90%
 // confidence-factor chart, as the paper does for Stmts, LoC&FanInLC,
-// Nets, and DEE1. The fits run concurrently; use Figure4N to bound or
-// serialize them.
-func Figure4() (*Figure4Result, error) {
-	return Figure4N(0)
-}
-
-// Figure4N is Figure4 with a concurrency bound (0 = GOMAXPROCS,
-// 1 = exact sequential path).
+// Nets, and DEE1. The fits run on a pool of the given concurrency
+// (0 = GOMAXPROCS, 1 = exact sequential path).
 func Figure4N(concurrency int) (*Figure4Result, error) {
 	rows, err := core.EvaluateEstimatorsN(dataset.Paper(), concurrency)
 	if err != nil {
@@ -133,14 +127,9 @@ type Figure5Result struct {
 	Plot                        string
 }
 
-// Figure5 reproduces the scatter plot of DEE1 estimations versus
-// reported design effort.
-func Figure5() (*Figure5Result, error) {
-	return Figure5N(0)
-}
-
-// Figure5N is Figure5 with a concurrency bound (0 = GOMAXPROCS,
-// 1 = exact sequential path) for the underlying Table 4 fits.
+// Figure5N reproduces the scatter plot of DEE1 estimations versus
+// reported design effort. The underlying Table 4 fits run on a pool of
+// the given concurrency (0 = GOMAXPROCS, 1 = exact sequential path).
 func Figure5N(concurrency int) (*Figure5Result, error) {
 	t4, err := Table4N(concurrency)
 	if err != nil {

@@ -7,11 +7,11 @@ import (
 	"repro/internal/measure"
 )
 
-// Opts configures the experiments that measure the synthetic corpus
-// through the synthesis pipeline (MeasureCorpus, Figure 6, the timing
-// extension). The dataset-only reproductions (Tables, Figures 2-5,
-// AIC/BIC) refit the paper's published data and take no options beyond
-// concurrency.
+// Opts configures the experiments that measure a corpus through the
+// synthesis pipeline (MeasureCorpusOpts, Figure6Opts,
+// TimingAwareOpts, CorpusScaleConfig). The dataset-only reproductions
+// (Tables, Figures 2-5, AIC/BIC) refit the paper's published data and
+// take no options beyond concurrency.
 type Opts struct {
 	// Concurrency bounds the worker pools (0 = GOMAXPROCS,
 	// 1 = exact sequential path). Results are identical for every
@@ -35,9 +35,9 @@ type Opts struct {
 	Session *measure.Session
 }
 
-// options lowers Opts to per-component measurement options, bounding
-// the accounting search's inner pool to keep the machine subscribed
-// once when the outer component pool is already parallel.
+// inner is the concurrency of a pool nested in an outer one: 1 when
+// the outer pool is parallel, so the machine is subscribed once, and
+// Opts.Concurrency otherwise.
 func (o Opts) inner(outerParallel bool) int {
 	if outerParallel {
 		return 1
@@ -51,11 +51,7 @@ func (o Opts) session() (*measure.Session, error) {
 	if o.Session != nil {
 		return o.Session, nil
 	}
-	full, err := designs.FullDesign()
-	if err != nil {
-		return nil, err
-	}
-	return measure.NewSession(full), nil
+	return NewSession()
 }
 
 // measureOptions lowers Opts to the batch measurement options of a

@@ -22,7 +22,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestTable4Reproduction(t *testing.T) {
-	res, err := Table4()
+	res, err := Table4N(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTable4Reproduction(t *testing.T) {
 }
 
 func TestAICBICReproduction(t *testing.T) {
-	res, err := AICBIC()
+	res, err := AICBICN(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFigure3Rendering(t *testing.T) {
 }
 
 func TestFigure4Positions(t *testing.T) {
-	res, err := Figure4()
+	res, err := Figure4N(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFigure4Positions(t *testing.T) {
 }
 
 func TestFigure5Scatter(t *testing.T) {
-	res, err := Figure5()
+	res, err := Figure5N(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFigure6AccountingExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus measurement")
 	}
-	res, err := Figure6()
+	res, err := Figure6Opts(Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMeasureCorpusShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus measurement")
 	}
-	comps, err := MeasureCorpus(true)
+	comps, err := MeasureCorpusOpts(true, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

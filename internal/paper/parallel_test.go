@@ -28,11 +28,11 @@ func TestTable4ParallelDeterminism(t *testing.T) {
 }
 
 func TestMeasureCorpusParallelDeterminism(t *testing.T) {
-	seq, err := MeasureCorpusN(true, 1)
+	seq, err := MeasureCorpusOpts(true, Opts{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeasureCorpusN(true, 8)
+	par, err := MeasureCorpusOpts(true, Opts{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

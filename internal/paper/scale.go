@@ -34,20 +34,15 @@ type ScaleResult struct {
 	Session            measure.SessionStats
 }
 
-// CorpusScale generates a seeded corpus of n components, measures all
-// of them with and without the accounting procedure (2n units through
-// one streaming session batch, so peak memory stays bounded at any
-// n), fits every estimator on both measurement sets against the
+// CorpusScaleConfig generates a seeded corpus from cfg, measures all N
+// components with and without the accounting procedure (2N units
+// through one streaming session batch, so peak memory stays bounded at
+// any N), fits every estimator on both measurement sets against the
 // generator's synthetic efforts, and reports accuracies plus pipeline
 // scaling numbers. Opts.Session is ignored — the generated corpus is
 // its own design, so the sweep always builds a private session (the
 // cache, when supplied, is still shared and keyed by the generated
 // sources' subtree hashes).
-func CorpusScale(n int, seed uint64, o Opts) (*ScaleResult, error) {
-	return CorpusScaleConfig(gencorpus.Config{Components: n, Seed: seed}, o)
-}
-
-// CorpusScaleConfig is CorpusScale with a full generator config.
 func CorpusScaleConfig(cfg gencorpus.Config, o Opts) (*ScaleResult, error) {
 	genStart := time.Now()
 	corpus, err := gencorpus.Generate(cfg)

@@ -3,6 +3,7 @@ package paper_test
 import (
 	"testing"
 
+	"repro/internal/gencorpus"
 	"repro/internal/paper"
 )
 
@@ -10,7 +11,7 @@ import (
 // generated corpus and sanity-checks the result shape: both accuracy
 // maps populated, positive σε values, and coherent session counters.
 func TestCorpusScaleSmall(t *testing.T) {
-	res, err := paper.CorpusScale(10, 1, paper.Opts{Concurrency: 2})
+	res, err := paper.CorpusScaleConfig(gencorpus.Config{Components: 10, Seed: 1}, paper.Opts{Concurrency: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestCorpusScaleSmall(t *testing.T) {
 
 	// Determinism across runs: the sweep's fitted accuracies are a pure
 	// function of (n, seed) — same corpus, same synthetic efforts.
-	res2, err := paper.CorpusScale(10, 1, paper.Opts{Concurrency: 1})
+	res2, err := paper.CorpusScaleConfig(gencorpus.Config{Components: 10, Seed: 1}, paper.Opts{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,16 +78,10 @@ type Table4Component struct {
 	DEE1Paper float64
 }
 
-// Table4 refits every estimator of Table 4 on the paper's dataset and
+// Table4N refits every estimator of Table 4 on the paper's dataset and
 // compares σε (both with productivity adjustment and with ρ=1) against
 // the published values. The 12 estimators (both model variants) are
-// fitted concurrently on every available core; use Table4N to bound or
-// serialize the pool.
-func Table4() (*Table4Result, error) {
-	return Table4N(0)
-}
-
-// Table4N is Table4 with a concurrency bound (0 = GOMAXPROCS,
+// fitted on a pool of the given concurrency (0 = GOMAXPROCS,
 // 1 = exact sequential path). The result is bit-identical for every
 // value.
 func Table4N(concurrency int) (*Table4Result, error) {
@@ -172,14 +166,9 @@ type AICBICResult struct {
 	StmtsAIC, StmtsBIC float64
 }
 
-// AICBIC reproduces the DEE1-vs-Stmts model comparison of Section
+// AICBICN reproduces the DEE1-vs-Stmts model comparison of Section
 // 5.1.1 (paper values: DEE1 34.8/38.4, Stmts 37.0/39.7). The two fits
-// run concurrently; use AICBICN to serialize them.
-func AICBIC() (*AICBICResult, error) {
-	return AICBICN(0)
-}
-
-// AICBICN is AICBIC with a concurrency bound (0 = GOMAXPROCS,
+// run on a pool of the given concurrency (0 = GOMAXPROCS,
 // 1 = exact sequential path).
 func AICBICN(concurrency int) (*AICBICResult, error) {
 	comps := dataset.Paper()

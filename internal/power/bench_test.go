@@ -24,6 +24,6 @@ endmodule`})
 	lib := stdcell.Default180nm()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(res.Optimized, lib, 100)
+		AnalyzeWS(res.Optimized, lib, 100, nil)
 	}
 }

@@ -38,14 +38,9 @@ type Workspace struct {
 	dens []float64
 }
 
-// Analyze propagates switching activity and returns the power
-// estimate at the given clock frequency.
-func Analyze(n *netlist.Netlist, lib *stdcell.Library, freqMHz float64) Estimate {
-	return AnalyzeWS(n, lib, freqMHz, nil)
-}
-
-// AnalyzeWS is Analyze with reusable scratch; results are bit-identical
-// for any ws.
+// AnalyzeWS propagates switching activity and returns the power
+// estimate at the given clock frequency. ws may be nil (fresh scratch)
+// or a reused workspace; results are bit-identical for any ws.
 func AnalyzeWS(n *netlist.Netlist, lib *stdcell.Library, freqMHz float64, ws *Workspace) Estimate {
 	if ws == nil {
 		ws = &Workspace{}

@@ -28,8 +28,8 @@ func TestPowerScalesWithSize(t *testing.T) {
 module add #(parameter W = 8) (input [W-1:0] a, b, output [W-1:0] s);
   assign s = a + b;
 endmodule`
-	small := Analyze(netlistOf(t, src, "add", map[string]int64{"W": 4}), lib, 100)
-	big := Analyze(netlistOf(t, src, "add", map[string]int64{"W": 32}), lib, 100)
+	small := AnalyzeWS(netlistOf(t, src, "add", map[string]int64{"W": 4}), lib, 100, nil)
+	big := AnalyzeWS(netlistOf(t, src, "add", map[string]int64{"W": 32}), lib, 100, nil)
 	if big.DynamicMW <= small.DynamicMW {
 		t.Errorf("dynamic power must grow with size: %v vs %v", small.DynamicMW, big.DynamicMW)
 	}
@@ -44,8 +44,8 @@ func TestPowerScalesWithFrequency(t *testing.T) {
 module m (input [7:0] a, b, output [7:0] y);
   assign y = a ^ b;
 endmodule`, "m", nil)
-	p100 := Analyze(nl, lib, 100)
-	p200 := Analyze(nl, lib, 200)
+	p100 := AnalyzeWS(nl, lib, 100, nil)
+	p200 := AnalyzeWS(nl, lib, 200, nil)
 	if p200.DynamicMW <= p100.DynamicMW {
 		t.Error("dynamic power must scale with frequency")
 	}
@@ -68,7 +68,7 @@ func TestPowerConstantLogicConsumesNothingDynamic(t *testing.T) {
 module m (input a, output y);
   assign y = a & 1'b0;
 endmodule`, "m", nil)
-	p := Analyze(nl, lib, 100)
+	p := AnalyzeWS(nl, lib, 100, nil)
 	if p.DynamicMW != 0 {
 		t.Errorf("dynamic power = %v, want 0 for constant design", p.DynamicMW)
 	}
@@ -82,7 +82,7 @@ module m (input clk, we, input [3:0] wa, ra, input [7:0] wd, output [7:0] rd);
   always @(posedge clk) if (we) mem[wa] <= wd;
   assign rd = mem[ra];
 endmodule`, "m", nil)
-	p := Analyze(ram, lib, 100)
+	p := AnalyzeWS(ram, lib, 100, nil)
 	if p.DynamicMW <= 0 {
 		t.Error("RAM design must consume dynamic power")
 	}
@@ -98,7 +98,7 @@ func TestPowerProbabilitiesBounded(t *testing.T) {
 module m (input clk, input [15:0] a, b, output reg [15:0] acc);
   always @(posedge clk) acc <= acc + (a ^ b) * 3;
 endmodule`, "m", nil)
-	p := Analyze(nl, lib, 250)
+	p := AnalyzeWS(nl, lib, 250, nil)
 	if p.DynamicMW <= 0 || p.DynamicMW > 1e6 {
 		t.Errorf("dynamic power = %v not plausible", p.DynamicMW)
 	}

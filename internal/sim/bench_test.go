@@ -36,7 +36,7 @@ func benchDesign(b *testing.B) *hdl.Design {
 func BenchmarkRTLSimStep(b *testing.B) {
 	b.ReportAllocs()
 	d := benchDesign(b)
-	inst, _, err := elab.Elaborate(d, "bench", nil)
+	inst, _, err := elab.ElaborateOpts(d, "bench", nil, elab.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,7 +22,7 @@ endmodule`
 	if err != nil {
 		t.Fatalf("%s: %v", expr, err)
 	}
-	inst, _, err := elab.Elaborate(d, "h", nil)
+	inst, _, err := elab.ElaborateOpts(d, "h", nil, elab.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", expr, err)
 	}
@@ -184,7 +184,7 @@ endmodule`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := elab.Elaborate(d, "g", nil)
+	inst, _, err := elab.ElaborateOpts(d, "g", nil, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

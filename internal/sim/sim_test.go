@@ -14,7 +14,7 @@ func elaborate(t *testing.T, src, top string) *elab.Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := elab.Elaborate(d, top, nil)
+	inst, _, err := elab.ElaborateOpts(d, top, nil, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

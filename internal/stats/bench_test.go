@@ -14,13 +14,6 @@ func BenchmarkNelderMeadRosenbrock(b *testing.B) {
 	}
 }
 
-func BenchmarkGaussHermiteConstruction(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewGaussHermite(30)
-	}
-}
-
 func BenchmarkLognormalQuantile(b *testing.B) {
 	b.ReportAllocs()
 	l := NewLognormal(0, 0.46)

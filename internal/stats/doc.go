@@ -1,8 +1,7 @@
 // Package stats provides the statistical substrate for the µComplexity
 // methodology: probability distributions (normal, lognormal), descriptive
-// statistics, derivative-free optimization (Nelder–Mead), Gauss–Hermite
-// quadrature, and small dense linear algebra (Cholesky, ordinary least
-// squares).
+// statistics, derivative-free optimization (Nelder–Mead), and small
+// dense linear algebra (Cholesky, ordinary least squares).
 //
 // Everything is implemented from scratch on top of the Go standard
 // library; there are no external dependencies. The package is the

@@ -27,7 +27,11 @@ func TestLowerOptsDedupInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deduped, err := SynthesizeOpts(d, "quad", nil, LowerOptions{DedupInstances: true})
+	inst, rep, err := elab.ElaborateOpts(d, "quad", nil, elab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deduped, err := SynthesizeInstance(inst, rep, LowerOptions{DedupInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,11 @@ endmodule`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SynthesizeOpts(d, "two", nil, LowerOptions{DedupInstances: true})
+	inst, rep, err := elab.ElaborateOpts(d, "two", nil, elab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SynthesizeInstance(inst, rep, LowerOptions{DedupInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +136,11 @@ endmodule`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := elab.Elaborate(d, "m", nil)
+	inst, _, err := elab.ElaborateOpts(d, "m", nil, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := Lower(inst)
+	nl, _, err := LowerOpts(inst, LowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +224,7 @@ func TestOptimizeIdempotentOnCorpusStyleNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, stats, err := netlist.Optimize(res.Optimized)
+	again, stats, err := netlist.OptimizeWS(res.Optimized, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,16 +53,11 @@ func (r *Result) Slim() *Result {
 // Synthesize elaborates module top of the design with the given
 // parameter overrides and lowers it to an optimized netlist.
 func Synthesize(design *hdl.Design, top string, overrides map[string]int64) (*Result, error) {
-	return SynthesizeOpts(design, top, overrides, LowerOptions{})
-}
-
-// SynthesizeOpts is Synthesize with lowering options.
-func SynthesizeOpts(design *hdl.Design, top string, overrides map[string]int64, opts LowerOptions) (*Result, error) {
-	inst, report, err := elab.Elaborate(design, top, overrides)
+	inst, report, err := elab.ElaborateOpts(design, top, overrides, elab.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return SynthesizeInstance(inst, report, opts)
+	return SynthesizeInstance(inst, report, LowerOptions{})
 }
 
 // SynthesizeInstance lowers an already-elaborated instance tree to an
@@ -122,16 +117,10 @@ type LowerStats struct {
 	Stamped int
 }
 
-// Lower converts an elaborated instance tree to a flattened raw
-// netlist with the top instance's ports as primary I/O.
-func Lower(top *elab.Instance) (*netlist.Netlist, error) {
-	nl, _, err := LowerOpts(top, LowerOptions{})
-	return nl, err
-}
-
-// LowerOpts is Lower with options; it also reports how many duplicate
-// instances the single-instance rule removed and how many were stamped
-// from templates.
+// LowerOpts converts an elaborated instance tree to a flattened raw
+// netlist with the top instance's ports as primary I/O. It also
+// reports how many duplicate instances the single-instance rule
+// removed and how many were stamped from templates.
 func LowerOpts(top *elab.Instance, opts LowerOptions) (*netlist.Netlist, LowerStats, error) {
 	s := &synthesizer{
 		dedup:  opts.DedupInstances,

@@ -26,7 +26,7 @@ func TestTemplateStampingBitIdentical(t *testing.T) {
 		}
 		for _, dedup := range []bool{false, true} {
 			lower := func(noTmpl bool) (*netlist.Netlist, *netlist.Netlist, synth.LowerStats) {
-				inst, _, err := elab.Elaborate(d, c.Top, nil)
+				inst, _, err := elab.ElaborateOpts(d, c.Top, nil, elab.Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", c.Label(), err)
 				}
@@ -37,7 +37,7 @@ func TestTemplateStampingBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", c.Label(), err)
 				}
-				opt, _, err := netlist.Optimize(raw)
+				opt, _, err := netlist.OptimizeWS(raw, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", c.Label(), err)
 				}
@@ -97,7 +97,11 @@ endmodule`
 	if got := len(res.Optimized.Cells); got != 4 {
 		t.Errorf("optimized cells = %d, want 4 after cross-copy CSE", got)
 	}
-	direct, err := synth.SynthesizeOpts(d, "pair", nil, synth.LowerOptions{DisableTemplates: true})
+	inst, rep, err := elab.ElaborateOpts(d, "pair", nil, elab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := synth.SynthesizeInstance(inst, rep, synth.LowerOptions{DisableTemplates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,11 @@ endmodule`
 	if res.Stamped != 2 {
 		t.Errorf("Stamped = %d, want 2 (u1 and u3 match earlier shapes)", res.Stamped)
 	}
-	direct, err := synth.SynthesizeOpts(d, "mix", nil, synth.LowerOptions{DisableTemplates: true})
+	inst, rep, err := elab.ElaborateOpts(d, "mix", nil, elab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := synth.SynthesizeInstance(inst, rep, synth.LowerOptions{DisableTemplates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +201,11 @@ endmodule`
 	if res.Stamped != 1 {
 		t.Errorf("Stamped = %d, want 1 (b1 replays b0's subtree)", res.Stamped)
 	}
-	direct, err := synth.SynthesizeOpts(d, "top", nil, synth.LowerOptions{DisableTemplates: true})
+	inst, rep, err := elab.ElaborateOpts(d, "top", nil, elab.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := synth.SynthesizeInstance(inst, rep, synth.LowerOptions{DisableTemplates: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestWorkspaceLoweringBitIdentical(t *testing.T) {
 			{DisableTemplates: true},
 		} {
 			run := func(ws *synth.Workspace) *synth.Result {
-				inst, report, err := elab.Elaborate(d, c.Top, nil)
+				inst, report, err := elab.ElaborateOpts(d, c.Top, nil, elab.Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", c.Label(), err)
 				}

@@ -53,6 +53,11 @@ echo "== tier-1: build =="
 go build ./...
 echo "== tier-1: vet =="
 go vet ./...
+# bench/ is a module of its own, so the root build and vet skip it; vet
+# compiles it against this tree, so a deleted name it still calls fails
+# here rather than only in the skippable benchmark-module stage below.
+echo "== tier-1: vet bench/ =="
+(cd bench && go vet ./...)
 echo "== tier-1: test =="
 go test ./...
 echo "== tier-1: race =="
