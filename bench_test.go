@@ -1029,7 +1029,7 @@ func BenchmarkServedWarmRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: ch})
-	cl := h.Client(false)
+	cl := h.Client()
 	req := servedRequest(designs.Sources())
 	ctx := context.Background()
 	if _, err := cl.Measure(ctx, req); err != nil {
@@ -1071,7 +1071,7 @@ func BenchmarkServedRemeasure(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: ch})
-	cl := h.Client(false)
+	cl := h.Client()
 	ctx := context.Background()
 	// Untimed warmup: anchor the rolling baseline on the base design,
 	// then roll it through both variants so the timed loop starts in

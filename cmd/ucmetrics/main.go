@@ -184,7 +184,11 @@ func run(cfg config) error {
 		}
 		opts.Cache = c
 		if cfg.cacheStats {
-			defer printCacheStats(c)
+			defer func() {
+				if err := c.WriteReport(os.Stderr); err != nil {
+					fmt.Fprintln(os.Stderr, "ucmetrics: cache-stats:", err)
+				}
+			}()
 		}
 	} else if cfg.cacheStats {
 		return fmt.Errorf("-cache-stats needs a cache (-cache-dir or $%s)", cache.EnvVar)
@@ -658,26 +662,6 @@ func printSessionStats(sess *measure.Session, stats measure.RemeasureStats) {
 	e := sess.ElabStats()
 	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",
 		s.Components, s.Planned, s.Synthesized, s.Shared, e.Hits, e.Misses)
-}
-
-// printCacheStats reports the on-disk footprint (one directory scan),
-// this run's warm-path decode accounting, and the per-kind breakdown
-// on stderr.
-func printCacheStats(c *cache.Cache) {
-	s := c.Stats()
-	ds, err := c.DiskStats()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ucmetrics: cache-stats:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cache-stats: %d entries, %d bytes on disk (%s)\n", ds.Entries, ds.Bytes, c.Dir())
-	if s.BytesStored > 0 {
-		fmt.Fprintf(os.Stderr, "cache-stats: read %d stored bytes -> %d raw bytes (%.2fx compression), decode %.3f ms\n",
-			s.BytesStored, s.BytesRaw, float64(s.BytesRaw)/float64(s.BytesStored), float64(s.DecodeNanos)/1e6)
-	}
-	for _, row := range cache.KindRows(ds, c.KindStats()) {
-		fmt.Fprintln(os.Stderr, "cache-stats:", row)
-	}
 }
 
 func printResult(project, top string, res *measure.ComponentResult) {

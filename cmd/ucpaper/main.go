@@ -113,7 +113,9 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 			s := c.Stats()
 			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d verified (%s)\n", s.Hits, s.Misses, s.VerifyChecks, cacheDir)
 			if cacheStats {
-				printCacheStats(c)
+				if err := c.WriteReport(os.Stderr); err != nil {
+					fmt.Fprintln(os.Stderr, "ucpaper: cache-stats:", err)
+				}
 			}
 		}()
 	} else if cacheVerify {
@@ -173,25 +175,6 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 		}
 	}
 	return run(tableN, figureN, aicbic, extension, all, opts)
-}
-
-// printCacheStats reports the on-disk footprint (one directory scan)
-// and this run's warm-path decode accounting on stderr.
-func printCacheStats(c *cache.Cache) {
-	s := c.Stats()
-	ds, err := c.DiskStats()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ucpaper: cache-stats:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cache-stats: %d entries, %d bytes on disk (%s)\n", ds.Entries, ds.Bytes, c.Dir())
-	if s.BytesStored > 0 {
-		fmt.Fprintf(os.Stderr, "cache-stats: read %d stored bytes -> %d raw bytes (%.2fx compression), decode %.3f ms\n",
-			s.BytesStored, s.BytesRaw, float64(s.BytesRaw)/float64(s.BytesStored), float64(s.DecodeNanos)/1e6)
-	}
-	for _, row := range cache.KindRows(ds, c.KindStats()) {
-		fmt.Fprintln(os.Stderr, "cache-stats:", row)
-	}
 }
 
 func run(tableN, figureN int, aicbic, extension, all bool, opts paper.Opts) error {

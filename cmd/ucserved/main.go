@@ -6,8 +6,8 @@
 //
 // Endpoints:
 //
-//	POST /measure    measure a design's units (JSON request; JSON or
-//	                 codec-framed binary response via Accept)
+//	POST /measure    measure a design's units (JSON request and
+//	                 response)
 //	POST /remeasure  like /measure but against the tenant's rolling
 //	                 baseline: only the edit's dirty cone re-measures
 //	GET  /metrics    admission, request, session, and cache counters

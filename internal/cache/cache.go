@@ -80,10 +80,6 @@ type Stats struct {
 	DecodeErrors     int64 // corrupt/truncated/stale entries discarded
 	VerifyChecks     int64 // hits recomputed in verify mode
 	VerifyMismatches int64
-	// DiskScans counts full directory walks (DiskStats cache misses
-	// and Snapshot calls). DiskStats memoizes between mutations, so a
-	// stats-printing loop costs one scan, not one per print.
-	DiskScans int64
 	// Decode-path accounting, accumulated over successful reads:
 	// DecodeNanos is wall time spent reading + decoding entries,
 	// BytesStored counts on-disk entry bytes read, BytesRaw counts the
@@ -110,7 +106,7 @@ type KindDisk struct {
 }
 
 // KindCounters is one kind's share of the runtime activity counters:
-// hits and misses as counted by Fetch/Do/DoEq, puts as counted by Put.
+// hits and misses as counted by Fetch/Do, puts as counted by Put.
 type KindCounters struct {
 	Hits, Misses, Puts int64
 }
@@ -136,17 +132,8 @@ type Cache struct {
 
 	kinds sync.Map // kind string → *kindCounter
 
-	// muts counts disk mutations (puts and discards); the DiskStats
-	// memo is keyed by it, so an unchanged directory is never rescanned.
-	muts atomic.Int64
-
-	dsMu    sync.Mutex
-	dsMemo  DiskStats
-	dsAt    int64 // muts value dsMemo was computed at
-	dsValid bool
-
 	hits, misses, puts, decodeErrs, verifyChecks, verifyMismatches atomic.Int64
-	decodeNanos, bytesStored, bytesRaw, diskScans                  atomic.Int64
+	decodeNanos, bytesStored, bytesRaw                             atomic.Int64
 }
 
 type flight struct {
@@ -203,7 +190,6 @@ func (c *Cache) Stats() Stats {
 		DecodeErrors:     c.decodeErrs.Load(),
 		VerifyChecks:     c.verifyChecks.Load(),
 		VerifyMismatches: c.verifyMismatches.Load(),
-		DiskScans:        c.diskScans.Load(),
 		DecodeNanos:      c.decodeNanos.Load(),
 		BytesStored:      c.bytesStored.Load(),
 		BytesRaw:         c.bytesRaw.Load(),
@@ -211,28 +197,14 @@ func (c *Cache) Stats() Stats {
 }
 
 // DiskStats reports how many entries the cache directory holds and
-// their total size, broken down by entry kind. The scan is memoized
-// against the cache's own mutation counter: repeated calls with no
-// interleaving Put or discard serve the memo without touching the
-// filesystem. (External writers — another process sharing the
-// directory — are not observed until this cache mutates; DiskStats is
-// an observability call, not a consistency primitive.)
+// their total size, broken down by entry kind. Each call scans the
+// directory, so it also sees entries other processes wrote.
 func (c *Cache) DiskStats() (DiskStats, error) {
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
-	// Read the generation before scanning: a Put landing mid-scan may
-	// or may not be counted, and advancing muts forces the next call to
-	// rescan rather than trust the torn snapshot.
-	gen := c.muts.Load()
-	if c.dsValid && gen == c.dsAt {
-		return c.dsMemo.copy(), nil
-	}
 	ds := DiskStats{Kinds: map[string]KindDisk{}}
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return ds, fmt.Errorf("cache: %w", err)
 	}
-	c.diskScans.Add(1)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
 			continue
@@ -249,18 +221,7 @@ func (c *Cache) DiskStats() (DiskStats, error) {
 		kd.Bytes += info.Size()
 		ds.Kinds[k] = kd
 	}
-	c.dsMemo, c.dsAt, c.dsValid = ds, gen, true
-	return ds.copy(), nil
-}
-
-// copy returns a deep copy so callers cannot mutate the memo's map.
-func (ds DiskStats) copy() DiskStats {
-	out := ds
-	out.Kinds = make(map[string]KindDisk, len(ds.Kinds))
-	for k, v := range ds.Kinds {
-		out.Kinds[k] = v
-	}
-	return out
+	return ds, nil
 }
 
 // Snapshot is a point-in-time index of the keys present in the cache
@@ -279,7 +240,6 @@ func (c *Cache) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	c.diskScans.Add(1)
 	s := &Snapshot{keys: make(map[string]struct{}, len(entries))}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
@@ -324,12 +284,34 @@ func (c *Cache) KindStats() map[string]KindCounters {
 	return out
 }
 
-// KindRows renders one human-readable line per entry kind — disk
+// WriteReport writes the commands' -cache-stats report to w: the
+// on-disk footprint (one directory scan), this run's warm-path decode
+// accounting, and the per-kind breakdown. It returns the scan's error
+// before writing anything, or the write's error.
+func (c *Cache) WriteReport(w io.Writer) error {
+	s := c.Stats()
+	ds, err := c.DiskStats()
+	if err != nil {
+		return err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "cache-stats: %d entries, %d bytes on disk (%s)\n", ds.Entries, ds.Bytes, c.Dir())
+	if s.BytesStored > 0 {
+		fmt.Fprintf(&b, "cache-stats: read %d stored bytes -> %d raw bytes (%.2fx compression), decode %.3f ms\n",
+			s.BytesStored, s.BytesRaw, float64(s.BytesRaw)/float64(s.BytesStored), float64(s.DecodeNanos)/1e6)
+	}
+	for _, row := range kindRows(ds, c.KindStats()) {
+		fmt.Fprintln(&b, "cache-stats:", row)
+	}
+	_, err = io.WriteString(w, b.String())
+	return err
+}
+
+// kindRows renders one human-readable line per entry kind — disk
 // footprint from a DiskStats scan joined with the run's KindStats
-// counters — sorted by kind name, for the commands' -cache-stats
-// output. Kinds with neither disk entries nor runtime traffic are
-// omitted; plain Key entries report as "plain".
-func KindRows(ds DiskStats, ks map[string]KindCounters) []string {
+// counters — sorted by kind name. Kinds with neither disk entries nor
+// runtime traffic are omitted; plain Key entries report as "plain".
+func kindRows(ds DiskStats, ks map[string]KindCounters) []string {
 	names := map[string]bool{}
 	for k := range ds.Kinds {
 		names[k] = true
@@ -495,9 +477,9 @@ func Get[T any](c *Cache, key string, cd codec.Codec[T]) (T, bool) {
 // Fetch is Get with stats accounting: a successful decode counts as a
 // hit. Unlike Do it never computes or stores. Batch planners use it to
 // probe for finished entries up front; a miss counts nothing, because
-// the planner's eventual Do/DoEq on the same key records the miss when
-// it computes. In verify mode callers should skip Fetch and go through
-// Do/DoEq so hits are recomputed and compared.
+// the planner's eventual Do on the same key records the miss when it
+// computes. In verify mode callers should skip Fetch and go through Do
+// so hits are recomputed and compared.
 func Fetch[T any](c *Cache, key string, cd codec.Codec[T]) (T, bool) {
 	if c == nil {
 		var zero T
@@ -515,7 +497,6 @@ func Fetch[T any](c *Cache, key string, cd codec.Codec[T]) (T, bool) {
 func (c *Cache) discard(key string) {
 	c.decodeErrs.Add(1)
 	os.Remove(c.path(key))
-	c.muts.Add(1)
 }
 
 // Put writes the entry for key atomically (temp file + rename), so a
@@ -545,7 +526,6 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 	}
 	c.puts.Add(1)
 	c.countKind(key, 0, 0, 1)
-	c.muts.Add(1)
 	return nil
 }
 
@@ -570,27 +550,19 @@ func PutIfAbsent[T any](c *Cache, key string, cd codec.Codec[T], val T) (bool, e
 // the rest receive its result. A nil cache just runs compute.
 //
 // In verify mode a hit recomputes anyway and compares the two results
-// with reflect.DeepEqual, returning ErrVerifyMismatch on disagreement;
-// use DoEq when the cached type needs a domain-specific comparison.
-func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error)) (T, bool, error) {
-	return DoEq(c, key, cd, compute, nil)
-}
-
-// DoEq is Do with an explicit verify-mode comparator: eq receives the
-// cached and the recomputed value and returns a description of the
-// first difference ("" when equal). A nil eq means reflect.DeepEqual.
-func DoEq[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error), eq func(cached, fresh T) string) (T, bool, error) {
-	return DoEqHint(c, key, cd, compute, eq, nil)
-}
-
-// DoEqHint is DoEq consulting a directory Snapshot: when the snapshot
-// says the key was absent, the initial read is skipped and the flight
-// goes straight to compute-and-store — on a cold batch that deletes
-// one failed open() per entry. The hint never changes the result: a
-// racing writer's entry is simply recomputed to the identical value
-// (keys are content-addressed) and the Put overwrites in place. Verify
-// mode ignores the hint so hits are still recomputed and compared.
-func DoEqHint[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error), eq func(cached, fresh T) string, snap *Snapshot) (T, bool, error) {
+// with eq, which receives the cached and the recomputed value and
+// returns a description of the first difference ("" when equal); a nil
+// eq means reflect.DeepEqual. A mismatch returns ErrVerifyMismatch.
+//
+// snap is a directory Snapshot hint; nil means probe the disk. When
+// the snapshot says the key was absent, the initial read is skipped and
+// the flight goes straight to compute-and-store — on a cold batch that
+// deletes one failed open() per entry. The hint never changes the
+// result: a racing writer's entry is simply recomputed to the identical
+// value (keys are content-addressed) and the Put overwrites in place.
+// Verify mode ignores the hint so hits are still recomputed and
+// compared.
+func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error), eq func(cached, fresh T) string, snap *Snapshot) (T, bool, error) {
 	var zero T
 	if c == nil {
 		v, err := compute()

@@ -199,11 +199,11 @@ func TestKindStats(t *testing.T) {
 
 	compute := func() (payload, error) { return payload{Name: "v"}, nil }
 	for _, key := range []string{sigKey, compKey, plainKey} {
-		if _, hit, err := Do(c, key, payloadCodec, compute); err != nil || hit {
+		if _, hit, err := Do(c, key, payloadCodec, compute, nil, nil); err != nil || hit {
 			t.Fatalf("cold Do(%s): hit=%v err=%v", key, hit, err)
 		}
 	}
-	if _, hit, err := Do(c, sigKey, payloadCodec, compute); err != nil || !hit {
+	if _, hit, err := Do(c, sigKey, payloadCodec, compute, nil, nil); err != nil || !hit {
 		t.Fatalf("warm Do: hit=%v err=%v", hit, err)
 	}
 	if _, ok := Fetch(c, compKey, payloadCodec); !ok {
@@ -245,7 +245,7 @@ func TestKindRows(t *testing.T) {
 		"sig":      {Hits: 3, Misses: 1, Puts: 1},
 		"depgraph": {Puts: 2},
 	}
-	rows := KindRows(ds, ks)
+	rows := kindRows(ds, ks)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3: %v", len(rows), rows)
 	}
@@ -292,11 +292,11 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 		calls++
 		return payload{Name: "v"}, nil
 	}
-	v, hit, err := Do(c, key, payloadCodec, compute)
+	v, hit, err := Do(c, key, payloadCodec, compute, nil, nil)
 	if err != nil || hit || v.Name != "v" {
 		t.Fatalf("first Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = Do(c, key, payloadCodec, compute)
+	v, hit, err = Do(c, key, payloadCodec, compute, nil, nil)
 	if err != nil || !hit || v.Name != "v" {
 		t.Fatalf("second Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
@@ -310,7 +310,7 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 }
 
 func TestNilCacheJustComputes(t *testing.T) {
-	v, hit, err := Do(nil, Key("k"), intCodec, func() (int, error) { return 7, nil })
+	v, hit, err := Do(nil, Key("k"), intCodec, func() (int, error) { return 7, nil }, nil, nil)
 	if v != 7 || hit || err != nil {
 		t.Errorf("nil cache: v=%d hit=%v err=%v", v, hit, err)
 	}
@@ -386,7 +386,7 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 			if err := corrupt(c.path(key)); err != nil {
 				t.Fatal(err)
 			}
-			v, hit, err := Do(c, key, payloadCodec, func() (payload, error) { return payload{Name: "recomputed"}, nil })
+			v, hit, err := Do(c, key, payloadCodec, func() (payload, error) { return payload{Name: "recomputed"}, nil }, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,7 +464,7 @@ func TestSingleFlight(t *testing.T) {
 				calls.Add(1)
 				<-gate // hold the flight open until everyone has joined
 				return payload{Name: "shared"}, nil
-			})
+			}, nil, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -487,11 +487,11 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := open(t)
 	key := Key("err")
 	boom := errors.New("boom")
-	_, _, err := Do(c, key, intCodec, func() (int, error) { return 0, boom })
+	_, _, err := Do(c, key, intCodec, func() (int, error) { return 0, boom }, nil, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := Do(c, key, intCodec, func() (int, error) { return 42, nil })
+	v, hit, err := Do(c, key, intCodec, func() (int, error) { return 42, nil }, nil, nil)
 	if err != nil || hit || v != 42 {
 		t.Errorf("after failed compute: v=%d hit=%v err=%v", v, hit, err)
 	}
@@ -506,13 +506,13 @@ func TestVerifyMode(t *testing.T) {
 	}
 	v, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "stored", Values: []int{1}}, nil
-	})
+	}, nil, nil)
 	if err != nil || !hit || v.Name != "stored" {
 		t.Fatalf("matching verify: v=%+v hit=%v err=%v", v, hit, err)
 	}
 	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "different", Values: []int{1}}, nil
-	})
+	}, nil, nil)
 	if !errors.Is(err, ErrVerifyMismatch) {
 		t.Fatalf("mismatching verify returned %v, want ErrVerifyMismatch", err)
 	}
@@ -522,7 +522,7 @@ func TestVerifyMode(t *testing.T) {
 	}
 }
 
-func TestDoEqComparator(t *testing.T) {
+func TestDoComparator(t *testing.T) {
 	c := open(t)
 	c.SetVerify(true)
 	key := Key("doeq")
@@ -536,68 +536,44 @@ func TestDoEqComparator(t *testing.T) {
 		}
 		return ""
 	}
-	_, hit, err := DoEq(c, key, payloadCodec, func() (payload, error) {
+	_, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "x", Values: []int{999}}, nil
-	}, eq)
+	}, eq, nil)
 	if err != nil || !hit {
 		t.Fatalf("comparator verify: hit=%v err=%v", hit, err)
 	}
-	_, _, err = DoEq(c, key, payloadCodec, func() (payload, error) {
+	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "y"}, nil
-	}, eq)
+	}, eq, nil)
 	if !errors.Is(err, ErrVerifyMismatch) {
 		t.Fatalf("comparator mismatch returned %v", err)
 	}
 }
 
-// TestDiskStatsMemoized pins the amortized DiskStats contract: the
-// directory is walked once per mutation generation, not once per
-// call. Repeated calls on an unchanged cache serve the memo (one
-// scan); any Put — including a verify-mode discard — invalidates it
-// (a second scan); and the returned per-kind map is a copy, so a
-// caller mutating it cannot poison the memo.
-func TestDiskStatsMemoized(t *testing.T) {
+// TestDiskStatsSeesExternalWrites: DiskStats scans the directory on
+// every call, so entries another process writes into a shared cache
+// directory show up in the next report.
+func TestDiskStatsSeesExternalWrites(t *testing.T) {
 	c := open(t)
 	if err := Put(c, KindKey("syn", "a"), payloadCodec, payload{Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := c.DiskStats(); err != nil {
-			t.Fatal(err)
-		}
+	if ds, err := c.DiskStats(); err != nil || ds.Entries != 1 {
+		t.Fatalf("DiskStats = %+v, %v; want 1 entry", ds, err)
 	}
-	if scans := c.Stats().DiskScans; scans != 1 {
-		t.Fatalf("3 DiskStats on an unchanged cache cost %d scans, want 1", scans)
+	other, err := Open(c.Dir())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if err := Put(c, KindKey("syn", "b"), payloadCodec, payload{Name: "b"}); err != nil {
+	if err := Put(other, KindKey("syn", "b"), payloadCodec, payload{Name: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := c.DiskStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Entries != 2 {
-		t.Fatalf("entries after second put = %d, want 2", ds.Entries)
-	}
-	if scans := c.Stats().DiskScans; scans != 2 {
-		t.Fatalf("DiskStats after a Put cost %d scans total, want 2", scans)
-	}
-
-	// The memo must hand out copies: mutate the returned kind map and
-	// check a fresh call is unaffected.
-	for k := range ds.Kinds {
-		ds.Kinds[k] = KindDisk{Entries: 999}
-	}
-	ds2, err := c.DiskStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds2.Kinds["syn"].Entries == 999 {
-		t.Fatal("DiskStats returned the memo's own map, not a copy")
-	}
-	if scans := c.Stats().DiskScans; scans != 2 {
-		t.Fatalf("memoized re-read cost a scan: %d total, want 2", scans)
+	if ds.Entries != 2 || ds.Kinds["syn"].Entries != 2 {
+		t.Fatalf("DiskStats after another writer's Put = %+v, want 2 syn entries", ds)
 	}
 }
 
@@ -635,14 +611,14 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-// TestDoEqHint pins the batched warm-start read path: with a snapshot
-// that says the key is absent, DoEqHint computes without touching the
+// TestDoSnapshotHint pins the batched warm-start read path: with a
+// snapshot that says the key is absent, Do computes without touching the
 // entry file; with the key present it hits as usual; and verify mode
 // ignores the hint entirely so every hit is still re-checked. The
 // read elision is observed directly: a corrupt entry file planted
 // under a hinted-absent key must never be decoded (no decode error),
 // where an unhinted lookup would read it and record one.
-func TestDoEqHint(t *testing.T) {
+func TestDoSnapshotHint(t *testing.T) {
 	c := open(t)
 	snap, err := c.Snapshot()
 	if err != nil {
@@ -657,11 +633,11 @@ func TestDoEqHint(t *testing.T) {
 	if err := os.WriteFile(c.path(key), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v, hit, err := DoEqHint(c, key, payloadCodec, func() (payload, error) {
+	v, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "fresh"}, nil
 	}, noEq, snap)
 	if err != nil || hit || v.Name != "fresh" {
-		t.Fatalf("hinted-absent DoEqHint: v=%+v hit=%v err=%v", v, hit, err)
+		t.Fatalf("hinted-absent Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
 	if s := c.Stats(); s.DecodeErrors != 0 {
 		t.Fatalf("hinted-absent lookup read the entry file (%d decode errors), want the read elided", s.DecodeErrors)
@@ -672,12 +648,12 @@ func TestDoEqHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, hit, err = DoEqHint(c, key, payloadCodec, func() (payload, error) {
+	v, hit, err = Do(c, key, payloadCodec, func() (payload, error) {
 		t.Fatal("compute ran despite a hit")
 		return payload{}, nil
 	}, noEq, snap2)
 	if err != nil || !hit || v.Name != "fresh" {
-		t.Fatalf("hinted-present DoEqHint: v=%+v hit=%v err=%v", v, hit, err)
+		t.Fatalf("hinted-present Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
 
 	// Verify mode overrides the hint: even a snapshot that says absent
@@ -685,7 +661,7 @@ func TestDoEqHint(t *testing.T) {
 	c.SetVerify(true)
 	defer c.SetVerify(false)
 	mismatches := 0
-	_, _, err = DoEqHint(c, key, payloadCodec, func() (payload, error) {
+	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "fresh"}, nil
 	}, func(cached, fresh payload) string {
 		mismatches++ // called means the cached entry was read

@@ -65,37 +65,6 @@ func MeasureComponent(design *hdl.Design, project, top string, useAccounting boo
 	return &Measurement{Project: project, Name: top, Metrics: res.Metrics, Accounting: res}, nil
 }
 
-// ComponentRequest names one component of a batch measurement: the
-// project it belongs to in the database, its top module in the
-// session's design, and whether the accounting procedure applies.
-type ComponentRequest struct {
-	Project       string
-	Top           string
-	UseAccounting bool
-}
-
-// MeasureComponents measures a whole component set through one
-// measure.Session: the design is parsed once, the accounting searches
-// share one elaboration cache, and each distinct (module, parameters)
-// signature is synthesized exactly once across the batch. Results are
-// bit-identical to calling MeasureComponent per request and come back
-// in request order.
-func MeasureComponents(sess *measure.Session, reqs []ComponentRequest, opts measure.Options) ([]*Measurement, error) {
-	units := make([]measure.Unit, len(reqs))
-	for i, r := range reqs {
-		units[i] = measure.Unit{Top: r.Top, UseAccounting: r.UseAccounting}
-	}
-	results, err := sess.MeasureAll(units, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Measurement, len(reqs))
-	for i, r := range reqs {
-		out[i] = &Measurement{Project: r.Project, Name: r.Top, Metrics: results[i].Metrics, Accounting: results[i]}
-	}
-	return out, nil
-}
-
 // Calibration is a fitted design-effort estimator.
 type Calibration struct {
 	// Metrics are the metric columns of the estimator, in weight

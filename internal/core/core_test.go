@@ -196,31 +196,6 @@ endmodule`})
 		t.Errorf("component metrics incomplete: %v", comp.Metrics)
 	}
 
-	// The batch path over a shared session must agree with the
-	// per-component measurement above, bit for bit.
-	sess := measure.NewSession(d)
-	batch, err := MeasureComponents(sess, []ComponentRequest{
-		{Project: "demo", Top: "dp", UseAccounting: true},
-		{Project: "demo", Top: "alu", UseAccounting: false},
-	}, measure.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != 2 {
-		t.Fatalf("%d measurements, want 2", len(batch))
-	}
-	if *batch[0].Metrics != *meas.Metrics {
-		t.Errorf("batch dp metrics differ from per-component:\n got %+v\nwant %+v", *batch[0].Metrics, *meas.Metrics)
-	}
-	if batch[0].Project != "demo" || batch[0].Name != "dp" || batch[1].Name != "alu" {
-		t.Errorf("batch identities wrong: %+v, %+v", batch[0], batch[1])
-	}
-	if got, want := batch[0].Accounting.Synth.Optimized.Hash(), meas.Accounting.Synth.Optimized.Hash(); got != want {
-		t.Errorf("batch dp netlist hash %s, per-component %s", got, want)
-	}
-	if s := sess.Stats(); s.Components != 2 || s.Synthesized != 2 {
-		t.Errorf("session stats = %+v, want 2 components, 2 distinct signatures", s)
-	}
 }
 
 // TestConfidenceFactorsAndMeanFactor pins how an estimate carries its

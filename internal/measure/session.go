@@ -639,7 +639,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 	// A nil cache runs compute directly (p.diskSigKey is "" then and
 	// never consulted). The snapshot hint lets cold signature keys skip
 	// the per-entry open a Get would waste.
-	rec, _, err := cache.DoEqHint(opts.Cache, p.diskSigKey, sigRecordCodec, compute, compareSigRecords, snap)
+	rec, _, err := cache.Do(opts.Cache, p.diskSigKey, sigRecordCodec, compute, compareSigRecords, snap)
 	if err != nil {
 		f.err = err
 		return
@@ -726,7 +726,7 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	// In verify mode the assembled result is compared against the
 	// stored record. A hit serves the record, which carries no search
 	// counters; a miss keeps this run's.
-	rec, hit, err := cache.DoEqHint(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
+	rec, hit, err := cache.Do(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
 		return recordOf(res), nil
 	}, compareRecords, snap)
 	if err != nil {

@@ -247,15 +247,6 @@ func (n *Netlist) NumFFs() int {
 	return c
 }
 
-// CountByType returns the number of cells of each type.
-func (n *Netlist) CountByType() map[CellType]int {
-	out := map[CellType]int{}
-	for i := range n.Cells {
-		out[n.Cells[i].Type]++
-	}
-	return out
-}
-
 // Drivers returns, for every net, the index of the cell driving it
 // (-1 for undriven nets: primary inputs, constants, RAM outputs). The
 // table is computed once and shared: callers must treat it as

@@ -335,7 +335,7 @@ func fit(d *Data, mixed bool, opts FitOptions) (*Result, error) {
 		best = stats.MinimizeResult{F: p.objective(nil), Converged: true}
 	} else {
 		obj := func() func([]float64) float64 { return p.worker().objective }
-		best = stats.MinimizeMultistartFunc(obj, starts, fitOptions, opts.Concurrency)
+		best = stats.MinimizeMultistart(obj, starts, fitOptions, opts.Concurrency)
 	}
 	if math.IsInf(best.F, 1) {
 		return nil, fmt.Errorf("nlme: optimization found no feasible point")

@@ -100,7 +100,7 @@ func fitRef(d *Data, mixed bool) (*Result, error) {
 	} else {
 		obj = func() func([]float64) float64 { return refFixedObjective(d, logEff) }
 	}
-	best := stats.MinimizeMultistartFunc(obj, refStartingPoints(d, mixed), stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, 1)
+	best := stats.MinimizeMultistart(obj, refStartingPoints(d, mixed), stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, 1)
 	if math.IsInf(best.F, 1) {
 		return nil, errInfeasible
 	}

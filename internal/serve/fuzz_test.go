@@ -45,9 +45,7 @@ func fuzzHandler() http.Handler {
 // path — JSON parse, validation, and (when the body happens to be a
 // well-formed request) parsing and measuring the embedded design. The
 // invariants: never panic, always answer with a real status code, and
-// a 200 always carries a decodable response. The same bytes also go
-// through the binary response decoder, which must reject garbage with
-// an error instead of panicking.
+// a 200 always carries a decodable response.
 func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"a","sources":{"m.v":"module m (input clk, output reg y); always @(posedge clk) begin y <= ~y; end endmodule"},"units":[{"top":"m"}]}`))
 	f.Add([]byte(`{"sources":{"m.v":"module m"},"units":[{"top":"m","accounting":true}]}`))
@@ -57,7 +55,7 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"sources":{"a":"b"},"units":[{"top":"x"}],"timeout_ms":-5}`))
-	f.Add([]byte{0x75, 0x43, 0x01, 0x00}) // codec magic prefix
+	f.Add([]byte(`{"sources":{"a":"b"},"units":[{"top":"x"}],"timeout_ms":9223372036855}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The parse/validate layer alone must never panic.
@@ -68,33 +66,17 @@ func FuzzServeRequest(f *testing.F) {
 		// The full handler path: hostile bodies answer 4xx/5xx, valid
 		// ones 200 with a decodable response — never a panic, never a
 		// hung handler.
-		for _, accept := range []string{serve.ContentTypeJSON, serve.ContentTypeBinary} {
-			r := httptest.NewRequest(http.MethodPost, "/measure", bytes.NewReader(body))
-			r.Header.Set("Accept", accept)
-			w := httptest.NewRecorder()
-			fuzzHandler().ServeHTTP(w, r)
-			if w.Code < 200 || w.Code > 599 {
-				t.Fatalf("handler answered impossible status %d", w.Code)
-			}
-			if w.Code == http.StatusOK {
-				if accept == serve.ContentTypeBinary {
-					if _, err := serve.DecodeResponse(w.Body.Bytes()); err != nil {
-						t.Fatalf("200 with undecodable binary body: %v", err)
-					}
-				} else {
-					var resp serve.Response
-					if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-						t.Fatalf("200 with undecodable JSON body: %v", err)
-					}
-				}
-			}
+		r := httptest.NewRequest(http.MethodPost, "/measure", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		fuzzHandler().ServeHTTP(w, r)
+		if w.Code < 200 || w.Code > 599 {
+			t.Fatalf("handler answered impossible status %d", w.Code)
 		}
-
-		// Hostile bytes into the client-side binary decoder: errors,
-		// not panics.
-		if _, err := serve.DecodeResponse(body); err == nil {
-			// A fuzzer-built valid frame is fine — just exercise it.
-			_ = err
+		if w.Code == http.StatusOK {
+			var resp serve.Response
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 with undecodable JSON body: %v", err)
+			}
 		}
 	})
 }

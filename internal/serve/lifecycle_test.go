@@ -38,7 +38,7 @@ func parkedConfig(concurrent, depth int) (serve.Config, chan string, chan struct
 func TestDrainGraceful(t *testing.T) {
 	cfg, admitted, release := parkedConfig(2, 4)
 	h := servetest.Start(t, cfg)
-	cl := h.Client(false)
+	cl := h.Client()
 	req := servetest.PaperRequest(t, "alpha", 2)
 
 	if code, err := cl.Healthz(context.Background()); err != nil || code != http.StatusOK {
@@ -90,7 +90,7 @@ func TestDrainGraceful(t *testing.T) {
 func TestQueueFull429(t *testing.T) {
 	cfg, admitted, release := parkedConfig(1, 1)
 	h := servetest.Start(t, cfg)
-	cl := h.Client(false)
+	cl := h.Client()
 	req := servetest.PaperRequest(t, "alpha", 2)
 
 	first := make(chan error, 1)
@@ -147,7 +147,7 @@ func TestRequestTimeoutCancelsSynthesis(t *testing.T) {
 	fullSynth := servetest.ReferenceSynth(t, req, opts)
 
 	h := servetest.Start(t, serve.Config{Concurrency: 1, MaxConcurrent: 2})
-	cl := h.Client(false)
+	cl := h.Client()
 
 	timed := &serve.Request{Tenant: req.Tenant, Sources: req.Sources, Units: req.Units, TimeoutMS: 30}
 	_, err := cl.Measure(context.Background(), timed)
@@ -172,4 +172,34 @@ func TestRequestTimeoutCancelsSynthesis(t *testing.T) {
 		t.Fatalf("post-timeout request: %v", err)
 	}
 	compareResults(t, "post-timeout recovery", resp.Results, ref)
+}
+
+// TestHugeTimeoutKeepsServerCeiling: a timeout_ms too large for a
+// time.Duration would wrap negative and drop the server's
+// RequestTimeout. ParseRequest accepts the largest representable value
+// and rejects the next one with 400, so the ceiling always holds.
+func TestHugeTimeoutKeepsServerCeiling(t *testing.T) {
+	h := servetest.Start(t, serve.Config{
+		Concurrency:    1,
+		RequestTimeout: 20 * time.Millisecond,
+		OnAdmitted:     func(string) { time.Sleep(100 * time.Millisecond) },
+	})
+	cl := h.Client()
+	req := servetest.PaperRequest(t, "alpha", 1)
+	for _, tc := range []struct {
+		timeoutMS int64
+		want      int
+	}{
+		{0, http.StatusGatewayTimeout},
+		{60000, http.StatusGatewayTimeout},
+		{9223372036854, http.StatusGatewayTimeout},
+		{9223372036855, http.StatusBadRequest},
+	} {
+		timed := &serve.Request{Tenant: req.Tenant, Sources: req.Sources, Units: req.Units, TimeoutMS: tc.timeoutMS}
+		_, err := cl.Measure(context.Background(), timed)
+		var st *servetest.Status
+		if !errors.As(err, &st) || st.Code != tc.want {
+			t.Errorf("timeout_ms %d: %v, want HTTP %d", tc.timeoutMS, err, tc.want)
+		}
+	}
 }

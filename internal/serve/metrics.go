@@ -131,7 +131,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "serve: /metrics wants GET")
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeJSON)
 	writeJSON(w, s.Metrics())
 }
 
@@ -147,7 +146,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
+// writeJSON writes v as the JSON response body. JSON is lossless for
+// every response field: Go emits shortest round-trippable float64
+// literals, so a decoded response is bit-identical to the sent one.
 func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
 }

@@ -10,37 +10,26 @@
 // The protocol boundary keeps the repository's golden-equivalence
 // discipline: every response is bit-identical to converting the
 // results of a direct measure.Session call on the same sources (the
-// servetest harness pins this, over both wire encodings, for
-// concurrent multi-tenant clients).
+// servetest harness pins this for concurrent multi-tenant clients).
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
 	"strings"
+	"time"
 
-	"repro/internal/codec"
 	"repro/internal/measure"
 )
 
-// Wire constants. Requests are always JSON; responses are JSON by
-// default and codec-framed binary when the client's Accept header
-// names ContentTypeBinary.
-const (
-	// SchemaVersion versions the binary response framing (the
-	// codec.EncodeEntry schema field). Bump on any layout change.
-	SchemaVersion = 1
-	// ContentTypeJSON is the default response encoding.
-	ContentTypeJSON = "application/json"
-	// ContentTypeBinary selects the codec-framed binary response.
-	ContentTypeBinary = "application/x-ucserve-bin"
-	// binaryKey is the entry-envelope key echo of binary responses.
-	binaryKey = "serve-response"
-	// compressThreshold mirrors the cache's flate policy: payloads at
-	// or above this size are flate-compressed when that wins.
-	compressThreshold = 4096
-)
+// ContentTypeJSON is the response encoding. Requests are JSON too.
+const ContentTypeJSON = "application/json"
+
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow; a larger value would wrap negative and disable the
+// server's RequestTimeout ceiling.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // UnitRequest names one measurement unit of a request's design.
 type UnitRequest struct {
@@ -201,6 +190,9 @@ func ParseRequest(body []byte, limits Limits) (*Request, error) {
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("serve: negative timeout_ms")
 	}
+	if req.TimeoutMS > maxTimeoutMS {
+		return nil, fmt.Errorf("serve: timeout_ms %d exceeds %d", req.TimeoutMS, maxTimeoutMS)
+	}
 	return &req, nil
 }
 
@@ -229,198 +221,4 @@ func ResultsOf(units []UnitRequest, results []*measure.ComponentResult) []UnitRe
 		out[i] = ur
 	}
 	return out
-}
-
-// ---------------------------------------------------------------
-// Binary response framing (internal/codec)
-// ---------------------------------------------------------------
-
-// EncodeResponse frames resp as a codec entry: the same envelope the
-// on-disk cache uses (magic, schema, key echo, CRC-32C, optional
-// flate), so a response survives transport corruption checks and the
-// decode side inherits the codec's hostile-input hardening.
-func EncodeResponse(resp *Response) []byte {
-	payload := appendResponse(nil, resp)
-	return codec.EncodeEntry(nil, SchemaVersion, binaryKey, payload, compressThreshold)
-}
-
-// DecodeResponse decodes one framed binary response.
-func DecodeResponse(data []byte) (*Response, error) {
-	payload, _, err := codec.DecodeEntry(data, SchemaVersion, binaryKey, nil)
-	if err != nil {
-		return nil, err
-	}
-	r := codec.NewReader(payload)
-	resp, err := decodeResponse(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-func appendMetrics(dst []byte, m *measure.Metrics) []byte {
-	dst = codec.AppendVarint(dst, int64(m.Stmts))
-	dst = codec.AppendVarint(dst, int64(m.LoC))
-	dst = codec.AppendVarint(dst, int64(m.FanInLC))
-	dst = codec.AppendVarint(dst, int64(m.FanInLCExact))
-	dst = codec.AppendVarint(dst, int64(m.Nets))
-	dst = codec.AppendVarint(dst, int64(m.Cells))
-	dst = codec.AppendVarint(dst, int64(m.FFs))
-	dst = codec.AppendFloat64(dst, m.FreqMHz)
-	dst = codec.AppendFloat64(dst, m.AreaL)
-	dst = codec.AppendFloat64(dst, m.AreaS)
-	dst = codec.AppendFloat64(dst, m.PowerD)
-	dst = codec.AppendFloat64(dst, m.PowerS)
-	return dst
-}
-
-func decodeMetrics(r *codec.Reader) measure.Metrics {
-	var m measure.Metrics
-	m.Stmts = int(r.Varint())
-	m.LoC = int(r.Varint())
-	m.FanInLC = int(r.Varint())
-	m.FanInLCExact = int(r.Varint())
-	m.Nets = int(r.Varint())
-	m.Cells = int(r.Varint())
-	m.FFs = int(r.Varint())
-	m.FreqMHz = r.Float64()
-	m.AreaL = r.Float64()
-	m.AreaS = r.Float64()
-	m.PowerD = r.Float64()
-	m.PowerS = r.Float64()
-	return m
-}
-
-func appendUnitResult(dst []byte, u *UnitResult) []byte {
-	dst = codec.AppendString(dst, u.Top)
-	dst = codec.AppendBool(dst, u.Accounting)
-	dst = appendMetrics(dst, &u.Metrics)
-	dst = codec.AppendVarint(dst, int64(u.InstanceCount))
-	dst = codec.AppendVarint(dst, int64(u.DedupedInstances))
-	dst = codec.AppendUvarint(dst, uint64(len(u.UniqueModules)))
-	for _, m := range u.UniqueModules {
-		dst = codec.AppendString(dst, m)
-	}
-	// Map entries in sorted key order: encoding must be deterministic
-	// (two identical responses encode byte-identically).
-	names := make([]string, 0, len(u.MinimizedParams))
-	for k := range u.MinimizedParams {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	dst = codec.AppendUvarint(dst, uint64(len(names)))
-	for _, k := range names {
-		dst = codec.AppendString(dst, k)
-		dst = codec.AppendVarint(dst, u.MinimizedParams[k])
-	}
-	return dst
-}
-
-func decodeUnitResult(r *codec.Reader) UnitResult {
-	var u UnitResult
-	u.Top = r.String()
-	u.Accounting = r.Bool()
-	u.Metrics = decodeMetrics(r)
-	u.InstanceCount = int(r.Varint())
-	u.DedupedInstances = int(r.Varint())
-	if n := r.Count(1); n > 0 {
-		u.UniqueModules = make([]string, n)
-		for i := range u.UniqueModules {
-			u.UniqueModules[i] = r.String()
-		}
-	}
-	if n := r.Count(2); n > 0 {
-		u.MinimizedParams = make(map[string]int64, n)
-		for i := 0; i < n; i++ {
-			k := r.String()
-			v := r.Varint()
-			if r.Err() != nil {
-				return u
-			}
-			u.MinimizedParams[k] = v
-		}
-	}
-	return u
-}
-
-func appendStrings(dst []byte, ss []string) []byte {
-	dst = codec.AppendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = codec.AppendString(dst, s)
-	}
-	return dst
-}
-
-func decodeStrings(r *codec.Reader) []string {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.String()
-	}
-	return out
-}
-
-func appendResponse(dst []byte, resp *Response) []byte {
-	dst = codec.AppendString(dst, resp.Tenant)
-	dst = codec.AppendUvarint(dst, uint64(len(resp.Results)))
-	for i := range resp.Results {
-		dst = appendUnitResult(dst, &resp.Results[i])
-	}
-	dst = codec.AppendVarint(dst, int64(resp.Session.Components))
-	dst = codec.AppendVarint(dst, int64(resp.Session.Planned))
-	dst = codec.AppendVarint(dst, int64(resp.Session.Synthesized))
-	dst = codec.AppendVarint(dst, int64(resp.Session.Shared))
-	dst = codec.AppendBool(dst, resp.Remeasure != nil)
-	if ri := resp.Remeasure; ri != nil {
-		dst = codec.AppendBool(dst, ri.Baseline)
-		dst = appendStrings(dst, ri.ChangedModules)
-		dst = appendStrings(dst, ri.AddedModules)
-		dst = appendStrings(dst, ri.RemovedModules)
-		dst = codec.AppendVarint(dst, int64(ri.DirtyModules))
-		dst = codec.AppendVarint(dst, int64(ri.CleanModules))
-		dst = codec.AppendVarint(dst, int64(ri.DirtyUnits))
-		dst = codec.AppendVarint(dst, int64(ri.CleanUnits))
-	}
-	return dst
-}
-
-func decodeResponse(r *codec.Reader) (*Response, error) {
-	var resp Response
-	resp.Tenant = r.String()
-	n := r.Count(1)
-	if n > 0 {
-		resp.Results = make([]UnitResult, n)
-		for i := range resp.Results {
-			resp.Results[i] = decodeUnitResult(r)
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	resp.Session.Components = int(r.Varint())
-	resp.Session.Planned = int(r.Varint())
-	resp.Session.Synthesized = int(r.Varint())
-	resp.Session.Shared = int(r.Varint())
-	if r.Bool() {
-		var ri RemeasureInfo
-		ri.Baseline = r.Bool()
-		ri.ChangedModules = decodeStrings(r)
-		ri.AddedModules = decodeStrings(r)
-		ri.RemovedModules = decodeStrings(r)
-		ri.DirtyModules = int(r.Varint())
-		ri.CleanModules = int(r.Varint())
-		ri.DirtyUnits = int(r.Varint())
-		ri.CleanUnits = int(r.Varint())
-		resp.Remeasure = &ri
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

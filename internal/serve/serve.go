@@ -418,19 +418,5 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, remeasure
 		s.ctr.measures.Add(1)
 	}
 	s.ctr.unitsMeasured.Add(int64(len(results)))
-	writeResponse(w, r, resp)
-}
-
-// writeResponse encodes resp in the encoding the Accept header asks
-// for: codec-framed binary on ContentTypeBinary, JSON otherwise. JSON
-// is lossless for every field (Go emits shortest round-trippable
-// float64 literals), so both encodings preserve bit-identity.
-func writeResponse(w http.ResponseWriter, r *http.Request, resp *Response) {
-	if strings.Contains(r.Header.Get("Accept"), ContentTypeBinary) {
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.Write(EncodeResponse(resp))
-		return
-	}
-	w.Header().Set("Content-Type", ContentTypeJSON)
 	writeJSON(w, resp)
 }

@@ -1,8 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"reflect"
 	"strings"
 	"sync"
@@ -31,10 +34,10 @@ func compareResults(t *testing.T, label string, got, ref []serve.UnitResult) {
 }
 
 // TestServedMatchesDirect is the core e2e equivalence matrix: the
-// daemon's answers over both wire encodings, at measurement workers 1
-// and 8, over a mixed corpus (hand-written paper components with
-// accounting + a generated corpus without), must be bit-identical to a
-// direct measure.Session on the same sources.
+// daemon's JSON answers, at measurement workers 1 and 8, over a mixed
+// corpus (hand-written paper components with accounting + a generated
+// corpus without), must be bit-identical to a direct measure.Session
+// on the same sources.
 func TestServedMatchesDirect(t *testing.T) {
 	paper := servetest.PaperRequest(t, "alpha", 6)
 	gen := servetest.GeneratedRequest(t, "alpha", 10, 7)
@@ -55,16 +58,13 @@ func TestServedMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		binary  bool
 	}{
-		{"workers1-json", 1, false},
-		{"workers1-binary", 1, true},
-		{"workers8-json", 8, false},
-		{"workers8-binary", 8, true},
+		{"workers1-json", 1},
+		{"workers8-json", 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := servetest.Start(t, serve.Config{Concurrency: tc.workers, MaxConcurrent: 4})
-			cl := h.Client(tc.binary)
+			cl := h.Client()
 			for req, byWorkers := range refs {
 				resp, err := cl.Measure(context.Background(), req)
 				if err != nil {
@@ -77,6 +77,39 @@ func TestServedMatchesDirect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBinaryAcceptGetsJSON: the daemon has one response encoding. A
+// client that still asks for the retired binary framing gets JSON,
+// labelled as such, that decodes to the same results.
+func TestBinaryAcceptGetsJSON(t *testing.T) {
+	h := servetest.Start(t, serve.Config{Concurrency: 1})
+	req := servetest.PaperRequest(t, "alpha", 2)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest(http.MethodPost, h.URL+"/measure", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Accept", "application/x-ucserve-bin")
+	hres, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hres.Body.Close()
+	if hres.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", hres.StatusCode)
+	}
+	if ct := hres.Header.Get("Content-Type"); ct != serve.ContentTypeJSON {
+		t.Fatalf("Content-Type %q, want %q", ct, serve.ContentTypeJSON)
+	}
+	var resp serve.Response
+	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	compareResults(t, "binary Accept", resp.Results, servetest.Reference(t, req, measure.Options{Concurrency: 1}))
 }
 
 // TestServedCacheColdWarm: a daemon over a disk cache serves a cold
@@ -92,7 +125,7 @@ func TestServedCacheColdWarm(t *testing.T) {
 	ref := servetest.Reference(t, req, measure.Options{Concurrency: 4})
 
 	h1 := servetest.Start(t, serve.Config{Concurrency: 4, Cache: c})
-	cold, err := h1.Client(false).Measure(context.Background(), req)
+	cold, err := h1.Client().Measure(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +137,7 @@ func TestServedCacheColdWarm(t *testing.T) {
 	// A fresh daemon process (same cache dir) must answer from disk:
 	// the session never plans or synthesizes a single signature.
 	h2 := servetest.Start(t, serve.Config{Concurrency: 4, Cache: c})
-	warm, err := h2.Client(true).Measure(context.Background(), req)
+	warm, err := h2.Client().Measure(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +148,15 @@ func TestServedCacheColdWarm(t *testing.T) {
 	}
 }
 
-// TestConcurrentClientsTwoTenants is the ISSUE's headline e2e test:
-// 8 concurrent clients across two tenants and both wire encodings,
-// over one shared daemon and one shared disk cache. Every client's
-// answer is bit-identical to the direct reference, and the aggregate
-// synthesis count is EXACTLY twice the single-tenant reference count —
-// simultaneously proving the single-flight table coalesced each
-// tenant's 4 clients into one synthesis per signature (≤) and that the
-// tenants' cache namespaces never cross-contaminated (≥: had tenant B
-// been able to read tenant A's entries, B would have synthesized
-// strictly less).
+// TestConcurrentClientsTwoTenants is the headline e2e test: 8
+// concurrent clients across two tenants, over one shared daemon and
+// one shared disk cache. Every client's answer is bit-identical to the
+// direct reference, and the aggregate synthesis count is EXACTLY twice
+// the single-tenant reference count — simultaneously proving the
+// single-flight table coalesced each tenant's 4 clients into one
+// synthesis per signature (≤) and that the tenants' cache namespaces
+// never cross-contaminated (≥: had tenant B been able to read tenant
+// A's entries, B would have synthesized strictly less).
 func TestConcurrentClientsTwoTenants(t *testing.T) {
 	c, err := cache.Open(t.TempDir())
 	if err != nil {
@@ -154,7 +186,7 @@ func TestConcurrentClientsTwoTenants(t *testing.T) {
 			if i%2 == 1 {
 				req = reqB
 			}
-			cl := h.Client(i%3 == 0)
+			cl := h.Client()
 			resp, err := cl.Measure(context.Background(), req)
 			if err != nil {
 				errs[i] = err
@@ -195,7 +227,7 @@ func TestConcurrentClientsTwoTenants(t *testing.T) {
 	// Warm cross-check: a restarted daemon on the same cache serves
 	// tenant A from disk — and the hits it takes are A's own entries.
 	h2 := servetest.Start(t, serve.Config{Concurrency: 2, Cache: c})
-	resp, err := h2.Client(false).Measure(context.Background(), reqA)
+	resp, err := h2.Client().Measure(context.Background(), reqA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +244,7 @@ func TestConcurrentClientsTwoTenants(t *testing.T) {
 // to direct measurement of the edited sources.
 func TestServedRemeasureRollsBaseline(t *testing.T) {
 	h := servetest.Start(t, serve.Config{Concurrency: 2})
-	cl := h.Client(false)
+	cl := h.Client()
 	// Hand-picked unit set that includes rat_standard, so the edit
 	// below (inside RAT-Standard.v) dirties exactly one unit's cone.
 	req := &serve.Request{

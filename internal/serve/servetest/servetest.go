@@ -1,9 +1,9 @@
 // Package servetest is the in-process end-to-end harness for the
 // ucserved daemon: it starts a serve.Server on a loopback listener,
-// hands out typed clients speaking either wire encoding, and computes
-// direct measure.Session reference results with the exact projection
-// the server applies — so tests can assert that what came over the
-// wire is bit-identical to measuring without the daemon.
+// hands out typed JSON clients, and computes direct measure.Session
+// reference results with the exact projection the server applies — so
+// tests can assert that what came over the wire is bit-identical to
+// measuring without the daemon.
 package servetest
 
 import (
@@ -61,17 +61,15 @@ func (h *Harness) Drain(ctx context.Context) error {
 	return h.hs.Shutdown(ctx)
 }
 
-// Client speaks the daemon's protocol. Binary selects the
-// codec-framed response encoding; otherwise responses are JSON.
+// Client speaks the daemon's JSON protocol.
 type Client struct {
-	Base   string
-	HTTP   *http.Client
-	Binary bool
+	Base string
+	HTTP *http.Client
 }
 
 // Client returns a client for the harness.
-func (h *Harness) Client(binary bool) *Client {
-	return &Client{Base: h.URL, HTTP: &http.Client{}, Binary: binary}
+func (h *Harness) Client() *Client {
+	return &Client{Base: h.URL, HTTP: &http.Client{}}
 }
 
 // Status carries a non-200 outcome: the code and the error body.
@@ -96,9 +94,6 @@ func (c *Client) post(ctx context.Context, path string, req *serve.Request) (*se
 		return nil, err
 	}
 	hr.Header.Set("Content-Type", serve.ContentTypeJSON)
-	if c.Binary {
-		hr.Header.Set("Accept", serve.ContentTypeBinary)
-	}
 	hres, err := c.HTTP.Do(hr)
 	if err != nil {
 		return nil, err
@@ -114,12 +109,6 @@ func (c *Client) post(ctx context.Context, path string, req *serve.Request) (*se
 			Body:       string(bytes.TrimSpace(data)),
 			RetryAfter: hres.Header.Get("Retry-After"),
 		}
-	}
-	if c.Binary {
-		if ct := hres.Header.Get("Content-Type"); ct != serve.ContentTypeBinary {
-			return nil, fmt.Errorf("servetest: binary client got Content-Type %q", ct)
-		}
-		return serve.DecodeResponse(data)
 	}
 	var resp serve.Response
 	if err := json.Unmarshal(data, &resp); err != nil {

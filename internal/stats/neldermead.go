@@ -211,36 +211,23 @@ func Minimize(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) Mi
 }
 
 // MinimizeMultistart runs Minimize from each starting point and returns
-// the best result. It panics if starts is empty.
-func MinimizeMultistart(f func([]float64) float64, starts [][]float64, opt NelderMeadOptions) MinimizeResult {
-	return MinimizeMultistartP(f, starts, opt, 1)
-}
-
-// MinimizeMultistartP is MinimizeMultistart with the independent
-// restarts run on up to workers concurrent goroutines (a Concurrency
-// knob: <= 0 means GOMAXPROCS, 1 the exact sequential path). f must be
-// safe for concurrent calls.
+// the best result, with the independent restarts run on up to workers
+// concurrent goroutines (a Concurrency knob: <= 0 means GOMAXPROCS, 1
+// the exact sequential path). It panics if starts is empty.
 //
-// The reduction is deterministic regardless of worker count: each
-// restart is an independent Minimize, results are collected in start
-// order, and the winner is the lowest objective value with ties broken
-// by the lowest start index — exactly the sequential selection rule —
-// so the returned optimum is bit-identical to the sequential path.
-func MinimizeMultistartP(f func([]float64) float64, starts [][]float64, opt NelderMeadOptions, workers int) MinimizeResult {
-	return MinimizeMultistartFunc(func() func([]float64) float64 { return f }, starts, opt, workers)
-}
-
-// MinimizeMultistartFunc is MinimizeMultistartP with a per-worker
-// objective factory: newF is called at most once per pool worker, and
-// the returned objective serves every restart that worker runs. An
-// objective may therefore own mutable scratch buffers (reused across
-// evaluations) without any synchronization — the pool guarantees calls
-// with the same worker id never overlap. The reduction is the same
-// deterministic lowest-value / lowest-start-index rule as
-// MinimizeMultistartP, and because each restart is an independent
-// Minimize, results are bit-identical for every worker count provided
-// the factory's objectives are pure functions of their argument.
-func MinimizeMultistartFunc(newF func() func([]float64) float64, starts [][]float64, opt NelderMeadOptions, workers int) MinimizeResult {
+// newF is a per-worker objective factory: it is called at most once per
+// pool worker, and the returned objective serves every restart that
+// worker runs. An objective may therefore own mutable scratch buffers
+// (reused across evaluations) without any synchronization — the pool
+// guarantees calls with the same worker id never overlap.
+//
+// The reduction is deterministic regardless of worker count: results
+// are collected in start order, and the winner is the lowest objective
+// value with ties broken by the lowest start index — exactly the
+// sequential selection rule — so the returned optimum is bit-identical
+// for every worker count provided the factory's objectives are pure
+// functions of their argument.
+func MinimizeMultistart(newF func() func([]float64) float64, starts [][]float64, opt NelderMeadOptions, workers int) MinimizeResult {
 	if len(starts) == 0 {
 		panic("stats: MinimizeMultistart: no starting points")
 	}

@@ -75,7 +75,7 @@ func TestMinimizeMultistartPicksBest(t *testing.T) {
 		b := (x[0] + 2) * (x[0] + 2)
 		return math.Min(a+1, b)
 	}
-	r := MinimizeMultistart(f, [][]float64{{3}, {-3}}, NelderMeadOptions{})
+	r := MinimizeMultistart(func() func([]float64) float64 { return f }, [][]float64{{3}, {-3}}, NelderMeadOptions{}, 1)
 	closeTo(t, r.X[0], -2, 1e-3, "global minimum")
 	closeTo(t, r.F, 0, 1e-6, "global value")
 }
@@ -86,7 +86,7 @@ func TestMinimizeMultistartPanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MinimizeMultistart(func(x []float64) float64 { return 0 }, nil, NelderMeadOptions{})
+	MinimizeMultistart(func() func([]float64) float64 { return nil }, nil, NelderMeadOptions{}, 1)
 }
 
 func TestMinimizeReportsEvals(t *testing.T) {

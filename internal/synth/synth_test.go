@@ -176,9 +176,6 @@ module alu (input [1:0] op, input [7:0] a, b, output reg [7:0] y);
   end
 endmodule`, "alu", nil)
 	// Complete assignment: no latches.
-	if got := r.Optimized.CountByType()[8+2]; false {
-		_ = got
-	}
 	for _, c := range r.Optimized.Cells {
 		if c.Type.IsSequential() {
 			t.Fatalf("unexpected sequential cell %s in pure comb ALU", c.Type)
