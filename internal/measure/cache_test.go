@@ -6,19 +6,24 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/codec"
 	"repro/internal/designs"
+	"repro/internal/elab"
 	"repro/internal/hdl"
+	"repro/internal/netlist"
+	"repro/internal/synth"
 )
 
 // The cache contract: a component measured with the cache off, with a
 // cold cache, and from a warm cache yields bit-identical paper-facing
-// results, and a warm hit carries the optimized netlist so downstream
-// timing analysis sees the identical structure. A cold one-unit batch
+// results, and a warm hit carries the optimized netlist's hash and
+// timing summary, so downstream readers see the identical values. A cold one-unit batch
 // writes two entries: the unit's "component" record and its
 // signature's "sig" record.
 
@@ -66,11 +71,11 @@ func TestCacheOffColdWarmBitIdentical(t *testing.T) {
 		if got.InstanceCount != off.InstanceCount || got.DedupedInstances != off.DedupedInstances {
 			t.Errorf("%s accounting counts diverged", name)
 		}
-		if got.Synth == nil || got.Synth.Optimized == nil {
-			t.Fatalf("%s result carries no optimized netlist", name)
+		if got.NetlistHash == "" || got.NetlistHash != off.NetlistHash {
+			t.Errorf("%s optimized netlist hash %q diverged from uncached %q", name, got.NetlistHash, off.NetlistHash)
 		}
-		if got.Synth.Optimized.Hash() != off.Synth.Optimized.Hash() {
-			t.Errorf("%s optimized netlist structure diverged from uncached", name)
+		if got.Timing != off.Timing {
+			t.Errorf("%s timing summary %+v diverged from uncached %+v", name, got.Timing, off.Timing)
 		}
 	}
 
@@ -147,93 +152,182 @@ func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
 	}
 }
 
-// recordV1Codec writes the version-1 component record layout, which
-// also stored the search's probe counters and the subtree counters of
-// whichever run populated the entry.
-var recordV1Codec = codec.Codec[*componentRecord]{
-	Name: "measure.componentRecord.v1",
-	Append: func(dst []byte, rec *componentRecord) []byte {
-		dst = codec.AppendByte(dst, 1)
-		dst = codec.AppendBool(dst, true)
-		dst = appendMetrics(dst, rec.Metrics)
-		dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
-		for _, name := range rec.UniqueModules {
-			dst = codec.AppendString(dst, name)
-		}
-		names := make([]string, 0, len(rec.MinimizedParams))
-		for name := range rec.MinimizedParams {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		dst = codec.AppendUvarint(dst, uint64(len(names)))
-		for _, name := range names {
-			dst = codec.AppendString(dst, name)
-			dst = codec.AppendVarint(dst, rec.MinimizedParams[name])
-		}
-		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
-		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
-		for _, counter := range []int64{7, 3, 11, 5, 13} {
-			dst = codec.AppendVarint(dst, counter)
-		}
-		dst = codec.AppendBool(dst, true)
-		return codec.AppendNetlist(dst, rec.Optimized)
-	},
+// appendLegacyAccounting writes the modules and sorted parameters
+// every component record layout shares.
+func appendLegacyAccounting(dst []byte, rec *componentRecord) []byte {
+	dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
+	for _, name := range rec.UniqueModules {
+		dst = codec.AppendString(dst, name)
+	}
+	names := make([]string, 0, len(rec.MinimizedParams))
+	for name := range rec.MinimizedParams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dst = codec.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = codec.AppendString(dst, name)
+		dst = codec.AppendVarint(dst, rec.MinimizedParams[name])
+	}
+	dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
+	return codec.AppendVarint(dst, int64(rec.DedupedInstances))
 }
 
-// TestRecordV1EntryRecomputes plants a version-1 component record
-// under the unit's key: it must decode as corrupt, be discarded, and be
-// recomputed bit-identically, with this run's search counters rather
-// than the planted ones.
-func TestRecordV1EntryRecomputes(t *testing.T) {
-	d, top := execDesign(t)
-	ch, err := cache.Open(t.TempDir())
+// Payloads of the earlier record layouts, each carrying the whole
+// optimized netlist behind a presence bool. Component version 1 also
+// stored the search's probe counters and the subtree counters of
+// whichever run populated the entry.
+func componentV1Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
+	dst := codec.AppendBool([]byte{1}, true)
+	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
+	for _, counter := range []int64{7, 3, 11, 5, 13} {
+		dst = codec.AppendVarint(dst, counter)
+	}
+	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+}
+
+func componentV2Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
+	dst := codec.AppendBool([]byte{2}, true)
+	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
+	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+}
+
+func sigV1Payload(_ *componentRecord, sig *sigRecord, nl *netlist.Netlist) []byte {
+	dst := appendMetrics(codec.AppendBool([]byte{1}, true), sig.Metrics)
+	dst = codec.AppendVarint(dst, int64(sig.InstanceCount))
+	dst = codec.AppendVarint(dst, int64(sig.Deduped))
+	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+}
+
+// rawPayload stores already-encoded payload bytes as a cache entry.
+var rawPayload = codec.Codec[[]byte]{
+	Name:   "raw",
+	Append: func(dst, b []byte) []byte { return append(dst, b...) },
+}
+
+// entryNames lists a cache directory's entry files.
+func entryNames(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.ucx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Cache: ch}
+	return names
+}
+
+// TestOldRecordVersionsRecompute plants an entry of each earlier
+// record layout — component versions 1 and 2 and sig version 1, all
+// still carrying the optimized netlist — under its real key. Each must
+// decode as corrupt (one DecodeErrors), be recomputed bit-identically
+// to the reference pipeline with this run's search counters, and be
+// rewritten in place under the same key. A planted sig record is only
+// read when its unit's component record misses, so that row deletes
+// the component entry and expects both rewritten.
+func TestOldRecordVersionsRecompute(t *testing.T) {
+	d, top := execDesign(t)
 	want, err := measureComponentRef(d, top, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := measureExec(t, opts)
-	key, err := componentKey(d, top, true, opts)
+	inst, rep, err := elab.ElaborateOpts(d, top, want.MinimizedParams, elab.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok := cache.Get(ch, key, recordCodec)
-	if !ok {
-		t.Fatal("cold run wrote no component record")
-	}
-	if err := cache.Put(ch, key, recordV1Codec, rec); err != nil {
+	syn, err := synth.SynthesizeInstance(inst, rep, synth.LowerOptions{DedupInstances: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload := recordV1Codec.Append(nil, rec)
-	if _, err := recordCodec.Decode(codec.NewReader(payload)); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("v1 payload decoded with err %v, want ErrCorrupt", err)
+	nl := syn.Optimized
+	if nl.Hash() != want.NetlistHash {
+		t.Fatal("reference netlist hash does not match its synthesis")
 	}
 
-	before := ch.Stats()
-	again := measureExec(t, opts)
-	after := ch.Stats()
-	if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
-		t.Errorf("decode errors grew by %d, want 1 (the planted v1 record)", got)
-	}
-	if after.Puts-before.Puts != 1 {
-		t.Errorf("puts grew by %d, want the component record rewritten once", after.Puts-before.Puts)
-	}
-	for name, got := range map[string]*ComponentResult{"first": first, "recomputed": again} {
-		if *got.Metrics != *want.Metrics || !maps.Equal(got.MinimizedParams, want.MinimizedParams) ||
-			got.InstanceCount != want.InstanceCount || got.DedupedInstances != want.DedupedInstances ||
-			got.Synth.Optimized.Hash() != want.Synth.Optimized.Hash() {
-			t.Errorf("%s result diverged from the reference", name)
-		}
-	}
-	if again.ElabCacheHits != first.ElabCacheHits || again.ElabCacheMisses != first.ElabCacheMisses {
-		t.Errorf("recomputed search counters %d/%d, want this run's %d/%d",
-			again.ElabCacheHits, again.ElabCacheMisses, first.ElabCacheHits, first.ElabCacheMisses)
-	}
-	if _, ok := cache.Get(ch, key, recordCodec); !ok {
-		t.Error("recomputed record not readable at the current version")
+	for _, tc := range []struct {
+		name    string
+		kind    string
+		payload func(*componentRecord, *sigRecord, *netlist.Netlist) []byte
+		puts    int64
+	}{
+		{"component v1", "component", componentV1Payload, 1},
+		{"component v2", "component", componentV2Payload, 1},
+		{"sig v1", "sig", sigV1Payload, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ch, err := cache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Cache: ch}
+			first := measureExec(t, opts)
+			cold := entryNames(t, dir)
+			compKey, err := componentKey(d, top, true, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sigs, err := filepath.Glob(filepath.Join(dir, "sig-*.ucx"))
+			if err != nil || len(sigs) != 1 {
+				t.Fatalf("sig entries = %v (err %v), want exactly one", sigs, err)
+			}
+			sigKey := strings.TrimSuffix(filepath.Base(sigs[0]), ".ucx")
+			rec, ok := cache.Get(ch, compKey, recordCodec)
+			if !ok {
+				t.Fatal("cold run wrote no component record")
+			}
+			sig, ok := cache.Get(ch, sigKey, sigRecordCodec)
+			if !ok {
+				t.Fatal("cold run wrote no sig record")
+			}
+
+			payload := tc.payload(rec, sig, nl)
+			key := compKey
+			var decodeErr error
+			if tc.kind == "sig" {
+				key = sigKey
+				_, decodeErr = sigRecordCodec.Decode(codec.NewReader(payload))
+				if err := os.Remove(filepath.Join(dir, compKey+".ucx")); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				_, decodeErr = recordCodec.Decode(codec.NewReader(payload))
+			}
+			if !errors.Is(decodeErr, codec.ErrCorrupt) {
+				t.Fatalf("old payload decoded with err %v, want ErrCorrupt", decodeErr)
+			}
+			if err := cache.Put(ch, key, rawPayload, payload); err != nil {
+				t.Fatal(err)
+			}
+
+			before := ch.Stats()
+			again := measureExec(t, opts)
+			after := ch.Stats()
+			if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
+				t.Errorf("decode errors grew by %d, want 1 (the planted record)", got)
+			}
+			if got := after.Puts - before.Puts; got != tc.puts {
+				t.Errorf("puts grew by %d, want %d", got, tc.puts)
+			}
+			for name, got := range map[string]*ComponentResult{"first": first, "recomputed": again} {
+				if *got.Metrics != *want.Metrics || !maps.Equal(got.MinimizedParams, want.MinimizedParams) ||
+					got.InstanceCount != want.InstanceCount || got.DedupedInstances != want.DedupedInstances ||
+					got.NetlistHash != want.NetlistHash || got.Timing != want.Timing {
+					t.Errorf("%s result diverged from the reference", name)
+				}
+			}
+			if again.ElabCacheHits != first.ElabCacheHits || again.ElabCacheMisses != first.ElabCacheMisses {
+				t.Errorf("recomputed search counters %d/%d, want this run's %d/%d",
+					again.ElabCacheHits, again.ElabCacheMisses, first.ElabCacheHits, first.ElabCacheMisses)
+			}
+			if got := entryNames(t, dir); !slices.Equal(got, cold) {
+				t.Errorf("entries after recompute %v, want the cold run's %v", got, cold)
+			}
+			if _, ok := cache.Get(ch, compKey, recordCodec); !ok {
+				t.Error("component record not readable at the current version")
+			}
+			if _, ok := cache.Get(ch, sigKey, sigRecordCodec); !ok {
+				t.Error("sig record not readable at the current version")
+			}
+		})
 	}
 }
 

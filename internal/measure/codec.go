@@ -5,13 +5,13 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/netlist"
+	"repro/internal/timing"
 )
 
 // Binary codecs for the two records the disk cache persists: the full
-// component record (metrics + accounting details + the optimized
-// netlist timing analysis reuses) and the signature record of one
-// synthesized design point. Explicit field-by-field encoders over
+// component record (metrics, accounting details, the optimized
+// netlist's hash and its timing summary) and the signature record of
+// one synthesized design point. Explicit field-by-field encoders over
 // internal/codec's primitives — what encoding/gob did by reflection,
 // without the reflection. Each payload opens with its own structure
 // version byte so the layout can evolve under one cache schema: an
@@ -21,8 +21,10 @@ import (
 const (
 	// recordVersion 2 dropped the search counters version 1 stored:
 	// they described whichever run wrote the entry, not the result.
-	recordVersion = 2
-	sigVersion    = 1
+	// Version 3 (with sigVersion 2) replaced the optimized netlist by
+	// its hash and timing summary, and made the metrics mandatory.
+	recordVersion = 3
+	sigVersion    = 2
 )
 
 func appendMetrics(dst []byte, m *Metrics) []byte {
@@ -61,19 +63,30 @@ func decodeMetrics(r *codec.Reader) (*Metrics, error) {
 	return m, nil
 }
 
+func appendTiming(dst []byte, t timing.Summary) []byte {
+	dst = codec.AppendFloat64(dst, t.CriticalNs)
+	return codec.AppendVarint(dst, int64(t.NearCritical))
+}
+
+func decodeTiming(r *codec.Reader) timing.Summary {
+	return timing.Summary{CriticalNs: r.Float64(), NearCritical: int(r.Varint())}
+}
+
 // sigRecord is the cacheable outcome of synthesizing one signature —
 // one (top module, resolved parameters) design point: the
 // synthesis-derived metrics (source sums are added per unit at
 // assembly), the elaborated instance count, the dedup removals, and
-// the optimized netlist. It is the disk form of a Session flight-table
-// entry, keyed by the design point's subtree sources ("sig" entries),
-// so a remeasurement whose subtree is unchanged skips elaboration and
-// synthesis entirely even in a fresh process.
+// the optimized netlist's structural hash and timing summary. It is
+// the disk form of a Session flight-table entry, keyed by the design
+// point's subtree sources ("sig" entries), so a remeasurement whose
+// subtree is unchanged skips elaboration and synthesis entirely even
+// in a fresh process.
 type sigRecord struct {
 	Metrics       *Metrics
 	InstanceCount int
 	Deduped       int
-	Optimized     *netlist.Netlist
+	NetlistHash   string
+	Timing        timing.Summary
 }
 
 // sigRecordCodec persists *sigRecord (the "sig" cache entries).
@@ -81,38 +94,26 @@ var sigRecordCodec = codec.Codec[*sigRecord]{
 	Name: "measure.sigRecord",
 	Append: func(dst []byte, rec *sigRecord) []byte {
 		dst = codec.AppendByte(dst, sigVersion)
-		dst = codec.AppendBool(dst, rec.Metrics != nil)
-		if rec.Metrics != nil {
-			dst = appendMetrics(dst, rec.Metrics)
-		}
+		dst = appendMetrics(dst, rec.Metrics)
 		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
 		dst = codec.AppendVarint(dst, int64(rec.Deduped))
-		dst = codec.AppendBool(dst, rec.Optimized != nil)
-		if rec.Optimized != nil {
-			dst = codec.AppendNetlist(dst, rec.Optimized)
-		}
-		return dst
+		dst = codec.AppendString(dst, rec.NetlistHash)
+		return appendTiming(dst, rec.Timing)
 	},
 	Decode: func(r *codec.Reader) (*sigRecord, error) {
 		if v := r.Byte(); r.Err() == nil && v != sigVersion {
 			return nil, fmt.Errorf("%w: sig record structure version %d, want %d", codec.ErrCorrupt, v, sigVersion)
 		}
-		rec := &sigRecord{}
-		if r.Bool() {
-			m, err := decodeMetrics(r)
-			if err != nil {
-				return nil, err
-			}
-			rec.Metrics = m
+		m, err := decodeMetrics(r)
+		if err != nil {
+			return nil, err
 		}
-		rec.InstanceCount = int(r.Varint())
-		rec.Deduped = int(r.Varint())
-		if r.Bool() && r.Err() == nil {
-			opt, err := codec.DecodeNetlist(r)
-			if err != nil {
-				return nil, err
-			}
-			rec.Optimized = opt
+		rec := &sigRecord{
+			Metrics:       m,
+			InstanceCount: int(r.Varint()),
+			Deduped:       int(r.Varint()),
+			NetlistHash:   r.String(),
+			Timing:        decodeTiming(r),
 		}
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -131,8 +132,10 @@ func compareSigRecords(cached, fresh *sigRecord) string {
 		return fmt.Sprintf("instance count differs: cached %d, fresh %d", cached.InstanceCount, fresh.InstanceCount)
 	case cached.Deduped != fresh.Deduped:
 		return fmt.Sprintf("deduped instances differ: cached %d, fresh %d", cached.Deduped, fresh.Deduped)
-	case cached.Optimized.Hash() != fresh.Optimized.Hash():
-		return "optimized netlist structure differs"
+	case cached.NetlistHash != fresh.NetlistHash:
+		return fmt.Sprintf("optimized netlist hash differs: cached %s, fresh %s", cached.NetlistHash, fresh.NetlistHash)
+	case cached.Timing != fresh.Timing:
+		return fmt.Sprintf("timing summary differs: cached %+v, fresh %+v", cached.Timing, fresh.Timing)
 	}
 	return ""
 }
@@ -145,10 +148,7 @@ var recordCodec = codec.Codec[*componentRecord]{
 	Name: "measure.componentRecord",
 	Append: func(dst []byte, rec *componentRecord) []byte {
 		dst = codec.AppendByte(dst, recordVersion)
-		dst = codec.AppendBool(dst, rec.Metrics != nil)
-		if rec.Metrics != nil {
-			dst = appendMetrics(dst, rec.Metrics)
-		}
+		dst = appendMetrics(dst, rec.Metrics)
 		dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
 		for _, name := range rec.UniqueModules {
 			dst = codec.AppendString(dst, name)
@@ -165,24 +165,18 @@ var recordCodec = codec.Codec[*componentRecord]{
 		}
 		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
 		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
-		dst = codec.AppendBool(dst, rec.Optimized != nil)
-		if rec.Optimized != nil {
-			dst = codec.AppendNetlist(dst, rec.Optimized)
-		}
-		return dst
+		dst = codec.AppendString(dst, rec.NetlistHash)
+		return appendTiming(dst, rec.Timing)
 	},
 	Decode: func(r *codec.Reader) (*componentRecord, error) {
 		if v := r.Byte(); r.Err() == nil && v != recordVersion {
 			return nil, fmt.Errorf("%w: record structure version %d, want %d", codec.ErrCorrupt, v, recordVersion)
 		}
-		rec := &componentRecord{}
-		if r.Bool() {
-			m, err := decodeMetrics(r)
-			if err != nil {
-				return nil, err
-			}
-			rec.Metrics = m
+		m, err := decodeMetrics(r)
+		if err != nil {
+			return nil, err
 		}
+		rec := &componentRecord{Metrics: m}
 		if n := r.Count(1); n > 0 {
 			rec.UniqueModules = make([]string, n)
 			for i := range rec.UniqueModules {
@@ -201,15 +195,8 @@ var recordCodec = codec.Codec[*componentRecord]{
 		}
 		rec.InstanceCount = int(r.Varint())
 		rec.DedupedInstances = int(r.Varint())
-		var opt *netlist.Netlist
-		if r.Bool() && r.Err() == nil {
-			var err error
-			opt, err = codec.DecodeNetlist(r)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rec.Optimized = opt
+		rec.NetlistHash = r.String()
+		rec.Timing = decodeTiming(r)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hdl"
-	"repro/internal/netlist"
 	"repro/internal/synth"
+	"repro/internal/timing"
 )
 
 // ComponentResult carries a component measurement along with the
@@ -27,9 +27,15 @@ type ComponentResult struct {
 	// DedupedInstances is how many duplicate instances the
 	// single-instance rule removed (accounting mode only).
 	DedupedInstances int
-	// Synth is the synthesis of the component at the measured
-	// parameter point. Downstream analyses (timing, power sweeps) can
-	// reuse it instead of re-running synthesis.
+	// NetlistHash is the structural hash (netlist.Netlist.Hash) of the
+	// optimized netlist measured at that parameter point.
+	NetlistHash string
+	// Timing is the static-timing summary of that netlist (the §2.5/§7
+	// timing-aware extension reads it).
+	Timing timing.Summary
+	// Synth is kept only for source compatibility.
+	//
+	// Deprecated: always nil; read NetlistHash.
 	Synth *synth.Result
 	// ElabCacheHits and ElabCacheMisses count memoized versus fresh
 	// point verdicts during the parameter-minimization search
@@ -86,15 +92,16 @@ func componentKey(design *hdl.Design, top string, useAccounting bool, opts Optio
 
 // componentRecord is the cacheable projection of a ComponentResult:
 // everything downstream consumers read (metrics, accounting details,
-// and the optimized netlist that timing analysis reuses), without the
-// live elaboration trees a fresh synthesis also carries.
+// the netlist hash, and the timing summary), without this run's search
+// counters.
 type componentRecord struct {
 	Metrics          *Metrics
 	UniqueModules    []string
 	MinimizedParams  map[string]int64
 	InstanceCount    int
 	DedupedInstances int
-	Optimized        *netlist.Netlist
+	NetlistHash      string
+	Timing           timing.Summary
 }
 
 func recordOf(res *ComponentResult) *componentRecord {
@@ -104,7 +111,8 @@ func recordOf(res *ComponentResult) *componentRecord {
 		MinimizedParams:  res.MinimizedParams,
 		InstanceCount:    res.InstanceCount,
 		DedupedInstances: res.DedupedInstances,
-		Optimized:        res.Synth.Optimized,
+		NetlistHash:      res.NetlistHash,
+		Timing:           res.Timing,
 	}
 }
 
@@ -115,7 +123,8 @@ func (r *componentRecord) toResult() *ComponentResult {
 		MinimizedParams:  r.MinimizedParams,
 		InstanceCount:    r.InstanceCount,
 		DedupedInstances: r.DedupedInstances,
-		Synth:            &synth.Result{Optimized: r.Optimized},
+		NetlistHash:      r.NetlistHash,
+		Timing:           r.Timing,
 	}
 }
 
@@ -131,8 +140,10 @@ func compareRecords(cached, fresh *componentRecord) string {
 		return fmt.Sprintf("instance count differs: cached %d, fresh %d", cached.InstanceCount, fresh.InstanceCount)
 	case cached.DedupedInstances != fresh.DedupedInstances:
 		return fmt.Sprintf("deduped instances differ: cached %d, fresh %d", cached.DedupedInstances, fresh.DedupedInstances)
-	case cached.Optimized.Hash() != fresh.Optimized.Hash():
-		return "optimized netlist structure differs"
+	case cached.NetlistHash != fresh.NetlistHash:
+		return fmt.Sprintf("optimized netlist hash differs: cached %s, fresh %s", cached.NetlistHash, fresh.NetlistHash)
+	case cached.Timing != fresh.Timing:
+		return fmt.Sprintf("timing summary differs: cached %+v, fresh %+v", cached.Timing, fresh.Timing)
 	}
 	return ""
 }

@@ -117,7 +117,7 @@ func TestMinimizeParamsCorpusMatchesUncachedReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh synthesis: %v", c.Label(), err)
 		}
-		if got, want := res.Synth.Optimized.Hash(), fresh.Optimized.Hash(); got != want {
+		if got, want := res.NetlistHash, fresh.Optimized.Hash(); got != want {
 			t.Errorf("%s: cached-elaboration netlist hash %s, fresh %s", c.Label(), got, want)
 		}
 	}

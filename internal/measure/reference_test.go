@@ -9,14 +9,15 @@ import (
 	"repro/internal/srcmetrics"
 	"repro/internal/stdcell"
 	"repro/internal/synth"
+	"repro/internal/timing"
 )
 
 // measureComponentRef is the reference the session is pinned against:
 // one component measured alone, with no session, no flight table, no
 // disk cache, and no workspaces — a fresh elaboration of the measured
 // point (minimized against its own search cache in accounting mode),
-// fresh lowering, and the cone, LUT, and power kernels on fresh
-// scratch (nil workspaces). The
+// fresh lowering, and the cone, LUT, power, and timing kernels on
+// fresh scratch (nil workspaces). The
 // golden tests require every Session result to match it bit for bit.
 func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
 	modules, err := design.TransitiveModules(top)
@@ -50,11 +51,12 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 	if err != nil {
 		return nil, err
 	}
-	res.Synth = synres
 	res.DedupedInstances = synres.Deduped
 
 	lib := stdcell.Default180nm()
 	nl := synres.Optimized
+	res.NetlistHash = nl.Hash()
+	res.Timing = timing.Summarize(nl, lib, nil)
 	stats := nl.Stats()
 	mapping := fpga.MapWS(nl, fpga.Options{}, nil)
 	pw := power.AnalyzeWS(nl, lib, mapping.FreqMHz, nil)

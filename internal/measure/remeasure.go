@@ -97,17 +97,13 @@ func (s *Session) Baseline(units []Unit, results []*ComponentResult, opts Option
 		if err != nil {
 			return nil, err
 		}
-		nh := ""
-		if res.Synth != nil && res.Synth.Optimized != nil {
-			nh = res.Synth.Optimized.Hash()
-		}
 		g.AddUnit(depgraph.Unit{
 			Top:           u.Top,
 			UseAccounting: u.UseAccounting,
 			SubtreeHash:   st,
 			ParamSig:      elab.ParamSignature(u.Top, full),
 			Params:        full,
-			NetlistHash:   nh,
+			NetlistHash:   res.NetlistHash,
 		})
 		b.byUnit[u] = res
 	}

@@ -11,7 +11,9 @@ import (
 	"repro/internal/hdl"
 	"repro/internal/parallel"
 	"repro/internal/srcmetrics"
+	"repro/internal/stdcell"
 	"repro/internal/synth"
+	"repro/internal/timing"
 )
 
 // Unit is one measurement request in a Session batch: a top module
@@ -116,10 +118,8 @@ func (s *Session) flightFor(key string) (f *sigFlight, owned bool) {
 	return f, true
 }
 
-// evictFlight drops key from the flight table, releasing the optimized
-// netlist it retains. Two callers: a streaming group, once every unit
-// that could wait on its flights has assembled, and an owner that
-// abandons its flight to cancellation.
+// evictFlight drops key from the flight table. Its one caller is an
+// owner that abandons its flight to cancellation.
 func (s *Session) evictFlight(key string) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
@@ -129,13 +129,14 @@ func (s *Session) evictFlight(key string) {
 
 // sigFlight is the single-flight synthesis of one signature: the first
 // unit to request the signature computes it, everyone else waits on
-// done and reads the shared entry.
+// done and reads the shared record. The record holds only the
+// synthesis-derived metrics (no source sums), counters, the netlist
+// hash, and the timing summary — a few hundred bytes — so the table
+// keeps every flight for the session's lifetime.
 type sigFlight struct {
-	done      chan struct{}
-	res       *synth.Result
-	metrics   *Metrics // synthesis-derived metrics only (no source sums)
-	instCount int
-	err       error
+	done chan struct{}
+	rec  *sigRecord
+	err  error
 }
 
 // NewSession creates a measurement session over one parsed design.
@@ -246,7 +247,7 @@ func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options)
 // pool size given by the entry point.
 func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, inner int) ([]*ComponentResult, error) {
 	results := make([]*ComponentResult, len(units))
-	err := s.measureGroups(ctx, units, opts, inner, false, func(i int, res *ComponentResult) error {
+	err := s.measureGroups(ctx, units, opts, inner, func(i int, res *ComponentResult) error {
 		results[i] = res
 		return nil
 	})
@@ -257,25 +258,15 @@ func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, in
 }
 
 // MeasureStream measures every unit like MeasureAll but streams each
-// result to yield instead of returning the batch, and retires each
-// top-module group's flight-table entries as soon as the group's units
-// have been assembled. Peak memory therefore stays bounded by the
-// in-flight groups (plus whatever yield retains) instead of growing
-// with every distinct signature's optimized netlist for the session's
-// lifetime — at a thousand components, the difference between a
-// bounded working set and retaining a thousand netlists.
+// result to yield instead of returning the batch, so the caller need
+// not hold a thousand-component batch's results at once. Its flights
+// stay in the session's table, as MeasureAll's do.
 //
 // yield is called exactly once per successfully measured unit with the
 // unit's index and its result; calls are serialized (never concurrent)
-// but arrive in completion order, not unit order, and the result is
-// only guaranteed valid during the call — retain a projection, not the
-// pointer, to keep eviction effective. A non-nil yield error aborts
-// the batch. Every result is bit-identical to MeasureAll's for the
-// same unit. Flight eviction is safe because a signature key embeds
-// its top module's name, so every unit that can share a flight is in
-// the evicting group; a later call measuring the same top synthesizes
-// it again (through the warm disk cache when one is attached), and the
-// session's Synthesized counter counts it again.
+// but arrive in completion order, not unit order. A non-nil yield
+// error aborts the batch. Every result is bit-identical to
+// MeasureAll's for the same unit.
 func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
 	return s.MeasureStreamCtx(context.Background(), units, opts, yield)
 }
@@ -284,7 +275,7 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 // cancellation contract: unit-granular checks, abandoned flights
 // resolved with the context error and evicted.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
-	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), true, yield)
+	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), yield)
 }
 
 // searchConcurrency is a batch's minimization-search pool size: when
@@ -318,9 +309,8 @@ func searchConcurrency(concurrency int) int {
 // owns exactly once, then assembles each unit from its signature's
 // shared entry plus its own per-module source metrics, persists it
 // through the disk cache, and hands it to yield (calls serialized).
-// With evict, the group's owned flights leave the table once its units
-// are assembled; without, they stay for later calls on the session.
-func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, evict bool, yield func(i int, res *ComponentResult) error) error {
+// The group's flights stay in the table for later calls on the session.
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	snap := s.prepBatch(len(units), opts)
 
@@ -365,17 +355,6 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 		// now resolved; later hits come from the flight table, not from
 		// re-elaboration, so the component's cache retires here.
 		s.addElabStats(ecache.Stats())
-		if evict {
-			// Evict only the flights this group owns: every one is
-			// resolved, and waiters holding the pointer — a concurrent
-			// call that planned the same top — are unaffected by the map
-			// delete. A flight some other call owns stays put.
-			defer func() {
-				for _, p := range owned {
-					s.evictFlight(p.sigKey)
-				}
-			}()
-		}
 		for j, i := range idx {
 			res, err := s.assembleUnit(ctx, units[i], plans[j], opts, snap)
 			if err != nil {
@@ -596,8 +575,9 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // component's elaboration cache (reusing every subtree the
 // minimization search or reference elaboration already built — a unit
 // measured at its defaults reuses the reference tree whole), lowers
-// it, optimizes, extracts the synthesis-derived metrics, and persists
-// the record. done is always closed, error or not.
+// it, optimizes, extracts the synthesis-derived metrics, hashes the
+// optimized netlist and summarizes its timing, and persists the record.
+// done is always closed, error or not.
 //
 // A context canceled before the entry is computed resolves the flight
 // with the context error and evicts its key from the shared table: the
@@ -625,15 +605,15 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		if err != nil {
 			return nil, err
 		}
-		// Metrics are extracted before Slim trims the netlist's derived
-		// tables in place.
-		metrics := synthMetrics(synres, ws)
-		slim := synres.Slim()
+		// The timing summary runs after the metric kernels, while the
+		// netlist's topological order they built is still memoized.
+		nl := synres.Optimized
 		return &sigRecord{
-			Metrics:       metrics,
+			Metrics:       synthMetrics(synres, ws),
 			InstanceCount: inst.CountInstances(),
-			Deduped:       slim.Deduped,
-			Optimized:     slim.Optimized,
+			Deduped:       synres.Deduped,
+			NetlistHash:   nl.Hash(),
+			Timing:        timing.Summarize(nl, stdcell.Default180nm(), &ws.timing),
 		}, nil
 	}
 	// A nil cache runs compute directly (p.diskSigKey is "" then and
@@ -645,14 +625,9 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		return
 	}
 	// The flight table outlives the call, so it retains only the
-	// record's projection — the optimized netlist and the lowering
-	// counters. Keeping the raw netlist, instance tree, and report would
-	// pin every signature's full elaboration for the session's lifetime,
-	// and that live-heap growth costs more in garbage-collector mark
-	// time across a batch than the fields are worth.
-	f.metrics = rec.Metrics
-	f.instCount = rec.InstanceCount
-	f.res = &synth.Result{Optimized: rec.Optimized, Deduped: rec.Deduped}
+	// record: the synthesis result (netlists, instance tree, report)
+	// dies with this call.
+	f.rec = rec
 }
 
 // sourceCounts memoizes one module's software metrics for the life of
@@ -697,9 +672,10 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	}
 
 	res := &ComponentResult{
-		InstanceCount:    f.instCount,
-		DedupedInstances: f.res.Deduped,
-		Synth:            f.res,
+		InstanceCount:    f.rec.InstanceCount,
+		DedupedInstances: f.rec.Deduped,
+		NetlistHash:      f.rec.NetlistHash,
+		Timing:           f.rec.Timing,
 		MinimizedParams:  p.overrides,
 		ElabCacheHits:    p.hits,
 		ElabCacheMisses:  p.misses,
@@ -709,7 +685,7 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 		return nil, err
 	}
 	res.UniqueModules = modules
-	m := *f.metrics // copy: the entry is shared across units
+	m := *f.rec.Metrics // copy: the record is shared across units
 	for _, name := range modules {
 		src, err := s.sourceCounts(name)
 		if err != nil {

@@ -14,8 +14,8 @@ import (
 
 // sameResult fails the test unless two component measurements are
 // bit-identical in everything paper-facing: the full metrics struct,
-// the minimized parameters, the accounting counts, and the optimized
-// netlist structure.
+// the minimized parameters, the accounting counts, the optimized
+// netlist's hash, and its timing summary.
 func sameResult(t *testing.T, label string, got, want *measure.ComponentResult) {
 	t.Helper()
 	if *got.Metrics != *want.Metrics {
@@ -30,8 +30,11 @@ func sameResult(t *testing.T, label string, got, want *measure.ComponentResult) 
 	if got.DedupedInstances != want.DedupedInstances {
 		t.Errorf("%s: deduped %d, want %d", label, got.DedupedInstances, want.DedupedInstances)
 	}
-	if g, w := got.Synth.Optimized.Hash(), want.Synth.Optimized.Hash(); g != w {
-		t.Errorf("%s: optimized netlist hash %s, want %s", label, g, w)
+	if got.NetlistHash == "" || got.NetlistHash != want.NetlistHash {
+		t.Errorf("%s: optimized netlist hash %s, want %s", label, got.NetlistHash, want.NetlistHash)
+	}
+	if got.Timing != want.Timing {
+		t.Errorf("%s: timing summary %+v, want %+v", label, got.Timing, want.Timing)
 	}
 }
 
@@ -162,6 +165,24 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 				if cs := warm.Stats(); cs.Misses != 0 || cs.Hits != int64(len(units)) {
 					t.Errorf("warm cache stats %+v: want %d hits, 0 misses", cs, len(units))
 				}
+
+				// A baseline anchored on warm results, which carry only
+				// what the disk records hold, records the same netlist
+				// hash per unit as one anchored on the cold results.
+				coldBase, err := sess.Baseline(units, got, measure.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				warmBase, err := sess2.Baseline(units, got2, measure.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, u := range units {
+					ch, wh := coldBase.Graph.Units[i].NetlistHash, warmBase.Graph.Units[i].NetlistHash
+					if ch == "" || wh != ch {
+						t.Errorf("%s(acct=%t): warm baseline netlist hash %q, cold %q", u.Top, u.UseAccounting, wh, ch)
+					}
+				}
 			})
 		})
 	}
@@ -231,7 +252,7 @@ endmodule`}
 							g, cycle, u.Top, u.UseAccounting, *got[i].Metrics, *want[i].Metrics)
 						return
 					}
-					if gh, wh := got[i].Synth.Optimized.Hash(), want[i].Synth.Optimized.Hash(); gh != wh {
+					if gh, wh := got[i].NetlistHash, want[i].NetlistHash; gh != wh {
 						errCh <- fmt.Errorf("goroutine %d cycle %d %s(acct=%t): netlist hash %s, want %s",
 							g, cycle, u.Top, u.UseAccounting, gh, wh)
 						return
@@ -321,14 +342,13 @@ endmodule`}
 	}
 }
 
-// TestFlightsKeptByMeasureAllEvictedByStream pins the entry points'
-// flight-table rule. MeasureAll keeps its flights, so a second
-// MeasureAll of the same batch on the same session synthesizes nothing
-// and answers every planned unit from the table (the paper workload's
-// extension depends on this reuse of Figure 6's flights). MeasureStream
-// evicts each group's flights once the group is assembled, so a second
-// stream of the same tops synthesizes them all again.
-func TestFlightsKeptByMeasureAllEvictedByStream(t *testing.T) {
+// TestFlightsKeptByMeasureAllAndStream pins the entry points'
+// flight-table rule: both keep their flights, so a second batch of the
+// same units on the same session — MeasureAll or MeasureStream —
+// synthesizes nothing and answers every planned unit from the table
+// (the paper workload's extension depends on this reuse of Figure 6's
+// flights).
+func TestFlightsKeptByMeasureAllAndStream(t *testing.T) {
 	d, err := designs.FullDesign()
 	if err != nil {
 		t.Fatal(err)
@@ -340,40 +360,40 @@ func TestFlightsKeptByMeasureAllEvictedByStream(t *testing.T) {
 		}
 	}
 	opts := measure.Options{Concurrency: 2}
-
-	sess := measure.NewSession(d)
-	if _, err := sess.MeasureAll(units, opts); err != nil {
-		t.Fatal(err)
-	}
-	first := sess.Stats()
-	if first.Synthesized == 0 {
-		t.Fatalf("stats %+v: first batch synthesized nothing", first)
-	}
-	if _, err := sess.MeasureAll(units, opts); err != nil {
-		t.Fatal(err)
-	}
-	second := sess.Stats()
-	if got := second.Synthesized - first.Synthesized; got != 0 {
-		t.Errorf("second MeasureAll synthesized %d signatures, want 0", got)
-	}
-	planned := second.Planned - first.Planned
-	if planned != len(units) {
-		t.Errorf("second MeasureAll planned %d units, want %d", planned, len(units))
-	}
-	if got := second.Shared - first.Shared; got != planned {
-		t.Errorf("second MeasureAll shared %d, want every planned unit (%d)", got, planned)
-	}
-
-	stream := measure.NewSession(d)
 	drain := func(int, *measure.ComponentResult) error { return nil }
-	if err := stream.MeasureStream(units, opts, drain); err != nil {
-		t.Fatal(err)
-	}
-	once := stream.Stats().Synthesized
-	if err := stream.MeasureStream(units, opts, drain); err != nil {
-		t.Fatal(err)
-	}
-	if got := stream.Stats().Synthesized - once; got != once {
-		t.Errorf("second MeasureStream synthesized %d signatures, want all %d again", got, once)
+	for _, tc := range []struct {
+		name string
+		run  func(*measure.Session) error
+	}{
+		{"MeasureAll", func(s *measure.Session) error {
+			_, err := s.MeasureAll(units, opts)
+			return err
+		}},
+		{"MeasureStream", func(s *measure.Session) error {
+			return s.MeasureStream(units, opts, drain)
+		}},
+	} {
+		sess := measure.NewSession(d)
+		if err := tc.run(sess); err != nil {
+			t.Fatal(err)
+		}
+		first := sess.Stats()
+		if first.Synthesized == 0 {
+			t.Fatalf("%s: stats %+v: first batch synthesized nothing", tc.name, first)
+		}
+		if err := tc.run(sess); err != nil {
+			t.Fatal(err)
+		}
+		second := sess.Stats()
+		if got := second.Synthesized - first.Synthesized; got != 0 {
+			t.Errorf("%s: second batch synthesized %d signatures, want 0", tc.name, got)
+		}
+		planned := second.Planned - first.Planned
+		if planned != len(units) {
+			t.Errorf("%s: second batch planned %d units, want %d", tc.name, planned, len(units))
+		}
+		if got := second.Shared - first.Shared; got != planned {
+			t.Errorf("%s: second batch shared %d, want every planned unit (%d)", tc.name, got, planned)
+		}
 	}
 }

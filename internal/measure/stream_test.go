@@ -8,16 +8,17 @@ import (
 	"repro/internal/cache"
 	"repro/internal/gencorpus"
 	"repro/internal/measure"
+	"repro/internal/timing"
 )
 
-// resultKey is the paper-facing projection of one measurement, safe to
-// retain after a streamed result's netlist has been released.
+// resultKey is the paper-facing projection of one measurement.
 type resultKey struct {
 	metrics measure.Metrics
 	params  map[string]int64
 	insts   int
 	deduped int
 	nlHash  string
+	timing  timing.Summary
 }
 
 func project(res *measure.ComponentResult) resultKey {
@@ -26,7 +27,8 @@ func project(res *measure.ComponentResult) resultKey {
 		params:  maps.Clone(res.MinimizedParams),
 		insts:   res.InstanceCount,
 		deduped: res.DedupedInstances,
-		nlHash:  res.Synth.Optimized.Hash(),
+		nlHash:  res.NetlistHash,
+		timing:  res.Timing,
 	}
 }
 
@@ -43,6 +45,9 @@ func sameKey(t *testing.T, label string, got, want resultKey) {
 	}
 	if got.nlHash != want.nlHash {
 		t.Errorf("%s: optimized netlist hash %s, want %s", label, got.nlHash, want.nlHash)
+	}
+	if got.timing != want.timing {
+		t.Errorf("%s: timing summary %+v, want %+v", label, got.timing, want.timing)
 	}
 }
 

@@ -7,20 +7,22 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/power"
 	"repro/internal/synth"
+	"repro/internal/timing"
 )
 
 // Workspace bundles the per-worker scratch of the whole measurement
 // kernel chain — lowering and netlist optimization, cone extraction,
-// LUT mapping, and power analysis — so one pool worker can measure
-// design point after design point with near-zero steady-state heap
-// allocation. A workspace is owned by exactly one goroutine at a time.
+// LUT mapping, power analysis, and the timing summary — so one pool
+// worker can measure design point after design point with near-zero
+// steady-state heap allocation. A workspace is owned by exactly one goroutine at a time.
 // The golden tests pin the workspace kernels against a fresh-allocation
 // reference pipeline that lives in the tests.
 type Workspace struct {
-	synth *synth.Workspace
-	cones cones.Workspace
-	fpga  fpga.Workspace
-	power power.Workspace
+	synth  *synth.Workspace
+	cones  cones.Workspace
+	fpga   fpga.Workspace
+	power  power.Workspace
+	timing timing.Workspace
 }
 
 // reset drops references into measured data so a pooled workspace pins

@@ -164,9 +164,7 @@ type Netlist struct {
 	// Per-net debug names ("" for anonymous), packed into one
 	// pointer-free backing buffer: name i is
 	// NetNameData[NetNameOff[i]:NetNameOff[i+1]]. A netlist can be
-	// retained for a long time (measurement sessions keep every
-	// distinct signature's optimized netlist alive), and a plain
-	// []string would make the garbage collector scan one pointer per
+	// retained for a long time, and a plain []string would make the garbage collector scan one pointer per
 	// net on every cycle; the packed form is marked without being
 	// scanned. Build the pair with SetNetNames, read through
 	// NetName/NumNets; both tables may be empty after TrimNames.
@@ -348,10 +346,9 @@ func (n *Netlist) Hash() string {
 // TrimDerived drops the lazily derived driver and topological-order
 // tables, keeping the memoized structural hash. Both tables rebuild on
 // demand, so this is purely a live-heap release for netlists retained
-// beyond their measurement (a session's flight table keeps every
-// distinct signature's optimized netlist for the rest of the session;
-// the derived tables are sized by cell count and would otherwise
-// dominate what the garbage collector has to carry for them).
+// beyond their measurement (the derived tables are sized by cell count
+// and would otherwise dominate what the garbage collector has to carry
+// for them).
 func (n *Netlist) TrimDerived() {
 	n.derived.mu.Lock()
 	n.derived.drivers = nil

@@ -8,8 +8,6 @@ import (
 	"repro/internal/measure"
 	"repro/internal/nlme"
 	"repro/internal/parallel"
-	"repro/internal/stdcell"
-	"repro/internal/timing"
 )
 
 // TimingAwareResult is the future-work extension experiment of §2.5/§7:
@@ -28,15 +26,13 @@ type TimingAwareResult struct {
 }
 
 // TimingAwareOpts runs the extension experiment on the synthetic
-// corpus. Timing analysis reuses the synthesis the accounting
-// measurement already ran rather than synthesizing the component a
-// second time; cached measurements carry their optimized netlist, so
-// warm runs skip synthesis but still feed timing analysis the
-// identical structure.
+// corpus. The timing metrics come with the accounting measurement: its
+// synthesis summarizes the netlist's static timing, and cached
+// measurements carry that summary, so warm runs read the identical
+// numbers without synthesizing anything.
 func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 	concurrency := o.Concurrency
 	comps := designs.All()
-	lib := stdcell.Default180nm()
 
 	type row struct {
 		project      string
@@ -63,23 +59,18 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 		return nil, err
 	}
 	inner := o.inner(parallel.Workers(concurrency) > 1)
-	rows, err := parallel.Map(concurrency, len(comps), func(i int) (row, error) {
-		c := comps[i]
+	rows := make([]row, len(comps))
+	for i, c := range comps {
+		// Timing is summarized on the accounting-scaled synthesis.
 		acc := accs[i]
-		// Timing runs on the accounting-scaled synthesis, which the
-		// measurement carries with it.
-		ta := timing.Analyze(acc.Synth.Optimized, lib)
-		return row{
+		rows[i] = row{
 			project:      c.Project,
 			effort:       c.Effort,
 			stmts:        float64(acc.Metrics.Stmts),
 			fanInLC:      float64(acc.Metrics.FanInLC),
-			criticalNs:   ta.CriticalNs,
-			nearCritical: float64(ta.NearCritical),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+			criticalNs:   acc.Timing.CriticalNs,
+			nearCritical: float64(acc.Timing.NearCritical),
+		}
 	}
 
 	fit := func(name string, cols func(r row) []float64, names []string) (float64, error) {

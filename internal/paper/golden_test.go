@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 // The golden exhibits test pins every number `ucpaper -all` prints:
@@ -19,14 +21,15 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/all.golden fr
 const goldenPath = "testdata/all.golden"
 
 // renderAll prints what `ucpaper -all` prints, in the same order and
-// with the same per-exhibit newline, through one shared session.
-func renderAll(t *testing.T) string {
+// with the same per-exhibit newline, through one shared session and the
+// given cache (nil: cache off).
+func renderAll(t *testing.T, ch *cache.Cache) string {
 	t.Helper()
 	sess, err := NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Opts{Session: sess}
+	opts := Opts{Session: sess, Cache: ch}
 	var b strings.Builder
 	emit := func(s string) {
 		b.WriteString(s)
@@ -71,12 +74,14 @@ func renderAll(t *testing.T) string {
 }
 
 // TestGoldenAllExhibits compares the full rendered reproduction with
-// testdata/all.golden.
+// testdata/all.golden with the measurement cache off, cold, warm, and
+// warm in verify mode. The warm runs answer every component from disk
+// records, so the timing extension reads its metrics from them.
 func TestGoldenAllExhibits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus measurement")
 	}
-	got := renderAll(t)
+	got := renderAll(t, nil)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -90,10 +95,44 @@ func TestGoldenAllExhibits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got == string(want) {
+	sameGolden(t, "cache off", got, string(want))
+
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGolden(t, "cold cache", renderAll(t, ch), string(want))
+	if s := ch.Stats(); s.Puts == 0 {
+		t.Fatalf("cold run wrote nothing: %+v", s)
+	}
+	warm, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGolden(t, "warm cache", renderAll(t, warm), string(want))
+	if s := warm.Stats(); s.Misses != 0 || s.Hits == 0 {
+		t.Errorf("warm run stats %+v: want every measurement answered from disk", s)
+	}
+	verify, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify.SetVerify(true)
+	sameGolden(t, "warm cache, verify", renderAll(t, verify), string(want))
+	if s := verify.Stats(); s.VerifyChecks == 0 || s.VerifyMismatches != 0 {
+		t.Errorf("verify run stats %+v: want clean verify checks", s)
+	}
+}
+
+// sameGolden fails the test at the first line where got differs from
+// the golden rendering.
+func sameGolden(t *testing.T, label, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	for i := 0; i < len(gl) || i < len(wl); i++ {
 		var g, w string
 		if i < len(gl) {
@@ -103,7 +142,7 @@ func TestGoldenAllExhibits(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("rendered exhibits differ from %s at line %d:\n got: %q\nwant: %q", goldenPath, i+1, g, w)
+			t.Fatalf("%s: rendered exhibits differ from %s at line %d:\n got: %q\nwant: %q", label, goldenPath, i+1, g, w)
 		}
 	}
 }

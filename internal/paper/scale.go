@@ -71,8 +71,7 @@ func CorpusScaleConfig(cfg gencorpus.Config, o Opts) (*ScaleResult, error) {
 	err = sess.MeasureStream(units, o.measureOptions(), func(i int, res *measure.ComponentResult) error {
 		ci := i % n
 		c := corpus.Components[ci]
-		// Retain only the fit-ready metric projection; the result (and
-		// its netlist) is released when the group's flights retire.
+		// Retain only the fit-ready metric projection.
 		row := dataset.Component{
 			Project: c.Project,
 			Name:    c.Top,

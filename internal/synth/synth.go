@@ -29,27 +29,6 @@ type Result struct {
 	Stamped int
 }
 
-// Slim returns the cacheable projection of the result: the optimized
-// netlist and the lowering counters, without the raw netlist, instance
-// tree, or elaboration report (no downstream consumer of a retained or
-// persisted result reads them), and with the optimized netlist's
-// derived tables and debug names trimmed — they rebuild on demand, and
-// for a result that outlives its measurement (a session's flight table,
-// a disk-cache record) they are pure live-heap and disk weight. This is
-// the shape internal/measure persists through internal/cache, so the
-// trim here is also what the binary codec serializes. The receiver's
-// optimized netlist is trimmed in place; the receiver itself is not
-// otherwise modified.
-func (r *Result) Slim() *Result {
-	slim := *r
-	slim.Raw, slim.Top, slim.Report = nil, nil, nil
-	if slim.Optimized != nil {
-		slim.Optimized.TrimDerived()
-		slim.Optimized.TrimNames()
-	}
-	return &slim
-}
-
 // Synthesize elaborates module top of the design with the given
 // parameter overrides and lowers it to an optimized netlist.
 func Synthesize(design *hdl.Design, top string, overrides map[string]int64) (*Result, error) {

@@ -8,38 +8,25 @@
 // The analysis computes, for every endpoint (primary output, FF/latch
 // data input, RAM input pin), the longest combinational arrival time
 // under the cell library's delays, and summarizes the design's timing
-// profile: the critical path, the achievable ASIC frequency, and the
-// count of near-critical endpoints (paths within 10% of the worst) —
-// a proxy for how many logic cones a timing-closure effort would have
-// to restructure.
+// profile: the critical path and the count of near-critical endpoints
+// (paths within 10% of the worst) — a proxy for how many logic cones a
+// timing-closure effort would have to restructure.
 package timing
 
 import (
-	"sort"
-
 	"repro/internal/netlist"
+	"repro/internal/scratch"
 	"repro/internal/stdcell"
 )
 
-// PathReport is one endpoint's timing.
-type PathReport struct {
-	Endpoint  string
-	ArrivalNs float64
-}
-
-// Analysis summarizes the design's static timing.
-type Analysis struct {
+// Summary is the design's static-timing profile.
+type Summary struct {
 	// CriticalNs is the longest register-to-register (or input-to-
 	// output) combinational delay, including clk-to-q and setup.
 	CriticalNs float64
-	// FreqMHz is 1000/CriticalNs.
-	FreqMHz float64
 	// NearCritical counts endpoints within 10% of the critical path —
 	// the cones timing closure would fight with.
 	NearCritical int
-	// Endpoints holds every endpoint's arrival time, sorted slowest
-	// first.
-	Endpoints []PathReport
 }
 
 // Constants of the flop timing model (ns), matching the FPGA model's
@@ -49,35 +36,44 @@ const (
 	setup  = 0.10
 )
 
-// Analyze runs static timing over the netlist with the given library.
-func Analyze(n *netlist.Netlist, lib *stdcell.Library) *Analysis {
-	arrival := make([]float64, n.NumNets())
-	computed := make([]bool, n.NumNets())
+// Workspace holds the per-net arrival plane and the endpoint arrivals,
+// reusable across analyses. It holds no references into a netlist, so
+// it needs no reset. Owned by one goroutine at a time; nil selects
+// fresh scratch.
+type Workspace struct {
+	arrival []float64
+	ends    []float64
+}
 
+// Summarize runs static timing over the netlist with the given library
+// and returns its summary: one max-arrival pass over the endpoints,
+// then a count of those at or above 0.9× the critical delay. A design
+// with a combinational cycle, or with no endpoint, summarizes to zero.
+// ws may be nil (fresh scratch) or a reused workspace; the summary is
+// identical either way.
+func Summarize(n *netlist.Netlist, lib *stdcell.Library, ws *Workspace) Summary {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	order, err := n.TopoOrder()
+	if err != nil {
+		return Summary{}
+	}
 	// Leaves launch at clk-to-q (sequential outputs, RAM reads) or 0
 	// (primary inputs, constants).
-	for i := range arrival {
-		arrival[i] = 0
-	}
+	arrival := scratch.Zero(&ws.arrival, n.NumNets())
 	for ci := range n.Cells {
 		c := &n.Cells[ci]
 		if c.Type.IsSequential() {
 			arrival[c.Out] = clkToQ
-			computed[c.Out] = true
 		}
 	}
 	for _, r := range n.RAMs {
 		for _, rp := range r.ReadPorts {
 			for _, o := range rp.Out {
 				arrival[o] = clkToQ + lib.RAMAccessDelay
-				computed[o] = true
 			}
 		}
-	}
-
-	order, err := n.TopoOrder()
-	if err != nil {
-		return &Analysis{}
 	}
 	for _, ci := range order {
 		c := &n.Cells[ci]
@@ -88,63 +84,59 @@ func Analyze(n *netlist.Netlist, lib *stdcell.Library) *Analysis {
 			}
 		}
 		arrival[c.Out] = worst + lib.CellParams(c.Type).Delay
-		computed[c.Out] = true
 	}
 
-	an := &Analysis{}
-	add := func(endpoint string, id netlist.NetID, extra float64) {
-		if id == netlist.Nil {
-			return
+	ends := ws.ends[:0]
+	add := func(id netlist.NetID, extra float64) {
+		if id != netlist.Nil {
+			ends = append(ends, arrival[id]+extra)
 		}
-		an.Endpoints = append(an.Endpoints, PathReport{
-			Endpoint:  endpoint,
-			ArrivalNs: arrival[id] + extra,
-		})
 	}
 	for _, p := range n.Outputs {
-		add("out:"+p.Name, p.Net, 0)
+		add(p.Net, 0)
 	}
 	for ci := range n.Cells {
 		c := &n.Cells[ci]
 		if c.Type.IsSequential() {
-			add("seq:"+c.Type.String(), c.In[0], setup)
+			add(c.In[0], setup)
 			if c.Type == netlist.Latch {
-				add("seq:LATCH.en", c.In[1], setup)
+				add(c.In[1], setup)
 			}
 		}
 	}
 	for _, r := range n.RAMs {
 		for _, wp := range r.WritePorts {
-			add("ram:"+r.Name+":wen", wp.En, setup)
+			add(wp.En, setup)
 			for _, b := range wp.Addr {
-				add("ram:"+r.Name+":waddr", b, setup)
+				add(b, setup)
 			}
 			for _, b := range wp.Data {
-				add("ram:"+r.Name+":wdata", b, setup)
+				add(b, setup)
 			}
 		}
 		for _, rp := range r.ReadPorts {
 			for _, b := range rp.Addr {
-				add("ram:"+r.Name+":raddr", b, setup)
+				add(b, setup)
 			}
 		}
 	}
-	sort.Slice(an.Endpoints, func(i, j int) bool {
-		return an.Endpoints[i].ArrivalNs > an.Endpoints[j].ArrivalNs
-	})
-	if len(an.Endpoints) > 0 {
-		an.CriticalNs = an.Endpoints[0].ArrivalNs
-		if an.CriticalNs > 0 {
-			an.FreqMHz = 1000.0 / an.CriticalNs
-		}
-		threshold := an.CriticalNs * 0.9
-		for _, e := range an.Endpoints {
-			if e.ArrivalNs >= threshold {
-				an.NearCritical++
-			} else {
-				break
-			}
+	ws.ends = ends
+
+	var s Summary
+	if len(ends) == 0 {
+		return s
+	}
+	s.CriticalNs = ends[0]
+	for _, a := range ends[1:] {
+		if a > s.CriticalNs {
+			s.CriticalNs = a
 		}
 	}
-	return an
+	threshold := s.CriticalNs * 0.9
+	for _, a := range ends {
+		if a >= threshold {
+			s.NearCritical++
+		}
+	}
+	return s
 }

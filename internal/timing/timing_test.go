@@ -112,9 +112,14 @@ endmodule`
 func TestEmptyDesign(t *testing.T) {
 	lib := stdcell.Default180nm()
 	src := `module m (input a, output y); assign y = a; endmodule`
-	an := Analyze(netlistOf(t, src, "m", nil), lib)
-	// Pure wire: one endpoint with zero arrival.
+	nl := netlistOf(t, src, "m", nil)
+	an := Analyze(nl, lib)
+	// Pure wire: one endpoint with zero arrival, which is its own
+	// critical path.
 	if len(an.Endpoints) != 1 || an.Endpoints[0].ArrivalNs != 0 {
 		t.Errorf("endpoints = %+v", an.Endpoints)
+	}
+	if got := Summarize(nl, lib, nil); got != (Summary{NearCritical: 1}) {
+		t.Errorf("Summarize = %+v, want {0 1}", got)
 	}
 }
