@@ -31,8 +31,9 @@
 //	                 printing deltas per iteration
 //	-watch-interval  poll period for -watch (default 500ms)
 //	-session-stats   report the dirty/clean module and unit partition
-//	                 of each incremental remeasure on stderr, plus the
-//	                 session sharing summary
+//	                 of each incremental remeasure on stderr, the dirty
+//	                 units the early cutoff answered, and the session
+//	                 sharing summary
 //	-cache-dir DIR   cache measurements on disk (default
 //	                 $UCOMPLEXITY_CACHE; results are identical with
 //	                 and without the cache)
@@ -52,7 +53,9 @@
 // -watch modes run the incremental remeasurement layer: a dependency
 // graph recorded at the baseline marks the transitive dirty cone of an
 // edit, clean subtrees are served from the baseline results, and only
-// dirty units are re-planned and re-synthesized.
+// dirty units are re-planned and re-synthesized. A dirty unit whose
+// optimized netlist hashes as its baseline's reuses the baseline's
+// synthesis metrics (the early cutoff).
 package main
 
 import (
@@ -656,8 +659,8 @@ func printRemeasure(units []measure.Unit, oldRes, newRes []*measure.ComponentRes
 // the design and the batch the edit actually dirtied — plus the
 // session sharing counters for the dirty part.
 func printSessionStats(sess *measure.Session, stats measure.RemeasureStats) {
-	fmt.Fprintf(os.Stderr, "session-stats: %d dirty / %d clean modules; %d dirty / %d clean units\n",
-		stats.DirtyModules, stats.CleanModules, stats.DirtyUnits, stats.CleanUnits)
+	fmt.Fprintf(os.Stderr, "session-stats: %d dirty / %d clean modules; %d dirty / %d clean units; %d cut off\n",
+		stats.DirtyModules, stats.CleanModules, stats.DirtyUnits, stats.CleanUnits, stats.CutoffUnits)
 	s := sess.Stats()
 	e := sess.ElabStats()
 	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",

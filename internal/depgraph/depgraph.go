@@ -18,7 +18,6 @@
 package depgraph
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/hdl"
@@ -92,6 +91,7 @@ func Build(d *hdl.Design, optionsKey string) (*Graph, error) {
 		Fingerprint: d.Fingerprint(),
 		OptionsKey:  optionsKey,
 		Modules:     make([]Module, 0, len(names)),
+		moduleIdx:   make(map[string]int, len(names)),
 	}
 	for _, name := range names {
 		mod, err := d.Module(name)
@@ -102,26 +102,14 @@ func Build(d *hdl.Design, optionsKey string) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		g.moduleIdx[name] = len(g.Modules)
 		g.Modules = append(g.Modules, Module{
 			Name:     name,
 			Hash:     hash,
 			Children: d.Instantiated(mod),
 		})
 	}
-	g.reindex()
 	return g, nil
-}
-
-// reindex rebuilds the lookup maps (after Build, decode, or AddUnit).
-func (g *Graph) reindex() {
-	g.moduleIdx = make(map[string]int, len(g.Modules))
-	for i, m := range g.Modules {
-		g.moduleIdx[m.Name] = i
-	}
-	g.unitIdx = make(map[unitKey]int, len(g.Units))
-	for i, u := range g.Units {
-		g.unitIdx[unitKey{u.Top, u.UseAccounting}] = i
-	}
 }
 
 // Module returns the named module node.
@@ -267,38 +255,4 @@ func Diff(prev *Graph, next *hdl.Design) (*Delta, error) {
 		}
 	}
 	return d, nil
-}
-
-// Validate checks the structural invariants a decoded graph must hold
-// before anyone diffs against it: sorted unique module names, edges
-// pointing at declared modules, and unique unit keys. Decode calls it,
-// so a damaged persisted graph is rejected rather than silently
-// producing a wrong dirty cone.
-func (g *Graph) Validate() error {
-	seen := make(map[string]bool, len(g.Modules))
-	for i, m := range g.Modules {
-		if m.Name == "" {
-			return fmt.Errorf("depgraph: module %d has an empty name", i)
-		}
-		if i > 0 && g.Modules[i-1].Name >= m.Name {
-			return fmt.Errorf("depgraph: modules not sorted at %q", m.Name)
-		}
-		seen[m.Name] = true
-	}
-	for _, m := range g.Modules {
-		for _, c := range m.Children {
-			if !seen[c] {
-				return fmt.Errorf("depgraph: module %q instantiates undeclared %q", m.Name, c)
-			}
-		}
-	}
-	units := make(map[unitKey]bool, len(g.Units))
-	for _, u := range g.Units {
-		k := unitKey{u.Top, u.UseAccounting}
-		if units[k] {
-			return fmt.Errorf("depgraph: duplicate unit %q acct=%t", u.Top, u.UseAccounting)
-		}
-		units[k] = true
-	}
-	return nil
 }

@@ -1,12 +1,9 @@
 package depgraph_test
 
 import (
-	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/depgraph"
 	"repro/internal/hdl"
 )
@@ -61,8 +58,15 @@ func TestBuildRecordsModulesAndEdges(t *testing.T) {
 	if len(topB.Children) != 0 {
 		t.Errorf("top_b should have no children, got %v", topB.Children)
 	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("built graph fails validation: %v", err)
+	for i, m := range g.Modules {
+		if i > 0 && g.Modules[i-1].Name >= m.Name {
+			t.Errorf("modules not sorted at %q", m.Name)
+		}
+		for _, c := range m.Children {
+			if _, ok := g.Module(c); !ok {
+				t.Errorf("module %q instantiates undeclared %q", m.Name, c)
+			}
+		}
 	}
 }
 
@@ -159,68 +163,5 @@ func TestAddUnitReplaces(t *testing.T) {
 	u, ok := g.Unit("top_a", true)
 	if !ok || u.NetlistHash != "h3" {
 		t.Errorf("unit not replaced: %+v ok=%t", u, ok)
-	}
-}
-
-func TestGraphCodecRoundTrip(t *testing.T) {
-	_, g := build(t, graphSrc)
-	g.AddUnit(depgraph.Unit{
-		Top: "top_a", UseAccounting: true,
-		SubtreeHash: "st", ParamSig: "top_a;W=4",
-		Params:      map[string]int64{"W": 4, "D": 2},
-		NetlistHash: "nh",
-	})
-	g.AddUnit(depgraph.Unit{Top: "top_b", UseAccounting: false, SubtreeHash: "st2", ParamSig: "top_b", NetlistHash: "nh2"})
-
-	buf := depgraph.AppendGraph(nil, g)
-	got, err := depgraph.DecodeGraph(codec.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint != g.Fingerprint || got.OptionsKey != g.OptionsKey {
-		t.Error("header fields lost in round trip")
-	}
-	if len(got.Modules) != len(g.Modules) || len(got.Units) != len(g.Units) {
-		t.Fatalf("shape lost: %d/%d modules, %d/%d units", len(got.Modules), len(g.Modules), len(got.Units), len(g.Units))
-	}
-	u, ok := got.Unit("top_a", true)
-	if !ok || u.Params["W"] != 4 || u.Params["D"] != 2 || u.NetlistHash != "nh" {
-		t.Errorf("unit lost in round trip: %+v ok=%t", u, ok)
-	}
-	// Re-encode is byte-stable (sorted map order).
-	if !bytes.Equal(buf, depgraph.AppendGraph(nil, got)) {
-		t.Error("re-encode not byte-stable")
-	}
-	// Diff works on a decoded graph (indexes rebuilt).
-	d, err := depgraph.Diff(got, parse(t, graphSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.DirtyModules != 0 {
-		t.Errorf("decoded graph diff found dirt: %+v", d)
-	}
-}
-
-func TestDecodeGraphRejectsDamage(t *testing.T) {
-	_, g := build(t, graphSrc)
-	buf := depgraph.AppendGraph(nil, g)
-	// Truncations at every prefix length must error, never panic.
-	for i := 0; i < len(buf); i++ {
-		if _, err := depgraph.DecodeGraph(codec.NewReader(buf[:i])); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
-		}
-	}
-	// A graph violating structural invariants (unsorted modules) must
-	// be rejected by the validate step.
-	bad := &depgraph.Graph{Modules: []depgraph.Module{{Name: "b", Hash: "h"}, {Name: "a", Hash: "h"}}}
-	if _, err := depgraph.DecodeGraph(codec.NewReader(depgraph.AppendGraph(nil, bad))); err == nil {
-		t.Error("unsorted module list accepted")
-	} else if !errors.Is(err, codec.ErrCorrupt) {
-		t.Errorf("validation error %v does not wrap ErrCorrupt", err)
-	}
-	// Edges to undeclared modules are rejected.
-	bad2 := &depgraph.Graph{Modules: []depgraph.Module{{Name: "a", Hash: "h", Children: []string{"ghost"}}}}
-	if _, err := depgraph.DecodeGraph(codec.NewReader(depgraph.AppendGraph(nil, bad2))); err == nil {
-		t.Error("dangling edge accepted")
 	}
 }

@@ -65,7 +65,7 @@ type ComponentResult struct {
 // deduplicate synthesis across components.
 func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
 	res, err := NewSession(design).measureAll(context.Background(),
-		[]Unit{{Top: top, UseAccounting: useAccounting}}, opts, opts.Concurrency)
+		[]Unit{{Top: top, UseAccounting: useAccounting}}, opts, opts.Concurrency, nil)
 	if err != nil {
 		return nil, err
 	}

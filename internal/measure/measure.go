@@ -125,8 +125,8 @@ type Options struct {
 	// and never affects a measured value.
 	ElabStats *elab.StatsRecorder
 	// Namespace, when non-empty, partitions every cache key this
-	// measurement derives — component records, signature records, and
-	// dependency graphs alike — into its own namespace: it is mixed
+	// measurement derives — component and signature records alike —
+	// into its own namespace: it is mixed
 	// into CacheKeyParts, so two namespaces sharing one cache directory
 	// never read each other's entries (the daemon's per-tenant
 	// isolation). Results are namespace-independent — measurement is a

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/depgraph"
 	"repro/internal/elab"
 	"repro/internal/hdl"
@@ -48,28 +48,12 @@ func optionsKey(opts Options) string {
 	return strings.Join(opts.CacheKeyParts(), "|")
 }
 
-// graphKey derives the disk key of a persisted dependency graph
-// ("depgraph" entries): one graph per (design fingerprint, options).
-func graphKey(fingerprint, optKey string) string {
-	return cache.KindKey("depgraph", fingerprint, optKey)
-}
-
-// FetchGraph loads the recorded dependency graph for a design
-// fingerprint and options from the cache (false on a nil cache or no
-// entry). A later process can diff an edited design against it —
-// counting the dirty cone, deciding whether anything needs measuring —
-// without re-measuring or even holding the baseline design.
-func FetchGraph(c *cache.Cache, fingerprint string, opts Options) (*depgraph.Graph, bool) {
-	return cache.Fetch(c, graphKey(fingerprint, optionsKey(opts)), depgraph.GraphCodec)
-}
-
 // Baseline records the dependency graph of a measured batch: per unit,
 // the subtree source hash, the resolved parameter signature, and the
 // optimized netlist hash, over the design's module-level hash-and-edge
 // layer. results must be MeasureAll's output for units under opts on
-// this session's design. When opts.Cache is set the graph is also
-// persisted (entry kind "depgraph") so later processes can diff
-// against it.
+// this session's design. The graph lives in memory only: the rolling
+// baseline of a watch loop or a daemon tenant is its one reader.
 func (s *Session) Baseline(units []Unit, results []*ComponentResult, opts Options) (*Baseline, error) {
 	if len(units) != len(results) {
 		return nil, fmt.Errorf("measure: baseline of %d units with %d results", len(units), len(results))
@@ -107,11 +91,6 @@ func (s *Session) Baseline(units []Unit, results []*ComponentResult, opts Option
 		})
 		b.byUnit[u] = res
 	}
-	if opts.Cache != nil {
-		if _, err := cache.PutIfAbsent(opts.Cache, graphKey(g.Fingerprint, g.OptionsKey), depgraph.GraphCodec, g); err != nil {
-			return nil, err
-		}
-	}
 	return b, nil
 }
 
@@ -127,6 +106,10 @@ type RemeasureStats struct {
 	// DirtyUnits counts the units re-measured; CleanUnits counts the
 	// units served from the baseline's results.
 	DirtyUnits, CleanUnits int
+	// CutoffUnits counts the dirty units whose optimized netlist hashed
+	// as a baseline unit's, so their synthesis metrics and timing were
+	// reused instead of recomputed (the early cutoff).
+	CutoffUnits int
 }
 
 // Remeasure measures the batch against this session's design,
@@ -194,12 +177,22 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 	stats.DirtyUnits = len(dirtyUnits)
 
 	if len(dirtyUnits) > 0 {
-		fresh, err := s.MeasureAllCtx(ctx, dirtyUnits, opts)
+		// A verifying cache recomputes everything it checks, so it gets
+		// no cutoff; neither does a baseline measured under other
+		// options.
+		var cut *cutoff
+		if sameOpts && (opts.Cache == nil || !opts.Cache.Verifying()) {
+			cut = newCutoff(prev, dirtyUnits)
+		}
+		fresh, err := s.measureAll(ctx, dirtyUnits, opts, searchConcurrency(opts.Concurrency), cut)
 		if err != nil {
 			return nil, nil, stats, err
 		}
 		for j, i := range dirtyIdx {
 			results[i] = fresh[j]
+		}
+		if cut != nil {
+			stats.CutoffUnits = int(cut.units.Load())
 		}
 	}
 
@@ -208,6 +201,45 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 		return nil, nil, stats, err
 	}
 	return results, next, stats, nil
+}
+
+// cutoff is one remeasurement's early-cutoff table (ninja's restat):
+// the baseline's synthesis-only metrics and timing summaries of the
+// dirty units, keyed by optimized netlist hash. A dirty unit still
+// elaborates, lowers and optimizes; when its netlist hashes as one of
+// these, its flight reuses the record instead of running the metric
+// kernels (Session.synthesizeFlight). The table is read-only once
+// built; units counts the dirty units whose flight was cut off.
+type cutoff struct {
+	byHash map[string]*sigRecord
+	units  atomic.Int64
+}
+
+// newCutoff builds the table from prev's results for the dirty units.
+// A unit's synthesis-only metrics are its result's with the source
+// sums zeroed — exactly what synthMetrics leaves before assembly adds
+// Stmts and LoC.
+func newCutoff(prev *Baseline, dirty []Unit) *cutoff {
+	c := &cutoff{byHash: make(map[string]*sigRecord, len(dirty))}
+	for _, u := range dirty {
+		res, ok := prev.Result(u)
+		if !ok {
+			continue
+		}
+		m := *res.Metrics
+		m.Stmts, m.LoC = 0, 0
+		c.byHash[res.NetlistHash] = &sigRecord{Metrics: &m, Timing: res.Timing}
+	}
+	return c
+}
+
+// lookup returns the baseline record for an optimized netlist hash
+// (nil on a nil table or no match).
+func (c *cutoff) lookup(hash string) *sigRecord {
+	if c == nil {
+		return nil
+	}
+	return c.byHash[hash]
 }
 
 // recountModules fills the module partition for the no-baseline case:

@@ -1,8 +1,11 @@
 package measure_test
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,6 +26,10 @@ type remeasureStep struct {
 	// dirtyTops lists the top modules whose units must be re-measured
 	// (computed in the test body for the lib edit).
 	dirtyTops map[string]bool
+	// neutral marks an edit that leaves every optimized netlist as it
+	// was: every dirty unit must be cut off. Every other edit changes
+	// each dirty unit's netlist, so none may be.
+	neutral bool
 }
 
 func editSource(t *testing.T, src map[string]string, file, old, new string) map[string]string {
@@ -36,15 +43,34 @@ func editSource(t *testing.T, src map[string]string, file, old, new string) map[
 	return out
 }
 
+// neutralLocal and neutralLib are netlist-neutral edits: each adds a
+// fresh unused wire to one module (rat_standard, a component's top,
+// and the shared lib_alu), which changes the module's source hash but
+// not any optimized netlist.
+func neutralLocal(t *testing.T, src map[string]string) map[string]string {
+	t.Helper()
+	return editSource(t, src, "RAT-Standard.v",
+		"  localparam REGS = 1 << AW;", "  localparam REGS = 1 << AW;\n  wire cutoff_probe_local;")
+}
+
+func neutralLib(t *testing.T, src map[string]string) map[string]string {
+	t.Helper()
+	return editSource(t, src, "lib.v",
+		"  assign zero = y == 0;", "  assign zero = y == 0;\n  wire cutoff_probe_lib;")
+}
+
 // TestRemeasureMatchesFromScratch is the golden test of incremental
 // remeasurement: a scripted series of edits — a component-local edit,
-// a shared-library edit, an unreferenced module addition, and a full
-// revert — remeasured incrementally against the rolling baseline must
-// be bit-identical to measuring each edited design from scratch, at
-// workers 1 and 8, with the disk cache off and with one cache carried
-// cold-to-warm across the whole series. The per-step dirty cone is
-// pinned exactly: only units whose transitive subtree changed are
-// re-measured.
+// a shared-library edit, an unreferenced module addition, a full
+// revert, then a local and a library netlist-neutral edit and a
+// changing edit after them — remeasured incrementally against the
+// rolling baseline must be bit-identical to measuring each edited
+// design from scratch, at workers 1 and 8, with the disk cache off and
+// with one cache carried cold-to-warm across the whole series. The
+// per-step dirty cone is pinned exactly: only units whose transitive
+// subtree changed are re-measured. So is the early cutoff: every dirty
+// unit of a neutral edit reuses its baseline metrics, and no unit of a
+// changing edit does.
 func TestRemeasureMatchesFromScratch(t *testing.T) {
 	base := designs.Sources()
 	comps := designs.All()
@@ -66,6 +92,10 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 		"3'd6: y = a << 1;", "3'd6: y = a << 2;")
 	added := maps.Clone(lib)
 	added["RAT-Standard.v"] += "\nmodule remeasure_probe (input p_a, output p_y);\n  assign p_y = ~p_a;\nendmodule\n"
+	localNeutral := neutralLocal(t, base)
+	libNeutral := neutralLib(t, localNeutral)
+	change := editSource(t, libNeutral, "RAT-Standard.v",
+		"= table_mem[raddr[AW-1:0]];", "= ~table_mem[raddr[AW-1:0]];")
 
 	// lib_alu's transitive users, read off the base design: the lib
 	// edit must dirty exactly their units.
@@ -113,6 +143,23 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 			wantRemoved: []string{"remeasure_probe"},
 			dirtyTops:   ratAndAlu,
 		},
+		{
+			name: "local-neutral-edit", sources: localNeutral,
+			wantChanged: []string{"rat_standard"},
+			dirtyTops:   map[string]bool{"rat_standard": true},
+			neutral:     true,
+		},
+		{
+			name: "lib-neutral-edit", sources: libNeutral,
+			wantChanged: []string{"lib_alu"},
+			dirtyTops:   aluUsers,
+			neutral:     true,
+		},
+		{
+			name: "change-after-neutral", sources: change,
+			wantChanged: []string{"rat_standard"},
+			dirtyTops:   map[string]bool{"rat_standard": true},
+		},
 	}
 
 	// From-scratch references, one per step: fresh parse, fresh
@@ -155,13 +202,6 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if withCache {
-					if g, ok := measure.FetchGraph(opts.Cache, d.Fingerprint(), opts); !ok {
-						t.Error("baseline graph not persisted")
-					} else if len(g.Units) != len(units) {
-						t.Errorf("persisted graph has %d units, want %d", len(g.Units), len(units))
-					}
-				}
 
 				for i, st := range steps {
 					d, err := hdl.ParseDesign(st.sources)
@@ -186,6 +226,13 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 					if stats.DirtyUnits != wantDirty || stats.CleanUnits != len(units)-wantDirty {
 						t.Errorf("%s: %d dirty / %d clean units, want %d / %d",
 							st.name, stats.DirtyUnits, stats.CleanUnits, wantDirty, len(units)-wantDirty)
+					}
+					wantCutoff := 0
+					if st.neutral {
+						wantCutoff = wantDirty
+					}
+					if stats.CutoffUnits != wantCutoff {
+						t.Errorf("%s: %d units cut off, want %d", st.name, stats.CutoffUnits, wantCutoff)
 					}
 					checkNames := func(kind string, got, want []string) {
 						if fmt.Sprint(got) != fmt.Sprint(want) && !(len(got) == 0 && len(want) == 0) {
@@ -212,6 +259,11 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 					}
 					prev = next
 				}
+				if withCache {
+					if graphs, err := filepath.Glob(filepath.Join(opts.Cache.Dir(), "depgraph-*")); err != nil || len(graphs) > 0 {
+						t.Errorf("dependency graphs written to the cache: %v (%v)", graphs, err)
+					}
+				}
 			})
 		}
 	}
@@ -220,7 +272,7 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 // TestRemeasureWithoutBaselineOptions pins the options guard: a
 // baseline recorded under different key-determining options (here
 // another namespace) must not serve any unit, even with identical
-// sources.
+// sources, nor lend any unit its metrics through the early cutoff.
 func TestRemeasureWithoutBaselineOptions(t *testing.T) {
 	src := designs.Sources()
 	d, err := hdl.ParseDesign(src)
@@ -249,5 +301,161 @@ func TestRemeasureWithoutBaselineOptions(t *testing.T) {
 	}
 	if stats.DirtyUnits != 1 || stats.CleanUnits != 0 {
 		t.Errorf("options change served a stale unit: %+v", stats)
+	}
+	// The netlist is unchanged, but the cutoff table is pinned to the
+	// baseline's options too.
+	if stats.CutoffUnits != 0 {
+		t.Errorf("options change cut off %d units from the stale baseline", stats.CutoffUnits)
+	}
+}
+
+// corpusUnits is every corpus component measured with accounting.
+func corpusUnits() []measure.Unit {
+	var units []measure.Unit
+	for _, c := range designs.All() {
+		units = append(units, measure.Unit{Top: c.Top, UseAccounting: true})
+	}
+	return units
+}
+
+// baselineOf measures units on sources from scratch and records the
+// baseline a remeasurement diffs against.
+func baselineOf(t *testing.T, sources map[string]string, units []measure.Unit, opts measure.Options) *measure.Baseline {
+	t.Helper()
+	d, err := hdl.ParseDesign(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := measure.NewSession(d)
+	res, err := sess.MeasureAll(units, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sess.Baseline(units, res, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// remeasureOn remeasures units on sources against prev and checks the
+// results against a from-scratch MeasureAll of the same sources.
+func remeasureOn(t *testing.T, sources map[string]string, prev *measure.Baseline, units []measure.Unit, opts measure.Options) measure.RemeasureStats {
+	t.Helper()
+	d, err := hdl.ParseDesign(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, stats, err := measure.NewSession(d).Remeasure(prev, units, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, u := range units {
+		sameResult(t, u.Top, got[j], ref[j])
+	}
+	return stats
+}
+
+// entryFiles reads every cache entry file of dir, by file name.
+func entryFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.ucx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(name)] = b
+	}
+	return out
+}
+
+// TestCutoffWritesFromScratchBytes pins that the early cutoff changes
+// no persisted byte: the entries a cut-off save writes are sig- and
+// component- entries byte-identical to those a fresh session's
+// MeasureAll of the same sources writes into an empty cache, so a
+// later process reads them warm.
+func TestCutoffWritesFromScratchBytes(t *testing.T) {
+	units := corpusUnits()
+	base := designs.Sources()
+	edited := neutralLib(t, neutralLocal(t, base))
+
+	c, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := measure.Options{Concurrency: 1, Cache: c}
+	prev := baselineOf(t, base, units, opts)
+	before := entryFiles(t, c.Dir())
+	stats := remeasureOn(t, edited, prev, units, opts)
+	if stats.CutoffUnits == 0 || stats.CutoffUnits != stats.DirtyUnits {
+		t.Fatalf("neutral save cut off %d of %d dirty units, want all", stats.CutoffUnits, stats.DirtyUnits)
+	}
+
+	fresh, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := hdl.ParseDesign(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1, Cache: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	want := entryFiles(t, fresh.Dir())
+
+	written := 0
+	for name, b := range entryFiles(t, c.Dir()) {
+		if _, ok := before[name]; ok {
+			continue
+		}
+		written++
+		if kind := cache.KindOf(strings.TrimSuffix(name, ".ucx")); kind != "sig" && kind != "component" {
+			t.Errorf("cut-off save wrote a %q entry %s", kind, name)
+		} else if w, ok := want[name]; !ok {
+			t.Errorf("cut-off save wrote %s, which a from-scratch run does not", name)
+		} else if !bytes.Equal(b, w) {
+			t.Errorf("%s differs from the from-scratch entry", name)
+		}
+	}
+	if written < stats.DirtyUnits {
+		t.Errorf("cut-off save wrote %d entries for %d dirty units", written, stats.DirtyUnits)
+	}
+}
+
+// TestCutoffOffWhenVerifying pins that a verifying cache gets no early
+// cutoff: verify mode exists to recompute. Here it recomputes the
+// entries an earlier cut-off save wrote, runs the metric kernels for
+// every dirty unit, and must find the entries equal.
+func TestCutoffOffWhenVerifying(t *testing.T) {
+	units := corpusUnits()
+	base := designs.Sources()
+	edited := neutralLib(t, base)
+
+	c, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := measure.Options{Concurrency: 1, Cache: c}
+	prev := baselineOf(t, base, units, opts)
+	if st := remeasureOn(t, edited, prev, units, opts); st.CutoffUnits == 0 {
+		t.Fatalf("neutral save without verify cut off no unit: %+v", st)
+	}
+	c.SetVerify(true)
+	st := remeasureOn(t, edited, prev, units, opts)
+	if st.DirtyUnits == 0 || st.CutoffUnits != 0 {
+		t.Errorf("verifying save: %d dirty units, %d cut off; want some dirty, none cut off", st.DirtyUnits, st.CutoffUnits)
+	}
+	if cs := c.Stats(); cs.VerifyChecks == 0 || cs.VerifyMismatches != 0 {
+		t.Errorf("verify mode: %d checks, %d mismatches; want some checks, no mismatch", cs.VerifyChecks, cs.VerifyMismatches)
 	}
 }

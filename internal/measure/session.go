@@ -134,9 +134,10 @@ func (s *Session) evictFlight(key string) {
 // hash, and the timing summary — a few hundred bytes — so the table
 // keeps every flight for the session's lifetime.
 type sigFlight struct {
-	done chan struct{}
-	rec  *sigRecord
-	err  error
+	done   chan struct{}
+	rec    *sigRecord
+	err    error
+	cutoff bool // rec reuses a remeasurement baseline's metrics
 }
 
 // NewSession creates a measurement session over one parsed design.
@@ -240,14 +241,15 @@ func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, er
 // it, but can never poison the session (the ctx tests pin a post-cancel
 // MeasureAll bit-identical to a fresh session's).
 func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options) ([]*ComponentResult, error) {
-	return s.measureAll(ctx, units, opts, searchConcurrency(opts.Concurrency))
+	return s.measureAll(ctx, units, opts, searchConcurrency(opts.Concurrency), nil)
 }
 
 // measureAll is MeasureAllCtx with the minimization search's inner
-// pool size given by the entry point.
-func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, inner int) ([]*ComponentResult, error) {
+// pool size given by the entry point and, for a remeasurement, the
+// early-cutoff table (nil everywhere else).
+func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, inner int, cut *cutoff) ([]*ComponentResult, error) {
 	results := make([]*ComponentResult, len(units))
-	err := s.measureGroups(ctx, units, opts, inner, func(i int, res *ComponentResult) error {
+	err := s.measureGroups(ctx, units, opts, inner, cut, func(i int, res *ComponentResult) error {
 		results[i] = res
 		return nil
 	})
@@ -275,7 +277,7 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 // cancellation contract: unit-granular checks, abandoned flights
 // resolved with the context error and evicted.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
-	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), yield)
+	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), nil, yield)
 }
 
 // searchConcurrency is a batch's minimization-search pool size: when
@@ -310,7 +312,9 @@ func searchConcurrency(concurrency int) int {
 // shared entry plus its own per-module source metrics, persists it
 // through the disk cache, and hands it to yield (calls serialized).
 // The group's flights stay in the table for later calls on the session.
-func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, yield func(i int, res *ComponentResult) error) error {
+// cut, when non-nil, is a remeasurement's early-cutoff table; it counts
+// the units whose flight it answered.
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, cut *cutoff, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	snap := s.prepBatch(len(units), opts)
 
@@ -349,7 +353,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			}
 		}
 		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap)
+			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap, cut)
 		}
 		// Every signature of this component this call can ever own is
 		// now resolved; later hits come from the flight table, not from
@@ -359,6 +363,9 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			res, err := s.assembleUnit(ctx, units[i], plans[j], opts, snap)
 			if err != nil {
 				return err
+			}
+			if f := plans[j].flight; cut != nil && f != nil && f.cutoff {
+				cut.units.Add(1)
 			}
 			ymu.Lock()
 			yerr := yield(i, res)
@@ -577,7 +584,9 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // measured at its defaults reuses the reference tree whole), lowers
 // it, optimizes, extracts the synthesis-derived metrics, hashes the
 // optimized netlist and summarizes its timing, and persists the record.
-// done is always closed, error or not.
+// With a remeasurement's cutoff table, a netlist that hashes as a
+// baseline unit's skips the metric kernels and the timing summary. done
+// is always closed, error or not.
 //
 // A context canceled before the entry is computed resolves the flight
 // with the context error and evicts its key from the shared table: the
@@ -585,7 +594,7 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // cancellation, but any later request for the signature registers a
 // fresh flight and synthesizes it — an abandoned flight is never left
 // to poison the session.
-func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace, snap *cache.Snapshot) {
+func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace, snap *cache.Snapshot, cut *cutoff) {
 	f := p.owned
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
@@ -605,16 +614,29 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		if err != nil {
 			return nil, err
 		}
-		// The timing summary runs after the metric kernels, while the
-		// netlist's topological order they built is still memoized.
 		nl := synres.Optimized
-		return &sigRecord{
-			Metrics:       synthMetrics(synres, ws),
+		rec := &sigRecord{
 			InstanceCount: inst.CountInstances(),
 			Deduped:       synres.Deduped,
 			NetlistHash:   nl.Hash(),
-			Timing:        timing.Summarize(nl, stdcell.Default180nm(), &ws.timing),
-		}, nil
+		}
+		// Early cutoff. Every metric kernel (Stats, cones, LUT mapping,
+		// power, areas, timing) reads only what Netlist.Hash covers —
+		// cells, RAMs, ports, net count, constants — and never a net
+		// name; the cell library is fixed and the FPGA options are in
+		// the options key the table was built under. So a netlist that
+		// hashes as a baseline unit's has that unit's synthesis metrics
+		// and timing, and the record equals a full compute's.
+		if hit := cut.lookup(rec.NetlistHash); hit != nil {
+			f.cutoff = true
+			rec.Metrics, rec.Timing = hit.Metrics, hit.Timing
+			return rec, nil
+		}
+		// The timing summary runs after the metric kernels, while the
+		// netlist's topological order they built is still memoized.
+		rec.Metrics = synthMetrics(synres, ws)
+		rec.Timing = timing.Summarize(nl, stdcell.Default180nm(), &ws.timing)
+		return rec, nil
 	}
 	// A nil cache runs compute directly (p.diskSigKey is "" then and
 	// never consulted). The snapshot hint lets cold signature keys skip

@@ -92,6 +92,9 @@ type RemeasureInfo struct {
 	CleanModules   int      `json:"clean_modules"`
 	DirtyUnits     int      `json:"dirty_units"`
 	CleanUnits     int      `json:"clean_units"`
+	// CutoffUnits counts the dirty units whose optimized netlist hashed
+	// as the baseline's, so their synthesis metrics were reused.
+	CutoffUnits int `json:"cutoff_units"`
 }
 
 // Response is the body of a successful /measure or /remeasure.

@@ -388,6 +388,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, remeasure
 				CleanModules:   rstats.CleanModules,
 				DirtyUnits:     rstats.DirtyUnits,
 				CleanUnits:     rstats.CleanUnits,
+				CutoffUnits:    rstats.CutoffUnits,
 			}
 		}
 	} else {

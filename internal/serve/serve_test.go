@@ -240,8 +240,9 @@ func TestConcurrentClientsTwoTenants(t *testing.T) {
 // TestServedRemeasureRollsBaseline: /remeasure over the daemon keeps a
 // per-tenant rolling baseline — the first call measures cold (no
 // baseline), an identical second call reuses everything, and an edited
-// design re-measures only the dirty cone, every answer bit-identical
-// to direct measurement of the edited sources.
+// design re-measures only the dirty cone (a netlist-neutral edit's
+// cone through the early cutoff), every answer bit-identical to direct
+// measurement of the edited sources.
 func TestServedRemeasureRollsBaseline(t *testing.T) {
 	h := servetest.Start(t, serve.Config{Concurrency: 2})
 	cl := h.Client()
@@ -310,6 +311,26 @@ func TestServedRemeasureRollsBaseline(t *testing.T) {
 			third.Remeasure.DirtyUnits, len(req.Units))
 	}
 	compareResults(t, "edited remeasure", third.Results, servetest.Reference(t, edited, measure.Options{Concurrency: 2}))
+	if third.Remeasure.CutoffUnits != 0 {
+		t.Errorf("changing edit cut off %d units, want 0", third.Remeasure.CutoffUnits)
+	}
+
+	// A netlist-neutral edit (a fresh unused wire) dirties the same cone,
+	// and the early cutoff answers every dirty unit of it.
+	neutral := &serve.Request{Tenant: req.Tenant, Units: req.Units, Sources: map[string]string{}}
+	for name, src := range edited.Sources {
+		neutral.Sources[name] = src
+	}
+	neutral.Sources["RAT-Standard.v"] = replaceOnce(t, neutral.Sources["RAT-Standard.v"],
+		"  localparam REGS = 1 << AW;", "  localparam REGS = 1 << AW;\n  wire cutoff_probe;")
+	cut, err := cl.Remeasure(context.Background(), neutral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := cut.Remeasure; r.DirtyUnits == 0 || r.CutoffUnits != r.DirtyUnits {
+		t.Errorf("neutral edit: %d dirty units, %d cut off; want all dirty units cut off", r.DirtyUnits, r.CutoffUnits)
+	}
+	compareResults(t, "neutral remeasure", cut.Results, servetest.Reference(t, neutral, measure.Options{Concurrency: 2}))
 
 	// Tenant isolation: another tenant sees no baseline for the same
 	// unit set.

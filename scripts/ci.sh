@@ -85,9 +85,9 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# yield a valid, synthesizable corpus), the cache codec's two
 	# decoder fuzzers, the measurement record decoder fuzzer (component
 	# and sig payloads: never a record without metrics), and the
-	# dependency-graph decoder fuzzer (hostile bytes must error, never
-	# panic). internal/codec has two targets, so each is named
-	# explicitly (-fuzz runs exactly one target per invocation).
+	# daemon's request fuzzer. internal/codec has two targets, so each
+	# is named explicitly (-fuzz runs exactly one target per
+	# invocation).
 	fuzztime="${FUZZTIME:-10s}"
 	echo "== fuzz smoke (${fuzztime}/target) =="
 	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/hdl
@@ -96,7 +96,6 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeNetlist$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime "$fuzztime" ./internal/measure
-	go test -run '^$' -fuzz '^FuzzDecodeGraph$' -fuzztime "$fuzztime" ./internal/depgraph
 	go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime "$fuzztime" ./internal/serve
 fi
 
