@@ -1,12 +1,14 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the µComplexity paper (one benchmark per exhibit) and runs
-// the ablation benchmarks DESIGN.md calls out. Run with:
+// Package repro's root micro-benchmarks time the paper's fitted
+// exhibits and the pipeline's stages one at a time, for profiling while
+// working. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
 // The benchmarks report paper-relevant quantities as custom metrics
 // (sigma_eps, correlation, inflation) so a bench run doubles as a
-// reproduction report.
+// reproduction report. They gate nothing: the end-to-end benchmark is
+// the bench/ module (bash bench/run.sh), and the load-independent
+// bounds (allocations, work counts) are the tests in gates_test.go.
 package repro
 
 import (
@@ -22,12 +24,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/codec"
-	"repro/internal/cones"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/designs"
 	"repro/internal/elab"
-	"repro/internal/fpga"
 	"repro/internal/gencorpus"
 	"repro/internal/hdl"
 	"repro/internal/measure"
@@ -36,40 +36,12 @@ import (
 	"repro/internal/paper"
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
-	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
 // ---------------------------------------------------------------
-// Tables
+// Paper exhibits
 // ---------------------------------------------------------------
-
-func BenchmarkTable1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if paper.Table1() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if paper.Table2() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if paper.Table3() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
 
 // BenchmarkTable4 refits all 12 estimators (both model variants) on
 // the paper dataset — the headline reproduction.
@@ -87,28 +59,6 @@ func BenchmarkTable4(b *testing.B) {
 	for _, r := range last.Rows {
 		if r.Name == "DEE1" {
 			b.ReportMetric(r.SigmaEps, "dee1_sigma_eps")
-		}
-	}
-}
-
-// ---------------------------------------------------------------
-// Figures
-// ---------------------------------------------------------------
-
-func BenchmarkFigure2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if paper.Figure2() == "" {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if paper.Figure3() == "" {
-			b.Fatal("empty figure")
 		}
 	}
 }
@@ -259,19 +209,26 @@ func BenchmarkMeasureCorpusParallel(b *testing.B) {
 // Persistent synthesis cache (warm-path variants)
 // ---------------------------------------------------------------
 
+// openCache opens a disk cache in a fresh directory.
+func openCache(tb testing.TB) *cache.Cache {
+	tb.Helper()
+	ch, err := cache.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ch
+}
+
 // warmCache opens a cache in a fresh directory and populates it with
 // one cold measurement of the synthetic corpus (both accounting
 // variants, so every Figure 6 / Table 4 measurement path is covered).
 // The cold pass is not timed.
-func warmCache(b *testing.B) *cache.Cache {
-	b.Helper()
-	ch, err := cache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+func warmCache(tb testing.TB) *cache.Cache {
+	tb.Helper()
+	ch := openCache(tb)
 	for _, acct := range []bool{true, false} {
 		if _, err := paper.MeasureCorpusOpts(acct, paper.Opts{Cache: ch}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return ch
@@ -365,112 +322,97 @@ func corpusUnits() []measure.Unit {
 	return units
 }
 
-// anchorBaseline measures the batch on d (untimed) and anchors the
-// remeasurement baseline on it.
-func anchorBaseline(b *testing.B, d *hdl.Design, units []measure.Unit, opts measure.Options) *measure.Baseline {
-	b.Helper()
-	sess := measure.NewSession(d)
-	res, err := sess.MeasureAll(units, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseline, err := sess.Baseline(units, res, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return baseline
-}
-
-// remeasureWarmup rolls the baseline through one untimed remeasure per
-// design so the timed loop starts in steady state: module hashes
-// memoized on both design objects and both dependency graphs already
-// on disk (a -benchtime 1x run would otherwise time those one-off
-// costs instead of the edit loop).
-func remeasureWarmup(b *testing.B, baseline *measure.Baseline, ds [2]*hdl.Design, units []measure.Unit, opts measure.Options) *measure.Baseline {
-	b.Helper()
-	for _, d := range []*hdl.Design{ds[1], ds[0]} {
-		_, next, _, err := measure.NewSession(d).Remeasure(baseline, units, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseline = next
-	}
-	return baseline
-}
-
-// BenchmarkIncrementalEdit times the edit loop the dependency graph
-// exists for: one component-local edit of the corpus (RAT-Standard's
-// table read inverted), remeasured against the rolling baseline with a
-// warm disk cache. Each iteration diffs the per-module source hashes,
-// finds the one-unit dirty cone, re-measures it (a warm component
-// fetch), and serves the other 17 units from the baseline. The
-// speedup_vs_warm_whole_unit metric compares this against re-measuring
-// every unit through the warm cache — the path an edit loop pays
-// without the graph — and the gate in scripts/bench_compare.sh holds
-// it at >= 5x. Parsing is excluded from both sides, consistent with
-// the warm-cache benches.
-func BenchmarkIncrementalEdit(b *testing.B) {
-	b.ReportAllocs()
-	baseSrc := designs.Sources()
+// editedSources returns the corpus sources with the one-module edit
+// the edit-loop benchmarks and gates replay: RAT-Standard's table read
+// inverted, which dirties exactly one of the 18 corpus units.
+func editedSources(tb testing.TB) map[string]string {
+	tb.Helper()
 	const anchor = "= table_mem[raddr[AW-1:0]];"
-	editSrc := maps.Clone(baseSrc)
-	if !strings.Contains(editSrc["RAT-Standard.v"], anchor) {
-		b.Fatalf("edit script stale: RAT-Standard.v does not contain %q", anchor)
+	src := maps.Clone(designs.Sources())
+	if !strings.Contains(src["RAT-Standard.v"], anchor) {
+		tb.Fatalf("edit script stale: RAT-Standard.v does not contain %q", anchor)
 	}
-	editSrc["RAT-Standard.v"] = strings.Replace(editSrc["RAT-Standard.v"], anchor,
+	src["RAT-Standard.v"] = strings.Replace(src["RAT-Standard.v"], anchor,
 		"= ~table_mem[raddr[AW-1:0]];", 1)
+	return src
+}
+
+// parseDesigns parses two source sets. Two parses of the same sources
+// give two design objects, as a watch loop sees after a no-op save.
+func parseDesigns(tb testing.TB, a, b map[string]string) [2]*hdl.Design {
+	tb.Helper()
 	var ds [2]*hdl.Design
-	for i, src := range []map[string]string{baseSrc, editSrc} {
+	for i, src := range []map[string]string{a, b} {
 		d, err := hdl.ParseDesign(src)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ds[i] = d
 	}
+	return ds
+}
+
+// remeasureLoop anchors a rolling baseline on ds[0] over the disk
+// cache ch and returns a call that remeasures the pair's other design
+// against it and rolls it forward, so successive calls alternate
+// between the two designs and every call sees the same diff. One
+// untimed remeasure per design first brings the loop to steady state:
+// module hashes memoized on both design objects and every dirty unit's
+// entries on disk (a -benchtime 1x run would otherwise time those
+// one-off costs instead of the edit loop).
+func remeasureLoop(tb testing.TB, ch *cache.Cache, ds [2]*hdl.Design) func() measure.RemeasureStats {
 	units := corpusUnits()
-	ch, err := cache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
 	opts := measure.Options{Cache: ch}
-
-	// Warm the cache with both variants, then take the whole-unit warm
-	// reference: a full MeasureAll with every entry already on disk.
-	for _, d := range ds {
-		if _, err := measure.NewSession(d).MeasureAll(units, opts); err != nil {
-			b.Fatal(err)
-		}
+	sess := measure.NewSession(ds[0])
+	res, err := sess.MeasureAll(units, opts)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	const refRounds = 3
-	refStart := time.Now()
-	for r := 0; r < refRounds; r++ {
-		if _, err := measure.NewSession(ds[r%2]).MeasureAll(units, opts); err != nil {
-			b.Fatal(err)
-		}
+	baseline, err := sess.Baseline(units, res, opts)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	warmWhole := time.Since(refStart) / refRounds
+	i := 0
+	remeasure := func() measure.RemeasureStats {
+		i++
+		_, next, st, err := measure.NewSession(ds[i%2]).Remeasure(baseline, units, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		baseline = next
+		return st
+	}
+	remeasure()
+	remeasure()
+	return remeasure
+}
 
-	// Rolling baseline anchored on the base design; the timed loop
-	// alternates edit/revert so every iteration sees a real diff.
-	baseline := anchorBaseline(b, ds[0], units, opts)
-	baseline = remeasureWarmup(b, baseline, ds, units, opts)
+// benchRemeasure times remeasureLoop's calls and returns the last
+// call's stats.
+func benchRemeasure(b *testing.B, ds [2]*hdl.Design) measure.RemeasureStats {
+	remeasure := remeasureLoop(b, openCache(b), ds)
 	var st measure.RemeasureStats
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := measure.NewSession(ds[(i+1)%2])
-		_, next, stats, err := sess.Remeasure(baseline, units, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseline, st = next, stats
+		st = remeasure()
 	}
 	b.StopTimer()
-	if st.DirtyUnits != 1 || st.CleanUnits != len(units)-1 {
-		b.Fatalf("dirty cone wrong: %d dirty / %d clean units (want 1 / %d)",
-			st.DirtyUnits, st.CleanUnits, len(units)-1)
-	}
-	if par := b.Elapsed() / time.Duration(b.N); par > 0 {
-		b.ReportMetric(float64(warmWhole)/float64(par), "speedup_vs_warm_whole_unit")
+	return st
+}
+
+// BenchmarkIncrementalEdit times the edit loop the dependency graph
+// exists for: one component-local edit of the corpus, remeasured
+// against the rolling baseline with a warm disk cache. Each iteration
+// diffs the per-module source hashes, finds the one-unit dirty cone,
+// re-measures it (a warm component fetch), and serves the other 17
+// units from the baseline. Parsing is excluded, consistent with the
+// warm-cache benches. TestIncrementalEditCone gates the cone's work
+// against a whole-unit remeasure.
+func BenchmarkIncrementalEdit(b *testing.B) {
+	st := benchRemeasure(b, parseDesigns(b, designs.Sources(), editedSources(b)))
+	if st.DirtyUnits != 1 || st.CleanUnits != len(corpusUnits())-1 {
+		b.Fatalf("dirty cone wrong: %d dirty / %d clean units (want 1 / 17)", st.DirtyUnits, st.CleanUnits)
 	}
 	b.ReportMetric(float64(st.DirtyUnits), "dirty_units_per_op")
 	b.ReportMetric(float64(st.CleanUnits), "clean_units_per_op")
@@ -481,109 +423,12 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 // diff must find an empty dirty cone and every unit must be served
 // from the baseline — the floor of the watch loop in ucmetrics -watch.
 func BenchmarkRemeasureNoop(b *testing.B) {
-	b.ReportAllocs()
 	src := designs.Sources()
-	// Two separate parses of identical sources: alternating them makes
-	// every iteration hash a design object the baseline graph was not
-	// built from, as a real watch loop would after a save.
-	var ds [2]*hdl.Design
-	for i := range ds {
-		d, err := hdl.ParseDesign(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds[i] = d
-	}
-	units := corpusUnits()
-	ch, err := cache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := measure.Options{Cache: ch}
-	if _, err := measure.NewSession(ds[0]).MeasureAll(units, opts); err != nil {
-		b.Fatal(err)
-	}
-	baseline := anchorBaseline(b, ds[0], units, opts)
-	baseline = remeasureWarmup(b, baseline, ds, units, opts)
-	var st measure.RemeasureStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := measure.NewSession(ds[(i+1)%2])
-		_, next, stats, err := sess.Remeasure(baseline, units, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseline, st = next, stats
-	}
-	b.StopTimer()
-	if st.DirtyUnits != 0 || st.CleanUnits != len(units) {
-		b.Fatalf("noop remeasure not clean: %d dirty / %d clean units (want 0 / %d)",
-			st.DirtyUnits, st.CleanUnits, len(units))
+	st := benchRemeasure(b, parseDesigns(b, src, src))
+	if st.DirtyUnits != 0 || st.CleanUnits != len(corpusUnits()) {
+		b.Fatalf("noop remeasure not clean: %d dirty / %d clean units (want 0 / 18)", st.DirtyUnits, st.CleanUnits)
 	}
 	b.ReportMetric(float64(st.CleanUnits), "clean_units_per_op")
-}
-
-// ---------------------------------------------------------------
-// Ablations (DESIGN.md Section 5)
-// ---------------------------------------------------------------
-
-// BenchmarkAblationCSE measures the metric impact of the netlist
-// optimization passes (constant folding + structural hashing + dead
-// removal) on a representative component.
-func BenchmarkAblationCSE(b *testing.B) {
-	b.ReportAllocs()
-	c, err := designs.ByLabel("PUMA-Execute")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := designs.Design(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rawCells, optCells int
-	for i := 0; i < b.N; i++ {
-		res, err := synth.Synthesize(d, c.Top, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rawCells = len(res.Raw.Cells)
-		optCells = len(res.Optimized.Cells)
-	}
-	b.ReportMetric(float64(rawCells), "raw_cells")
-	b.ReportMetric(float64(optCells), "optimized_cells")
-	b.ReportMetric(float64(rawCells)/float64(optCells), "cse_reduction")
-}
-
-// BenchmarkAblationFanInLC compares the paper's LUT-input-sum
-// approximation of FanInLC against the exact logic-cone computation.
-func BenchmarkAblationFanInLC(b *testing.B) {
-	b.ReportAllocs()
-	c, err := designs.ByLabel("Leon3-Pipeline")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := designs.Design(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := synth.Synthesize(d, c.Top, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var exact, approx int
-	b.Run("exact-cones", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exact = cones.AnalyzeSummary(res.Optimized, nil).FanInLC
-		}
-	})
-	b.Run("lut-approximation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			approx = fpga.MapWS(res.Optimized, fpga.Options{}, nil).LUTInputSum
-		}
-	})
-	if exact > 0 {
-		b.ReportMetric(float64(approx)/float64(exact), "approx_over_exact")
-	}
 }
 
 // ---------------------------------------------------------------
@@ -886,14 +731,6 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkConfidenceFactors times the Figure 3/4 interval math.
-func BenchmarkConfidenceFactors(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		stats.ConfidenceFactors(0.45, 0.90)
-	}
-}
-
 // paperNLMEData assembles an nlme.Data from the embedded paper
 // dataset (zero values floored at 1, as in the reproduction).
 func paperNLMEData(b *testing.B, metrics ...dataset.Metric) *nlme.Data {
@@ -926,15 +763,15 @@ func paperNLMEData(b *testing.B, metrics ...dataset.Metric) *nlme.Data {
 // n-component corpus: the parsed design plus 2n units (every
 // component with and without accounting), the same sweep
 // `ucpaper -corpus-scale n` runs.
-func generatedUnits(b *testing.B, n int) (*hdl.Design, []measure.Unit) {
-	b.Helper()
+func generatedUnits(tb testing.TB, n int) (*hdl.Design, []measure.Unit) {
+	tb.Helper()
 	corpus, err := gencorpus.Generate(gencorpus.Config{Components: n, Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	design, err := corpus.Design(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	units := make([]measure.Unit, 0, 2*n)
 	for _, acct := range []bool{true, false} {
@@ -947,23 +784,22 @@ func generatedUnits(b *testing.B, n int) (*hdl.Design, []measure.Unit) {
 
 // measureGeneratedOnce cold-measures the workload through a fresh
 // streaming session and returns the wall time.
-func measureGeneratedOnce(b *testing.B, design *hdl.Design, units []measure.Unit) time.Duration {
-	b.Helper()
+func measureGeneratedOnce(tb testing.TB, design *hdl.Design, units []measure.Unit) time.Duration {
+	tb.Helper()
 	sess := measure.NewSession(design)
 	start := time.Now()
 	err := sess.MeasureStream(units, measure.Options{}, func(i int, res *measure.ComponentResult) error {
 		return nil
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return time.Since(start)
 }
 
 // BenchmarkMeasureGenerated100 cold-measures a generated
-// 100-component corpus (200 units) per iteration. per_component_ms is
-// the denominator of the scaling acceptance gate (see
-// BenchmarkMeasureGenerated1000).
+// 100-component corpus (200 units) per iteration and reports
+// per_component_ms.
 func BenchmarkMeasureGenerated100(b *testing.B) {
 	design, units := generatedUnits(b, 100)
 	b.ReportAllocs()
@@ -981,11 +817,12 @@ func BenchmarkMeasureGenerated100(b *testing.B) {
 // 1000-component corpus (2000 units) per iteration and reports
 // scaling_ratio_vs_100: its per-component cost divided by a
 // 100-component reference sweep's, measured in the same process.
-// Near-linear scaling keeps the ratio around 1; scripts/
-// bench_compare.sh fails the gate when it exceeds the 1.3 acceptance
-// ceiling, which is what a super-linear planner (a contended global
-// table, a quadratic front end, unbounded retention forcing GC
-// pressure) would show.
+// Near-linear scaling keeps the ratio around 1; a super-linear planner
+// (a contended global table, a quadratic front end, unbounded
+// retention forcing GC pressure) shows above it. The ratio is reported
+// for profiling: TestMeasureStreamScaling gates the same ceiling, 1.3,
+// on per-unit allocations and bytes, and the bench/ corpus-cold
+// workload bounds the sweep's time.
 func BenchmarkMeasureGenerated1000(b *testing.B) {
 	refDesign, refUnits := generatedUnits(b, 100)
 	refTime := measureGeneratedOnce(b, refDesign, refUnits)
@@ -1024,11 +861,7 @@ func servedRequest(sources map[string]string) *serve.Request {
 // latency a warm client sees per request, not per measurement.
 func BenchmarkServedWarmRequest(b *testing.B) {
 	b.ReportAllocs()
-	ch, err := cache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: ch})
+	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: openCache(b)})
 	cl := h.Client()
 	req := servedRequest(designs.Sources())
 	ctx := context.Background()
@@ -1051,26 +884,14 @@ func BenchmarkServedWarmRequest(b *testing.B) {
 }
 
 // BenchmarkServedRemeasure times the daemon's edit loop: alternating
-// one-module edits (BenchmarkIncrementalEdit's anchor) POSTed to
+// one-module edits (editedSources) POSTed to
 // /remeasure, answered from the tenant's rolling baseline with only
 // the one-unit dirty cone re-measured through a warm disk cache.
 func BenchmarkServedRemeasure(b *testing.B) {
 	b.ReportAllocs()
-	baseSrc := designs.Sources()
-	const anchor = "= table_mem[raddr[AW-1:0]];"
-	editSrc := maps.Clone(baseSrc)
-	if !strings.Contains(editSrc["RAT-Standard.v"], anchor) {
-		b.Fatalf("edit script stale: RAT-Standard.v does not contain %q", anchor)
-	}
-	editSrc["RAT-Standard.v"] = strings.Replace(editSrc["RAT-Standard.v"], anchor,
-		"= ~table_mem[raddr[AW-1:0]];", 1)
-	reqs := [2]*serve.Request{servedRequest(baseSrc), servedRequest(editSrc)}
+	reqs := [2]*serve.Request{servedRequest(designs.Sources()), servedRequest(editedSources(b))}
 
-	ch, err := cache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: ch})
+	h := servetest.Start(b, serve.Config{MaxConcurrent: 4, Cache: openCache(b)})
 	cl := h.Client()
 	ctx := context.Background()
 	// Untimed warmup: anchor the rolling baseline on the base design,

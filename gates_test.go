@@ -1,0 +1,230 @@
+package repro
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/designs"
+	"repro/internal/elab"
+	"repro/internal/measure"
+	"repro/internal/netlist"
+	"repro/internal/paper"
+	"repro/internal/synth"
+)
+
+// The load-independent gates of the repository: allocation budgets and
+// work counts that a host's speed or load cannot move. Wall-time bounds
+// live in the bench/ module's workloads (bash bench/run.sh); warm runs
+// that synthesize nothing are pinned by internal/paper's
+// TestMeasureCorpusCacheDeterminism.
+
+// memPerRun returns f's mean heap allocations per call as
+// testing.AllocsPerRun counts them (GOMAXPROCS 1, one uncounted warm-up
+// call) and its mean heap bytes per call over the same counted calls.
+func memPerRun(runs int, f func()) (allocs, bytes float64) {
+	var before, after runtime.MemStats
+	calls := 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		if calls == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		calls++
+		f()
+	})
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestAllocBudgets bounds the allocations and heap bytes of one call of
+// each hot path the benchmark workloads exercise. Each row records the
+// counts read at GOMAXPROCS 1 (go1.24, linux/amd64) when the gate was
+// set; the budget is those counts under the rule the retired benchmark
+// gate applied, where a regression had to exceed 1.4× the recorded
+// count and also exceed it by a fixed floor: max(1.4×allocs,
+// allocs+512) and max(1.4×bytes, bytes+64 KiB). The budgets are on
+// each row's right; go test -v -run TestAllocBudgets prints the counts
+// to record when a change moves one on purpose.
+func TestAllocBudgets(t *testing.T) {
+	cases := []struct {
+		name          string
+		allocs, bytes float64 // recorded per call
+		setup         func(t *testing.T) func()
+	}{
+		{"paper/figure6-cold", 58893, 14372200, figure6Cold},           // 82450 allocs, 20121080 B
+		{"served/warm-measure-all", 945, 78208, warmMeasureAll},        // 1457 allocs, 143744 B
+		{"edit-loop/incremental-edit", 232, 35928, incrementalEdit},    // 744 allocs, 101464 B
+		{"edit-loop/noop-remeasure", 4, 896, noopRemeasure},            // 516 allocs, 66432 B
+		{"optimize/ivm-memory-reused-ws", 40, 34344, optimizeReusedWS}, // 552 allocs, 99880 B
+		{"lower/corpus-reused-ws", 5790, 1709504, lowerCorpusReusedWS}, // 8106 allocs, 2393306 B
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			allocs, bytes := memPerRun(1, c.setup(t))
+			t.Logf("%.0f allocs %.0f bytes", allocs, bytes)
+			if limit := max(1.4*c.allocs, c.allocs+512); allocs > limit {
+				t.Errorf("%.0f allocs per call, budget %.0f (recorded %.0f)", allocs, limit, c.allocs)
+			}
+			if limit := max(1.4*c.bytes, c.bytes+64<<10); bytes > limit {
+				t.Errorf("%.0f bytes per call, budget %.0f (recorded %.0f)", bytes, limit, c.bytes)
+			}
+		})
+	}
+}
+
+// figure6Cold is the paper workload's heaviest exhibit: all 18
+// components measured with and without accounting, no disk cache, and
+// every estimator refitted on both corpora.
+func figure6Cold(t *testing.T) func() {
+	return func() {
+		if _, err := paper.Figure6Opts(paper.Opts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// warmMeasureAll is a served /measure's measurement: the 18-unit
+// corpus batch answered from a warm disk cache.
+func warmMeasureAll(t *testing.T) func() {
+	ch := warmCache(t)
+	return func() {
+		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Cache: ch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// incrementalEdit is the edit-loop's changing save: the one-module
+// RAT-Standard edit and its revert, alternately remeasured against the
+// rolling baseline with a warm disk cache.
+func incrementalEdit(t *testing.T) func() {
+	remeasure := remeasureLoop(t, openCache(t), parseDesigns(t, designs.Sources(), editedSources(t)))
+	return func() { remeasure() }
+}
+
+// noopRemeasure is the edit-loop's no-op save: two parses of the same
+// sources remeasured alternately, so every call diffs a fresh design
+// object to an empty dirty cone.
+func noopRemeasure(t *testing.T) func() {
+	src := designs.Sources()
+	remeasure := remeasureLoop(t, openCache(t), parseDesigns(t, src, src))
+	return func() { remeasure() }
+}
+
+// optimizeReusedWS runs the netlist optimizer over IVM-Memory's raw
+// netlist with the one workspace a measurement worker keeps.
+func optimizeReusedWS(t *testing.T) func() {
+	c, err := designs.ByLabel("IVM-Memory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := designs.Design(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := synth.Synthesize(d, c.Top, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := &netlist.Workspace{}
+	return func() {
+		if _, _, err := netlist.OptimizeWS(res.Raw, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIncrementalEditCone gates the edit loop's dirty cone by the work
+// it saves, the count the retired speedup_vs_warm_whole_unit ≥ 5 time
+// ratio stood for. On a warm cache the one-module RAT-Standard edit
+// dirties 1 of the 18 corpus units; remeasuring it may read at most a
+// fifth of the cache entries a warm whole-unit MeasureAll reads (at
+// least one per unit), and every read must hit (a miss is a
+// synthesis). A cone that stops pruning re-reads every unit and fails
+// the fifth.
+func TestIncrementalEditCone(t *testing.T) {
+	ch := openCache(t)
+	ds := parseDesigns(t, designs.Sources(), editedSources(t))
+	remeasure := remeasureLoop(t, ch, ds)
+
+	s0 := ch.Stats()
+	st := remeasure()
+	s1 := ch.Stats()
+	if _, err := measure.NewSession(ds[1]).MeasureAll(corpusUnits(), measure.Options{Cache: ch}); err != nil {
+		t.Fatal(err)
+	}
+	s2 := ch.Stats()
+
+	n := len(corpusUnits())
+	if st.DirtyUnits != 1 || st.CleanUnits != n-1 {
+		t.Errorf("dirty cone: %d dirty / %d clean units, want 1 / %d", st.DirtyUnits, st.CleanUnits, n-1)
+	}
+	editReads := s1.Hits + s1.Misses - s0.Hits - s0.Misses
+	wholeReads := s2.Hits + s2.Misses - s1.Hits - s1.Misses
+	if wholeReads < int64(n) {
+		t.Errorf("warm whole-unit MeasureAll read %d cache entries for %d units", wholeReads, n)
+	}
+	if 5*editReads > wholeReads {
+		t.Errorf("edit remeasure read %d cache entries, more than a fifth of a warm whole-unit MeasureAll's %d", editReads, wholeReads)
+	}
+	if m := s2.Misses - s0.Misses; m != 0 {
+		t.Errorf("%d cache misses on a warm cache: the edit loop synthesized", m)
+	}
+}
+
+// TestMeasureStreamScaling bounds the per-unit allocations and heap
+// bytes of a cold MeasureStream of the 1000-component generated corpus
+// (seed 1, 2000 units) at 1.3× those of the 100-component one, the
+// ceiling the retired scaling_ratio_vs_100 time gate held. Both are
+// counted in the same process at the same GOMAXPROCS. A planner whose
+// tables grow super-linearly, or whose retention grows with the batch,
+// allocates its way past the ceiling; super-linear time that does not
+// allocate is left to the bench/ corpus-cold workload.
+func TestMeasureStreamScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 2000-unit corpus")
+	}
+	perUnit := func(n int) (allocs, bytes float64) {
+		design, units := generatedUnits(t, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		measureGeneratedOnce(t, design, units)
+		runtime.ReadMemStats(&after)
+		u := float64(len(units))
+		return float64(after.Mallocs-before.Mallocs) / u, float64(after.TotalAlloc-before.TotalAlloc) / u
+	}
+	refAllocs, refBytes := perUnit(100)
+	allocs, bytes := perUnit(1000)
+	if allocs > 1.3*refAllocs {
+		t.Errorf("N=1000 allocates %.0f per unit, more than 1.3× N=100's %.0f", allocs, refAllocs)
+	}
+	if bytes > 1.3*refBytes {
+		t.Errorf("N=1000 allocates %.0f bytes per unit, more than 1.3× N=100's %.0f", bytes, refBytes)
+	}
+}
+
+// lowerCorpusReusedWS lowers every corpus component's default-parameter
+// instance tree with the one workspace a measurement worker keeps.
+// Lowering is the largest layer of a cold sweep (synth.lower_ms in the
+// bench/ module's traced corpus-cold run).
+func lowerCorpusReusedWS(t *testing.T) func() {
+	var insts []*elab.Instance
+	for _, c := range designs.All() {
+		d, err := designs.Design(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, _, err := elab.ElaborateOpts(d, c.Top, nil, elab.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	ws := synth.NewWorkspace()
+	return func() {
+		for _, inst := range insts {
+			if _, _, err := synth.LowerOpts(inst, synth.LowerOptions{Workspace: ws}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -529,21 +529,6 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 	return nil
 }
 
-// PutIfAbsent writes the entry only when no file for key exists yet,
-// reporting whether it wrote. Skipping is sound for every key in this
-// cache: keys are content-addressed, so an existing entry already
-// holds this value (the schema version pins the encoding), and a
-// damaged one is discarded at read time and re-stored by the next
-// write. Callers that re-store the same entry every round — a watch
-// loop re-anchoring its baseline graph — pay one stat instead of an
-// encode, compress, and atomic write.
-func PutIfAbsent[T any](c *Cache, key string, cd codec.Codec[T], val T) (bool, error) {
-	if _, err := os.Stat(c.path(key)); err == nil {
-		return false, nil
-	}
-	return true, Put(c, key, cd, val)
-}
-
 // Do returns the entry for key, computing and storing it on a miss.
 // The boolean reports whether the result came from the cache.
 // Concurrent calls for the same key are single-flighted: one computes,

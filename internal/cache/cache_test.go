@@ -135,38 +135,6 @@ func TestCompressedRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPutIfAbsent pins the skip-if-present contract: the second store
-// of a key is a no-op (no write, no put counted), and a discarded
-// entry is re-stored.
-func TestPutIfAbsent(t *testing.T) {
-	c := open(t)
-	key := Key("absent")
-	wrote, err := PutIfAbsent(c, key, intCodec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wrote {
-		t.Fatal("first PutIfAbsent did not write")
-	}
-	wrote, err = PutIfAbsent(c, key, intCodec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrote {
-		t.Error("PutIfAbsent rewrote an existing entry")
-	}
-	if got := c.Stats().Puts; got != 1 {
-		t.Errorf("puts = %d after a skipped store, want 1", got)
-	}
-	if v, ok := Get(c, key, intCodec); !ok || v != 7 {
-		t.Fatalf("Get = %d, %t after skipped store, want 7, true", v, ok)
-	}
-	c.discard(key)
-	if wrote, err = PutIfAbsent(c, key, intCodec, 7); err != nil || !wrote {
-		t.Fatalf("PutIfAbsent after discard = %t, %v, want a write", wrote, err)
-	}
-}
-
 func TestKindKey(t *testing.T) {
 	k := KindKey("sig", "a", "b")
 	if !strings.HasPrefix(k, "sig-") {

@@ -57,11 +57,14 @@ func (r *Result) Predict(metrics []float64, rho float64) (float64, error) {
 	if len(metrics) != len(r.Weights) {
 		return 0, fmt.Errorf("nlme: Predict: %d metrics for %d weights", len(metrics), len(r.Weights))
 	}
-	if rho <= 0 {
-		return 0, fmt.Errorf("nlme: Predict: productivity must be positive, got %v", rho)
+	if !positiveFinite(rho) {
+		return 0, fmt.Errorf("nlme: Predict: productivity must be positive and finite, got %v", rho)
 	}
 	var eta float64
 	for k, m := range metrics {
+		if !validMetric(m) {
+			return 0, fmt.Errorf("nlme: Predict: invalid metric value %v", m)
+		}
 		eta += r.Weights[k] * m
 	}
 	return eta / rho, nil

@@ -259,8 +259,15 @@ func TestPredictErrors(t *testing.T) {
 	if _, err := r.Predict([]float64{1}, 1); err == nil {
 		t.Error("expected metric-count error")
 	}
-	if _, err := r.Predict([]float64{1, 2}, 0); err == nil {
-		t.Error("expected productivity error")
+	for _, rho := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if v, err := r.Predict([]float64{1, 2}, rho); err == nil {
+			t.Errorf("Predict(rho=%v) = %v, want a productivity error", rho, v)
+		}
+	}
+	for _, m := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if v, err := r.Predict([]float64{m, 2}, 1); err == nil {
+			t.Errorf("Predict(metric %v) = %v, want an invalid-metric error", m, v)
+		}
 	}
 	v, err := r.Predict([]float64{3, 4}, 2)
 	if err != nil {

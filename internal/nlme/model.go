@@ -34,6 +34,17 @@ func (d *Data) NumMetrics() int {
 	return len(d.Metrics[0])
 }
 
+// validMetric is the rule every metric value entering the model meets,
+// in fitted data and in a prediction alike: finite and non-negative.
+func validMetric(m float64) bool {
+	return m >= 0 && !math.IsInf(m, 1) // NaN fails m >= 0
+}
+
+// positiveFinite is the rule for an effort or a productivity factor.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1) // NaN fails v > 0
+}
+
 // Validate checks the structural invariants of the data set and
 // returns a descriptive error on the first violation.
 func (d *Data) Validate() error {
@@ -58,12 +69,12 @@ func (d *Data) Validate() error {
 		if len(d.Metrics[i]) != k {
 			return fmt.Errorf("nlme: observation %d has %d metrics, want %d", i, len(d.Metrics[i]), k)
 		}
-		if d.Efforts[i] <= 0 || math.IsNaN(d.Efforts[i]) || math.IsInf(d.Efforts[i], 0) {
+		if !positiveFinite(d.Efforts[i]) {
 			return fmt.Errorf("nlme: observation %d has non-positive effort %v", i, d.Efforts[i])
 		}
 		anyPositive := false
 		for _, m := range d.Metrics[i] {
-			if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			if !validMetric(m) {
 				return fmt.Errorf("nlme: observation %d has invalid metric value %v", i, m)
 			}
 			if m > 0 {
