@@ -26,8 +26,8 @@
 // from one pass over the topological order, traversals use
 // epoch-stamped visited arrays and reusable scratch buffers instead of
 // per-endpoint maps, and every multi-fanout net memoizes its subcone's
-// distinct leaf and gate sets so reconvergent regions are expanded
-// once and then merged in O(set size) per reference.
+// distinct leaf set so reconvergent regions are expanded once and then
+// merged in O(set size) per reference.
 package cones
 
 import (
@@ -35,13 +35,11 @@ import (
 	"repro/internal/scratch"
 )
 
-// memo caches the distinct leaf and gate sets of one multi-fanout
-// net's subcone. Gates are identified by their output net (each
-// combinational cell drives exactly one net), so merging a memo into a
-// traversal needs only the net-visited epoch array.
+// memo caches the distinct leaf set of one multi-fanout net's
+// subcone. No gate set is kept: nothing reads a cone's gate count, and
+// the leaf count needs none (see traverse).
 type memo struct {
 	leaves []netlist.NetID
-	gates  []netlist.NetID // output nets of the subcone's cells
 }
 
 // analyzer holds the sweep state: immutable per-net tables computed
@@ -62,7 +60,6 @@ type analyzer struct {
 	netEpoch []uint32
 	stack    []netlist.NetID
 	leaves   []netlist.NetID
-	gates    []netlist.NetID
 }
 
 // newAnalyzer runs the one-time sweep: leaf classification, the depth
@@ -161,13 +158,11 @@ func newAnalyzer(n *netlist.Netlist, ws *Workspace) *analyzer {
 		if fanout[out] < 2 {
 			continue
 		}
-		leaves, gates := a.traverse(out)
+		leaves := a.traverse(out)
 		a.memoIdx[out] = int32(len(a.memos))
 		ml := ws.slab.Take(len(leaves))
 		copy(ml, leaves)
-		mg := ws.slab.Take(len(gates))
-		copy(mg, gates)
-		a.memos = append(a.memos, memo{leaves: ml, gates: mg})
+		a.memos = append(a.memos, memo{leaves: ml})
 	}
 	return a
 }
@@ -179,24 +174,27 @@ func (a *analyzer) depthOf(id netlist.NetID) int32 {
 	return a.depth[id]
 }
 
-// collect returns the distinct leaf and gate counts of the cone rooted
-// at root.
-func (a *analyzer) collect(root netlist.NetID) (leaves, gates int) {
-	l, g := a.traverse(root)
-	return len(l), len(g)
+// collect returns the distinct leaf count of the cone rooted at root.
+func (a *analyzer) collect(root netlist.NetID) int {
+	return len(a.traverse(root))
 }
 
 // traverse walks the cone rooted at root and returns its distinct
-// leaves and gate-output nets in scratch buffers (valid until the next
-// traversal). The root's own memo is never consulted, so the memo pass
-// can use traverse to build it.
-func (a *analyzer) traverse(root netlist.NetID) (leaves, gates []netlist.NetID) {
+// leaves in a scratch buffer (valid until the next traversal). The
+// root's own memo is never consulted, so the memo pass can use traverse
+// to build it.
+//
+// Merging a memo stamps only its root and its leaves, not the gates of
+// its subcone. The leaf count stays exact, since leaves carry their
+// own stamps, and no work is repeated: a net without a memo has fanout
+// 1, so every path to it runs through its nearest memoized ancestor
+// (or the root), and a gate below a merged memo is never expanded.
+func (a *analyzer) traverse(root netlist.NetID) []netlist.NetID {
 	a.epoch++
 	epoch := a.epoch
 	n := a.n
 	stack := append(a.stack[:0], root)
 	a.leaves = a.leaves[:0]
-	a.gates = a.gates[:0]
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -208,34 +206,24 @@ func (a *analyzer) traverse(root netlist.NetID) (leaves, gates []netlist.NetID) 
 			a.leaves = append(a.leaves, id)
 			continue
 		}
+		a.netEpoch[id] = epoch
 		if mi := a.memoIdx[id]; mi >= 0 && id != root {
-			// The memo's gate list contains id itself (every memo root
-			// is a gate output), so merging stamps and counts it too.
-			m := &a.memos[mi]
-			for _, l := range m.leaves {
+			for _, l := range a.memos[mi].leaves {
 				if a.netEpoch[l] != epoch {
 					a.netEpoch[l] = epoch
 					a.leaves = append(a.leaves, l)
 				}
 			}
-			for _, g := range m.gates {
-				if a.netEpoch[g] != epoch {
-					a.netEpoch[g] = epoch
-					a.gates = append(a.gates, g)
-				}
-			}
 			continue
 		}
-		a.netEpoch[id] = epoch
 		d := a.drivers[id]
 		if d < 0 {
 			continue
 		}
-		a.gates = append(a.gates, id)
 		for _, in := range n.Cells[d].Inputs() {
 			stack = append(stack, in)
 		}
 	}
 	a.stack = stack[:0]
-	return a.leaves, a.gates
+	return a.leaves
 }

@@ -46,9 +46,8 @@ func AnalyzeSummary(n *netlist.Netlist, ws *Workspace) Summary {
 		if root == netlist.Nil {
 			return
 		}
-		leaves, _ := a.collect(root)
 		s.NumCones++
-		s.FanInLC += leaves
+		s.FanInLC += a.collect(root)
 		if d := int(a.depthOf(root)); d > s.MaxDepth {
 			s.MaxDepth = d
 		}

@@ -39,10 +39,12 @@ type ComponentResult struct {
 	Synth *synth.Result
 	// ElabCacheHits and ElabCacheMisses count memoized versus fresh
 	// point verdicts during the parameter-minimization search
-	// (accounting mode only). They describe this run's search, so a
-	// result answered from the disk cache, which ran none, reports
-	// zero; subtree-level counters are per batch, in
-	// Options.ElabStats and Session.ElabStats.
+	// (accounting mode only). A Session searches each top module once
+	// and every later result it plans from that search reports the
+	// same counters; a result answered from the disk cache, which ran
+	// no search, reports zero. Options.ElabStats counts only the
+	// probes a call actually ran; subtree-level counters are per
+	// batch, in Options.ElabStats and Session.ElabStats.
 	ElabCacheHits, ElabCacheMisses int
 }
 

@@ -178,16 +178,9 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 	for round := 0; round < 5; round++ {
 		changed := false
 		for _, name := range names {
-			// Candidates strictly below the current value, ascending;
-			// the search keeps the lowest compatible one, exactly like
-			// a sequential first-fit scan.
-			var below []int64
-			for _, v := range candidateValues(current[name]) {
-				if v >= current[name] {
-					break
-				}
-				below = append(below, v)
-			}
+			// The search keeps the lowest compatible candidate, exactly
+			// like a sequential first-fit scan.
+			below := candidateValues(current[name])
 			idx, err := parallel.FirstMatch(concurrency, len(below), func(i int) (bool, error) {
 				cand := make(map[string]int64, len(current))
 				for k, cv := range current {
@@ -230,19 +223,21 @@ func defaultParams(mod *hdl.Module) (map[string]int64, error) {
 	return params, nil
 }
 
-// candidateValues returns ascending candidate values to try for a
-// parameter whose current value is cur: small integers exhaustively,
-// then powers of two below it.
+// candidateValues returns the ascending candidate values strictly
+// below a parameter's current value cur: small integers exhaustively,
+// then powers of two. The slice is sized up front, as the search asks
+// for one per parameter per round.
 func candidateValues(cur int64) []int64 {
-	var out []int64
-	limit := cur
-	if limit > 64 {
-		limit = 64
+	small := max(min(cur, 65), 0) // 0..64
+	n := small
+	for v := int64(128); v > 0 && v < cur; v *= 2 {
+		n++
 	}
-	for v := int64(0); v <= limit; v++ {
+	out := make([]int64, 0, n)
+	for v := int64(0); v < small; v++ {
 		out = append(out, v)
 	}
-	for v := int64(128); v < cur; v *= 2 {
+	for v := int64(128); v > 0 && v < cur; v *= 2 {
 		out = append(out, v)
 	}
 	return out

@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -63,16 +64,18 @@ type SessionStats struct {
 //
 // All session state is sharded or lock-free: the flight table is
 // split across flightShards key-hashed shards, the sharing counters
-// are atomics, and the dedup/source-metric memos are sync.Maps (their
-// values are pure functions of the design, so a racing duplicate
-// compute stores the identical value). At thousand-component batch
-// sizes the old single session mutex serialized the whole planning
-// front end; nothing here is contended now.
+// are atomics, and the search, dedup and source-metric memos are
+// sync.Maps (their values are pure functions of the design, so a
+// racing duplicate compute stores the identical value). At
+// thousand-component batch sizes the old single session mutex
+// serialized the whole planning front end; nothing here is contended
+// now.
 type Session struct {
 	design *hdl.Design
 
 	shards [flightShards]flightShard
 
+	minMemo   sync.Map // top module name → *searchResult: the accounting search
 	dedupMemo sync.Map // module name → bool: could produce duplicate siblings
 	srcMemo   sync.Map // module name → srcmetrics.Counts
 
@@ -186,6 +189,7 @@ type plan struct {
 	dedup      bool             // effective dedup flag for lowering
 	hits       int              // minimization memo point-verdict hits
 	misses     int
+	searched   bool       // this call ran the search (minMemo missed)
 	flight     *sigFlight // the registered flight (owner or waiter)
 	owned      *sigFlight // non-nil: this call must synthesize the entry
 	err        error      // deferred so one failed unit does not strand flights
@@ -346,8 +350,10 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 		for j, i := range idx {
 			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
 			plans[j] = p
-			hits.Add(int64(p.hits))
-			misses.Add(int64(p.misses))
+			if p.searched {
+				hits.Add(int64(p.hits))
+				misses.Add(int64(p.misses))
+			}
 			if p.owned != nil {
 				owned = append(owned, p)
 			}
@@ -412,12 +418,13 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 
 	p := &plan{top: u.Top, compKey: compKey}
 	if u.UseAccounting {
-		params, memo, err := minimizeParams(s.design, u.Top, inner, ecache)
+		sr, searched, err := s.minimized(u.Top, inner, ecache)
 		if err != nil {
 			return &plan{err: err}
 		}
-		p.overrides = params
-		p.hits, p.misses = memo.counters()
+		p.overrides = sr.params
+		p.hits, p.misses = sr.hits, sr.misses
+		p.searched = searched
 	}
 	// Canonical signature: the full resolved parameter map, so a unit
 	// measured at defaults and a unit whose minimization landed on the
@@ -470,6 +477,37 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 		s.shared.Add(1)
 	}
 	return p
+}
+
+// searchResult is the outcome of one top module's accounting search:
+// the minimized parameters and the search's point-verdict counters.
+// It is shared by every plan that reads it and is never mutated.
+type searchResult struct {
+	params       map[string]int64
+	hits, misses int
+}
+
+// minimized returns top's accounting search result, running the search
+// (against the group's elaboration cache) only the first time the
+// session asks; searched reports whether this call ran it. The memo is
+// sound for the reasons the dedup and source-metric memos are: the
+// session's design never changes, and the minimized parameters do not
+// depend on the worker count or on what the elaboration cache already
+// holds. Failed searches are not stored, so their error recurs. Two
+// racing first calls both search; the first store wins, and both
+// computed the same value.
+func (s *Session) minimized(top string, inner int, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+	if v, ok := s.minMemo.Load(top); ok {
+		return v.(*searchResult), false, nil
+	}
+	params, memo, err := minimizeParams(s.design, top, inner, ecache)
+	if err != nil {
+		return nil, true, err
+	}
+	sr = &searchResult{params: params}
+	sr.hits, sr.misses = memo.counters()
+	s.minMemo.LoadOrStore(top, sr)
+	return sr, true, nil
 }
 
 // resolvedParams returns the full parameter map of top under the given
@@ -698,7 +736,7 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 		DedupedInstances: f.rec.Deduped,
 		NetlistHash:      f.rec.NetlistHash,
 		Timing:           f.rec.Timing,
-		MinimizedParams:  p.overrides,
+		MinimizedParams:  maps.Clone(p.overrides), // the search memo keeps p.overrides
 		ElabCacheHits:    p.hits,
 		ElabCacheMisses:  p.misses,
 	}

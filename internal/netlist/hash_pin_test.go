@@ -1,0 +1,89 @@
+package netlist_test
+
+import (
+	"strconv"
+	"testing"
+
+	"repro/internal/designs"
+	"repro/internal/netlist"
+	"repro/internal/synth"
+)
+
+// Netlist.Hash digests are compared across program versions: the
+// on-disk sig- and component- records store them, and a remeasurement's
+// early cutoff matches a fresh netlist against a baseline's. These
+// literals pin the exact bytes hashed, so a change to how the hash is
+// computed must leave every digest as it was.
+
+// ramNetlist is a hand-built netlist touching every hashed field: named
+// inputs and outputs, combinational, mux, latch and flip-flop cells,
+// both constants, and a RAM with a write and a read port.
+func ramNetlist(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	b := netlist.NewBuilder()
+	clk := b.NewNet("clk")
+	we := b.NewNet("we")
+	b.AddInput("clk", clk)
+	b.AddInput("we", we)
+	var addr, data [2]netlist.NetID
+	for i := range addr {
+		addr[i] = b.NewNet("addr")
+		b.AddInput("addr["+strconv.Itoa(i)+"]", addr[i])
+		data[i] = b.NewNet("data")
+		b.AddInput("data["+strconv.Itoa(i)+"]", data[i])
+	}
+	out := []netlist.NetID{b.NewNet("rd0"), b.NewNet("rd1")}
+	b.AddRAM(&netlist.RAM{
+		Name:  "mem",
+		Width: 2,
+		Depth: 4,
+		Clk:   clk,
+		WritePorts: []netlist.RAMWritePort{{
+			En: we, Addr: addr[:], Data: data[:],
+		}},
+		ReadPorts: []netlist.RAMReadPort{{
+			Addr: []netlist.NetID{addr[1], addr[0]}, Out: out,
+		}},
+	})
+	x := b.Xor(out[0], out[1])
+	m := b.Mux(we, x, b.Nand(out[0], data[1]))
+	q := b.NewDFF(m, clk)
+	l := b.NewLatch(b.Or(q, b.Const1()), we)
+	b.AddOutput("q", q)
+	b.AddOutput("l", l)
+	b.AddOutput("zero", b.Const0())
+	nl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nl.RAMs) != 1 || nl.Stats().Cells == 0 {
+		t.Fatalf("hand-built netlist lost its RAM or cells: %+v", nl.Stats())
+	}
+	return nl
+}
+
+func TestHashDigestsPinned(t *testing.T) {
+	if got, want := ramNetlist(t).Hash(), "9da616e99518dfd6ba60217e01302b5577767ee5d575ba8b10842031ced530d9"; got != want {
+		t.Errorf("hand-built RAM netlist hashes to %s, pinned %s", got, want)
+	}
+	for _, c := range []struct{ label, want string }{
+		{"IVM-Memory", "2b94aa0b7e6c5df5fae3ec18012caf95d88bff79a11992eac201b979b1ca19ea"},
+		{"RAT-Standard", "daac0515989da927a29528ec592a25265e5aa6a9c10f5ce11af70c2dd8803b22"},
+	} {
+		comp, err := designs.ByLabel(c.label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := designs.Design(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := synth.Synthesize(d, comp.Top, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if got := res.Optimized.Hash(); got != c.want {
+			t.Errorf("%s: optimized netlist hashes to %s, pinned %s", c.label, got, c.want)
+		}
+	}
+}

@@ -45,7 +45,9 @@ const (
 	Mux2
 	DFF
 	Latch
-	numCellTypes
+	// NumCellTypes is the number of primitive cell types, for tables
+	// indexed by CellType.
+	NumCellTypes
 )
 
 func (t CellType) String() string {
@@ -281,15 +283,31 @@ func (n *Netlist) Hash() string {
 	if n.derived.hash != "" {
 		return n.derived.hash
 	}
+	// Fields are appended to a stack buffer that is handed to SHA-256
+	// when (nearly) full, instead of one 8-byte write per field; the
+	// bytes hashed, and so every digest, are the same.
 	h := sha256.New()
-	var buf [8]byte
+	var buf [1024]byte
+	fill := 0
 	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		if fill+8 > len(buf) {
+			h.Write(buf[:fill])
+			fill = 0
+		}
+		binary.LittleEndian.PutUint64(buf[fill:], uint64(v))
+		fill += 8
 	}
 	wStr := func(s string) {
 		wInt(int64(len(s)))
-		h.Write([]byte(s))
+		for len(s) > 0 {
+			if fill == len(buf) {
+				h.Write(buf[:])
+				fill = 0
+			}
+			k := copy(buf[fill:], s)
+			fill += k
+			s = s[k:]
+		}
 	}
 	wIDs := func(ids []NetID) {
 		wInt(int64(len(ids)))
@@ -339,6 +357,7 @@ func (n *Netlist) Hash() string {
 		wStr(p.Name)
 		wInt(int64(p.Net))
 	}
+	h.Write(buf[:fill])
 	n.derived.hash = hex.EncodeToString(h.Sum(nil))
 	return n.derived.hash
 }

@@ -328,7 +328,7 @@ func TestCellTypeProperties(t *testing.T) {
 	if Inv.NumInputs() != 1 || Mux2.NumInputs() != 3 || Latch.NumInputs() != 2 || And2.NumInputs() != 2 {
 		t.Error("NumInputs wrong")
 	}
-	for ct := CellType(0); ct < numCellTypes; ct++ {
+	for ct := CellType(0); ct < NumCellTypes; ct++ {
 		if ct.String() == "" {
 			t.Errorf("missing name for cell type %d", ct)
 		}

@@ -30,7 +30,7 @@ func (n *Netlist) Validate() error {
 	}
 	for i := range n.Cells {
 		c := &n.Cells[i]
-		if c.Type >= numCellTypes {
+		if c.Type >= NumCellTypes {
 			return fmt.Errorf("netlist: cell %d has unknown type %d", i, c.Type)
 		}
 		if c.Out == Nil {

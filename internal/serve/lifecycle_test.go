@@ -139,14 +139,21 @@ func TestQueueFull429(t *testing.T) {
 // synthesized strictly fewer signatures than the full batch needs.
 // The same request without a timeout then succeeds on the same daemon
 // with bit-identical results, proving the abandoned flights were
-// evicted rather than left poisoning the shared table.
+// evicted rather than left poisoning the shared table. Each admitted
+// request is held 20 ms of its 30 ms budget, so the deadline falls
+// early in a batch that takes tens of milliseconds on any host, not
+// after it.
 func TestRequestTimeoutCancelsSynthesis(t *testing.T) {
 	req := servetest.GeneratedRequest(t, "alpha", 64, 9)
 	opts := measure.Options{Concurrency: 1}
 	ref := servetest.Reference(t, req, opts)
 	fullSynth := servetest.ReferenceSynth(t, req, opts)
 
-	h := servetest.Start(t, serve.Config{Concurrency: 1, MaxConcurrent: 2})
+	h := servetest.Start(t, serve.Config{
+		Concurrency:   1,
+		MaxConcurrent: 2,
+		OnAdmitted:    func(string) { time.Sleep(20 * time.Millisecond) },
+	})
 	cl := h.Client()
 
 	timed := &serve.Request{Tenant: req.Tenant, Sources: req.Sources, Units: req.Units, TimeoutMS: 30}

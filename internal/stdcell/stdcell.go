@@ -32,8 +32,10 @@ type Params struct {
 // Library is a full cell library: parameters per primitive cell type
 // and the RAM model.
 type Library struct {
-	Name  string
-	Cells map[netlist.CellType]Params
+	Name string
+	// Cells is indexed by cell type; an all-zero entry is a cell the
+	// library lacks.
+	Cells [netlist.NumCellTypes]Params
 	// RAMBitArea is the storage area per memory bit (µm²); RAM
 	// periphery adds RAMPortArea per bit of each port.
 	RAMBitArea  float64
@@ -44,8 +46,6 @@ type Library struct {
 	RAMAccessEnergy float64
 	// RAMAccessDelay is the read-access time in ns.
 	RAMAccessDelay float64
-	// FFArea duplicates Cells[DFF].Area for convenience in AreaS
-	// computations.
 }
 
 // Default180nm returns the library used throughout the reproduction.
@@ -67,7 +67,7 @@ var default180 = newDefault180nm()
 func newDefault180nm() *Library {
 	return &Library{
 		Name: "generic180",
-		Cells: map[netlist.CellType]Params{
+		Cells: [netlist.NumCellTypes]Params{
 			netlist.Inv:   {Area: 10.0, Delay: 0.04, Leakage: 0.5, SwitchEng: 0.004},
 			netlist.Buf:   {Area: 13.3, Delay: 0.07, Leakage: 0.6, SwitchEng: 0.005},
 			netlist.Nand2: {Area: 13.3, Delay: 0.06, Leakage: 0.8, SwitchEng: 0.006},
@@ -92,11 +92,10 @@ func newDefault180nm() *Library {
 // unknown type (a programming error: the library must cover every
 // primitive the synthesizer emits).
 func (l *Library) CellParams(t netlist.CellType) Params {
-	p, ok := l.Cells[t]
-	if !ok {
+	if t >= netlist.NumCellTypes || l.Cells[t] == (Params{}) {
 		panic(fmt.Sprintf("stdcell: library %s has no cell %s", l.Name, t))
 	}
-	return p
+	return l.Cells[t]
 }
 
 // RAMArea returns the macro area of a RAM in µm².

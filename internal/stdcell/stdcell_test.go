@@ -103,7 +103,7 @@ func TestStaticPowerIncludesRAM(t *testing.T) {
 }
 
 func TestCellParamsPanicsOnUnknown(t *testing.T) {
-	lib := &Library{Name: "empty", Cells: map[netlist.CellType]Params{}}
+	lib := &Library{Name: "empty"}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
