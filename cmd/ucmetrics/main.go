@@ -51,9 +51,9 @@
 // components. A session summary (components measured, signatures
 // planned / synthesized / shared) is reported on stderr. The -diff and
 // -watch modes run the incremental remeasurement layer: a dependency
-// graph recorded at the baseline marks the transitive dirty cone of an
-// edit, clean subtrees are served from the baseline results, and only
-// dirty units are re-planned and re-synthesized. A dirty unit whose
+// graph recorded at the baseline marks a unit dirty when its top's
+// subtree hash changed, clean units are served from the baseline
+// results, and only dirty units are re-planned and re-synthesized. A dirty unit whose
 // optimized netlist hashes as its baseline's reuses the baseline's
 // synthesis metrics (the early cutoff).
 package main

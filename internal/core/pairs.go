@@ -43,9 +43,6 @@ func EvaluatePairs(comps []dataset.Component) ([]PairAccuracy, error) {
 	return out, nil
 }
 
-// Contains reports whether the pair includes metric m.
-func (p PairAccuracy) Contains(m dataset.Metric) bool { return p.A == m || p.B == m }
-
 // Name formats the pair as "A+B".
 func (p PairAccuracy) Name() string { return string(p.A) + "+" + string(p.B) }
 

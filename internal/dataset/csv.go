@@ -124,18 +124,3 @@ func Projects(comps []Component) []string {
 	}
 	return out
 }
-
-// Select returns the components whose project name is in projects.
-func Select(comps []Component, projects ...string) []Component {
-	want := map[string]bool{}
-	for _, p := range projects {
-		want[p] = true
-	}
-	var out []Component
-	for _, c := range comps {
-		if want[c.Project] {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -55,7 +55,7 @@ func (c *Component) Label() string { return c.Project + "-" + c.Name }
 // Table 2 lists the RAT-Standard effort as 0.3 person-months while
 // Table 4's Effort column lists 0.6; and RAT-Sliding as 0.5 vs 1. The
 // regression in Section 5 fits the Table 4 column, so that is what
-// Effort carries; the Table 2 values are available via ReportedTable2.
+// Effort carries.
 func Paper() []Component {
 	comps := make([]Component, len(paperRows))
 	for i, r := range paperRows {
@@ -154,18 +154,6 @@ func PaperSigmaEpsNoRho() map[string]float64 {
 // synthetic-design pipeline.
 func PaperSigmaEpsNoAccounting() map[string]float64 {
 	return map[string]float64{"FanInLC": 1.18, "Nets": 1.07}
-}
-
-// ReportedTable2 returns the person-month design efforts exactly as
-// printed in Table 2 (see the RAT discrepancy note on Paper).
-func ReportedTable2() map[string]float64 {
-	return map[string]float64{
-		"Leon3-Pipeline": 24, "Leon3-Cache": 6, "Leon3-MMU": 6, "Leon3-MemCtrl": 6,
-		"PUMA-Fetch": 3, "PUMA-Decode": 4, "PUMA-ROB": 4, "PUMA-Execute": 12, "PUMA-Memory": 1,
-		"IVM-Fetch": 10, "IVM-Decode": 2, "IVM-Rename": 4, "IVM-Issue": 4,
-		"IVM-Execute": 3, "IVM-Memory": 10, "IVM-Retire": 5,
-		"RAT-Standard": 0.3, "RAT-Sliding": 0.5,
-	}
 }
 
 // DesignCharacteristic is one row of Table 1.

@@ -1,6 +1,7 @@
 package depgraph_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -45,28 +46,39 @@ func build(t testing.TB, src string) (*hdl.Design, *depgraph.Graph) {
 	return d, g
 }
 
+// TestBuildRecordsModulesAndEdges pins what a graph records per
+// module: its own source hash and its subtree hash, both as the design
+// computes them, in name order.
 func TestBuildRecordsModulesAndEdges(t *testing.T) {
-	_, g := build(t, graphSrc)
+	d, g := build(t, graphSrc)
 	if len(g.Modules) != 4 {
 		t.Fatalf("%d modules, want 4", len(g.Modules))
-	}
-	mid, ok := g.Module("mid")
-	if !ok || len(mid.Children) != 1 || mid.Children[0] != "leaf" {
-		t.Errorf("mid node wrong: %+v (ok=%t)", mid, ok)
-	}
-	topB, _ := g.Module("top_b")
-	if len(topB.Children) != 0 {
-		t.Errorf("top_b should have no children, got %v", topB.Children)
 	}
 	for i, m := range g.Modules {
 		if i > 0 && g.Modules[i-1].Name >= m.Name {
 			t.Errorf("modules not sorted at %q", m.Name)
 		}
-		for _, c := range m.Children {
-			if _, ok := g.Module(c); !ok {
-				t.Errorf("module %q instantiates undeclared %q", m.Name, c)
-			}
+		own, err := d.ModuleHash(m.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sub, err := d.SubtreeHash(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Hash != own || m.Subtree != sub {
+			t.Errorf("%s: recorded hashes %q/%q, design has %q/%q", m.Name, m.Hash, m.Subtree, own, sub)
+		}
+		if got, ok := g.Module(m.Name); !ok || got != m {
+			t.Errorf("Module(%q) = %+v, %t", m.Name, got, ok)
+		}
+	}
+	// A leaf's subtree is itself and a parent's is not: the two hashes
+	// differ exactly for modules that instantiate something.
+	leaf, _ := g.Module("leaf")
+	mid, _ := g.Module("mid")
+	if leaf.Subtree == mid.Subtree || mid.Subtree == mid.Hash {
+		t.Errorf("subtree hashes do not separate leaf and mid: %+v %+v", leaf, mid)
 	}
 }
 
@@ -152,16 +164,40 @@ endmodule`, ""))
 	}
 }
 
-func TestAddUnitReplaces(t *testing.T) {
+// TestDiffRemovedLeafDirtiesParents is the removed-module case: when a
+// leaf is deleted (or its declaration renamed), every former
+// instantiator is dirty, because the leaf dropped out of its subtree —
+// even though the instantiators' own sources did not change and the
+// dangling instance no longer names a declared module.
+func TestDiffRemovedLeafDirtiesParents(t *testing.T) {
 	_, g := build(t, graphSrc)
-	g.AddUnit(depgraph.Unit{Top: "top_a", UseAccounting: true, NetlistHash: "h1"})
-	g.AddUnit(depgraph.Unit{Top: "top_a", UseAccounting: false, NetlistHash: "h2"})
-	g.AddUnit(depgraph.Unit{Top: "top_a", UseAccounting: true, NetlistHash: "h3"})
-	if len(g.Units) != 2 {
-		t.Fatalf("%d units, want 2", len(g.Units))
-	}
-	u, ok := g.Unit("top_a", true)
-	if !ok || u.NetlistHash != "h3" {
-		t.Errorf("unit not replaced: %+v ok=%t", u, ok)
+	const leafDecl = `module leaf #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  assign y = ~a;
+endmodule`
+	for _, tc := range []struct {
+		name, src string
+		wantAdded []string
+	}{
+		{"delete", strings.Replace(graphSrc, leafDecl, "", 1), nil},
+		{"rename", strings.Replace(graphSrc, "module leaf ", "module leaf2 ", 1), []string{"leaf2"}},
+	} {
+		d, err := depgraph.Diff(g, parse(t, tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(d.Removed) != "[leaf]" || len(d.Changed) != 0 || fmt.Sprint(d.Added) != fmt.Sprint(tc.wantAdded) {
+			t.Errorf("%s: changed/added/removed = %v/%v/%v", tc.name, d.Changed, d.Added, d.Removed)
+		}
+		for _, name := range []string{"mid", "top_a"} {
+			if !d.Dirty(name) {
+				t.Errorf("%s: former parent %s should be dirty", tc.name, name)
+			}
+		}
+		if d.Dirty("top_b") {
+			t.Errorf("%s: top_b should be clean", tc.name)
+		}
+		if want := 2 + len(tc.wantAdded); d.DirtyModules != want || d.CleanModules != 1 {
+			t.Errorf("%s: %d dirty / %d clean modules, want %d / 1", tc.name, d.DirtyModules, d.CleanModules, want)
+		}
 	}
 }

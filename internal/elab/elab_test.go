@@ -116,7 +116,7 @@ endmodule`})
 		t.Errorf("child 2 name = %q", inst.Children[2].Name)
 	}
 	if _, ok := inst.Nets["g[3].t"]; !ok {
-		t.Errorf("missing scoped net g[3].t; nets = %v", inst.SortedNetNames())
+		t.Errorf("missing scoped net g[3].t; nets = %v", inst.Nets)
 	}
 	if len(inst.Assigns) != 4 {
 		t.Errorf("assigns = %d, want 4", len(inst.Assigns))

@@ -134,14 +134,6 @@ func Eval(e hdl.Expr, env *Env) (int64, error) {
 	return 0, fmt.Errorf("elab: expression %s is not supported in constant context", hdl.FormatExpr(e))
 }
 
-// IsConstant reports whether e evaluates to a constant in env (signal
-// references make it non-constant; structural errors propagate as
-// non-constant too, to be reported later by the synthesizer).
-func IsConstant(e hdl.Expr, env *Env) bool {
-	_, err := Eval(e, env)
-	return err == nil
-}
-
 func b2i(b bool) int64 {
 	if b {
 		return 1

@@ -3,6 +3,8 @@ package elab
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/hdl"
 )
 
 func TestInstanceHelpers(t *testing.T) {
@@ -42,25 +44,12 @@ endmodule`})
 	if len(ports) != 3 || ports[0].Name != "clk" {
 		t.Errorf("PortNets = %+v", ports)
 	}
-	names := inst.SortedNetNames()
-	if len(names) == 0 || !sortedStrings(names) {
-		t.Errorf("SortedNetNames = %v", names)
-	}
 	if s := inst.String(); !strings.Contains(s, "m") {
 		t.Errorf("String = %q", s)
 	}
 	if inst.CountInstances() != 2 {
 		t.Errorf("CountInstances = %d", inst.CountInstances())
 	}
-}
-
-func sortedStrings(xs []string) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestIsConstant(t *testing.T) {
@@ -76,8 +65,11 @@ endmodule`})
 	ca := inst.Assigns[0]
 	// The RHS (a + W) references a signal: not constant. Its right
 	// operand (W) is.
-	if IsConstant(ca.Item.RHS, env) {
+	if _, err := Eval(ca.Item.RHS, env); err == nil {
 		t.Error("a + W must not be constant")
+	}
+	if v, err := Eval(ca.Item.RHS.(*hdl.Binary).R, env); err != nil || v != 8 {
+		t.Errorf("W evaluates to %d, %v; want 8", v, err)
 	}
 }
 

@@ -2,7 +2,6 @@ package elab
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hdl"
 )
@@ -100,17 +99,6 @@ func (inst *Instance) PortNets() []*Net {
 		}
 	}
 	return out
-}
-
-// SortedNetNames returns all net names sorted, for deterministic
-// iteration.
-func (inst *Instance) SortedNetNames() []string {
-	names := make([]string, 0, len(inst.Nets))
-	for n := range inst.Nets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CountInstances returns the total number of instances in the subtree

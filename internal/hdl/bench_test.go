@@ -22,8 +22,15 @@ func BenchmarkParseCounter(b *testing.B) {
 func BenchmarkLexCounter(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := hdl.LexAll("bench.v", hdl.CounterSrc); err != nil {
-			b.Fatal(err)
+		l := hdl.NewLexer("bench.v", hdl.CounterSrc)
+		for {
+			tok, err := l.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tok.Kind == hdl.TokEOF {
+				break
+			}
 		}
 	}
 }

@@ -99,8 +99,7 @@ func (d *Design) ModuleNames() []string {
 // The hash is memoized (and invalidated by AddFile): a measurement
 // session derives one disk-cache key per unit from the same design.
 // The per-module hashes it is built from were computed once, when
-// their file was parsed, and are shared with SubtreeHash and
-// internal/depgraph.
+// their file was parsed; ModuleHash and SubtreeHash read the same ones.
 func (d *Design) Fingerprint() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -125,12 +124,13 @@ func (d *Design) mixHashes(names []string) string {
 }
 
 // ModuleHash returns a stable content hash of one module declaration:
-// SHA-256 over its pretty-printed source. It is the leaf identity of
-// the incremental-remeasurement dependency graph (internal/depgraph):
-// two modules hash equal exactly when their formatted declarations are
-// byte-identical, which is the precision every downstream stage —
-// elaboration, synthesis, source metrics — keys off. The hash is read
-// from the module's file, which Parse hashed once.
+// SHA-256 over its pretty-printed source. Two modules hash equal
+// exactly when their formatted declarations are byte-identical, which
+// is the precision every downstream stage — elaboration, synthesis,
+// source metrics — keys off. SubtreeHash is built from it, and
+// internal/depgraph compares it to report which modules an edit
+// changed. The hash is read from the module's file, which Parse hashed
+// once.
 func (d *Design) ModuleHash(name string) (string, error) {
 	if _, err := d.Module(name); err != nil {
 		return "", err
@@ -153,8 +153,10 @@ func hashModule(m *Module) string {
 // is the correct "source" component of top's content-addressed cache
 // keys: an edit to a module outside the subtree leaves the hash — and
 // every cache entry keyed by it — untouched, which is what makes the
-// persistent cache survive unrelated edits. Memoized per top;
-// invalidated by AddFile.
+// persistent cache survive unrelated edits. It is also what
+// incremental remeasurement (internal/depgraph) compares to decide
+// whether a unit must be re-measured. Memoized per top; invalidated by
+// AddFile.
 func (d *Design) SubtreeHash(top string) (string, error) {
 	d.mu.Lock()
 	if h, ok := d.subtreeHash[top]; ok {

@@ -265,20 +265,3 @@ func (l *Lexer) lexNumber(pos Pos) (Token, error) {
 	}
 	return Token{Kind: TokNumber, Text: text, Pos: pos}, nil
 }
-
-// LexAll tokenizes the entire input, returning every token up to and
-// excluding EOF. Used by tests and srcmetrics.
-func LexAll(file, src string) ([]Token, *Lexer, error) {
-	l := NewLexer(file, src)
-	var toks []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, l, err
-		}
-		if t.Kind == TokEOF {
-			return toks, l, nil
-		}
-		toks = append(toks, t)
-	}
-}

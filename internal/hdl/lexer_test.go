@@ -5,9 +5,26 @@ import (
 	"testing"
 )
 
+// lexAll tokenizes the entire input, returning every token up to and
+// excluding EOF.
+func lexAll(file, src string) ([]Token, *Lexer, error) {
+	l := NewLexer(file, src)
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, l, err
+		}
+		if t.Kind == TokEOF {
+			return toks, l, nil
+		}
+		toks = append(toks, t)
+	}
+}
+
 func TestLexBasicTokens(t *testing.T) {
 	src := "module foo (input a); assign b = a & 1'b1; endmodule"
-	toks, _, err := LexAll("t.v", src)
+	toks, _, err := lexAll("t.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +45,7 @@ func TestLexBasicTokens(t *testing.T) {
 
 func TestLexOperators(t *testing.T) {
 	src := "&& || == != <= >= << >> ~^ ^~ ~& ~| & | ^ ~ ! < > + - * / % ? :"
-	toks, _, err := LexAll("t.v", src)
+	toks, _, err := lexAll("t.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +67,7 @@ func TestLexOperators(t *testing.T) {
 
 func TestLexComments(t *testing.T) {
 	src := "a // line comment\n/* block\ncomment */ b"
-	toks, _, err := LexAll("t.v", src)
+	toks, _, err := lexAll("t.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +80,7 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexUnterminatedBlockComment(t *testing.T) {
-	_, _, err := LexAll("t.v", "a /* never closed")
+	_, _, err := lexAll("t.v", "a /* never closed")
 	if err == nil || !strings.Contains(err.Error(), "unterminated") {
 		t.Fatalf("want unterminated-comment error, got %v", err)
 	}
@@ -85,7 +102,7 @@ func TestLexNumbers(t *testing.T) {
 		{"1_000", 1000, 0},
 	}
 	for _, c := range cases {
-		toks, _, err := LexAll("t.v", c.text)
+		toks, _, err := lexAll("t.v", c.text)
 		if err != nil {
 			t.Errorf("%q: %v", c.text, err)
 			continue
@@ -107,7 +124,7 @@ func TestLexNumbers(t *testing.T) {
 
 func TestLexBadNumbers(t *testing.T) {
 	for _, text := range []string{"8'q12", "8'", "4'b2", "4'b1111_1"} {
-		toks, _, lexErr := LexAll("t.v", text)
+		toks, _, lexErr := lexAll("t.v", text)
 		if lexErr != nil {
 			continue // rejected at lex time: fine
 		}
@@ -121,7 +138,7 @@ func TestLexBadNumbers(t *testing.T) {
 
 func TestLexPositions(t *testing.T) {
 	src := "ab\n  cd"
-	toks, _, err := LexAll("f.v", src)
+	toks, _, err := lexAll("f.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +155,7 @@ func TestLexPositions(t *testing.T) {
 
 func TestLexCodeLines(t *testing.T) {
 	src := "a b\n\n// only comment\nc\n/* block */\n"
-	_, lx, err := LexAll("t.v", src)
+	_, lx, err := lexAll("t.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +169,7 @@ func TestLexCodeLines(t *testing.T) {
 }
 
 func TestLexUnexpectedCharacter(t *testing.T) {
-	_, _, err := LexAll("t.v", "a $ b\x01")
+	_, _, err := lexAll("t.v", "a $ b\x01")
 	if err == nil {
 		t.Fatal("expected error for control character")
 	}
@@ -169,7 +186,7 @@ func TestLexWildcardLiterals(t *testing.T) {
 		{"8'b1010????", 0b10100000, 0b11110000, 8},
 	}
 	for _, c := range cases {
-		toks, _, err := LexAll("t.v", c.text)
+		toks, _, err := lexAll("t.v", c.text)
 		if err != nil {
 			t.Fatalf("%q: %v", c.text, err)
 		}
@@ -187,7 +204,7 @@ func TestLexWildcardLiterals(t *testing.T) {
 		}
 	}
 	// Wildcards are binary-only.
-	toks, _, err := LexAll("t.v", "8'h1?")
+	toks, _, err := lexAll("t.v", "8'h1?")
 	if err == nil {
 		if _, perr := parseNumberLiteral(toks[0].Text, toks[0].Pos); perr == nil {
 			t.Error("hex wildcard must be rejected")

@@ -8,20 +8,19 @@ import (
 	"sync/atomic"
 
 	"repro/internal/depgraph"
-	"repro/internal/elab"
 	"repro/internal/hdl"
 )
 
 // Incremental remeasurement: a Baseline snapshots one measured batch —
 // the dependency graph of the design it was measured on plus the
 // results — and Session.Remeasure diffs an edited design against it,
-// re-measuring only the units whose transitive instantiation subtree
-// actually changed. Units outside the dirty cone are served from the
-// baseline's results unchanged, which is sound for the same reason the
-// subtree-keyed disk cache is: every measurement of a top module is a
-// pure function of its subtree's formatted sources and the options, so
-// an unchanged subtree measures bit-identically (the session golden
-// tests pin this against from-scratch MeasureAll).
+// re-measuring only the units whose top's subtree hash changed. The
+// other units are served from the baseline's results unchanged, which
+// is sound for the same reason the subtree-keyed disk cache is: every
+// measurement of a top module is a pure function of its subtree's
+// formatted sources and the options, so an unchanged subtree measures
+// bit-identically (the session golden tests pin this against
+// from-scratch MeasureAll).
 
 // Baseline is the remeasurement anchor of one measured batch: the
 // dependency graph recorded over the design the batch ran on, the unit
@@ -42,18 +41,17 @@ func (b *Baseline) Result(u Unit) (*ComponentResult, bool) {
 
 // optionsKey renders the result-determining options as the dependency
 // graph's options identity: a baseline recorded under different
-// options must not serve a remeasurement (the dirty cone only tracks
+// options must not serve a remeasurement (subtree hashes only track
 // source changes).
 func optionsKey(opts Options) string {
 	return strings.Join(opts.CacheKeyParts(), "|")
 }
 
-// Baseline records the dependency graph of a measured batch: per unit,
-// the subtree source hash, the resolved parameter signature, and the
-// optimized netlist hash, over the design's module-level hash-and-edge
-// layer. results must be MeasureAll's output for units under opts on
-// this session's design. The graph lives in memory only: the rolling
-// baseline of a watch loop or a daemon tenant is its one reader.
+// Baseline records the dependency graph of a measured batch — every
+// module's own and subtree hash — next to the batch's results. results
+// must be MeasureAll's output for units under opts on this session's
+// design. The graph lives in memory only: the rolling baseline of a
+// watch loop or a daemon tenant is its one reader.
 func (s *Session) Baseline(units []Unit, results []*ComponentResult, opts Options) (*Baseline, error) {
 	if len(units) != len(results) {
 		return nil, fmt.Errorf("measure: baseline of %d units with %d results", len(units), len(results))
@@ -69,27 +67,10 @@ func (s *Session) Baseline(units []Unit, results []*ComponentResult, opts Option
 		byUnit:  make(map[Unit]*ComponentResult, len(units)),
 	}
 	for i, u := range units {
-		res := results[i]
-		if res == nil {
+		if results[i] == nil {
 			return nil, fmt.Errorf("measure: baseline unit %s has a nil result", u.Top)
 		}
-		st, err := s.design.SubtreeHash(u.Top)
-		if err != nil {
-			return nil, err
-		}
-		full, err := s.resolvedParams(u.Top, res.MinimizedParams)
-		if err != nil {
-			return nil, err
-		}
-		g.AddUnit(depgraph.Unit{
-			Top:           u.Top,
-			UseAccounting: u.UseAccounting,
-			SubtreeHash:   st,
-			ParamSig:      elab.ParamSignature(u.Top, full),
-			Params:        full,
-			NetlistHash:   res.NetlistHash,
-		})
-		b.byUnit[u] = res
+		b.byUnit[u] = results[i]
 	}
 	return b, nil
 }
@@ -101,7 +82,7 @@ type RemeasureStats struct {
 	// depgraph.Delta).
 	ChangedModules, AddedModules, RemovedModules []string
 	// DirtyModules and CleanModules partition the new design's module
-	// set by the transitive dirty cone.
+	// set: a module is dirty when it is new or its subtree hash changed.
 	DirtyModules, CleanModules int
 	// DirtyUnits counts the units re-measured; CleanUnits counts the
 	// units served from the baseline's results.
@@ -159,8 +140,8 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 		stats.AddedModules = d.Added
 		stats.RemovedModules = d.Removed
 		stats.DirtyModules, stats.CleanModules = d.DirtyModules, d.CleanModules
-	} else if err := recountModules(s.design, &stats); err != nil {
-		return nil, nil, stats, err
+	} else {
+		recountModules(s.design, &stats)
 	}
 
 	for i, u := range units {
@@ -244,9 +225,7 @@ func (c *cutoff) lookup(hash string) *sigRecord {
 
 // recountModules fills the module partition for the no-baseline case:
 // with nothing to diff against, every module of the design is dirty.
-func recountModules(d *hdl.Design, stats *RemeasureStats) error {
-	names := d.ModuleNames()
-	stats.DirtyModules = len(names)
-	stats.AddedModules = append([]string(nil), names...)
-	return nil
+func recountModules(d *hdl.Design, stats *RemeasureStats) {
+	stats.AddedModules = d.ModuleNames()
+	stats.DirtyModules = len(stats.AddedModules)
 }

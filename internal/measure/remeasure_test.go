@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -457,5 +458,105 @@ func TestCutoffOffWhenVerifying(t *testing.T) {
 	}
 	if cs := c.Stats(); cs.VerifyChecks == 0 || cs.VerifyMismatches != 0 {
 		t.Errorf("verify mode: %d checks, %d mismatches; want some checks, no mismatch", cs.VerifyChecks, cs.VerifyMismatches)
+	}
+}
+
+// dropModule returns src without the declaration of module name.
+func dropModule(t *testing.T, src, name string) string {
+	t.Helper()
+	start := strings.Index(src, "module "+name+" ")
+	if start < 0 {
+		t.Fatalf("edit script stale: no module %s", name)
+	}
+	end := strings.Index(src[start:], "endmodule")
+	if end < 0 {
+		t.Fatalf("edit script stale: module %s has no endmodule", name)
+	}
+	return src[:start] + src[start+end+len("endmodule"):]
+}
+
+// TestRemeasureRemovedModule is the removed-module regression: deleting
+// the shared library file, deleting one library module, or renaming a
+// library module's declaration leaves the components that instantiate
+// it dangling. Their own sources are unchanged, but the missing module
+// drops out of their subtree, so they are dirty and Remeasure must fail
+// exactly as a from-scratch MeasureAll of the edited sources does —
+// never serve the baseline's now-stale results.
+func TestRemeasureRemovedModule(t *testing.T) {
+	units := corpusUnits()
+	base := designs.Sources()
+	full, err := designs.FullDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// usersOf counts the units whose subtree contains a module for
+	// which gone reports true: exactly the units the edit dirties.
+	usersOf := func(gone func(string) bool) int {
+		n := 0
+		for _, u := range units {
+			mods, err := full.TransitiveModules(u.Top)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.ContainsFunc(mods, gone) {
+				n++
+			}
+		}
+		return n
+	}
+	isRegfile := func(m string) bool { return m == "lib_regfile" }
+	lib, err := hdl.ParseDesign(map[string]string{"lib.v": base["lib.v"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	noLib := maps.Clone(base)
+	delete(noLib, "lib.v")
+	noRegfile := maps.Clone(base)
+	noRegfile["lib.v"] = dropModule(t, base["lib.v"], "lib_regfile")
+	renamed := editSource(t, base, "lib.v", "module lib_regfile #", "module lib_regfile_v2 #")
+
+	edits := []struct {
+		name       string
+		sources    map[string]string
+		wantDirty  int
+		wantRemove int
+	}{
+		{"delete-lib-file", noLib, usersOf(func(m string) bool { return strings.HasPrefix(m, "lib_") }), len(lib.ModuleNames())},
+		{"delete-one-module", noRegfile, usersOf(isRegfile), 1},
+		{"rename-declaration", renamed, usersOf(isRegfile), 1},
+	}
+	for _, workers := range []int{1, 8} {
+		opts := measure.Options{Concurrency: workers}
+		prev := baselineOf(t, base, units, opts)
+		for _, e := range edits {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.name, workers), func(t *testing.T) {
+				d, err := hdl.ParseDesign(e.sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, refErr := measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1})
+				if refErr == nil {
+					t.Fatal("edit script stale: from-scratch measurement succeeded")
+				}
+				got, next, stats, err := measure.NewSession(d).Remeasure(prev, units, opts)
+				if err == nil {
+					t.Fatalf("Remeasure served %d results (%d clean units) for a design from-scratch rejects with %q",
+						len(got), stats.CleanUnits, refErr)
+				}
+				if err.Error() != refErr.Error() {
+					t.Errorf("Remeasure error %q, from-scratch %q", err, refErr)
+				}
+				if got != nil || next != nil {
+					t.Error("a failed Remeasure returned results or a successor baseline")
+				}
+				if e.wantDirty == 0 || stats.DirtyUnits != e.wantDirty {
+					t.Errorf("%d dirty units, want %d", stats.DirtyUnits, e.wantDirty)
+				}
+				if len(stats.RemovedModules) != e.wantRemove {
+					t.Errorf("removed modules %v, want %d", stats.RemovedModules, e.wantRemove)
+				}
+			})
+		}
 	}
 }

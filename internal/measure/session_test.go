@@ -178,7 +178,7 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, u := range units {
-					ch, wh := coldBase.Graph.Units[i].NetlistHash, warmBase.Graph.Units[i].NetlistHash
+					ch, wh := coldBase.Results[i].NetlistHash, warmBase.Results[i].NetlistHash
 					if ch == "" || wh != ch {
 						t.Errorf("%s(acct=%t): warm baseline netlist hash %q, cold %q", u.Top, u.UseAccounting, wh, ch)
 					}

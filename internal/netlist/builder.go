@@ -317,12 +317,6 @@ func (b *Builder) Xor(a, c NetID) NetID {
 // Xnor returns ~(a ^ c).
 func (b *Builder) Xnor(a, c NetID) NetID { return b.Not(b.Xor(a, c)) }
 
-// Nand returns ~(a & c).
-func (b *Builder) Nand(a, c NetID) NetID { return b.Not(b.And(a, c)) }
-
-// Nor returns ~(a | c).
-func (b *Builder) Nor(a, c NetID) NetID { return b.Not(b.Or(a, c)) }
-
 // Mux returns s ? bb : a (a when s=0), with constant folding.
 func (b *Builder) Mux(s, a, bb NetID) NetID {
 	if v, ok := b.IsConst(s); ok {

@@ -46,7 +46,7 @@ func ramNetlist(t *testing.T) *netlist.Netlist {
 		}},
 	})
 	x := b.Xor(out[0], out[1])
-	m := b.Mux(we, x, b.Nand(out[0], data[1]))
+	m := b.Mux(we, x, b.Not(b.And(out[0], data[1])))
 	q := b.NewDFF(m, clk)
 	l := b.NewLatch(b.Or(q, b.Const1()), we)
 	b.AddOutput("q", q)

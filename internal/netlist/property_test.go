@@ -52,9 +52,9 @@ func randomNetlist(t *testing.T, seed int64) *netlist.Netlist {
 		case 3:
 			out = b.Xor(pick(), pick())
 		case 4:
-			out = b.Nand(pick(), pick())
+			out = b.Not(b.And(pick(), pick()))
 		case 5:
-			out = b.Nor(pick(), pick())
+			out = b.Not(b.Or(pick(), pick()))
 		case 6:
 			out = b.Xnor(pick(), pick())
 		case 7:

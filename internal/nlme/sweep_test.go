@@ -132,7 +132,7 @@ func TestSweepSampleSizePrecision(t *testing.T) {
 			}
 			ests = append(ests, r.SigmaEps)
 		}
-		return stats.StdDev(ests)
+		return math.Sqrt(stats.Variance(ests))
 	}
 	small := spread(4, 5)
 	large := spread(40, 6)

@@ -39,60 +39,14 @@ func Workers(n int) int {
 // ForEach calls fn(0) … fn(n-1) on at most Workers(workers) concurrent
 // goroutines and waits for completion.
 //
-// Error propagation is "first error by index": among the calls that
-// ran and failed, the error of the lowest index is returned. After any
-// failure, not-yet-started indices are skipped (already-running calls
-// finish). With workers == 1 this degenerates to a plain loop that
-// stops at the first error.
+// Error propagation is "first error by index": the error returned is
+// that of the lowest index whose call fails. After a failure, indices
+// above it that have not started are skipped (already-running calls
+// finish); indices below it still run, so which error is returned does
+// not depend on the worker count or on scheduling. With workers == 1
+// this degenerates to a plain loop that stops at the first error.
 func ForEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errIdx = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if failed.Load() {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if errIdx == -1 || i < errIdx {
-						errIdx, first = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return ForEachWorker(workers, n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachWorker is ForEach with the stable worker id passed to fn:
@@ -119,13 +73,15 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 		return nil
 	}
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
+		next atomic.Int64
+		// lowest is the lowest failed index so far (n while none has
+		// failed); it is written only under mu, together with first.
+		lowest atomic.Int64
 		mu     sync.Mutex
-		errIdx = -1
 		first  error
 		wg     sync.WaitGroup
 	)
+	lowest.Store(int64(n))
 	for g := 0; g < w; g++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -135,16 +91,16 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 				if i >= n {
 					return
 				}
-				if failed.Load() {
+				if int64(i) > lowest.Load() {
 					continue
 				}
 				if err := fn(worker, i); err != nil {
 					mu.Lock()
-					if errIdx == -1 || i < errIdx {
-						errIdx, first = i, err
+					if int64(i) < lowest.Load() {
+						lowest.Store(int64(i))
+						first = err
 					}
 					mu.Unlock()
-					failed.Store(true)
 				}
 			}
 		}(g)

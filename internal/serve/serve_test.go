@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -341,6 +342,48 @@ func TestServedRemeasureRollsBaseline(t *testing.T) {
 	}
 	if fourth.Remeasure.Baseline {
 		t.Fatal("tenant beta inherited tenant alpha's baseline")
+	}
+}
+
+// TestServedRemeasureRemovedModule: deleting the shared library file
+// leaves components instantiating modules no file declares. /remeasure
+// against the tenant's rolling baseline must then fail exactly as
+// /measure of the same sources does, not serve the baseline's stale
+// results, and the failure must leave the baseline in place.
+func TestServedRemeasureRemovedModule(t *testing.T) {
+	h := servetest.Start(t, serve.Config{Concurrency: 2})
+	cl := h.Client()
+	req := servetest.PaperRequest(t, "alpha", 0)
+	if _, err := cl.Remeasure(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+
+	noLib := &serve.Request{Tenant: req.Tenant, Units: req.Units, Sources: map[string]string{}}
+	for name, src := range req.Sources {
+		if name != "lib.v" {
+			noLib.Sources[name] = src
+		}
+	}
+	_, merr := cl.Measure(context.Background(), noLib)
+	var mst *servetest.Status
+	if !errors.As(merr, &mst) {
+		t.Fatalf("/measure without lib.v: %v, want an HTTP error status", merr)
+	}
+	resp, rerr := cl.Remeasure(context.Background(), noLib)
+	var rst *servetest.Status
+	if !errors.As(rerr, &rst) {
+		t.Fatalf("/remeasure without lib.v answered %v (%+v), want /measure's %d", rerr, resp, mst.Code)
+	}
+	if rst.Code != mst.Code || rst.Body != mst.Body {
+		t.Errorf("/remeasure failed with %d %q, /measure with %d %q", rst.Code, rst.Body, mst.Code, mst.Body)
+	}
+
+	again, err := cl.Remeasure(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := again.Remeasure; !r.Baseline || r.DirtyUnits != 0 {
+		t.Errorf("restored sources after a failed remeasure = %+v, want the old baseline with 0 dirty units", r)
 	}
 }
 

@@ -124,12 +124,12 @@ endmodule`, "p")
 	if err := r.Eval(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := r.Peek("p.mid")
+	v, ok := r.vals["p.mid"]
 	if !ok || v != 11 {
-		t.Errorf("Peek(p.mid) = %v, %v", v, ok)
+		t.Errorf("p.mid = %v, %v", v, ok)
 	}
-	if _, ok := r.Peek("p.nosuch"); ok {
-		t.Error("Peek must miss unknown nets")
+	if _, ok := r.vals["p.nosuch"]; ok {
+		t.Error("unknown net has a value")
 	}
 }
 

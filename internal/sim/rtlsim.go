@@ -115,12 +115,6 @@ func (r *RTLSim) Output(name string) (uint64, error) {
 	return r.vals[r.netKey(r.top, name)] & mask(n.Width), nil
 }
 
-// Peek reads any net by hierarchical name ("top.u0.state").
-func (r *RTLSim) Peek(key string) (uint64, bool) {
-	v, ok := r.vals[key]
-	return v, ok
-}
-
 // Eval settles all combinational logic (continuous assignments,
 // combinational always blocks, and port connections) to a fixpoint.
 func (r *RTLSim) Eval() error {

@@ -21,7 +21,6 @@
 package srcmetrics
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/hdl"
@@ -39,45 +38,9 @@ func (c *Counts) Add(other Counts) {
 	c.Stmts += other.Stmts
 }
 
-// MeasureSource parses src and returns per-module counts plus the file
-// totals. LoC is attributed to modules by their source line spans; the
-// file total also includes code lines outside any module.
-func MeasureSource(file, src string) (perModule map[string]Counts, total Counts, err error) {
-	sf, err := hdl.Parse(file, src)
-	if err != nil {
-		return nil, Counts{}, fmt.Errorf("srcmetrics: %w", err)
-	}
-	perModule = make(map[string]Counts, len(sf.Modules))
-
-	// Module line spans: from the module keyword's line to the line of
-	// the next module minus one (the last module extends to EOF). This
-	// is robust because µHDL modules cannot nest.
-	lineCount := strings.Count(src, "\n") + 1
-	for i, m := range sf.Modules {
-		startLine := m.Pos.Line
-		endLine := lineCount
-		if i+1 < len(sf.Modules) {
-			endLine = sf.Modules[i+1].Pos.Line - 1
-		}
-		loc := 0
-		for line := startLine; line <= endLine; line++ {
-			if sf.CodeLines[line] {
-				loc++
-			}
-		}
-		perModule[m.Name] = Counts{LoC: loc, Stmts: CountModuleStmts(m)}
-	}
-	total.LoC = len(sf.CodeLines)
-	for _, c := range perModule {
-		total.Stmts += c.Stmts
-	}
-	return perModule, total, nil
-}
-
 // MeasureModule returns the statement count of a parsed module together
-// with a LoC value computed from its formatted source. Prefer
-// MeasureSource when the original text is available, since formatting
-// normalizes line structure.
+// with a LoC value computed from its formatted source, so layout and
+// comments in the original text do not change it.
 func MeasureModule(m *hdl.Module) Counts {
 	formatted := hdl.Format(m)
 	loc := 0

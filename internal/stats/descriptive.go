@@ -33,9 +33,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Quantile returns the p-quantile of xs using linear interpolation
 // between order statistics (type-7, the R default). It panics on an
 // empty slice or p outside [0, 1].

@@ -28,13 +28,6 @@ func (n Normal) PDF(x float64) float64 {
 	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
 }
 
-// LogPDF returns the natural logarithm of the density at x. It is more
-// numerically robust than math.Log(n.PDF(x)) far in the tails.
-func (n Normal) LogPDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return -0.5*z*z - math.Log(n.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
 // CDF returns P(X <= x).
 func (n Normal) CDF(x float64) float64 {
 	z := (x - n.Mu) / (n.Sigma * math.Sqrt2)

