@@ -1,6 +1,10 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/netlist"
 	"repro/internal/paper"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -53,6 +58,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"paper/figure6-cold", 58522, 14349680, figure6Cold},                  // 81931 allocs, 20089552 B
 		{"paper/extension-after-figure6", 1190, 76384, extensionAfterFigure6}, // 1702 allocs, 141920 B
 		{"served/warm-measure-all", 945, 78208, warmMeasureAll},               // 1457 allocs, 143744 B
+		{"served/warm-request", 980, 274832, warmRequest},                     // 1492 allocs, 384765 B
 		{"edit-loop/incremental-edit", 232, 35928, incrementalEdit},           // 744 allocs, 101464 B
 		{"edit-loop/noop-remeasure", 4, 896, noopRemeasure},                   // 516 allocs, 66432 B
 		{"optimize/ivm-memory-reused-ws", 40, 34344, optimizeReusedWS},        // 552 allocs, 99880 B
@@ -111,6 +117,27 @@ func warmMeasureAll(t *testing.T) func() {
 			t.Fatal(err)
 		}
 	}
+}
+
+// warmRequest is one served /measure of the 18-unit corpus through the
+// daemon's handler, in process: the body read, the request decode,
+// admission, the measurement on a warm session and the response
+// encoding. warmMeasureAll is the measurement inside it.
+func warmRequest(t *testing.T) func() {
+	h := serve.New(serve.Config{MaxConcurrent: 4, Cache: openCache(t)}).Handler()
+	body, err := json.Marshal(servedRequest(designs.Sources()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/measure", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("/measure answered %d: %s", w.Code, w.Body)
+		}
+	}
+	post() // the cold fill
+	return post
 }
 
 // incrementalEdit is the edit-loop's changing save: the one-module

@@ -513,15 +513,20 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	defer os.Remove(tmp.Name())
+	// The temp file is removed only on failure: after a rename its name
+	// is gone, and removing it anyway costs two failed syscalls per
+	// entry (unlink, then rmdir).
 	if _, err := tmp.Write(entry); err != nil {
 		tmp.Close()
+		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: write %s: %w", key, err)
 	}
 	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("cache: %w", err)
 	}
 	c.puts.Add(1)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -87,6 +89,33 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 	if _, ok := Get(c, Key("other"), payloadCodec); ok {
 		t.Error("hit on a key never put")
+	}
+}
+
+// TestPutLeavesNoTempFile: a Put writes through a put-*.tmp file and
+// removes it on failure only; a successful Put renames it away. Neither
+// leaves one behind — here the rename fails because the entry's path
+// is a non-empty directory.
+func TestPutLeavesNoTempFile(t *testing.T) {
+	c := open(t)
+	for i := range 3 {
+		if err := Put(c, Key("ok", fmt.Sprint(i)), intCodec, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := Key("blocked")
+	if err := os.MkdirAll(filepath.Join(c.path(blocked), "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Put(c, blocked, intCodec, 1); err == nil {
+		t.Error("Put over a non-empty directory succeeded")
+	}
+	tmps, err := filepath.Glob(filepath.Join(c.dir, "put-*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("Put left temp files: %v", tmps)
 	}
 }
 

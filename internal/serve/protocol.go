@@ -14,10 +14,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/measure"
@@ -144,18 +142,16 @@ func (l Limits) withDefaults() Limits {
 
 // ParseRequest decodes and validates one JSON request body against the
 // limits. Unknown fields are rejected — a typo'd option silently
-// ignored would be a wrong answer served with a 200. It never panics
-// on hostile input (FuzzServeRequest pins this).
+// ignored would be a wrong answer served with a 200 — and so is
+// anything but whitespace after the request value. The decode is
+// decodeRequest's single pass, which FuzzParseRequest holds to
+// encoding/json's results. It never panics on hostile input
+// (FuzzServeRequest pins this).
 func ParseRequest(body []byte, limits Limits) (*Request, error) {
 	limits = limits.withDefaults()
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("serve: bad request JSON: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("serve: trailing data after request JSON")
+	req, err := decodeRequest(body)
+	if err != nil {
+		return nil, err
 	}
 	if req.Tenant == "" {
 		req.Tenant = "default"
@@ -196,7 +192,7 @@ func ParseRequest(body []byte, limits Limits) (*Request, error) {
 	if req.TimeoutMS > maxTimeoutMS {
 		return nil, fmt.Errorf("serve: timeout_ms %d exceeds %d", req.TimeoutMS, maxTimeoutMS)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // ResultsOf converts direct measure.Session results into their wire

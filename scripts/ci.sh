@@ -52,10 +52,11 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# decoder fuzzers, the measurement record decoder fuzzer (component
 	# and sig payloads: never a record without metrics), incremental
 	# remeasurement over fuzzed edit scripts (Remeasure must equal a
-	# from-scratch MeasureAll, errors included), and the daemon's
-	# request fuzzer. internal/codec and internal/measure have two
-	# targets each, so each is named explicitly (-fuzz runs exactly one
-	# target per invocation).
+	# from-scratch MeasureAll, errors included), the daemon's request
+	# fuzzer, and the request decoder's differential fuzzer (the same
+	# decision and request as encoding/json). internal/codec,
+	# internal/measure and internal/serve have two targets each, so each
+	# is named explicitly (-fuzz runs exactly one target per invocation).
 	fuzztime="${FUZZTIME:-10s}"
 	echo "== fuzz smoke (${fuzztime}/target) =="
 	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/hdl
@@ -66,6 +67,7 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime "$fuzztime" ./internal/measure
 	go test -run '^$' -fuzz '^FuzzRemeasure$' -fuzztime "$fuzztime" ./internal/measure
 	go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime "$fuzztime" ./internal/serve
+	go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime "$fuzztime" ./internal/serve
 fi
 
 if [ "${SKIP_SERVE:-0}" != "1" ]; then
