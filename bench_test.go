@@ -189,15 +189,11 @@ func BenchmarkFitDEE1Parallel(b *testing.B) {
 func BenchmarkMeasureCorpusParallel(b *testing.B) {
 	b.ReportAllocs()
 	seqStart := time.Now()
-	if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Concurrency: 1}); err != nil {
-		b.Fatal(err)
-	}
+	measureCorpus(b, true, measure.Options{Concurrency: 1})
 	seq := time.Since(seqStart)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Concurrency: 0}); err != nil {
-			b.Fatal(err)
-		}
+		measureCorpus(b, true, measure.Options{Concurrency: 0})
 	}
 	if par := b.Elapsed() / time.Duration(b.N); par > 0 {
 		b.ReportMetric(float64(seq)/float64(par), "speedup_vs_sequential")
@@ -227,9 +223,7 @@ func warmCache(tb testing.TB) *cache.Cache {
 	tb.Helper()
 	ch := openCache(tb)
 	for _, acct := range []bool{true, false} {
-		if _, err := paper.MeasureCorpusOpts(acct, paper.Opts{Cache: ch}); err != nil {
-			tb.Fatal(err)
-		}
+		measureCorpus(tb, acct, measure.Options{Cache: ch})
 	}
 	return ch
 }
@@ -246,9 +240,7 @@ func BenchmarkTable4WarmCache(b *testing.B) {
 	before := ch.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Cache: ch}); err != nil {
-			b.Fatal(err)
-		}
+		measureCorpus(b, true, measure.Options{Cache: ch})
 		if _, err := paper.Table4N(0); err != nil {
 			b.Fatal(err)
 		}
@@ -271,9 +263,7 @@ func BenchmarkMeasureCorpusWarmCache(b *testing.B) {
 	before := ch.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Cache: ch}); err != nil {
-			b.Fatal(err)
-		}
+		measureCorpus(b, true, measure.Options{Cache: ch})
 	}
 	b.StopTimer()
 	s := ch.Stats()
@@ -312,14 +302,29 @@ func BenchmarkFigure6WarmCache(b *testing.B) {
 // Incremental remeasurement (dependency-graph edit loop)
 // ---------------------------------------------------------------
 
-// corpusUnits returns the 18 accounting units of the Figure 6 corpus —
-// the unit batch the incremental benchmarks remeasure.
-func corpusUnits() []measure.Unit {
+// corpusUnits returns the 18 units of the Figure 6 corpus, with or
+// without accounting; with it, they are the unit batch the incremental
+// benchmarks remeasure.
+func corpusUnits(useAccounting bool) []measure.Unit {
 	var units []measure.Unit
 	for _, c := range designs.All() {
-		units = append(units, measure.Unit{Top: c.Top, UseAccounting: true})
+		units = append(units, measure.Unit{Top: c.Top, UseAccounting: useAccounting})
 	}
 	return units
+}
+
+// measureCorpus measures the 18 Figure 6 components, with or without
+// accounting, as one batch on a new paper session: ucpaper's corpus
+// measurement, without the dataset rows.
+func measureCorpus(tb testing.TB, useAccounting bool, o measure.Options) {
+	tb.Helper()
+	sess, err := paper.NewSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sess.MeasureAll(corpusUnits(useAccounting), o); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // editedSources returns the corpus sources with the one-module edit
@@ -361,7 +366,7 @@ func parseDesigns(tb testing.TB, a, b map[string]string) [2]*hdl.Design {
 // entries on disk (a -benchtime 1x run would otherwise time those
 // one-off costs instead of the edit loop).
 func remeasureLoop(tb testing.TB, ch *cache.Cache, ds [2]*hdl.Design) func() measure.RemeasureStats {
-	units := corpusUnits()
+	units := corpusUnits(true)
 	opts := measure.Options{Cache: ch}
 	sess := measure.NewSession(ds[0])
 	res, err := sess.MeasureAll(units, opts)
@@ -411,7 +416,7 @@ func benchRemeasure(b *testing.B, ds [2]*hdl.Design) measure.RemeasureStats {
 // against a whole-unit remeasure.
 func BenchmarkIncrementalEdit(b *testing.B) {
 	st := benchRemeasure(b, parseDesigns(b, designs.Sources(), editedSources(b)))
-	if st.DirtyUnits != 1 || st.CleanUnits != len(corpusUnits())-1 {
+	if st.DirtyUnits != 1 || st.CleanUnits != len(corpusUnits(true))-1 {
 		b.Fatalf("dirty cone wrong: %d dirty / %d clean units (want 1 / 17)", st.DirtyUnits, st.CleanUnits)
 	}
 	b.ReportMetric(float64(st.DirtyUnits), "dirty_units_per_op")
@@ -425,7 +430,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 func BenchmarkRemeasureNoop(b *testing.B) {
 	src := designs.Sources()
 	st := benchRemeasure(b, parseDesigns(b, src, src))
-	if st.DirtyUnits != 0 || st.CleanUnits != len(corpusUnits()) {
+	if st.DirtyUnits != 0 || st.CleanUnits != len(corpusUnits(true)) {
 		b.Fatalf("noop remeasure not clean: %d dirty / %d clean units (want 0 / 18)", st.DirtyUnits, st.CleanUnits)
 	}
 	b.ReportMetric(float64(st.CleanUnits), "clean_units_per_op")

@@ -113,9 +113,7 @@ func extensionAfterFigure6(t *testing.T) func() {
 func warmMeasureAll(t *testing.T) func() {
 	ch := warmCache(t)
 	return func() {
-		if _, err := paper.MeasureCorpusOpts(true, paper.Opts{Cache: ch}); err != nil {
-			t.Fatal(err)
-		}
+		measureCorpus(t, true, measure.Options{Cache: ch})
 	}
 }
 
@@ -196,12 +194,12 @@ func TestIncrementalEditCone(t *testing.T) {
 	s0 := ch.Stats()
 	st := remeasure()
 	s1 := ch.Stats()
-	if _, err := measure.NewSession(ds[1]).MeasureAll(corpusUnits(), measure.Options{Cache: ch}); err != nil {
+	if _, err := measure.NewSession(ds[1]).MeasureAll(corpusUnits(true), measure.Options{Cache: ch}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := ch.Stats()
 
-	n := len(corpusUnits())
+	n := len(corpusUnits(true))
 	if st.DirtyUnits != 1 || st.CleanUnits != n-1 {
 		t.Errorf("dirty cone: %d dirty / %d clean units, want 1 / %d", st.DirtyUnits, st.CleanUnits, n-1)
 	}

@@ -59,14 +59,6 @@ func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, 
 // AppendByte appends one raw byte.
 func AppendByte(dst []byte, b byte) []byte { return append(dst, b) }
 
-// AppendBool appends a bool as one byte (0 or 1).
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
 // AppendUint32 appends v little-endian, fixed width (used for CRCs,
 // where varint malleability would weaken the check).
 func AppendUint32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
@@ -82,12 +74,6 @@ func AppendFloat64(dst []byte, v float64) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// AppendBytes appends a uvarint length prefix and the raw bytes.
-func AppendBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // ---------------------------------------------------------------
@@ -134,16 +120,6 @@ func (r *Reader) Byte() byte {
 	b := r.data[r.off]
 	r.off++
 	return b
-}
-
-// Bool reads one byte and rejects anything but 0 or 1 (a corrupt flag
-// byte must not decode as a valid value).
-func (r *Reader) Bool() bool {
-	b := r.Byte()
-	if r.err == nil && b > 1 {
-		r.fail("invalid bool byte %d", b)
-	}
-	return b == 1
 }
 
 // Uvarint reads an unsigned LEB128 value.
@@ -212,19 +188,6 @@ func (r *Reader) String() string {
 	s := string(r.data[r.off : r.off+n])
 	r.off += n
 	return s
-}
-
-// Raw reads length-prefixed bytes into fresh memory (nil when the
-// length is zero, matching how the encoders treat nil slices).
-func (r *Reader) Raw() []byte {
-	n := r.lenPrefix()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.off:])
-	r.off += n
-	return b
 }
 
 // lenPrefix reads a uvarint length and bounds it by the bytes present.

@@ -6,19 +6,18 @@ import (
 	"repro/internal/netlist"
 )
 
-// Netlist encoding: the on-disk form mirrors the in-memory
-// structure-of-arrays layout (PR 5's pointer-free packed debug names,
-// extended to the whole netlist). Cells are written column by column —
-// one byte per type, then the output-net column as deltas between
-// consecutive outputs, then each input/clock column as a delta from
-// its own cell's output — because synthesized net IDs are assigned in
-// lowering order, so consecutive outputs and a cell's pins are
-// numerically close and the zigzag varints stay 1-2 bytes. RAM port
-// vectors and port-bit lists delta the same way along their runs.
+// Netlist encoding: the on-disk form is a structure-of-arrays layout.
+// Cells are written column by column — one byte per type, then the
+// output-net column as deltas between consecutive outputs, then each
+// input/clock column as a delta from its own cell's output — because
+// synthesized net IDs are assigned in lowering order, so consecutive
+// outputs and a cell's pins are numerically close and the zigzag
+// varints stay 1-2 bytes. RAM port vectors and port-bit lists delta
+// the same way along their runs.
 //
 // Layout (after the one-byte structure version):
 //
-//	nets     uvarint           total net count (explicit: names may be trimmed)
+//	nets     uvarint           total net count
 //	const0/1 varint
 //	cells    uvarint count, then SoA columns:
 //	           type   1 byte each
@@ -29,7 +28,6 @@ import (
 //	           read ports {addr/out delta runs}
 //	inputs   uvarint count; per port: name, net varint delta vs previous
 //	outputs  same
-//	names    1 flag byte; when present: offset deltas (uvarint) + packed bytes
 //
 // The decoder validates counts against the remaining input before
 // allocating and finishes with Netlist.Validate, so hostile bytes
@@ -38,7 +36,9 @@ import (
 
 // netlistVersion is the structure version inside the netlist payload,
 // separate from the cache envelope's schema: it tracks this layout.
-const netlistVersion = 1
+// Version 1 ended in a per-net name section; version 2 has none, so a
+// version-1 payload decodes as ErrCorrupt and its entry recomputes.
+const netlistVersion = 2
 
 // maxRAMShape caps a decoded RAM's declared width and depth. Real
 // macros are orders of magnitude smaller; the cap keeps a corrupt
@@ -94,18 +94,6 @@ func AppendNetlist(dst []byte, n *netlist.Netlist) []byte {
 	dst = appendPortBits(dst, n.Inputs)
 	dst = appendPortBits(dst, n.Outputs)
 
-	if len(n.NetNameOff) == 0 {
-		dst = AppendByte(dst, 0)
-	} else {
-		dst = AppendByte(dst, 1)
-		prevOff := int32(0)
-		// Offsets are monotone, so the deltas are the name lengths.
-		for _, off := range n.NetNameOff[1:] {
-			dst = AppendUvarint(dst, uint64(off-prevOff))
-			prevOff = off
-		}
-		dst = AppendBytes(dst, n.NetNameData)
-	}
 	return dst
 }
 
@@ -137,8 +125,7 @@ func appendPortBits(dst []byte, ports []netlist.PortBit) []byte {
 // backing slice per table and copying every byte it keeps (the decoded
 // netlist never aliases r's buffer). It errors — wrapping ErrCorrupt —
 // on any malformed input, including structurally invalid netlists
-// (out-of-range net IDs, unknown cell types, inconsistent name
-// tables).
+// (out-of-range net IDs, unknown cell types).
 func DecodeNetlist(r *Reader) (*netlist.Netlist, error) {
 	if v := r.Byte(); r.Err() == nil && v != netlistVersion {
 		return nil, fmt.Errorf("%w: netlist structure version %d, want %d", ErrCorrupt, v, netlistVersion)
@@ -213,31 +200,6 @@ func DecodeNetlist(r *Reader) (*netlist.Netlist, error) {
 
 	n.Inputs = decodePortBits(r)
 	n.Outputs = decodePortBits(r)
-
-	if hasNames := r.Bool(); hasNames && r.Err() == nil {
-		// One uvarint (>=1 byte) per net follows, so the count bound
-		// holds even before the data block is seen.
-		if uint64(r.Len()) < nets {
-			return nil, fmt.Errorf("%w: name offset table truncated", ErrCorrupt)
-		}
-		off := make([]int32, n.Nets+1)
-		var cur uint64
-		for i := 1; i <= n.Nets; i++ {
-			cur += r.Uvarint()
-			if cur > 1<<31-1 {
-				return nil, fmt.Errorf("%w: name offsets overflow", ErrCorrupt)
-			}
-			off[i] = int32(cur)
-		}
-		n.NetNameOff = off
-		n.NetNameData = r.Raw()
-		if r.Err() == nil && n.NetNameData == nil && cur > 0 {
-			return nil, fmt.Errorf("%w: name data missing", ErrCorrupt)
-		}
-		if n.NetNameData == nil {
-			n.NetNameData = []byte{}
-		}
-	}
 
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -10,9 +10,7 @@ import (
 	"repro/internal/synth"
 )
 
-// equalNetlists reports the first difference between two netlists,
-// comparing debug names by NetName semantics (so a nil and an empty
-// name table with no names compare equal, matching reader behavior).
+// equalNetlists reports the first difference between two netlists.
 func equalNetlists(t *testing.T, a, b *netlist.Netlist) {
 	t.Helper()
 	if a.Hash() != b.Hash() {
@@ -40,19 +38,12 @@ func equalNetlists(t *testing.T, a, b *netlist.Netlist) {
 			t.Fatalf("RAM %d shape differs", i)
 		}
 	}
-	for id := 0; id < a.Nets; id++ {
-		if an, bn := a.NetName(netlist.NetID(id)), b.NetName(netlist.NetID(id)); an != bn {
-			t.Fatalf("net %d name %q vs %q", id, an, bn)
-		}
-	}
 }
 
 // TestNetlistRoundtripCorpus is the round-trip property test over the
 // full 18-component corpus: decode(encode(x)) must reproduce every
-// field — including the packed debug names — and preserve the
-// structural hash the cache keys derivatives by. Each netlist is also
-// round-tripped again after TrimNames (the form the session cache
-// actually stores).
+// field and preserve the structural hash the cache keys derivatives
+// by.
 func TestNetlistRoundtripCorpus(t *testing.T) {
 	for _, c := range designs.All() {
 		c := c
@@ -84,18 +75,6 @@ func TestNetlistRoundtripCorpus(t *testing.T) {
 				if string(buf) != string(buf2) {
 					t.Error("re-encode of decoded netlist differs")
 				}
-			}
-
-			trimmed := res.Optimized
-			trimmed.TrimNames()
-			buf := codec.AppendNetlist(nil, trimmed)
-			got, err := codec.DecodeNetlist(codec.NewReader(buf))
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalNetlists(t, trimmed, got)
-			if got.NetNameOff != nil {
-				t.Error("trimmed netlist decoded with a name table")
 			}
 		})
 	}
@@ -142,6 +121,38 @@ func TestDecodeNetlistRejectsStructuralDamage(t *testing.T) {
 	if decode(bad) == nil {
 		t.Error("wrong structure version accepted")
 	}
+
+	// Version 1 ended in a per-net name section. Its payloads, with or
+	// without names, must read as corrupt (so the entry recomputes),
+	// never as a version-2 netlist with trailing bytes ignored.
+	names := make([]string, res.Optimized.Nets)
+	names[0], names[1] = "const0", "const1"
+	for _, v1 := range [][]byte{
+		appendV1Names(good, names),
+		appendV1Names(good, nil),
+	} {
+		if err := decode(v1); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("version-1 payload: error %v, want ErrCorrupt", err)
+		}
+	}
+}
+
+// appendV1Names rewrites a current encoding into the version-1 layout:
+// version byte 1 and, at the end, the name section (flag byte; when
+// set, one uvarint length per net, then the packed bytes).
+func appendV1Names(enc []byte, names []string) []byte {
+	out := append([]byte{1}, enc[1:]...)
+	if names == nil {
+		return append(out, 0)
+	}
+	out = append(out, 1)
+	var data []byte
+	for _, s := range names {
+		out = codec.AppendUvarint(out, uint64(len(s)))
+		data = append(data, s...)
+	}
+	out = codec.AppendUvarint(out, uint64(len(data)))
+	return append(out, data...)
 }
 
 func mustComponent(t *testing.T, label string) designs.Component {
@@ -155,10 +166,9 @@ func mustComponent(t *testing.T, label string) designs.Component {
 
 // seedNetlist hand-builds a small netlist exercising every encoder
 // feature (cells of several types, a RAM with both port kinds, top
-// ports, debug names) — kept tiny so fuzz execs stay fast.
+// ports) — kept tiny so fuzz execs stay fast.
 func seedNetlist() *netlist.Netlist {
-	n := &netlist.Netlist{Const0: 0, Const1: 1}
-	n.SetNetNames([]string{"0", "1", "clk", "a", "b", "and", "ff", ""})
+	n := &netlist.Netlist{Nets: 8, Const0: 0, Const1: 1}
 	clk, a, b := netlist.NetID(2), netlist.NetID(3), netlist.NetID(4)
 	n.Cells = []netlist.Cell{
 		{Type: netlist.And2, In: [3]netlist.NetID{a, b, netlist.Nil}, Clk: netlist.Nil, Out: 5},
@@ -180,11 +190,10 @@ func seedNetlist() *netlist.Netlist {
 // an out-of-range net ID that would crash a downstream kernel — and a
 // successful decode must re-encode/re-decode to the same structure.
 func FuzzDecodeNetlist(f *testing.F) {
-	seed := seedNetlist()
-	f.Add(codec.AppendNetlist(nil, seed))
-	seed.TrimNames()
-	f.Add(codec.AppendNetlist(nil, seed))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	seed := codec.AppendNetlist(nil, seedNetlist())
+	f.Add(seed)
+	f.Add(appendV1Names(seed, []string{"0", "1", "clk", "a", "b", "and", "ff", ""}))
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := codec.NewReader(data)
 		nl, err := codec.DecodeNetlist(r)

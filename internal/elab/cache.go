@@ -66,9 +66,9 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 //     changed parameter actually reaches.
 //
 //   - full instance subtrees keyed by (hierarchical path, module,
-//     resolved parameters): net names inside a lowered subtree embed
-//     the instance path, so a tree is only reused at the exact path it
-//     was built for. Across elaborations of the same top module at
+//     resolved parameters): instance paths, and the RAM macro names
+//     lowering derives from them, embed the tree's position, so a tree
+//     is only reused at the exact path it was built for. Across elaborations of the same top module at
 //     nearby parameter points the paths coincide, which is what makes
 //     the final full elaboration of the minimization winner cost only
 //     the subtrees its parameters actually changed.

@@ -174,29 +174,30 @@ func appendLegacyAccounting(dst []byte, rec *componentRecord) []byte {
 }
 
 // Payloads of the earlier record layouts, each carrying the whole
-// optimized netlist behind a presence bool. Component version 1 also
+// optimized netlist behind a presence byte (1). The record version and
+// the presence byte are written raw. Component version 1 also
 // stored the search's probe counters and the subtree counters of
 // whichever run populated the entry.
 func componentV1Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
-	dst := codec.AppendBool([]byte{1}, true)
+	dst := []byte{1, 1}
 	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
 	for _, counter := range []int64{7, 3, 11, 5, 13} {
 		dst = codec.AppendVarint(dst, counter)
 	}
-	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
 func componentV2Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
-	dst := codec.AppendBool([]byte{2}, true)
+	dst := []byte{2, 1}
 	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
-	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
 func sigV1Payload(_ *componentRecord, sig *sigRecord, nl *netlist.Netlist) []byte {
-	dst := appendMetrics(codec.AppendBool([]byte{1}, true), sig.Metrics)
+	dst := appendMetrics([]byte{1, 1}, sig.Metrics)
 	dst = codec.AppendVarint(dst, int64(sig.InstanceCount))
 	dst = codec.AppendVarint(dst, int64(sig.Deduped))
-	return codec.AppendNetlist(codec.AppendBool(dst, true), nl)
+	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
 // rawPayload stores already-encoded payload bytes as a cache entry.

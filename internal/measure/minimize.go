@@ -41,11 +41,10 @@ import (
 	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/parallel"
-	"repro/internal/synth"
 )
 
 // elabMemo caches the point verdicts of one (design, module) pair
-// across the minimization search. Keys are synth.ParamSignature
+// across the minimization search. Keys are elab.ParamSignature
 // strings, so two candidate maps that resolve to the same design point
 // share one entry. No per-point instance trees are retained: probes
 // run in report-only mode against a session-scoped subtree cache
@@ -73,7 +72,7 @@ type elabMemo struct {
 // entirely, so a probe costs proportional to what the candidate's
 // changed parameter actually reaches.
 func (m *elabMemo) compatible(cand map[string]int64) bool {
-	sig := synth.ParamSignature(m.module, cand)
+	sig := elab.ParamSignature(m.module, cand)
 	m.mu.Lock()
 	if v, ok := m.verdict[sig]; ok {
 		m.hits++
@@ -173,7 +172,7 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 	// Seed with the reference point: the defaults are compatible with
 	// themselves, and if nothing minimizes, the final measurement's
 	// elaboration is answered whole from the session cache.
-	memo.verdict[synth.ParamSignature(module, current)] = true
+	memo.verdict[elab.ParamSignature(module, current)] = true
 
 	for round := 0; round < 5; round++ {
 		changed := false

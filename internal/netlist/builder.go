@@ -12,10 +12,9 @@ import (
 // created, which keeps the raw netlist close to what a synthesis tool
 // emits after its first sweep.
 type Builder struct {
-	nets    int      // nets allocated (len of parent/named)
-	names   []string // per-net debug names; nil in nameless mode
-	parent  []NetID  // union-find
-	named   []bool   // representative preference
+	nets    int     // nets allocated (len of parent/named)
+	parent  []NetID // union-find
+	named   []bool  // representative preference
 	cells   []Cell
 	rams    []*RAM
 	inputs  []PortBit
@@ -23,14 +22,7 @@ type Builder struct {
 
 	const0, const1 NetID
 
-	// noNames skips debug-name storage entirely: NewNet ignores the
-	// name text but keeps its named flag (which steers alias
-	// representative selection), so the built netlist is structurally
-	// bit-identical to a named build — Netlist.Hash excludes names —
-	// with NetName returning "" everywhere, the same state TrimNames
-	// leaves behind.
-	noNames bool
-	ws      *Workspace
+	ws *Workspace
 
 	// Alias-op recording for template-stamped lowering (internal/synth):
 	// while logDepth > 0 every Alias call appends its raw arguments, so
@@ -49,30 +41,24 @@ type AliasPair struct {
 }
 
 // NewBuilder returns an empty builder with the two constant nets
-// already allocated.
-func NewBuilder() *Builder {
-	return NewBuilderWS(nil, false)
-}
-
-// NewBuilderWS returns a builder whose internal buffers are drawn from
-// a reusable workspace (nil allocates fresh — the NewBuilder path).
-// The workspace must not be reused until Build has been called.
-// noNames selects the nameless mode described on Builder.noNames.
-func NewBuilderWS(ws *Workspace, noNames bool) *Builder {
-	b := &Builder{noNames: noNames, ws: ws}
-	if ws != nil {
-		ws.Reset()
-		b.names = ws.bNames[:0]
-		b.parent = ws.bParent[:0]
-		b.named = ws.bNamed[:0]
-		b.cells = ws.bCells[:0]
-		b.rams = ws.bRAMs[:0]
-		b.inputs = ws.bInputs[:0]
-		b.outputs = ws.bOutputs[:0]
-		b.aliasLog = ws.bAliasLog[:0]
+// already allocated. Its internal buffers are drawn from ws (nil means
+// a fresh workspace); ws must not be reused until Build has been
+// called.
+func NewBuilder(ws *Workspace) *Builder {
+	ws = orFresh(ws)
+	ws.Reset()
+	b := &Builder{
+		ws:       ws,
+		parent:   ws.bParent[:0],
+		named:    ws.bNamed[:0],
+		cells:    ws.bCells[:0],
+		rams:     ws.bRAMs[:0],
+		inputs:   ws.bInputs[:0],
+		outputs:  ws.bOutputs[:0],
+		aliasLog: ws.bAliasLog[:0],
 	}
-	b.const0 = b.NewNet("const0")
-	b.const1 = b.NewNet("const1")
+	b.const0 = b.NewNet(true)
+	b.const1 = b.NewNet(true)
 	return b
 }
 
@@ -90,34 +76,16 @@ func (b *Builder) ConstBit(v bool) NetID {
 	return b.const0
 }
 
-// NewNet allocates a net. A non-empty name marks it as a user-visible
-// signal, preferred as alias representative.
-func (b *Builder) NewNet(name string) NetID {
-	return b.NewNetPref(name, name != "")
-}
-
-// NewNetPref allocates a net with an explicit representative
-// preference, decoupled from the name text. Template stamping uses it
-// to reproduce a recorded net's named flag even in nameless mode,
-// where the recorded name is gone but its preference must survive for
-// the union-find to pick identical representatives.
-func (b *Builder) NewNetPref(name string, named bool) NetID {
+// NewNet allocates a net. named marks it as a user-visible signal,
+// preferred as alias representative; template stamping passes a
+// recorded net's flag so the union-find picks identical
+// representatives.
+func (b *Builder) NewNet(named bool) NetID {
 	id := NetID(b.nets)
 	b.nets++
-	if !b.noNames {
-		b.names = append(b.names, name)
-	}
 	b.parent = append(b.parent, id)
 	b.named = append(b.named, named)
 	return id
-}
-
-// nameAt returns the debug name of a net ("" in nameless mode).
-func (b *Builder) nameAt(id NetID) string {
-	if b.noNames {
-		return ""
-	}
-	return b.names[id]
 }
 
 // Find returns the alias representative of n.
@@ -191,16 +159,9 @@ func (b *Builder) AddRAM(r *RAM) { b.rams = append(b.rams, r) }
 // template-stamped lowering.
 func (b *Builder) NetCount() int { return b.nets }
 
-// NetNameAt returns the debug name net id was allocated with ("" for
-// every net in nameless mode).
-func (b *Builder) NetNameAt(id NetID) string { return b.nameAt(id) }
-
-// NetNamedAt returns the representative-preference flag net id was
-// allocated with (independent of the name text in nameless mode).
-func (b *Builder) NetNamedAt(id NetID) bool { return b.named[id] }
-
-// NoNames reports whether the builder runs in nameless mode.
-func (b *Builder) NoNames() bool { return b.noNames }
+// NamedAt returns the representative-preference flag net id was
+// allocated with.
+func (b *Builder) NamedAt(id NetID) bool { return b.named[id] }
 
 // CellCount returns the number of cells appended so far.
 func (b *Builder) CellCount() int { return len(b.cells) }
@@ -241,7 +202,7 @@ func (b *Builder) PopAliasLog(start int) []AliasPair {
 // rawCell appends a cell driving a fresh anonymous net and returns the
 // output net.
 func (b *Builder) rawCell(t CellType, a, bb, c NetID, clk NetID) NetID {
-	out := b.NewNet("")
+	out := b.NewNet(false)
 	b.cells = append(b.cells, Cell{Type: t, In: [3]NetID{a, bb, c}, Clk: clk, Out: out})
 	return out
 }
@@ -356,21 +317,18 @@ func (b *Builder) NewLatch(d, en NetID) NetID {
 // Cell output nets that were aliased to constants are rejected (that
 // would be a short).
 func (b *Builder) Build() (*Netlist, error) {
-	if b.ws != nil {
-		// Return the (possibly grown) buffers to the workspace so their
-		// capacity carries to the next build, error or not.
-		defer func() {
-			ws := b.ws
-			ws.bNames = b.names[:0]
-			ws.bParent = b.parent[:0]
-			ws.bNamed = b.named[:0]
-			ws.bCells = b.cells[:0]
-			ws.bRAMs = b.rams[:0]
-			ws.bInputs = b.inputs[:0]
-			ws.bOutputs = b.outputs[:0]
-			ws.bAliasLog = b.aliasLog[:0]
-		}()
-	}
+	// Return the (possibly grown) buffers to the workspace so their
+	// capacity carries to the next build, error or not.
+	defer func() {
+		ws := b.ws
+		ws.bParent = b.parent[:0]
+		ws.bNamed = b.named[:0]
+		ws.bCells = b.cells[:0]
+		ws.bRAMs = b.rams[:0]
+		ws.bInputs = b.inputs[:0]
+		ws.bOutputs = b.outputs[:0]
+		ws.bAliasLog = b.aliasLog[:0]
+	}()
 	// Resolve all pins through the union-find.
 	for i := range b.cells {
 		c := &b.cells[i]
@@ -412,7 +370,7 @@ func (b *Builder) Build() (*Netlist, error) {
 
 	// Detect multiple drivers and cells driving constants. Driver
 	// identities are packed into one int32 per net ((index<<2 | kind) + 1,
-	// 0 = undriven) and only decoded into names when an error is
+	// 0 = undriven) and only decoded into descriptions when an error is
 	// actually reported — this loop runs once per cell on the success
 	// path, with no map traffic.
 	const (
@@ -441,12 +399,7 @@ func (b *Builder) Build() (*Netlist, error) {
 			return "input " + b.inputs[idx].Name
 		}
 	}
-	var seen []int32
-	if b.ws != nil {
-		seen = scratch.Zero(&b.ws.bSeen, b.nets)
-	} else {
-		seen = make([]int32, b.nets)
-	}
+	seen := scratch.Zero(&b.ws.bSeen, b.nets)
 	c0, c1 := b.Find(b.const0), b.Find(b.const1)
 	for i := range b.cells {
 		out := b.cells[i].Out
@@ -454,7 +407,7 @@ func (b *Builder) Build() (*Netlist, error) {
 			return nil, fmt.Errorf("netlist: %s drives a constant net", describe(pack(drvCell, i), out))
 		}
 		if prev := seen[out]; prev != 0 {
-			return nil, fmt.Errorf("netlist: net %q driven by both %s and %s", b.nameAt(out), describe(prev, out), describe(pack(drvCell, i), out))
+			return nil, fmt.Errorf("netlist: net %d driven by both %s and %s", out, describe(prev, out), describe(pack(drvCell, i), out))
 		}
 		seen[out] = pack(drvCell, i)
 	}
@@ -462,7 +415,7 @@ func (b *Builder) Build() (*Netlist, error) {
 		for _, rp := range r.ReadPorts {
 			for _, o := range rp.Out {
 				if prev := seen[o]; prev != 0 {
-					return nil, fmt.Errorf("netlist: net %q driven by both %s and %s", b.nameAt(o), describe(prev, o), describe(pack(drvRAM, ri), o))
+					return nil, fmt.Errorf("netlist: net %d driven by both %s and %s", o, describe(prev, o), describe(pack(drvRAM, ri), o))
 				}
 				seen[o] = pack(drvRAM, ri)
 			}
@@ -479,17 +432,7 @@ func (b *Builder) Build() (*Netlist, error) {
 	// is a dense slice (0 = unseen, else compacted id + 1): net ids are
 	// contiguous builder allocations, so a map would only add hashing
 	// overhead on this hot path.
-	var remap []NetID
-	var names []string
-	if b.ws != nil {
-		remap = scratch.Zero(&b.ws.bRemap, b.nets)
-		if !b.noNames {
-			names = b.ws.bNameOut[:0]
-		}
-	} else {
-		remap = make([]NetID, b.nets)
-		names = make([]string, 0, b.nets)
-	}
+	remap := scratch.Zero(&b.ws.bRemap, b.nets)
 	count := 0
 	get := func(id NetID) NetID {
 		if id == Nil {
@@ -500,9 +443,6 @@ func (b *Builder) Build() (*Netlist, error) {
 		}
 		nid := NetID(count)
 		count++
-		if !b.noNames {
-			names = append(names, b.names[id])
-		}
 		remap[id] = nid + 1
 		return nid
 	}
@@ -542,16 +482,7 @@ func (b *Builder) Build() (*Netlist, error) {
 	for _, p := range b.outputs {
 		nl.Outputs = append(nl.Outputs, PortBit{Name: p.Name, Net: get(p.Net)})
 	}
-	if b.noNames {
-		// Same state TrimNames leaves: the count is set, the name
-		// tables stay empty, NetName returns "" for every net.
-		nl.Nets = count
-	} else {
-		nl.SetNetNames(names)
-		if b.ws != nil {
-			b.ws.bNameOut = names[:0]
-		}
-	}
+	nl.Nets = count
 	return nl, nil
 }
 

@@ -375,11 +375,9 @@ func refFoldAndHash(n *netlist.Netlist) (*netlist.Netlist, int, int, error) {
 	}
 
 	out := &netlist.Netlist{
-		Nets:        n.Nets,
-		NetNameData: n.NetNameData,
-		NetNameOff:  n.NetNameOff,
-		Const0:      c0,
-		Const1:      c1,
+		Nets:   n.Nets,
+		Const0: c0,
+		Const1: c1,
 	}
 	for ci := range n.Cells {
 		if removed[ci] {
@@ -495,14 +493,12 @@ func refRemoveDead(n *netlist.Netlist) (*netlist.Netlist, int) {
 
 	dead := 0
 	out := &netlist.Netlist{
-		Nets:        n.Nets,
-		NetNameData: n.NetNameData,
-		NetNameOff:  n.NetNameOff,
-		Const0:      n.Const0,
-		Const1:      n.Const1,
-		RAMs:        n.RAMs,
-		Inputs:      n.Inputs,
-		Outputs:     n.Outputs,
+		Nets:    n.Nets,
+		Const0:  n.Const0,
+		Const1:  n.Const1,
+		RAMs:    n.RAMs,
+		Inputs:  n.Inputs,
+		Outputs: n.Outputs,
 	}
 	for ci := range n.Cells {
 		if live[ci] {

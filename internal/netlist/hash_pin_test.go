@@ -20,19 +20,19 @@ import (
 // both constants, and a RAM with a write and a read port.
 func ramNetlist(t *testing.T) *netlist.Netlist {
 	t.Helper()
-	b := netlist.NewBuilder()
-	clk := b.NewNet("clk")
-	we := b.NewNet("we")
+	b := netlist.NewBuilder(nil)
+	clk := b.NewNet(true)
+	we := b.NewNet(true)
 	b.AddInput("clk", clk)
 	b.AddInput("we", we)
 	var addr, data [2]netlist.NetID
 	for i := range addr {
-		addr[i] = b.NewNet("addr")
+		addr[i] = b.NewNet(true)
 		b.AddInput("addr["+strconv.Itoa(i)+"]", addr[i])
-		data[i] = b.NewNet("data")
+		data[i] = b.NewNet(true)
 		b.AddInput("data["+strconv.Itoa(i)+"]", data[i])
 	}
-	out := []netlist.NetID{b.NewNet("rd0"), b.NewNet("rd1")}
+	out := []netlist.NetID{b.NewNet(true), b.NewNet(true)}
 	b.AddRAM(&netlist.RAM{
 		Name:  "mem",
 		Width: 2,

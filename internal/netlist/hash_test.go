@@ -7,14 +7,15 @@ import (
 )
 
 // buildPair constructs a tiny netlist: two inputs, an AND feeding a
-// DFF, and the DFF driving an output. Names come from the caller so
-// tests can vary debug naming without varying structure.
-func buildPair(t *testing.T, aName, bName string) *Netlist {
+// DFF, and the DFF driving an output. The inputs' representative
+// preference comes from the caller so tests can vary it without
+// varying structure.
+func buildPair(t *testing.T, aNamed, bNamed bool) *Netlist {
 	t.Helper()
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	x := b.NewNet(aName)
-	y := b.NewNet(bName)
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	x := b.NewNet(aNamed)
+	y := b.NewNet(bNamed)
 	b.AddInput("clk", clk)
 	b.AddInput("a", x)
 	b.AddInput("b", y)
@@ -28,21 +29,24 @@ func buildPair(t *testing.T, aName, bName string) *Netlist {
 	return nl
 }
 
+// TestHashStableAndNameIndependent checks that the hash is stable, that
+// a net's representative preference reaches it only through structure
+// (no alias here, so none), and that a structural change moves it.
 func TestHashStableAndNameIndependent(t *testing.T) {
-	n1 := buildPair(t, "sig_a", "sig_b")
-	n2 := buildPair(t, "completely", "different")
+	n1 := buildPair(t, true, true)
+	n2 := buildPair(t, false, false)
 	if n1.Hash() != n2.Hash() {
-		t.Errorf("debug names changed the structural hash:\n%s\n%s", n1.Hash(), n2.Hash())
+		t.Errorf("representative preference changed the structural hash:\n%s\n%s", n1.Hash(), n2.Hash())
 	}
 	if got := n1.Hash(); got != n1.Hash() {
 		t.Errorf("hash not stable across calls")
 	}
 
 	// A structural change must change the hash.
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	x := b.NewNet("a")
-	y := b.NewNet("b")
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	x := b.NewNet(true)
+	y := b.NewNet(true)
 	b.AddInput("clk", clk)
 	b.AddInput("a", x)
 	b.AddInput("b", y)
@@ -59,7 +63,7 @@ func TestHashStableAndNameIndependent(t *testing.T) {
 }
 
 func TestDriversAndTopoOrderCached(t *testing.T) {
-	n := buildPair(t, "a", "b")
+	n := buildPair(t, true, true)
 	d1, d2 := n.Drivers(), n.Drivers()
 	if &d1[0] != &d2[0] {
 		t.Error("Drivers recomputed instead of cached")
@@ -75,7 +79,7 @@ func TestDriversAndTopoOrderCached(t *testing.T) {
 }
 
 func TestDerivedStructuresConcurrentAccess(t *testing.T) {
-	n := buildPair(t, "a", "b")
+	n := buildPair(t, true, true)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -95,9 +99,9 @@ func TestDerivedStructuresConcurrentAccess(t *testing.T) {
 // derived-structure cache relies on: Optimize must leave its input
 // netlist — cells, RAM ports, hash — untouched.
 func TestOptimizeDoesNotMutateInput(t *testing.T) {
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	a := b.NewNet("a")
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	a := b.NewNet(true)
 	b.AddInput("clk", clk)
 	b.AddInput("a", a)
 	// Redundant logic the optimizer will rewrite: (a & 1) through a
@@ -111,7 +115,7 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	ram := &RAM{
 		Name: "m", Width: 1, Depth: 2, Clk: clk,
 		WritePorts: []RAMWritePort{{En: b.Const1(), Addr: []NetID{addr}, Data: []NetID{d}}},
-		ReadPorts:  []RAMReadPort{{Addr: []NetID{addr}, Out: []NetID{b.NewNet("rd")}}},
+		ReadPorts:  []RAMReadPort{{Addr: []NetID{addr}, Out: []NetID{b.NewNet(true)}}},
 	}
 	b.AddRAM(ram)
 	b.AddOutput("rd", ram.ReadPorts[0].Out[0])

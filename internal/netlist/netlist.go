@@ -156,22 +156,10 @@ type PortBit struct {
 // mutex-guarded, making concurrent analyses of a shared netlist (e.g.
 // one synthesis result reused by parallel workers) race-free.
 type Netlist struct {
-	// Nets is the total net count (including constants). It is stored
-	// explicitly rather than derived from the name tables so that
-	// TrimNames can release the names of a long-retained netlist
-	// without touching the count every analysis kernel sizes its
-	// tables by.
+	// Nets is the total net count (including constants). Nets carry
+	// no names: every metric is read from structure, and ports and RAM
+	// macros keep their own names.
 	Nets int
-
-	// Per-net debug names ("" for anonymous), packed into one
-	// pointer-free backing buffer: name i is
-	// NetNameData[NetNameOff[i]:NetNameOff[i+1]]. A netlist can be
-	// retained for a long time, and a plain []string would make the garbage collector scan one pointer per
-	// net on every cycle; the packed form is marked without being
-	// scanned. Build the pair with SetNetNames, read through
-	// NetName/NumNets; both tables may be empty after TrimNames.
-	NetNameData []byte
-	NetNameOff  []int32
 
 	Cells []Cell
 	RAMs  []*RAM
@@ -194,47 +182,9 @@ type Netlist struct {
 // NumNets returns the number of nets (including constants).
 func (n *Netlist) NumNets() int { return n.Nets }
 
-// NetName returns the debug name of a net (possibly "", always "" for
-// every net after TrimNames).
-func (n *Netlist) NetName(id NetID) string {
-	if id >= 0 && int(id)+1 < len(n.NetNameOff) {
-		return string(n.NetNameData[n.NetNameOff[id]:n.NetNameOff[id+1]])
-	}
-	return ""
-}
-
-// SetNetNames installs the per-net debug names, packing them into the
-// pointer-free backing form. The net count of the netlist becomes
-// len(names), so this must be called exactly once, with one entry per
-// net, when the netlist is built.
-func (n *Netlist) SetNetNames(names []string) {
-	total := 0
-	for _, s := range names {
-		total += len(s)
-	}
-	data := make([]byte, 0, total)
-	off := make([]int32, len(names)+1)
-	for i, s := range names {
-		data = append(data, s...)
-		off[i+1] = int32(len(data))
-	}
-	n.Nets = len(names)
-	n.NetNameData = data
-	n.NetNameOff = off
-}
-
-// TrimNames drops the per-net debug names while preserving the net
-// count (every analysis kernel sizes its tables by NumNets, and the
-// structural hash covers the count, so trimming changes neither
-// measurements nor identity — NetName just returns "" for every net).
-// Optimized netlists share the raw-sized name tables of the netlist
-// they came from, so for a netlist retained beyond its measurement
-// this keeps tens of bytes per net from outliving their only reader,
-// the debug dump.
-func (n *Netlist) TrimNames() {
-	n.NetNameData = nil
-	n.NetNameOff = nil
-}
+// TrimNames does nothing: netlists carry no per-net names. It is kept
+// for callers outside this module written when they did.
+func (n *Netlist) TrimNames() {}
 
 // NumFFs counts DFF cells.
 func (n *Netlist) NumFFs() int {
@@ -273,10 +223,9 @@ func (n *Netlist) driversLocked() []int {
 
 // Hash returns a stable structural hash of the netlist: cells (type
 // and pin wiring), RAM macros, constants, and port bindings, hashed
-// with SHA-256 and rendered as hex. Per-net debug names are excluded —
-// two netlists that differ only in naming hash identically. The hash
-// is computed once and cached; it keys content-addressed caches of
-// synthesis derivatives (see internal/cache).
+// with SHA-256 and rendered as hex. The hash is computed once and
+// cached; it keys content-addressed caches of synthesis derivatives
+// (see internal/cache).
 func (n *Netlist) Hash() string {
 	n.derived.mu.Lock()
 	defer n.derived.mu.Unlock()

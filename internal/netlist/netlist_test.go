@@ -5,8 +5,8 @@ import (
 )
 
 func TestBuilderConstFolding(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
 	if got := b.And(b.Const0(), a); got != b.Const0() {
 		t.Error("0 & a must fold to 0")
 	}
@@ -28,16 +28,16 @@ func TestBuilderConstFolding(t *testing.T) {
 	if got := b.Mux(a, b.Const0(), b.Const1()); got != a {
 		t.Error("mux(s,0,1) must fold to s")
 	}
-	s := b.NewNet("s")
+	s := b.NewNet(true)
 	if got := b.Mux(s, b.Const1(), b.Const0()); got == s {
 		t.Error("mux(s,1,0) must be ~s, not s")
 	}
 }
 
 func TestBuilderAliasMergesNets(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
-	x := b.NewNet("") // anonymous
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
+	x := b.NewNet(false) // anonymous
 	if err := b.Alias(a, x); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBuilderAliasMergesNets(t *testing.T) {
 		t.Errorf("representative = %d, want named net %d", b.Find(x), a)
 	}
 	// Constant aliasing.
-	y := b.NewNet("y")
+	y := b.NewNet(true)
 	if err := b.Alias(y, b.Const1()); err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +62,9 @@ func TestBuilderAliasMergesNets(t *testing.T) {
 }
 
 func TestBuildDetectsMultipleDrivers(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
-	c := b.NewNet("c")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
+	c := b.NewNet(true)
 	g1 := b.And(a, c)
 	g2 := b.Or(a, c)
 	if err := b.Alias(g1, g2); err != nil {
@@ -76,10 +76,10 @@ func TestBuildDetectsMultipleDrivers(t *testing.T) {
 }
 
 func TestBuildCompactsNets(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
-	b.NewNet("unused1")
-	b.NewNet("unused2")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
+	b.NewNet(true)
+	b.NewNet(true)
 	y := b.Not(a)
 	b.AddInput("a", a)
 	b.AddOutput("y", y)
@@ -105,10 +105,10 @@ func buildFullAdder(b *Builder, x, y, cin NetID) (sum, cout NetID) {
 }
 
 func TestTopoOrder(t *testing.T) {
-	b := NewBuilder()
-	x := b.NewNet("x")
-	y := b.NewNet("y")
-	cin := b.NewNet("cin")
+	b := NewBuilder(nil)
+	x := b.NewNet(true)
+	y := b.NewNet(true)
+	cin := b.NewNet(true)
 	sum, cout := buildFullAdder(b, x, y, cin)
 	b.AddInput("x", x)
 	b.AddInput("y", y)
@@ -142,12 +142,12 @@ func TestTopoOrder(t *testing.T) {
 }
 
 func TestTopoOrderDetectsCycle(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
 	g1 := b.And(a, a) // will rewrite below
 	_ = g1
 	// Construct a deliberate cycle: two INVs feeding each other.
-	n1 := b.NewNet("n1")
+	n1 := b.NewNet(true)
 	inv1 := b.Not(n1)
 	if err := b.Alias(n1, b.Not(inv1)); err != nil {
 		t.Fatal(err)
@@ -163,9 +163,9 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 
 func TestDFFBreaksCycle(t *testing.T) {
 	// q = DFF(~q) is a valid sequential loop (toggle flop).
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	q := b.NewNet("q")
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	q := b.NewNet(true)
 	d := b.Not(q)
 	qd := b.NewDFF(d, clk)
 	if err := b.Alias(q, qd); err != nil {
@@ -186,9 +186,9 @@ func TestDFFBreaksCycle(t *testing.T) {
 }
 
 func TestOptimizeConstantPropagation(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
-	c := b.NewNet("c")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
+	c := b.NewNet(true)
 	// Build gates that constant-fold only after CSE/subst: (a&c) XOR (a&c).
 	g1 := b.rawCell(And2, a, c, Nil, Nil)
 	g2 := b.rawCell(And2, a, c, Nil, Nil)
@@ -217,9 +217,9 @@ func TestOptimizeConstantPropagation(t *testing.T) {
 }
 
 func TestOptimizeRemovesDeadLogic(t *testing.T) {
-	b := NewBuilder()
-	a := b.NewNet("a")
-	c := b.NewNet("c")
+	b := NewBuilder(nil)
+	a := b.NewNet(true)
+	c := b.NewNet(true)
 	used := b.And(a, c)
 	b.Or(a, c) // dead: never observed
 	b.AddInput("a", a)
@@ -242,9 +242,9 @@ func TestOptimizeRemovesDeadLogic(t *testing.T) {
 }
 
 func TestOptimizeRemovesUnobservedFF(t *testing.T) {
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	d := b.NewNet("d")
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	d := b.NewNet(true)
 	b.NewDFF(d, clk) // Q never used
 	keep := b.NewDFF(d, clk)
 	b.AddInput("clk", clk)
@@ -264,12 +264,12 @@ func TestOptimizeRemovesUnobservedFF(t *testing.T) {
 }
 
 func TestOptimizePreservesRAMLogic(t *testing.T) {
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	en := b.NewNet("en")
-	addr := []NetID{b.NewNet("addr0")}
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	en := b.NewNet(true)
+	addr := []NetID{b.NewNet(true)}
 	data := []NetID{b.And(en, addr[0])}
-	rout := []NetID{b.NewNet("rd0")}
+	rout := []NetID{b.NewNet(true)}
 	b.AddRAM(&RAM{
 		Name: "m", Width: 1, Depth: 2,
 		Clk:        clk,
@@ -299,9 +299,9 @@ func TestOptimizePreservesRAMLogic(t *testing.T) {
 }
 
 func TestStatsCounts(t *testing.T) {
-	b := NewBuilder()
-	clk := b.NewNet("clk")
-	d := b.NewNet("d")
+	b := NewBuilder(nil)
+	clk := b.NewNet(true)
+	d := b.NewNet(true)
 	q := b.NewDFF(d, clk)
 	y := b.Not(q)
 	b.AddInput("clk", clk)

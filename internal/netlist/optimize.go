@@ -45,32 +45,24 @@ type OptimizeResult struct {
 // are all preserved, which internal/netlist's golden tests pin against
 // a reference implementation of the old pass.
 //
-// The pass's scratch (union-find, consumer adjacency, hash table,
-// worklist, liveness) comes from ws. A nil workspace allocates fresh;
-// the returned netlist is freshly allocated either way and never
+// The pass's scratch (raw topological order, union-find, consumer
+// adjacency, hash table, worklist, liveness) comes from ws; nil means a
+// fresh workspace. The returned netlist is freshly allocated and never
 // aliases workspace memory. The output is bit-identical for any
-// workspace, dirty or fresh — the property tests pin ws == nil-ws.
+// workspace, dirty or fresh.
 func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 	res := OptimizeResult{Converged: true}
-	var order []int
-	var err error
-	if ws == nil {
-		order, err = n.TopoOrder()
-	} else {
-		// The optimizer's input is typically discarded right after the
-		// pass, so its derived tables go into workspace scratch instead
-		// of being memoized into the netlist.
-		_, order, err = ws.topoInto(n)
-	}
+	ws = orFresh(ws)
+	// The optimizer's input is typically discarded right after the
+	// pass, so its derived tables go into workspace scratch instead of
+	// being memoized into the netlist.
+	_, order, err := ws.topoInto(n)
 	if err != nil {
 		return nil, res, err
 	}
 	numNets := n.NumNets()
 	nc := len(n.Cells)
 	c0, c1 := n.Const0, n.Const1
-	if ws == nil {
-		ws = &Workspace{}
-	}
 
 	// Union-find over nets. A removed cell's output is unioned into its
 	// replacement net; the replacement is always a class root at union
@@ -449,16 +441,8 @@ func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 			res.DeadRemoved++
 		}
 	}
-	out := &Netlist{
-		// Optimization keeps the source net ID space, so the net count
-		// and the packed name tables (immutable once set) are shared,
-		// not copied.
-		Nets:        n.Nets,
-		NetNameData: n.NetNameData,
-		NetNameOff:  n.NetNameOff,
-		Const0:      c0,
-		Const1:      c1,
-	}
+	// Optimization keeps the source net ID space.
+	out := &Netlist{Nets: n.Nets, Const0: c0, Const1: c1}
 	out.Cells = make([]Cell, 0, nLive)
 	for ci := range n.Cells {
 		if !live[ci] {

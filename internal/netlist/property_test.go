@@ -17,14 +17,14 @@ import (
 func randomNetlist(t *testing.T, seed int64) *netlist.Netlist {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	b := netlist.NewBuilder()
+	b := netlist.NewBuilder(nil)
 
-	clk := b.NewNet("clk")
+	clk := b.NewNet(true)
 	b.AddInput("clk", clk)
 	nIn := 3 + rng.Intn(5)
 	pool := make([]netlist.NetID, 0, 64)
 	for i := 0; i < nIn; i++ {
-		n := b.NewNet(fmt.Sprintf("in%d", i))
+		n := b.NewNet(true)
 		b.AddInput(fmt.Sprintf("in%d", i), n)
 		pool = append(pool, n)
 	}
@@ -67,8 +67,8 @@ func randomNetlist(t *testing.T, seed int64) *netlist.Netlist {
 			// peephole folding does not see these, so the optimizer's
 			// structural hashing must merge them.
 			a, c := pick(), pick()
-			o1 := b.NewNet("")
-			o2 := b.NewNet("")
+			o1 := b.NewNet(false)
+			o2 := b.NewNet(false)
 			b.StampCell(netlist.Cell{Type: netlist.And2, In: [3]netlist.NetID{a, c, netlist.Nil}, Clk: netlist.Nil, Out: o1})
 			b.StampCell(netlist.Cell{Type: netlist.And2, In: [3]netlist.NetID{a, c, netlist.Nil}, Clk: netlist.Nil, Out: o2})
 			pool = append(pool, o1)

@@ -4,14 +4,13 @@ import "fmt"
 
 // Validate checks the structural invariants every netlist built by
 // Builder.Build or OptimizeWS satisfies: all net references (cell pins,
-// RAM ports, top-level ports, constants) are Nil or inside [0, Nets),
-// cell types are known, and the packed debug-name tables are either
-// absent or exactly one monotone offset run per net. It exists for
-// decoders of untrusted bytes (internal/codec rebuilds netlists from
-// disk and must hand downstream kernels — which index by NetID without
-// bounds checks — only netlists as well-formed as freshly built ones)
-// and runs on every cache hit, so the happy path is comparisons only —
-// no formatting until a check actually fails.
+// RAM ports, top-level ports, constants) are Nil or inside [0, Nets)
+// and cell types are known. It exists for decoders of untrusted bytes
+// (internal/codec rebuilds netlists from disk and must hand downstream
+// kernels — which index by NetID without bounds checks — only netlists
+// as well-formed as freshly built ones) and runs on every cache hit,
+// so the happy path is comparisons only — no formatting until a check
+// actually fails.
 func (n *Netlist) Validate() error {
 	ok := func(id NetID) bool { return id == Nil || (id >= 0 && int(id) < n.Nets) }
 	okRun := func(ids []NetID) bool {
@@ -69,23 +68,6 @@ func (n *Netlist) Validate() error {
 	for _, p := range n.Outputs {
 		if !ok(p.Net) {
 			return fmt.Errorf("netlist: output port %s references net %d outside range [0,%d)", p.Name, p.Net, n.Nets)
-		}
-	}
-	if len(n.NetNameOff) > 0 || len(n.NetNameData) > 0 {
-		if len(n.NetNameOff) != n.Nets+1 {
-			return fmt.Errorf("netlist: name offset table has %d entries for %d nets", len(n.NetNameOff), n.Nets)
-		}
-		if n.NetNameOff[0] != 0 {
-			return fmt.Errorf("netlist: name offset table starts at %d, not 0", n.NetNameOff[0])
-		}
-		for i := 1; i < len(n.NetNameOff); i++ {
-			if n.NetNameOff[i] < n.NetNameOff[i-1] {
-				return fmt.Errorf("netlist: name offsets decrease at net %d", i-1)
-			}
-		}
-		if int(n.NetNameOff[len(n.NetNameOff)-1]) != len(n.NetNameData) {
-			return fmt.Errorf("netlist: name offsets end at %d, data is %d bytes",
-				n.NetNameOff[len(n.NetNameOff)-1], len(n.NetNameData))
 		}
 	}
 	return nil

@@ -8,16 +8,14 @@ import "repro/internal/scratch"
 // exactly one goroutine at a time (measurement sessions hand one to
 // each pool worker); every kernel that accepts one re-initializes the
 // slices it takes before use, so a workspace carries capacity between
-// runs, never values. Passing nil everywhere a *Workspace is accepted
-// selects the original fresh-allocation path — the reference the
-// golden tests pin reuse against.
+// runs, never values. Passing nil where a *Workspace is accepted
+// means a fresh workspace for that one call.
 //
 // Everything a kernel returns (the built or optimized netlist) is
 // freshly allocated even under a workspace: only intermediate scratch
 // is reused, so results never alias workspace memory.
 type Workspace struct {
-	// Builder state (taken over by NewBuilderWS for one build).
-	bNames    []string
+	// Builder state (taken over by NewBuilder for one build).
 	bParent   []NetID
 	bNamed    []bool
 	bCells    []Cell
@@ -27,7 +25,6 @@ type Workspace struct {
 	bAliasLog []AliasPair
 	bSeen     []int32
 	bRemap    []NetID
-	bNameOut  []string
 
 	// Optimizer state.
 	oParent    []NetID
@@ -56,18 +53,25 @@ type Workspace struct {
 	tStack   []topoFrame
 }
 
+// orFresh returns ws, or a fresh workspace when ws is nil: the one
+// place a nil workspace gets its meaning.
+func orFresh(ws *Workspace) *Workspace {
+	if ws == nil {
+		return &Workspace{}
+	}
+	return ws
+}
+
 // Reset drops references the workspace may hold into a previous run's
-// data (strings, RAM macros, port bits) while keeping every buffer's
+// data (RAM macros, port bits) while keeping every buffer's
 // capacity. The kernels re-initialize value scratch themselves, so
 // Reset is about not pinning old heap objects, not about correctness
 // of the next run — running a kernel on a dirty, un-Reset workspace
 // produces bit-identical results.
 func (w *Workspace) Reset() {
-	clearFull(w.bNames)
 	clearFull(w.bRAMs)
 	clearFull(w.bInputs)
 	clearFull(w.bOutputs)
-	clearFull(w.bNameOut)
 }
 
 // clearFull zeroes a slice over its whole capacity, so no element of a

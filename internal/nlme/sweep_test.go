@@ -132,7 +132,12 @@ func TestSweepSampleSizePrecision(t *testing.T) {
 			}
 			ests = append(ests, r.SigmaEps)
 		}
-		return math.Sqrt(stats.Variance(ests))
+		m := stats.Mean(ests)
+		var ss float64
+		for _, e := range ests {
+			ss += (e - m) * (e - m)
+		}
+		return math.Sqrt(ss / float64(len(ests)-1)) // sample standard deviation
 	}
 	small := spread(4, 5)
 	large := spread(40, 6)

@@ -16,15 +16,15 @@ func TestMeasureCorpusCacheDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := MeasureCorpusOpts(true, Opts{Concurrency: 1})
+	plain, err := measureCorpusOpts(true, Opts{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := MeasureCorpusOpts(true, Opts{Concurrency: 1, Cache: ch})
+	cold, err := measureCorpusOpts(true, Opts{Concurrency: 1, Cache: ch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := MeasureCorpusOpts(true, Opts{Concurrency: 8, Cache: ch})
+	warm, err := measureCorpusOpts(true, Opts{Concurrency: 8, Cache: ch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // Opts configures the experiments that measure a corpus through the
-// synthesis pipeline (MeasureCorpusOpts, Figure6Opts,
-// TimingAwareOpts, CorpusScaleConfig). The dataset-only reproductions
+// synthesis pipeline (Figure6Opts, TimingAwareOpts,
+// CorpusScaleConfig). The dataset-only reproductions
 // (Tables, Figures 2-5, AIC/BIC) refit the paper's published data and
 // take no options beyond concurrency.
 type Opts struct {

@@ -4,7 +4,38 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/designs"
+	"repro/internal/measure"
 )
+
+// measureCorpusOpts measures all 18 synthetic components through the
+// full pipeline, with or without the accounting procedure, and returns
+// them as a fit-ready measurement database (efforts are the Table 2
+// values their real counterparts reported) in designs.All() order.
+// The measured corpus is identical for every concurrency value and for
+// cache off / cold / warm. The 18 components run as one
+// measure.Session batch over the corpus-wide parsed design: one parse,
+// a shared elaboration cache, and one synthesis per distinct (module,
+// parameters) signature — bit-identical to measuring each component in
+// isolation.
+func measureCorpusOpts(useAccounting bool, o Opts) ([]dataset.Component, error) {
+	comps := designs.All()
+	sess, err := o.session()
+	if err != nil {
+		return nil, err
+	}
+	units := make([]measure.Unit, len(comps))
+	for i, c := range comps {
+		units[i] = measure.Unit{Top: c.Top, UseAccounting: useAccounting}
+	}
+	results, err := sess.MeasureAll(units, o.measureOptions())
+	if err != nil {
+		return nil, err
+	}
+	return corpusRows(comps, results)
+}
 
 func TestStaticTables(t *testing.T) {
 	t1 := Table1()
@@ -166,7 +197,7 @@ func TestMeasureCorpusShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus measurement")
 	}
-	comps, err := MeasureCorpusOpts(true, Opts{})
+	comps, err := measureCorpusOpts(true, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

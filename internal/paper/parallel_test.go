@@ -28,11 +28,11 @@ func TestTable4ParallelDeterminism(t *testing.T) {
 }
 
 func TestMeasureCorpusParallelDeterminism(t *testing.T) {
-	seq, err := MeasureCorpusOpts(true, Opts{Concurrency: 1})
+	seq, err := measureCorpusOpts(true, Opts{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MeasureCorpusOpts(true, Opts{Concurrency: 8})
+	par, err := measureCorpusOpts(true, Opts{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

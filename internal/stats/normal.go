@@ -12,16 +12,6 @@ type Normal struct {
 	Sigma float64
 }
 
-// NewNormal returns a Normal distribution with the given mean and
-// standard deviation. It panics if sigma is not positive, since a
-// non-positive scale is always a programming error in this code base.
-func NewNormal(mu, sigma float64) Normal {
-	if sigma <= 0 || math.IsNaN(sigma) {
-		panic(fmt.Sprintf("stats: NewNormal: sigma must be positive, got %v", sigma))
-	}
-	return Normal{Mu: mu, Sigma: sigma}
-}
-
 // PDF returns the probability density at x.
 func (n Normal) PDF(x float64) float64 {
 	z := (x - n.Mu) / n.Sigma

@@ -37,9 +37,9 @@ func TestLibraryRatiosSane(t *testing.T) {
 
 func buildToggler(t *testing.T) *netlist.Netlist {
 	t.Helper()
-	b := netlist.NewBuilder()
-	clk := b.NewNet("clk")
-	q := b.NewNet("q")
+	b := netlist.NewBuilder(nil)
+	clk := b.NewNet(true)
+	q := b.NewNet(true)
 	d := b.Not(q)
 	if err := b.Alias(q, b.NewDFF(d, clk)); err != nil {
 		t.Fatal(err)

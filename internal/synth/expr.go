@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/elab"
 	"repro/internal/hdl"
@@ -295,25 +294,11 @@ func (s *synthesizer) indexRead(inst *elab.Instance, env *elab.Env, st *procStat
 			addr = s.subConst(addr, m.MinIdx)
 		}
 		rb := s.ramFor(inst.Path, m)
+		// RAM read data is preferred as alias representative, like a
+		// declared signal.
 		out := s.idSlice(m.Width)
-		if s.b.NoNames() {
-			for i := range out {
-				out[i] = s.b.NewNetPref("", true)
-			}
-		} else {
-			buf := make([]byte, 0, len(inst.Path)+len(m.Name)+12)
-			buf = append(buf, inst.Path...)
-			buf = append(buf, '.')
-			buf = append(buf, m.Name...)
-			buf = append(buf, ".rd"...)
-			buf = strconv.AppendInt(buf, int64(len(rb.reads)), 10)
-			stem := len(buf)
-			for i := range out {
-				buf = append(buf[:stem], '[')
-				buf = strconv.AppendInt(buf, int64(i), 10)
-				buf = append(buf, ']')
-				out[i] = s.b.NewNet(string(buf))
-			}
+		for i := range out {
+			out[i] = s.b.NewNet(true)
 		}
 		rb.reads = append(rb.reads, netlist.RAMReadPort{Addr: addr, Out: out})
 		return out, nil

@@ -44,15 +44,12 @@ func Synthesize(design *hdl.Design, top string, overrides map[string]int64) (*Re
 // the accounting procedure's memoized parameter search) synthesize
 // without paying for a second elaboration of the same design point.
 func SynthesizeInstance(inst *elab.Instance, report *elab.Report, opts LowerOptions) (*Result, error) {
+	opts.Workspace = opts.workspace()
 	raw, ls, err := LowerOpts(inst, opts)
 	if err != nil {
 		return nil, err
 	}
-	var nws *netlist.Workspace
-	if opts.Workspace != nil {
-		nws = &opts.Workspace.NL
-	}
-	opt, stats, err := netlist.OptimizeWS(raw, nws)
+	opt, stats, err := netlist.OptimizeWS(raw, &opts.Workspace.NL)
 	if err != nil {
 		return nil, err
 	}
@@ -79,13 +76,20 @@ type LowerOptions struct {
 	// switch exists for the golden tests that prove it and for
 	// debugging.
 	DisableTemplates bool
-	// Workspace, when non-nil, supplies reusable scratch for the whole
-	// lowering+optimization run and switches lowering to nameless mode:
-	// per-net debug names are never built (ports, RAM macros, and
-	// everything Netlist.Hash covers keep their real names). The result
-	// is bit-identical to a fresh named lowering followed by TrimNames.
-	// The workspace must not be used concurrently.
+	// Workspace supplies reusable scratch for the whole
+	// lowering+optimization run; nil means a fresh one. The result is
+	// bit-identical for any workspace, fresh or reused. The workspace
+	// must not be used concurrently.
 	Workspace *Workspace
+}
+
+// workspace returns the options' workspace, or a fresh one when none
+// is set: the one place a nil LowerOptions.Workspace gets its meaning.
+func (o LowerOptions) workspace() *Workspace {
+	if o.Workspace != nil {
+		return o.Workspace
+	}
+	return NewWorkspace()
 }
 
 // LowerStats reports what the lowering did beyond the netlist itself.
@@ -101,24 +105,17 @@ type LowerStats struct {
 // reports how many duplicate instances the single-instance rule
 // removed and how many were stamped from templates.
 func LowerOpts(top *elab.Instance, opts LowerOptions) (*netlist.Netlist, LowerStats, error) {
+	ws := opts.workspace()
+	ws.Reset()
 	s := &synthesizer{
+		b:      netlist.NewBuilder(&ws.NL),
+		ws:     ws,
 		dedup:  opts.DedupInstances,
 		noTmpl: opts.DisableTemplates,
 	}
-	if ws := opts.Workspace; ws != nil {
-		ws.Reset()
-		s.ws = ws
-		s.b = netlist.NewBuilderWS(&ws.NL, true)
-		s.sigs, s.rams, s.tmpl = ws.sigs, ws.rams, ws.tmpl
-	} else {
-		s.b = netlist.NewBuilder()
-		s.sigs = map[sigRef][]netlist.NetID{}
-		s.rams = map[ramKey]*ramBuild{}
-		s.tmpl = map[string]*template{}
-	}
 	// Allocate and register top-level ports. Port-bit names are part of
-	// the hashed netlist identity, so they are built in nameless mode
-	// too (hand-rolled: fmt.Sprintf here was a top allocation site).
+	// the hashed netlist identity (hand-rolled: fmt.Sprintf here was a
+	// top allocation site).
 	var buf []byte
 	for _, p := range top.PortNets() {
 		bits := s.netBits(top, p.Name)
@@ -178,9 +175,6 @@ type ramWrite struct {
 type synthesizer struct {
 	b       *netlist.Builder
 	ws      *Workspace
-	sigs    map[sigRef][]netlist.NetID
-	rams    map[ramKey]*ramBuild
-	tmpl    map[string]*template
 	dedup   bool
 	noTmpl  bool
 	deduped int
@@ -188,12 +182,9 @@ type synthesizer struct {
 }
 
 // internName returns buf's contents as a string, served from the
-// workspace's intern table when one is attached (the map lookup on a
-// []byte key does not allocate; only a never-before-seen name does).
+// workspace's intern table (the map lookup on a []byte key does not
+// allocate; only a never-before-seen name does).
 func (s *synthesizer) internName(buf []byte) string {
-	if s.ws == nil {
-		return string(buf)
-	}
 	if n, ok := s.ws.names[string(buf)]; ok {
 		return n
 	}
@@ -202,65 +193,33 @@ func (s *synthesizer) internName(buf []byte) string {
 	return n
 }
 
-// idSlice returns an n-element NetID slice — arena-carved under a
-// workspace, freshly allocated otherwise.
-func (s *synthesizer) idSlice(n int) []netlist.NetID {
-	if s.ws != nil {
-		return s.ws.ids(n)
-	}
-	return make([]netlist.NetID, n)
-}
+// idSlice returns an n-element NetID slice carved from the
+// workspace's arena; it stays valid until the workspace's next Reset.
+func (s *synthesizer) idSlice(n int) []netlist.NetID { return s.ws.arena.Take(n) }
 
 // intSlice and tgtSlice are idSlice's analogues for procedural-LHS
 // resolution scratch (bit position lists and target parts).
-func (s *synthesizer) intSlice(n int) []int {
-	if s.ws != nil {
-		return s.ws.ints.Take(n)
-	}
-	return make([]int, n)
-}
+func (s *synthesizer) intSlice(n int) []int { return s.ws.ints.Take(n) }
 
-func (s *synthesizer) tgtSlice(n int) []procTarget {
-	if s.ws != nil {
-		return s.ws.tgts.Take(n)
-	}
-	return make([]procTarget, n)
-}
+func (s *synthesizer) tgtSlice(n int) []procTarget { return s.ws.tgts.Take(n) }
 
 // netBits returns (allocating on first use) the bit nets of a declared
 // net, LSB first.
 func (s *synthesizer) netBits(inst *elab.Instance, name string) []netlist.NetID {
 	k := sigRef{inst: inst, name: name}
-	if bits, ok := s.sigs[k]; ok {
+	if bits, ok := s.ws.sigs[k]; ok {
 		return bits
 	}
 	n := inst.Nets[name]
 	if n == nil {
 		panic(fmt.Sprintf("synth: internal: unknown net %s in %s", name, inst.Path))
 	}
+	// Declared signals are preferred as alias representatives.
 	bits := s.idSlice(n.Width)
-	if s.b.NoNames() {
-		// Nameless mode skips debug-name formatting entirely but keeps
-		// the named preference bit that steers alias representatives.
-		for i := range bits {
-			bits[i] = s.b.NewNetPref("", true)
-		}
-	} else {
-		// Hand-rolled name formatting: this runs once per bit of every
-		// signal in the design and fmt.Sprintf dominated lowering time.
-		buf := make([]byte, 0, len(inst.Path)+len(name)+8)
-		buf = append(buf, inst.Path...)
-		buf = append(buf, '.')
-		buf = append(buf, name...)
-		stem := len(buf)
-		for i := range bits {
-			buf = append(buf[:stem], '[')
-			buf = strconv.AppendInt(buf, int64(i)+n.LSB, 10)
-			buf = append(buf, ']')
-			bits[i] = s.b.NewNet(string(buf))
-		}
+	for i := range bits {
+		bits[i] = s.b.NewNet(true)
 	}
-	s.sigs[k] = bits
+	s.ws.sigs[k] = bits
 	return bits
 }
 
@@ -272,10 +231,10 @@ func (s *synthesizer) ramFor(path string, mem *elab.Mem) *ramBuild {
 
 func (s *synthesizer) ramAt(path, name string, width int, depth int64) *ramBuild {
 	k := ramKey{path: path, mem: name}
-	rb, ok := s.rams[k]
+	rb, ok := s.ws.rams[k]
 	if !ok {
 		rb = &ramBuild{width: width, depth: depth}
-		s.rams[k] = rb
+		s.ws.rams[k] = rb
 	}
 	return rb
 }
@@ -323,7 +282,7 @@ func (s *synthesizer) instance(inst *elab.Instance) error {
 		}
 		if !s.noTmpl {
 			key := sig + "\x00" + s.portPattern(child.Inst)
-			if t, seen := s.tmpl[key]; seen {
+			if t, seen := s.ws.tmpl[key]; seen {
 				if t != nil {
 					if err := s.stampChild(child, t); err != nil {
 						return err
@@ -348,20 +307,11 @@ func (s *synthesizer) instance(inst *elab.Instance) error {
 	return nil
 }
 
-// childSignature keys instances by module and resolved parameters.
+// childSignature keys instances by module and resolved parameters —
+// the key the single-instance rule uses to decide that two instances
+// are the same design point.
 func childSignature(i *elab.Instance) string {
-	return ParamSignature(i.Module.Name, i.Params)
-}
-
-// ParamSignature is the structural signature of a module under one
-// resolved parameter assignment — the key the single-instance rule
-// uses to decide that two instances are the same design point. The
-// accounting procedure reuses it to memoize elaborations across its
-// parameter-minimization search, and internal/elab's session cache
-// keys subtree memoization by it; the canonical implementation lives
-// there as elab.ParamSignature.
-func ParamSignature(module string, params map[string]int64) string {
-	return elab.ParamSignature(module, params)
+	return elab.ParamSignature(i.Module.Name, i.Params)
 }
 
 // bindDuplicate wires a repeated instance's output bindings to the
@@ -546,18 +496,11 @@ func (s *synthesizer) finalizeRAMs() error {
 	// (instance path, memory name) order so the netlist's RAM order —
 	// and with it every order-sensitive float accumulation downstream
 	// (areas, leakage, dynamic power) — is identical on every run.
-	var keys []ramKey
-	if s.ws != nil {
-		keys = s.ws.ramKeys[:0]
-	} else {
-		keys = make([]ramKey, 0, len(s.rams))
-	}
-	for k := range s.rams {
+	keys := s.ws.ramKeys[:0]
+	for k := range s.ws.rams {
 		keys = append(keys, k)
 	}
-	if s.ws != nil {
-		s.ws.ramKeys = keys
-	}
+	s.ws.ramKeys = keys
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].path != keys[j].path {
 			return keys[i].path < keys[j].path
@@ -565,7 +508,7 @@ func (s *synthesizer) finalizeRAMs() error {
 		return keys[i].mem < keys[j].mem
 	})
 	for _, k := range keys {
-		rb := s.rams[k]
+		rb := s.ws.rams[k]
 		if len(rb.writes) == 0 && len(rb.reads) == 0 {
 			continue
 		}

@@ -56,8 +56,7 @@ import (
 type template struct {
 	numPort   int
 	numBody   int
-	bodyNames []string // debug names for stamped body nets (nil in nameless mode)
-	bodyNamed []bool   // named-preference flag of each body net
+	bodyNamed []bool // named-preference flag of each body net
 	cells     []netlist.Cell
 	aliases   [][2]int32
 	rams      []tmplRAM
@@ -200,13 +199,7 @@ func (s *synthesizer) endRecord(f recFrame, key string, valid bool) {
 		stampedDelta: s.stamped - f.startStamp,
 	}
 	for i := range t.bodyNamed {
-		t.bodyNamed[i] = s.b.NetNamedAt(netlist.NetID(n0 + i))
-	}
-	if !s.b.NoNames() {
-		t.bodyNames = make([]string, t.numBody)
-		for i := range t.bodyNames {
-			t.bodyNames[i] = s.b.NetNameAt(netlist.NetID(n0 + i))
-		}
+		t.bodyNamed[i] = s.b.NamedAt(netlist.NetID(n0 + i))
 	}
 	rawCells := s.b.CellsFrom(f.startCell)
 	t.cells = make([]netlist.Cell, len(rawCells))
@@ -226,7 +219,7 @@ func (s *synthesizer) endRecord(f recFrame, key string, valid bool) {
 	// are unique to the subtree's instances, so every matching entry
 	// was born inside this window.
 	prefix := f.inst.Path
-	for k, rb := range s.rams {
+	for k, rb := range s.ws.rams {
 		if k.path != prefix && !strings.HasPrefix(k.path, prefix+".") {
 			continue
 		}
@@ -240,16 +233,15 @@ func (s *synthesizer) endRecord(f recFrame, key string, valid bool) {
 		t.rams = append(t.rams, tr)
 	}
 	if !closed {
-		s.tmpl[key] = nil
+		s.ws.tmpl[key] = nil
 		return
 	}
-	s.tmpl[key] = t
+	s.ws.tmpl[key] = t
 }
 
 // stampChild replays a template against a freshly-bound child: bulk
 // net allocation for the body, a straight cell copy, and re-executed
-// aliases. The debug names of body nets are shared with the recorded
-// instance (names are cosmetic and excluded from Netlist.Hash).
+// aliases.
 func (s *synthesizer) stampChild(child *elab.Child, t *template) error {
 	inst := child.Inst
 	m := s.idSlice(2 + t.numPort + t.numBody)
@@ -264,12 +256,8 @@ func (s *synthesizer) stampChild(child *elab.Child, t *template) error {
 	if i != 2+t.numPort {
 		return fmt.Errorf("synth: stamping %s: port bit count %d does not match template %d", inst.Path, i-2, t.numPort)
 	}
-	for i2 := 0; i2 < t.numBody; i2++ {
-		name := ""
-		if t.bodyNames != nil {
-			name = t.bodyNames[i2]
-		}
-		m[i] = s.b.NewNetPref(name, t.bodyNamed[i2])
+	for _, named := range t.bodyNamed {
+		m[i] = s.b.NewNet(named)
 		i++
 	}
 	get := func(c netlist.NetID) netlist.NetID {

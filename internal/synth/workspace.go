@@ -10,14 +10,10 @@ import (
 // the netlist builder and optimizer buffers, the signal-bits table, and
 // a NetID arena the per-signal bit slices are carved from. A workspace
 // is owned by one goroutine at a time; LowerOptions.Workspace threads
-// it through SynthesizeInstance.
-//
-// Workspace lowering is nameless: per-net debug names are never
-// materialized (the built netlist is in the same state TrimNames
-// leaves), but every structural decision — including the named flag
-// that steers alias representative selection — is reproduced exactly,
-// so the result's Netlist.Hash is bit-identical to a fresh named
-// lowering. The golden tests pin this.
+// it through SynthesizeInstance, and every lowering runs on one (a nil
+// option means a fresh workspace). A reused workspace carries capacity
+// between runs, never values: its results are bit-identical to a
+// fresh one's.
 type Workspace struct {
 	// NL carries the builder and optimizer scratch.
 	NL netlist.Workspace
@@ -66,10 +62,4 @@ func (w *Workspace) Reset() {
 	w.tgts.Reset()
 	clear(w.ramKeys[:cap(w.ramKeys)])
 	w.ramKeys = w.ramKeys[:0]
-}
-
-// ids carves an n-element NetID slice out of the arena; it stays valid
-// until the workspace's next Reset.
-func (w *Workspace) ids(n int) []netlist.NetID {
-	return w.arena.Take(n)
 }

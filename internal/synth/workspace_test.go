@@ -5,18 +5,16 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/elab"
-	"repro/internal/netlist"
 	"repro/internal/synth"
 )
 
-// TestWorkspaceLoweringBitIdentical pins the scratch-arena tentpole at
-// the synth layer: for every corpus component, in every template/dedup
-// mode, lowering through one workspace — reused dirty across all
-// components, the way a pool worker holds it — produces raw and
-// optimized netlists whose hashes match the fresh nil-workspace path
-// exactly. Workspace mode is nameless, and Netlist.Hash covers
-// everything but per-net debug names, so hash equality here is the
-// structural bit-identity the measurement cache depends on.
+// TestWorkspaceLoweringBitIdentical pins workspace reuse at the synth
+// layer: for every corpus component, in every template/dedup mode,
+// lowering through one workspace — reused dirty across all components,
+// the way a pool worker holds it — produces raw and optimized netlists
+// whose hashes, net counts, port names and counters match a lowering
+// on a fresh workspace exactly. Hash equality here is the structural
+// bit-identity the measurement cache depends on.
 func TestWorkspaceLoweringBitIdentical(t *testing.T) {
 	ws := synth.NewWorkspace()
 	for _, c := range designs.All() {
@@ -42,36 +40,31 @@ func TestWorkspaceLoweringBitIdentical(t *testing.T) {
 				}
 				return res
 			}
-			fresh := run(nil)
+			fresh := run(synth.NewWorkspace())
 			reused := run(ws)
 			if fresh.Raw.Hash() != reused.Raw.Hash() {
-				t.Errorf("%s %+v: workspace raw hash diverges from fresh lowering", c.Label(), mode)
+				t.Errorf("%s %+v: reused-workspace raw hash diverges from a fresh workspace's", c.Label(), mode)
 			}
 			if fresh.Optimized.Hash() != reused.Optimized.Hash() {
-				t.Errorf("%s %+v: workspace optimized hash diverges from fresh lowering", c.Label(), mode)
+				t.Errorf("%s %+v: reused-workspace optimized hash diverges from a fresh workspace's", c.Label(), mode)
 			}
 			if fresh.Raw.NumNets() != reused.Raw.NumNets() {
-				t.Errorf("%s %+v: workspace raw nets %d, fresh %d",
+				t.Errorf("%s %+v: reused-workspace raw nets %d, fresh %d",
 					c.Label(), mode, reused.Raw.NumNets(), fresh.Raw.NumNets())
 			}
 			if fresh.Deduped != reused.Deduped || fresh.Stamped != reused.Stamped {
-				t.Errorf("%s %+v: workspace stats (dedup %d, stamp %d) != fresh (%d, %d)",
+				t.Errorf("%s %+v: reused-workspace stats (dedup %d, stamp %d) != fresh (%d, %d)",
 					c.Label(), mode, reused.Deduped, reused.Stamped, fresh.Deduped, fresh.Stamped)
 			}
 			if stats := fresh.OptStats; stats != reused.OptStats {
-				t.Errorf("%s %+v: workspace optimizer stats %+v != fresh %+v",
+				t.Errorf("%s %+v: reused-workspace optimizer stats %+v != fresh %+v",
 					c.Label(), mode, reused.OptStats, stats)
 			}
-			// Nameless mode must still carry everything the hash covers:
-			// port-bit and RAM names are real, net debug names are not.
 			for i := range fresh.Raw.Inputs {
 				if fresh.Raw.Inputs[i].Name != reused.Raw.Inputs[i].Name {
 					t.Fatalf("%s: input %d name %q != %q", c.Label(), i,
 						reused.Raw.Inputs[i].Name, fresh.Raw.Inputs[i].Name)
 				}
-			}
-			if reused.Raw.NumNets() > 0 && reused.Raw.NetName(netlist.NetID(reused.Raw.NumNets()-1)) != "" {
-				t.Errorf("%s: workspace lowering materialized net debug names", c.Label())
 			}
 		}
 	}

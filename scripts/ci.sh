@@ -1,8 +1,9 @@
 #!/bin/sh
 # scripts/ci.sh — the full pre-merge gate. Every test runs once:
 #
-#   1. tier-1: build, vet (the root module and bench/), the test suite
-#      with a per-package coverage report, and the race line.
+#   1. tier-1: build, gofmt (no file may need reformatting), vet (the
+#      root module and bench/), the test suite with a per-package
+#      coverage report, and the race line.
 #   2. the bench/ module's tests: the paper-number checks (Table 4 σε,
 #      DEE1 AIC/BIC), the BENCHMARK.json metric list, and a reduced
 #      smoke run of every benchmark workload.
@@ -27,6 +28,15 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: build =="
 go build ./...
+# gofmt -l lists every file whose formatting differs from gofmt's and
+# exits 0 either way, so the list itself is the verdict.
+echo "== tier-1: gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "== tier-1: vet =="
 go vet ./...
 # bench/ is a module of its own, so the root build and vet skip it; vet
