@@ -187,11 +187,7 @@ func run(cfg config) error {
 		}
 		opts.Cache = c
 		if cfg.cacheStats {
-			defer func() {
-				if err := c.WriteReport(os.Stderr); err != nil {
-					fmt.Fprintln(os.Stderr, "ucmetrics: cache-stats:", err)
-				}
-			}()
+			defer c.WriteReport(os.Stderr)
 		}
 	} else if cfg.cacheStats {
 		return fmt.Errorf("-cache-stats needs a cache (-cache-dir or $%s)", cache.EnvVar)

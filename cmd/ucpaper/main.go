@@ -113,9 +113,7 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 			s := c.Stats()
 			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d verified (%s)\n", s.Hits, s.Misses, s.VerifyChecks, cacheDir)
 			if cacheStats {
-				if err := c.WriteReport(os.Stderr); err != nil {
-					fmt.Fprintln(os.Stderr, "ucpaper: cache-stats:", err)
-				}
+				c.WriteReport(os.Stderr)
 			}
 		}()
 	} else if cacheVerify {

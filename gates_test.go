@@ -46,32 +46,34 @@ func memPerRun(runs int, f func()) (allocs, bytes float64) {
 // set; the budget is those counts under the rule the retired benchmark
 // gate applied, where a regression had to exceed 1.4× the recorded
 // count and also exceed it by a fixed floor: max(1.4×allocs,
-// allocs+512) and max(1.4×bytes, bytes+64 KiB). The budgets are on
-// each row's right; go test -v -run TestAllocBudgets prints the counts
-// to record when a change moves one on purpose.
+// allocs+16) and max(1.4×bytes, bytes+16 KiB). The floor only absorbs
+// run-to-run noise (a few KB of background allocation now and then),
+// so on the small rows a doubling of allocations still fails. The
+// budgets are on each row's right; go test -v -run TestAllocBudgets
+// prints the counts to record when a change moves one on purpose.
 func TestAllocBudgets(t *testing.T) {
 	cases := []struct {
 		name          string
 		allocs, bytes float64 // recorded per call
 		setup         func(t *testing.T) func()
 	}{
-		{"paper/figure6-cold", 58522, 14349680, figure6Cold},                  // 81931 allocs, 20089552 B
-		{"paper/extension-after-figure6", 1190, 76384, extensionAfterFigure6}, // 1702 allocs, 141920 B
-		{"served/warm-measure-all", 945, 78208, warmMeasureAll},               // 1457 allocs, 143744 B
-		{"served/warm-request", 980, 274832, warmRequest},                     // 1492 allocs, 384765 B
-		{"edit-loop/incremental-edit", 232, 35928, incrementalEdit},           // 744 allocs, 101464 B
-		{"edit-loop/noop-remeasure", 4, 896, noopRemeasure},                   // 516 allocs, 66432 B
-		{"optimize/ivm-memory-reused-ws", 40, 34344, optimizeReusedWS},        // 552 allocs, 99880 B
-		{"lower/corpus-reused-ws", 5790, 1709504, lowerCorpusReusedWS},        // 8106 allocs, 2393306 B
+		{"paper/figure6-cold", 59237, 14354600, figure6Cold},                  // 82932 allocs, 20096440 B
+		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
+		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
+		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B
+		{"edit-loop/incremental-edit", 75, 12272, incrementalEdit},            // 105 allocs, 28656 B
+		{"edit-loop/noop-remeasure", 4, 960, noopRemeasure},                   // 20 allocs, 17344 B
+		{"optimize/ivm-memory-reused-ws", 40, 34296, optimizeReusedWS},        // 56 allocs, 50680 B
+		{"lower/corpus-reused-ws", 5795, 1708112, lowerCorpusReusedWS},        // 8113 allocs, 2391357 B
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			allocs, bytes := memPerRun(1, c.setup(t))
 			t.Logf("%.0f allocs %.0f bytes", allocs, bytes)
-			if limit := max(1.4*c.allocs, c.allocs+512); allocs > limit {
+			if limit := max(1.4*c.allocs, c.allocs+16); allocs > limit {
 				t.Errorf("%.0f allocs per call, budget %.0f (recorded %.0f)", allocs, limit, c.allocs)
 			}
-			if limit := max(1.4*c.bytes, c.bytes+64<<10); bytes > limit {
+			if limit := max(1.4*c.bytes, c.bytes+16<<10); bytes > limit {
 				t.Errorf("%.0f bytes per call, budget %.0f (recorded %.0f)", bytes, limit, c.bytes)
 			}
 		})

@@ -1,22 +1,23 @@
 // Package cache implements a content-addressed, versioned, on-disk
 // cache for synthesis-derived results. Entries are binary-encoded
-// files (internal/codec's versioned pointer-free encoding — explicit
-// per-type encoders, no reflection) named by a SHA-256 key the caller
+// records (internal/codec's versioned pointer-free encoding — explicit
+// per-type encoders, no reflection) under a SHA-256 key the caller
 // derives from the content that determines the result — the
 // structural fingerprint of the source design, the synthesis
 // parameter signature, and the measurement options — plus the cache
 // schema version, so a schema bump silently invalidates every old
-// entry instead of misreading it. Each entry carries a CRC-32C over
-// its payload and large payloads are flate-compressed per entry
-// (recorded in the entry header).
+// entry instead of misreading it. As in ninja's build log, each
+// writing handle appends records — a uvarint length, then codec's
+// entry envelope — to a segment file of its own, and Open indexes
+// every segment in memory, so an absent key costs a map miss.
 //
 // The cache is safe for concurrent use. Lookups of the same key are
 // single-flighted: when several workers (e.g. an internal/parallel
 // pool measuring a corpus) miss on one key at the same time, exactly
-// one runs the computation and the rest wait for its result.
-// Corrupted or truncated entries are treated as misses — the entry is
-// deleted and recomputed — never as errors, so a damaged cache
-// directory degrades to cold-start performance rather than failure.
+// one runs the computation and the rest wait for its result. Damaged
+// records (a torn tail, a failed CRC, schema or key echo) are misses,
+// never errors, and no reader sees part of a record, so a damaged
+// cache directory degrades to cold-start performance, not failure.
 package cache
 
 import (
@@ -39,8 +40,8 @@ import (
 )
 
 // SchemaVersion is the on-disk format version. It participates in both
-// the key derivation and the per-entry header, so bumping it orphans
-// every existing entry (they are never decoded, only ignored).
+// the key derivation and each record's envelope, so bumping it orphans
+// every existing record (never decoded; compaction drops them).
 // Version 3 introduced the binary codec format (versions 1-2 were
 // gob); version 4 re-keys measurement entries from whole-design
 // fingerprints to per-subtree source hashes and adds signature-level
@@ -60,9 +61,19 @@ const CompressThreshold = codec.DefaultCompressThreshold
 // default cache directory when no -cache-dir flag is given.
 const EnvVar = "UCOMPLEXITY_CACHE"
 
-// entryExt is the cache-entry file suffix ("ucx" binary entries;
-// schema 1-2 wrote ".gob" files, which a v3 cache never touches).
-const entryExt = ".ucx"
+// segmentExt is the segment file suffix. Files of other names — a
+// compaction's temp file, the ".ucx" entries of the one-file-per-entry
+// layout segments replaced — are never read or removed.
+const segmentExt = ".seg"
+
+// Compaction bounds: Open merges every segment into one when there are
+// more than compactSegments of them (each writing handle adds one), or
+// when more than one record in compactDeadShare is dead — damaged, of
+// another schema, a torn tail, or superseded by a later record.
+const (
+	compactSegments  = 8
+	compactDeadShare = 4
+)
 
 // DefaultDir returns the cache directory from the environment ("" when
 // unset, meaning caching is off).
@@ -77,7 +88,7 @@ type Stats struct {
 	Hits             int64 // entries served from disk
 	Misses           int64 // keys computed fresh (no usable entry)
 	Puts             int64 // entries written
-	DecodeErrors     int64 // corrupt/truncated/stale entries discarded
+	DecodeErrors     int64 // damaged or stale records, failed writes
 	VerifyChecks     int64 // hits recomputed in verify mode
 	VerifyMismatches int64
 	// Decode-path accounting, accumulated over successful reads:
@@ -90,9 +101,9 @@ type Stats struct {
 	BytesRaw    int64
 }
 
-// DiskStats summarizes the entries currently on disk (one directory
-// scan; see Cache.DiskStats). Kinds breaks the totals down by entry
-// kind (the KindKey prefix; plain Key entries group under "").
+// DiskStats summarizes the indexed entries (see Cache.DiskStats):
+// their count and envelope bytes, and by entry kind (the KindKey
+// prefix; plain Key entries group under "").
 type DiskStats struct {
 	Entries int
 	Bytes   int64
@@ -106,21 +117,29 @@ type KindDisk struct {
 }
 
 // KindCounters is one kind's share of the runtime activity counters:
-// hits and misses as counted by Fetch/Do, puts as counted by Put.
+// hits and misses as counted by Get/Do, puts as counted by Put.
 type KindCounters struct {
 	Hits, Misses, Puts int64
 }
 
-// flightShards is the single-flight table's shard count. Keys are
-// SHA-256-derived, so any byte of the key spreads them uniformly; 32
-// shards keep a thousand-component batch's registration traffic from
-// serializing on one mutex while costing a few hundred bytes idle.
-const flightShards = 32
+// shardCount is the key space's shard count. Keys are SHA-256-derived,
+// so any byte of the key spreads them uniformly; 32 shards keep a
+// thousand-component batch's lookups and flights from serializing on
+// one mutex while costing a few hundred bytes idle.
+const shardCount = 32
 
-// flightShard is one shard of the single-flight table.
-type flightShard struct {
-	mu sync.Mutex
-	m  map[string]*flight
+// shard is one shard of the single-flight table and the record index.
+type shard struct {
+	mu      sync.Mutex
+	flights map[string]*flight
+	index   map[string]record
+}
+
+// record locates one record's envelope: n bytes at off in segment f.
+type record struct {
+	f   *os.File
+	off int64
+	n   int
 }
 
 // Cache is one on-disk cache directory.
@@ -128,7 +147,11 @@ type Cache struct {
 	dir    string
 	verify atomic.Bool
 
-	flights [flightShards]flightShard
+	shards [shardCount]shard
+
+	wmu   sync.Mutex
+	w     *os.File // this handle's segment, created by its first Put
+	wsize int64    // w's length: where the next record goes
 
 	kinds sync.Map // kind string → *kindCounter
 
@@ -148,7 +171,12 @@ type kindCounter struct {
 	hits, misses, puts atomic.Int64
 }
 
-// Open creates (if needed) and opens a cache rooted at dir.
+// Open creates (if needed) and opens a cache rooted at dir. It indexes
+// every readable segment in name order, so a later record of a key
+// wins, counts the damaged records it skips as decode errors, and
+// compacts the segments once they pass the compaction bounds. Records
+// another process appends after Open are not seen: they recompute, to
+// the same bytes, because keys are content-addressed.
 func Open(dir string) (*Cache, error) {
 	if dir == "" {
 		return nil, errors.New("cache: empty directory")
@@ -156,18 +184,135 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	entries, _ := os.ReadDir(dir) // unreadable: an empty index; Puts then fail
+	c := &Cache{dir: dir}
+	var segs []*os.File
+	var bad, intact int
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), segmentExt) {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, e.Name()))
+		if err != nil {
+			continue
+		}
+		data, err := io.ReadAll(f)
+		if err != nil {
+			f.Close()
+			continue
+		}
+		segs = append(segs, f)
+		bad += scanSegment(data, func(key string, off, n int) {
+			intact++
+			c.setIndex(key, record{f, int64(off), n})
+		})
+	}
+	ds, _ := c.DiskStats()
+	c.decodeErrs.Add(int64(bad))
+	if len(segs) > compactSegments || (bad+intact-ds.Entries)*compactDeadShare > bad+intact {
+		c.compact(segs) // on failure the index stays on the old segments
+	}
+	return c, nil
 }
 
-// shardOf picks a flight shard for key: keys are hex of SHA-256 (or
-// kind-prefixed hex), so the tail bytes are uniformly distributed.
-func (c *Cache) shardOf(key string) *flightShard {
+// scanSegment calls fn with the key, offset and length of every intact
+// record envelope in data and returns how many records were damaged. A
+// record failing envelope validation is skipped; a length prefix that
+// is unreadable or runs past the end is a torn tail and ends the scan.
+func scanSegment(data []byte, fn func(key string, off, n int)) (bad int) {
+	var scratch []byte
+	for off := 0; off < len(data); {
+		n, w := binary.Uvarint(data[off:])
+		if w <= 0 || n > uint64(len(data)-off-w) {
+			return bad + 1
+		}
+		off += w
+		env := data[off : off+int(n)]
+		key, err := codec.EntryKey(env)
+		if err == nil {
+			_, _, err = codec.DecodeEntry(env, SchemaVersion, key, &scratch)
+		}
+		if err != nil {
+			bad++
+		} else {
+			fn(key, off, int(n))
+		}
+		off += int(n)
+	}
+	return bad
+}
+
+// compact writes every indexed record into one new segment — a temp
+// file renamed into place once whole — repoints the index at it, and
+// deletes segs. On a failed write the index and segs stay as they were.
+func (c *Cache) compact(segs []*os.File) error {
+	var buf []byte
+	moved := map[string]record{}
+	for i := range c.shards {
+		for key, r := range c.shards[i].index {
+			buf = binary.AppendUvarint(buf, uint64(r.n))
+			moved[key] = record{off: int64(len(buf)), n: r.n}
+			buf = append(buf, make([]byte, r.n)...)
+			if _, err := r.f.ReadAt(buf[len(buf)-r.n:], r.off); err != nil {
+				return err
+			}
+		}
+	}
+	if len(buf) > 0 {
+		name := filepath.Join(c.dir, segmentName())
+		f, err := os.OpenFile(name+".tmp", os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			return err
+		}
+		if _, err = f.Write(buf); err == nil {
+			err = os.Rename(name+".tmp", name+segmentExt)
+		}
+		if err != nil {
+			f.Close()
+			os.Remove(name + ".tmp")
+			return err
+		}
+		for key, r := range moved {
+			r.f = f
+			c.setIndex(key, r)
+		}
+	}
+	for _, f := range segs {
+		f.Close()
+		os.Remove(f.Name())
+	}
+	return nil
+}
+
+// segmentSeq tells apart segments one process names in one clock tick.
+var segmentSeq atomic.Uint64
+
+// segmentName returns a file-name stem no other segment has. Names sort
+// by creation time, the order Open indexes segments in.
+func segmentName() string {
+	return fmt.Sprintf("%016x-%x-%x", time.Now().UnixNano(), os.Getpid(), segmentSeq.Add(1))
+}
+
+// shardOf picks key's shard: keys are hex of SHA-256 (or kind-prefixed
+// hex), so the tail bytes are uniformly distributed.
+func (c *Cache) shardOf(key string) *shard {
 	var h uint32 = 2166136261
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &c.flights[h%flightShards]
+	return &c.shards[h%shardCount]
+}
+
+// setIndex points key at r.
+func (c *Cache) setIndex(key string, r record) {
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	if sh.index == nil {
+		sh.index = map[string]record{}
+	}
+	sh.index[key] = r
+	sh.mu.Unlock()
 }
 
 // Dir returns the cache directory.
@@ -196,76 +341,25 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// DiskStats reports how many entries the cache directory holds and
-// their total size, broken down by entry kind. Each call scans the
-// directory, so it also sees entries other processes wrote.
+// DiskStats sums the index: the records Open loaded and this handle's
+// puts, not records another process appended since. The error is
+// always nil.
 func (c *Cache) DiskStats() (DiskStats, error) {
 	ds := DiskStats{Kinds: map[string]KindDisk{}}
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return ds, fmt.Errorf("cache: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
-			continue
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for key, r := range sh.index {
+			kd := ds.Kinds[KindOf(key)]
+			kd.Entries++
+			kd.Bytes += int64(r.n)
+			ds.Kinds[KindOf(key)] = kd
+			ds.Entries++
+			ds.Bytes += int64(r.n)
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue // entry deleted between ReadDir and Info
-		}
-		ds.Entries++
-		ds.Bytes += info.Size()
-		k := KindOf(strings.TrimSuffix(e.Name(), entryExt))
-		kd := ds.Kinds[k]
-		kd.Entries++
-		kd.Bytes += info.Size()
-		ds.Kinds[k] = kd
+		sh.mu.Unlock()
 	}
 	return ds, nil
-}
-
-// Snapshot is a point-in-time index of the keys present in the cache
-// directory, built from one directory scan. Batch planners consult it
-// to skip the per-entry open/stat a cold key would waste: MayContain
-// is a hint, not a guarantee — an entry written after the snapshot is
-// reported absent — so callers must treat "absent" as "compute it"
-// (which Put makes idempotent: keys are content-addressed).
-type Snapshot struct {
-	keys map[string]struct{}
-}
-
-// Snapshot scans the cache directory once and returns the key index.
-func (c *Cache) Snapshot() (*Snapshot, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
-	}
-	s := &Snapshot{keys: make(map[string]struct{}, len(entries))}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), entryExt) {
-			continue
-		}
-		s.keys[strings.TrimSuffix(e.Name(), entryExt)] = struct{}{}
-	}
-	return s, nil
-}
-
-// MayContain reports whether key was present at snapshot time. A nil
-// snapshot reports true for every key (unknown means "go look").
-func (s *Snapshot) MayContain(key string) bool {
-	if s == nil {
-		return true
-	}
-	_, ok := s.keys[key]
-	return ok
-}
-
-// Len returns the number of keys in the snapshot.
-func (s *Snapshot) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.keys)
 }
 
 // KindStats returns a snapshot of the per-kind runtime counters (keys
@@ -285,51 +379,38 @@ func (c *Cache) KindStats() map[string]KindCounters {
 }
 
 // WriteReport writes the commands' -cache-stats report to w: the
-// on-disk footprint (one directory scan), this run's warm-path decode
-// accounting, and the per-kind breakdown. It returns the scan's error
-// before writing anything, or the write's error.
-func (c *Cache) WriteReport(w io.Writer) error {
+// indexed footprint, this run's warm-path decode accounting, and the
+// per-kind breakdown.
+func (c *Cache) WriteReport(w io.Writer) {
 	s := c.Stats()
-	ds, err := c.DiskStats()
-	if err != nil {
-		return err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "cache-stats: %d entries, %d bytes on disk (%s)\n", ds.Entries, ds.Bytes, c.Dir())
+	ds, _ := c.DiskStats()
+	fmt.Fprintf(w, "cache-stats: %d entries, %d bytes on disk (%s)\n", ds.Entries, ds.Bytes, c.Dir())
 	if s.BytesStored > 0 {
-		fmt.Fprintf(&b, "cache-stats: read %d stored bytes -> %d raw bytes (%.2fx compression), decode %.3f ms\n",
+		fmt.Fprintf(w, "cache-stats: read %d stored bytes -> %d raw bytes (%.2fx compression), decode %.3f ms\n",
 			s.BytesStored, s.BytesRaw, float64(s.BytesRaw)/float64(s.BytesStored), float64(s.DecodeNanos)/1e6)
 	}
 	for _, row := range kindRows(ds, c.KindStats()) {
-		fmt.Fprintln(&b, "cache-stats:", row)
+		fmt.Fprintln(w, "cache-stats:", row)
 	}
-	_, err = io.WriteString(w, b.String())
-	return err
 }
 
-// kindRows renders one human-readable line per entry kind — disk
-// footprint from a DiskStats scan joined with the run's KindStats
-// counters — sorted by kind name. Kinds with neither disk entries nor
-// runtime traffic are omitted; plain Key entries report as "plain".
+// kindRows renders one human-readable line per entry kind — the
+// indexed footprint from DiskStats joined with the run's KindStats
+// counters — sorted by kind name; plain Key entries report as "plain".
 func kindRows(ds DiskStats, ks map[string]KindCounters) []string {
-	names := map[string]bool{}
+	var names []string
 	for k := range ds.Kinds {
-		names[k] = true
+		names = append(names, k)
 	}
 	for k := range ks {
-		names[k] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for k := range names {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	rows := make([]string, 0, len(sorted))
-	for _, k := range sorted {
-		kd, kc := ds.Kinds[k], ks[k]
-		if kd.Entries == 0 && kc == (KindCounters{}) {
-			continue
+		if _, ok := ds.Kinds[k]; !ok {
+			names = append(names, k)
 		}
+	}
+	sort.Strings(names)
+	rows := make([]string, 0, len(names))
+	for _, k := range names {
+		kd, kc := ds.Kinds[k], ks[k]
 		label := k
 		if label == "" {
 			label = "plain"
@@ -346,31 +427,21 @@ func kindRows(ds DiskStats, ks map[string]KindCounters) []string {
 	return rows
 }
 
-// countKind folds one event into the key's kind counters. The fast
-// path is a lock-free sync.Map load plus atomic adds — the kind set is
-// tiny and stable, so the store path runs a handful of times per run.
-func (c *Cache) countKind(key string, hits, misses, puts int64) {
+// kind returns the counters of key's kind. The fast path is a
+// lock-free sync.Map load — the kind set is tiny and stable, so the
+// store path runs a handful of times per run.
+func (c *Cache) kind(key string) *kindCounter {
 	k := KindOf(key)
 	v, ok := c.kinds.Load(k)
 	if !ok {
 		v, _ = c.kinds.LoadOrStore(k, &kindCounter{})
 	}
-	kc := v.(*kindCounter)
-	if hits != 0 {
-		kc.hits.Add(hits)
-	}
-	if misses != 0 {
-		kc.misses.Add(misses)
-	}
-	if puts != 0 {
-		kc.puts.Add(puts)
-	}
+	return v.(*kindCounter)
 }
 
 // Key derives a cache key from the parts that determine a result.
 // Parts are length-prefixed (so {"ab","c"} and {"a","bc"} differ) and
-// the schema version is mixed in. The key doubles as the entry's file
-// name.
+// the schema version is mixed in.
 func Key(parts ...string) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -385,12 +456,11 @@ func Key(parts ...string) string {
 }
 
 // KindKey derives a cache key like Key but tagged with an entry kind:
-// the returned key is "<kind>-<hash>", so the kind survives into the
-// entry file name (per-kind disk stats read it back with KindOf) and
-// the runtime counters attribute hits/misses/puts to it. The kind is
-// also mixed into the hash, so identical parts under different kinds
-// are distinct entries. Kinds must be non-empty, filename-safe, and
-// free of '-' (the separator).
+// the returned key is "<kind>-<hash>", so per-kind disk stats read the
+// kind back with KindOf and the runtime counters attribute
+// hits/misses/puts to it. The kind is also mixed into the hash, so
+// identical parts under different kinds are distinct entries. Kinds
+// must be non-empty and free of '-' (the separator).
 func KindKey(kind string, parts ...string) string {
 	return kind + "-" + Key(append([]string{"kind=" + kind}, parts...)...)
 }
@@ -404,14 +474,10 @@ func KindOf(key string) string {
 	return ""
 }
 
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+entryExt) }
-
-// scratch is the per-read decode workspace: the raw file bytes and the
-// decompression output live in two reusable buffers, so a warm sweep's
-// steady state reads entry after entry without allocating either. The
-// buffers only hold bytes between Get and the typed decode — decoded
-// values copy out of them (a codec.Codec contract) — so pooling them
-// process-wide is safe.
+// scratch holds a Get's or Put's record and payload bytes in reusable
+// buffers, so a warm sweep reads record after record without
+// allocating either. Decoded values copy out of them (a codec.Codec
+// contract), so pooling them process-wide is safe.
 type scratch struct {
 	file []byte
 	raw  []byte
@@ -419,118 +485,87 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// readEntry reads and envelope-decodes one entry file into sc,
-// returning the payload (aliasing sc's buffers). A missing file
-// returns os.ErrNotExist; any other failure means a damaged entry.
-func (c *Cache) readEntry(key string, sc *scratch) ([]byte, codec.EntryInfo, error) {
-	f, err := os.Open(c.path(key))
-	if err != nil {
-		return nil, codec.EntryInfo{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, codec.EntryInfo{}, err
-	}
-	size := int(st.Size())
-	if cap(sc.file) < size {
-		sc.file = make([]byte, size)
-	}
-	sc.file = sc.file[:size]
-	if _, err := io.ReadFull(f, sc.file); err != nil {
-		return nil, codec.EntryInfo{}, err
-	}
-	return codec.DecodeEntry(sc.file, SchemaVersion, key, &sc.raw)
-}
-
-// Get decodes the entry for key with cd. It returns false on any miss:
-// no entry, a truncated or corrupt file, a CRC or schema mismatch, or
-// a payload cd rejects (damaged entries are deleted so they are not
-// re-read every time).
+// Get decodes the entry for key with cd and counts a hit. It misses,
+// counting nothing (a planner's later Do counts the miss), when key
+// has no indexed record or its record fails the read, the CRC, schema
+// or key-echo check, or cd; such a failure counts a decode error and
+// drops the record from the index unless a Put has replaced it. Verify
+// mode needs Do, which recomputes hits.
 func Get[T any](c *Cache, key string, cd codec.Codec[T]) (T, bool) {
 	var zero T
+	sh := c.shardOf(key)
+	sh.mu.Lock()
+	r, ok := sh.index[key]
+	sh.mu.Unlock()
+	if !ok {
+		return zero, false
+	}
 	start := time.Now()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	payload, info, err := c.readEntry(key, sc)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			c.discard(key)
-		}
-		return zero, false
-	}
-	r := codec.NewReader(payload)
-	v, err := cd.Decode(r)
+	sc.file = append(sc.file[:0], make([]byte, r.n)...)
+	var v T
+	var info codec.EntryInfo
+	_, err := r.f.ReadAt(sc.file, r.off)
 	if err == nil {
-		err = r.Finish()
+		var payload []byte
+		if payload, info, err = codec.DecodeEntry(sc.file, SchemaVersion, key, &sc.raw); err == nil {
+			rd := codec.NewReader(payload)
+			if v, err = cd.Decode(rd); err == nil {
+				err = rd.Finish()
+			}
+		}
 	}
 	if err != nil {
-		c.discard(key)
+		c.decodeErrs.Add(1)
+		sh.mu.Lock()
+		if sh.index[key] == r {
+			delete(sh.index, key)
+		}
+		sh.mu.Unlock()
 		return zero, false
 	}
 	c.decodeNanos.Add(time.Since(start).Nanoseconds())
 	c.bytesStored.Add(int64(info.StoredLen))
 	c.bytesRaw.Add(int64(info.RawLen))
-	return v, true
-}
-
-// Fetch is Get with stats accounting: a successful decode counts as a
-// hit. Unlike Do it never computes or stores. Batch planners use it to
-// probe for finished entries up front; a miss counts nothing, because
-// the planner's eventual Do on the same key records the miss when it
-// computes. In verify mode callers should skip Fetch and go through Do
-// so hits are recomputed and compared.
-func Fetch[T any](c *Cache, key string, cd codec.Codec[T]) (T, bool) {
-	if c == nil {
-		var zero T
-		return zero, false
-	}
-	v, ok := Get(c, key, cd)
-	if !ok {
-		return v, false
-	}
 	c.hits.Add(1)
-	c.countKind(key, 1, 0, 0)
+	c.kind(key).hits.Add(1)
 	return v, true
 }
 
-func (c *Cache) discard(key string) {
-	c.decodeErrs.Add(1)
-	os.Remove(c.path(key))
-}
-
-// Put writes the entry for key atomically (temp file + rename), so a
-// concurrent reader or a crash never observes a partial entry.
+// Put appends a record for key to this handle's segment, created on
+// first use, and indexes it once written whole. A record a failed
+// write left partial is overwritten by the next Put, or ends a later
+// scan as a torn tail.
 func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	payload := cd.Append(sc.raw[:0], val)
 	sc.raw = payload[:0]
-	entry := codec.EncodeEntry(sc.file[:0], SchemaVersion, key, payload, CompressThreshold)
-	sc.file = entry[:0]
+	// The envelope is encoded after room for the longest length prefix;
+	// the actual prefix then goes right-aligned into that room.
+	var room [binary.MaxVarintLen64]byte
+	buf := codec.EncodeEntry(append(sc.file[:0], room[:]...), SchemaVersion, key, payload, CompressThreshold)
+	sc.file = buf[:0]
+	p := binary.PutUvarint(room[:], uint64(len(buf)-len(room)))
+	rec := buf[len(room)-p:]
+	copy(rec, room[:p])
 
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.w == nil {
+		var err error
+		if c.w, err = os.OpenFile(filepath.Join(c.dir, segmentName()+segmentExt), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644); err != nil {
+			return fmt.Errorf("cache: %w", err)
+		}
 	}
-	// The temp file is removed only on failure: after a rename its name
-	// is gone, and removing it anyway costs two failed syscalls per
-	// entry (unlink, then rmdir).
-	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if _, err := c.w.WriteAt(rec, c.wsize); err != nil {
 		return fmt.Errorf("cache: write %s: %w", key, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
-	}
+	c.setIndex(key, record{c.w, c.wsize + int64(p), len(rec) - p})
+	c.wsize += int64(len(rec))
 	c.puts.Add(1)
-	c.countKind(key, 0, 0, 1)
+	c.kind(key).puts.Add(1)
 	return nil
 }
 
@@ -543,16 +578,7 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 // with eq, which receives the cached and the recomputed value and
 // returns a description of the first difference ("" when equal); a nil
 // eq means reflect.DeepEqual. A mismatch returns ErrVerifyMismatch.
-//
-// snap is a directory Snapshot hint; nil means probe the disk. When
-// the snapshot says the key was absent, the initial read is skipped and
-// the flight goes straight to compute-and-store — on a cold batch that
-// deletes one failed open() per entry. The hint never changes the
-// result: a racing writer's entry is simply recomputed to the identical
-// value (keys are content-addressed) and the Put overwrites in place.
-// Verify mode ignores the hint so hits are still recomputed and
-// compared.
-func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error), eq func(cached, fresh T) string, snap *Snapshot) (T, bool, error) {
+func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error), eq func(cached, fresh T) string) (T, bool, error) {
 	var zero T
 	if c == nil {
 		v, err := compute()
@@ -561,7 +587,7 @@ func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error
 
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	if f, ok := sh.m[key]; ok {
+	if f, ok := sh.flights[key]; ok {
 		sh.mu.Unlock()
 		<-f.done
 		if f.err != nil {
@@ -574,26 +600,19 @@ func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error
 		return v, f.hit, nil
 	}
 	f := &flight{done: make(chan struct{})}
-	if sh.m == nil {
-		sh.m = map[string]*flight{}
+	if sh.flights == nil {
+		sh.flights = map[string]*flight{}
 	}
-	sh.m[key] = f
+	sh.flights[key] = f
 	sh.mu.Unlock()
 	defer func() {
 		close(f.done)
 		sh.mu.Lock()
-		delete(sh.m, key)
+		delete(sh.flights, key)
 		sh.mu.Unlock()
 	}()
 
-	var cached T
-	var ok bool
-	if snap.MayContain(key) || c.Verifying() {
-		cached, ok = Get(c, key, cd)
-	}
-	if ok {
-		c.hits.Add(1)
-		c.countKind(key, 1, 0, 0)
+	if cached, ok := Get(c, key, cd); ok {
 		if c.Verifying() {
 			c.verifyChecks.Add(1)
 			fresh, err := compute()
@@ -618,7 +637,7 @@ func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error
 	}
 
 	c.misses.Add(1)
-	c.countKind(key, 0, 1, 0)
+	c.kind(key).misses.Add(1)
 	v, err := compute()
 	if err != nil {
 		f.err = err

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -54,11 +55,42 @@ var intCodec = codec.Codec[int]{
 
 func open(t *testing.T) *Cache {
 	t.Helper()
-	c, err := Open(t.TempDir())
+	return reopen(t, t.TempDir())
+}
+
+// reopen opens a new handle on dir, as another process would.
+func reopen(t testing.TB, dir string) *Cache {
+	t.Helper()
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// segments lists dir's segment files in scan order.
+func segments(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// onlySegment returns the path of the one segment dir holds.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments %v, want exactly one", segs)
+	}
+	return segs[0]
+}
+
+// frame frames an envelope as one segment record.
+func frame(env []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(env))), env...)
 }
 
 func TestKeyDerivation(t *testing.T) {
@@ -92,30 +124,24 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPutLeavesNoTempFile: a Put writes through a put-*.tmp file and
-// removes it on failure only; a successful Put renames it away. Neither
-// leaves one behind — here the rename fails because the entry's path
-// is a non-empty directory.
+// TestPutLeavesNoTempFile: Puts append to the handle's one segment,
+// and a compacting Open merges segments through a temp file it renames
+// away. Neither leaves a temp file or a per-entry file behind: the
+// directory holds segments only.
 func TestPutLeavesNoTempFile(t *testing.T) {
-	c := open(t)
-	for i := range 3 {
-		if err := Put(c, Key("ok", fmt.Sprint(i)), intCodec, i); err != nil {
+	dir := t.TempDir()
+	for i := range compactSegments + 1 {
+		if err := Put(reopen(t, dir), Key("ok", fmt.Sprint(i)), intCodec, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocked := Key("blocked")
-	if err := os.MkdirAll(filepath.Join(c.path(blocked), "child"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := Put(c, blocked, intCodec, 1); err == nil {
-		t.Error("Put over a non-empty directory succeeded")
-	}
-	tmps, err := filepath.Glob(filepath.Join(c.dir, "put-*.tmp"))
+	reopen(t, dir) // past compactSegments: compacts
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tmps) != 0 {
-		t.Errorf("Put left temp files: %v", tmps)
+	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), segmentExt) {
+		t.Errorf("directory holds %v, want one compacted segment", entries)
 	}
 }
 
@@ -136,12 +162,12 @@ func TestCompressedRoundtrip(t *testing.T) {
 	if len(encoded) < CompressThreshold {
 		t.Fatalf("test payload encodes to %d bytes, below the %d threshold", len(encoded), CompressThreshold)
 	}
-	info, err := os.Stat(c.path(key))
+	info, err := os.Stat(onlySegment(t, c.Dir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Size() >= int64(len(encoded)) {
-		t.Errorf("compressed entry is %d bytes on disk for a %d-byte payload", info.Size(), len(encoded))
+		t.Errorf("compressed record is %d bytes on disk for a %d-byte payload", info.Size(), len(encoded))
 	}
 	got, ok := Get(c, key, payloadCodec)
 	if !ok {
@@ -196,15 +222,15 @@ func TestKindStats(t *testing.T) {
 
 	compute := func() (payload, error) { return payload{Name: "v"}, nil }
 	for _, key := range []string{sigKey, compKey, plainKey} {
-		if _, hit, err := Do(c, key, payloadCodec, compute, nil, nil); err != nil || hit {
+		if _, hit, err := Do(c, key, payloadCodec, compute, nil); err != nil || hit {
 			t.Fatalf("cold Do(%s): hit=%v err=%v", key, hit, err)
 		}
 	}
-	if _, hit, err := Do(c, sigKey, payloadCodec, compute, nil, nil); err != nil || !hit {
+	if _, hit, err := Do(c, sigKey, payloadCodec, compute, nil); err != nil || !hit {
 		t.Fatalf("warm Do: hit=%v err=%v", hit, err)
 	}
-	if _, ok := Fetch(c, compKey, payloadCodec); !ok {
-		t.Fatal("Fetch miss after put")
+	if _, ok := Get(c, compKey, payloadCodec); !ok {
+		t.Fatal("Get miss after put")
 	}
 
 	ks := c.KindStats()
@@ -265,11 +291,14 @@ func TestDiskStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A stray non-entry file must not be counted.
-	if err := os.WriteFile(c.dir+"/README", []byte("not an entry"), 0o644); err != nil {
-		t.Fatal(err)
+	// Stray files — a README, an entry file of the old one-file-per-entry
+	// layout — are neither read nor counted.
+	for _, name := range []string{"README", Key("d") + ".ucx"} {
+		if err := os.WriteFile(filepath.Join(c.dir, name), []byte("not a segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ds, err := c.DiskStats()
+	ds, err := reopen(t, c.dir).DiskStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +318,11 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 		calls++
 		return payload{Name: "v"}, nil
 	}
-	v, hit, err := Do(c, key, payloadCodec, compute, nil, nil)
+	v, hit, err := Do(c, key, payloadCodec, compute, nil)
 	if err != nil || hit || v.Name != "v" {
 		t.Fatalf("first Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = Do(c, key, payloadCodec, compute, nil, nil)
+	v, hit, err = Do(c, key, payloadCodec, compute, nil)
 	if err != nil || !hit || v.Name != "v" {
 		t.Fatalf("second Do: v=%+v hit=%v err=%v", v, hit, err)
 	}
@@ -307,24 +336,23 @@ func TestDoComputesOnceThenHits(t *testing.T) {
 }
 
 func TestNilCacheJustComputes(t *testing.T) {
-	v, hit, err := Do(nil, Key("k"), intCodec, func() (int, error) { return 7, nil }, nil, nil)
+	v, hit, err := Do(nil, Key("k"), intCodec, func() (int, error) { return 7, nil }, nil)
 	if v != 7 || hit || err != nil {
 		t.Errorf("nil cache: v=%d hit=%v err=%v", v, hit, err)
 	}
 }
 
 // TestCorruptedEntryFallsBackToRecompute drives every decode-failure
-// surface of the v3 entry format — file-level damage, payload
-// truncation, a flipped payload byte under an intact CRC field, a
-// stale schema, a declared decompressed size past the bomb cap, and
-// trailing garbage after a valid value — and asserts each one degrades
-// to a recompute that repairs the entry, never an error or a bogus
-// hit.
+// surface of a segment record — file-level damage, a torn tail, a
+// flipped payload byte under an intact CRC field, a stale schema, a
+// declared decompressed size past the bomb cap, and trailing garbage
+// after a valid value — and asserts each one degrades to a recompute
+// whose record the writing handle and a later Open both read back,
+// never an error or a bogus hit.
 func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
-	c := open(t)
 	key := Key("corrupt")
 	corruptions := map[string]func(p string) error{
-		"garbage": func(p string) error { return os.WriteFile(p, []byte("not an entry at all"), 0o644) },
+		"garbage": func(p string) error { return os.WriteFile(p, []byte("not a segment at all"), 0o644) },
 		"empty":   func(p string) error { return os.WriteFile(p, nil, 0o644) },
 		"truncated-payload": func(p string) error {
 			data, err := os.ReadFile(p)
@@ -344,7 +372,7 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 		"stale-schema": func(p string) error {
 			entry := codec.EncodeEntry(nil, SchemaVersion+1, key,
 				payloadCodec.Append(nil, payload{Name: "future"}), -1)
-			return os.WriteFile(p, entry, 0o644)
+			return os.WriteFile(p, frame(entry), 0o644)
 		},
 		"compression-bomb": func(p string) error {
 			// Hand-assemble an envelope whose header declares a
@@ -364,7 +392,7 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 			entry = codec.AppendUvarint(entry, codec.MaxDecodedLen+1)
 			entry = codec.AppendUint32(entry, crc32.Checksum(fl.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
 			entry = append(entry, fl.Bytes()...)
-			return os.WriteFile(p, entry, 0o644)
+			return os.WriteFile(p, frame(entry), 0o644)
 		},
 		"trailing-garbage": func(p string) error {
 			// A valid payload followed by extra bytes re-framed into a
@@ -372,76 +400,224 @@ func TestCorruptedEntryFallsBackToRecompute(t *testing.T) {
 			// payload is consumed exactly.
 			body := payloadCodec.Append(nil, payload{Name: "good"})
 			body = append(body, 0xEE, 0xEE)
-			return os.WriteFile(p, codec.EncodeEntry(nil, SchemaVersion, key, body, -1), 0o644)
+			return os.WriteFile(p, frame(codec.EncodeEntry(nil, SchemaVersion, key, body, -1)), 0o644)
 		},
 	}
+	var decodeErrs int64
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			if err := Put(c, key, payloadCodec, payload{Name: "good", Values: []int{1, 2, 3}}); err != nil {
+			dir := t.TempDir()
+			if err := Put(reopen(t, dir), key, payloadCodec, payload{Name: "good", Values: []int{1, 2, 3}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := corrupt(c.path(key)); err != nil {
+			if err := corrupt(onlySegment(t, dir)); err != nil {
 				t.Fatal(err)
 			}
-			v, hit, err := Do(c, key, payloadCodec, func() (payload, error) { return payload{Name: "recomputed"}, nil }, nil, nil)
+			c := reopen(t, dir)
+			v, hit, err := Do(c, key, payloadCodec, func() (payload, error) { return payload{Name: "recomputed"}, nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hit || v.Name != "recomputed" {
 				t.Errorf("corrupt entry served as hit: v=%+v hit=%v", v, hit)
 			}
-			// The recompute must repair the entry.
-			got, ok := Get(c, key, payloadCodec)
-			if !ok || got.Name != "recomputed" {
-				t.Errorf("entry not repaired after recompute: %+v", got)
+			// The recompute must repair the entry, for this handle and
+			// for the next Open.
+			for _, h := range []*Cache{c, reopen(t, dir)} {
+				if got, ok := Get(h, key, payloadCodec); !ok || got.Name != "recomputed" {
+					t.Errorf("entry not repaired after recompute: %+v", got)
+				}
 			}
-			if err := os.Remove(c.path(key)); err != nil {
-				t.Fatal(err)
-			}
+			decodeErrs += c.Stats().DecodeErrors
 		})
 	}
-	if s := c.Stats(); s.DecodeErrors == 0 {
+	if decodeErrs == 0 {
 		t.Error("corrupt entries not counted")
 	}
 }
 
+// TestSchemaVersionBumpInvalidates: a record with another schema
+// version at today's key is skipped, never decoded (as stale records
+// must be after a real bump, whose keys also change), and counted as
+// dead, so the Open that skipped it also compacts it away.
 func TestSchemaVersionBumpInvalidates(t *testing.T) {
-	c := open(t)
+	dir := t.TempDir()
 	key := Key("schema")
-	// Hand-write an entry with a future schema version at today's key:
-	// the reader must ignore it (as it must ignore stale entries after
-	// a real bump, whose keys also change).
 	entry := codec.EncodeEntry(nil, SchemaVersion+1, key,
 		payloadCodec.Append(nil, payload{Name: "future"}), -1)
-	if err := os.WriteFile(c.path(key), entry, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "0"+segmentExt), frame(entry), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	c := reopen(t, dir)
 	if _, ok := Get(c, key, payloadCodec); ok {
 		t.Fatalf("entry with schema %d decoded by reader at schema %d", SchemaVersion+1, SchemaVersion)
 	}
-	if _, err := os.Stat(c.path(key)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("stale-schema entry not deleted")
+	if s := c.Stats(); s.DecodeErrors != 1 {
+		t.Errorf("decode errors = %d, want 1 (the stale record)", s.DecodeErrors)
+	}
+	if segs := segments(t, dir); len(segs) != 0 {
+		t.Errorf("stale-schema record not compacted away: %v", segs)
 	}
 }
 
-// TestKeyEchoMismatch covers a renamed entry file: the envelope echoes
-// the key it was written under, so serving it under another name must
-// fail and delete the misplaced file.
+// TestKeyEchoMismatch: the envelope echoes the key it was written
+// under, and a read checks the echo against the key it looked up. A
+// record whose bytes change under an open handle to another key's
+// (here the key echo is rewritten in place) fails that read and is
+// dropped; a later Open indexes it under the key it now echoes.
 func TestKeyEchoMismatch(t *testing.T) {
 	c := open(t)
 	orig, moved := Key("original"), Key("moved")
 	if err := Put(c, orig, payloadCodec, payload{Name: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(c.path(orig), c.path(moved)); err != nil {
+	seg := onlySegment(t, c.Dir())
+	data, err := os.ReadFile(seg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Get(c, moved, payloadCodec); ok {
-		t.Error("entry served under a key it was not written for")
+	copy(data[bytes.Index(data, []byte(orig)):], moved)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(c.path(moved)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("misplaced entry not deleted")
+	if _, ok := Get(c, orig, payloadCodec); ok {
+		t.Error("record served under a key it does not echo")
 	}
+	if s := c.Stats(); s.DecodeErrors != 1 {
+		t.Errorf("decode errors = %d, want 1", s.DecodeErrors)
+	}
+	if _, ok := Get(c, orig, payloadCodec); ok {
+		t.Error("dropped record read again")
+	}
+	again := reopen(t, c.Dir())
+	if _, ok := Get(again, orig, payloadCodec); ok {
+		t.Error("reopened cache serves the rewritten record under its old key")
+	}
+	if got, ok := Get(again, moved, payloadCodec); !ok || got.Name != "v" {
+		t.Errorf("reopened cache lost the record under its echoed key: %+v, %v", got, ok)
+	}
+}
+
+// TestCompaction: past either bound — more than compactSegments
+// segments, or more than one dead record in compactDeadShare — Open
+// merges the segments into one that keeps every live record (the
+// latest of each key) and nothing else.
+func TestCompaction(t *testing.T) {
+	check := func(t *testing.T, dir string, want map[string]int) {
+		t.Helper()
+		c := reopen(t, dir)
+		if segs := segments(t, dir); len(segs) != 1 {
+			t.Fatalf("segments after compaction %v, want one", segs)
+		}
+		for _, h := range []*Cache{c, reopen(t, dir)} {
+			for key, v := range want {
+				if got, ok := Get(h, key, intCodec); !ok || got != v {
+					t.Errorf("key %s after compaction: %d, %v; want %d", key, got, ok, v)
+				}
+			}
+			if ds, _ := h.DiskStats(); ds.Entries != len(want) {
+				t.Errorf("%d entries indexed after compaction, want %d", ds.Entries, len(want))
+			}
+			if s := h.Stats(); s.DecodeErrors != 0 {
+				t.Errorf("%d decode errors after compaction", s.DecodeErrors)
+			}
+		}
+	}
+	t.Run("segment-count", func(t *testing.T) {
+		dir := t.TempDir()
+		want := map[string]int{}
+		for i := range compactSegments + 1 {
+			c := reopen(t, dir)
+			for _, key := range []string{Key("seg", fmt.Sprint(i)), KindKey("sig", fmt.Sprint(i))} {
+				if err := Put(c, key, intCodec, i); err != nil {
+					t.Fatal(err)
+				}
+				want[key] = i
+			}
+		}
+		if n := len(segments(t, dir)); n != compactSegments+1 {
+			t.Fatalf("%d segments before compaction, want %d", n, compactSegments+1)
+		}
+		check(t, dir, want)
+	})
+	t.Run("dead-share", func(t *testing.T) {
+		dir := t.TempDir()
+		c := reopen(t, dir)
+		for i := range compactDeadShare {
+			if err := Put(c, Key("rewritten"), intCodec, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := Put(c, Key("once"), intCodec, 7); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.Stat(onlySegment(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, dir, map[string]int{Key("rewritten"): compactDeadShare - 1, Key("once"): 7})
+		after, err := os.Stat(onlySegment(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Size() >= before.Size() {
+			t.Errorf("compacted segment is %d bytes, was %d", after.Size(), before.Size())
+		}
+	})
+}
+
+// FuzzLoadSegment writes arbitrary bytes as a segment beside a valid
+// one, named to scan after it so its records would supersede the valid
+// ones. Open must not fail or panic, and every Get must either miss or
+// return a value some Put wrote.
+func FuzzLoadSegment(f *testing.F) {
+	dir := f.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := []string{Key("a"), Key("b"), KindKey("sig", "c"), KindKey("component", "d")}
+	written := map[int]bool{}
+	for i, key := range keys {
+		if err := Put(c, key, intCodec, 100+i); err != nil {
+			f.Fatal(err)
+		}
+		written[100+i] = true
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("segments %v (err %v), want one", segs, err)
+	}
+	valid, err := os.ReadFile(segs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(frame(codec.EncodeEntry(nil, SchemaVersion+1, keys[0], intCodec.Append(nil, 1), -1)))
+	f.Add(append(frame(codec.EncodeEntry(nil, SchemaVersion, keys[1], []byte{0xEE, 0xEE}, -1)), 0xFF))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "0"+segmentExt), valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "1"+segmentExt), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if v, ok := Get(c, key, intCodec); ok && !written[v] {
+				t.Errorf("key %s read %d, which no Put wrote", key, v)
+			}
+		}
+		if _, err := c.DiskStats(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestSingleFlight(t *testing.T) {
@@ -461,7 +637,7 @@ func TestSingleFlight(t *testing.T) {
 				calls.Add(1)
 				<-gate // hold the flight open until everyone has joined
 				return payload{Name: "shared"}, nil
-			}, nil, nil)
+			}, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -484,11 +660,11 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := open(t)
 	key := Key("err")
 	boom := errors.New("boom")
-	_, _, err := Do(c, key, intCodec, func() (int, error) { return 0, boom }, nil, nil)
+	_, _, err := Do(c, key, intCodec, func() (int, error) { return 0, boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := Do(c, key, intCodec, func() (int, error) { return 42, nil }, nil, nil)
+	v, hit, err := Do(c, key, intCodec, func() (int, error) { return 42, nil }, nil)
 	if err != nil || hit || v != 42 {
 		t.Errorf("after failed compute: v=%d hit=%v err=%v", v, hit, err)
 	}
@@ -503,13 +679,13 @@ func TestVerifyMode(t *testing.T) {
 	}
 	v, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "stored", Values: []int{1}}, nil
-	}, nil, nil)
+	}, nil)
 	if err != nil || !hit || v.Name != "stored" {
 		t.Fatalf("matching verify: v=%+v hit=%v err=%v", v, hit, err)
 	}
 	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "different", Values: []int{1}}, nil
-	}, nil, nil)
+	}, nil)
 	if !errors.Is(err, ErrVerifyMismatch) {
 		t.Fatalf("mismatching verify returned %v, want ErrVerifyMismatch", err)
 	}
@@ -535,139 +711,14 @@ func TestDoComparator(t *testing.T) {
 	}
 	_, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "x", Values: []int{999}}, nil
-	}, eq, nil)
+	}, eq)
 	if err != nil || !hit {
 		t.Fatalf("comparator verify: hit=%v err=%v", hit, err)
 	}
 	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
 		return payload{Name: "y"}, nil
-	}, eq, nil)
+	}, eq)
 	if !errors.Is(err, ErrVerifyMismatch) {
 		t.Fatalf("comparator mismatch returned %v", err)
-	}
-}
-
-// TestDiskStatsSeesExternalWrites: DiskStats scans the directory on
-// every call, so entries another process writes into a shared cache
-// directory show up in the next report.
-func TestDiskStatsSeesExternalWrites(t *testing.T) {
-	c := open(t)
-	if err := Put(c, KindKey("syn", "a"), payloadCodec, payload{Name: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if ds, err := c.DiskStats(); err != nil || ds.Entries != 1 {
-		t.Fatalf("DiskStats = %+v, %v; want 1 entry", ds, err)
-	}
-	other, err := Open(c.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Put(other, KindKey("syn", "b"), payloadCodec, payload{Name: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := c.DiskStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Entries != 2 || ds.Kinds["syn"].Entries != 2 {
-		t.Fatalf("DiskStats after another writer's Put = %+v, want 2 syn entries", ds)
-	}
-}
-
-// TestSnapshot covers the warm-start key-set snapshot: present keys
-// answer true, absent ones false, a nil snapshot (no cache scanned)
-// conservatively answers true for everything, and writes after the
-// snapshot do not appear in it (it is a point-in-time hint).
-func TestSnapshot(t *testing.T) {
-	c := open(t)
-	if err := Put(c, Key("present"), payloadCodec, payload{Name: "p"}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Len() != 1 {
-		t.Fatalf("snapshot len = %d, want 1", snap.Len())
-	}
-	if !snap.MayContain(Key("present")) {
-		t.Fatal("snapshot misses a present key")
-	}
-	if snap.MayContain(Key("absent")) {
-		t.Fatal("snapshot claims an absent key")
-	}
-	if err := Put(c, Key("later"), payloadCodec, payload{Name: "l"}); err != nil {
-		t.Fatal(err)
-	}
-	if snap.MayContain(Key("later")) {
-		t.Fatal("snapshot sees a write made after it was taken")
-	}
-	var nilSnap *Snapshot
-	if !nilSnap.MayContain(Key("anything")) {
-		t.Fatal("nil snapshot must answer true (probe disk)")
-	}
-}
-
-// TestDoSnapshotHint pins the batched warm-start read path: with a
-// snapshot that says the key is absent, Do computes without touching the
-// entry file; with the key present it hits as usual; and verify mode
-// ignores the hint entirely so every hit is still re-checked. The
-// read elision is observed directly: a corrupt entry file planted
-// under a hinted-absent key must never be decoded (no decode error),
-// where an unhinted lookup would read it and record one.
-func TestDoSnapshotHint(t *testing.T) {
-	c := open(t)
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("hinted")
-	noEq := func(cached, fresh payload) string { return "" }
-
-	// Plant garbage where the entry would live, post-snapshot. A read
-	// would discard it and count a DecodeError; the hint elides the read
-	// so the file is simply overwritten by the computed value's Put.
-	if err := os.WriteFile(c.path(key), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	v, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
-		return payload{Name: "fresh"}, nil
-	}, noEq, snap)
-	if err != nil || hit || v.Name != "fresh" {
-		t.Fatalf("hinted-absent Do: v=%+v hit=%v err=%v", v, hit, err)
-	}
-	if s := c.Stats(); s.DecodeErrors != 0 {
-		t.Fatalf("hinted-absent lookup read the entry file (%d decode errors), want the read elided", s.DecodeErrors)
-	}
-
-	// A fresh snapshot sees the key: normal hit path.
-	snap2, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, hit, err = Do(c, key, payloadCodec, func() (payload, error) {
-		t.Fatal("compute ran despite a hit")
-		return payload{}, nil
-	}, noEq, snap2)
-	if err != nil || !hit || v.Name != "fresh" {
-		t.Fatalf("hinted-present Do: v=%+v hit=%v err=%v", v, hit, err)
-	}
-
-	// Verify mode overrides the hint: even a snapshot that says absent
-	// must not suppress the consistency check's read-and-compare.
-	c.SetVerify(true)
-	defer c.SetVerify(false)
-	mismatches := 0
-	_, _, err = Do(c, key, payloadCodec, func() (payload, error) {
-		return payload{Name: "fresh"}, nil
-	}, func(cached, fresh payload) string {
-		mismatches++ // called means the cached entry was read
-		return ""
-	}, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mismatches != 1 {
-		t.Fatal("verify mode skipped the cached read on a hinted-absent key")
 	}
 }

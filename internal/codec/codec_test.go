@@ -262,6 +262,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(EncodeEntry(nil, 3, "seed", []byte(strings.Repeat("wide", 4096)), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch []byte
+		EntryKey(data) // must not panic on any input
 		payload, info, err := DecodeEntry(data, 3, "seed", &scratch)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -274,6 +275,9 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 		if info.RawLen > MaxDecodedLen {
 			t.Errorf("decoded %d bytes past the bomb cap", info.RawLen)
+		}
+		if key, err := EntryKey(data); err != nil || key != "seed" {
+			t.Errorf("EntryKey of a valid envelope = %q, %v; want the key it was decoded under", key, err)
 		}
 	})
 }

@@ -19,11 +19,12 @@ import (
 //	crc     4 bytes  CRC-32C (Castagnoli) of the stored payload, LE
 //	payload rest of the buffer (flate-compressed when flags says so)
 //
-// The key echo catches a renamed or misplaced file, the CRC catches
-// bit rot and truncation inside the payload, rawLen lets the decoder
-// pre-size its output buffer and doubles as the compression-bomb
-// bound: a flate payload may not inflate past rawLen, and rawLen
-// itself is capped by MaxDecodedLen.
+// The envelope is the body of one cache record. The key echo is what a
+// segment scan indexes the record under and catches a record read from
+// the wrong place, the CRC catches bit rot and truncation inside the
+// payload, rawLen lets the decoder pre-size its output buffer and
+// doubles as the compression-bomb bound: a flate payload may not
+// inflate past rawLen, and rawLen itself is capped by MaxDecodedLen.
 
 // EntryMagic identifies the envelope format.
 const EntryMagic = "UCXB"
@@ -105,6 +106,20 @@ func EncodeEntry(dst []byte, schema uint64, key string, payload []byte, threshol
 	dst = AppendUvarint(dst, uint64(len(payload)))
 	dst = AppendUint32(dst, crc32.Checksum(stored, crcTable))
 	return append(dst, stored...)
+}
+
+// EntryKey returns the key an envelope echoes, reading only its
+// header: a segment scan indexes the record under it, then validates
+// the whole envelope against it with DecodeEntry.
+func EntryKey(data []byte) (string, error) {
+	if !bytes.HasPrefix(data, []byte(EntryMagic)) {
+		return "", fmt.Errorf("%w: bad entry magic", ErrCorrupt)
+	}
+	r := NewReader(data[len(EntryMagic):])
+	r.Uvarint() // schema
+	r.Byte()    // flags
+	key := r.String()
+	return key, r.Err()
 }
 
 // DecodeEntry validates the envelope of data against the expected

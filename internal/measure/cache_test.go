@@ -1,14 +1,15 @@
 package measure
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -132,23 +133,239 @@ func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
 	}
 	first := measureExec(t, Options{Cache: ch})
 
-	entries, err := filepath.Glob(filepath.Join(dir, "component-*.ucx"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("component entries = %v (err %v), want exactly one", entries, err)
-	}
-	if err := os.WriteFile(entries[0], []byte("damaged"), 0o644); err != nil {
+	d, top := execDesign(t)
+	compKey, err := componentKey(d, top, true, Options{Cache: ch})
+	if err != nil {
 		t.Fatal(err)
 	}
+	damageRecord(t, dir, compKey)
 
 	again := measureExec(t, Options{Cache: ch})
 	if *again.Metrics != *first.Metrics {
 		t.Error("recomputed measurement diverged after corruption")
 	}
-	// Cold: component + sig misses. Again: the damaged component entry
-	// is discarded and missed; the intact sig entry hits.
+	// Cold: component + sig misses. Again: the damaged component record
+	// fails its CRC on read, is dropped and missed; the intact sig
+	// record hits.
 	s := ch.Stats()
 	if s.DecodeErrors == 0 || s.Misses != 3 {
 		t.Errorf("stats = %+v, want the corrupt entry discarded and recomputed", s)
+	}
+}
+
+// sameMeasurement reports how got differs from the cache-off want in
+// what a cached record carries ("" when it does not).
+func sameMeasurement(got, want *ComponentResult) string {
+	switch {
+	case *got.Metrics != *want.Metrics:
+		return fmt.Sprintf("metrics %+v, want %+v", *got.Metrics, *want.Metrics)
+	case !maps.Equal(got.MinimizedParams, want.MinimizedParams):
+		return fmt.Sprintf("minimized params %v, want %v", got.MinimizedParams, want.MinimizedParams)
+	case got.InstanceCount != want.InstanceCount || got.DedupedInstances != want.DedupedInstances:
+		return "accounting counts differ"
+	case got.NetlistHash != want.NetlistHash || got.Timing != want.Timing:
+		return "netlist hash or timing differs"
+	}
+	return ""
+}
+
+// TestTruncatedSegmentRecomputes cuts a cold run's segment in the
+// middle of its last record, as a crash mid-write would. The next Open
+// never reads that torn tail — it counts it as the one decode error
+// and no read fails — and the torn entry recomputes bit-identically to
+// cache-off. That Open also compacts the torn tail away.
+func TestTruncatedSegmentRecomputes(t *testing.T) {
+	off := measureExec(t, Options{})
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measureExec(t, Options{Cache: ch})
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (err %v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], data[:len(data)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	torn, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measureExec(t, Options{Cache: torn})
+	if diff := sameMeasurement(got, off); diff != "" {
+		t.Errorf("after a torn tail: %s", diff)
+	}
+	if s := torn.Stats(); s.DecodeErrors != 1 || s.Misses == 0 {
+		t.Errorf("stats = %+v, want the torn tail as the only decode error and its entry missed", s)
+	}
+
+	warm, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measureExec(t, Options{Cache: warm}); sameMeasurement(got, off) != "" {
+		t.Error("warm run after the repair diverged from cache-off")
+	}
+	if s := warm.Stats(); s.DecodeErrors != 0 || s.Misses != 0 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want one clean hit after the repair", s)
+	}
+}
+
+// TestTwoWritersOneDirectory: two handles opened on one directory
+// before either writes — two processes sharing a cache — measure
+// different units concurrently, each appending to its own segment. A
+// third Open sees both sets of records: it answers every unit from
+// disk, bit-identically to cache-off.
+func TestTwoWritersOneDirectory(t *testing.T) {
+	labels := []string{"IVM-Execute", "IVM-Decode"}
+	dir := t.TempDir()
+	type job struct {
+		d   *hdl.Design
+		top string
+		ch  *cache.Cache
+	}
+	jobs := make([]job, len(labels))
+	for i, label := range labels {
+		c, err := designs.ByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := designs.Design(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job{d, c.Top, ch}
+	}
+	errs := make(chan error, len(jobs))
+	for _, j := range jobs {
+		go func() {
+			_, err := MeasureComponent(j.d, j.top, true, Options{Cache: j.ch})
+			errs <- err
+		}()
+	}
+	for range jobs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := filepath.Glob(filepath.Join(dir, "*.seg")); err != nil || len(segs) != 2 {
+		t.Fatalf("segments %v (err %v), want one per writer", segs, err)
+	}
+
+	third, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		want, err := MeasureComponent(j.d, j.top, true, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MeasureComponent(j.d, j.top, true, Options{Cache: third})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameMeasurement(got, want); diff != "" {
+			t.Errorf("%s: %s", j.top, diff)
+		}
+	}
+	if s := third.Stats(); s.Hits != int64(len(jobs)) || s.Misses != 0 {
+		t.Errorf("third handle stats = %+v, want every unit a hit", s)
+	}
+}
+
+// TestOldLayoutEntriesIgnored fills a directory with entry files of the
+// one-file-per-entry layout segments replaced: one per key a cold run
+// writes, each a valid envelope for its key at today's schema but
+// holding another component's record. A run on that directory must
+// not read them — its results equal cache-off's, with no hit and no
+// decode error — must leave them byte for byte, and must write
+// segments only.
+func TestOldLayoutEntriesIgnored(t *testing.T) {
+	off := measureExec(t, Options{})
+
+	// Another component's records, to plant under IVM-Execute's keys.
+	dc, err := designs.ByLabel("IVM-Decode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dd, err := designs.Design(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureComponent(dd, dc.Top, true, Options{Cache: other}); err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string][]byte{}
+	for key := range CacheRecords(t, other.Dir()) {
+		switch cache.KindOf(key) {
+		case "component":
+			rec, _ := cache.Get(other, key, recordCodec)
+			payloads["component"] = recordCodec.Append(nil, rec)
+		case "sig":
+			sig, _ := cache.Get(other, key, sigRecordCodec)
+			payloads["sig"] = sigRecordCodec.Append(nil, sig)
+		}
+	}
+
+	cold, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	measureExec(t, Options{Cache: cold})
+	dir := t.TempDir()
+	planted := map[string][]byte{}
+	for _, key := range recordKeys(t, cold.Dir()) {
+		name := key + ".ucx"
+		planted[name] = codec.EncodeEntry(nil, cache.SchemaVersion, key, payloads[cache.KindOf(key)], -1)
+		if err := os.WriteFile(filepath.Join(dir, name), planted[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measureExec(t, Options{Cache: ch})
+	if diff := sameMeasurement(got, off); diff != "" {
+		t.Errorf("with old-layout entries present: %s", diff)
+	}
+	if s := ch.Stats(); s.Hits != 0 || s.DecodeErrors != 0 {
+		t.Errorf("stats = %+v, want the old entries unread", s)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if want, ok := planted[name]; ok {
+			if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(b, want) {
+				t.Errorf("old entry %s changed (err %v)", name, err)
+			}
+			delete(planted, name)
+		} else if filepath.Ext(name) != ".seg" {
+			t.Errorf("run wrote %s, want segments only", name)
+		}
+	}
+	if len(planted) != 0 {
+		t.Errorf("%d old entries removed", len(planted))
 	}
 }
 
@@ -206,24 +423,53 @@ var rawPayload = codec.Codec[[]byte]{
 	Append: func(dst, b []byte) []byte { return append(dst, b...) },
 }
 
-// entryNames lists a cache directory's entry files.
-func entryNames(t *testing.T, dir string) []string {
+// recordKeys lists the keys of a cache directory's records, sorted.
+func recordKeys(t *testing.T, dir string) []string {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.ucx"))
+	var keys []string
+	for key := range CacheRecords(t, dir) {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// damageRecord flips the last payload byte of key's record in place,
+// so the record's CRC no longer matches.
+func damageRecord(t *testing.T, dir, key string) {
+	t.Helper()
+	env, ok := CacheRecords(t, dir)[key]
+	if !ok {
+		t.Fatalf("no record for %s", key)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(data, env); i >= 0 {
+			data[i+len(env)-1] ^= 0x40
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("record for %s not found in %v", key, segs)
 }
 
-// TestOldRecordVersionsRecompute plants an entry of each earlier
-// record layout — component versions 1 and 2 and sig version 1, all
-// still carrying the optimized netlist — under its real key. Each must
+// TestOldRecordVersionsRecompute plants a record of each earlier
+// layout — component versions 1 and 2 and sig version 1, all still
+// carrying the optimized netlist — under its real key. Each must
 // decode as corrupt (one DecodeErrors), be recomputed bit-identically
 // to the reference pipeline with this run's search counters, and be
-// rewritten in place under the same key. A planted sig record is only
-// read when its unit's component record misses, so that row deletes
-// the component entry and expects both rewritten.
+// rewritten under the same key. A planted sig record is only read when
+// its unit's component record misses, so that row plants into a fresh
+// directory that holds no component record and expects both written.
 func TestOldRecordVersionsRecompute(t *testing.T) {
 	d, top := execDesign(t)
 	want, err := measureComponentRef(d, top, true, Options{})
@@ -259,18 +505,18 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Cache: ch}
-			first := measureExec(t, opts)
-			cold := entryNames(t, dir)
-			compKey, err := componentKey(d, top, true, opts)
+			first := measureExec(t, Options{Cache: ch})
+			cold := recordKeys(t, dir)
+			compKey, err := componentKey(d, top, true, Options{Cache: ch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sigs, err := filepath.Glob(filepath.Join(dir, "sig-*.ucx"))
-			if err != nil || len(sigs) != 1 {
-				t.Fatalf("sig entries = %v (err %v), want exactly one", sigs, err)
+			var sigKey string
+			for _, key := range cold {
+				if cache.KindOf(key) == "sig" {
+					sigKey = key
+				}
 			}
-			sigKey := strings.TrimSuffix(filepath.Base(sigs[0]), ".ucx")
 			rec, ok := cache.Get(ch, compKey, recordCodec)
 			if !ok {
 				t.Fatal("cold run wrote no component record")
@@ -286,7 +532,7 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 			if tc.kind == "sig" {
 				key = sigKey
 				_, decodeErr = sigRecordCodec.Decode(codec.NewReader(payload))
-				if err := os.Remove(filepath.Join(dir, compKey+".ucx")); err != nil {
+				if ch, err = cache.Open(t.TempDir()); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -300,7 +546,7 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 			}
 
 			before := ch.Stats()
-			again := measureExec(t, opts)
+			again := measureExec(t, Options{Cache: ch})
 			after := ch.Stats()
 			if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
 				t.Errorf("decode errors grew by %d, want 1 (the planted record)", got)
@@ -319,8 +565,8 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 				t.Errorf("recomputed search counters %d/%d, want this run's %d/%d",
 					again.ElabCacheHits, again.ElabCacheMisses, first.ElabCacheHits, first.ElabCacheMisses)
 			}
-			if got := entryNames(t, dir); !slices.Equal(got, cold) {
-				t.Errorf("entries after recompute %v, want the cold run's %v", got, cold)
+			if got := recordKeys(t, ch.Dir()); !slices.Equal(got, cold) {
+				t.Errorf("records after recompute %v, want the cold run's %v", got, cold)
 			}
 			if _, ok := cache.Get(ch, compKey, recordCodec); !ok {
 				t.Error("component record not readable at the current version")
@@ -364,8 +610,8 @@ func TestComponentKeyPinned(t *testing.T) {
 }
 
 // TestSigAndOptionsKeysPinned pins the other two key families byte for
-// byte: the disk key of a signature record (read back from the file a
-// cold one-unit batch writes) and the dependency graph's options key.
+// byte: the disk key of a signature record (read back from the records
+// a cold one-unit batch writes) and the dependency graph's options key.
 // Both embed the fixed measurement target's key parts, which must keep
 // the spelling of the library and FPGA options they replaced.
 func TestSigAndOptionsKeysPinned(t *testing.T) {
@@ -394,12 +640,14 @@ func TestSigAndOptionsKeysPinned(t *testing.T) {
 	if _, err := MeasureComponent(d, c.Top, false, Options{Cache: ch}); err != nil {
 		t.Fatal(err)
 	}
-	sigs, err := filepath.Glob(filepath.Join(dir, "sig-*.ucx"))
-	if err != nil {
-		t.Fatal(err)
+	var sigs []string
+	for _, key := range recordKeys(t, dir) {
+		if cache.KindOf(key) == "sig" {
+			sigs = append(sigs, key)
+		}
 	}
-	want := "sig-11ee2d4b7fe80628d16103734546760a9e150e536c2022146a6f9f6d8127c768.ucx"
-	if len(sigs) != 1 || filepath.Base(sigs[0]) != want {
+	want := "sig-11ee2d4b7fe80628d16103734546760a9e150e536c2022146a6f9f6d8127c768"
+	if len(sigs) != 1 || sigs[0] != want {
 		t.Errorf("%s: sig records %v, want [%s]", c.Label(), sigs, want)
 	}
 }

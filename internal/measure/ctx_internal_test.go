@@ -44,7 +44,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ecache := elab.NewCache()
-	p := s.planUnit(ctx, u, opts, 1, ecache, nil)
+	p := s.planUnit(ctx, u, opts, 1, ecache)
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
@@ -52,7 +52,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 		t.Fatal("first plan did not own its flight")
 	}
 	// A second plan for the same signature waits on the first's flight.
-	waiter := s.planUnit(context.Background(), u, opts, 1, ecache, nil)
+	waiter := s.planUnit(context.Background(), u, opts, 1, ecache)
 	if waiter.owned != nil || waiter.flight != p.flight {
 		t.Fatal("second plan did not join the first plan's flight")
 	}
@@ -60,22 +60,22 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	// Cancel between planning and synthesis: the owner must resolve the
 	// flight with the context error and evict it.
 	cancel()
-	s.synthesizeFlight(ctx, p, opts, ecache, ws, nil, nil)
-	if _, err := s.assembleUnit(context.Background(), u, waiter, opts, nil); !errors.Is(err, context.Canceled) {
+	s.synthesizeFlight(ctx, p, opts, ecache, ws, nil)
+	if _, err := s.assembleUnit(context.Background(), u, waiter, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter on the abandoned flight got %v, want context.Canceled", err)
 	}
 
 	// The key must be gone from the table: a fresh plan owns a fresh
 	// flight and measures normally.
-	p2 := s.planUnit(context.Background(), u, opts, 1, ecache, nil)
+	p2 := s.planUnit(context.Background(), u, opts, 1, ecache)
 	if p2.err != nil {
 		t.Fatal(p2.err)
 	}
 	if p2.owned == nil {
 		t.Fatal("abandoned flight was not evicted: fresh plan became a waiter on the dead entry")
 	}
-	s.synthesizeFlight(context.Background(), p2, opts, ecache, ws, nil, nil)
-	res, err := s.assembleUnit(context.Background(), u, p2, opts, nil)
+	s.synthesizeFlight(context.Background(), p2, opts, ecache, ws, nil)
+	res, err := s.assembleUnit(context.Background(), u, p2, opts)
 	if err != nil {
 		t.Fatalf("measurement after an abandoned flight: %v", err)
 	}
@@ -96,21 +96,21 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	defer putWorkspace(ws)
 
 	ecache := elab.NewCache()
-	owner := s.planUnit(context.Background(), u, opts, 1, ecache, nil)
+	owner := s.planUnit(context.Background(), u, opts, 1, ecache)
 	if owner.owned == nil {
 		t.Fatal("first plan did not own its flight")
 	}
-	waiter := s.planUnit(context.Background(), u, opts, 1, ecache, nil)
+	waiter := s.planUnit(context.Background(), u, opts, 1, ecache)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.assembleUnit(ctx, u, waiter, opts, nil); !errors.Is(err, context.Canceled) {
+	if _, err := s.assembleUnit(ctx, u, waiter, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter got %v, want context.Canceled", err)
 	}
 
 	// Resolve the owner's flight so the session ends consistent.
-	s.synthesizeFlight(context.Background(), owner, opts, ecache, ws, nil, nil)
-	if _, err := s.assembleUnit(context.Background(), u, owner, opts, nil); err != nil {
+	s.synthesizeFlight(context.Background(), owner, opts, ecache, ws, nil)
+	if _, err := s.assembleUnit(context.Background(), u, owner, opts); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -261,8 +259,10 @@ func TestRemeasureMatchesFromScratch(t *testing.T) {
 					prev = next
 				}
 				if withCache {
-					if graphs, err := filepath.Glob(filepath.Join(opts.Cache.Dir(), "depgraph-*")); err != nil || len(graphs) > 0 {
-						t.Errorf("dependency graphs written to the cache: %v (%v)", graphs, err)
+					for key := range measure.CacheRecords(t, opts.Cache.Dir()) {
+						if cache.KindOf(key) == "depgraph" {
+							t.Errorf("dependency graph written to the cache: %s", key)
+						}
 					}
 				}
 			})
@@ -361,27 +361,9 @@ func remeasureOn(t *testing.T, sources map[string]string, prev *measure.Baseline
 	return stats
 }
 
-// entryFiles reads every cache entry file of dir, by file name.
-func entryFiles(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*.ucx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]byte, len(names))
-	for _, name := range names {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[filepath.Base(name)] = b
-	}
-	return out
-}
-
 // TestCutoffWritesFromScratchBytes pins that the early cutoff changes
-// no persisted byte: the entries a cut-off save writes are sig- and
-// component- entries byte-identical to those a fresh session's
+// no persisted byte: the records a cut-off save writes are sig- and
+// component- records byte-identical to those a fresh session's
 // MeasureAll of the same sources writes into an empty cache, so a
 // later process reads them warm.
 func TestCutoffWritesFromScratchBytes(t *testing.T) {
@@ -395,7 +377,7 @@ func TestCutoffWritesFromScratchBytes(t *testing.T) {
 	}
 	opts := measure.Options{Concurrency: 1, Cache: c}
 	prev := baselineOf(t, base, units, opts)
-	before := entryFiles(t, c.Dir())
+	before := measure.CacheRecords(t, c.Dir())
 	stats := remeasureOn(t, edited, prev, units, opts)
 	if stats.CutoffUnits == 0 || stats.CutoffUnits != stats.DirtyUnits {
 		t.Fatalf("neutral save cut off %d of %d dirty units, want all", stats.CutoffUnits, stats.DirtyUnits)
@@ -412,24 +394,24 @@ func TestCutoffWritesFromScratchBytes(t *testing.T) {
 	if _, err := measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1, Cache: fresh}); err != nil {
 		t.Fatal(err)
 	}
-	want := entryFiles(t, fresh.Dir())
+	want := measure.CacheRecords(t, fresh.Dir())
 
 	written := 0
-	for name, b := range entryFiles(t, c.Dir()) {
-		if _, ok := before[name]; ok {
+	for key, b := range measure.CacheRecords(t, c.Dir()) {
+		if _, ok := before[key]; ok {
 			continue
 		}
 		written++
-		if kind := cache.KindOf(strings.TrimSuffix(name, ".ucx")); kind != "sig" && kind != "component" {
-			t.Errorf("cut-off save wrote a %q entry %s", kind, name)
-		} else if w, ok := want[name]; !ok {
-			t.Errorf("cut-off save wrote %s, which a from-scratch run does not", name)
+		if kind := cache.KindOf(key); kind != "sig" && kind != "component" {
+			t.Errorf("cut-off save wrote a %q record %s", kind, key)
+		} else if w, ok := want[key]; !ok {
+			t.Errorf("cut-off save wrote %s, which a from-scratch run does not", key)
 		} else if !bytes.Equal(b, w) {
-			t.Errorf("%s differs from the from-scratch entry", name)
+			t.Errorf("%s differs from the from-scratch record", key)
 		}
 	}
 	if written < stats.DirtyUnits {
-		t.Errorf("cut-off save wrote %d entries for %d dirty units", written, stats.DirtyUnits)
+		t.Errorf("cut-off save wrote %d records for %d dirty units", written, stats.DirtyUnits)
 	}
 }
 

@@ -195,28 +195,6 @@ type plan struct {
 	err        error      // deferred so one failed unit does not strand flights
 }
 
-// batchPrepThreshold is the unit count above which a batch pays for
-// one up-front cache-directory snapshot, which replaces per-entry open
-// calls. Small batches (the 18-component paper corpus) skip it: the
-// scan would cost more than it saves there.
-const batchPrepThreshold = 32
-
-// prepBatch amortizes a large batch's cache probes: it takes one
-// cache-directory snapshot that lets cold keys skip their per-entry
-// open(2). (Module hashes need no preparation: Parse computed them.)
-// Returns nil — meaning "probe the disk as before" — for small
-// batches, cache-off runs, and verify mode.
-func (s *Session) prepBatch(n int, opts Options) *cache.Snapshot {
-	if opts.Cache == nil || n < batchPrepThreshold || opts.Cache.Verifying() {
-		return nil
-	}
-	snap, err := opts.Cache.Snapshot()
-	if err != nil {
-		return nil // degraded to per-entry probes, never to failure
-	}
-	return snap
-}
-
 // MeasureAll measures every unit of the batch, sharing the parse, the
 // elaboration cache, and one synthesis per distinct signature across
 // all of them. Results are returned in unit order and are bit-identical
@@ -320,8 +298,6 @@ func searchConcurrency(concurrency int) int {
 // the units whose flight it answered.
 func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, cut *cutoff, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
-	snap := s.prepBatch(len(units), opts)
-
 	var tops []string
 	groups := map[string][]int{}
 	for i, u := range units {
@@ -348,7 +324,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 		plans := make([]*plan, len(idx))
 		var owned []*plan
 		for j, i := range idx {
-			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
+			p := s.planUnit(ctx, units[i], opts, inner, ecache)
 			plans[j] = p
 			if p.searched {
 				hits.Add(int64(p.hits))
@@ -359,14 +335,14 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			}
 		}
 		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap, cut)
+			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), cut)
 		}
 		// Every signature of this component this call can ever own is
 		// now resolved; later hits come from the flight table, not from
 		// re-elaboration, so the component's cache retires here.
 		s.addElabStats(ecache.Stats())
 		for j, i := range idx {
-			res, err := s.assembleUnit(ctx, units[i], plans[j], opts, snap)
+			res, err := s.assembleUnit(ctx, units[i], plans[j], opts)
 			if err != nil {
 				return err
 			}
@@ -393,11 +369,10 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 
 // planUnit resolves one unit's parameter binding against its
 // component's elaboration cache and registers its signature in the
-// shared table. snap, when non-nil, is the batch's cache-directory
-// snapshot: keys it reports absent skip their disk probe. A context
-// already canceled at entry yields an error plan without registering a
-// flight (so cancellation never strands a waiter).
-func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int, ecache *elab.Cache, snap *cache.Snapshot) *plan {
+// shared table. A context already canceled at entry yields an error
+// plan without registering a flight (so cancellation never strands a
+// waiter).
+func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int, ecache *elab.Cache) *plan {
 	if err := ctx.Err(); err != nil {
 		return &plan{err: fmt.Errorf("measure: plan %s: %w", u.Top, err)}
 	}
@@ -408,8 +383,8 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 			return &plan{err: err}
 		}
 		compKey = k
-		if !opts.Cache.Verifying() && snap.MayContain(compKey) {
-			if rec, ok := cache.Fetch(opts.Cache, compKey, recordCodec); ok {
+		if !opts.Cache.Verifying() {
+			if rec, ok := cache.Get(opts.Cache, compKey, recordCodec); ok {
 				s.components.Add(1)
 				return &plan{rec: rec}
 			}
@@ -632,7 +607,7 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // cancellation, but any later request for the signature registers a
 // fresh flight and synthesizes it — an abandoned flight is never left
 // to poison the session.
-func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace, snap *cache.Snapshot, cut *cutoff) {
+func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace, cut *cutoff) {
 	f := p.owned
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
@@ -677,9 +652,8 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		return rec, nil
 	}
 	// A nil cache runs compute directly (p.diskSigKey is "" then and
-	// never consulted). The snapshot hint lets cold signature keys skip
-	// the per-entry open a Get would waste.
-	rec, _, err := cache.Do(opts.Cache, p.diskSigKey, sigRecordCodec, compute, compareSigRecords, snap)
+	// never consulted).
+	rec, _, err := cache.Do(opts.Cache, p.diskSigKey, sigRecordCodec, compute, compareSigRecords)
 	if err != nil {
 		f.err = err
 		return
@@ -714,7 +688,7 @@ func (s *Session) sourceCounts(name string) (srcmetrics.Counts, error) {
 // flight another goroutine owns is bounded by the context: a canceled
 // waiter stops waiting and returns the context error (the flight
 // itself, owned elsewhere, is unaffected).
-func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Options, snap *cache.Snapshot) (*ComponentResult, error) {
+func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Options) (*ComponentResult, error) {
 	if p.rec != nil {
 		return p.rec.toResult(), nil
 	}
@@ -764,7 +738,7 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	// counters; a miss keeps this run's.
 	rec, hit, err := cache.Do(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
 		return recordOf(res), nil
-	}, compareRecords, snap)
+	}, compareRecords)
 	if err != nil {
 		return nil, err
 	}

@@ -55,10 +55,11 @@ func sameKey(t *testing.T, label string, got, want resultKey) {
 // test: a generated 100-component corpus (200 units, with and without
 // accounting) measured through the streaming path must be
 // bit-identical to the batch path, sequentially and in parallel, with
-// the cache off, cold, and warm. The 200-unit batch crosses the
-// prepBatch threshold, so the cold cached pass exercises the
-// directory-snapshot planning front end, and the warm pass
-// must answer entirely from disk (nothing planned, nothing missed).
+// the cache off, cold, and warm. Every batch size plans the same way,
+// so the size is for volume: the cold pass appends hundreds of
+// records from four workers to one segment, and the warm pass, on a
+// fresh handle that indexes them all at Open, must answer entirely
+// from disk (nothing planned, nothing missed).
 // scripts/ci.sh runs this under -race as its scale smoke.
 func TestMeasureStreamMatchesBatchGenerated(t *testing.T) {
 	const n = 100

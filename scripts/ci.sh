@@ -59,7 +59,9 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# round-trip fuzzer, the synthesis-vs-RTL differential fuzzer, the
 	# corpus generator's parse-and-synthesize fuzzer (every seed must
 	# yield a valid, synthesizable corpus), the cache codec's two
-	# decoder fuzzers, the measurement record decoder fuzzer (component
+	# decoder fuzzers, the cache's segment-scan fuzzer (arbitrary bytes
+	# beside a valid segment: Open never panics, a Get misses or returns
+	# a value a Put wrote), the measurement record decoder fuzzer (component
 	# and sig payloads: never a record without metrics), incremental
 	# remeasurement over fuzzed edit scripts (Remeasure must equal a
 	# from-scratch MeasureAll, errors included), the daemon's request
@@ -74,6 +76,7 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/gencorpus
 	go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeNetlist$' -fuzztime "$fuzztime" ./internal/codec
+	go test -run '^$' -fuzz '^FuzzLoadSegment$' -fuzztime "$fuzztime" ./internal/cache
 	go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime "$fuzztime" ./internal/measure
 	go test -run '^$' -fuzz '^FuzzRemeasure$' -fuzztime "$fuzztime" ./internal/measure
 	go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime "$fuzztime" ./internal/serve
