@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -25,20 +26,28 @@ import (
 
 // memPerRun returns f's mean heap allocations per call as
 // testing.AllocsPerRun counts them (GOMAXPROCS 1, one uncounted warm-up
-// call) and its mean heap bytes per call over the same counted calls.
+// call), and its heap bytes per call as the least of memBatches batch
+// means, also at GOMAXPROCS 1. TotalAlloc is process-wide, so another
+// goroutine's allocations can raise a batch's mean but never lower it.
 func memPerRun(runs int, f func()) (allocs, bytes float64) {
+	allocs = testing.AllocsPerRun(runs, f)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
-	calls := 0
-	allocs = testing.AllocsPerRun(runs, func() {
-		if calls == 1 {
-			runtime.ReadMemStats(&before)
+	bytes = math.Inf(1)
+	for range memBatches {
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
 		}
-		calls++
-		f()
-	})
-	runtime.ReadMemStats(&after)
-	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return allocs, bytes
 }
+
+// memBatches is how many batches memPerRun takes the least byte mean
+// of.
+const memBatches = 3
 
 // TestAllocBudgets bounds the allocations and heap bytes of one call of
 // each hot path the benchmark workloads exercise. Each row records the
@@ -46,9 +55,10 @@ func memPerRun(runs int, f func()) (allocs, bytes float64) {
 // set; the budget is those counts under the rule the retired benchmark
 // gate applied, where a regression had to exceed 1.4× the recorded
 // count and also exceed it by a fixed floor: max(1.4×allocs,
-// allocs+16) and max(1.4×bytes, bytes+16 KiB). The floor only absorbs
-// run-to-run noise (a few KB of background allocation now and then),
-// so on the small rows a doubling of allocations still fails. The
+// allocs+16) and max(1.4×bytes, bytes+4 KiB). The floors only absorb
+// run-to-run noise; bytes are the least of memPerRun's batch means, so
+// background allocation no longer lands in them, and on the small rows
+// a doubling of allocations still fails. The
 // budgets are on each row's right; go test -v -run TestAllocBudgets
 // prints the counts to record when a change moves one on purpose.
 func TestAllocBudgets(t *testing.T) {
@@ -61,9 +71,9 @@ func TestAllocBudgets(t *testing.T) {
 		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
 		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
 		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B
-		{"edit-loop/incremental-edit", 75, 12272, incrementalEdit},            // 105 allocs, 28656 B
-		{"edit-loop/noop-remeasure", 4, 960, noopRemeasure},                   // 20 allocs, 17344 B
-		{"optimize/ivm-memory-reused-ws", 40, 34296, optimizeReusedWS},        // 56 allocs, 50680 B
+		{"edit-loop/incremental-edit", 75, 12272, incrementalEdit},            // 105 allocs, 17181 B
+		{"edit-loop/noop-remeasure", 4, 960, noopRemeasure},                   // 20 allocs, 5056 B
+		{"optimize/ivm-memory-reused-ws", 40, 34296, optimizeReusedWS},        // 56 allocs, 48014 B
 		{"lower/corpus-reused-ws", 5795, 1708112, lowerCorpusReusedWS},        // 8113 allocs, 2391357 B
 	}
 	for _, c := range cases {
@@ -73,7 +83,7 @@ func TestAllocBudgets(t *testing.T) {
 			if limit := max(1.4*c.allocs, c.allocs+16); allocs > limit {
 				t.Errorf("%.0f allocs per call, budget %.0f (recorded %.0f)", allocs, limit, c.allocs)
 			}
-			if limit := max(1.4*c.bytes, c.bytes+16<<10); bytes > limit {
+			if limit := max(1.4*c.bytes, c.bytes+4<<10); bytes > limit {
 				t.Errorf("%.0f bytes per call, budget %.0f (recorded %.0f)", bytes, limit, c.bytes)
 			}
 		})

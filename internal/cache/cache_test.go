@@ -124,6 +124,30 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWarmGetAllocs pins the allocations of a warm Get of a small
+// record: the key echo is compared in place, not copied, so what is
+// left is the one Reader handed to the value's decoder. The race
+// detector makes sync.Pool drop items at random, so the count only
+// holds without it.
+func TestWarmGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c := open(t)
+	key := KindKey("component", "warm")
+	if err := Put(c, key, intCodec, 42); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, ok := Get(c, key, intCodec); !ok || v != 42 {
+			t.Fatalf("Get = %d, %v; want 42, true", v, ok)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("warm Get: %.0f allocations, want at most 1", allocs)
+	}
+}
+
 // TestPutLeavesNoTempFile: Puts append to the handle's one segment,
 // and a compacting Open merges segments through a temp file it renames
 // away. Neither leaves a temp file or a per-entry file behind: the

@@ -180,14 +180,18 @@ func (r *Reader) Float64() float64 {
 
 // String reads a length-prefixed string. The result is a fresh copy —
 // it stays valid after the caller reuses the underlying buffer.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.view()) }
+
+// view reads a length-prefixed byte string as a slice of the input,
+// without copying: for values only compared, never kept.
+func (r *Reader) view() []byte {
 	n := r.lenPrefix()
 	if r.err != nil {
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+n])
+	b := r.data[r.off : r.off+n]
 	r.off += n
-	return s
+	return b
 }
 
 // lenPrefix reads a uvarint length and bounds it by the bytes present.

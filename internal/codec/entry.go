@@ -143,7 +143,7 @@ func DecodeEntry(data []byte, schema uint64, key string, scratch *[]byte) ([]byt
 	r.off = len(EntryMagic)
 	gotSchema := r.Uvarint()
 	flags := r.Byte()
-	gotKey := r.String()
+	gotKey := r.view()
 	rawLen := r.Uvarint()
 	crc := r.Uint32()
 	if err := r.Err(); err != nil {
@@ -152,7 +152,7 @@ func DecodeEntry(data []byte, schema uint64, key string, scratch *[]byte) ([]byt
 	if gotSchema != schema {
 		return nil, info, fmt.Errorf("%w: entry schema %d, want %d", ErrCorrupt, gotSchema, schema)
 	}
-	if gotKey != key {
+	if string(gotKey) != key {
 		return nil, info, fmt.Errorf("%w: entry key mismatch", ErrCorrupt)
 	}
 	if rawLen > MaxDecodedLen {

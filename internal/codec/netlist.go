@@ -40,6 +40,11 @@ import (
 // version-1 payload decodes as ErrCorrupt and its entry recomputes.
 const netlistVersion = 2
 
+// maxNets caps a decoded netlist's net count. The largest paper
+// netlist has under 5,000 nets; the cap bounds the per-net tables that
+// validation and every downstream kernel allocate for a corrupt count.
+const maxNets = 1 << 20
+
 // maxRAMShape caps a decoded RAM's declared width and depth. Real
 // macros are orders of magnitude smaller; the cap keeps a corrupt
 // shape from overflowing the area/power arithmetic downstream.
@@ -125,15 +130,15 @@ func appendPortBits(dst []byte, ports []netlist.PortBit) []byte {
 // backing slice per table and copying every byte it keeps (the decoded
 // netlist never aliases r's buffer). It errors — wrapping ErrCorrupt —
 // on any malformed input, including structurally invalid netlists
-// (out-of-range net IDs, unknown cell types).
+// (see netlist.Netlist.Validate).
 func DecodeNetlist(r *Reader) (*netlist.Netlist, error) {
 	if v := r.Byte(); r.Err() == nil && v != netlistVersion {
 		return nil, fmt.Errorf("%w: netlist structure version %d, want %d", ErrCorrupt, v, netlistVersion)
 	}
 	n := &netlist.Netlist{}
 	nets := r.Uvarint()
-	if r.Err() == nil && nets >= 1<<31 {
-		return nil, fmt.Errorf("%w: net count %d overflows NetID", ErrCorrupt, nets)
+	if r.Err() == nil && nets > maxNets {
+		return nil, fmt.Errorf("%w: net count %d exceeds cap", ErrCorrupt, nets)
 	}
 	n.Nets = int(nets)
 	n.Const0 = netlist.NetID(r.Varint())

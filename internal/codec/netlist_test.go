@@ -137,6 +137,26 @@ func TestDecodeNetlistRejectsStructuralDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeNetlistRejectsBadDrivers pins that a payload well formed
+// byte for byte but describing a netlist no builder makes — a net with
+// two driving cells, a combinational cycle, a net count past the cap —
+// reads as corrupt, so its entry recomputes.
+func TestDecodeNetlistRejectsBadDrivers(t *testing.T) {
+	multi := seedNetlist()
+	multi.Cells[2].Out = 5 // the inverter now also drives the AND's output
+	cyclic := seedNetlist()
+	cyclic.Cells[0].In[1] = 7 // AND reads the inverter ...
+	cyclic.Cells[2].In[0] = 5 // ... which reads the AND
+	huge := seedNetlist()
+	huge.Nets = 1<<20 + 1
+	for name, nl := range map[string]*netlist.Netlist{"multiply driven": multi, "cyclic": cyclic, "net count": huge} {
+		_, err := codec.DecodeNetlist(codec.NewReader(codec.AppendNetlist(nil, nl)))
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // appendV1Names rewrites a current encoding into the version-1 layout:
 // version byte 1 and, at the end, the name section (flag byte; when
 // set, one uvarint length per net, then the packed bytes).

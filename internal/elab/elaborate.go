@@ -105,29 +105,9 @@ func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, o
 	}
 	el := &elaborator{design: design, opts: opts, report: NewReport(), cache: opts.Cache}
 	el.stack = el.stackBuf[:0]
-	params := map[string]int64{}
-	// Resolve header parameters left to right: defaults may reference
-	// earlier parameters; overrides replace defaults.
-	env := NewEnv(nil)
-	for _, p := range m.Params {
-		var v int64
-		if ov, ok := overrides[p.Name]; ok {
-			v = ov
-		} else {
-			v, err = Eval(p.Value, env)
-			if err != nil {
-				return nil, nil, fmt.Errorf("elab: default of parameter %s.%s: %w", top, p.Name, err)
-			}
-		}
-		params[p.Name] = v
-		if err := env.Define(p.Name, v); err != nil {
-			return nil, nil, err
-		}
-	}
-	for name := range overrides {
-		if _, ok := params[name]; !ok {
-			return nil, nil, fmt.Errorf("elab: module %s has no parameter %q", top, name)
-		}
+	params, err := ResolveParams(m, overrides)
+	if err != nil {
+		return nil, nil, err
 	}
 	var sig string
 	if el.cache != nil {
@@ -439,22 +419,9 @@ func (el *elaborator) elaborateInstance(parent *Instance, v *hdl.Instance, env *
 		}
 		overrides[b.Name] = val
 	}
-	params := make(map[string]int64, len(child.Params))
-	childEnv := NewEnv(nil)
-	for _, p := range child.Params {
-		var val int64
-		if ov, ok := overrides[p.Name]; ok {
-			val = ov
-		} else {
-			val, err = Eval(p.Value, childEnv)
-			if err != nil {
-				return fmt.Errorf("elab: default of %s.%s: %w", child.Name, p.Name, err)
-			}
-		}
-		params[p.Name] = val
-		if err := childEnv.Define(p.Name, val); err != nil {
-			return err
-		}
+	params, err := ResolveParams(child, overrides)
+	if err != nil {
+		return err
 	}
 	// Check port binding names.
 	for _, b := range v.Ports {

@@ -54,6 +54,17 @@ func (e *Env) Child(extraPrefix string, consts map[string]int64) *Env {
 	return child
 }
 
+// WithVars returns e extended with the procedural integer variables
+// vars (loop indices), which shadow e's constants; e itself when vars
+// is empty. The scope shares vars instead of copying it, so it sees
+// later writes to the map: evaluate against it, do not keep it.
+func (e *Env) WithVars(vars map[string]int64) *Env {
+	if len(vars) == 0 {
+		return e
+	}
+	return &Env{parent: e, prefix: e.prefix, base: vars, prefixes: e.prefixes}
+}
+
 // ChildVar returns a nested scope binding at most one constant (name
 // may be "" for none) without allocating a map — the shape of every
 // generate-loop and for-loop iteration scope.

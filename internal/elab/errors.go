@@ -10,7 +10,7 @@ import (
 // hit routinely: the scaling-rule search drives parameters until
 // something breaks and then discards the message, so these defer all
 // formatting to Error() — constructing one costs a single allocation
-// instead of a fmt.Errorf chain. The rendered text is pinned
+// (two for a positioned select error) instead of a fmt.Errorf chain. The rendered text is pinned
 // byte-identical to the fmt.Errorf forms they replaced
 // (TestCacheErrorParity compares it across elaboration modes).
 
@@ -27,27 +27,40 @@ func (e *rangeError) Error() string {
 	return fmt.Sprintf("%s: degenerate range [%d:%d]", e.pos, e.msb, e.lsb)
 }
 
+// bitIndexError and partSelectError report a constant select outside
+// its net (BitOffset, PartRange); synthesis and the interpreter return
+// them as they are.
 type bitIndexError struct {
-	pos   hdl.Pos
-	idx   int64
-	name  string
-	width int
+	idx  int64
+	name string
 }
 
 func (e *bitIndexError) Error() string {
-	return fmt.Sprintf("%s: bit index %d out of range for %q (width %d)", e.pos, e.idx, e.name, e.width)
+	return fmt.Sprintf("bit index %d out of range for %q", e.idx, e.name)
 }
 
 type partSelectError struct {
-	pos      hdl.Pos
 	msb, lsb int64
 	name     string
-	width    int
 }
 
 func (e *partSelectError) Error() string {
-	return fmt.Sprintf("%s: part select [%d:%d] out of range for %q (width %d)", e.pos, e.msb, e.lsb, e.name, e.width)
+	return fmt.Sprintf("part select [%d:%d] out of range for %q", e.msb, e.lsb, e.name)
 }
+
+// selectError is a select error found by the static range check: it
+// adds the source position and the net's width.
+type selectError struct {
+	pos   hdl.Pos
+	width int
+	err   error
+}
+
+func (e *selectError) Error() string {
+	return fmt.Sprintf("%s: %s (width %d)", e.pos, e.err, e.width)
+}
+
+func (e *selectError) Unwrap() error { return e.err }
 
 // portError prefixes a range error with the port it occurred on.
 type portError struct {

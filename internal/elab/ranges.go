@@ -118,9 +118,8 @@ func (el *elaborator) checkExpr(inst *Instance, e hdl.Expr, env *Env) error {
 		if base, ok := v.Base.(*hdl.Ident); ok {
 			if n, found := inst.ResolveNet(base.Name, env); found {
 				if idx, err := Eval(v.Idx, env); err == nil {
-					bit := idx - n.LSB
-					if bit < 0 || bit >= int64(n.Width) {
-						return &bitIndexError{pos: v.Pos, idx: idx, name: base.Name, width: n.Width}
+					if _, err := BitOffset(n, base.Name, idx); err != nil {
+						return &selectError{pos: v.Pos, width: n.Width, err: err}
 					}
 				}
 			}
@@ -132,9 +131,8 @@ func (el *elaborator) checkExpr(inst *Instance, e hdl.Expr, env *Env) error {
 				msb, err1 := Eval(v.MSB, env)
 				lsb, err2 := Eval(v.LSB, env)
 				if err1 == nil && err2 == nil {
-					lo, hi := lsb-n.LSB, msb-n.LSB
-					if lo > hi || lo < 0 || hi >= int64(n.Width) {
-						return &partSelectError{pos: v.Pos, msb: msb, lsb: lsb, name: base.Name, width: n.Width}
+					if _, _, err := PartRange(n, base.Name, msb, lsb); err != nil {
+						return &selectError{pos: v.Pos, width: n.Width, err: err}
 					}
 				}
 			}

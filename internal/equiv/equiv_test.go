@@ -143,3 +143,27 @@ endmodule`
 		}
 	}
 }
+
+// TestEquivalenceLoopVariableSelects pins synthesis and the RTL
+// interpreter to one reading of selects whose bounds use a procedural
+// loop variable: part selects on both sides of an assignment, inside a
+// concatenation, and bit indices. Both must evaluate the bounds with
+// the loop variable in scope, on the right-hand side as on the left.
+func TestEquivalenceLoopVariableSelects(t *testing.T) {
+	equivSrc(t, `
+module lps (input clk, input [7:0] a, output reg [7:0] y, z, output reg [7:0] q);
+  integer i;
+  always @(*) begin
+    for (i = 0; i < 4; i = i + 1)
+      y[2*i+1:2*i] = a[2*i+1:2*i];
+  end
+  always @(*) begin
+    for (i = 0; i < 4; i = i + 1)
+      z[2*i+1:2*i] = {a[2*i], a[7-2*i:7-2*i]} ^ a[i+4];
+  end
+  always @(posedge clk) begin
+    for (i = 0; i < 8; i = i + 1)
+      q[i] <= a[7-i:7-i] + y[i];
+  end
+endmodule`, "lps", 40)
+}

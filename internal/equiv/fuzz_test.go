@@ -118,6 +118,46 @@ func (g *moduleGen) stmt(target genSig, depth int) string {
 	}
 }
 
+// loopSpec shapes the optional for-loop block of a generated module:
+// output reg lp of k*n bits, assigned from input src in n trips over
+// integer i, each trip writing one k-bit slice (or, with bits, k*n
+// trips writing one bit each).
+type loopSpec struct {
+	src     genSig
+	k, n    int
+	form    int
+	clocked bool
+}
+
+// loopBlock emits the always block of spec. The loop variable appears
+// in the index or part-select bounds on both sides of the assignment,
+// and the right-hand side mixes in a random expression over the
+// module's other signals.
+func (g *moduleGen) loopBlock(l loopSpec) string {
+	op, sens := "=", "*"
+	if l.clocked {
+		op, sens = "<=", "posedge clk"
+	}
+	k, last := l.k, l.k*l.n-1
+	var body string
+	switch l.form {
+	case 0: // slice to the same slice
+		body = fmt.Sprintf("for (i = 0; i < %d; i = i + 1) lp[%d*i+%d:%d*i] %s src[%d*i+%d:%d*i] ^ %s;",
+			l.n, k, k-1, k, op, k, k-1, k, g.expr(1))
+	case 1: // slice to the mirrored slice
+		body = fmt.Sprintf("for (i = 0; i < %d; i = i + 1) lp[%d*i+%d:%d*i] %s src[%d-%d*i:%d-%d*i] + %s;",
+			l.n, k, k-1, k, op, last, k, last-k+1, k, g.expr(1))
+	case 2: // bit to the mirrored bit
+		body = fmt.Sprintf("for (i = 0; i < %d; i = i + 1) lp[i] %s src[%d-i] & %s;",
+			last+1, op, last, g.expr(1))
+	default: // slice to a concatenation of bits and a part select
+		body = fmt.Sprintf("for (i = 0; i < %d; i = i + 1) lp[%d*i+%d:%d*i] %s {src[%d*i], src[%d*i+%d:%d*i]} | %s;",
+			l.n, k, k-1, k, op, k, k, k-1, k, g.expr(1))
+	}
+	body = strings.ReplaceAll(body, "src", l.src.name)
+	return fmt.Sprintf("  integer i;\n  always @(%s) begin\n    %s\n  end\n", sens, body)
+}
+
 // generate emits one random module.
 func generateModule(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
@@ -125,6 +165,11 @@ func generateModule(seed int64) string {
 	nIn := 2 + rng.Intn(3)
 	nWire := 1 + rng.Intn(3)
 	nReg := 1 + rng.Intn(2)
+	// The loop block draws its shape from a stream of its own, so a
+	// seed's other signals and statements stay as they were without it.
+	lrng := rand.New(rand.NewSource(^seed))
+	hasLoop := lrng.Intn(2) == 0
+	var loop loopSpec
 
 	var b strings.Builder
 	b.WriteString("module fuzz (\n  input clk,\n")
@@ -142,11 +187,28 @@ func generateModule(seed int64) string {
 		w := 1 + rng.Intn(8)
 		g.regs = append(g.regs, genSig{fmt.Sprintf("r%d", i), w})
 		fmt.Fprintf(&b, "  output reg [%d:0] r%d", w-1, i)
-		if i < nReg-1 {
+		if i < nReg-1 || hasLoop {
 			b.WriteString(",\n")
 		} else {
 			b.WriteString("\n")
 		}
+	}
+	if hasLoop {
+		loop.src = g.inputs[0]
+		for _, in := range g.inputs[1:] {
+			if in.width > loop.src.width {
+				loop.src = in
+			}
+		}
+		loop.k = 1 + lrng.Intn(min(2, loop.src.width))
+		slices := loop.src.width / loop.k
+		loop.n = slices - lrng.Intn((slices+1)/2)
+		loop.form = lrng.Intn(4)
+		if loop.form == 3 && loop.k < 2 {
+			loop.form = 0
+		}
+		loop.clocked = lrng.Intn(2) == 0
+		fmt.Fprintf(&b, "  output reg [%d:0] lp\n", loop.k*loop.n-1)
 	}
 	b.WriteString(");\n")
 
@@ -162,6 +224,11 @@ func generateModule(seed int64) string {
 	// One clocked block per register.
 	for _, r := range g.regs {
 		fmt.Fprintf(&b, "  always @(posedge clk) begin\n    %s\n  end\n", g.stmt(r, 2))
+	}
+	// lp is in no signal pool, so no expression reads it and the
+	// combinational form cannot close a loop.
+	if hasLoop {
+		b.WriteString(g.loopBlock(loop))
 	}
 	b.WriteString("endmodule\n")
 	return b.String()

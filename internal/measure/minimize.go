@@ -152,7 +152,7 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 		return nil, nil, fmt.Errorf("accounting: reference elaboration of %s: %w", module, err)
 	}
 	// Start from the declared defaults.
-	current, err := defaultParams(mod)
+	current, err := elab.ResolveParams(mod, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -201,25 +201,6 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 		}
 	}
 	return current, memo, nil
-}
-
-// defaultParams resolves a module's declared parameter defaults left
-// to right (defaults may reference earlier parameters), exactly as
-// elaboration does.
-func defaultParams(mod *hdl.Module) (map[string]int64, error) {
-	params := make(map[string]int64, len(mod.Params))
-	env := elab.NewEnv(nil)
-	for _, p := range mod.Params {
-		v, err := elab.Eval(p.Value, env)
-		if err != nil {
-			return nil, fmt.Errorf("accounting: default of %s.%s: %w", mod.Name, p.Name, err)
-		}
-		params[p.Name] = v
-		if err := env.Define(p.Name, v); err != nil {
-			return nil, err
-		}
-	}
-	return params, nil
 }
 
 // candidateValues returns the ascending candidate values strictly

@@ -404,7 +404,11 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 	// Canonical signature: the full resolved parameter map, so a unit
 	// measured at defaults and a unit whose minimization landed on the
 	// defaults name the same design point.
-	full, err := s.resolvedParams(u.Top, p.overrides)
+	mod, err := s.design.Module(u.Top)
+	if err != nil {
+		return &plan{err: err, hits: p.hits, misses: p.misses}
+	}
+	full, err := elab.ResolveParams(mod, p.overrides)
 	if err != nil {
 		return &plan{err: err, hits: p.hits, misses: p.misses}
 	}
@@ -483,27 +487,6 @@ func (s *Session) minimized(top string, inner int, ecache *elab.Cache) (sr *sear
 	sr.hits, sr.misses = memo.counters()
 	s.minMemo.LoadOrStore(top, sr)
 	return sr, true, nil
-}
-
-// resolvedParams returns the full parameter map of top under the given
-// overrides: declared defaults resolved left to right, overridden
-// values replacing them.
-func (s *Session) resolvedParams(top string, overrides map[string]int64) (map[string]int64, error) {
-	mod, err := s.design.Module(top)
-	if err != nil {
-		return nil, err
-	}
-	full, err := defaultParams(mod)
-	if err != nil {
-		return nil, err
-	}
-	for name, v := range overrides {
-		if _, ok := full[name]; !ok {
-			return nil, fmt.Errorf("measure: module %s has no parameter %q", top, name)
-		}
-		full[name] = v
-	}
-	return full, nil
 }
 
 // dedupPossible reports whether elaborating module name could ever

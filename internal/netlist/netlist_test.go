@@ -91,7 +91,7 @@ func TestBuildCompactsNets(t *testing.T) {
 	if nl.NumNets() != 4 {
 		t.Errorf("nets = %d, want 4", nl.NumNets())
 	}
-	if err := Validate(nl); err != nil {
+	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

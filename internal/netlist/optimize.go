@@ -505,30 +505,3 @@ func commutative(t CellType) bool {
 	}
 	return false
 }
-
-// Validate checks structural invariants: every pin within range, no
-// multiple drivers, no combinational cycles. It is used by tests and
-// by the synthesizer's own self-checks.
-func Validate(n *Netlist) error {
-	inRange := func(id NetID) bool { return id == Nil || (id >= 0 && int(id) < n.NumNets()) }
-	driven := make([]bool, n.NumNets())
-	for i := range n.Cells {
-		c := &n.Cells[i]
-		for _, in := range c.Inputs() {
-			if !inRange(in) {
-				return fmt.Errorf("netlist: cell %d input out of range", i)
-			}
-		}
-		if !inRange(c.Clk) || !inRange(c.Out) || c.Out == Nil {
-			return fmt.Errorf("netlist: cell %d pins invalid", i)
-		}
-		if driven[c.Out] {
-			return fmt.Errorf("netlist: net %d multiply driven", c.Out)
-		}
-		driven[c.Out] = true
-	}
-	if _, err := n.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
-}

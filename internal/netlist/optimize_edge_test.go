@@ -94,7 +94,7 @@ func TestOptimizeConstantLoopFeedingFF(t *testing.T) {
 	if opt.Cells[0].In[0] != opt.Const0 {
 		t.Errorf("DFF D pin = %d, want const0 %d", opt.Cells[0].In[0], opt.Const0)
 	}
-	if err := netlist.Validate(opt); err != nil {
+	if err := opt.Validate(); err != nil {
 		t.Errorf("optimized netlist invalid: %v", err)
 	}
 	ref, _, err := optimizeRef(ffLoopNetlist())

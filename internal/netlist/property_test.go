@@ -106,7 +106,7 @@ func TestOptimizeProperties(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		raw := randomNetlist(t, seed)
-		if err := netlist.Validate(raw); err != nil {
+		if err := raw.Validate(); err != nil {
 			t.Fatalf("seed %d: raw netlist invalid: %v", seed, err)
 		}
 		opt, res, err := netlist.OptimizeWS(raw, nil)
@@ -116,7 +116,7 @@ func TestOptimizeProperties(t *testing.T) {
 		if !res.Converged {
 			t.Errorf("seed %d: worklist did not converge: %+v", seed, res)
 		}
-		if err := netlist.Validate(opt); err != nil {
+		if err := opt.Validate(); err != nil {
 			t.Fatalf("seed %d: optimized netlist invalid: %v", seed, err)
 		}
 

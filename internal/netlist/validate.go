@@ -3,14 +3,16 @@ package netlist
 import "fmt"
 
 // Validate checks the structural invariants every netlist built by
-// Builder.Build or OptimizeWS satisfies: all net references (cell pins,
-// RAM ports, top-level ports, constants) are Nil or inside [0, Nets)
-// and cell types are known. It exists for decoders of untrusted bytes
-// (internal/codec rebuilds netlists from disk and must hand downstream
-// kernels — which index by NetID without bounds checks — only netlists
-// as well-formed as freshly built ones) and runs on every cache hit,
-// so the happy path is comparisons only — no formatting until a check
-// actually fails.
+// Builder.Build or OptimizeWS satisfies: every net reference (cell
+// pins, RAM ports, top-level ports, constants) is Nil or inside
+// [0, Nets), every cell type is known, no net has two driving cells,
+// and the combinational cells form no cycle. Synthesis runs it on each
+// optimized netlist as a self-check, and internal/codec on each
+// netlist it rebuilds from bytes, so downstream kernels — which index
+// by NetID without bounds checks — see only netlists as well-formed as
+// freshly built ones. Nothing is formatted until a check fails; the
+// driver table and topological order it computes are the netlist's
+// memoized ones (Drivers, TopoOrder).
 func (n *Netlist) Validate() error {
 	ok := func(id NetID) bool { return id == Nil || (id >= 0 && int(id) < n.Nets) }
 	okRun := func(ids []NetID) bool {
@@ -70,5 +72,14 @@ func (n *Netlist) Validate() error {
 			return fmt.Errorf("netlist: output port %s references net %d outside range [0,%d)", p.Name, p.Net, n.Nets)
 		}
 	}
-	return nil
+	// Drivers records the last cell driving each net, so any other
+	// cell driving the same net finds a different index there.
+	drivers := n.Drivers()
+	for i := range n.Cells {
+		if out := n.Cells[i].Out; drivers[out] != i {
+			return fmt.Errorf("netlist: net %d multiply driven", out)
+		}
+	}
+	_, err := n.TopoOrder()
+	return err
 }

@@ -8,122 +8,10 @@ import (
 	"repro/internal/hdl"
 )
 
-// naturalWidth mirrors the synthesizer's width rules exactly — the
-// interpreter must truncate intermediate results at the same points
-// the hardware does, or equivalence checking would flag false
-// mismatches (e.g. (a+b)>>1 loses the carry in 8-bit hardware).
-func (r *RTLSim) naturalWidth(inst *elab.Instance, env *elab.Env, st *execState, e hdl.Expr) (int, error) {
-	switch v := e.(type) {
-	case *hdl.Number:
-		if v.Width > 0 {
-			return v.Width, nil
-		}
-		return 32, nil
-	case *hdl.Ident:
-		if _, ok := env.Lookup(v.Name); ok {
-			return 32, nil
-		}
-		if st != nil {
-			if _, ok := st.intvars[v.Name]; ok {
-				return 32, nil
-			}
-		}
-		if n, ok := inst.ResolveNet(v.Name, env); ok {
-			return n.Width, nil
-		}
-		if inst.IsIntVar(v.Name) {
-			return 32, nil
-		}
-		return 0, fmt.Errorf("undeclared signal %q", v.Name)
-	case *hdl.Unary:
-		switch v.Op {
-		case hdl.OpNot, hdl.OpNeg:
-			return r.naturalWidth(inst, env, st, v.X)
-		default:
-			return 1, nil
-		}
-	case *hdl.Binary:
-		switch v.Op {
-		case hdl.OpAdd, hdl.OpSub, hdl.OpMul, hdl.OpDiv, hdl.OpMod,
-			hdl.OpAnd, hdl.OpOr, hdl.OpXor, hdl.OpXnor:
-			lw, err := r.naturalWidth(inst, env, st, v.L)
-			if err != nil {
-				return 0, err
-			}
-			rw, err := r.naturalWidth(inst, env, st, v.R)
-			if err != nil {
-				return 0, err
-			}
-			if rw > lw {
-				lw = rw
-			}
-			return lw, nil
-		case hdl.OpShl, hdl.OpShr:
-			return r.naturalWidth(inst, env, st, v.L)
-		default:
-			return 1, nil
-		}
-	case *hdl.Ternary:
-		tw, err := r.naturalWidth(inst, env, st, v.Then)
-		if err != nil {
-			return 0, err
-		}
-		ew, err := r.naturalWidth(inst, env, st, v.Else)
-		if err != nil {
-			return 0, err
-		}
-		if ew > tw {
-			tw = ew
-		}
-		return tw, nil
-	case *hdl.Index:
-		if base, ok := v.Base.(*hdl.Ident); ok {
-			if m, ok := inst.ResolveMem(base.Name, env); ok {
-				return m.Width, nil
-			}
-		}
-		return 1, nil
-	case *hdl.PartSelect:
-		msb, err := elab.Eval(v.MSB, envWith(env, st))
-		if err != nil {
-			return 0, err
-		}
-		lsb, err := elab.Eval(v.LSB, envWith(env, st))
-		if err != nil {
-			return 0, err
-		}
-		if msb < lsb {
-			return 0, fmt.Errorf("reversed part select")
-		}
-		return int(msb - lsb + 1), nil
-	case *hdl.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			w, err := r.naturalWidth(inst, env, st, p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		return total, nil
-	case *hdl.Repl:
-		cnt, err := elab.Eval(v.Count, envWith(env, st))
-		if err != nil {
-			return 0, err
-		}
-		w, err := r.naturalWidth(inst, env, st, v.X)
-		if err != nil {
-			return 0, err
-		}
-		return int(cnt) * w, nil
-	}
-	return 0, fmt.Errorf("unsupported expression %T", e)
-}
-
 // eval evaluates an expression at width max(cw, natural), masked to
 // that width.
 func (r *RTLSim) eval(inst *elab.Instance, env *elab.Env, st *execState, e hdl.Expr, cw int) (uint64, error) {
-	nw, err := r.naturalWidth(inst, env, st, e)
+	nw, err := elab.Width(inst, env, st.vars(), e)
 	if err != nil {
 		return 0, err
 	}
@@ -149,6 +37,23 @@ func (r *RTLSim) readNet(inst *elab.Instance, st *execState, n *elab.Net) uint64
 	return r.vals[key] & mask(n.Width)
 }
 
+// bitOf resolves the index idx of net n, written name, to a bit
+// offset. A constant index (loop variables included) must lie inside
+// n, as synthesis requires. A variable one outside n gives ok false:
+// with no X, such a read sees 0 and such a write is dropped.
+func (r *RTLSim) bitOf(inst *elab.Instance, env *elab.Env, st *execState, idx hdl.Expr, name string, n *elab.Net) (bit int64, ok bool, err error) {
+	if c, err := elab.Eval(idx, env.WithVars(st.vars())); err == nil {
+		bit, err := elab.BitOffset(n, name, c)
+		return bit, err == nil, err
+	}
+	v, err := r.eval(inst, env, st, idx, 64)
+	if err != nil {
+		return 0, false, err
+	}
+	bit = int64(v) - n.LSB
+	return bit, bit >= 0 && bit < int64(n.Width), nil
+}
+
 func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl.Expr, w int) (uint64, error) {
 	m := mask(w)
 	switch v := e.(type) {
@@ -159,10 +64,8 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 		if val, ok := env.Lookup(v.Name); ok {
 			return uint64(val) & m, nil
 		}
-		if st != nil {
-			if val, ok := st.intvars[v.Name]; ok {
-				return uint64(val) & m, nil
-			}
+		if val, ok := st.vars()[v.Name]; ok {
+			return uint64(val) & m, nil
 		}
 		n, ok := inst.ResolveNet(v.Name, env)
 		if !ok {
@@ -191,7 +94,7 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 			}
 			return b2u(!c) & m, nil
 		}
-		nw, err := r.naturalWidth(inst, env, st, v.X)
+		nw, err := elab.Width(inst, env, st.vars(), v.X)
 		if err != nil {
 			return 0, err
 		}
@@ -252,13 +155,9 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 		if !ok {
 			return 0, fmt.Errorf("undeclared signal %q", base.Name)
 		}
-		idx, err := r.eval(inst, env, st, v.Idx, 64)
-		if err != nil {
+		bit, ok, err := r.bitOf(inst, env, st, v.Idx, base.Name, n)
+		if err != nil || !ok {
 			return 0, err
-		}
-		bit := int64(idx) - n.LSB
-		if bit < 0 || bit >= int64(n.Width) {
-			return 0, nil
 		}
 		return (r.readNet(inst, st, n) >> uint(bit)) & 1 & m, nil
 
@@ -271,18 +170,18 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 		if !ok {
 			return 0, fmt.Errorf("undeclared signal %q", base.Name)
 		}
-		msb, err := elab.Eval(v.MSB, envWith(env, st))
+		scope := env.WithVars(st.vars())
+		msb, err := elab.Eval(v.MSB, scope)
 		if err != nil {
 			return 0, err
 		}
-		lsb, err := elab.Eval(v.LSB, envWith(env, st))
+		lsb, err := elab.Eval(v.LSB, scope)
 		if err != nil {
 			return 0, err
 		}
-		lo := lsb - n.LSB
-		hi := msb - n.LSB
-		if lo > hi || lo < 0 || hi >= int64(n.Width) {
-			return 0, fmt.Errorf("part select [%d:%d] out of range for %q", msb, lsb, base.Name)
+		lo, hi, err := elab.PartRange(n, base.Name, msb, lsb)
+		if err != nil {
+			return 0, err
 		}
 		val := r.readNet(inst, st, n) >> uint(lo)
 		return val & mask(int(hi-lo+1)) & m, nil
@@ -291,7 +190,7 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 		var out uint64
 		shift := 0
 		for i := len(v.Parts) - 1; i >= 0; i-- {
-			pw, err := r.naturalWidth(inst, env, st, v.Parts[i])
+			pw, err := elab.Width(inst, env, st.vars(), v.Parts[i])
 			if err != nil {
 				return 0, err
 			}
@@ -307,11 +206,11 @@ func (r *RTLSim) evalAt(inst *elab.Instance, env *elab.Env, st *execState, e hdl
 		return out & m, nil
 
 	case *hdl.Repl:
-		cnt, err := elab.Eval(v.Count, envWith(env, st))
+		cnt, err := elab.ReplCount(v, env.WithVars(st.vars()))
 		if err != nil {
 			return 0, err
 		}
-		xw, err := r.naturalWidth(inst, env, st, v.X)
+		xw, err := elab.Width(inst, env, st.vars(), v.X)
 		if err != nil {
 			return 0, err
 		}
@@ -363,7 +262,7 @@ func (r *RTLSim) evalBinary(inst *elab.Instance, env *elab.Env, st *execState, v
 			return (l * rr) & m, nil
 		}
 	case hdl.OpDiv, hdl.OpMod:
-		d, err := elab.Eval(v.R, envWith(env, st))
+		d, err := elab.Eval(v.R, env.WithVars(st.vars()))
 		if err != nil {
 			return 0, fmt.Errorf("division/modulo requires a constant divisor: %v", err)
 		}
@@ -383,7 +282,7 @@ func (r *RTLSim) evalBinary(inst *elab.Instance, env *elab.Env, st *execState, v
 		if err != nil {
 			return 0, err
 		}
-		rw, err := r.naturalWidth(inst, env, st, v.R)
+		rw, err := elab.Width(inst, env, st.vars(), v.R)
 		if err != nil {
 			return 0, err
 		}
@@ -399,11 +298,11 @@ func (r *RTLSim) evalBinary(inst *elab.Instance, env *elab.Env, st *execState, v
 		}
 		return (l >> amt) & m, nil
 	case hdl.OpEq, hdl.OpNeq, hdl.OpLt, hdl.OpLe, hdl.OpGt, hdl.OpGe:
-		lw, err := r.naturalWidth(inst, env, st, v.L)
+		lw, err := elab.Width(inst, env, st.vars(), v.L)
 		if err != nil {
 			return 0, err
 		}
-		rw, err := r.naturalWidth(inst, env, st, v.R)
+		rw, err := elab.Width(inst, env, st.vars(), v.R)
 		if err != nil {
 			return 0, err
 		}
@@ -449,7 +348,7 @@ func (r *RTLSim) evalBinary(inst *elab.Instance, env *elab.Env, st *execState, v
 }
 
 func (r *RTLSim) evalCond(inst *elab.Instance, env *elab.Env, st *execState, e hdl.Expr) (bool, error) {
-	nw, err := r.naturalWidth(inst, env, st, e)
+	nw, err := elab.Width(inst, env, st.vars(), e)
 	if err != nil {
 		return false, err
 	}

@@ -9,9 +9,10 @@ import (
 
 // RTLSim is a cycle-based interpreter over an elaborated µHDL design.
 // Signals are limited to 64 bits (wider nets are rejected at
-// construction). Semantics mirror internal/synth exactly — including
-// its width rules — so that gate-level equivalence checking is
-// meaningful: all state initializes to zero, asynchronous resets are
+// construction). Semantics match internal/synth exactly — widths,
+// selects and for loops come from the same internal/elab rules — so
+// that gate-level equivalence checking is meaningful: all state
+// initializes to zero, asynchronous resets are
 // treated as synchronous, and all clocked blocks share one clock.
 type RTLSim struct {
 	top  *elab.Instance
@@ -298,6 +299,15 @@ type execState struct {
 	intvars map[string]int64
 }
 
+// vars returns the block's integer loop variables; nil outside an
+// always block (st == nil).
+func (st *execState) vars() map[string]int64 {
+	if st == nil {
+		return nil
+	}
+	return st.intvars
+}
+
 func (st *execState) ensure() {
 	if st.commitVals == nil {
 		st.commitVals = map[string]uint64{}
@@ -338,7 +348,7 @@ func (r *RTLSim) exec(inst *elab.Instance, env *elab.Env, st *execState, stmt hd
 		return nil
 
 	case *hdl.Case:
-		sw, err := r.naturalWidth(inst, env, st, v.Subject)
+		sw, err := elab.Width(inst, env, st.vars(), v.Subject)
 		if err != nil {
 			return err
 		}
@@ -378,50 +388,16 @@ func (r *RTLSim) exec(inst *elab.Instance, env *elab.Env, st *execState, stmt hd
 		return nil
 
 	case *hdl.For:
-		initA := v.Init.(*hdl.Assign)
-		stepA := v.Step.(*hdl.Assign)
-		ident, ok := initA.LHS.(*hdl.Ident)
-		if !ok || !inst.IsIntVar(ident.Name) {
-			return fmt.Errorf("%s: for loop variable must be a declared integer", v.Pos)
-		}
-		val, err := elab.Eval(initA.RHS, envWith(env, st))
-		if err != nil {
-			return err
-		}
-		for trips := 0; ; trips++ {
-			st.intvars[ident.Name] = val
-			c, err := elab.Eval(v.Cond, envWith(env, st))
-			if err != nil {
-				return err
-			}
-			if c == 0 {
-				return nil
-			}
-			if trips > 4096 {
-				return fmt.Errorf("%s: for loop exceeds 4096 iterations", v.Pos)
-			}
-			if err := r.exec(inst, env, st, v.Body); err != nil {
-				return err
-			}
-			val, err = elab.Eval(stepA.RHS, envWith(env, st))
-			if err != nil {
-				return err
-			}
-		}
+		return elab.RunFor(inst, env, st.intvars, v, func() error {
+			return r.exec(inst, env, st, v.Body)
+		})
 	}
 	return fmt.Errorf("unsupported statement %T", stmt)
 }
 
-func envWith(env *elab.Env, st *execState) *elab.Env {
-	if st == nil || len(st.intvars) == 0 {
-		return env
-	}
-	return env.Child("", st.intvars)
-}
-
 func (r *RTLSim) execAssign(inst *elab.Instance, env *elab.Env, st *execState, v *hdl.Assign) error {
 	if ident, ok := v.LHS.(*hdl.Ident); ok && inst.IsIntVar(ident.Name) {
-		val, err := elab.Eval(v.RHS, envWith(env, st))
+		val, err := elab.Eval(v.RHS, env.WithVars(st.intvars))
 		if err != nil {
 			return fmt.Errorf("%s: integer %q: %v", v.Pos, ident.Name, err)
 		}
@@ -535,15 +511,12 @@ func (r *RTLSim) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr, st 
 		if !ok {
 			return slotSet{}, fmt.Errorf("assignment to undeclared signal %q", base.Name)
 		}
-		idx, err := r.eval(inst, env, st, v.Idx, 64)
+		bit, ok, err := r.bitOf(inst, env, st, v.Idx, base.Name, n)
 		if err != nil {
 			return slotSet{}, err
 		}
-		bit := int64(idx) - n.LSB
-		if bit < 0 || bit >= int64(n.Width) {
-			// Out-of-range dynamic writes are dropped (real Verilog
-			// writes X; we have no X).
-			return slotSet{parts: nil, width: 1}, nil
+		if !ok {
+			return slotSet{width: 1}, nil
 		}
 		return slotSet{parts: []slotPart{{key: r.netKey(inst, n.Name), declWidth: n.Width, bits: []int{int(bit)}}}, width: 1}, nil
 	case *hdl.PartSelect:
@@ -555,17 +528,18 @@ func (r *RTLSim) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr, st 
 		if !ok {
 			return slotSet{}, fmt.Errorf("assignment to undeclared signal %q", base.Name)
 		}
-		msb, err := elab.Eval(v.MSB, envWith(env, st))
+		scope := env.WithVars(st.vars())
+		msb, err := elab.Eval(v.MSB, scope)
 		if err != nil {
 			return slotSet{}, err
 		}
-		lsb, err := elab.Eval(v.LSB, envWith(env, st))
+		lsb, err := elab.Eval(v.LSB, scope)
 		if err != nil {
 			return slotSet{}, err
 		}
-		lo, hi := lsb-n.LSB, msb-n.LSB
-		if lo > hi || lo < 0 || hi >= int64(n.Width) {
-			return slotSet{}, fmt.Errorf("part select [%d:%d] out of range for %q", msb, lsb, base.Name)
+		lo, hi, err := elab.PartRange(n, base.Name, msb, lsb)
+		if err != nil {
+			return slotSet{}, err
 		}
 		bits := make([]int, 0, hi-lo+1)
 		for i := lo; i <= hi; i++ {

@@ -144,7 +144,7 @@ endmodule`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := netlist.Validate(nl); err != nil {
+	if err := nl.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(nl.Cells) != 1 || nl.Cells[0].Type != netlist.Inv {

@@ -8,127 +8,10 @@ import (
 	"repro/internal/netlist"
 )
 
-// naturalWidth computes the self-determined width of an expression,
-// following (approximately) the Verilog sizing rules: arithmetic and
-// bitwise operators take the max operand width, comparisons and
-// reductions are 1 bit, shifts take the left operand's width,
-// concatenations sum their parts.
-func (s *synthesizer) naturalWidth(inst *elab.Instance, env *elab.Env, st *procState, e hdl.Expr) (int, error) {
-	switch v := e.(type) {
-	case *hdl.Number:
-		if v.Width > 0 {
-			return v.Width, nil
-		}
-		return 32, nil
-	case *hdl.Ident:
-		if _, ok := env.Lookup(v.Name); ok {
-			return 32, nil
-		}
-		if st != nil {
-			if val, ok := st.intvars[v.Name]; ok {
-				_ = val
-				return 32, nil
-			}
-		}
-		if n, ok := inst.ResolveNet(v.Name, env); ok {
-			return n.Width, nil
-		}
-		if inst.IsIntVar(v.Name) {
-			return 32, nil
-		}
-		return 0, fmt.Errorf("undeclared signal %q", v.Name)
-	case *hdl.Unary:
-		switch v.Op {
-		case hdl.OpNot, hdl.OpNeg:
-			return s.naturalWidth(inst, env, st, v.X)
-		default:
-			return 1, nil
-		}
-	case *hdl.Binary:
-		switch v.Op {
-		case hdl.OpAdd, hdl.OpSub, hdl.OpMul, hdl.OpDiv, hdl.OpMod,
-			hdl.OpAnd, hdl.OpOr, hdl.OpXor, hdl.OpXnor:
-			lw, err := s.naturalWidth(inst, env, st, v.L)
-			if err != nil {
-				return 0, err
-			}
-			rw, err := s.naturalWidth(inst, env, st, v.R)
-			if err != nil {
-				return 0, err
-			}
-			if rw > lw {
-				lw = rw
-			}
-			return lw, nil
-		case hdl.OpShl, hdl.OpShr:
-			return s.naturalWidth(inst, env, st, v.L)
-		default: // comparisons, logical
-			return 1, nil
-		}
-	case *hdl.Ternary:
-		tw, err := s.naturalWidth(inst, env, st, v.Then)
-		if err != nil {
-			return 0, err
-		}
-		ew, err := s.naturalWidth(inst, env, st, v.Else)
-		if err != nil {
-			return 0, err
-		}
-		if ew > tw {
-			tw = ew
-		}
-		return tw, nil
-	case *hdl.Index:
-		if base, ok := v.Base.(*hdl.Ident); ok {
-			if m, ok := inst.ResolveMem(base.Name, env); ok {
-				return m.Width, nil
-			}
-		}
-		return 1, nil
-	case *hdl.PartSelect:
-		msb, err := elab.Eval(v.MSB, env)
-		if err != nil {
-			return 0, fmt.Errorf("part select bounds must be constant: %v", err)
-		}
-		lsb, err := elab.Eval(v.LSB, env)
-		if err != nil {
-			return 0, fmt.Errorf("part select bounds must be constant: %v", err)
-		}
-		if msb < lsb {
-			return 0, fmt.Errorf("reversed part select [%d:%d]", msb, lsb)
-		}
-		return int(msb - lsb + 1), nil
-	case *hdl.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			w, err := s.naturalWidth(inst, env, st, p)
-			if err != nil {
-				return 0, err
-			}
-			total += w
-		}
-		return total, nil
-	case *hdl.Repl:
-		cnt, err := elab.Eval(v.Count, env)
-		if err != nil {
-			return 0, fmt.Errorf("replication count must be constant: %v", err)
-		}
-		if cnt < 1 {
-			return 0, fmt.Errorf("replication count %d must be >= 1", cnt)
-		}
-		w, err := s.naturalWidth(inst, env, st, v.X)
-		if err != nil {
-			return 0, err
-		}
-		return int(cnt) * w, nil
-	}
-	return 0, fmt.Errorf("unsupported expression %T", e)
-}
-
 // expr lowers an expression to bit nets, LSB first, at width
-// max(cw, naturalWidth). st may be nil outside always blocks.
+// max(cw, self-determined width). st may be nil outside always blocks.
 func (s *synthesizer) expr(inst *elab.Instance, env *elab.Env, st *procState, e hdl.Expr, cw int) ([]netlist.NetID, error) {
-	nw, err := s.naturalWidth(inst, env, st, e)
+	nw, err := elab.Width(inst, env, st.vars(), e)
 	if err != nil {
 		return nil, err
 	}
@@ -153,10 +36,8 @@ func (s *synthesizer) exprAt(inst *elab.Instance, env *elab.Env, st *procState, 
 		if val, ok := env.Lookup(v.Name); ok {
 			return s.constBits(val, w), nil
 		}
-		if st != nil {
-			if val, ok := st.intvars[v.Name]; ok {
-				return s.constBits(val, w), nil
-			}
+		if val, ok := st.vars()[v.Name]; ok {
+			return s.constBits(val, w), nil
 		}
 		if inst.IsIntVar(v.Name) {
 			return nil, fmt.Errorf("integer variable %q read outside a loop context", v.Name)
@@ -208,17 +89,18 @@ func (s *synthesizer) exprAt(inst *elab.Instance, env *elab.Env, st *procState, 
 		if !ok {
 			return nil, fmt.Errorf("undeclared signal %q", base.Name)
 		}
-		msb, err := elab.Eval(v.MSB, env)
+		scope := env.WithVars(st.vars())
+		msb, err := elab.Eval(v.MSB, scope)
 		if err != nil {
 			return nil, err
 		}
-		lsb, err := elab.Eval(v.LSB, env)
+		lsb, err := elab.Eval(v.LSB, scope)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := lsb-n.LSB, msb-n.LSB
-		if lo > hi || lo < 0 || hi >= int64(n.Width) {
-			return nil, fmt.Errorf("part select [%d:%d] out of range for %q", msb, lsb, base.Name)
+		lo, hi, err := elab.PartRange(n, base.Name, msb, lsb)
+		if err != nil {
+			return nil, err
 		}
 		bits := s.readSignal(inst, st, n)[lo : hi+1]
 		return s.extend(bits, w), nil
@@ -226,7 +108,7 @@ func (s *synthesizer) exprAt(inst *elab.Instance, env *elab.Env, st *procState, 
 	case *hdl.Concat:
 		var bits []netlist.NetID
 		for i := len(v.Parts) - 1; i >= 0; i-- {
-			pw, err := s.naturalWidth(inst, env, st, v.Parts[i])
+			pw, err := elab.Width(inst, env, st.vars(), v.Parts[i])
 			if err != nil {
 				return nil, err
 			}
@@ -239,14 +121,11 @@ func (s *synthesizer) exprAt(inst *elab.Instance, env *elab.Env, st *procState, 
 		return s.extend(bits, w), nil
 
 	case *hdl.Repl:
-		cnt, err := elab.Eval(v.Count, env)
+		cnt, err := elab.ReplCount(v, env.WithVars(st.vars()))
 		if err != nil {
 			return nil, err
 		}
-		if cnt < 1 {
-			return nil, fmt.Errorf("replication count %d must be >= 1", cnt)
-		}
-		xw, err := s.naturalWidth(inst, env, st, v.X)
+		xw, err := elab.Width(inst, env, st.vars(), v.X)
 		if err != nil {
 			return nil, err
 		}
@@ -309,15 +188,15 @@ func (s *synthesizer) indexRead(inst *elab.Instance, env *elab.Env, st *procStat
 	}
 	bits := s.readSignal(inst, st, n)
 	// Constant index: direct bit pick.
-	if idx, err := elab.Eval(v.Idx, envWithIntVars(env, st)); err == nil {
-		bit := idx - n.LSB
-		if bit < 0 || bit >= int64(n.Width) {
-			return nil, fmt.Errorf("bit index %d out of range for %q", idx, base.Name)
+	if idx, err := elab.Eval(v.Idx, env.WithVars(st.vars())); err == nil {
+		bit, err := elab.BitOffset(n, base.Name, idx)
+		if err != nil {
+			return nil, err
 		}
 		return bits[bit : bit+1], nil
 	}
 	// Variable index: mux tree over all bits.
-	iw, err := s.naturalWidth(inst, env, st, v.Idx)
+	iw, err := elab.Width(inst, env, st.vars(), v.Idx)
 	if err != nil {
 		return nil, err
 	}
@@ -331,19 +210,10 @@ func (s *synthesizer) indexRead(inst *elab.Instance, env *elab.Env, st *procStat
 	return []netlist.NetID{s.muxTreeSelect(bits, idxBits)}, nil
 }
 
-// envWithIntVars returns an env that also resolves the executor's
-// integer loop variables as constants (nil st passes through).
-func envWithIntVars(env *elab.Env, st *procState) *elab.Env {
-	if st == nil || len(st.intvars) == 0 {
-		return env
-	}
-	return env.Child("", st.intvars)
-}
-
 // condBit reduces an expression to a single condition bit (reduce-OR
 // of its bits, per Verilog truthiness).
 func (s *synthesizer) condBit(inst *elab.Instance, env *elab.Env, st *procState, e hdl.Expr) (netlist.NetID, error) {
-	nw, err := s.naturalWidth(inst, env, st, e)
+	nw, err := elab.Width(inst, env, st.vars(), e)
 	if err != nil {
 		return netlist.Nil, err
 	}
@@ -396,7 +266,7 @@ func (s *synthesizer) unary(inst *elab.Instance, env *elab.Env, st *procState, v
 		return s.extend([]netlist.NetID{s.b.Not(c)}, w), nil
 	}
 	// Reductions.
-	nw, err := s.naturalWidth(inst, env, st, v.X)
+	nw, err := elab.Width(inst, env, st.vars(), v.X)
 	if err != nil {
 		return nil, err
 	}
@@ -442,11 +312,11 @@ func (s *synthesizer) binary(inst *elab.Instance, env *elab.Env, st *procState, 
 	}
 	// Operand width for comparisons: max of the natural widths.
 	cmpOperands := func() ([]netlist.NetID, []netlist.NetID, error) {
-		lw, err := s.naturalWidth(inst, env, st, v.L)
+		lw, err := elab.Width(inst, env, st.vars(), v.L)
 		if err != nil {
 			return nil, nil, err
 		}
-		rw, err := s.naturalWidth(inst, env, st, v.R)
+		rw, err := elab.Width(inst, env, st.vars(), v.R)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -508,7 +378,7 @@ func (s *synthesizer) binary(inst *elab.Instance, env *elab.Env, st *procState, 
 		return s.mulVec(l, r), nil
 	case hdl.OpDiv, hdl.OpMod:
 		// Only constant power-of-two divisors are synthesizable here.
-		d, err := elab.Eval(v.R, envWithIntVars(env, st))
+		d, err := elab.Eval(v.R, env.WithVars(st.vars()))
 		if err != nil {
 			return nil, fmt.Errorf("division/modulo requires a constant divisor: %v", err)
 		}
@@ -541,7 +411,7 @@ func (s *synthesizer) binary(inst *elab.Instance, env *elab.Env, st *procState, 
 		if err != nil {
 			return nil, err
 		}
-		if amt, err := elab.Eval(v.R, envWithIntVars(env, st)); err == nil {
+		if amt, err := elab.Eval(v.R, env.WithVars(st.vars())); err == nil {
 			if amt < 0 {
 				return nil, fmt.Errorf("negative shift amount %d", amt)
 			}
@@ -550,7 +420,7 @@ func (s *synthesizer) binary(inst *elab.Instance, env *elab.Env, st *procState, 
 			}
 			return s.shrConst(l, int(amt)), nil
 		}
-		rw, err := s.naturalWidth(inst, env, st, v.R)
+		rw, err := elab.Width(inst, env, st.vars(), v.R)
 		if err != nil {
 			return nil, err
 		}

@@ -46,6 +46,15 @@ type memWriteSite struct {
 	write ramWrite
 }
 
+// vars returns the block's integer loop variables; nil outside an
+// always block (st == nil).
+func (st *procState) vars() map[string]int64 {
+	if st == nil {
+		return nil
+	}
+	return st.intvars
+}
+
 // readVals returns the blocking-updated view of a signal if it has
 // been written in this block.
 func (st *procState) readVals(name string) ([]netlist.NetID, bool) {
@@ -301,13 +310,15 @@ func (s *synthesizer) execStmt(inst *elab.Instance, env *elab.Env, st *procState
 		return s.execCase(inst, env, st, v, path)
 
 	case *hdl.For:
-		return s.execFor(inst, env, st, v, path)
+		return elab.RunFor(inst, env, st.intvars, v, func() error {
+			return s.execStmt(inst, env, st, v.Body, path)
+		})
 	}
 	return fmt.Errorf("unsupported statement %T", stmt)
 }
 
 func (s *synthesizer) execCase(inst *elab.Instance, env *elab.Env, st *procState, v *hdl.Case, path netlist.NetID) error {
-	sw, err := s.naturalWidth(inst, env, st, v.Subject)
+	sw, err := elab.Width(inst, env, st.intvars, v.Subject)
 	if err != nil {
 		return err
 	}
@@ -382,56 +393,10 @@ func (s *synthesizer) execCase(inst *elab.Instance, env *elab.Env, st *procState
 	return exec(st, 0, path)
 }
 
-func (s *synthesizer) execFor(inst *elab.Instance, env *elab.Env, st *procState, v *hdl.For, path netlist.NetID) error {
-	initA, ok := v.Init.(*hdl.Assign)
-	if !ok {
-		return fmt.Errorf("%s: for init must be an assignment", v.Pos)
-	}
-	stepA, ok := v.Step.(*hdl.Assign)
-	if !ok {
-		return fmt.Errorf("%s: for step must be an assignment", v.Pos)
-	}
-	ident, ok := initA.LHS.(*hdl.Ident)
-	if !ok || !inst.IsIntVar(ident.Name) {
-		return fmt.Errorf("%s: for loop variable must be a declared integer", v.Pos)
-	}
-	val, err := elab.Eval(initA.RHS, envWithIntVars(env, st))
-	if err != nil {
-		return fmt.Errorf("%s: for init must be constant: %v", v.Pos, err)
-	}
-	const maxTrips = 4096
-	trips := 0
-	for {
-		st.intvars[ident.Name] = val
-		c, err := elab.Eval(v.Cond, envWithIntVars(env, st))
-		if err != nil {
-			return fmt.Errorf("%s: for condition must be elaboration-constant: %v", v.Pos, err)
-		}
-		if c == 0 {
-			return nil
-		}
-		trips++
-		if trips > maxTrips {
-			return fmt.Errorf("%s: for loop exceeds %d iterations", v.Pos, maxTrips)
-		}
-		if err := s.execStmt(inst, env, st, v.Body, path); err != nil {
-			return err
-		}
-		next, err := elab.Eval(stepA.RHS, envWithIntVars(env, st))
-		if err != nil {
-			return fmt.Errorf("%s: for step must be constant: %v", v.Pos, err)
-		}
-		if next == val {
-			return fmt.Errorf("%s: for loop does not advance", v.Pos)
-		}
-		val = next
-	}
-}
-
 func (s *synthesizer) execAssign(inst *elab.Instance, env *elab.Env, st *procState, v *hdl.Assign, path netlist.NetID) error {
 	// Integer loop-variable bookkeeping assignment?
 	if ident, ok := v.LHS.(*hdl.Ident); ok && inst.IsIntVar(ident.Name) {
-		val, err := elab.Eval(v.RHS, envWithIntVars(env, st))
+		val, err := elab.Eval(v.RHS, env.WithVars(st.intvars))
 		if err != nil {
 			return fmt.Errorf("%s: integer %q must be assigned a constant: %v", v.Pos, ident.Name, err)
 		}
@@ -532,10 +497,10 @@ func (s *synthesizer) procTargets(inst *elab.Instance, env *elab.Env, st *procSt
 		if !ok {
 			return procTargets{}, fmt.Errorf("assignment to undeclared signal %q", base.Name)
 		}
-		if idx, err := elab.Eval(v.Idx, envWithIntVars(env, st)); err == nil {
-			bit := idx - n.LSB
-			if bit < 0 || bit >= int64(n.Width) {
-				return procTargets{}, fmt.Errorf("bit index %d out of range for %q", idx, base.Name)
+		if idx, err := elab.Eval(v.Idx, env.WithVars(st.intvars)); err == nil {
+			bit, err := elab.BitOffset(n, base.Name, idx)
+			if err != nil {
+				return procTargets{}, err
 			}
 			bits := s.intSlice(1)
 			bits[0] = int(bit)
@@ -544,7 +509,7 @@ func (s *synthesizer) procTargets(inst *elab.Instance, env *elab.Env, st *procSt
 			return procTargets{parts: t}, nil
 		}
 		// Variable index: write every bit, each gated by idx == position.
-		iw, err := s.naturalWidth(inst, env, st, v.Idx)
+		iw, err := elab.Width(inst, env, st.intvars, v.Idx)
 		if err != nil {
 			return procTargets{}, err
 		}
@@ -571,17 +536,18 @@ func (s *synthesizer) procTargets(inst *elab.Instance, env *elab.Env, st *procSt
 		if !ok {
 			return procTargets{}, fmt.Errorf("assignment to undeclared signal %q", base.Name)
 		}
-		msb, err := elab.Eval(v.MSB, envWithIntVars(env, st))
+		scope := env.WithVars(st.intvars)
+		msb, err := elab.Eval(v.MSB, scope)
 		if err != nil {
 			return procTargets{}, err
 		}
-		lsb, err := elab.Eval(v.LSB, envWithIntVars(env, st))
+		lsb, err := elab.Eval(v.LSB, scope)
 		if err != nil {
 			return procTargets{}, err
 		}
-		lo, hi := lsb-n.LSB, msb-n.LSB
-		if lo > hi || lo < 0 || hi >= int64(n.Width) {
-			return procTargets{}, fmt.Errorf("part select [%d:%d] out of range for %q", msb, lsb, base.Name)
+		lo, hi, err := elab.PartRange(n, base.Name, msb, lsb)
+		if err != nil {
+			return procTargets{}, err
 		}
 		bits := s.intSlice(int(hi - lo + 1))
 		for i := range bits {

@@ -53,7 +53,7 @@ func SynthesizeInstance(inst *elab.Instance, report *elab.Report, opts LowerOpti
 	if err != nil {
 		return nil, err
 	}
-	if err := netlist.Validate(opt); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: optimized netlist invalid: %w", err)
 	}
 	return &Result{Raw: raw, Optimized: opt, OptStats: stats, Top: inst, Report: report, Deduped: ls.Deduped, Stamped: ls.Stamped}, nil
@@ -447,9 +447,9 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 		if err != nil {
 			return nil, fmt.Errorf("bit index of %q must be constant here: %v", base.Name, err)
 		}
-		bit := idx - n.LSB
-		if bit < 0 || bit >= int64(n.Width) {
-			return nil, fmt.Errorf("bit index %d out of range for %q", idx, base.Name)
+		bit, err := elab.BitOffset(n, base.Name, idx)
+		if err != nil {
+			return nil, err
 		}
 		return s.netBits(inst, n.Name)[bit : bit+1], nil
 	case *hdl.PartSelect:
@@ -469,9 +469,9 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := lsb-n.LSB, msb-n.LSB
-		if lo > hi || lo < 0 || hi >= int64(n.Width) {
-			return nil, fmt.Errorf("part select [%d:%d] out of range for %q", msb, lsb, base.Name)
+		lo, hi, err := elab.PartRange(n, base.Name, msb, lsb)
+		if err != nil {
+			return nil, err
 		}
 		return s.netBits(inst, n.Name)[lo : hi+1], nil
 	case *hdl.Concat:

@@ -66,14 +66,15 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# remeasurement over fuzzed edit scripts (Remeasure must equal a
 	# from-scratch MeasureAll, errors included), the daemon's request
 	# fuzzer, and the request decoder's differential fuzzer (the same
-	# decision and request as encoding/json). internal/codec,
-	# internal/measure and internal/serve have two targets each, so each
-	# is named explicitly (-fuzz runs exactly one target per invocation).
+	# decision and request as encoding/json). Every target is named by
+	# an anchored pattern: -fuzz runs exactly one target per invocation,
+	# so a bare prefix would fail the stage as soon as a package gained
+	# a second target.
 	fuzztime="${FUZZTIME:-10s}"
 	echo "== fuzz smoke (${fuzztime}/target) =="
-	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/hdl
-	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/equiv
-	go test -run '^$' -fuzz Fuzz -fuzztime "$fuzztime" ./internal/gencorpus
+	go test -run '^$' -fuzz '^FuzzParseDesign$' -fuzztime "$fuzztime" ./internal/hdl
+	go test -run '^$' -fuzz '^FuzzEquivalence$' -fuzztime "$fuzztime" ./internal/equiv
+	go test -run '^$' -fuzz '^FuzzGenerate$' -fuzztime "$fuzztime" ./internal/gencorpus
 	go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeNetlist$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzLoadSegment$' -fuzztime "$fuzztime" ./internal/cache
