@@ -67,14 +67,14 @@ func TestAllocBudgets(t *testing.T) {
 		allocs, bytes float64 // recorded per call
 		setup         func(t *testing.T) func()
 	}{
-		{"paper/figure6-cold", 59237, 14354600, figure6Cold},                  // 82932 allocs, 20096440 B
+		{"paper/figure6-cold", 56083, 12716304, figure6Cold},                  // 78516 allocs, 17802826 B
 		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
 		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
 		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B
 		{"edit-loop/incremental-edit", 75, 12272, incrementalEdit},            // 105 allocs, 17181 B
 		{"edit-loop/noop-remeasure", 4, 960, noopRemeasure},                   // 20 allocs, 5056 B
 		{"optimize/ivm-memory-reused-ws", 40, 34296, optimizeReusedWS},        // 56 allocs, 48014 B
-		{"lower/corpus-reused-ws", 5795, 1708112, lowerCorpusReusedWS},        // 8113 allocs, 2391357 B
+		{"lower/corpus-reused-ws", 3713, 1239352, lowerCorpusReusedWS},        // 5198 allocs, 1735093 B
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -260,9 +260,11 @@ func TestMeasureStreamScaling(t *testing.T) {
 }
 
 // lowerCorpusReusedWS lowers every corpus component's default-parameter
-// instance tree with the one workspace a measurement worker keeps.
-// Lowering is the largest layer of a cold sweep (synth.lower_ms in the
-// bench/ module's traced corpus-cold run).
+// instance tree with the one workspace a measurement worker keeps, and
+// so with the templates it keeps: the shared library modules are
+// recorded once, not once per component. Lowering is the largest
+// layer of a cold sweep (synth.lower_ms in the bench/ module's traced
+// corpus-cold run).
 func lowerCorpusReusedWS(t *testing.T) func() {
 	var insts []*elab.Instance
 	for _, c := range designs.All() {

@@ -139,17 +139,38 @@ func TestDecodeNetlistRejectsStructuralDamage(t *testing.T) {
 
 // TestDecodeNetlistRejectsBadDrivers pins that a payload well formed
 // byte for byte but describing a netlist no builder makes — a net with
-// two driving cells, a combinational cycle, a net count past the cap —
-// reads as corrupt, so its entry recomputes.
+// two drivers among the cells, RAM read ports and input ports, a
+// combinational cycle, a net count past the cap — reads as corrupt, so
+// its entry recomputes. The unmodified seed, which the fuzzer starts
+// from, must decode clean.
 func TestDecodeNetlistRejectsBadDrivers(t *testing.T) {
+	if _, err := codec.DecodeNetlist(codec.NewReader(codec.AppendNetlist(nil, seedNetlist()))); err != nil {
+		t.Fatalf("seed netlist: %v", err)
+	}
 	multi := seedNetlist()
 	multi.Cells[2].Out = 5 // the inverter now also drives the AND's output
+	cellRAM := seedNetlist()
+	cellRAM.RAMs[0].ReadPorts[0].Out[1] = 7 // the RAM read port also drives the inverter's output
+	ramRAM := seedNetlist()
+	ramRAM.RAMs[0].ReadPorts = append(ramRAM.RAMs[0].ReadPorts, netlist.RAMReadPort{Addr: []netlist.NetID{3}, Out: []netlist.NetID{8}})
+	ramInput := seedNetlist()
+	ramInput.RAMs[0].ReadPorts[0].Out[0] = 3 // the RAM read port also drives input a
+	inputs := seedNetlist()
+	inputs.Inputs[2].Net = 3 // inputs a and b drive one net
 	cyclic := seedNetlist()
 	cyclic.Cells[0].In[1] = 7 // AND reads the inverter ...
 	cyclic.Cells[2].In[0] = 5 // ... which reads the AND
 	huge := seedNetlist()
 	huge.Nets = 1<<20 + 1
-	for name, nl := range map[string]*netlist.Netlist{"multiply driven": multi, "cyclic": cyclic, "net count": huge} {
+	for name, nl := range map[string]*netlist.Netlist{
+		"multiply driven":    multi,
+		"cell and RAM read":  cellRAM,
+		"two RAM read ports": ramRAM,
+		"RAM read and input": ramInput,
+		"two inputs":         inputs,
+		"cyclic":             cyclic,
+		"net count":          huge,
+	} {
 		_, err := codec.DecodeNetlist(codec.NewReader(codec.AppendNetlist(nil, nl)))
 		if !errors.Is(err, codec.ErrCorrupt) {
 			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
@@ -188,7 +209,7 @@ func mustComponent(t *testing.T, label string) designs.Component {
 // feature (cells of several types, a RAM with both port kinds, top
 // ports) — kept tiny so fuzz execs stay fast.
 func seedNetlist() *netlist.Netlist {
-	n := &netlist.Netlist{Nets: 8, Const0: 0, Const1: 1}
+	n := &netlist.Netlist{Nets: 10, Const0: 0, Const1: 1}
 	clk, a, b := netlist.NetID(2), netlist.NetID(3), netlist.NetID(4)
 	n.Cells = []netlist.Cell{
 		{Type: netlist.And2, In: [3]netlist.NetID{a, b, netlist.Nil}, Clk: netlist.Nil, Out: 5},
@@ -198,10 +219,10 @@ func seedNetlist() *netlist.Netlist {
 	n.RAMs = []*netlist.RAM{{
 		Name: "mem", Width: 2, Depth: 2, Clk: clk,
 		WritePorts: []netlist.RAMWritePort{{En: a, Addr: []netlist.NetID{b}, Data: []netlist.NetID{5, 6}}},
-		ReadPorts:  []netlist.RAMReadPort{{Addr: []netlist.NetID{b}, Out: []netlist.NetID{7, 6}}},
+		ReadPorts:  []netlist.RAMReadPort{{Addr: []netlist.NetID{b}, Out: []netlist.NetID{8, 9}}},
 	}}
 	n.Inputs = []netlist.PortBit{{Name: "clk", Net: clk}, {Name: "a", Net: a}, {Name: "b", Net: b}}
-	n.Outputs = []netlist.PortBit{{Name: "q", Net: 7}}
+	n.Outputs = []netlist.PortBit{{Name: "q", Net: 7}, {Name: "r", Net: 8}}
 	return n
 }
 

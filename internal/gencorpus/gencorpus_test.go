@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/elab"
 	"repro/internal/synth"
 )
 
@@ -126,7 +127,9 @@ func TestGenerateShareGroups(t *testing.T) {
 }
 
 // FuzzGenerate: arbitrary (seed, size) configs must generate corpora
-// whose every component parses, elaborates, and synthesizes.
+// whose every component parses, elaborates, and synthesizes — on one
+// shared workspace, with and without the single-instance rule,
+// bit-identically to direct lowering.
 func FuzzGenerate(f *testing.F) {
 	f.Add(uint64(1), uint8(4))
 	f.Add(uint64(0xdeadbeef), uint8(0))
@@ -141,9 +144,28 @@ func FuzzGenerate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
+		// One workspace lowers every component, the way a measurement
+		// worker does, so templates of the shared gl_* modules recorded
+		// for one component are stamped into the next; each netlist
+		// must equal a direct lowering with templates disabled.
+		ws := synth.NewWorkspace()
 		for _, comp := range c.Components {
-			if _, err := synth.Synthesize(d, comp.Top, nil); err != nil {
-				t.Fatalf("synthesize %s: %v", comp.Top, err)
+			inst, report, err := elab.ElaborateOpts(d, comp.Top, nil, elab.Options{})
+			if err != nil {
+				t.Fatalf("elaborate %s: %v", comp.Top, err)
+			}
+			for _, dedup := range []bool{false, true} {
+				want, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{DedupInstances: dedup, DisableTemplates: true})
+				if err != nil {
+					t.Fatalf("synthesize %s: %v", comp.Top, err)
+				}
+				got, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{DedupInstances: dedup, Workspace: ws})
+				if err != nil {
+					t.Fatalf("synthesize %s on the shared workspace: %v", comp.Top, err)
+				}
+				if got.Raw.Hash() != want.Raw.Hash() || got.Optimized.Hash() != want.Optimized.Hash() {
+					t.Fatalf("%s dedup=%t: shared-workspace netlist diverges from direct lowering", comp.Top, dedup)
+				}
 			}
 		}
 	})

@@ -397,3 +397,56 @@ func TestFlightsKeptByMeasureAllAndStream(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionsWithRedefinedModuleMatchReference measures two designs
+// back to back on one worker. Both define a module "cell" with the
+// same ports and parameters but a different body, and instantiate it
+// from two components, so within each batch the lowering templates of
+// "cell" are shared across units. Nothing recorded for the first
+// design may reach the second: every result must equal the reference
+// pipeline on its own design.
+func TestSessionsWithRedefinedModuleMatchReference(t *testing.T) {
+	const comps = `
+module pair #(parameter N = 2) (input [3:0] a, b, output [3:0] y);
+  wire [4*N-1:0] t;
+  genvar i;
+  generate
+    for (i = 0; i < N; i = i + 1) begin : g
+      cell c (.a(a), .b(b), .y(t[4*i+3:4*i]));
+    end
+  endgenerate
+  assign y = t[3:0] ^ t[4*N-1:4*N-4];
+endmodule
+module quad (input [3:0] a, b, c, d, output [3:0] y, z);
+  cell c0 (.a(a), .b(b), .y(y));
+  cell c1 (.a(c), .b(d), .y(z));
+endmodule
+`
+	bodies := []string{
+		"module cell (input [3:0] a, b, output [3:0] y);\n  assign y = a + b;\nendmodule\n",
+		"module cell (input [3:0] a, b, output [3:0] y);\n  assign y = (a & b) ^ {b[0], a[3:1]};\nendmodule\n",
+	}
+	units := []measure.Unit{
+		{Top: "pair", UseAccounting: false},
+		{Top: "quad", UseAccounting: false},
+		{Top: "pair", UseAccounting: true},
+		{Top: "quad", UseAccounting: true},
+	}
+	for i, body := range bodies {
+		d, err := hdl.ParseDesign(map[string]string{"comps.v": comps, "cell.v": body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1})
+		if err != nil {
+			t.Fatalf("design %d: %v", i, err)
+		}
+		for j, u := range units {
+			want, err := measure.MeasureComponentRef(d, u.Top, u.UseAccounting, measure.Options{Concurrency: 1})
+			if err != nil {
+				t.Fatalf("design %d %s: %v", i, u.Top, err)
+			}
+			sameResult(t, fmt.Sprintf("design %d %s(acct=%t)", i, u.Top, u.UseAccounting), got[j], want)
+		}
+	}
+}

@@ -5,8 +5,9 @@ import "fmt"
 // Validate checks the structural invariants every netlist built by
 // Builder.Build or OptimizeWS satisfies: every net reference (cell
 // pins, RAM ports, top-level ports, constants) is Nil or inside
-// [0, Nets), every cell type is known, no net has two driving cells,
-// and the combinational cells form no cycle. Synthesis runs it on each
+// [0, Nets), every cell type is known, no net has two drivers among
+// the cells, RAM read ports and input ports, and the combinational
+// cells form no cycle. Synthesis runs it on each
 // optimized netlist as a self-check, and internal/codec on each
 // netlist it rebuilds from bytes, so downstream kernels — which index
 // by NetID without bounds checks — see only netlists as well-formed as
@@ -73,11 +74,40 @@ func (n *Netlist) Validate() error {
 		}
 	}
 	// Drivers records the last cell driving each net, so any other
-	// cell driving the same net finds a different index there.
+	// cell driving the same net finds a different index there. RAM read
+	// ports and input ports drive nets too: each claims its net in a
+	// bitset, and a net already driven by a cell or claimed is
+	// rejected, as Builder.Build rejects it.
 	drivers := n.Drivers()
 	for i := range n.Cells {
 		if out := n.Cells[i].Out; drivers[out] != i {
 			return fmt.Errorf("netlist: net %d multiply driven", out)
+		}
+	}
+	claimed := make([]uint64, (n.Nets+63)/64)
+	claim := func(id NetID) bool {
+		if id == Nil {
+			return true
+		}
+		w, bit := id/64, uint64(1)<<(id%64)
+		if drivers[id] >= 0 || claimed[w]&bit != 0 {
+			return false
+		}
+		claimed[w] |= bit
+		return true
+	}
+	for ri, r := range n.RAMs {
+		for pi, rp := range r.ReadPorts {
+			for _, o := range rp.Out {
+				if !claim(o) {
+					return fmt.Errorf("netlist: net %d driven by RAM %d read port %d and another driver", o, ri, pi)
+				}
+			}
+		}
+	}
+	for _, p := range n.Inputs {
+		if !claim(p.Net) {
+			return fmt.Errorf("netlist: net %d driven by input port %s and another driver", p.Net, p.Name)
 		}
 	}
 	_, err := n.TopoOrder()

@@ -69,12 +69,13 @@ type LowerOptions struct {
 	// input-side glue logic is dropped.
 	DedupInstances bool
 	// DisableTemplates turns off template-stamped lowering: by default
-	// the first instance of each (module, parameters, port-binding
-	// pattern) is recorded while it lowers and every further instance
-	// is stamped from the recording with renumbered nets (see
-	// template.go). Stamping is bit-identical to direct lowering — the
-	// switch exists for the golden tests that prove it and for
-	// debugging.
+	// the first instance of each (module, parameters, dedup flag,
+	// port-binding pattern) the workspace lowers is recorded while it
+	// lowers and every further instance, in this lowering or a later
+	// one on the same workspace, is stamped from the recording with
+	// renumbered nets (see template.go and Workspace). Stamping is
+	// bit-identical to direct lowering — the switch exists for the
+	// golden tests that prove it and for debugging.
 	DisableTemplates bool
 	// Workspace supplies reusable scratch for the whole
 	// lowering+optimization run; nil means a fresh one. The result is
@@ -106,7 +107,10 @@ type LowerStats struct {
 // removed and how many were stamped from templates.
 func LowerOpts(top *elab.Instance, opts LowerOptions) (*netlist.Netlist, LowerStats, error) {
 	ws := opts.workspace()
-	ws.Reset()
+	ws.startRun()
+	if !opts.DisableTemplates {
+		ws.adoptDesign(top)
+	}
 	s := &synthesizer{
 		b:      netlist.NewBuilder(&ws.NL),
 		ws:     ws,
@@ -281,7 +285,14 @@ func (s *synthesizer) instance(inst *elab.Instance) error {
 			return err
 		}
 		if !s.noTmpl {
-			key := sig + "\x00" + s.portPattern(child.Inst)
+			// The single-instance rule changes how a body lowers, so
+			// the dedup flag is part of the key of a template that
+			// outlives this lowering.
+			mode := "\x00"
+			if s.dedup {
+				mode = "\x01"
+			}
+			key := sig + mode + s.portPattern(child.Inst)
 			if t, seen := s.ws.tmpl[key]; seen {
 				if t != nil {
 					if err := s.stampChild(child, t); err != nil {

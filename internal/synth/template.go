@@ -21,7 +21,10 @@ import (
 // appends, every Alias call it makes (raw arguments, in order), and
 // every RAM read/write site it registers. Each further child with the
 // same key replays the recording against freshly allocated nets — an
-// O(gates) copy instead of a full re-lowering.
+// O(gates) copy instead of a full re-lowering. The recordings live on
+// the Workspace until its Reset, so one serves every later lowering of
+// the batch as well (the key then also carries the dedup flag, which
+// changes how a body lowers).
 //
 // Why replay is bit-identical to direct lowering:
 //

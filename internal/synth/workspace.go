@@ -2,25 +2,41 @@ package synth
 
 import (
 	"repro/internal/elab"
+	"repro/internal/hdl"
 	"repro/internal/netlist"
 	"repro/internal/scratch"
 )
 
-// Workspace holds reusable scratch for one lowering+optimization run:
-// the netlist builder and optimizer buffers, the signal-bits table, and
-// a NetID arena the per-signal bit slices are carved from. A workspace
-// is owned by one goroutine at a time; LowerOptions.Workspace threads
-// it through SynthesizeInstance, and every lowering runs on one (a nil
-// option means a fresh workspace). A reused workspace carries capacity
-// between runs, never values: its results are bit-identical to a
-// fresh one's.
+// Workspace holds reusable scratch for lowering+optimization runs: the
+// netlist builder and optimizer buffers, the signal-bits table, a
+// NetID arena the per-signal bit slices are carved from, and the
+// lowering templates (template.go). A workspace is owned by one
+// goroutine at a time; LowerOptions.Workspace threads it through
+// SynthesizeInstance, and every lowering runs on one (a nil option
+// means a fresh workspace).
+//
+// Each lowering starts from empty per-run state, but the templates
+// live until Reset, so a batch of lowerings on one workspace records
+// each (module, parameters, dedup flag, port pattern) once and stamps
+// it everywhere after. Templates are keyed by module name, which names
+// one subtree only within one design: between Resets a workspace
+// lowers instances of one design. A lowering that finds a module name
+// bound to a different parsed module than the templates were recorded
+// with drops them all first, so breaking that contract costs speed,
+// never correctness. Either way the netlists are bit-identical to a
+// fresh workspace's; only LowerStats.Stamped, which counts replays,
+// can be higher on a reused one.
 type Workspace struct {
 	// NL carries the builder and optimizer scratch.
 	NL netlist.Workspace
 
-	sigs    map[sigRef][]netlist.NetID
-	rams    map[ramKey]*ramBuild
+	sigs map[sigRef][]netlist.NetID
+	rams map[ramKey]*ramBuild
+	// tmpl and mods outlive a lowering: tmpl holds the recorded
+	// templates, mods the module each name meant when they were
+	// recorded.
 	tmpl    map[string]*template
+	mods    map[string]*hdl.Module
 	arena   scratch.Arena[netlist.NetID]
 	ints    scratch.Arena[int]
 	tgts    scratch.Arena[procTarget]
@@ -44,22 +60,57 @@ func NewWorkspace() *Workspace {
 		sigs:  map[sigRef][]netlist.NetID{},
 		rams:  map[ramKey]*ramBuild{},
 		tmpl:  map[string]*template{},
+		mods:  map[string]*hdl.Module{},
 		names: map[string]string{},
 	}
 }
 
-// Reset prepares the workspace for the next run: the maps are cleared
-// (dropping references into the previous run's instance tree and
-// templates, so a retained workspace pins nothing), the arena is
-// rewound, and the netlist buffers keep their capacity.
+// Reset ends a batch: the templates are dropped along with every
+// per-run table (so a retained workspace pins nothing of the designs
+// it lowered), the arenas are rewound, and the netlist buffers keep
+// their capacity.
 func (w *Workspace) Reset() {
+	w.startRun()
+	clear(w.tmpl)
+	clear(w.mods)
+}
+
+// startRun clears one lowering's state — the signal and RAM tables,
+// the arenas and the netlist buffers — and keeps the templates.
+func (w *Workspace) startRun() {
 	w.NL.Reset()
 	clear(w.sigs)
 	clear(w.rams)
-	clear(w.tmpl)
 	w.arena.Reset()
 	w.ints.Reset()
 	w.tgts.Reset()
 	clear(w.ramKeys[:cap(w.ramKeys)])
 	w.ramKeys = w.ramKeys[:0]
+}
+
+// adoptDesign checks that every module name in top's tree means the
+// module it meant when the templates were recorded, dropping the
+// templates when one does not, and records the names it has not seen.
+func (w *Workspace) adoptDesign(top *elab.Instance) {
+	if w.rebound(top) {
+		clear(w.tmpl)
+		clear(w.mods)
+		w.rebound(top)
+	}
+}
+
+// rebound records the module of each instance in inst's tree under its
+// name, stopping at the first name already bound to another module.
+func (w *Workspace) rebound(inst *elab.Instance) bool {
+	if m, ok := w.mods[inst.Module.Name]; !ok {
+		w.mods[inst.Module.Name] = inst.Module
+	} else if m != inst.Module {
+		return true
+	}
+	for _, c := range inst.Children {
+		if w.rebound(c.Inst) {
+			return true
+		}
+	}
+	return false
 }
