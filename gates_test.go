@@ -67,7 +67,8 @@ func TestAllocBudgets(t *testing.T) {
 		allocs, bytes float64 // recorded per call
 		setup         func(t *testing.T) func()
 	}{
-		{"paper/figure6-cold", 56083, 12716304, figure6Cold},                  // 78516 allocs, 17802826 B
+		{"paper/figure6-cold", 38252, 7633920, figure6Cold},                   // 53553 allocs, 10687488 B
+		{"paper/accounting-searches", 20828, 1711744, accountingSearches},     // 29159 allocs, 2396442 B
 		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
 		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
 		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B
@@ -97,6 +98,24 @@ func figure6Cold(t *testing.T) func() {
 	return func() {
 		if _, err := paper.Figure6Opts(paper.Opts{}); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// accountingSearches is the scaling rule's search alone: the
+// minimized parameters of all 18 paper components at concurrency 1,
+// each search on a fresh elaboration cache, as a cold Figure 6 runs
+// them.
+func accountingSearches(t *testing.T) func() {
+	full, err := designs.FullDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		for _, c := range designs.All() {
+			if _, err := measure.MinimizeParamsN(full, c.Top, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

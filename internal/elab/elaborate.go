@@ -3,6 +3,7 @@ package elab
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/hdl"
 )
@@ -58,6 +59,19 @@ type elaborator struct {
 	// design that repeats an instance name still gets distinct Instance
 	// objects, exactly as uncached elaboration builds them.
 	usedPaths map[string]bool
+	// pending queues the child instances whose stubs elaborateInstance
+	// appended; each module elaborates its own span of the queue, in
+	// item order, once its own items and range checks have passed.
+	pending []pendingChild
+	// pendingBuf backs pending for typical designs, as stackBuf does
+	// stack.
+	pendingBuf [16]pendingChild
+	// vars holds the procedural integer variables of the always block
+	// being signed (loop indices), cleared per block.
+	vars map[string]int64
+	// scratch, set on report-only elaborators only, is the one Instance
+	// every module of a probe is built on (see probes).
+	scratch *Instance
 	// Chunked allocators for the per-item structs built in bulk.
 	netA bump[Net]
 	asgA bump[ElabAssign]
@@ -65,33 +79,59 @@ type elaborator struct {
 	chA  bump[Child]
 }
 
+// pendingChild is a child instance whose parameters and port names
+// are checked and whose stub is in its parent's Children, but whose
+// subtree is not elaborated yet.
+type pendingChild struct {
+	mod    *hdl.Module
+	path   string
+	params map[string]int64
+	ch     *Child // the stub; a full elaboration sets its Inst
+}
+
+// probes pools report-only elaborators. Children elaborate only after
+// their parent's own checks, so by the time a report-only module's
+// first child starts, the module's nets, assigns, always blocks and
+// child stubs are dead: every module of a probe is built on the
+// elaborator's one scratch Instance, and the bump chunks are rewound
+// per module. A probe then allocates what outlives it (report
+// fragments, resolved parameters, cache keys) and its scopes.
+var probes = sync.Pool{New: func() any { return &elaborator{scratch: &Instance{}} }}
+
 // bump is a chunked allocator for the small structs an elaboration
 // creates in bulk (nets, assigns, always blocks, child links). The
 // objects escape into Instance trees that live as long as the
 // elaboration's output, so handing out pointers into shared chunks
-// trades one heap allocation per object for one per 256; chunks are
-// never reset or reused.
+// trades one heap allocation per object for one per 256. Only a
+// report-only elaborator rewinds its chunk, once the objects handed out
+// from it are dead.
 type bump[T any] struct {
 	chunk []T
-	next  int // size of the next chunk; grows geometrically
+	used  int // objects handed out from chunk
 }
 
 func (b *bump[T]) new() *T {
-	if len(b.chunk) == 0 {
+	if b.used == len(b.chunk) {
 		// Start small: most elaborations (per-probe module stamps) need
 		// only a handful of objects, so a large fixed chunk would waste
 		// more than individual allocation saves. Double up to a cap so
 		// big designs still amortize to one allocation per 256 objects.
-		if b.next == 0 {
-			b.next = 8
-		} else if b.next < 256 {
-			b.next *= 2
-		}
-		b.chunk = make([]T, b.next)
+		b.chunk = make([]T, min(max(2*len(b.chunk), 8), 256))
+		b.used = 0
 	}
-	p := &b.chunk[0]
-	b.chunk = b.chunk[1:]
+	p := &b.chunk[b.used]
+	b.used++
 	return p
+}
+
+// rewind hands the current chunk out again from its start.
+func (b *bump[T]) rewind() { b.used = 0 }
+
+// drop zeroes the current chunk, so a pooled elaborator keeps no
+// pointer into the design it last elaborated, and rewinds it.
+func (b *bump[T]) drop() {
+	clear(b.chunk)
+	b.used = 0
 }
 
 // ElaborateOpts builds the elaborated instance tree of module top with
@@ -103,25 +143,35 @@ func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, o
 	if err != nil {
 		return nil, nil, err
 	}
-	el := &elaborator{design: design, opts: opts, report: NewReport(), cache: opts.Cache}
-	el.stack = el.stackBuf[:0]
 	params, err := ResolveParams(m, overrides)
 	if err != nil {
 		return nil, nil, err
 	}
 	var sig string
-	if el.cache != nil {
+	if opts.Cache != nil {
 		sig = ParamSignature(top, params)
 		if opts.ReportOnly {
-			if e, ok := el.cache.lookupReport(sig); ok {
+			if e, ok := opts.Cache.lookupReport(sig); ok {
 				return nil, e.frag, nil
 			}
-		} else {
-			if e, ok := el.cache.lookupTree(top, sig); ok {
-				return e.inst, e.frag, nil
-			}
+		} else if e, ok := opts.Cache.lookupTree(top, sig); ok {
+			return e.inst, e.frag, nil
+		}
+	}
+	var el *elaborator
+	if opts.ReportOnly {
+		el = probes.Get().(*elaborator)
+		defer el.release()
+	} else {
+		el = &elaborator{}
+		if opts.Cache != nil {
 			el.usedPaths = map[string]bool{top: true}
 		}
+	}
+	el.design, el.opts, el.cache, el.report = design, opts, opts.Cache, NewReport()
+	el.stack = el.stackBuf[:0]
+	if el.pending == nil {
+		el.pending = el.pendingBuf[:0]
 	}
 	inst, frag, count, err := el.elaborateSubtree(m, top, params)
 	if err != nil {
@@ -138,6 +188,25 @@ func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, o
 		inst = nil
 	}
 	return inst, frag, nil
+}
+
+// release returns a report-only elaborator to the pool, keeping its
+// scratch storage but no reference to the design, the cache or the
+// report it worked on, so the pool never pins a retired design.
+func (el *elaborator) release() {
+	el.design, el.opts, el.cache, el.report = nil, Options{}, nil, nil
+	el.instCount = 0
+	clear(el.stackBuf[:])
+	el.stack = nil
+	clear(el.pending[:cap(el.pending)])
+	el.pending = el.pending[:0]
+	clear(el.vars)
+	el.scratch.reuse(nil, "", nil)
+	el.netA.drop()
+	el.asgA.drop()
+	el.alwA.drop()
+	el.chA.drop()
+	probes.Put(el)
 }
 
 // elaborateSubtree elaborates module m at path into a fresh report
@@ -192,31 +261,7 @@ func (el *elaborator) elaborateModule(m *hdl.Module, path string, params map[str
 		return nil, fmt.Errorf("elab: instance limit %d exceeded at %s", maxInstances, path)
 	}
 
-	// Pre-size Nets and Children from an exact count of the
-	// directly-declared items, so small leaf modules — the bulk of what
-	// probe elaborations stamp — get single-bucket maps and no append
-	// growth (generate-stamped extras beyond the count amortize
-	// normally). Mems, IntVars, and Genvars allocate lazily on first
-	// insert — most instances have none of the three, and map reads on
-	// nil are fine.
-	nChild, nDecl := 0, 0
-	for _, it := range m.Items {
-		switch d := it.(type) {
-		case *hdl.Instance:
-			nChild++
-		case *hdl.NetDecl:
-			nDecl += len(d.Names)
-		}
-	}
-	inst := &Instance{
-		Module: m,
-		Path:   path,
-		Params: params,
-		Nets:   make(map[string]*Net, len(m.Ports)+nDecl),
-	}
-	if nChild > 0 {
-		inst.Children = make([]*Child, 0, nChild)
-	}
+	inst := el.newInstance(m, path, params)
 	env := NewEnv(params)
 
 	// Ports become nets.
@@ -237,13 +282,65 @@ func (el *elaborator) elaborateModule(m *hdl.Module, path string, params map[str
 		inst.Nets[p.Name] = n
 	}
 
+	// The module's own items and range checks run before any child
+	// subtree, so a parameter point the module itself rejects — the
+	// usual failing probe of the accounting search — elaborates none.
+	mark := len(el.pending)
 	if err := el.elaborateItems(inst, m.Items, env); err != nil {
 		return nil, err
 	}
 	if err := el.validateRanges(inst); err != nil {
 		return nil, err
 	}
+	for _, ab := range inst.Alwayses {
+		clear(el.vars)
+		el.signStmt(inst, ab.Item.Body, ab.Env)
+	}
+	for i, end := mark, len(el.pending); i < end; i++ {
+		if err := el.elaborateChild(el.pending[i]); err != nil {
+			return nil, err
+		}
+	}
+	el.pending = el.pending[:mark]
 	return inst, nil
+}
+
+// newInstance returns the empty instance module m is elaborated into.
+// A full elaboration pre-sizes Nets and Children from an exact count of
+// the directly-declared items, so small leaf modules get single-bucket
+// maps and no append growth (generate-stamped extras beyond the count
+// amortize normally); Mems, IntVars and Genvars allocate lazily on
+// first insert, as most instances have none of the three. A report-only
+// elaboration reuses its scratch instance and rewinds its bump chunks:
+// the previous module's items are dead once its children start.
+func (el *elaborator) newInstance(m *hdl.Module, path string, params map[string]int64) *Instance {
+	if inst := el.scratch; inst != nil {
+		inst.reuse(m, path, params)
+		el.netA.rewind()
+		el.asgA.rewind()
+		el.alwA.rewind()
+		el.chA.rewind()
+		return inst
+	}
+	nChild, nDecl := 0, 0
+	for _, it := range m.Items {
+		switch d := it.(type) {
+		case *hdl.Instance:
+			nChild++
+		case *hdl.NetDecl:
+			nDecl += len(d.Names)
+		}
+	}
+	inst := &Instance{
+		Module: m,
+		Path:   path,
+		Params: params,
+		Nets:   make(map[string]*Net, len(m.Ports)+nDecl),
+	}
+	if nChild > 0 {
+		inst.Children = make([]*Child, 0, nChild)
+	}
+	return inst
 }
 
 // evalRange returns (width, lsb) for a range (nil = scalar 1-bit).
@@ -362,9 +459,9 @@ func (el *elaborator) elaborateItem(inst *Instance, it hdl.Item, env *Env) error
 		ab := el.alwA.new()
 		*ab = ElabAlways{Item: v, Env: env}
 		inst.Alwayses = append(inst.Alwayses, ab)
-		// Walk the body for the construct signature (constant
-		// conditionals, loop trip counts).
-		return el.signStmt(inst, v.Body, env)
+		// The body is signed (constant conditionals, loop trip counts)
+		// once the module's range checks pass.
+		return nil
 
 	case *hdl.Instance:
 		return el.elaborateInstance(inst, v, env)
@@ -437,7 +534,18 @@ func (el *elaborator) elaborateInstance(parent *Instance, v *hdl.Instance, env *
 		}
 	}
 	name := env.Prefix() + v.Name
-	childPath := parent.Path + "." + name
+	ch := el.chA.new()
+	*ch = Child{Name: name, Ports: v.Ports, Env: env, Pos: v.Pos}
+	parent.Children = append(parent.Children, ch)
+	el.pending = append(el.pending, pendingChild{mod: child, path: parent.Path + "." + name, params: params, ch: ch})
+	return nil
+}
+
+// elaborateChild elaborates the subtree of a queued child instance, or
+// serves it from the session cache. The lookup happens here, not when
+// the stub is queued, so a sibling with the same signature finds the
+// subtree its predecessor just stored.
+func (el *elaborator) elaborateChild(p pendingChild) error {
 	// Session-cache reuse. Bypassed when the child module is already on
 	// the elaboration stack: a memoized fragment from a non-recursive
 	// context must not mask the recursive-instantiation error a fresh
@@ -446,80 +554,56 @@ func (el *elaborator) elaborateInstance(parent *Instance, v *hdl.Instance, env *
 	cacheable := el.cache != nil
 	if cacheable {
 		for _, mod := range el.stack {
-			if mod == child.Name {
+			if mod == p.mod.Name {
 				cacheable = false
 				break
 			}
 		}
 	}
 	if cacheable {
-		sig = ParamSignature(child.Name, params)
+		sig = ParamSignature(p.mod.Name, p.params)
 		if el.opts.ReportOnly {
 			if e, ok := el.cache.lookupReport(sig); ok {
 				el.report.mergeFrom(e.frag)
-				if err := el.reuseInstances(e.count, childPath); err != nil {
-					return err
-				}
-				ch := el.chA.new()
-				*ch = Child{Name: name, Ports: v.Ports, Env: env, Pos: v.Pos}
-				parent.Children = append(parent.Children, ch)
-				return nil
+				return el.reuseInstances(e.count, p.path)
 			}
-		} else if el.usedPaths[childPath] {
+		} else if el.usedPaths[p.path] {
 			// A repeated hierarchical path must stay a distinct tree.
 			cacheable = false
 		} else {
-			el.usedPaths[childPath] = true
-			if e, ok := el.cache.lookupTree(childPath, sig); ok {
+			el.usedPaths[p.path] = true
+			if e, ok := el.cache.lookupTree(p.path, sig); ok {
 				el.report.mergeFrom(e.frag)
-				if err := el.reuseInstances(e.count, childPath); err != nil {
-					return err
-				}
-				ch := el.chA.new()
-				*ch = Child{Name: name, Ports: v.Ports, Env: env, Inst: e.inst, Pos: v.Pos}
-				parent.Children = append(parent.Children, ch)
-				return nil
+				p.ch.Inst = e.inst
+				return el.reuseInstances(e.count, p.path)
 			}
 		}
 	}
-	var childInst *Instance
-	var err2 error
 	if !cacheable {
 		// Nothing will be stored (no cache, a recursion-stack bypass, or
 		// a repeated path), so skip the fragment bookkeeping and record
 		// straight into the enclosing report.
-		childInst, err2 = el.elaborateModule(child, childPath, params)
-		if err2 != nil {
-			return err2
+		inst, err := el.elaborateModule(p.mod, p.path, p.params)
+		if err != nil {
+			return err
 		}
-	} else {
-		var frag *Report
-		var count int
-		childInst, frag, count, err2 = el.elaborateSubtree(child, childPath, params)
-		if err2 != nil {
-			return err2
+		if !el.opts.ReportOnly {
+			p.ch.Inst = inst
 		}
-		if el.opts.ReportOnly {
-			el.cache.storeReport(sig, frag, count)
-		} else {
-			el.cache.storeTree(childPath, sig, childInst, frag, count)
-		}
+		return nil
+	}
+	inst, frag, count, err := el.elaborateSubtree(p.mod, p.path, p.params)
+	if err != nil {
+		return err
 	}
 	if el.opts.ReportOnly {
-		// Probe mode: the subtree's fragment is what mattered; drop the
-		// tree. The Child entry stays so the parent's range validation
-		// still checks every port expression.
-		childInst = nil
+		// Probe mode: the subtree's fragment is what mattered; the
+		// stub keeps a nil Inst.
+		el.cache.storeReport(sig, frag, count)
+		return nil
 	}
-	ch := el.chA.new()
-	*ch = Child{
-		Name:  name,
-		Ports: v.Ports,
-		Env:   env,
-		Inst:  childInst,
-		Pos:   v.Pos,
-	}
-	parent.Children = append(parent.Children, ch)
+	el.cache.storeTree(p.path, sig, inst, frag, count)
+	p.ch.Inst = inst
 	return nil
 }
 
@@ -609,43 +693,37 @@ func (el *elaborator) elaborateGenIf(inst *Instance, v *hdl.GenIf, env *Env) err
 // signStmt walks a behavioral statement recording the construct
 // signature: which branch constant conditionals take and whether loops
 // run. Signal-dependent conditionals are recorded as NonConst and both
-// branches are walked.
-func (el *elaborator) signStmt(inst *Instance, s hdl.Stmt, env *Env) error {
+// branches are walked. A procedural for loop runs by RunFor, the rule
+// synthesis unrolls it by: its body is walked once per trip with the
+// loop variables (el.vars) in scope, so an inner loop bounded by an
+// outer one's variable is signed like any constant loop.
+func (el *elaborator) signStmt(inst *Instance, s hdl.Stmt, env *Env) {
 	switch v := s.(type) {
 	case *hdl.Block:
 		for _, sub := range v.Stmts {
-			if err := el.signStmt(inst, sub, env); err != nil {
-				return err
-			}
+			el.signStmt(inst, sub, env)
 		}
-		return nil
-	case *hdl.Assign:
-		return nil
 	case *hdl.If:
-		if c, err := Eval(v.Cond, env); err == nil {
-			arm := "else"
+		if c, err := Eval(v.Cond, env.WithVars(el.vars)); err == nil {
 			if c != 0 {
-				arm = "then"
+				el.report.recordBranch("if", v.Pos, "then")
+				el.signStmt(inst, v.Then, env)
+				return
 			}
-			el.report.recordBranch("if", v.Pos, arm)
-			if c != 0 {
-				return el.signStmt(inst, v.Then, env)
-			}
+			el.report.recordBranch("if", v.Pos, "else")
 			if v.Else != nil {
-				return el.signStmt(inst, v.Else, env)
+				el.signStmt(inst, v.Else, env)
 			}
-			return nil
+			return
 		}
 		el.report.recordNonConst("if", v.Pos)
-		if err := el.signStmt(inst, v.Then, env); err != nil {
-			return err
-		}
+		el.signStmt(inst, v.Then, env)
 		if v.Else != nil {
-			return el.signStmt(inst, v.Else, env)
+			el.signStmt(inst, v.Else, env)
 		}
-		return nil
 	case *hdl.Case:
-		if subj, err := Eval(v.Subject, env); err == nil {
+		scope := env.WithVars(el.vars)
+		if subj, err := Eval(v.Subject, scope); err == nil {
 			// Constant subject: find the matching arm (labels must be
 			// constant to match).
 			armName := "default"
@@ -658,7 +736,7 @@ func (el *elaborator) signStmt(inst *Instance, s hdl.Stmt, env *Env) error {
 					continue
 				}
 				for _, le := range item.Exprs {
-					lv, lerr := Eval(le, env)
+					lv, lerr := Eval(le, scope)
 					if lerr == nil && lv == subj {
 						armName = fmt.Sprintf("arm%d", i)
 						body = item.Body
@@ -671,73 +749,37 @@ func (el *elaborator) signStmt(inst *Instance, s hdl.Stmt, env *Env) error {
 			}
 			el.report.recordBranch("case", v.Pos, armName)
 			if body != nil {
-				return el.signStmt(inst, body, env)
+				el.signStmt(inst, body, env)
 			}
-			return nil
+			return
 		}
 		el.report.recordNonConst("case", v.Pos)
 		for _, item := range v.Items {
-			if err := el.signStmt(inst, item.Body, env); err != nil {
-				return err
-			}
+			el.signStmt(inst, item.Body, env)
 		}
-		return nil
 	case *hdl.For:
-		trips, err := el.forTripCount(inst, v, env)
+		if el.vars == nil {
+			el.vars = map[string]int64{}
+		}
+		trips := int64(0)
+		err := RunFor(inst, env, el.vars, v, func() error {
+			trips++
+			el.signStmt(inst, v.Body, env)
+			return nil
+		})
 		if err != nil {
 			// Loop bounds must be constant for synthesis; report the
 			// error lazily (synthesis will reject it too) but keep the
-			// signature walk going.
+			// signature walk going, with the loop variable unbound.
+			if init, ok := v.Init.(*hdl.Assign); ok {
+				if id, ok := init.LHS.(*hdl.Ident); ok {
+					delete(el.vars, id.Name)
+				}
+			}
 			el.report.recordNonConst("for", v.Pos)
-			return el.signStmt(inst, v.Body, env)
+			el.signStmt(inst, v.Body, env)
+			return
 		}
 		el.report.recordLoop("for", v.Pos, trips)
-		return el.signStmt(inst, v.Body, env)
-	}
-	return nil
-}
-
-// forTripCount evaluates the trip count of a constant-bound procedural
-// for loop.
-func (el *elaborator) forTripCount(inst *Instance, v *hdl.For, env *Env) (int64, error) {
-	initA, ok := v.Init.(*hdl.Assign)
-	if !ok {
-		return 0, fmt.Errorf("for init is not an assignment")
-	}
-	stepA, ok := v.Step.(*hdl.Assign)
-	if !ok {
-		return 0, fmt.Errorf("for step is not an assignment")
-	}
-	ident, ok := initA.LHS.(*hdl.Ident)
-	if !ok {
-		return 0, fmt.Errorf("for loop variable is not a simple identifier")
-	}
-	val, err := Eval(initA.RHS, env)
-	if err != nil {
-		return 0, err
-	}
-	trips := int64(0)
-	iter := env.ChildVar("", ident.Name, val)
-	for {
-		iter.setVar(val)
-		c, err := Eval(v.Cond, iter)
-		if err != nil {
-			return 0, err
-		}
-		if c == 0 {
-			return trips, nil
-		}
-		trips++
-		if trips > maxLoopIterations {
-			return 0, fmt.Errorf("for loop exceeds %d iterations", maxLoopIterations)
-		}
-		next, err := Eval(stepA.RHS, iter)
-		if err != nil {
-			return 0, err
-		}
-		if next == val {
-			return 0, fmt.Errorf("for loop does not advance")
-		}
-		val = next
 	}
 }

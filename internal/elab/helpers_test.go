@@ -118,6 +118,44 @@ endmodule`}
 	}
 }
 
+// TestNestedForLoopsInSignature pins that the signature walk unrolls
+// procedural loops as synthesis does: an inner loop bounded by the
+// outer loop's variable is a constant loop, alive at the defaults, and
+// the scaling rule sees it collapse when the outer bound drops to 1.
+func TestNestedForLoopsInSignature(t *testing.T) {
+	d := design(t, map[string]string{"m.v": `
+module m #(parameter N = 4) (input [7:0] a, output reg [7:0] y);
+  integer i, j;
+  always @(*) begin
+    y = 0;
+    for (i = 0; i < N; i = i + 1)
+      for (j = 0; j < i; j = j + 1)
+        y = y ^ (a >> j);
+  end
+endmodule`})
+	_, ref, err := ElaborateOpts(d, "m", nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ref.String(); !strings.Contains(got, "for@m.v:7:7 alive=true\n") {
+		t.Fatalf("inner loop not signed as a live constant loop:\n%s", got)
+	}
+	_, one, err := ElaborateOpts(d, "m", map[string]int64{"N": 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := ref.CompatibleWith(one); ok {
+		t.Error("N=1 leaves the inner loop no trip; it must be incompatible")
+	}
+	_, two, err := ElaborateOpts(d, "m", map[string]int64{"N": 2}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := ref.CompatibleWith(two); !ok {
+		t.Errorf("N=2 keeps both loops alive: %s", reason)
+	}
+}
+
 func TestRangeValidationInsideAlways(t *testing.T) {
 	// Constant out-of-range accesses inside behavioral code are caught
 	// at elaboration (this drives the scaling rule's width pinning).

@@ -65,6 +65,25 @@ type Instance struct {
 	Children []*Child
 }
 
+// reuse empties inst to hold module m at path, keeping the storage of
+// its maps and slices (a report-only elaborator builds every module of
+// a probe on one instance). Slices are cleared before they are
+// truncated, so nothing past their length points anywhere.
+func (inst *Instance) reuse(m *hdl.Module, path string, params map[string]int64) {
+	inst.Module, inst.Path, inst.Params = m, path, params
+	if inst.Nets == nil {
+		inst.Nets = map[string]*Net{}
+	}
+	clear(inst.Nets)
+	clear(inst.Mems)
+	clear(inst.IntVars)
+	clear(inst.Genvars)
+	clear(inst.Assigns)
+	clear(inst.Alwayses)
+	clear(inst.Children)
+	inst.Assigns, inst.Alwayses, inst.Children = inst.Assigns[:0], inst.Alwayses[:0], inst.Children[:0]
+}
+
 // ResolveNet finds the net visible as name from scope env: the
 // innermost generate-scope prefix that declares it wins.
 func (inst *Instance) ResolveNet(name string, env *Env) (*Net, bool) {

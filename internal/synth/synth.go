@@ -442,7 +442,7 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 	case *hdl.Ident:
 		n, ok := inst.ResolveNet(v.Name, env)
 		if !ok {
-			return nil, fmt.Errorf("assignment to undeclared signal %q", v.Name)
+			return nil, undeclaredTarget(inst, env, v.Name)
 		}
 		return s.netBits(inst, n.Name), nil
 	case *hdl.Index:
@@ -452,7 +452,7 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 		}
 		n, ok := inst.ResolveNet(base.Name, env)
 		if !ok {
-			return nil, fmt.Errorf("assignment to undeclared signal %q", base.Name)
+			return nil, undeclaredTarget(inst, env, base.Name)
 		}
 		idx, err := elab.Eval(v.Idx, env)
 		if err != nil {
@@ -470,7 +470,7 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 		}
 		n, ok := inst.ResolveNet(base.Name, env)
 		if !ok {
-			return nil, fmt.Errorf("assignment to undeclared signal %q", base.Name)
+			return nil, undeclaredTarget(inst, env, base.Name)
 		}
 		msb, err := elab.Eval(v.MSB, env)
 		if err != nil {
@@ -498,6 +498,16 @@ func (s *synthesizer) lvalueSlots(inst *elab.Instance, env *elab.Env, e hdl.Expr
 		return slots, nil
 	}
 	return nil, fmt.Errorf("expression %s is not assignable", hdl.FormatExpr(e))
+}
+
+// undeclaredTarget is the error for a static assignment target that
+// names no net: a memory, whose elements only always blocks can write,
+// or nothing at all.
+func undeclaredTarget(inst *elab.Instance, env *elab.Env, name string) error {
+	if _, ok := inst.ResolveMem(name, env); ok {
+		return fmt.Errorf("%q is a memory: a memory element cannot be a port or continuous-assignment target", name)
+	}
+	return fmt.Errorf("assignment to undeclared signal %q", name)
 }
 
 // finalizeRAMs converts accumulated memory read/write sites into RAM

@@ -462,6 +462,37 @@ endmodule`})
 	}
 }
 
+// TestSynthMemoryElementTargetRejected pins the error for an output
+// port or continuous assignment that targets an element of a declared
+// wire array: it names the unsupported construct, not an undeclared
+// signal.
+func TestSynthMemoryElementTargetRejected(t *testing.T) {
+	for name, body := range map[string]string{
+		"port": `genvar i;
+  generate for (i = 0; i < N; i = i + 1) begin : g
+    cell c (.a(a), .b(b), .y(t[i]));
+  end endgenerate`,
+		"assign": `assign t[1] = a;`,
+	} {
+		d, err := hdl.ParseDesign(map[string]string{"t.v": `
+module cell (input [3:0] a, input [3:0] b, output [3:0] y);
+  assign y = a ^ b;
+endmodule
+module top #(parameter N = 2) (input [3:0] a, input [3:0] b, output [3:0] y);
+  wire [3:0] t [0:N-1];
+  ` + body + `
+  assign y = t[0];
+endmodule`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Synthesize(d, "top", nil)
+		if err == nil || !strings.Contains(err.Error(), `"t" is a memory`) || strings.Contains(err.Error(), "undeclared") {
+			t.Errorf("%s: error %v, want the memory-element target error", name, err)
+		}
+	}
+}
+
 func TestSynthMultipleDriversRejected(t *testing.T) {
 	d, err := hdl.ParseDesign(map[string]string{"t.v": `
 module md (input a, b, output y);
