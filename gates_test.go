@@ -67,8 +67,8 @@ func TestAllocBudgets(t *testing.T) {
 		allocs, bytes float64 // recorded per call
 		setup         func(t *testing.T) func()
 	}{
-		{"paper/figure6-cold", 38252, 7633920, figure6Cold},                   // 53553 allocs, 10687488 B
-		{"paper/accounting-searches", 20828, 1711744, accountingSearches},     // 29159 allocs, 2396442 B
+		{"paper/figure6-cold", 35280, 7563488, figure6Cold},                   // 49392 allocs, 10588883 B
+		{"paper/accounting-searches", 17860, 1641968, accountingSearches},     // 25004 allocs, 2298755 B
 		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
 		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
 		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B

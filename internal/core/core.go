@@ -278,9 +278,9 @@ type EstimatorAccuracy struct {
 // without the productivity adjustment, sorted by σε. The estimators
 // run on a pool of the given concurrency (0 = GOMAXPROCS, 1 = exact
 // sequential path); each estimator's mixed and fixed calibrations form
-// one work item over one assembled table, and when the outer pool is
-// parallel the inner multi-start pool is serialized so the machine is
-// not oversubscribed. Results are bit-identical for every value.
+// one work item over one assembled table, and each calibration runs
+// its multi-start fit sequentially inside that item. Results are
+// bit-identical for every value.
 func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]EstimatorAccuracy, error) {
 	type spec struct {
 		name    string
@@ -290,21 +290,17 @@ func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]Estimato
 	for _, m := range dataset.AllMetrics {
 		specs = append(specs, spec{string(m), []dataset.Metric{m}})
 	}
-	inner := concurrency
-	if parallel.Workers(concurrency) > 1 {
-		inner = 1
-	}
 	out, err := parallel.Map(concurrency, len(specs), func(i int) (EstimatorAccuracy, error) {
 		s := specs[i]
 		d, floor, err := assemble(comps, s.metrics)
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
-		mixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: true, Concurrency: inner})
+		mixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: true, Concurrency: 1})
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
-		fixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: false, Concurrency: inner})
+		fixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: false, Concurrency: 1})
 		if err != nil {
 			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s (ρ=1): %w", s.name, err)
 		}

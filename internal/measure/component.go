@@ -67,7 +67,7 @@ type ComponentResult struct {
 // deduplicate synthesis across components.
 func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
 	res, err := NewSession(design).measureAll(context.Background(),
-		[]Unit{{Top: top, UseAccounting: useAccounting}}, opts, opts.Concurrency, nil)
+		[]Unit{{Top: top, UseAccounting: useAccounting}}, opts, nil)
 	if err != nil {
 		return nil, err
 	}

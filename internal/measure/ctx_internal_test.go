@@ -44,7 +44,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ecache := elab.NewCache()
-	p := s.planUnit(ctx, u, opts, 1, ecache)
+	p := s.planUnit(ctx, u, opts, ecache)
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
@@ -52,7 +52,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 		t.Fatal("first plan did not own its flight")
 	}
 	// A second plan for the same signature waits on the first's flight.
-	waiter := s.planUnit(context.Background(), u, opts, 1, ecache)
+	waiter := s.planUnit(context.Background(), u, opts, ecache)
 	if waiter.owned != nil || waiter.flight != p.flight {
 		t.Fatal("second plan did not join the first plan's flight")
 	}
@@ -67,7 +67,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 
 	// The key must be gone from the table: a fresh plan owns a fresh
 	// flight and measures normally.
-	p2 := s.planUnit(context.Background(), u, opts, 1, ecache)
+	p2 := s.planUnit(context.Background(), u, opts, ecache)
 	if p2.err != nil {
 		t.Fatal(p2.err)
 	}
@@ -96,11 +96,11 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	defer putWorkspace(ws)
 
 	ecache := elab.NewCache()
-	owner := s.planUnit(context.Background(), u, opts, 1, ecache)
+	owner := s.planUnit(context.Background(), u, opts, ecache)
 	if owner.owned == nil {
 		t.Fatal("first plan did not own its flight")
 	}
-	waiter := s.planUnit(context.Background(), u, opts, 1, ecache)
+	waiter := s.planUnit(context.Background(), u, opts, ecache)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -88,15 +88,12 @@ func TestMinimizeParamsCorpusMatchesUncachedReference(t *testing.T) {
 			t.Fatalf("%s: %v", c.Label(), err)
 		}
 		want := referenceMinimize(t, d, c.Top)
-		for _, workers := range []int{1, 8} {
-			got, err := MinimizeParamsN(d, c.Top, workers)
-			if err != nil {
-				t.Fatalf("%s (workers=%d): %v", c.Label(), workers, err)
-			}
-			if !maps.Equal(got, want) {
-				t.Errorf("%s (workers=%d): minimized %v, uncached reference %v",
-					c.Label(), workers, got, want)
-			}
+		got, err := MinimizeParamsN(d, c.Top, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Label(), err)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: minimized %v, uncached reference %v", c.Label(), got, want)
 		}
 
 		// Downstream pin: the reference measurement's optimized netlist

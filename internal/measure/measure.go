@@ -40,25 +40,6 @@ type Metrics struct {
 	PowerS       float64 // µW
 }
 
-// Add accumulates other into m. Freq aggregates as the minimum
-// non-zero frequency (the slowest sub-block limits the clock).
-func (m *Metrics) Add(other *Metrics) {
-	m.Stmts += other.Stmts
-	m.LoC += other.LoC
-	m.FanInLC += other.FanInLC
-	m.FanInLCExact += other.FanInLCExact
-	m.Nets += other.Nets
-	m.Cells += other.Cells
-	m.FFs += other.FFs
-	m.AreaL += other.AreaL
-	m.AreaS += other.AreaS
-	m.PowerD += other.PowerD
-	m.PowerS += other.PowerS
-	if other.FreqMHz > 0 && (m.FreqMHz == 0 || other.FreqMHz < m.FreqMHz) {
-		m.FreqMHz = other.FreqMHz
-	}
-}
-
 // Value returns the metric by its Table 3 name.
 func (m *Metrics) Value(metric dataset.Metric) (float64, error) {
 	switch metric {
@@ -105,12 +86,10 @@ func (m *Metrics) MetricMap() map[dataset.Metric]float64 {
 // fixed: ASIC metrics come from stdcell.Default180nm() and FPGA
 // metrics from fpga.MapWS with its default 8-input LUTs (§4.3).
 type Options struct {
-	// Concurrency bounds the worker pool of any parallelizable step in
-	// the measurement (a batch's component groups; the accounting
-	// procedure's candidate probes, which a batch serializes while its
-	// group pool is parallel and MeasureComponent does not): 0 means
-	// GOMAXPROCS, 1 forces the exact sequential path. Measured metrics
-	// are identical for every value.
+	// Concurrency bounds the worker pool over a batch's component
+	// groups (each group, accounting search included, runs on one
+	// worker): 0 means GOMAXPROCS, 1 forces the exact sequential path.
+	// Measured metrics are identical for every value.
 	Concurrency int
 	// Cache, when non-nil, stores measurement results on disk keyed by
 	// the design fingerprint, parameter signature, and measurement

@@ -66,15 +66,3 @@ func TestMeasureComponentProducesAllMetrics(t *testing.T) {
 		t.Error("measuring an unknown module: expected error")
 	}
 }
-
-func TestAddAggregates(t *testing.T) {
-	a := &Metrics{Stmts: 1, Cells: 10, FreqMHz: 100, AreaL: 5}
-	b := &Metrics{Stmts: 2, Cells: 20, FreqMHz: 80, AreaL: 7}
-	a.Add(b)
-	if a.Stmts != 3 || a.Cells != 30 || a.AreaL != 12 {
-		t.Errorf("Add result %+v", a)
-	}
-	if a.FreqMHz != 80 {
-		t.Errorf("Freq must aggregate as min: %v", a.FreqMHz)
-	}
-}

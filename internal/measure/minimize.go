@@ -28,19 +28,16 @@ package measure
 // resolved parameter binding was already elaborated and walks only
 // what the candidate's changed parameter actually reaches; full
 // instance trees are built once, for the point the search ends on,
-// reusing the reference elaboration's unchanged subtrees. Candidate
-// probes run on a bounded worker pool; the search visits candidates
-// lowest-first in batches, so the minimized parameters are identical
-// for every worker count.
+// reusing the reference elaboration's unchanged subtrees. One search
+// runs on one goroutine, probing candidates lowest-first; batches get
+// their parallelism across components, not inside a search.
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/elab"
 	"repro/internal/hdl"
-	"repro/internal/parallel"
 )
 
 // elabMemo caches the point verdicts of one (design, module) pair
@@ -50,14 +47,14 @@ import (
 // run in report-only mode against a session-scoped subtree cache
 // (sess), which also lets the final measurement's full elaboration
 // reuse every subtree the winning parameters left unchanged from the
-// reference.
+// reference. A memo belongs to one search and is never shared between
+// goroutines.
 type elabMemo struct {
 	design *hdl.Design
 	module string
 	ref    *elab.Report
 	sess   *elab.Cache
 
-	mu      sync.Mutex
 	verdict map[string]bool
 	hits    int
 	misses  int
@@ -73,14 +70,11 @@ type elabMemo struct {
 // changed parameter actually reaches.
 func (m *elabMemo) compatible(cand map[string]int64) bool {
 	sig := elab.ParamSignature(m.module, cand)
-	m.mu.Lock()
 	if v, ok := m.verdict[sig]; ok {
 		m.hits++
-		m.mu.Unlock()
 		return v
 	}
 	m.misses++
-	m.mu.Unlock()
 
 	_, rep, err := elab.ElaborateOpts(m.design, m.module, cand, elab.Options{
 		Cache:      m.sess,
@@ -90,23 +84,8 @@ func (m *elabMemo) compatible(cand map[string]int64) bool {
 	if err == nil {
 		ok, _ = m.ref.CompatibleWith(rep)
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v, seen := m.verdict[sig]; seen {
-		// A concurrent probe of the same point won the race; both
-		// computed the same deterministic verdict.
-		return v
-	}
 	m.verdict[sig] = ok
 	return ok
-}
-
-// counters returns the memo's hit/miss tallies.
-func (m *elabMemo) counters() (hits, misses int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
 }
 
 // MinimizeParamsN returns, for each header parameter of the module,
@@ -117,12 +96,13 @@ func (m *elabMemo) counters() (hits, misses int) {
 //
 // The search lowers one parameter at a time, holding the others at
 // their current values, and repeats until a fixpoint (parameters may
-// interact through derived expressions). Candidate probes run on a
-// bounded pool (0 = GOMAXPROCS, 1 = exact sequential path); the search
-// visits candidates lowest-first in batches, so the result is
-// identical for every worker count.
+// interact through derived expressions), trying candidates
+// lowest-first on the calling goroutine.
+//
+// concurrency is ignored: the search is sequential. The argument stays
+// only so existing callers keep compiling.
 func MinimizeParamsN(design *hdl.Design, module string, concurrency int) (map[string]int64, error) {
-	params, _, err := minimizeParams(design, module, concurrency, nil)
+	params, _, err := minimizeParams(design, module, nil)
 	return params, err
 }
 
@@ -134,7 +114,7 @@ func MinimizeParamsN(design *hdl.Design, module string, concurrency int) (map[st
 // fragments and trees are themselves bit-identical to uncached
 // elaboration (the internal/elab invariant), so every compatibility
 // verdict — and therefore the search's landing point — is unchanged.
-func minimizeParams(design *hdl.Design, module string, concurrency int, sess *elab.Cache) (map[string]int64, *elabMemo, error) {
+func minimizeParams(design *hdl.Design, module string, sess *elab.Cache) (map[string]int64, *elabMemo, error) {
 	mod, err := design.Module(module)
 	if err != nil {
 		return nil, nil, err
@@ -177,23 +157,19 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 	for round := 0; round < 5; round++ {
 		changed := false
 		for _, name := range names {
-			// The search keeps the lowest compatible candidate, exactly
-			// like a sequential first-fit scan.
-			below := candidateValues(current[name])
-			idx, err := parallel.FirstMatch(concurrency, len(below), func(i int) (bool, error) {
+			// Lowest-first: the first compatible candidate is the
+			// smallest one.
+			for _, v := range candidateValues(current[name]) {
 				cand := make(map[string]int64, len(current))
 				for k, cv := range current {
 					cand[k] = cv
 				}
-				cand[name] = below[i]
-				return memo.compatible(cand), nil
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			if idx >= 0 {
-				current[name] = below[idx]
-				changed = true
+				cand[name] = v
+				if memo.compatible(cand) {
+					current[name] = v
+					changed = true
+					break
+				}
 			}
 		}
 		if !changed {

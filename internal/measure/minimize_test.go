@@ -30,14 +30,14 @@ endmodule`
 
 func TestMinimizeParamsMemoizesRepeatedPoints(t *testing.T) {
 	d := design(t, memoDesign)
-	params, memo, err := minimizeParams(d, "m", 1, nil)
+	params, memo, err := minimizeParams(d, "m", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if params["N"] != 2 {
 		t.Errorf("N = %d, want 2", params["N"])
 	}
-	hits, misses := memo.counters()
+	hits, misses := memo.hits, memo.misses
 	if hits == 0 {
 		t.Errorf("search elaborated every candidate from scratch (hits=0, misses=%d); the fixpoint rounds must hit the memo", misses)
 	}
@@ -69,13 +69,13 @@ func TestMinimizeParamsMemoizesRepeatedPoints(t *testing.T) {
 // even when the cache is already warm from another module's search.
 func TestMinimizeParamsSharedSessionCache(t *testing.T) {
 	d := design(t, memoDesign)
-	want, _, err := minimizeParams(d, "m", 1, nil)
+	want, _, err := minimizeParams(d, "m", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := elab.NewCache()
 	for range 2 { // second pass runs against a fully warm cache
-		got, _, err := minimizeParams(d, "m", 1, shared)
+		got, _, err := minimizeParams(d, "m", shared)
 		if err != nil {
 			t.Fatal(err)
 		}

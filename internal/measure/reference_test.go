@@ -29,7 +29,7 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 	var inst *elab.Instance
 	var report *elab.Report
 	if useAccounting {
-		params, memo, err := minimizeParams(design, top, opts.Concurrency, nil)
+		params, memo, err := minimizeParams(design, top, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -38,7 +38,7 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 		if err != nil {
 			return nil, err
 		}
-		res.ElabCacheHits, res.ElabCacheMisses = memo.counters()
+		res.ElabCacheHits, res.ElabCacheMisses = memo.hits, memo.misses
 	} else {
 		inst, report, err = elab.ElaborateOpts(design, top, nil, elab.Options{})
 		if err != nil {

@@ -165,7 +165,7 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 		if sameOpts && (opts.Cache == nil || !opts.Cache.Verifying()) {
 			cut = newCutoff(prev, dirtyUnits)
 		}
-		fresh, err := s.measureAll(ctx, dirtyUnits, opts, searchConcurrency(opts.Concurrency), cut)
+		fresh, err := s.measureAll(ctx, dirtyUnits, opts, cut)
 		if err != nil {
 			return nil, nil, stats, err
 		}

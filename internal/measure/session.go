@@ -148,9 +148,6 @@ func NewSession(design *hdl.Design) *Session {
 	return &Session{design: design}
 }
 
-// Design returns the design the session measures.
-func (s *Session) Design() *hdl.Design { return s.design }
-
 // Stats returns a snapshot of the session's sharing counters.
 func (s *Session) Stats() SessionStats {
 	return SessionStats{
@@ -223,15 +220,14 @@ func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, er
 // it, but can never poison the session (the ctx tests pin a post-cancel
 // MeasureAll bit-identical to a fresh session's).
 func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options) ([]*ComponentResult, error) {
-	return s.measureAll(ctx, units, opts, searchConcurrency(opts.Concurrency), nil)
+	return s.measureAll(ctx, units, opts, nil)
 }
 
-// measureAll is MeasureAllCtx with the minimization search's inner
-// pool size given by the entry point and, for a remeasurement, the
+// measureAll is MeasureAllCtx with, for a remeasurement, the
 // early-cutoff table (nil everywhere else).
-func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, inner int, cut *cutoff) ([]*ComponentResult, error) {
+func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, cut *cutoff) ([]*ComponentResult, error) {
 	results := make([]*ComponentResult, len(units))
-	err := s.measureGroups(ctx, units, opts, inner, cut, func(i int, res *ComponentResult) error {
+	err := s.measureGroups(ctx, units, opts, cut, func(i int, res *ComponentResult) error {
 		results[i] = res
 		return nil
 	})
@@ -259,19 +255,7 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 // cancellation contract: unit-granular checks, abandoned flights
 // resolved with the context error and evicted.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
-	return s.measureGroups(ctx, units, opts, searchConcurrency(opts.Concurrency), nil, yield)
-}
-
-// searchConcurrency is a batch's minimization-search pool size: when
-// the group pool is parallel the search's inner candidate pool is
-// serialized so the machine is not oversubscribed. MeasureComponent,
-// whose one-unit batch has no sibling group, bypasses it and searches
-// with the full pool.
-func searchConcurrency(concurrency int) int {
-	if parallel.Workers(concurrency) > 1 {
-		return 1
-	}
-	return concurrency
+	return s.measureGroups(ctx, units, opts, nil, yield)
 }
 
 // measureGroups is the one batch loop behind MeasureAllCtx and
@@ -296,7 +280,7 @@ func searchConcurrency(concurrency int) int {
 // The group's flights stay in the table for later calls on the session.
 // cut, when non-nil, is a remeasurement's early-cutoff table; it counts
 // the units whose flight it answered.
-func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, inner int, cut *cutoff, yield func(i int, res *ComponentResult) error) error {
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, cut *cutoff, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	var tops []string
 	groups := map[string][]int{}
@@ -324,7 +308,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 		plans := make([]*plan, len(idx))
 		var owned []*plan
 		for j, i := range idx {
-			p := s.planUnit(ctx, units[i], opts, inner, ecache)
+			p := s.planUnit(ctx, units[i], opts, ecache)
 			plans[j] = p
 			if p.searched {
 				hits.Add(int64(p.hits))
@@ -372,7 +356,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 // shared table. A context already canceled at entry yields an error
 // plan without registering a flight (so cancellation never strands a
 // waiter).
-func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int, ecache *elab.Cache) *plan {
+func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *elab.Cache) *plan {
 	if err := ctx.Err(); err != nil {
 		return &plan{err: fmt.Errorf("measure: plan %s: %w", u.Top, err)}
 	}
@@ -393,7 +377,7 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 
 	p := &plan{top: u.Top, compKey: compKey}
 	if u.UseAccounting {
-		sr, searched, err := s.minimized(u.Top, inner, ecache)
+		sr, searched, err := s.minimized(u.Top, ecache)
 		if err != nil {
 			return &plan{err: err}
 		}
@@ -475,16 +459,15 @@ type searchResult struct {
 // holds. Failed searches are not stored, so their error recurs. Two
 // racing first calls both search; the first store wins, and both
 // computed the same value.
-func (s *Session) minimized(top string, inner int, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
 	if v, ok := s.minMemo.Load(top); ok {
 		return v.(*searchResult), false, nil
 	}
-	params, memo, err := minimizeParams(s.design, top, inner, ecache)
+	params, memo, err := minimizeParams(s.design, top, ecache)
 	if err != nil {
 		return nil, true, err
 	}
-	sr = &searchResult{params: params}
-	sr.hits, sr.misses = memo.counters()
+	sr = &searchResult{params: params, hits: memo.hits, misses: memo.misses}
 	s.minMemo.LoadOrStore(top, sr)
 	return sr, true, nil
 }

@@ -58,7 +58,6 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner := o.inner(parallel.Workers(concurrency) > 1)
 	rows := make([]row, len(comps))
 	for i, c := range comps {
 		// Timing is summarized on the accounting-scaled synthesis.
@@ -86,7 +85,7 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 			d.Efforts = append(d.Efforts, r.effort)
 			d.Metrics = append(d.Metrics, vals)
 		}
-		res, err := nlme.Fit(d, nlme.FitOptions{Concurrency: inner})
+		res, err := nlme.Fit(d, nlme.FitOptions{Concurrency: 1})
 		if err != nil {
 			return 0, fmt.Errorf("paper: timing estimator %s: %w", name, err)
 		}

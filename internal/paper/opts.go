@@ -35,16 +35,6 @@ type Opts struct {
 	Session *measure.Session
 }
 
-// inner is the concurrency of a pool nested in an outer one: 1 when
-// the outer pool is parallel, so the machine is subscribed once, and
-// Opts.Concurrency otherwise.
-func (o Opts) inner(outerParallel bool) int {
-	if outerParallel {
-		return 1
-	}
-	return o.Concurrency
-}
-
 // session returns the shared measurement session, creating one over
 // the full corpus design when the caller did not supply one.
 func (o Opts) session() (*measure.Session, error) {
@@ -55,7 +45,7 @@ func (o Opts) session() (*measure.Session, error) {
 }
 
 // measureOptions lowers Opts to the batch measurement options of a
-// Session (which handles inner-pool serialization itself).
+// Session.
 func (o Opts) measureOptions() measure.Options {
 	return measure.Options{Concurrency: o.Concurrency, Cache: o.Cache, ElabStats: o.ElabStats}
 }

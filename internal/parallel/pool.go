@@ -4,8 +4,7 @@
 //
 // Every fan-out in the measure→fit pipeline (multi-start optimizer
 // restarts, per-estimator calibrations, per-component corpus
-// measurements, parameter-minimization probes) goes through this
-// package instead of spawning one goroutine per item. The pool is
+// measurements) goes through this package instead of spawning one goroutine per item. The pool is
 // bounded by a Concurrency knob with two fixed points:
 //
 //   - 0 (or negative) means runtime.GOMAXPROCS(0) workers — use the
@@ -190,39 +189,4 @@ func (l *Local[T]) All() []T {
 // semantics: Group(w, a, b, c) is ForEach over the three closures.
 func Group(workers int, fns ...func() error) error {
 	return ForEach(workers, len(fns), func(i int) error { return fns[i]() })
-}
-
-// FirstMatch finds the lowest index i in [0, n) for which pred(i)
-// reports true, evaluating candidates in batches of Workers(workers)
-// so that the scan can stop as soon as a batch contains a match. It
-// returns -1 if no index matches. The result is identical to a
-// sequential lowest-first scan; the only difference is that up to one
-// batch of extra candidates past the match may be evaluated.
-//
-// It is the parallel analogue of "try candidates in ascending order,
-// keep the first that fits" — the accounting procedure's parameter
-// search (Section 2.2 of the paper) is its main client.
-func FirstMatch(workers, n int, pred func(i int) (bool, error)) (int, error) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	for lo := 0; lo < n; lo += w {
-		hi := lo + w
-		if hi > n {
-			hi = n
-		}
-		batch, err := Map(workers, hi-lo, func(i int) (bool, error) {
-			return pred(lo + i)
-		})
-		if err != nil {
-			return -1, err
-		}
-		for i, ok := range batch {
-			if ok {
-				return lo + i, nil
-			}
-		}
-	}
-	return -1, nil
 }

@@ -139,55 +139,6 @@ func TestGroup(t *testing.T) {
 	}
 }
 
-func TestFirstMatch(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 0} {
-		var evals atomic.Int64
-		idx, err := FirstMatch(workers, 100, func(i int) (bool, error) {
-			evals.Add(1)
-			return i == 57 || i == 91, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if idx != 57 {
-			t.Errorf("workers=%d: idx = %d, want 57", workers, idx)
-		}
-		// The scan may finish the batch containing the match but must
-		// not probe past it.
-		w := Workers(workers)
-		limit := int64((57/w + 1) * w)
-		if e := evals.Load(); e > limit {
-			t.Errorf("workers=%d: %d evaluations, want <= %d", workers, e, limit)
-		}
-	}
-}
-
-func TestFirstMatchNoMatch(t *testing.T) {
-	idx, err := FirstMatch(4, 10, func(i int) (bool, error) { return false, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != -1 {
-		t.Errorf("idx = %d, want -1", idx)
-	}
-}
-
-func TestFirstMatchError(t *testing.T) {
-	boom := errors.New("boom")
-	idx, err := FirstMatch(4, 10, func(i int) (bool, error) {
-		if i == 2 {
-			return false, boom
-		}
-		return false, nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if idx != -1 {
-		t.Errorf("idx = %d, want -1", idx)
-	}
-}
-
 func TestForEachEmpty(t *testing.T) {
 	if err := ForEach(4, 0, func(i int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
