@@ -1,25 +1,37 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// exportAllowlist names exported identifiers of internal/ that no
-// program calls but that stay on purpose, each with its reason. A
-// method is written pkg.Type.Method; methods are outside the check, so
-// such an entry only records the decision for the day they are not.
+// exportAllowlist names exported identifiers of internal/ that the gate
+// reports but that stay on purpose, each with its reason. Keys are
+// pkg.Name for package-level names, pkg.Type.Method for methods and
+// pkg.Type.Field for struct fields.
 var exportAllowlist = map[string]string{
 	"core.EvaluatePairs":                  "reproduces the paper's §5.1.1 two-metric search (EXPERIMENTS.md); its tests are the reproduction",
+	"core.PairAccuracy.Name":              "part of core.EvaluatePairs' result, the §5.1.1 reproduction above",
 	"core.Calibration.UpdateProductivity": "reproduces the paper's §3.1.1 productivity updating (EXPERIMENTS.md); its tests are the reproduction",
+	"synth.LowerOptions.DisableTemplates": "the reference lowering path that the template golden tests compare against",
+	"serve.Config.OnAdmitted":             "a test seam: tests block admitted requests on it to observe the admission queue",
+	"fpga.Options.K":                      "the only field of fpga.Options, which bench/replay.go passes to fpga.MapWS; the struct goes when bench/ stops calling MapWS (ROADMAP)",
+	"measure.ComponentResult.Synth":       "bench/edit.go reads it for measure.neutral_dirty_share; goes when bench/ switches to NetlistHash (ROADMAP)",
 }
 
 // exportExemptPackages are internal/ packages whose exported names
@@ -28,201 +40,305 @@ var exportExemptPackages = map[string]string{
 	"repro/internal/serve/servetest": "test-helper package: its exports are meant for _test.go callers",
 }
 
-// exportScanRoots are the directories scanned for references: the root
-// module (which holds internal/, cmd/ and examples/) and the bench/
-// module, which calls the library through its own main package.
-var exportScanRoots = []struct{ dir, module string }{
-	{".", "repro"},
-	{"bench", "repro/bench"},
+// exportExemptMethods are method names the gate never reports: callers
+// reach them through fmt and errors, not through a call in the code.
+var exportExemptMethods = map[string]bool{"Error": true, "String": true, "Unwrap": true}
+
+// TestNoUnusedExports keeps the exported surface of internal/ minimal.
+// It type-checks the non-test files of the root module and of bench/
+// (a module of its own that calls the library) and checks three things:
+//
+//  1. every package-level exported name of internal/ is used by some
+//     non-test code: a program, an example, bench/, or its own package;
+//  2. every exported method has a non-test use (a call, a method value
+//     or a method expression), Error, String and Unwrap excepted;
+//  3. every exported struct field is set by some non-test code.
+//
+// A name only tests reach is dead production API: unexport it, move it
+// into a _test.go file, or delete it. An option field no program sets
+// is a knob with one value: delete it and keep its zero-value rule.
+func TestNoUnusedExports(t *testing.T) {
+	found, err := unusedExports([]string{".", "bench"}, exportExemptPackages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range gateErrors(found, exportAllowlist) {
+		t.Error(e)
+	}
 }
 
-// TestNoUnusedExports keeps the exported surface of internal/ minimal:
-// every package-level exported name (func, type, var, const; methods
-// and fields are not covered) must be referenced from at least one
-// non-test file — a program, an example, bench/, or the non-test code
-// of its own package. A name only tests reach is dead production API:
-// unexport it, move it into a _test.go file, or delete it. The check
-// is syntactic (go/parser, no type checking): a selector pkg.Name
-// counts when pkg resolves through the file's imports, and a bare Name
-// counts inside its own package.
-func TestNoUnusedExports(t *testing.T) {
+// TestNoUnusedExportsPlanted runs the gate over the fixture module in
+// testdata/minimality, which plants one case of each rule: an unused
+// package-level name, a method only a test calls and a field only read
+// must be reported; a method value, a method expression and fields set
+// by ++, &, a nested write, an element write and an unkeyed literal
+// must not. Two stale allowlist entries, one for a used name and one
+// for a name that does not exist, must each fail the gate.
+func TestNoUnusedExportsPlanted(t *testing.T) {
+	found, err := unusedExports([]string{filepath.Join("testdata", "minimality")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for short := range found {
+		got = append(got, short)
+	}
+	sort.Strings(got)
+	if want := []string{"a.Dead", "a.Opts.R", "a.T.Unused"}; !slices.Equal(got, want) {
+		t.Errorf("findings = %v, want %v", got, want)
+	}
+	errs := gateErrors(found, map[string]string{"a.Dead": "kept", "a.Live": "stale: used", "a.Gone": "stale: missing"})
+	wantErrs := []string{"allowlisted a.Gone", "allowlisted a.Live", "a.Opts.R is an exported field", "a.T.Unused is exported"}
+	if len(errs) != len(wantErrs) {
+		t.Fatalf("gate errors = %q, want one for each of %q", errs, wantErrs)
+	}
+	for _, w := range wantErrs {
+		if !slices.ContainsFunc(errs, func(e string) bool { return strings.Contains(e, w) }) {
+			t.Errorf("no gate error names %q: %q", w, errs)
+		}
+	}
+}
+
+// gateErrors turns findings into test failures, minus the allowlist.
+// An allowlist entry that matches no finding is stale: the name is now
+// used, or no longer exists.
+func gateErrors(found map[string]string, allow map[string]string) []string {
+	var errs []string
+	for short, msg := range found {
+		if allow[short] == "" {
+			errs = append(errs, msg+": unexport it, move it into a _test.go file, or delete it")
+		}
+	}
+	for short := range allow {
+		if _, ok := found[short]; !ok {
+			errs = append(errs, fmt.Sprintf("allowlisted %s is used or no longer exists: drop it from the allowlist", short))
+		}
+	}
+	sort.Strings(errs)
+	return errs
+}
+
+// listedPackage is the part of `go list -json` the gate reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Module     *struct {
+		Path string
+		Main bool
+	}
+}
+
+// listModule lists the packages of the module in dir and all their
+// dependencies, with the path of each one's compiled export data. The
+// environment pins the module to local sources: no proxy, no workspace
+// and no inherited flags, so the listing can never reach the network.
+func listModule(dir string) ([]listedPackage, error) {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Module", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOWORK=off", "GOFLAGS=")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// objKey names a declared object across type-checker universes. A
+// package checked from source and the same package read from another
+// package's export data yield distinct objects for one declaration, so
+// the key is where it is declared, not the object pointer. Instantiated
+// generic methods and fields share their origin's position too.
+type objKey struct {
+	pkg, file string
+	line      int
+	name      string
+}
+
+func keyOf(fset *token.FileSet, obj types.Object) objKey {
+	p := fset.Position(obj.Pos())
+	return objKey{obj.Pkg().Path(), filepath.Base(p.Filename), p.Line, obj.Name()}
+}
+
+// exportDecl is one exported name under check.
+type exportDecl struct {
+	short string // pkg.Name, pkg.Type.Method or pkg.Type.Field
+	key   objKey
+	pos   token.Position
+	field bool // a struct field: checked for a set, not a use
+}
+
+// unusedExports type-checks the non-test files of every package of the
+// modules in dirs, importing each dependency from its export data, and
+// reports the exported names of the first module's internal/ packages
+// that fail a check: package-level names and methods without a non-test
+// use, and struct fields that no non-test code sets. Findings map each
+// name to its message.
+func unusedExports(dirs []string, exempt map[string]string) (map[string]string, error) {
 	fset := token.NewFileSet()
-	type file struct {
-		pkgPath string
-		test    bool
-		ast     *ast.File
-	}
-	var files []file
-	for _, root := range exportScanRoots {
-		err := filepath.WalkDir(root.dir, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				name := d.Name()
-				// bench/ is a module of its own, scanned as its own root.
-				if p != root.dir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-					(root.dir == "." && p == "bench")) {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(p, ".go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(root.dir, filepath.Dir(p))
-			if err != nil {
-				return err
-			}
-			pkgPath := root.module
-			if rel != "." {
-				pkgPath = path.Join(root.module, filepath.ToSlash(rel))
-			}
-			files = append(files, file{pkgPath: pkgPath, test: strings.HasSuffix(p, "_test.go"), ast: f})
-			return nil
-		})
+	used := map[objKey]bool{}
+	set := map[objKey]bool{}
+	var decls []exportDecl
+	for i, dir := range dirs {
+		pkgs, err := listModule(dir)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-	}
-
-	// Declarations: package-level exported names of non-test files in
-	// internal/, keyed "importpath.Name". The declaring identifiers
-	// themselves are not references.
-	type decl struct {
-		pkgName string
-		pos     token.Position
-	}
-	decls := map[string]decl{}
-	methods := map[string]bool{} // "pkg.Type.Method", for the allowlist check
-	declIdents := map[*ast.Ident]bool{}
-	pkgNames := map[string]string{} // import path -> package name
-	for _, f := range files {
-		if f.test {
-			continue
+		exports := map[string]string{}
+		for _, p := range pkgs {
+			exports[p.ImportPath] = p.Export
 		}
-		pkgNames[f.pkgPath] = f.ast.Name.Name
-		if !strings.HasPrefix(f.pkgPath, "repro/internal/") {
-			continue
-		}
-		add := func(id *ast.Ident) {
-			declIdents[id] = true
-			if id.IsExported() {
-				decls[f.pkgPath+"."+id.Name] = decl{pkgName: f.ast.Name.Name, pos: fset.Position(id.Pos())}
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if exports[path] == "" {
+				return nil, fmt.Errorf("no export data for %s", path)
 			}
-		}
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name)
-					continue
-				}
-				declIdents[d.Name] = true
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if generic, ok := recv.(*ast.IndexExpr); ok {
-					recv = generic.X
-				}
-				if r, ok := recv.(*ast.Ident); ok {
-					methods[f.ast.Name.Name+"."+r.Name+"."+d.Name.Name] = true
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// References from non-test files. A selector X.Name counts when X
-	// names an import of the file; a bare identifier counts in its own
-	// package unless it is a declaration, a selector's field or method
-	// name, or a field or parameter name.
-	used := map[string]bool{}
-	for _, f := range files {
-		if f.test {
-			continue
-		}
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.ast.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := path.Base(p)
-			if n, ok := pkgNames[p]; ok {
-				name = n
-			}
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = p
-		}
-		skip := map[*ast.Ident]bool{}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
-						used[p+"."+n.Sel.Name] = true
-					}
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.Ident:
-				if !skip[n] && !declIdents[n] {
-					used[f.pkgPath+"."+n.Name] = true
-				}
-			}
-			return true
+			return os.Open(exports[path])
 		})
+		for _, p := range pkgs {
+			if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, err
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+			if err != nil {
+				return nil, err
+			}
+			for _, obj := range info.Uses {
+				if obj.Pkg() != nil {
+					used[keyOf(fset, obj)] = true
+				}
+			}
+			for _, f := range files {
+				markSets(fset, info, f, set)
+			}
+			if i == 0 && strings.HasPrefix(p.ImportPath, p.Module.Path+"/internal/") && exempt[p.ImportPath] == "" {
+				decls = append(decls, exportedDecls(fset, pkg)...)
+			}
+		}
 	}
+	found := map[string]string{}
+	for _, d := range decls {
+		switch {
+		case d.field && !set[d.key]:
+			found[d.short] = fmt.Sprintf("%s: %s is an exported field that no non-test code sets", d.pos, d.short)
+		case !d.field && !used[d.key]:
+			found[d.short] = fmt.Sprintf("%s: %s is exported but used only from tests (or not at all)", d.pos, d.short)
+		}
+	}
+	return found, nil
+}
 
-	var unused []string
-	for key, d := range decls {
-		pkgPath := key[:strings.LastIndex(key, ".")]
-		short := d.pkgName + key[len(pkgPath):]
-		if used[key] || exportAllowlist[short] != "" || exportExemptPackages[pkgPath] != "" {
+// exportedDecls lists pkg's exported package-level names, the exported
+// methods of its named types and the exported fields of its struct
+// types.
+func exportedDecls(fset *token.FileSet, pkg *types.Package) []exportDecl {
+	var decls []exportDecl
+	add := func(short string, obj types.Object, field bool) {
+		decls = append(decls, exportDecl{short, keyOf(fset, obj), fset.Position(obj.Pos()), field})
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if obj.Exported() {
+			add(pkg.Name()+"."+name, obj, false)
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
 			continue
 		}
-		unused = append(unused, d.pos.String()+": "+short)
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s is exported but referenced only from tests (or not at all): unexport, move into a _test.go file, or delete it", u)
-	}
-
-	// Every allowlist entry must still name a declared, otherwise unused
-	// export, so the list cannot go stale.
-	for short := range exportAllowlist {
-		found := methods[short]
-		for key, d := range decls {
-			if d.pkgName+key[strings.LastIndex(key, "."):] == short {
-				found = true
-				if used[key] {
-					t.Errorf("allowlisted %s now has a non-test caller: drop it from exportAllowlist", short)
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Exported() && !exportExemptMethods[m.Name()] {
+				add(pkg.Name()+"."+name+"."+m.Name(), m, false)
+			}
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					add(pkg.Name()+"."+name+"."+f.Name(), f, true)
 				}
 			}
 		}
-		if !found {
-			t.Errorf("allowlisted %s is not an exported name of internal/: drop it from exportAllowlist", short)
+	}
+	return decls
+}
+
+// markSets records in set every struct field that f writes: the keys of
+// a keyed composite literal, every field of an unkeyed one, and the
+// fields on the left of =, op=, ++ and -- or under &. A write to x.F[i]
+// or x.F.G writes F as well.
+func markSets(fset *token.FileSet, info *types.Info, f *ast.File, set map[objKey]bool) {
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					set[keyOf(fset, sel.Obj())] = true
+				}
+				e = x.X
+			default:
+				return
+			}
 		}
 	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok || len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				for i := 0; i < st.NumFields(); i++ {
+					set[keyOf(fset, st.Field(i))] = true
+				}
+				break
+			}
+			for _, elt := range n.Elts {
+				if obj := info.Uses[elt.(*ast.KeyValueExpr).Key.(*ast.Ident)]; obj != nil {
+					set[keyOf(fset, obj)] = true
+				}
+			}
+		}
+		return true
+	})
 }

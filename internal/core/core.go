@@ -42,17 +42,6 @@ type Measurement struct {
 	Accounting *measure.ComponentResult
 }
 
-// Component converts the measurement into a database row with the
-// given reported effort (person-months).
-func (m *Measurement) Component(effort float64) dataset.Component {
-	return dataset.Component{
-		Project: m.Project,
-		Name:    m.Name,
-		Effort:  effort,
-		Metrics: m.Metrics.MetricMap(),
-	}
-}
-
 // MeasureComponent measures one component of a µHDL design using the
 // full µComplexity accounting procedure (Section 2.2). Set
 // useAccounting to false only for methodological comparisons like

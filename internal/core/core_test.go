@@ -188,12 +188,11 @@ endmodule`})
 	if meas.Accounting.DedupedInstances != 1 {
 		t.Errorf("deduped = %d, want 1 (second ALU)", meas.Accounting.DedupedInstances)
 	}
-	comp := meas.Component(3.5)
-	if comp.Effort != 3.5 || comp.Project != "demo" || comp.Name != "dp" {
-		t.Errorf("component = %+v", comp)
+	if meas.Project != "demo" || meas.Name != "dp" {
+		t.Errorf("measurement = %s/%s, want demo/dp", meas.Project, meas.Name)
 	}
-	if len(comp.Metrics) != len(dataset.AllMetrics) {
-		t.Errorf("component metrics incomplete: %v", comp.Metrics)
+	if m := meas.Metrics.MetricMap(); len(m) != len(dataset.AllMetrics) {
+		t.Errorf("metrics incomplete: %v", m)
 	}
 
 }

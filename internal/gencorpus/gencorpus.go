@@ -18,11 +18,10 @@
 // building-block library (gen_lib.v) plus a per-group lane module so
 // that components share submodule subtrees — the dedup rule, the
 // template-stamped lowering, and the subtree caching layers all get
-// exercised at scale. Sharing is controllable: components are dealt
-// into ShareGroups groups, and components within one group draw their
-// parameter bindings from one small per-group pool, so fewer groups
-// mean more repeated (module, parameters) design points across the
-// corpus.
+// exercised at scale. Components are dealt round-robin into share
+// groups, and components within one group draw their parameter
+// bindings from one small per-group pool, so design points repeat
+// across the corpus.
 package gencorpus
 
 import (
@@ -44,23 +43,14 @@ type Config struct {
 	// Seed selects the corpus. Two configs differing only in Seed
 	// produce structurally distinct corpora.
 	Seed uint64
-	// ShareGroups controls cross-component sharing: components are
-	// dealt round-robin into this many groups, each group drawing its
-	// module parameterizations from one small seeded pool and sharing
-	// one group-local lane module. 0 means an automatic sqrt-ish
-	// default (at least 3 so the mixed-effects fits have enough
-	// projects, at most 24).
-	ShareGroups int
 }
 
-// groups resolves the ShareGroups knob.
+// groups is the number of share groups the components are dealt into
+// round-robin: about √Components, at least 3 so the mixed-effects fits
+// have enough projects, at most 24, and never more than Components.
+// Each group draws its module parameterizations from one small seeded
+// pool and shares one group-local lane module.
 func (c Config) groups() int {
-	if c.ShareGroups > 0 {
-		if c.ShareGroups > c.Components {
-			return c.Components
-		}
-		return c.ShareGroups
-	}
 	g := 0
 	for g*g < c.Components {
 		g++

@@ -96,10 +96,11 @@ func TestGeneratedDesignsSynthesize(t *testing.T) {
 	}
 }
 
-// TestGenerateShareGroups: the ShareGroups knob clamps sanely and
-// deals components round-robin into projects.
+// TestGenerateShareGroups: components are dealt round-robin into about
+// √Components share groups (projects), at least 3 and never more than
+// Components.
 func TestGenerateShareGroups(t *testing.T) {
-	c, err := Generate(Config{Components: 9, Seed: 7, ShareGroups: 3})
+	c, err := Generate(Config{Components: 9, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,17 @@ func TestGenerateShareGroups(t *testing.T) {
 		}
 	}
 
-	// More groups than components clamps to one component per group.
-	c, err = Generate(Config{Components: 2, Seed: 7, ShareGroups: 50})
+	// The floor of 3 groups clamps to one component per group.
+	c, err = Generate(Config{Components: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.Components); got != 2 {
-		t.Fatalf("want 2 components, got %d", got)
+	projects = map[string]int{}
+	for _, comp := range c.Components {
+		projects[comp.Project]++
+	}
+	if len(c.Components) != 2 || len(projects) != 2 {
+		t.Fatalf("want 2 components in 2 projects, got %d in %v", len(c.Components), projects)
 	}
 }
 

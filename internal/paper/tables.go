@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -168,21 +167,16 @@ type AICBICResult struct {
 
 // AICBICN reproduces the DEE1-vs-Stmts model comparison of Section
 // 5.1.1 (paper values: DEE1 34.8/38.4, Stmts 37.0/39.7). The two fits
-// run on a pool of the given concurrency (0 = GOMAXPROCS,
-// 1 = exact sequential path).
+// run one after the other, each on a multi-start pool of the given
+// concurrency (0 = GOMAXPROCS, 1 = exact sequential path).
 func AICBICN(concurrency int) (*AICBICResult, error) {
 	comps := dataset.Paper()
-	var dee1, stmts *core.Calibration
-	err := parallel.Group(concurrency,
-		func() (err error) {
-			dee1, err = core.Calibrate(comps, core.DEE1Metrics, core.CalibrationOptions{Mixed: true, Concurrency: concurrency})
-			return err
-		},
-		func() (err error) {
-			stmts, err = core.Calibrate(comps, []dataset.Metric{dataset.Stmts}, core.CalibrationOptions{Mixed: true, Concurrency: concurrency})
-			return err
-		},
-	)
+	opts := core.CalibrationOptions{Mixed: true, Concurrency: concurrency}
+	dee1, err := core.Calibrate(comps, core.DEE1Metrics, opts)
+	if err != nil {
+		return nil, err
+	}
+	stmts, err := core.Calibrate(comps, []dataset.Metric{dataset.Stmts}, opts)
 	if err != nil {
 		return nil, err
 	}

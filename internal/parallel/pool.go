@@ -184,9 +184,3 @@ func (l *Local[T]) All() []T {
 	}
 	return out
 }
-
-// Group runs a fixed set of heterogeneous tasks with the pool's error
-// semantics: Group(w, a, b, c) is ForEach over the three closures.
-func Group(workers int, fns ...func() error) error {
-	return ForEach(workers, len(fns), func(i int) error { return fns[i]() })
-}

@@ -122,23 +122,6 @@ func TestMapDiscardsResultsOnError(t *testing.T) {
 	}
 }
 
-func TestGroup(t *testing.T) {
-	var a, b atomic.Bool
-	err := Group(0,
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Load() || !b.Load() {
-		t.Error("not all group tasks ran")
-	}
-	if err := Group(2); err != nil {
-		t.Errorf("empty group: %v", err)
-	}
-}
-
 func TestForEachEmpty(t *testing.T) {
 	if err := ForEach(4, 0, func(i int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)

@@ -156,9 +156,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // to close the listener once handlers return.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // srcKey is the session-table key: tenant plus the content hash of the
 // source set (order-independent, length-prefixed, so no concatenation
 // ambiguity between names and contents).

@@ -176,7 +176,7 @@ endmodule`, "d")
 	}
 }
 
-func TestGateSimResetClearsState(t *testing.T) {
+func TestGateSimAccumulatesAndNamesPorts(t *testing.T) {
 	d, err := hdl.ParseDesign(map[string]string{"t.v": `
 module g (input clk, input [3:0] din, output reg [3:0] q);
   always @(posedge clk) q <= q + din;
@@ -189,17 +189,13 @@ endmodule`})
 		t.Fatal(err)
 	}
 	_ = inst
-	// Build gates and run, then reset.
+	// Build gates and run two cycles of the accumulator.
 	gsim := gateSimOf(t, d)
 	gsim.SetInput("din", 3)
 	gsim.Step()
 	gsim.Step()
 	if got, _ := gsim.Output("q"); got != 6 {
 		t.Fatalf("q = %d", got)
-	}
-	gsim.Reset()
-	if got, _ := gsim.Output("q"); got != 0 {
-		t.Errorf("q after reset = %d", got)
 	}
 	if names := gsim.InputNames(); len(names) != 2 {
 		t.Errorf("inputs = %v", names)

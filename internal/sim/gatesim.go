@@ -249,16 +249,3 @@ func (g *GateSim) Step() error {
 	}
 	return g.Eval()
 }
-
-// Reset clears all state (FF outputs, latches, RAM contents) to zero.
-func (g *GateSim) Reset() {
-	for i := range g.vals {
-		g.vals[i] = false
-	}
-	g.vals[g.nl.Const1] = true
-	for i := range g.rams {
-		for j := range g.rams[i].data {
-			g.rams[i].data[j] = 0
-		}
-	}
-}

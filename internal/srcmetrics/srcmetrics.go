@@ -32,12 +32,6 @@ type Counts struct {
 	Stmts int // statement AST nodes (see package comment)
 }
 
-// Add accumulates other into c.
-func (c *Counts) Add(other Counts) {
-	c.LoC += other.LoC
-	c.Stmts += other.Stmts
-}
-
 // MeasureModule returns the statement count of a parsed module together
 // with a LoC value computed from its formatted source, so layout and
 // comments in the original text do not change it.

@@ -183,11 +183,3 @@ func TestMeasureSourceParseError(t *testing.T) {
 		t.Fatal("expected parse error")
 	}
 }
-
-func TestAddAccumulates(t *testing.T) {
-	c := Counts{LoC: 1, Stmts: 2}
-	c.Add(Counts{LoC: 10, Stmts: 20})
-	if c.LoC != 11 || c.Stmts != 22 {
-		t.Errorf("Add result = %+v", c)
-	}
-}

@@ -36,16 +36,8 @@ func (l Lognormal) PDF(x float64) float64 {
 	return math.Exp(-0.5*z*z) / (x * l.Sigma * math.Sqrt(2*math.Pi))
 }
 
-// CDF returns P(X <= x). The CDF is zero for x <= 0.
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{Mu: l.Mu, Sigma: l.Sigma}.CDF(math.Log(x))
-}
-
-// Quantile returns the value x such that CDF(x) = p. It panics if p is
-// outside (0, 1).
+// Quantile returns the value x such that P(X <= x) = p. It panics if p
+// is outside (0, 1).
 func (l Lognormal) Quantile(p float64) float64 {
 	return math.Exp(Normal{Mu: l.Mu, Sigma: l.Sigma}.Quantile(p))
 }
@@ -63,12 +55,6 @@ func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
 // Mode returns the mode exp(Mu - Sigma²).
 func (l Lognormal) Mode() float64 {
 	return math.Exp(l.Mu - l.Sigma*l.Sigma)
-}
-
-// Variance returns the variance (exp(Sigma²)-1)·exp(2Mu+Sigma²).
-func (l Lognormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
 }
 
 // ConfidenceFactors returns the multiplicative factors (yl, yh) such

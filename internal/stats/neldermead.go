@@ -20,9 +20,6 @@ type NelderMeadOptions struct {
 	// TolX stops the search once the simplex diameter drops below
 	// this. Zero means 1e-10.
 	TolX float64
-	// Step is the initial simplex displacement per coordinate. Zero
-	// means 0.1·|x0_i| with a floor of 0.1.
-	Step float64
 }
 
 // MinimizeResult reports the outcome of a Nelder–Mead minimization.
@@ -77,14 +74,8 @@ func Minimize(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) Mi
 	vals[0] = eval(verts[0])
 	for i := 0; i < dim; i++ {
 		v := append([]float64(nil), x0...)
-		step := opt.Step
-		if step == 0 {
-			step = 0.1 * math.Abs(x0[i])
-			if step < 0.1 {
-				step = 0.1
-			}
-		}
-		v[i] += step
+		// The initial displacement is 0.1·|x0_i| with a floor of 0.1.
+		v[i] += math.Max(0.1*math.Abs(x0[i]), 0.1)
 		verts[i+1] = v
 		vals[i+1] = eval(v)
 	}

@@ -3,7 +3,12 @@
 #
 #   1. tier-1: build, gofmt (no file may need reformatting), vet (the
 #      root module and bench/), the test suite with a per-package
-#      coverage report, and the race line.
+#      coverage report, and the race line. The suite includes the
+#      minimality gate (TestNoUnusedExports, exports_test.go), which
+#      type-checks both modules' non-test code and fails on an exported
+#      name of internal/ with no non-test use, an exported method with
+#      no non-test use, or an exported struct field no non-test code
+#      sets.
 #   2. the bench/ module's tests: the paper-number checks (Table 4 σε,
 #      DEE1 AIC/BIC), the BENCHMARK.json metric list, and a reduced
 #      smoke run of every benchmark workload.
