@@ -67,15 +67,15 @@ func TestAllocBudgets(t *testing.T) {
 		allocs, bytes float64 // recorded per call
 		setup         func(t *testing.T) func()
 	}{
-		{"paper/figure6-cold", 35280, 7563488, figure6Cold},                   // 49392 allocs, 10588883 B
-		{"paper/accounting-searches", 17860, 1641968, accountingSearches},     // 25004 allocs, 2298755 B
+		{"paper/figure6-cold", 25380, 3041848, figure6Cold},                   // 35532 allocs, 4258587 B
+		{"paper/accounting-searches", 14026, 1463296, accountingSearches},     // 19636 allocs, 2048614 B
 		{"paper/extension-after-figure6", 1191, 76400, extensionAfterFigure6}, // 1667 allocs, 106960 B
 		{"served/warm-measure-all", 770, 57272, warmMeasureAll},               // 1078 allocs, 80181 B
 		{"served/warm-request", 872, 262592, warmRequest},                     // 1221 allocs, 367629 B
 		{"edit-loop/incremental-edit", 75, 12272, incrementalEdit},            // 105 allocs, 17181 B
 		{"edit-loop/noop-remeasure", 4, 960, noopRemeasure},                   // 20 allocs, 5056 B
-		{"optimize/ivm-memory-reused-ws", 40, 34296, optimizeReusedWS},        // 56 allocs, 48014 B
-		{"lower/corpus-reused-ws", 3713, 1239352, lowerCorpusReusedWS},        // 5198 allocs, 1735093 B
+		{"optimize/ivm-memory-reused-ws", 36, 3056, optimizeReusedWS},         // 52 allocs, 7152 B
+		{"lower/corpus-reused-ws", 2195, 267144, lowerCorpusReusedWS},         // 3073 allocs, 374001 B
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"repro/internal/hdl"
 	"repro/internal/measure"
 	"repro/internal/nlme"
-	"repro/internal/parallel"
 )
 
 // DEE1Metrics is the metric pair of Design Effort Estimator 1
@@ -159,22 +158,23 @@ func assemble(comps []dataset.Component, metrics []dataset.Metric) (*nlme.Data, 
 // calibrate fits an assembled table; zeroFloor is what assemble
 // applied.
 func calibrate(d *nlme.Data, metrics []dataset.Metric, zeroFloor float64, opts CalibrationOptions) (*Calibration, error) {
-	var fit *nlme.Result
-	var err error
-	fitOpts := nlme.FitOptions{Concurrency: opts.Concurrency}
+	fit := nlme.FitFixed
 	if opts.Mixed {
-		fit, err = nlme.Fit(d, fitOpts)
-	} else {
-		fit, err = nlme.FitFixed(d, fitOpts)
+		fit = nlme.Fit
 	}
+	res, err := fit(d, nlme.FitOptions{Concurrency: opts.Concurrency})
 	if err != nil {
 		return nil, fmt.Errorf("core: calibration failed: %w", err)
 	}
+	return newCalibration(metrics, res, zeroFloor), nil
+}
+
+func newCalibration(metrics []dataset.Metric, fit *nlme.Result, zeroFloor float64) *Calibration {
 	return &Calibration{
 		Metrics:   append([]dataset.Metric(nil), metrics...),
 		Fit:       fit,
 		ZeroFloor: zeroFloor,
-	}, nil
+	}
 }
 
 // CalibrateDEE1 fits the paper's recommended DEE1 estimator
@@ -264,47 +264,55 @@ type EstimatorAccuracy struct {
 
 // EvaluateEstimatorsN reproduces the Table 4 analysis on a database:
 // every single-metric estimator plus DEE1, each fitted with and
-// without the productivity adjustment, sorted by σε. The estimators
-// run on a pool of the given concurrency (0 = GOMAXPROCS, 1 = exact
-// sequential path); each estimator's mixed and fixed calibrations form
-// one work item over one assembled table, and each calibration runs
-// its multi-start fit sequentially inside that item. Results are
-// bit-identical for every value.
+// without the productivity adjustment, sorted by σε. The 24 fits go to
+// nlme.FitAll in one call, so every restart of every fit shares one
+// pool of the given concurrency (0 = GOMAXPROCS, 1 = exact sequential
+// path). Results are bit-identical for every value.
 func EvaluateEstimatorsN(comps []dataset.Component, concurrency int) ([]EstimatorAccuracy, error) {
 	type spec struct {
 		name    string
 		metrics []dataset.Metric
+		floor   float64
 	}
-	specs := []spec{{"DEE1", DEE1Metrics}}
+	specs := []spec{{name: "DEE1", metrics: DEE1Metrics}}
 	for _, m := range dataset.AllMetrics {
-		specs = append(specs, spec{string(m), []dataset.Metric{m}})
+		specs = append(specs, spec{name: string(m), metrics: []dataset.Metric{m}})
 	}
-	out, err := parallel.Map(concurrency, len(specs), func(i int) (EstimatorAccuracy, error) {
-		s := specs[i]
+	// Problems 2i and 2i+1 are estimator i's mixed and fixed fits.
+	problems := make([]*nlme.Problem, 0, 2*len(specs))
+	for i := range specs {
+		s := &specs[i]
 		d, floor, err := assemble(comps, s.metrics)
 		if err != nil {
-			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
+			return nil, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
-		mixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: true, Concurrency: 1})
+		s.floor = floor
+		mixed, err := nlme.NewProblem(d, true)
 		if err != nil {
-			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s: %w", s.name, err)
+			return nil, fmt.Errorf("core: estimator %s: %w", s.name, err)
 		}
-		fixed, err := calibrate(d, s.metrics, floor, CalibrationOptions{Mixed: false, Concurrency: 1})
+		fixed, err := nlme.NewProblem(d, false)
 		if err != nil {
-			return EstimatorAccuracy{}, fmt.Errorf("core: estimator %s (ρ=1): %w", s.name, err)
+			return nil, fmt.Errorf("core: estimator %s (ρ=1): %w", s.name, err)
 		}
-		return EstimatorAccuracy{
+		problems = append(problems, mixed, fixed)
+	}
+	fits, err := nlme.FitAll(problems, nlme.FitOptions{Concurrency: concurrency})
+	if err != nil {
+		return nil, fmt.Errorf("core: calibration failed: %w", err)
+	}
+	out := make([]EstimatorAccuracy, len(specs))
+	for i, s := range specs {
+		mixed, fixed := fits[2*i], fits[2*i+1]
+		out[i] = EstimatorAccuracy{
 			Name:         s.name,
 			Metrics:      s.metrics,
-			SigmaEps:     mixed.SigmaEps(),
-			SigmaEpsRho1: fixed.SigmaEps(),
-			AIC:          mixed.Fit.AIC(),
-			BIC:          mixed.Fit.BIC(),
-			Calibration:  mixed,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+			SigmaEps:     mixed.SigmaEps,
+			SigmaEpsRho1: fixed.SigmaEps,
+			AIC:          mixed.AIC(),
+			BIC:          mixed.BIC(),
+			Calibration:  newCalibration(s.metrics, mixed, s.floor),
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].SigmaEps < out[j].SigmaEps })
 	return out, nil

@@ -101,6 +101,25 @@ func TestEvaluateEstimatorsOrdering(t *testing.T) {
 	}
 }
 
+// TestEvaluateEstimatorsParallelDeterminism pins the pooled restarts of
+// the 24 fits: every row — weights, σε, σρ, log-likelihood and
+// productivities of the mixed calibration, and the fixed-model σε — is
+// bit-identical at concurrency 1 and 8.
+func TestEvaluateEstimatorsParallelDeterminism(t *testing.T) {
+	comps := dataset.Paper()
+	seq, err := EvaluateEstimatorsN(comps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := EvaluateEstimatorsN(comps, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("parallel EvaluateEstimatorsN diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	}
+}
+
 // TestEvaluateEstimatorsMatchesCalibrate pins the one-table-per-
 // estimator path to Calibrate: every row's calibration and fixed-model
 // σε must equal what separate Calibrate calls produce.

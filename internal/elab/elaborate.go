@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/hdl"
+	"repro/internal/scratch"
 )
 
 // Elaboration limits: the trip count of one generate/procedural for
@@ -77,6 +78,13 @@ type elaborator struct {
 	asgA bump[ElabAssign]
 	alwA bump[ElabAlways]
 	chA  bump[Child]
+	// Report-only generate-loop scopes (see loopScope): the scopes,
+	// their prefix chains, the prefix being built, and the interned
+	// prefix strings.
+	envA     bump[Env]
+	chainA   scratch.Arena[string]
+	fullBuf  []byte
+	prefixes map[string]string
 }
 
 // pendingChild is a child instance whose parameters and port names
@@ -206,6 +214,8 @@ func (el *elaborator) release() {
 	el.asgA.drop()
 	el.alwA.drop()
 	el.chA.drop()
+	el.envA.drop()
+	el.chainA.Reset()
 	probes.Put(el)
 }
 
@@ -320,6 +330,8 @@ func (el *elaborator) newInstance(m *hdl.Module, path string, params map[string]
 		el.asgA.rewind()
 		el.alwA.rewind()
 		el.chA.rewind()
+		el.envA.rewind()
+		el.chainA.Reset()
 		return inst
 	}
 	nChild, nDecl := 0, 0
@@ -648,7 +660,7 @@ func (el *elaborator) elaborateGenFor(inst *Instance, v *hdl.GenFor, env *Env) e
 		pref = append(pref, '[')
 		pref = strconv.AppendInt(pref, val, 10)
 		pref = append(pref, ']', '.')
-		bodyEnv := env.ChildVar(string(pref), v.Var, val)
+		bodyEnv := el.loopScope(env, pref, v.Var, val)
 		if err := el.elaborateItems(inst, v.Body, bodyEnv); err != nil {
 			return err
 		}
@@ -665,6 +677,41 @@ func (el *elaborator) elaborateGenFor(inst *Instance, v *hdl.GenFor, env *Env) e
 	el.report.recordLoop("genfor", v.Pos, trips)
 	return nil
 }
+
+// loopScope returns the body scope of one generate-loop trip: its
+// prefix extends env's by pref, and name is bound to val. A full
+// elaboration keeps its scopes in the Instance tree, so it allocates
+// them (Env.ChildVar). A report-only elaborator takes the scope and
+// its prefix chain from the chunks it rewinds per module: a probe's
+// scopes die with their module's items, before its first child
+// starts. The prefix string is interned on the elaborator, so a probe
+// stepping through the same generate loops as the last one allocates
+// no scope at all.
+func (el *elaborator) loopScope(env *Env, pref []byte, name string, val int64) *Env {
+	if el.scratch == nil {
+		return env.ChildVar(string(pref), name, val)
+	}
+	full := append(append(el.fullBuf[:0], env.prefix...), pref...)
+	el.fullBuf = full
+	prefix, ok := el.prefixes[string(full)]
+	if !ok {
+		if el.prefixes == nil || len(el.prefixes) >= maxInternedPrefixes {
+			el.prefixes = map[string]string{}
+		}
+		prefix = string(full)
+		el.prefixes[prefix] = prefix
+	}
+	chain := el.chainA.Take(len(env.prefixes) + 1)
+	chain[0] = prefix
+	copy(chain[1:], env.prefixes)
+	e := el.envA.new()
+	*e = Env{parent: env, prefix: prefix, oneName: name, oneVal: val, prefixes: chain}
+	return e
+}
+
+// maxInternedPrefixes bounds a pooled probe elaborator's prefix
+// table: past it the table starts over.
+const maxInternedPrefixes = 1 << 12
 
 func (el *elaborator) elaborateGenIf(inst *Instance, v *hdl.GenIf, env *Env) error {
 	cond, err := Eval(v.Cond, env)

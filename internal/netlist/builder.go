@@ -43,7 +43,8 @@ type AliasPair struct {
 // NewBuilder returns an empty builder with the two constant nets
 // already allocated. Its internal buffers are drawn from ws (nil means
 // a fresh workspace); ws must not be reused until Build has been
-// called.
+// called. Taking the buffers ends the life of the netlist the
+// workspace's previous Build returned.
 func NewBuilder(ws *Workspace) *Builder {
 	ws = orFresh(ws)
 	ws.Reset()
@@ -316,6 +317,13 @@ func (b *Builder) NewLatch(d, en NetID) NetID {
 // Build resolves aliases, compacts nets, and returns the final Netlist.
 // Cell output nets that were aliased to constants are rejected (that
 // would be a short).
+//
+// The netlist is the builder's own buffers, renumbered in place: its
+// cells and ports live in the workspace the builder was made with and
+// stay valid until that workspace's next NewBuilder or Reset. Only the RAM
+// macros are copied (the builder's are the caller's). Under a nil
+// workspace the buffers are the builder's alone, so the netlist is
+// independent of every later call.
 func (b *Builder) Build() (*Netlist, error) {
 	// Return the (possibly grown) buffers to the workspace so their
 	// capacity carries to the next build, error or not.
@@ -446,24 +454,18 @@ func (b *Builder) Build() (*Netlist, error) {
 		remap[id] = nid + 1
 		return nid
 	}
-	nl := &Netlist{
-		Cells:   make([]Cell, 0, len(b.cells)),
-		RAMs:    make([]*RAM, 0, len(b.rams)),
-		Inputs:  make([]PortBit, 0, len(b.inputs)),
-		Outputs: make([]PortBit, 0, len(b.outputs)),
-	}
+	nl := &Netlist{}
 	nl.Const0 = get(c0)
 	nl.Const1 = get(c1)
 	for i := range b.cells {
-		c := b.cells[i]
+		c := &b.cells[i]
 		for j := range c.In {
 			c.In[j] = get(c.In[j])
 		}
 		c.Clk = get(c.Clk)
 		c.Out = get(c.Out)
-		nl.Cells = append(nl.Cells, c)
 	}
-	for _, r := range b.rams {
+	for ri, r := range b.rams {
 		rc := *r
 		rc.Clk = get(r.Clk)
 		rc.WritePorts = make([]RAMWritePort, len(r.WritePorts))
@@ -474,15 +476,19 @@ func (b *Builder) Build() (*Netlist, error) {
 		for i, rp := range r.ReadPorts {
 			rc.ReadPorts[i] = RAMReadPort{Addr: mapIDs(rp.Addr, get), Out: mapIDs(rp.Out, get)}
 		}
-		nl.RAMs = append(nl.RAMs, &rc)
+		b.rams[ri] = &rc
 	}
-	for _, p := range b.inputs {
-		nl.Inputs = append(nl.Inputs, PortBit{Name: p.Name, Net: get(p.Net)})
+	for i := range b.inputs {
+		b.inputs[i].Net = get(b.inputs[i].Net)
 	}
-	for _, p := range b.outputs {
-		nl.Outputs = append(nl.Outputs, PortBit{Name: p.Name, Net: get(p.Net)})
+	for i := range b.outputs {
+		b.outputs[i].Net = get(b.outputs[i].Net)
 	}
 	nl.Nets = count
+	nl.Cells = b.cells[:len(b.cells):len(b.cells)]
+	nl.RAMs = b.rams[:len(b.rams):len(b.rams)]
+	nl.Inputs = b.inputs[:len(b.inputs):len(b.inputs)]
+	nl.Outputs = b.outputs[:len(b.outputs):len(b.outputs)]
 	return nl, nil
 }
 

@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+
+	"repro/internal/scratch"
 )
 
 // NetID identifies a single-bit net. The zero value is valid (net 0);
@@ -154,7 +156,10 @@ type PortBit struct {
 // so every downstream pass — cones, fpga, timing, power, optimize —
 // shares one copy instead of recomputing them. The cache is
 // mutex-guarded, making concurrent analyses of a shared netlist (e.g.
-// one synthesis result reused by parallel workers) race-free.
+// one synthesis result reused by parallel workers) race-free. A
+// netlist OptimizeWS returned under a workspace keeps its driver
+// table and topological order in that workspace's memory, valid as
+// long as the netlist is (see Workspace).
 type Netlist struct {
 	// Nets is the total net count (including constants). Nets carry
 	// no names: every metric is read from structure, and ports and RAM
@@ -176,6 +181,9 @@ type Netlist struct {
 		topoErr  error
 		topoDone bool
 		hash     string
+		// ws, when set, holds the tables above and the scratch of
+		// Stats and Validate; nil allocates them.
+		ws *Workspace
 	}
 }
 
@@ -209,7 +217,12 @@ func (n *Netlist) Drivers() []int {
 
 func (n *Netlist) driversLocked() []int {
 	if n.derived.drivers == nil {
-		d := make([]int, n.NumNets())
+		var d []int
+		if ws := n.derived.ws; ws != nil {
+			d = scratch.Raw(&ws.tDrivers, n.NumNets())
+		} else {
+			d = make([]int, n.NumNets())
+		}
 		for i := range d {
 			d[i] = -1
 		}
@@ -342,8 +355,29 @@ func (n *Netlist) TopoOrder() ([]int, error) {
 }
 
 func (n *Netlist) topoOrderLocked() ([]int, error) {
-	order, _, err := n.topoOrderInto(n.driversLocked(), make([]byte, len(n.Cells)), nil, nil)
-	return order, err
+	ws := n.derived.ws
+	if ws == nil {
+		order, _, err := n.topoOrderInto(n.driversLocked(), make([]byte, len(n.Cells)), nil, nil)
+		return order, err
+	}
+	order, stack, err := n.topoOrderInto(n.driversLocked(), scratch.Zero(&ws.tState, len(n.Cells)), ws.tStack[:0], ws.tOrder[:0])
+	ws.tStack = stack[:0]
+	if err != nil {
+		return nil, err
+	}
+	ws.tOrder = order[:0]
+	return order, nil
+}
+
+// marksLocked returns a zeroed per-net byte map for one check: the
+// workspace's DFS-state scratch when the netlist has one (it is free
+// whenever the lock is held outside topoOrderLocked), else a fresh
+// slice. The caller holds n.derived.mu for as long as it uses the map.
+func (n *Netlist) marksLocked() []byte {
+	if ws := n.derived.ws; ws != nil {
+		return scratch.Zero(&ws.tState, n.NumNets())
+	}
+	return make([]byte, n.NumNets())
 }
 
 // topoOrderInto is the topological sort over caller-provided scratch:
@@ -406,10 +440,12 @@ type Stats struct {
 // Stats computes summary statistics. Nets counts every distinct net
 // attached to a cell pin, port, or RAM pin.
 func (n *Netlist) Stats() Stats {
-	used := make([]bool, n.NumNets())
+	n.derived.mu.Lock()
+	defer n.derived.mu.Unlock()
+	used := n.marksLocked()
 	mark := func(id NetID) {
 		if id != Nil {
-			used[id] = true
+			used[id] = 1
 		}
 	}
 	for i := range n.Cells {
@@ -448,9 +484,7 @@ func (n *Netlist) Stats() Stats {
 	}
 	nets := 0
 	for _, u := range used {
-		if u {
-			nets++
-		}
+		nets += int(u)
 	}
 	return Stats{
 		Cells: len(n.Cells) + len(n.RAMs),

@@ -47,11 +47,17 @@ type OptimizeResult struct {
 //
 // The pass's scratch (raw topological order, union-find, consumer
 // adjacency, hash table, worklist, liveness) comes from ws; nil means a
-// fresh workspace. The returned netlist is freshly allocated and never
-// aliases workspace memory. The output is bit-identical for any
-// workspace, dirty or fresh.
+// fresh workspace. Under a non-nil ws the returned netlist lives in
+// ws's memory: its cells, RAM list and ports are written into one
+// buffer each that ws owns, and its driver table, topological order
+// and Stats bitmap reuse the raw-analysis scratch, which is dead once
+// the pass returns. It is valid until ws's next run (see Workspace).
+// Only the RAM macros are copied into fresh memory. Under a nil ws the netlist
+// is independent of every later call. The output is bit-identical for
+// any workspace, dirty or fresh.
 func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 	res := OptimizeResult{Converged: true}
+	owned := ws != nil
 	ws = orFresh(ws)
 	// The optimizer's input is typically discarded right after the
 	// pass, so its derived tables go into workspace scratch instead of
@@ -443,7 +449,7 @@ func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 	}
 	// Optimization keeps the source net ID space.
 	out := &Netlist{Nets: n.Nets, Const0: c0, Const1: c1}
-	out.Cells = make([]Cell, 0, nLive)
+	cells := scratch.Raw(&ws.oCells, nLive)[:0]
 	for ci := range n.Cells {
 		if !live[ci] {
 			continue
@@ -453,10 +459,11 @@ func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 			c.In[j] = find(c.In[j])
 		}
 		c.Clk = find(c.Clk)
-		out.Cells = append(out.Cells, c)
+		cells = append(cells, c)
 	}
-	out.RAMs = make([]*RAM, 0, len(n.RAMs))
-	for _, r := range n.RAMs {
+	out.Cells = cells[:nLive:nLive]
+	rams := scratch.Raw(&ws.oRAMs, len(n.RAMs))
+	for ri, r := range n.RAMs {
 		rc := *r
 		rc.Clk = find(r.Clk)
 		rc.WritePorts = make([]RAMWritePort, len(r.WritePorts))
@@ -475,12 +482,19 @@ func OptimizeWS(n *Netlist, ws *Workspace) (*Netlist, OptimizeResult, error) {
 				Out:  append([]NetID(nil), rp.Out...),
 			}
 		}
-		out.RAMs = append(out.RAMs, &rc)
+		rams[ri] = &rc
 	}
-	out.Inputs = append([]PortBit(nil), n.Inputs...)
-	out.Outputs = make([]PortBit, len(n.Outputs))
+	out.RAMs = rams[:len(rams):len(rams)]
+	nIn := len(n.Inputs)
+	ports := scratch.Raw(&ws.oPorts, nIn+len(n.Outputs))
+	copy(ports, n.Inputs)
 	for i, p := range n.Outputs {
-		out.Outputs[i] = PortBit{Name: p.Name, Net: find(p.Net)}
+		ports[nIn+i] = PortBit{Name: p.Name, Net: find(p.Net)}
+	}
+	out.Inputs = ports[:nIn:nIn]
+	out.Outputs = ports[nIn:len(ports):len(ports)]
+	if owned {
+		out.derived.ws = ws
 	}
 	return out, res, nil
 }

@@ -73,27 +73,37 @@ func (n *Netlist) Validate() error {
 			return fmt.Errorf("netlist: output port %s references net %d outside range [0,%d)", p.Name, p.Net, n.Nets)
 		}
 	}
-	// Drivers records the last cell driving each net, so any other
-	// cell driving the same net finds a different index there. RAM read
-	// ports and input ports drive nets too: each claims its net in a
-	// bitset, and a net already driven by a cell or claimed is
-	// rejected, as Builder.Build rejects it.
-	drivers := n.Drivers()
+	if err := n.checkDrivers(); err != nil {
+		return err
+	}
+	_, err := n.TopoOrder()
+	return err
+}
+
+// checkDrivers is Validate's driver check. The driver table records
+// the last cell driving each net, so any other cell driving the same
+// net finds a different index there. RAM read ports and input ports
+// drive nets too: each claims its net in a per-net map, and a net
+// already driven by a cell or claimed is rejected, as Builder.Build
+// rejects it.
+func (n *Netlist) checkDrivers() error {
+	n.derived.mu.Lock()
+	defer n.derived.mu.Unlock()
+	drivers := n.driversLocked()
 	for i := range n.Cells {
 		if out := n.Cells[i].Out; drivers[out] != i {
 			return fmt.Errorf("netlist: net %d multiply driven", out)
 		}
 	}
-	claimed := make([]uint64, (n.Nets+63)/64)
+	claimed := n.marksLocked()
 	claim := func(id NetID) bool {
 		if id == Nil {
 			return true
 		}
-		w, bit := id/64, uint64(1)<<(id%64)
-		if drivers[id] >= 0 || claimed[w]&bit != 0 {
+		if drivers[id] >= 0 || claimed[id] != 0 {
 			return false
 		}
-		claimed[w] |= bit
+		claimed[id] = 1
 		return true
 	}
 	for ri, r := range n.RAMs {
@@ -110,6 +120,5 @@ func (n *Netlist) Validate() error {
 			return fmt.Errorf("netlist: net %d driven by input port %s and another driver", p.Net, p.Name)
 		}
 	}
-	_, err := n.TopoOrder()
-	return err
+	return nil
 }

@@ -2,18 +2,24 @@ package netlist
 
 import "repro/internal/scratch"
 
-// Workspace holds reusable scratch for the netlist kernels: the
-// builder's net/cell buffers and the optimizer's union-find, adjacency,
-// hash-table, worklist, and liveness arrays. A workspace is owned by
-// exactly one goroutine at a time (measurement sessions hand one to
-// each pool worker); every kernel that accepts one re-initializes the
-// slices it takes before use, so a workspace carries capacity between
-// runs, never values. Passing nil where a *Workspace is accepted
-// means a fresh workspace for that one call.
+// Workspace holds reusable memory for the netlist kernels: the
+// builder's net/cell buffers, the optimizer's union-find, adjacency,
+// hash-table, worklist, and liveness arrays, and the buffers the two
+// kernels' netlists live in. A workspace is owned by exactly one
+// goroutine at a time (measurement sessions hand one to each pool
+// worker); every kernel that accepts one re-initializes the slices it
+// takes before use, so a workspace carries capacity between runs,
+// never values. Passing nil where a *Workspace is accepted means a
+// fresh workspace for that one call.
 //
-// Everything a kernel returns (the built or optimized netlist) is
-// freshly allocated even under a workspace: only intermediate scratch
-// is reused, so results never alias workspace memory.
+// A netlist returned under a workspace lives in its memory until the
+// workspace's next run: Builder.Build's until the next NewBuilder or
+// Reset, OptimizeWS's (with the driver table, topological order and
+// Stats bitmap it computes later) until the next NewBuilder,
+// OptimizeWS or Reset. So a build and the optimization of its netlist
+// form one run, and both netlists die when the next run starts. A
+// caller that keeps a netlist longer copies what it needs first.
+// Under a nil workspace every netlist is independent of later calls.
 type Workspace struct {
 	// Builder state (taken over by NewBuilder for one build).
 	bParent   []NetID
@@ -44,9 +50,18 @@ type Workspace struct {
 	oSeenNet   []bool
 	oStack     []NetID
 
+	// The optimized netlist OptimizeWS returns: its surviving cells,
+	// its RAM macro list, and its input then output ports in one
+	// buffer.
+	oCells []Cell
+	oRAMs  []*RAM
+	oPorts []PortBit
+
 	// Raw-netlist analysis scratch: the optimizer's input is discarded
 	// right after the pass, so its driver table and topological order
 	// are computed here instead of being memoized into the netlist.
+	// The scratch is dead once OptimizeWS returns, so the optimized
+	// netlist memoizes its own tables in it (see Netlist.Drivers).
 	tDrivers []int
 	tState   []byte
 	tOrder   []int
@@ -72,6 +87,8 @@ func (w *Workspace) Reset() {
 	clearFull(w.bRAMs)
 	clearFull(w.bInputs)
 	clearFull(w.bOutputs)
+	clearFull(w.oRAMs)
+	clearFull(w.oPorts)
 }
 
 // clearFull zeroes a slice over its whole capacity, so no element of a

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -106,9 +107,9 @@ func (r *Result) ConfidenceInterval(eff, conf float64) (lo, hi float64) {
 // y does not depend on φ at all, so its sums are built once per fit.
 //
 // The ratio and y buffers are scratch: a profile is NOT safe for
-// concurrent calls, and each optimizer pool worker evaluates its own
-// copy (worker). Every scratch entry is written before it is read on
-// each evaluation, so the copies compute bit-identical values.
+// concurrent calls, and each restart evaluates its own copy (worker).
+// Every scratch entry is written before it is read on each evaluation,
+// so the copies compute bit-identical values.
 type profile struct {
 	d       *Data
 	members [][]int
@@ -158,9 +159,9 @@ func (p *profile) alloc() {
 	p.ss = make([]float64, len(p.n))
 }
 
-// worker returns a profile one optimizer pool worker may evaluate
-// without synchronization. With one metric nothing is written after
-// newProfile, so every worker shares p.
+// worker returns a profile one restart may evaluate without
+// synchronization. With one metric nothing is written after
+// newProfile, so every restart shares p.
 func (p *profile) worker() *profile {
 	if p.k == 1 {
 		return p
@@ -292,7 +293,7 @@ func (p *profile) result(best stats.MinimizeResult, names []string) (*Result, er
 	}, nil
 }
 
-// FitOptions configures Fit and FitFixed.
+// FitOptions configures Fit, FitFixed and FitAll.
 type FitOptions struct {
 	// Concurrency bounds the worker pool the multi-start restarts run
 	// on: 0 means GOMAXPROCS, 1 forces the exact sequential path. The
@@ -307,10 +308,9 @@ type FitOptions struct {
 // information criteria. The overall scale and σε are profiled out in
 // closed form; multi-start Nelder–Mead searches the log weight ratios
 // and the log variance ratio, seeded from per-metric effort/metric
-// scale ratios and an OLS fit. The restarts run on the worker pool
-// opts.Concurrency bounds.
+// scale ratios and an OLS fit. It is FitAll on one problem.
 func Fit(d *Data, opts FitOptions) (*Result, error) {
-	return fit(d, true, opts)
+	return fitOne(d, true, opts)
 }
 
 // FitFixed fits the model of Section 3.2 with every ρ_i forced to 1:
@@ -319,10 +319,33 @@ func Fit(d *Data, opts FitOptions) (*Result, error) {
 // out (their ML estimates), so a single-metric fit is closed form.
 // Productivities in the result are all exactly 1.
 func FitFixed(d *Data, opts FitOptions) (*Result, error) {
-	return fit(d, false, opts)
+	return fitOne(d, false, opts)
 }
 
-func fit(d *Data, mixed bool, opts FitOptions) (*Result, error) {
+func fitOne(d *Data, mixed bool, opts FitOptions) (*Result, error) {
+	p, err := NewProblem(d, mixed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := FitAll([]*Problem{p}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// Problem is one fit, set up and ready to run: the profiled objective
+// it minimizes and the Nelder–Mead restarts that search it. A
+// single-metric fixed fit has no restarts: its optimum is closed form.
+type Problem struct {
+	p      *profile
+	names  []string    // project names, in group order
+	starts [][]float64 // restart seeds in φ-space; nil for closed form
+}
+
+// NewProblem validates d and sets up its fit: the mixed model when
+// mixed is set (Fit), the ρ = 1 model otherwise (FitFixed).
+func NewProblem(d *Data, mixed bool) (*Problem, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,20 +353,80 @@ func fit(d *Data, mixed bool, opts FitOptions) (*Result, error) {
 	if mixed && len(names) < 2 {
 		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
 	}
-	p := newProfile(d, members, mixed)
-	starts := startingPoints(d, mixed)
-	var best stats.MinimizeResult
-	if len(starts[0]) == 0 {
-		// One metric and no random effect: nothing is left to search.
-		best = stats.MinimizeResult{F: p.objective(nil), Converged: true}
-	} else {
-		obj := func() func([]float64) float64 { return p.worker().objective }
-		best = stats.MinimizeMultistart(obj, starts, fitOptions, opts.Concurrency)
+	pr := &Problem{p: newProfile(d, members, mixed), names: names}
+	if starts := startingPoints(d, mixed); len(starts[0]) > 0 {
+		pr.starts = starts
 	}
-	if math.IsInf(best.F, 1) {
-		return nil, fmt.Errorf("nlme: optimization found no feasible point")
+	return pr, nil
+}
+
+// FitAll fits every problem and returns the results in problem order.
+// The restarts of all the problems form one task list on one pool of
+// opts.Concurrency workers, so a fit with many restarts spreads over
+// every core while fits with few fill the gaps; each task evaluates
+// its own copy of its problem's objective. Each problem's restarts
+// then reduce in start order, exactly as a sequential multi-start
+// does: the first strictly lowest objective wins and the evaluation
+// counts sum. The results are therefore bit-identical for every
+// concurrency and to fitting the problems one at a time. The error is
+// the first failing problem's, in problem order.
+func FitAll(problems []*Problem, opts FitOptions) ([]*Result, error) {
+	best := minimizeAll(problems, opts.Concurrency)
+	out := make([]*Result, len(problems))
+	for i, pr := range problems {
+		if math.IsInf(best[i].F, 1) {
+			return nil, fmt.Errorf("nlme: optimization found no feasible point")
+		}
+		r, err := pr.p.result(best[i], pr.names)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
 	}
-	return p.result(best, names)
+	return out, nil
+}
+
+// minimizeAll runs every restart of every problem on one pool and
+// returns each problem's best point with its summed evaluation count.
+func minimizeAll(problems []*Problem, workers int) []stats.MinimizeResult {
+	type task struct{ prob, start int }
+	var tasks []task
+	for pi, pr := range problems {
+		for si := range pr.starts {
+			tasks = append(tasks, task{pi, si})
+		}
+	}
+	runs, _ := parallel.Map(workers, len(tasks), func(i int) (stats.MinimizeResult, error) {
+		t := tasks[i]
+		pr := problems[t.prob]
+		return stats.Minimize(pr.p.worker().objective, pr.starts[t.start], fitOptions), nil
+	})
+	best := make([]stats.MinimizeResult, len(problems))
+	for pi, pr := range problems {
+		if pr.starts == nil {
+			// One metric and no random effect: nothing is left to search.
+			best[pi] = stats.MinimizeResult{F: pr.p.objective(nil), Converged: true}
+			continue
+		}
+		best[pi] = reduceRestarts(runs[:len(pr.starts)])
+		runs = runs[len(pr.starts):]
+	}
+	return best
+}
+
+// reduceRestarts picks the first strictly lowest objective among one
+// problem's restarts, in start order, and sums their evaluations.
+func reduceRestarts(runs []stats.MinimizeResult) stats.MinimizeResult {
+	best := stats.MinimizeResult{F: math.Inf(1)}
+	evals := 0
+	for _, r := range runs {
+		evals += r.Evals
+		if r.F < best.F {
+			best = r
+		}
+	}
+	best.Evals = evals
+	return best
 }
 
 // weightSeeds returns two heuristic log-weight vectors θ = log w.

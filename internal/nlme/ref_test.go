@@ -34,7 +34,7 @@ func TestFitMatchesRef(t *testing.T) {
 
 	for name, d := range cases {
 		for _, mixed := range []bool{true, false} {
-			got, err := fit(d, mixed, FitOptions{Concurrency: 1})
+			got, err := fitOne(d, mixed, FitOptions{Concurrency: 1})
 			if err != nil {
 				t.Fatalf("%s mixed=%v: %v", name, mixed, err)
 			}
@@ -100,7 +100,13 @@ func fitRef(d *Data, mixed bool) (*Result, error) {
 	} else {
 		obj = func() func([]float64) float64 { return refFixedObjective(d, logEff) }
 	}
-	best := stats.MinimizeMultistart(obj, refStartingPoints(d, mixed), stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, 1)
+	f := obj()
+	best := stats.MinimizeResult{F: math.Inf(1)}
+	for _, x0 := range refStartingPoints(d, mixed) {
+		if r := stats.Minimize(f, x0, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}); r.F < best.F {
+			best = r
+		}
+	}
 	if math.IsInf(best.F, 1) {
 		return nil, errInfeasible
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/designs"
 	"repro/internal/measure"
 	"repro/internal/nlme"
-	"repro/internal/parallel"
 )
 
 // TimingAwareResult is the future-work extension experiment of §2.5/§7:
@@ -31,7 +30,6 @@ type TimingAwareResult struct {
 // measurements carry that summary, so warm runs read the identical
 // numbers without synthesizing anything.
 func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
-	concurrency := o.Concurrency
 	comps := designs.All()
 
 	type row struct {
@@ -72,26 +70,6 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 		}
 	}
 
-	fit := func(name string, cols func(r row) []float64, names []string) (float64, error) {
-		d := &nlme.Data{MetricNames: names}
-		for _, r := range rows {
-			vals := cols(r)
-			for i, v := range vals {
-				if v == 0 {
-					vals[i] = 1
-				}
-			}
-			d.Groups = append(d.Groups, r.project)
-			d.Efforts = append(d.Efforts, r.effort)
-			d.Metrics = append(d.Metrics, vals)
-		}
-		res, err := nlme.Fit(d, nlme.FitOptions{Concurrency: 1})
-		if err != nil {
-			return 0, fmt.Errorf("paper: timing estimator %s: %w", name, err)
-		}
-		return res.SigmaEps, nil
-	}
-
 	specs := []struct {
 		name  string
 		cols  func(r row) []float64
@@ -103,15 +81,33 @@ func TimingAwareOpts(o Opts) (*TimingAwareResult, error) {
 		{"NearCritical", func(r row) []float64 { return []float64{r.nearCritical} }, []string{"NearCritical"}},
 		{"DEE1+Timing", func(r row) []float64 { return []float64{r.stmts, r.fanInLC, r.nearCritical} }, []string{"Stmts", "FanInLC", "NearCritical"}},
 	}
-	sigmas, err := parallel.Map(concurrency, len(specs), func(i int) (float64, error) {
-		return fit(specs[i].name, specs[i].cols, specs[i].names)
-	})
+	// The five fits go to one FitAll call, so their restarts share one
+	// pool.
+	problems := make([]*nlme.Problem, len(specs))
+	for i, s := range specs {
+		d := &nlme.Data{MetricNames: s.names}
+		for _, r := range rows {
+			vals := s.cols(r)
+			for j, v := range vals {
+				if v == 0 {
+					vals[j] = 1
+				}
+			}
+			d.Groups = append(d.Groups, r.project)
+			d.Efforts = append(d.Efforts, r.effort)
+			d.Metrics = append(d.Metrics, vals)
+		}
+		if problems[i], err = nlme.NewProblem(d, true); err != nil {
+			return nil, fmt.Errorf("paper: timing estimator %s: %w", s.name, err)
+		}
+	}
+	fits, err := nlme.FitAll(problems, nlme.FitOptions{Concurrency: o.Concurrency})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("paper: timing estimators: %w", err)
 	}
 	out := &TimingAwareResult{SigmaEps: map[string]float64{}}
 	for i, s := range specs {
-		out.SigmaEps[s.name] = sigmas[i]
+		out.SigmaEps[s.name] = fits[i].SigmaEps
 	}
 	return out, nil
 }

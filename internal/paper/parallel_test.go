@@ -54,3 +54,21 @@ func TestAICBICParallelDeterminism(t *testing.T) {
 		t.Errorf("parallel AICBIC diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
+
+// TestTimingAwareParallelDeterminism covers the extension's five fits,
+// whose restarts share one pool: the σε of every estimator, the
+// three-metric DEE1+Timing among them, is bit-identical at
+// concurrency 1 and 8.
+func TestTimingAwareParallelDeterminism(t *testing.T) {
+	seq, err := TimingAwareOpts(Opts{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := TimingAwareOpts(Opts{Concurrency: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("parallel timing extension diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	}
+}

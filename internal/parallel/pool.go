@@ -2,10 +2,10 @@
 // stdlib-only worker pool with deterministic, ordered result
 // collection and first-error propagation.
 //
-// Every fan-out in the measure→fit pipeline (multi-start optimizer
-// restarts, per-estimator calibrations, per-component corpus
-// measurements) goes through this package instead of spawning one goroutine per item. The pool is
-// bounded by a Concurrency knob with two fixed points:
+// Every fan-out in the measure→fit pipeline (the multi-start optimizer
+// restarts of a batch of fits, per-component corpus measurements) goes
+// through this package instead of spawning one goroutine per item. The
+// pool is bounded by a Concurrency knob with two fixed points:
 //
 //   - 0 (or negative) means runtime.GOMAXPROCS(0) workers — use the
 //     whole machine;
@@ -128,30 +128,12 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// MapWorker is Map with the stable worker id passed to fn (see
-// ForEachWorker).
-func MapWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachWorker(workers, n, func(worker, i int) error {
-		v, err := fn(worker, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Local is a lazily-populated set of per-worker values for use with
-// ForEachWorker/MapWorker: Get(worker) returns the worker's value,
+// ForEachWorker: Get(worker) returns the worker's value,
 // creating it on first use. It is not itself synchronized — the
 // per-worker exclusivity of the pool is what makes it safe — so a
-// Local must only be used from within one ForEachWorker/MapWorker call
-// at a time.
+// Local must only be used from within one ForEachWorker call at a
+// time.
 type Local[T any] struct {
 	news func() T
 	vals []T

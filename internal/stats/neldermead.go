@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/parallel"
-)
+import "math"
 
 // NelderMeadOptions configures Minimize. The zero value selects sensible
 // defaults (standard reflection/expansion/contraction coefficients,
@@ -199,46 +194,4 @@ func Minimize(f func([]float64) float64, x0 []float64, opt NelderMeadOptions) Mi
 		res.Converged = false
 	}
 	return res
-}
-
-// MinimizeMultistart runs Minimize from each starting point and returns
-// the best result, with the independent restarts run on up to workers
-// concurrent goroutines (a Concurrency knob: <= 0 means GOMAXPROCS, 1
-// the exact sequential path). It panics if starts is empty.
-//
-// newF is a per-worker objective factory: it is called at most once per
-// pool worker, and the returned objective serves every restart that
-// worker runs. An objective may therefore own mutable scratch buffers
-// (reused across evaluations) without any synchronization — the pool
-// guarantees calls with the same worker id never overlap.
-//
-// The reduction is deterministic regardless of worker count: results
-// are collected in start order, and the winner is the lowest objective
-// value with ties broken by the lowest start index — exactly the
-// sequential selection rule — so the returned optimum is bit-identical
-// for every worker count provided the factory's objectives are pure
-// functions of their argument.
-func MinimizeMultistart(newF func() func([]float64) float64, starts [][]float64, opt NelderMeadOptions, workers int) MinimizeResult {
-	if len(starts) == 0 {
-		panic("stats: MinimizeMultistart: no starting points")
-	}
-	for i, s := range starts {
-		if len(s) != len(starts[0]) {
-			panic(fmt.Sprintf("stats: MinimizeMultistart: start %d has dimension %d, want %d", i, len(s), len(starts[0])))
-		}
-	}
-	objs := parallel.NewLocal(workers, newF)
-	results, _ := parallel.MapWorker(workers, len(starts), func(worker, i int) (MinimizeResult, error) {
-		return Minimize(objs.Get(worker), starts[i], opt), nil
-	})
-	best := MinimizeResult{F: math.Inf(1)}
-	totalEvals := 0
-	for _, r := range results {
-		totalEvals += r.Evals
-		if r.F < best.F {
-			best = r
-		}
-	}
-	best.Evals = totalEvals
-	return best
 }

@@ -68,27 +68,6 @@ func TestMinimizeHighDimensional(t *testing.T) {
 	}
 }
 
-func TestMinimizeMultistartPicksBest(t *testing.T) {
-	// Double well: minima at ±2 with f(−2) = 0 and f(2) = 1.
-	f := func(x []float64) float64 {
-		a := (x[0] - 2) * (x[0] - 2)
-		b := (x[0] + 2) * (x[0] + 2)
-		return math.Min(a+1, b)
-	}
-	r := MinimizeMultistart(func() func([]float64) float64 { return f }, [][]float64{{3}, {-3}}, NelderMeadOptions{}, 1)
-	closeTo(t, r.X[0], -2, 1e-3, "global minimum")
-	closeTo(t, r.F, 0, 1e-6, "global value")
-}
-
-func TestMinimizeMultistartPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MinimizeMultistart(func() func([]float64) float64 { return nil }, nil, NelderMeadOptions{}, 1)
-}
-
 func TestMinimizeReportsEvals(t *testing.T) {
 	f := func(x []float64) float64 { return x[0] * x[0] }
 	r := Minimize(f, []float64{1}, NelderMeadOptions{})

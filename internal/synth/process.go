@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/elab"
@@ -63,7 +64,9 @@ func (st *procState) readVals(name string) ([]netlist.NetID, bool) {
 }
 
 // clone copies the branch-sensitive parts of the state. Memory writes
-// and memOf stay shared (they carry their own enable conditions).
+// and memOf stay shared (they carry their own enable conditions). The
+// clone's tables come from the workspace's free lists; mergeStates
+// hands them back.
 func (st *procState) clone(s *synthesizer) *procState {
 	c := &procState{
 		inst:    st.inst,
@@ -72,7 +75,7 @@ func (st *procState) clone(s *synthesizer) *procState {
 		condB:   s.cloneBitsMap(st.condB),
 		nb:      s.cloneBitsMap(st.nb),
 		condNB:  s.cloneBitsMap(st.condNB),
-		intvars: map[string]int64{},
+		intvars: s.ws.intMap(),
 		memc:    st.memc, // shared: sites carry their own enables
 	}
 	for k, v := range st.intvars {
@@ -82,10 +85,10 @@ func (st *procState) clone(s *synthesizer) *procState {
 }
 
 // cloneBitsMap copies a signal→bits table; the value slices come from
-// the workspace arena when one is attached (branch clones are the hot
-// consumer — every if/case arm in a clocked process makes four).
+// the workspace arena (branch clones are the hot consumer — every
+// if/case arm in a clocked process makes four).
 func (s *synthesizer) cloneBitsMap(m map[string][]netlist.NetID) map[string][]netlist.NetID {
-	out := make(map[string][]netlist.NetID, len(m))
+	out := s.ws.bitsMap()
 	for k, v := range m {
 		c := s.idSlice(len(v))
 		copy(c, v)
@@ -94,11 +97,23 @@ func (s *synthesizer) cloneBitsMap(m map[string][]netlist.NetID) map[string][]ne
 	return out
 }
 
+// release hands a finished state's tables back to the workspace's free
+// lists, cleared so they pin nothing.
+func (s *synthesizer) release(st *procState) {
+	w := s.ws
+	for _, m := range [...]map[string][]netlist.NetID{st.vals, st.condB, st.nb, st.condNB} {
+		clear(m)
+		w.bitsMaps = append(w.bitsMaps, m)
+	}
+	clear(st.intvars)
+	w.intMaps = append(w.intMaps, st.intvars)
+}
+
 // mergeStates recombines two branch outcomes into st:
 // result = cond ? thenSt : elseSt, per signal bit.
 func (s *synthesizer) mergeStates(st, thenSt, elseSt *procState, cond netlist.NetID) error {
 	merge := func(valsT, condT, valsE, condE map[string][]netlist.NetID, vals, conds map[string][]netlist.NetID) {
-		for _, name := range unionKeys(valsT, valsE) {
+		for _, name := range s.unionKeys(valsT, valsE) {
 			declared := s.netBits(st.inst, name)
 			bT, okT := valsT[name]
 			bE, okE := valsE[name]
@@ -143,22 +158,25 @@ func (s *synthesizer) mergeStates(st, thenSt, elseSt *procState, cond netlist.Ne
 			st.intvars[k] = vE
 		}
 	}
+	s.release(thenSt)
+	s.release(elseSt)
 	return nil
 }
 
-func unionKeys(a, b map[string][]netlist.NetID) []string {
-	seen := map[string]bool{}
+// unionKeys returns the sorted union of a's and b's keys in the
+// workspace's key scratch, valid until the next call.
+func (s *synthesizer) unionKeys(a, b map[string][]netlist.NetID) []string {
+	keys := s.ws.keys[:0]
 	for k := range a {
-		seen[k] = true
-	}
-	for k := range b {
-		seen[k] = true
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	s.ws.keys = keys
 	return keys
 }
 
@@ -173,20 +191,25 @@ func (s *synthesizer) alwaysBlock(inst *elab.Instance, ab *elab.ElabAlways) erro
 	st := &procState{
 		inst:    inst,
 		clocked: clocked,
-		vals:    map[string][]netlist.NetID{},
-		condB:   map[string][]netlist.NetID{},
-		nb:      map[string][]netlist.NetID{},
-		condNB:  map[string][]netlist.NetID{},
-		intvars: map[string]int64{},
+		vals:    s.ws.bitsMap(),
+		condB:   s.ws.bitsMap(),
+		nb:      s.ws.bitsMap(),
+		condNB:  s.ws.bitsMap(),
+		intvars: s.ws.intMap(),
 		memc:    &memCollector{},
 	}
 	if err := s.execStmt(inst, ab.Env, st, ab.Item.Body, s.b.Const1()); err != nil {
 		return fmt.Errorf("synth: %s: %w", ab.Item.Pos, err)
 	}
+	finish := s.finishComb
 	if clocked {
-		return s.finishClocked(inst, ab, st)
+		finish = s.finishClocked
 	}
-	return s.finishComb(inst, ab, st)
+	if err := finish(inst, ab, st); err != nil {
+		return err
+	}
+	s.release(st)
+	return nil
 }
 
 func (s *synthesizer) finishClocked(inst *elab.Instance, ab *elab.ElabAlways, st *procState) error {

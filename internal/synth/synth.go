@@ -13,7 +13,12 @@ import (
 )
 
 // Result bundles the synthesized netlists of one run: the raw netlist
-// as lowered and the optimized netlist metrics are measured on.
+// as lowered and the optimized netlist metrics are measured on. Under
+// a LowerOptions.Workspace both netlists, with the optimized one's
+// driver table and topological order, live in the workspace's memory:
+// they are valid until the next run on that workspace, so a caller
+// that keeps a Result longer reads what it needs first. A nil
+// workspace gives fresh, independent netlists.
 type Result struct {
 	Raw       *netlist.Netlist
 	Optimized *netlist.Netlist
@@ -77,10 +82,11 @@ type LowerOptions struct {
 	// bit-identical to direct lowering — the switch exists for the
 	// golden tests that prove it and for debugging.
 	DisableTemplates bool
-	// Workspace supplies reusable scratch for the whole
-	// lowering+optimization run; nil means a fresh one. The result is
-	// bit-identical for any workspace, fresh or reused. The workspace
-	// must not be used concurrently.
+	// Workspace supplies reusable memory for the whole
+	// lowering+optimization run; nil means a fresh one. The netlists a
+	// run returns live in it until its next run (see Result). The
+	// result is bit-identical for any workspace, fresh or reused. The
+	// workspace must not be used concurrently.
 	Workspace *Workspace
 }
 

@@ -7,10 +7,12 @@ import (
 	"repro/internal/scratch"
 )
 
-// Workspace holds reusable scratch for lowering+optimization runs: the
-// netlist builder and optimizer buffers, the signal-bits table, a
-// NetID arena the per-signal bit slices are carved from, and the
-// lowering templates (template.go). A workspace is owned by one
+// Workspace holds reusable memory for lowering+optimization runs: the
+// netlist builder and optimizer buffers (which the run's netlists live
+// in until the next run, see Result), the signal-bits table, a NetID
+// arena the per-signal bit slices are carved from, free lists of the
+// procedural branch-state tables, and the lowering templates
+// (template.go). A workspace is owned by one
 // goroutine at a time; LowerOptions.Workspace threads it through
 // SynthesizeInstance, and every lowering runs on one (a nil option
 // means a fresh workspace).
@@ -41,6 +43,14 @@ type Workspace struct {
 	ints    scratch.Arena[int]
 	tgts    scratch.Arena[procTarget]
 	ramKeys []ramKey
+	// bitsMaps and intMaps are free lists of the procedural-state
+	// tables an always block's lowering takes for its root state and
+	// for each if/case arm (procState.clone); a merge hands both arms'
+	// tables back, cleared.
+	bitsMaps []map[string][]netlist.NetID
+	intMaps  []map[string]int64
+	// keys is a merge's sorted signal-name scratch.
+	keys []string
 	// names interns port-bit names ("q[3]"), which recur identically
 	// across the thousands of lowerings a measurement session performs.
 	// Deliberately NOT cleared by Reset: interned strings are immutable
@@ -86,6 +96,28 @@ func (w *Workspace) startRun() {
 	w.tgts.Reset()
 	clear(w.ramKeys[:cap(w.ramKeys)])
 	w.ramKeys = w.ramKeys[:0]
+	clear(w.keys[:cap(w.keys)])
+	w.keys = w.keys[:0]
+}
+
+// bitsMap returns an empty signal→bits table from the free list.
+func (w *Workspace) bitsMap() map[string][]netlist.NetID {
+	if n := len(w.bitsMaps); n > 0 {
+		m := w.bitsMaps[n-1]
+		w.bitsMaps = w.bitsMaps[:n-1]
+		return m
+	}
+	return map[string][]netlist.NetID{}
+}
+
+// intMap returns an empty integer-variable table from the free list.
+func (w *Workspace) intMap() map[string]int64 {
+	if n := len(w.intMaps); n > 0 {
+		m := w.intMaps[n-1]
+		w.intMaps = w.intMaps[:n-1]
+		return m
+	}
+	return map[string]int64{}
 }
 
 // adoptDesign checks that every module name in top's tree means the

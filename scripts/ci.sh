@@ -52,7 +52,7 @@ echo "== tier-1: vet bench/ =="
 echo "== tier-1: test (with coverage) =="
 go test -cover ./...
 echo "== tier-1: race =="
-go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/elab ./internal/measure ./internal/core ./internal/depgraph ./internal/serve ./internal/hdl ./internal/cache
+go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/elab ./internal/measure ./internal/core ./internal/depgraph ./internal/serve ./internal/hdl ./internal/cache ./internal/netlist ./internal/synth
 
 if [ "${SKIP_BENCHMOD:-0}" != "1" ]; then
 	echo "== benchmark module tests (bench/) =="
