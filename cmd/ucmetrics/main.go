@@ -266,10 +266,7 @@ func run(cfg config) error {
 		}
 	}
 
-	s := sess.Stats()
-	e := sess.ElabStats()
-	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",
-		s.Components, s.Planned, s.Synthesized, s.Shared, e.Hits, e.Misses)
+	printSessionLine(sess)
 
 	if cfg.asCSV {
 		return dataset.WriteCSV(os.Stdout, rows)
@@ -320,10 +317,7 @@ func runGenerate(cfg config, opts measure.Options) error {
 	if err != nil {
 		return err
 	}
-	s := sess.Stats()
-	e := sess.ElabStats()
-	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",
-		s.Components, s.Planned, s.Synthesized, s.Shared, e.Hits, e.Misses)
+	printSessionLine(sess)
 	if cfg.asCSV {
 		return dataset.WriteCSV(os.Stdout, rows)
 	}
@@ -657,10 +651,16 @@ func printRemeasure(units []measure.Unit, oldRes, newRes []*measure.ComponentRes
 func printSessionStats(sess *measure.Session, stats measure.RemeasureStats) {
 	fmt.Fprintf(os.Stderr, "session-stats: %d dirty / %d clean modules; %d dirty / %d clean units; %d cut off\n",
 		stats.DirtyModules, stats.CleanModules, stats.DirtyUnits, stats.CleanUnits, stats.CutoffUnits)
+	printSessionLine(sess)
+}
+
+// printSessionLine reports the session's sharing counters and its
+// elaboration cache totals on stderr.
+func printSessionLine(sess *measure.Session) {
 	s := sess.Stats()
 	e := sess.ElabStats()
-	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",
-		s.Components, s.Planned, s.Synthesized, s.Shared, e.Hits, e.Misses)
+	fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared, %d metrics reused; elab cache %d hits, %d misses\n",
+		s.Components, s.Planned, s.Synthesized, s.Shared, s.MetricsReused, e.Hits, e.Misses)
 }
 
 func printResult(project, top string, res *measure.ComponentResult) {

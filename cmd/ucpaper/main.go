@@ -97,8 +97,8 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 			defer func() {
 				s := sess.Stats()
 				e := sess.ElabStats()
-				fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared; elab cache %d hits, %d misses\n",
-					s.Components, s.Planned, s.Synthesized, s.Shared, e.Hits, e.Misses)
+				fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared, %d metrics reused; elab cache %d hits, %d misses\n",
+					s.Components, s.Planned, s.Synthesized, s.Shared, s.MetricsReused, e.Hits, e.Misses)
 			}()
 		}
 	}
@@ -165,8 +165,8 @@ func realMain(tableN, figureN int, aicbic, extension, all bool, corpusScale int,
 		fmt.Println(res)
 		if sessionStats {
 			s := res.Session
-			fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared\n",
-				s.Components, s.Planned, s.Synthesized, s.Shared)
+			fmt.Fprintf(os.Stderr, "session: %d components measured, %d signatures planned, %d synthesized, %d shared, %d metrics reused\n",
+				s.Components, s.Planned, s.Synthesized, s.Shared, s.MetricsReused)
 		}
 		if !all && tableN == 0 && figureN == 0 && !aicbic && !extension {
 			return nil

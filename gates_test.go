@@ -278,6 +278,32 @@ func TestMeasureStreamScaling(t *testing.T) {
 	}
 }
 
+// TestMetricKernelsOncePerNetlist gates the session's netlist memo by
+// the work it saves: a cold sequential sweep of the 100-component
+// generated corpus runs the metric kernels (cones, LUT mapping, power,
+// areas, Stats, the timing summary) once per distinct optimized
+// netlist, not once per synthesized signature. Every signature runs
+// them unless the memo answered it, so the runs are Synthesized less
+// MetricsReused. A sweep without the memo runs them for every
+// signature and fails.
+func TestMetricKernelsOncePerNetlist(t *testing.T) {
+	design, units := generatedUnits(t, 100)
+	sess := measure.NewSession(design)
+	results, err := sess.MeasureAll(units, measure.Options{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	netlists := map[string]bool{}
+	for _, r := range results {
+		netlists[r.NetlistHash] = true
+	}
+	st := sess.Stats()
+	if runs := st.Synthesized - st.MetricsReused; runs != len(netlists) {
+		t.Errorf("metric kernels ran %d times (%d signatures synthesized, %d reused) for %d distinct netlists",
+			runs, st.Synthesized, st.MetricsReused, len(netlists))
+	}
+}
+
 // lowerCorpusReusedWS lowers every corpus component's default-parameter
 // instance tree with the one workspace a measurement worker keeps, and
 // so with the templates it keeps: the shared library modules are

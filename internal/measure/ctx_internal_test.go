@@ -60,7 +60,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	// Cancel between planning and synthesis: the owner must resolve the
 	// flight with the context error and evict it.
 	cancel()
-	s.synthesizeFlight(ctx, p, opts, ecache, ws, nil)
+	s.synthesizeFlight(ctx, p, opts, ecache, ws)
 	if _, err := s.assembleUnit(context.Background(), u, waiter, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter on the abandoned flight got %v, want context.Canceled", err)
 	}
@@ -74,7 +74,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	if p2.owned == nil {
 		t.Fatal("abandoned flight was not evicted: fresh plan became a waiter on the dead entry")
 	}
-	s.synthesizeFlight(context.Background(), p2, opts, ecache, ws, nil)
+	s.synthesizeFlight(context.Background(), p2, opts, ecache, ws)
 	res, err := s.assembleUnit(context.Background(), u, p2, opts)
 	if err != nil {
 		t.Fatalf("measurement after an abandoned flight: %v", err)
@@ -109,7 +109,7 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	}
 
 	// Resolve the owner's flight so the session ends consistent.
-	s.synthesizeFlight(context.Background(), owner, opts, ecache, ws, nil)
+	s.synthesizeFlight(context.Background(), owner, opts, ecache, ws)
 	if _, err := s.assembleUnit(context.Background(), u, owner, opts); err != nil {
 		t.Fatal(err)
 	}

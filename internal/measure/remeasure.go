@@ -158,22 +158,22 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 	stats.DirtyUnits = len(dirtyUnits)
 
 	if len(dirtyUnits) > 0 {
-		// A verifying cache recomputes everything it checks, so it gets
-		// no cutoff; neither does a baseline measured under other
-		// options.
-		var cut *cutoff
-		if sameOpts && (opts.Cache == nil || !opts.Cache.Verifying()) {
-			cut = newCutoff(prev, dirtyUnits)
+		// A verifying cache uses no netlist memo, so it gets no cutoff;
+		// neither does a baseline measured under other options.
+		var cutoffs *atomic.Int64
+		if sameOpts && memoOn(opts) {
+			s.seedMemo(prev, dirtyUnits)
+			cutoffs = new(atomic.Int64)
 		}
-		fresh, err := s.measureAll(ctx, dirtyUnits, opts, cut)
+		fresh, err := s.measureAll(ctx, dirtyUnits, opts, cutoffs)
 		if err != nil {
 			return nil, nil, stats, err
 		}
 		for j, i := range dirtyIdx {
 			results[i] = fresh[j]
 		}
-		if cut != nil {
-			stats.CutoffUnits = int(cut.units.Load())
+		if cutoffs != nil {
+			stats.CutoffUnits = int(cutoffs.Load())
 		}
 	}
 
@@ -184,24 +184,17 @@ func (s *Session) RemeasureCtx(ctx context.Context, prev *Baseline, units []Unit
 	return results, next, stats, nil
 }
 
-// cutoff is one remeasurement's early-cutoff table (ninja's restat):
-// the baseline's synthesis-only metrics and timing summaries of the
-// dirty units, keyed by optimized netlist hash. A dirty unit still
-// elaborates, lowers and optimizes; when its netlist hashes as one of
-// these, its flight reuses the record instead of running the metric
-// kernels (Session.synthesizeFlight). The table is read-only once
-// built; units counts the dirty units whose flight was cut off.
-type cutoff struct {
-	byHash map[string]*sigRecord
-	units  atomic.Int64
-}
-
-// newCutoff builds the table from prev's results for the dirty units.
+// seedMemo is the early cutoff (ninja's restat): it enters the
+// baseline's synthesis-only metrics and timing summaries of the dirty
+// units into the session's netlist memo, keyed by optimized netlist
+// hash. A dirty unit still elaborates, lowers and optimizes; when its
+// netlist hashes as one of these, its flight takes the baseline's
+// record instead of running the metric kernels, and counts as cut off.
 // A unit's synthesis-only metrics are its result's with the source
 // sums zeroed — exactly what synthMetrics leaves before assembly adds
-// Stmts and LoC.
-func newCutoff(prev *Baseline, dirty []Unit) *cutoff {
-	c := &cutoff{byHash: make(map[string]*sigRecord, len(dirty))}
+// Stmts and LoC. A baseline entry replaces a computed one of the same
+// hash; their values are equal.
+func (s *Session) seedMemo(prev *Baseline, dirty []Unit) {
 	for _, u := range dirty {
 		res, ok := prev.Result(u)
 		if !ok {
@@ -209,18 +202,8 @@ func newCutoff(prev *Baseline, dirty []Unit) *cutoff {
 		}
 		m := *res.Metrics
 		m.Stmts, m.LoC = 0, 0
-		c.byHash[res.NetlistHash] = &sigRecord{Metrics: &m, Timing: res.Timing}
+		s.netMemo.Store(res.NetlistHash, memoEntry{rec: &sigRecord{Metrics: &m, Timing: res.Timing}, baseline: true})
 	}
-	return c
-}
-
-// lookup returns the baseline record for an optimized netlist hash
-// (nil on a nil table or no match).
-func (c *cutoff) lookup(hash string) *sigRecord {
-	if c == nil {
-		return nil
-	}
-	return c.byHash[hash]
 }
 
 // recountModules fills the module partition for the no-baseline case:

@@ -41,6 +41,11 @@ type SessionStats struct {
 	// earlier unit — possibly in a previous MeasureAll call — already
 	// synthesized.
 	Shared int
+	// MetricsReused counts the synthesized signatures whose optimized
+	// netlist hashed as one the session had already measured (or a
+	// remeasurement baseline held), so their synthesis metrics and
+	// timing came from the netlist memo instead of the metric kernels.
+	MetricsReused int
 }
 
 // Session measures batches of components of one design with the whole
@@ -64,9 +69,10 @@ type SessionStats struct {
 //
 // All session state is sharded or lock-free: the flight table is
 // split across flightShards key-hashed shards, the sharing counters
-// are atomics, and the search, dedup and source-metric memos are
-// sync.Maps (their values are pure functions of the design, so a
-// racing duplicate compute stores the identical value). At
+// are atomics, and the search, dedup, source-metric and netlist memos
+// are sync.Maps (their values are pure functions of the design or of
+// the netlist, so a racing duplicate compute stores the identical
+// value). At
 // thousand-component batch sizes the old single session mutex
 // serialized the whole planning front end; nothing here is contended
 // now.
@@ -78,8 +84,9 @@ type Session struct {
 	minMemo   sync.Map // top module name → *searchResult: the accounting search
 	dedupMemo sync.Map // module name → bool: could produce duplicate siblings
 	srcMemo   sync.Map // module name → srcmetrics.Counts
+	netMemo   sync.Map // optimized netlist hash → memoEntry
 
-	components, planned, synthesized, shared atomic.Int64
+	components, planned, synthesized, shared, reused atomic.Int64
 
 	emu       sync.Mutex
 	elabStats elab.CacheStats // aggregated across component elaboration caches
@@ -143,6 +150,22 @@ type sigFlight struct {
 	cutoff bool // rec reuses a remeasurement baseline's metrics
 }
 
+// memoEntry is one netlist memo entry: the record whose synthesis-only
+// metrics and timing every netlist with its hash shares — a flight's
+// own record, or one built from a remeasurement baseline's result
+// (baseline set).
+type memoEntry struct {
+	rec      *sigRecord
+	baseline bool
+}
+
+// memoOn reports whether a measurement under opts uses the netlist
+// memo: a verifying cache recomputes everything it checks, so it gets
+// none.
+func memoOn(opts Options) bool {
+	return opts.Cache == nil || !opts.Cache.Verifying()
+}
+
 // NewSession creates a measurement session over one parsed design.
 func NewSession(design *hdl.Design) *Session {
 	return &Session{design: design}
@@ -151,10 +174,11 @@ func NewSession(design *hdl.Design) *Session {
 // Stats returns a snapshot of the session's sharing counters.
 func (s *Session) Stats() SessionStats {
 	return SessionStats{
-		Components:  int(s.components.Load()),
-		Planned:     int(s.planned.Load()),
-		Synthesized: int(s.synthesized.Load()),
-		Shared:      int(s.shared.Load()),
+		Components:    int(s.components.Load()),
+		Planned:       int(s.planned.Load()),
+		Synthesized:   int(s.synthesized.Load()),
+		Shared:        int(s.shared.Load()),
+		MetricsReused: int(s.reused.Load()),
 	}
 }
 
@@ -223,11 +247,12 @@ func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options)
 	return s.measureAll(ctx, units, opts, nil)
 }
 
-// measureAll is MeasureAllCtx with, for a remeasurement, the
-// early-cutoff table (nil everywhere else).
-func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, cut *cutoff) ([]*ComponentResult, error) {
+// measureAll is MeasureAllCtx with, for a remeasurement that seeded the
+// netlist memo from its baseline, the counter of units the baseline
+// answered (nil everywhere else).
+func (s *Session) measureAll(ctx context.Context, units []Unit, opts Options, cutoffs *atomic.Int64) ([]*ComponentResult, error) {
 	results := make([]*ComponentResult, len(units))
-	err := s.measureGroups(ctx, units, opts, cut, func(i int, res *ComponentResult) error {
+	err := s.measureGroups(ctx, units, opts, cutoffs, func(i int, res *ComponentResult) error {
 		results[i] = res
 		return nil
 	})
@@ -278,9 +303,9 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 // shared entry plus its own per-module source metrics, persists it
 // through the disk cache, and hands it to yield (calls serialized).
 // The group's flights stay in the table for later calls on the session.
-// cut, when non-nil, is a remeasurement's early-cutoff table; it counts
-// the units whose flight it answered.
-func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, cut *cutoff, yield func(i int, res *ComponentResult) error) error {
+// cutoffs, when non-nil, counts the units whose flight a remeasurement
+// baseline's memo entry answered.
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, cutoffs *atomic.Int64, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	var tops []string
 	groups := map[string][]int{}
@@ -319,7 +344,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			}
 		}
 		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), cut)
+			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker))
 		}
 		// Every signature of this component this call can ever own is
 		// now resolved; later hits come from the flight table, not from
@@ -330,8 +355,8 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			if err != nil {
 				return err
 			}
-			if f := plans[j].flight; cut != nil && f != nil && f.cutoff {
-				cut.units.Add(1)
+			if f := plans[j].flight; cutoffs != nil && f != nil && f.cutoff {
+				cutoffs.Add(1)
 			}
 			ymu.Lock()
 			yerr := yield(i, res)
@@ -563,9 +588,9 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // measured at its defaults reuses the reference tree whole), lowers
 // it, optimizes, extracts the synthesis-derived metrics, hashes the
 // optimized netlist and summarizes its timing, and persists the record.
-// With a remeasurement's cutoff table, a netlist that hashes as a
-// baseline unit's skips the metric kernels and the timing summary. done
-// is always closed, error or not.
+// A netlist that hashes as one already in the session's netlist memo
+// skips the metric kernels and the timing summary. done is always
+// closed, error or not.
 //
 // A context canceled before the entry is computed resolves the flight
 // with the context error and evicts its key from the shared table: the
@@ -573,7 +598,7 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // cancellation, but any later request for the signature registers a
 // fresh flight and synthesizes it — an abandoned flight is never left
 // to poison the session.
-func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace, cut *cutoff) {
+func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace) {
 	f := p.owned
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
@@ -599,22 +624,30 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 			Deduped:       synres.Deduped,
 			NetlistHash:   nl.Hash(),
 		}
-		// Early cutoff. Every metric kernel (Stats, cones, LUT mapping,
-		// power, areas, timing) reads only what Netlist.Hash covers —
-		// cells, RAMs, ports, net count, constants — and never a net
-		// name; the cell library is fixed and the FPGA options are in
-		// the options key the table was built under. So a netlist that
-		// hashes as a baseline unit's has that unit's synthesis metrics
-		// and timing, and the record equals a full compute's.
-		if hit := cut.lookup(rec.NetlistHash); hit != nil {
-			f.cutoff = true
-			rec.Metrics, rec.Timing = hit.Metrics, hit.Timing
-			return rec, nil
+		// The netlist memo. Every metric kernel (Stats, cones, LUT
+		// mapping, power, areas, timing) reads only what Netlist.Hash
+		// covers — cells, RAMs, ports, net count, constants — and never
+		// a net name, and the cell library and FPGA options are fixed.
+		// So a netlist that hashes as a memoized one has its synthesis
+		// metrics and timing, and the record equals a full compute's.
+		memo := memoOn(opts)
+		if memo {
+			if v, ok := s.netMemo.Load(rec.NetlistHash); ok {
+				e := v.(memoEntry)
+				f.cutoff = e.baseline
+				rec.Metrics, rec.Timing = e.rec.Metrics, e.rec.Timing
+				s.reused.Add(1)
+				return rec, nil
+			}
 		}
 		// The timing summary runs after the metric kernels, while the
 		// netlist's topological order they built is still memoized.
 		rec.Metrics = synthMetrics(synres, ws)
 		rec.Timing = timing.Summarize(nl, stdcell.Default180nm(), &ws.timing)
+		if memo {
+			// A racing duplicate computed the identical values.
+			s.netMemo.LoadOrStore(rec.NetlistHash, memoEntry{rec: rec})
+		}
 		return rec, nil
 	}
 	// A nil cache runs compute directly (p.diskSigKey is "" then and

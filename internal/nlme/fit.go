@@ -1,6 +1,7 @@
 package nlme
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -106,7 +107,14 @@ func (r *Result) ConfidenceInterval(eff, conf float64) (lo, hi float64) {
 // group sums are built, an evaluation costs O(groups). With one metric
 // y does not depend on φ at all, so its sums are built once per fit.
 //
-// The ratio and y buffers are scratch: a profile is NOT safe for
+// log u_ij depends only on the observation's metric row, and corpora
+// repeat rows (a generated corpus's 1000 DEE1 rows hold 17 distinct
+// ones with accounting), so with more than one metric an evaluation
+// takes one log per distinct row and reads it back per observation.
+// Each log is of the same sum, and y is summed in observation order, so
+// the result is bit-identical to one log per observation.
+//
+// The ratio, log and y buffers are scratch: a profile is NOT safe for
 // concurrent calls, and each restart evaluates its own copy (worker).
 // Every scratch entry is written before it is read on each evaluation,
 // so the copies compute bit-identical values.
@@ -114,11 +122,14 @@ type profile struct {
 	d       *Data
 	members [][]int
 	logEff  []float64
-	n       []float64 // group sizes n_i
+	n       []float64   // group sizes n_i
+	rows    [][]float64 // distinct metric rows, first-seen order (k > 1)
+	rowOf   []int       // observation → index into rows (k > 1)
 	k       int
 	mixed   bool
 
 	w     []float64 // (1, r_2..r_k)
+	logU  []float64 // log u per distinct row (k > 1)
 	y     []float64 // y_ij in observation order
 	mean  float64   // ȳ
 	s, ss []float64 // centered per-group S_i and SS_i
@@ -142,18 +153,50 @@ func newProfile(d *Data, members [][]int, mixed bool) *profile {
 	for gi, idx := range members {
 		p.n[gi] = float64(len(idx))
 	}
-	p.alloc()
 	if p.k == 1 {
-		// u_ij = m_ij1, which Validate made positive, so this cannot
-		// fail; the sums are read-only from here on.
-		p.sums(nil)
+		p.alloc()
+		// u_ij = m_ij1, which Validate made positive, so y is built
+		// directly; the sums are read-only from here on.
+		var total float64
+		for i, row := range d.Metrics {
+			v := p.logEff[i] - math.Log(row[0])
+			p.y[i] = v
+			total += v
+		}
+		p.groupSums(total)
+		return p
 	}
+	p.rows, p.rowOf = distinctRows(d.Metrics)
+	p.alloc()
 	return p
+}
+
+// distinctRows returns the distinct metric rows in first-seen order,
+// keyed by their exact float64 bits, and each row's index among them.
+func distinctRows(metrics [][]float64) (rows [][]float64, rowOf []int) {
+	rowOf = make([]int, len(metrics))
+	pos := make(map[string]int, len(metrics))
+	key := make([]byte, 0, 8*len(metrics[0]))
+	for i, row := range metrics {
+		key = key[:0]
+		for _, m := range row {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(m))
+		}
+		r, ok := pos[string(key)]
+		if !ok {
+			r = len(rows)
+			pos[string(key)] = r
+			rows = append(rows, row)
+		}
+		rowOf[i] = r
+	}
+	return rows, rowOf
 }
 
 func (p *profile) alloc() {
 	p.w = make([]float64, p.k)
 	p.w[0] = 1
+	p.logU = make([]float64, len(p.rows))
 	p.y = make([]float64, len(p.logEff))
 	p.s = make([]float64, len(p.n))
 	p.ss = make([]float64, len(p.n))
@@ -172,8 +215,8 @@ func (p *profile) worker() *profile {
 }
 
 // sums computes y, ȳ and the centered group sums at the log weight
-// ratios logR. It reports false for a point outside the ±400 bounds or
-// with a non-positive predictor.
+// ratios logR (k > 1). It reports false for a point outside the ±400
+// bounds or with a non-positive predictor.
 func (p *profile) sums(logR []float64) bool {
 	for j, lr := range logR {
 		if lr > 400 || lr < -400 {
@@ -181,15 +224,29 @@ func (p *profile) sums(logR []float64) bool {
 		}
 		p.w[j+1] = math.Exp(lr)
 	}
-	if p.d.predictorLogsInto(p.y, p.w) != nil {
-		return false
+	for r, row := range p.rows {
+		var eta float64
+		for k, m := range row {
+			eta += p.w[k] * m
+		}
+		if eta <= 0 || math.IsNaN(eta) {
+			return false
+		}
+		p.logU[r] = math.Log(eta)
 	}
 	var total float64
-	for i, logU := range p.y {
-		v := p.logEff[i] - logU
+	for i, r := range p.rowOf {
+		v := p.logEff[i] - p.logU[r]
 		p.y[i] = v
 		total += v
 	}
+	p.groupSums(total)
+	return true
+}
+
+// groupSums computes ȳ and the centered group sums from y and its
+// total.
+func (p *profile) groupSums(total float64) {
 	p.mean = total / float64(len(p.y))
 	for gi, idx := range p.members {
 		var s, ss float64
@@ -200,7 +257,6 @@ func (p *profile) sums(logR []float64) bool {
 		}
 		p.s[gi], p.ss[gi] = s, ss
 	}
-	return true
 }
 
 // scale profiles c out of the current sums at variance ratio λ (0 for

@@ -1,7 +1,6 @@
 package nlme
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -106,41 +105,4 @@ func (d *Data) groupIndex() (names []string, members [][]int) {
 		members[j] = append(members[j], i)
 	}
 	return names, members
-}
-
-// predictorLogs returns log(Σ_k w_k·m_ik) for every observation, or an
-// error if any predictor is non-positive under these weights.
-func (d *Data) predictorLogs(weights []float64) ([]float64, error) {
-	out := make([]float64, d.NumObs())
-	if err := d.predictorLogsInto(out, weights); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// errInfeasible is the allocation-free signal predictorLogsInto raises
-// for a non-positive predictor: optimizer objectives hit that case on
-// every infeasible trial point, so it must not cost a fmt.Errorf each
-// time.
-var errInfeasible = errors.New("nlme: non-positive predictor")
-
-// predictorLogsInto is predictorLogs writing into dst (which must have
-// length NumObs), allocating nothing. On an infeasible weight vector it
-// returns errInfeasible and dst holds partial results the caller must
-// ignore.
-func (d *Data) predictorLogsInto(dst, weights []float64) error {
-	if len(weights) != d.NumMetrics() {
-		return fmt.Errorf("nlme: %d weights for %d metrics", len(weights), d.NumMetrics())
-	}
-	for i, row := range d.Metrics {
-		var eta float64
-		for k, m := range row {
-			eta += weights[k] * m
-		}
-		if eta <= 0 || math.IsNaN(eta) {
-			return errInfeasible
-		}
-		dst[i] = math.Log(eta)
-	}
-	return nil
 }

@@ -94,6 +94,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		m.Session.Planned += st.Planned
 		m.Session.Synthesized += st.Synthesized
 		m.Session.Shared += st.Shared
+		m.Session.MetricsReused += st.MetricsReused
 		es := e.sess.ElabStats()
 		m.Elab.Hits += es.Hits
 		m.Elab.Misses += es.Misses

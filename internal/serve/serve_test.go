@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/designs"
+	"repro/internal/hdl"
 	"repro/internal/measure"
 	"repro/internal/serve"
 	"repro/internal/serve/servetest"
@@ -394,4 +395,39 @@ func replaceOnce(t *testing.T, src, old, new string) string {
 		t.Fatalf("anchor %q not found", old)
 	}
 	return src[:i] + new + src[i+len(old):]
+}
+
+// TestMetricsSumsMetricsReused pins /metrics' session object: its
+// MetricsReused is the sum over the live sessions of each session's
+// netlist-memo hits. Two tenants measure one generated corpus at one
+// worker, so each session reuses exactly what a direct session does.
+func TestMetricsSumsMetricsReused(t *testing.T) {
+	reqA := servetest.GeneratedRequest(t, "tenant-a", 40, 1)
+	reqB := servetest.GeneratedRequest(t, "tenant-b", 40, 1)
+	design, err := hdl.ParseDesign(reqA.Sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := make([]measure.Unit, len(reqA.Units))
+	for i, u := range reqA.Units {
+		units[i] = measure.Unit{Top: u.Top, UseAccounting: u.Accounting}
+	}
+	sess := measure.NewSession(design)
+	if _, err := sess.MeasureAll(units, measure.Options{Concurrency: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want := sess.Stats().MetricsReused
+	if want == 0 {
+		t.Fatal("reference corpus reuses no metrics; pick one that repeats a netlist")
+	}
+
+	h := servetest.Start(t, serve.Config{Concurrency: 1, MaxConcurrent: 4})
+	for i, req := range []*serve.Request{reqA, reqB} {
+		if _, err := h.Client().Measure(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Server.Metrics().Session.MetricsReused; got != (i+1)*want {
+			t.Errorf("after %d tenants: /metrics reports %d metrics reused, want %d", i+1, got, (i+1)*want)
+		}
+	}
 }

@@ -18,9 +18,10 @@
 #
 # Performance is gated in two places, neither of them here. The
 # load-independent bounds (allocation budgets, the edit loop's dirty
-# cone, per-unit scaling) are ordinary tests in gates_test.go and run
-# in stage 1. Wall time is the bench/ module's job: `bash bench/run.sh`
-# runs the end-to-end workloads that BENCHMARK.json lists.
+# cone, per-unit scaling, one metric-kernel run per distinct netlist)
+# are ordinary tests in gates_test.go and run in stage 1. Wall time is
+# the bench/ module's job: `bash bench/run.sh` runs the end-to-end
+# workloads that BENCHMARK.json lists.
 #
 # Usage:
 #   scripts/ci.sh                      # all stages
