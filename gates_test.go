@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/designs"
 	"repro/internal/elab"
+	"repro/internal/hdl"
 	"repro/internal/measure"
 	"repro/internal/netlist"
 	"repro/internal/paper"
@@ -302,6 +304,110 @@ func TestMetricKernelsOncePerNetlist(t *testing.T) {
 		t.Errorf("metric kernels ran %d times (%d signatures synthesized, %d reused) for %d distinct netlists",
 			runs, st.Synthesized, st.MetricsReused, len(netlists))
 	}
+}
+
+// TestStructuralKeysOncePerDesignPoint gates the session's name-blind
+// keys by the work they save: a cold sequential sweep of the
+// 100-component generated corpus, whose components are mostly renamed
+// copies of each other, synthesizes once per distinct structural
+// design point and searches once per distinct structural top.
+//
+// A design point is (the top's hdl.Design.StructuralHash, its resolved
+// parameters under no module name, the dedup flag when the hierarchy
+// can stamp duplicate siblings). Searches are counted by their probes:
+// the probes the sweep ran must equal the sum, over one accounting
+// unit per structure, of the probes its search reports. A session that
+// keys any of these by module name runs more of both and fails; a
+// search with no candidate to probe is not seen by this count.
+func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
+	design, units := generatedUnits(t, 100)
+	rec := &elab.StatsRecorder{}
+	sess := measure.NewSession(design)
+	results, err := sess.MeasureAll(units, measure.Options{Concurrency: 1, ElabStats: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[string]bool{}
+	searched := map[string]*measure.ComponentResult{}
+	for i, u := range units {
+		st, err := design.StructuralHash(u.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := design.Module(u.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := elab.ResolveParams(mod, results[i].MinimizedParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dedup := "any"
+		if duplicateSiblingsPossible(t, design, u.Top) {
+			dedup = strconv.FormatBool(u.UseAccounting)
+		}
+		points[st+"|"+elab.ParamSignature("", full)+"|"+dedup] = true
+		if u.UseAccounting {
+			searched[st] = results[i]
+		}
+	}
+	if len(searched) >= len(units)/2 {
+		t.Fatalf("%d structures for %d components: the corpus has no renamed copy", len(searched), len(units)/2)
+	}
+	if st := sess.Stats(); st.Synthesized != len(points) {
+		t.Errorf("synthesized %d flights for %d distinct structural design points", st.Synthesized, len(points))
+	}
+	var wantHits, wantMisses int
+	for _, r := range searched {
+		wantHits += r.ElabCacheHits
+		wantMisses += r.ElabCacheMisses
+	}
+	if _, hits, misses := rec.Snapshot(); hits != wantHits || misses != wantMisses {
+		t.Errorf("searches ran %d/%d probe hits/misses; one search per %d structures runs %d/%d",
+			hits, misses, len(searched), wantHits, wantMisses)
+	}
+}
+
+// duplicateSiblingsPossible is the session's static dedup test, read
+// off the AST: some module under top instantiates one module name
+// twice (generate branches counted together) or instantiates inside a
+// generate loop.
+func duplicateSiblingsPossible(t *testing.T, d *hdl.Design, top string) bool {
+	names, err := d.TransitiveModules(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repeats func(items []hdl.Item, inLoop bool, seen map[string]bool) bool
+	repeats = func(items []hdl.Item, inLoop bool, seen map[string]bool) bool {
+		for _, it := range items {
+			switch v := it.(type) {
+			case *hdl.Instance:
+				if inLoop || seen[v.ModuleName] {
+					return true
+				}
+				seen[v.ModuleName] = true
+			case *hdl.GenFor:
+				if repeats(v.Body, true, seen) {
+					return true
+				}
+			case *hdl.GenIf:
+				if repeats(v.Then, inLoop, seen) || repeats(v.Else, inLoop, seen) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, name := range names {
+		m, err := d.Module(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repeats(m.Items, false, map[string]bool{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // lowerCorpusReusedWS lowers every corpus component's default-parameter

@@ -23,7 +23,7 @@ import (
 //	           type   1 byte each
 //	           out    varint delta vs previous out
 //	           in0/in1/in2/clk  varint delta vs the cell's out (Nil encodes as -1 like any id)
-//	rams     uvarint count; per RAM: name, width, depth (uvarint),
+//	rams     uvarint count; per RAM: width, depth (uvarint),
 //	           clk varint, write ports {en varint, addr/data delta runs},
 //	           read ports {addr/out delta runs}
 //	inputs   uvarint count; per port: name, net varint delta vs previous
@@ -36,9 +36,10 @@ import (
 
 // netlistVersion is the structure version inside the netlist payload,
 // separate from the cache envelope's schema: it tracks this layout.
-// Version 1 ended in a per-net name section; version 2 has none, so a
-// version-1 payload decodes as ErrCorrupt and its entry recomputes.
-const netlistVersion = 2
+// Version 1 ended in a per-net name section; version 2 had none but
+// named each RAM; version 3 names no RAM. An older payload decodes as
+// ErrCorrupt and its entry recomputes.
+const netlistVersion = 3
 
 // maxNets caps a decoded netlist's net count. The largest paper
 // netlist has under 5,000 nets; the cap bounds the per-net tables that
@@ -79,7 +80,6 @@ func AppendNetlist(dst []byte, n *netlist.Netlist) []byte {
 
 	dst = AppendUvarint(dst, uint64(len(n.RAMs)))
 	for _, r := range n.RAMs {
-		dst = AppendString(dst, r.Name)
 		dst = AppendUvarint(dst, uint64(r.Width))
 		dst = AppendUvarint(dst, uint64(r.Depth))
 		dst = AppendVarint(dst, int64(r.Clk))
@@ -172,7 +172,6 @@ func DecodeNetlist(r *Reader) (*netlist.Netlist, error) {
 	}
 	for ri := range n.RAMs {
 		ram := &netlist.RAM{}
-		ram.Name = r.String()
 		width := r.Uvarint()
 		depth := r.Uvarint()
 		if r.Err() == nil && (width > maxRAMShape || depth > maxRAMShape) {

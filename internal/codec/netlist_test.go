@@ -33,7 +33,7 @@ func equalNetlists(t *testing.T, a, b *netlist.Netlist) {
 	}
 	for i := range a.RAMs {
 		x, y := a.RAMs[i], b.RAMs[i]
-		if x.Name != y.Name || x.Width != y.Width || x.Depth != y.Depth || x.Clk != y.Clk ||
+		if x.Width != y.Width || x.Depth != y.Depth || x.Clk != y.Clk ||
 			len(x.WritePorts) != len(y.WritePorts) || len(x.ReadPorts) != len(y.ReadPorts) {
 			t.Fatalf("RAM %d shape differs", i)
 		}
@@ -115,11 +115,14 @@ func TestDecodeNetlistRejectsStructuralDamage(t *testing.T) {
 		}
 	}
 
-	// A wrong structure version byte.
-	bad := append([]byte{}, good...)
-	bad[0] = 99
-	if decode(bad) == nil {
-		t.Error("wrong structure version accepted")
+	// A wrong structure version byte, and version 2's, whose RAMs
+	// carried names.
+	for _, v := range []byte{99, 2} {
+		bad := append([]byte{}, good...)
+		bad[0] = v
+		if err := decode(bad); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("structure version %d: error %v, want ErrCorrupt", v, err)
+		}
 	}
 
 	// Version 1 ended in a per-net name section. Its payloads, with or
@@ -217,7 +220,7 @@ func seedNetlist() *netlist.Netlist {
 		{Type: netlist.Inv, In: [3]netlist.NetID{6, netlist.Nil, netlist.Nil}, Clk: netlist.Nil, Out: 7},
 	}
 	n.RAMs = []*netlist.RAM{{
-		Name: "mem", Width: 2, Depth: 2, Clk: clk,
+		Width: 2, Depth: 2, Clk: clk,
 		WritePorts: []netlist.RAMWritePort{{En: a, Addr: []netlist.NetID{b}, Data: []netlist.NetID{5, 6}}},
 		ReadPorts:  []netlist.RAMReadPort{{Addr: []netlist.NetID{b}, Out: []netlist.NetID{8, 9}}},
 	}}
@@ -234,7 +237,7 @@ func FuzzDecodeNetlist(f *testing.F) {
 	seed := codec.AppendNetlist(nil, seedNetlist())
 	f.Add(seed)
 	f.Add(appendV1Names(seed, []string{"0", "1", "clk", "a", "b", "and", "ff", ""}))
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := codec.NewReader(data)
 		nl, err := codec.DecodeNetlist(r)

@@ -270,19 +270,19 @@ func Analyze(n *netlist.Netlist) *Analysis {
 			cone(key("lat", ci, "en"), c.In[1])
 		}
 	}
-	for _, r := range n.RAMs {
+	for ri, r := range n.RAMs {
 		for wi, wp := range r.WritePorts {
-			cone(key2("ram", r.Name, "wen", wi), wp.En)
+			cone(key2("ram", itoa(ri), "wen", wi), wp.En)
 			for i, b := range wp.Addr {
-				cone(key2("ram", r.Name, itoa(wi)+".waddr", i), b)
+				cone(key2("ram", itoa(ri), itoa(wi)+".waddr", i), b)
 			}
 			for i, b := range wp.Data {
-				cone(key2("ram", r.Name, itoa(wi)+".wdata", i), b)
+				cone(key2("ram", itoa(ri), itoa(wi)+".wdata", i), b)
 			}
 		}
 		for pi, rp := range r.ReadPorts {
 			for i, b := range rp.Addr {
-				cone(key2("ram", r.Name, itoa(pi)+".raddr", i), b)
+				cone(key2("ram", itoa(ri), itoa(pi)+".raddr", i), b)
 			}
 		}
 	}
@@ -386,19 +386,19 @@ func analyzeRef(n *netlist.Netlist) *Analysis {
 			cone(key("lat", ci, "en"), c.In[1])
 		}
 	}
-	for _, r := range n.RAMs {
+	for ri, r := range n.RAMs {
 		for wi, wp := range r.WritePorts {
-			cone(key2("ram", r.Name, "wen", wi), wp.En)
+			cone(key2("ram", itoa(ri), "wen", wi), wp.En)
 			for i, b := range wp.Addr {
-				cone(key2("ram", r.Name, itoa(wi)+".waddr", i), b)
+				cone(key2("ram", itoa(ri), itoa(wi)+".waddr", i), b)
 			}
 			for i, b := range wp.Data {
-				cone(key2("ram", r.Name, itoa(wi)+".wdata", i), b)
+				cone(key2("ram", itoa(ri), itoa(wi)+".wdata", i), b)
 			}
 		}
 		for pi, rp := range r.ReadPorts {
 			for i, b := range rp.Addr {
-				cone(key2("ram", r.Name, itoa(pi)+".raddr", i), b)
+				cone(key2("ram", itoa(ri), itoa(pi)+".raddr", i), b)
 			}
 		}
 	}

@@ -10,12 +10,12 @@ type SourceFile struct {
 	// used for the paper's LoC metric.
 	CodeLines map[int]bool
 
-	hashes []string // ModuleHash of Modules[i], filled by Parse
+	hashes []moduleHashes // hashes of Modules[i], filled by Parse
 }
 
-// moduleHash returns the hash of f.Modules[i]: the one Parse stored,
-// or, for a SourceFile assembled by hand, a freshly computed one.
-func (f *SourceFile) moduleHash(i int) string {
+// hashesOf returns the hashes of f.Modules[i]: the ones Parse stored,
+// or, for a SourceFile assembled by hand, freshly computed ones.
+func (f *SourceFile) hashesOf(i int) moduleHashes {
 	if len(f.hashes) == len(f.Modules) {
 		return f.hashes[i]
 	}

@@ -2,6 +2,7 @@ package hdl
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -16,9 +17,10 @@ type Design struct {
 	Files   []*SourceFile
 	modules map[string]decl
 
-	mu          sync.Mutex
-	fingerprint string            // memoized Fingerprint; reset by AddFile
-	subtreeHash map[string]string // memoized SubtreeHash per top; reset by AddFile
+	mu             sync.Mutex
+	fingerprint    string            // memoized Fingerprint; reset by AddFile
+	subtreeHash    map[string]string // memoized SubtreeHash per top; reset by AddFile
+	structuralHash map[string]string // memoized StructuralHash per top; reset by AddFile
 }
 
 // decl locates a module declaration: file.Modules[i].
@@ -53,6 +55,7 @@ func (d *Design) AddFile(f *SourceFile) error {
 	d.mu.Lock()
 	d.fingerprint = ""
 	d.subtreeHash = nil
+	d.structuralHash = nil
 	d.mu.Unlock()
 	return nil
 }
@@ -117,7 +120,7 @@ func (d *Design) mixHashes(names []string) string {
 		c := d.modules[name]
 		h.Write([]byte(name))
 		h.Write([]byte{0})
-		h.Write([]byte(c.file.moduleHash(c.i)))
+		h.Write([]byte(c.file.hashesOf(c.i).named))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -136,13 +139,47 @@ func (d *Design) ModuleHash(name string) (string, error) {
 		return "", err
 	}
 	c := d.modules[name]
-	return c.file.moduleHash(c.i), nil
+	return c.file.hashesOf(c.i).named, nil
 }
 
-// hashModule is ModuleHash's definition: SHA-256 over Format(m).
-func hashModule(m *Module) string {
-	sum := sha256.Sum256([]byte(Format(m)))
-	return hex.EncodeToString(sum[:])
+// moduleHashes are one module's source hashes, all taken from one
+// Format pass: the ModuleHash and what StructuralHash reads.
+type moduleHashes struct {
+	named string // ModuleHash: hex SHA-256 over Format(m)
+	// blind is SHA-256 over Format(m) with every module name cut out:
+	// the count of text runs between the name sites, then each run,
+	// length-prefixed.
+	blind [sha256.Size]byte
+	// children are the instantiated module names, one per instance,
+	// in printer order: the names blind leaves out, after the module's
+	// own.
+	children []string
+}
+
+// hashModule computes m's hashes.
+func hashModule(m *Module) moduleHashes {
+	var sites nameSites
+	text := []byte(format(m, &sites))
+	named := sha256.Sum256(text)
+	h := sha256.New()
+	var n [8]byte
+	run := func(from, to int) {
+		binary.LittleEndian.PutUint64(n[:], uint64(to-from))
+		h.Write(n[:])
+		h.Write(text[from:to])
+	}
+	binary.LittleEndian.PutUint64(n[:], uint64(len(sites.offs)+2))
+	h.Write(n[:])
+	run(0, len(headerPrefix))
+	pos := len(headerPrefix) + len(m.Name)
+	for i, off := range sites.offs {
+		run(pos, off)
+		pos = off + len(sites.names[i])
+	}
+	run(pos, len(text))
+	mh := moduleHashes{named: hex.EncodeToString(named[:]), children: sites.names}
+	h.Sum(mh.blind[:0])
+	return mh
 }
 
 // SubtreeHash returns a stable content hash of the module subtree
@@ -175,6 +212,78 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 		d.subtreeHash = map[string]string{}
 	}
 	d.subtreeHash[top] = sum
+	return sum, nil
+}
+
+// StructuralHash returns a content hash of the module subtree rooted at
+// top that no module name enters: two tops hash equal exactly when one
+// subtree is the other under a bijective renaming of modules. It
+// covers what SubtreeHash covers — every transitive module's formatted
+// source — so it can key anything that is a pure function of the
+// subtree and never reads a module name; the measurement session keys
+// its synthesis flights, searches and "sig" records by it.
+//
+// The modules are numbered breadth-first from top (0) in order of their
+// first instance in printer order. The hash mixes, per module in that
+// order, its name-blind source hash and, per instance site, the child's
+// number. Numbering rather than mixing each child's own hash is what
+// keeps the hash exact:
+//   - Two sites of one module name are one number, two names with
+//     identical bodies are two. Lowering dedups sibling instances by
+//     module name, so P{A u1; A u2} and P{A u1; B u2} must differ even
+//     when A and B have identical bodies.
+//   - The same holds across parents: whether two parents instantiate
+//     one module or two identical ones changes what the elaboration
+//     cache shares, and so the search counters a unit reports.
+//   - An instantiation cycle is a back reference to a number; no
+//     recursion is needed to hash it.
+//
+// A name no module declares is mixed in literally. Memoized per top;
+// invalidated by AddFile.
+func (d *Design) StructuralHash(top string) (string, error) {
+	d.mu.Lock()
+	if h, ok := d.structuralHash[top]; ok {
+		d.mu.Unlock()
+		return h, nil
+	}
+	d.mu.Unlock()
+	if _, err := d.Module(top); err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	var n [9]byte
+	number := map[string]int{top: 0}
+	order := []string{top}
+	for k := 0; k < len(order); k++ {
+		c := d.modules[order[k]]
+		mh := c.file.hashesOf(c.i)
+		h.Write(mh.blind[:])
+		for _, name := range mh.children {
+			j, ok := number[name]
+			if !ok && !d.HasModule(name) {
+				n[0] = 'u'
+				binary.LittleEndian.PutUint64(n[1:], uint64(len(name)))
+				h.Write(n[:])
+				h.Write([]byte(name))
+				continue
+			}
+			if !ok {
+				j = len(order)
+				number[name] = j
+				order = append(order, name)
+			}
+			n[0] = 'm'
+			binary.LittleEndian.PutUint64(n[1:], uint64(j))
+			h.Write(n[:])
+		}
+	}
+	sum := hex.EncodeToString(h.Sum(nil))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.structuralHash == nil {
+		d.structuralHash = map[string]string{}
+	}
+	d.structuralHash[top] = sum
 	return sum, nil
 }
 

@@ -11,8 +11,27 @@ import (
 // tree) but normalizes whitespace; it is used for debugging and for the
 // parser round-trip tests.
 func Format(m *Module) string {
+	return format(m, nil)
+}
+
+// nameSites records where format wrote instantiated module names: the
+// byte offset of each in the output and the name, in printer order.
+// The module's own name is always at offset len(headerPrefix).
+type nameSites struct {
+	offs  []int
+	names []string
+}
+
+// headerPrefix is what Format writes before the module's own name.
+const headerPrefix = "module "
+
+// format is Format, also recording the instance name sites in sites
+// when it is non-nil. The module's own name and the instantiated
+// module names are the only module names the printer writes.
+func format(m *Module, sites *nameSites) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "module %s", m.Name)
+	b.WriteString(headerPrefix)
+	b.WriteString(m.Name)
 	if len(m.Params) > 0 {
 		b.WriteString(" #(")
 		for i, p := range m.Params {
@@ -43,7 +62,7 @@ func Format(m *Module) string {
 	}
 	b.WriteString(");\n")
 	for _, it := range m.Items {
-		printItem(&b, it, 1)
+		printItem(&b, it, 1, sites)
 	}
 	b.WriteString("endmodule\n")
 	return b.String()
@@ -70,7 +89,7 @@ func appendRange(b *strings.Builder, r *Range) {
 	b.WriteByte(']')
 }
 
-func printItem(b *strings.Builder, it Item, depth int) {
+func printItem(b *strings.Builder, it Item, depth int, sites *nameSites) {
 	indent(b, depth)
 	switch v := it.(type) {
 	case *ParamDecl:
@@ -126,6 +145,10 @@ func printItem(b *strings.Builder, it Item, depth int) {
 		b.WriteString(")\n")
 		printStmt(b, v.Body, depth+1)
 	case *Instance:
+		if sites != nil {
+			sites.offs = append(sites.offs, b.Len())
+			sites.names = append(sites.names, v.ModuleName)
+		}
 		b.WriteString(v.ModuleName)
 		if len(v.Params) > 0 {
 			b.WriteString(" #(")
@@ -152,7 +175,7 @@ func printItem(b *strings.Builder, it Item, depth int) {
 		b.WriteString(labelSuffix(v.Label))
 		b.WriteByte('\n')
 		for _, sub := range v.Body {
-			printItem(b, sub, depth+1)
+			printItem(b, sub, depth+1, sites)
 		}
 		indent(b, depth)
 		b.WriteString("end endgenerate\n")
@@ -163,14 +186,14 @@ func printItem(b *strings.Builder, it Item, depth int) {
 		b.WriteString(labelSuffix(v.ThenLabel))
 		b.WriteByte('\n')
 		for _, sub := range v.Then {
-			printItem(b, sub, depth+1)
+			printItem(b, sub, depth+1, sites)
 		}
 		indent(b, depth)
 		b.WriteString("end")
 		if len(v.Else) > 0 {
 			fmt.Fprintf(b, " else begin%s\n", labelSuffix(v.ElseLabel))
 			for _, sub := range v.Else {
-				printItem(b, sub, depth+1)
+				printItem(b, sub, depth+1, sites)
 			}
 			indent(b, depth)
 			b.WriteString("end")

@@ -417,6 +417,22 @@ func sigV1Payload(_ *componentRecord, sig *sigRecord, nl *netlist.Netlist) []byt
 	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
+// componentV3Payload and sigV2Payload are the current layouts under the
+// versions whose netlist hashes still covered RAM names.
+func componentV3Payload(rec *componentRecord, _ *sigRecord, _ *netlist.Netlist) []byte {
+	return relabel(recordCodec.Append(nil, rec), 3)
+}
+
+func sigV2Payload(_ *componentRecord, sig *sigRecord, _ *netlist.Netlist) []byte {
+	return relabel(sigRecordCodec.Append(nil, sig), 2)
+}
+
+// relabel sets an encoded payload's structure version byte.
+func relabel(payload []byte, version byte) []byte {
+	payload[0] = version
+	return payload
+}
+
 // rawPayload stores already-encoded payload bytes as a cache entry.
 var rawPayload = codec.Codec[[]byte]{
 	Name:   "raw",
@@ -497,7 +513,9 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 	}{
 		{"component v1", "component", componentV1Payload, 1},
 		{"component v2", "component", componentV2Payload, 1},
+		{"component v3", "component", componentV3Payload, 1},
 		{"sig v1", "sig", sigV1Payload, 2},
+		{"sig v2", "sig", sigV2Payload, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -646,7 +664,7 @@ func TestSigAndOptionsKeysPinned(t *testing.T) {
 			sigs = append(sigs, key)
 		}
 	}
-	want := "sig-11ee2d4b7fe80628d16103734546760a9e150e536c2022146a6f9f6d8127c768"
+	want := "sig-02d799b017925e59eea02c11332f7bf878b95a8fbc6104bf36ff717b79322393"
 	if len(sigs) != 1 || sigs[0] != want {
 		t.Errorf("%s: sig records %v, want [%s]", c.Label(), sigs, want)
 	}

@@ -23,8 +23,10 @@ const (
 	// they described whichever run wrote the entry, not the result.
 	// Version 3 (with sigVersion 2) replaced the optimized netlist by
 	// its hash and timing summary, and made the metrics mandatory.
-	recordVersion = 3
-	sigVersion    = 2
+	// Version 4 (with sigVersion 3) stores netlist hashes that no
+	// longer cover RAM names (netlist-hash-v2).
+	recordVersion = 4
+	sigVersion    = 3
 )
 
 func appendMetrics(dst []byte, m *Metrics) []byte {

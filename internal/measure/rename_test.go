@@ -1,0 +1,307 @@
+package measure_test
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/designs"
+	"repro/internal/gencorpus"
+	"repro/internal/hdl"
+	"repro/internal/measure"
+)
+
+// renamedModule returns a copy of m whose own name and instantiated
+// module names go through rename; m is shared and is not touched.
+func renamedModule(m *hdl.Module, rename func(string) string) *hdl.Module {
+	c := *m
+	c.Name = rename(m.Name)
+	c.Items = renamedItems(m.Items, rename)
+	return &c
+}
+
+func renamedItems(items []hdl.Item, rename func(string) string) []hdl.Item {
+	out := make([]hdl.Item, len(items))
+	for i, it := range items {
+		switch v := it.(type) {
+		case *hdl.Instance:
+			c := *v
+			c.ModuleName = rename(v.ModuleName)
+			out[i] = &c
+		case *hdl.GenFor:
+			c := *v
+			c.Body = renamedItems(v.Body, rename)
+			out[i] = &c
+		case *hdl.GenIf:
+			c := *v
+			c.Then = renamedItems(v.Then, rename)
+			c.Else = renamedItems(v.Else, rename)
+			out[i] = &c
+		default:
+			out[i] = it
+		}
+	}
+	return out
+}
+
+// renamedDesign re-parses d with every module renamed bijectively: the
+// i-th name in sorted order becomes "c<n-1-i>", so the renaming also
+// reverses the names' sort order. Each file keeps its name and module
+// order.
+func renamedDesign(t *testing.T, d *hdl.Design) (*hdl.Design, map[string]string) {
+	t.Helper()
+	names := d.ModuleNames()
+	to := make(map[string]string, len(names))
+	for i, name := range names {
+		to[name] = fmt.Sprintf("c%03d", len(names)-1-i)
+	}
+	rename := func(name string) string { return to[name] }
+	sources := map[string]string{}
+	for _, f := range d.Files {
+		var b strings.Builder
+		for _, m := range f.Modules {
+			b.WriteString(hdl.Format(renamedModule(m, rename)))
+		}
+		sources[f.File] = b.String()
+	}
+	r, err := hdl.ParseDesign(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, to
+}
+
+// paperUnits is every paper component in both accounting modes, with
+// its top module's name mapped through rename.
+func paperUnits(rename func(string) string) []measure.Unit {
+	var units []measure.Unit
+	for _, acct := range []bool{true, false} {
+		for _, c := range designs.All() {
+			units = append(units, measure.Unit{Top: rename(c.Top), UseAccounting: acct})
+		}
+	}
+	return units
+}
+
+// TestRenamedDesignMeasuresIdentically: renaming every module of the
+// paper corpus changes no measured value. Each unit of the renamed
+// design, in both accounting modes, has every result field of the
+// original unit (netlist hash and search counters included), and its
+// UniqueModules are the original's mapped through the renaming. On a
+// cache the original's sweep warmed, every flight of the renamed sweep
+// is answered by a "sig" record the original wrote: the flight and
+// disk keys name no module.
+func TestRenamedDesignMeasuresIdentically(t *testing.T) {
+	orig, err := designs.FullDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ren, to := renamedDesign(t, orig)
+	units := paperUnits(func(s string) string { return s })
+	renUnits := paperUnits(func(s string) string { return to[s] })
+
+	ch, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := measure.NewSession(orig).MeasureAll(units, measure.Options{Cache: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := measure.NewSession(ren).MeasureAll(renUnits, measure.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ch.KindStats()["sig"]
+	warmSess := measure.NewSession(ren)
+	warm, err := warmSess.MeasureAll(renUnits, measure.Options{Cache: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, got := range []struct {
+		label   string
+		results []*measure.ComponentResult
+	}{{"renamed", fresh}, {"renamed, warm sig records", warm}} {
+		for i, u := range units {
+			w := *want[i]
+			var mapped []string
+			for _, name := range w.UniqueModules {
+				mapped = append(mapped, to[name])
+			}
+			slices.Sort(mapped)
+			w.UniqueModules = mapped
+			if !reflect.DeepEqual(got.results[i], &w) {
+				t.Errorf("%s %s(acct=%t): %+v, want %+v", got.label, u.Top, u.UseAccounting, got.results[i], &w)
+			}
+		}
+	}
+
+	st := warmSess.Stats()
+	sig := ch.KindStats()["sig"]
+	if hits, misses := sig.Hits-before.Hits, sig.Misses-before.Misses; st.Synthesized == 0 || hits != int64(st.Synthesized) || misses != 0 {
+		t.Errorf("renamed sweep on a warm cache: %d flights, %d answered by sig records, %d sig misses; want every flight answered",
+			st.Synthesized, hits, misses)
+	}
+}
+
+// partitionSrc plants the name-partition hazard. leaf_a and leaf_b
+// have identical bodies, so p_two and p_one differ only in whether
+// their two instances name one module or two, and lowering dedups
+// sibling instances by module name. t_two and t_one nest them so the
+// dedup flag is part of both keys. t_one_copy is t_one renamed through
+// and through; t_tok differs from t_one in one token of its leaf.
+const partitionSrc = `
+module leaf_a (input [3:0] a, output [3:0] y);
+  assign y = a + 4'd1;
+endmodule
+module leaf_b (input [3:0] a, output [3:0] y);
+  assign y = a + 4'd1;
+endmodule
+module leaf_c (input [3:0] a, output [3:0] y);
+  assign y = a + 4'd2;
+endmodule
+module leaf_d (input [3:0] a, output [3:0] y);
+  assign y = a + 4'd1;
+endmodule
+module p_two (input [3:0] a, output [3:0] y, output [3:0] z);
+  leaf_a u1 (.a(a), .y(y));
+  leaf_b u2 (.a(a), .y(z));
+endmodule
+module p_one (input [3:0] a, output [3:0] y, output [3:0] z);
+  leaf_a u1 (.a(a), .y(y));
+  leaf_a u2 (.a(a), .y(z));
+endmodule
+module p_one_copy (input [3:0] a, output [3:0] y, output [3:0] z);
+  leaf_d u1 (.a(a), .y(y));
+  leaf_d u2 (.a(a), .y(z));
+endmodule
+module p_tok (input [3:0] a, output [3:0] y, output [3:0] z);
+  leaf_c u1 (.a(a), .y(y));
+  leaf_c u2 (.a(a), .y(z));
+endmodule
+module t_two (input [3:0] a, b, output [3:0] y, output [3:0] z);
+  p_two x (.a(a), .y(y), .z());
+  p_two w (.a(b), .y(), .z(z));
+endmodule
+module t_one (input [3:0] a, b, output [3:0] y, output [3:0] z);
+  p_one x (.a(a), .y(y), .z());
+  p_one w (.a(b), .y(), .z(z));
+endmodule
+module t_one_copy (input [3:0] a, b, output [3:0] y, output [3:0] z);
+  p_one_copy x (.a(a), .y(y), .z());
+  p_one_copy w (.a(b), .y(), .z(z));
+endmodule
+module t_tok (input [3:0] a, b, output [3:0] y, output [3:0] z);
+  p_tok x (.a(a), .y(y), .z());
+  p_tok w (.a(b), .y(), .z(z));
+endmodule
+`
+
+// TestNamePartitionPlantedPairs measures the planted tops in one batch
+// and each alone. Every unit equals itself alone; the renamed copy
+// shares t_one's flights and equals it but for UniqueModules; t_two's
+// dedup count differs from t_one's, so structural keys must keep the
+// two apart; the one-token edit shares nothing.
+func TestNamePartitionPlantedPairs(t *testing.T) {
+	d, err := hdl.ParseDesign(map[string]string{"p.v": partitionSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []measure.Unit
+	for _, acct := range []bool{true, false} {
+		for _, top := range []string{"t_two", "t_one", "t_one_copy", "t_tok"} {
+			units = append(units, measure.Unit{Top: top, UseAccounting: acct})
+		}
+	}
+	sess := measure.NewSession(d)
+	got, err := sess.MeasureAll(units, measure.Options{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byUnit := map[measure.Unit]*measure.ComponentResult{}
+	for i, u := range units {
+		alone, err := measure.MeasureComponent(d, u.Top, u.UseAccounting, measure.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], alone) {
+			t.Errorf("%s(acct=%t): batch %+v, alone %+v", u.Top, u.UseAccounting, got[i], alone)
+		}
+		byUnit[u] = got[i]
+	}
+	for _, acct := range []bool{true, false} {
+		one, cp := *byUnit[measure.Unit{Top: "t_one", UseAccounting: acct}], *byUnit[measure.Unit{Top: "t_one_copy", UseAccounting: acct}]
+		one.UniqueModules, cp.UniqueModules = nil, nil
+		if !reflect.DeepEqual(one, cp) {
+			t.Errorf("acct=%t: renamed copy %+v, original %+v", acct, cp, one)
+		}
+		tok := byUnit[measure.Unit{Top: "t_tok", UseAccounting: acct}]
+		if tok.NetlistHash == one.NetlistHash {
+			t.Errorf("acct=%t: the one-token edit kept the netlist hash", acct)
+		}
+	}
+	two, one := byUnit[measure.Unit{Top: "t_two", UseAccounting: true}], byUnit[measure.Unit{Top: "t_one", UseAccounting: true}]
+	if two.DedupedInstances == one.DedupedInstances {
+		t.Errorf("t_two and t_one both dedup %d instances; the planted pair no longer differs by name partition", one.DedupedInstances)
+	}
+	// Every top can stamp duplicate siblings, so each takes one flight
+	// per accounting mode; the renamed copy takes none of its own.
+	if st := sess.Stats(); st.Synthesized != 6 || st.Shared != 2 {
+		t.Errorf("stats %+v: want 6 flights synthesized (3 structures × 2 modes) and the copy's 2 units shared", st)
+	}
+}
+
+// TestStructuralSharingMatchesAlone: on generated corpora, where most
+// components are renamed copies of others, every unit of a sweep at 1
+// and 8 workers is DeepEqual to the unit measured alone in a fresh
+// session (search counters included), though the sweep searches and
+// synthesizes each structure once (gates_test.go counts that).
+func TestStructuralSharingMatchesAlone(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		corpus, err := gencorpus.Generate(gencorpus.Config{Components: 100, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		design, err := corpus.Design(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var units []measure.Unit
+		structures := map[string]bool{}
+		for _, acct := range []bool{true, false} {
+			for _, c := range corpus.Components {
+				units = append(units, measure.Unit{Top: c.Top, UseAccounting: acct})
+				st, err := design.StructuralHash(c.Top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				structures[st] = true
+			}
+		}
+		if len(structures) >= len(corpus.Components) {
+			t.Fatalf("seed %d: %d structures for %d components; the corpus has no renamed copy", seed, len(structures), len(corpus.Components))
+		}
+		alone := make([]*measure.ComponentResult, len(units))
+		for i, u := range units {
+			if alone[i], err = measure.MeasureComponent(design, u.Top, u.UseAccounting, measure.Options{Concurrency: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 8} {
+			sess := measure.NewSession(design)
+			got, err := sess.MeasureAll(units, measure.Options{Concurrency: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range units {
+				if !reflect.DeepEqual(got[i], alone[i]) {
+					t.Errorf("seed %d workers=%d %s(acct=%t): sweep %+v, alone %+v", seed, workers, u.Top, u.UseAccounting, got[i], alone[i])
+				}
+			}
+		}
+	}
+}

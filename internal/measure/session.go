@@ -52,10 +52,14 @@ type SessionStats struct {
 // pipeline shared across them: one parsed design, one component-scoped
 // elaboration cache per top module (subtree memoization across that
 // component's minimization search, reference elaboration, and final
-// trees), and a single-flight synthesis table keyed by the canonical
-// parameter signature, so each distinct (module, resolved parameters)
-// design point is synthesized and metric-extracted exactly once no
-// matter how many units — or MeasureAll calls — land on it.
+// trees), and a single-flight synthesis table keyed by design point —
+// the top's hdl.Design.StructuralHash, its resolved parameters and the
+// dedup flag, no module name — so each distinct design point is
+// synthesized and metric-extracted exactly once no matter how many
+// units, renamed copies of one component, or MeasureAll calls land on
+// it. The accounting search and the dedup verdict are memoized by
+// structural hash too. What names modules stays per unit: the disk
+// component key, UniqueModules, the source metrics, and every error.
 //
 // Every result is bit-identical to measuring the component alone with
 // fresh, uncached elaboration and synthesis (the golden tests pin this
@@ -81,8 +85,8 @@ type Session struct {
 
 	shards [flightShards]flightShard
 
-	minMemo   sync.Map // top module name → *searchResult: the accounting search
-	dedupMemo sync.Map // module name → bool: could produce duplicate siblings
+	minMemo   sync.Map // top's structural hash → *searchResult: the accounting search
+	dedupMemo sync.Map // module's structural hash → bool: could produce duplicate siblings
 	srcMemo   sync.Map // module name → srcmetrics.Counts
 	netMemo   sync.Map // optimized netlist hash → memoEntry
 
@@ -112,8 +116,9 @@ func (s *Session) shardOf(key string) *flightShard {
 	return &s.shards[h%flightShards]
 }
 
-// flightFor returns key's flight, creating (and owning) it when absent.
-func (s *Session) flightFor(key string) (f *sigFlight, owned bool) {
+// flightFor returns key's flight, creating it, owned by a unit of top,
+// when absent.
+func (s *Session) flightFor(key, top string) (f *sigFlight, owned bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -123,17 +128,20 @@ func (s *Session) flightFor(key string) (f *sigFlight, owned bool) {
 	if sh.m == nil {
 		sh.m = map[string]*sigFlight{}
 	}
-	f = &sigFlight{done: make(chan struct{})}
+	f = &sigFlight{done: make(chan struct{}), top: top}
 	sh.m[key] = f
 	return f, true
 }
 
-// evictFlight drops key from the flight table. Its one caller is an
-// owner that abandons its flight to cancellation.
-func (s *Session) evictFlight(key string) {
+// evictFlight drops f from the flight table if key still maps to it.
+// Its one caller is an owner that abandons its flight to cancellation;
+// a unit's private flight (see assembleUnit) was never in the table.
+func (s *Session) evictFlight(key string, f *sigFlight) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	delete(sh.m, key)
+	if sh.m[key] == f {
+		delete(sh.m, key)
+	}
 	sh.mu.Unlock()
 }
 
@@ -145,6 +153,7 @@ func (s *Session) evictFlight(key string) {
 // keeps every flight for the session's lifetime.
 type sigFlight struct {
 	done   chan struct{}
+	top    string // the owning unit's top module, which err names
 	rec    *sigRecord
 	err    error
 	cutoff bool // rec reuses a remeasurement baseline's metrics
@@ -201,19 +210,18 @@ func (s *Session) addElabStats(st elab.CacheStats) {
 
 // plan is the outcome of resolving one unit before synthesis.
 type plan struct {
-	rec        *componentRecord // non-nil: answered from the disk cache
-	top        string
-	overrides  map[string]int64 // minimized parameters (nil without accounting)
-	sigKey     string           // shared-table key (in-memory, this session)
-	compKey    string           // unit's disk key ("" without a cache)
-	diskSigKey string           // signature's disk key ("" without a cache)
-	dedup      bool             // effective dedup flag for lowering
-	hits       int              // minimization memo point-verdict hits
-	misses     int
-	searched   bool       // this call ran the search (minMemo missed)
-	flight     *sigFlight // the registered flight (owner or waiter)
-	owned      *sigFlight // non-nil: this call must synthesize the entry
-	err        error      // deferred so one failed unit does not strand flights
+	rec       *componentRecord // non-nil: answered from the disk cache
+	top       string
+	overrides map[string]int64 // minimized parameters (nil without accounting)
+	sigKey    string           // the design point's key: flight table and disk "sig" record
+	compKey   string           // unit's disk key ("" without a cache)
+	dedup     bool             // effective dedup flag for lowering
+	hits      int              // minimization memo point-verdict hits
+	misses    int
+	searched  bool       // this call ran the search (minMemo missed)
+	flight    *sigFlight // the registered flight (owner or waiter)
+	owned     *sigFlight // non-nil: this call must synthesize the entry
+	err       error      // deferred so one failed unit does not strand flights
 }
 
 // MeasureAll measures every unit of the batch, sharing the parse, the
@@ -305,6 +313,12 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 // The group's flights stay in the table for later calls on the session.
 // cutoffs, when non-nil, counts the units whose flight a remeasurement
 // baseline's memo entry answered.
+//
+// Flights are shared across groups: a renamed copy of a component waits
+// on the flight its first copy's group owns. No deadlock is possible,
+// because every group synthesizes all the flights it owns before it
+// waits on any: the owner of a flight some group waits on is already
+// past planning, and it never blocks before resolving that flight.
 func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, cutoffs *atomic.Int64, yield func(i int, res *ComponentResult) error) error {
 	elabBefore := s.ElabStats()
 	var tops []string
@@ -400,9 +414,19 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 		}
 	}
 
+	// The design point is named by structure, never by module name:
+	// the subtree's StructuralHash, the full resolved parameter map
+	// under no module name (so a unit measured at defaults and a unit
+	// whose minimization landed on the defaults name the same point),
+	// and the dedup flag. Renamed copies of a component share one
+	// search, one flight and one "sig" record.
+	st, err := s.design.StructuralHash(u.Top)
+	if err != nil {
+		return &plan{err: err}
+	}
 	p := &plan{top: u.Top, compKey: compKey}
 	if u.UseAccounting {
-		sr, searched, err := s.minimized(u.Top, ecache)
+		sr, searched, err := s.minimized(u.Top, st, ecache)
 		if err != nil {
 			return &plan{err: err}
 		}
@@ -410,9 +434,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 		p.hits, p.misses = sr.hits, sr.misses
 		p.searched = searched
 	}
-	// Canonical signature: the full resolved parameter map, so a unit
-	// measured at defaults and a unit whose minimization landed on the
-	// defaults name the same design point.
 	mod, err := s.design.Module(u.Top)
 	if err != nil {
 		return &plan{err: err, hits: p.hits, misses: p.misses}
@@ -421,7 +442,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	if err != nil {
 		return &plan{err: err, hits: p.hits, misses: p.misses}
 	}
-	sig := elab.ParamSignature(u.Top, full)
 
 	// The hierarchy decides whether the dedup flag is part of the key:
 	// when no parent anywhere under the top can instantiate the same
@@ -437,26 +457,15 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	if possible {
 		dedupKey = fmt.Sprintf("%t", p.dedup)
 	}
-	p.sigKey = cache.Key(append([]string{
-		"session-sig", sig, "dedup=" + dedupKey,
+	// The flight table and the disk use one key, so a sweep looks each
+	// "sig" record up at most once.
+	p.sigKey = cache.KindKey("sig", append([]string{
+		st, elab.ParamSignature("", full), "dedup=" + dedupKey,
 	}, opts.CacheKeyParts()...)...)
-	if opts.Cache != nil {
-		// The disk form of the signature entry additionally hashes the
-		// subtree sources: the in-memory table lives and dies with one
-		// parsed design, the disk entry must name which sources the
-		// design point was synthesized from.
-		st, err := s.design.SubtreeHash(u.Top)
-		if err != nil {
-			return &plan{err: err, hits: p.hits, misses: p.misses}
-		}
-		p.diskSigKey = cache.KindKey("sig", append([]string{
-			st, sig, "dedup=" + dedupKey,
-		}, opts.CacheKeyParts()...)...)
-	}
 
 	s.components.Add(1)
 	s.planned.Add(1)
-	f, owned := s.flightFor(p.sigKey)
+	f, owned := s.flightFor(p.sigKey, u.Top)
 	p.flight = f
 	if owned {
 		s.synthesized.Add(1)
@@ -477,15 +486,18 @@ type searchResult struct {
 
 // minimized returns top's accounting search result, running the search
 // (against the group's elaboration cache) only the first time the
-// session asks; searched reports whether this call ran it. The memo is
-// sound for the reasons the dedup and source-metric memos are: the
-// session's design never changes, and the minimized parameters do not
-// depend on the worker count or on what the elaboration cache already
-// holds. Failed searches are not stored, so their error recurs. Two
-// racing first calls both search; the first store wins, and both
-// computed the same value.
-func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
-	if v, ok := s.minMemo.Load(top); ok {
+// session asks for a top of structural hash st; searched reports
+// whether this call ran it. The memo is sound for the reasons the dedup
+// and source-metric memos are: the session's design never changes, and
+// the minimized parameters do not depend on the worker count or on what
+// the elaboration cache already holds. Nor do they depend on a module
+// name: the search reads parameter names, which the structural hash
+// keeps, and two tops of one structural hash elaborate alike at every
+// probe. Failed searches are not stored, so each unit's search error
+// recurs and names its own modules. Two racing first calls both search;
+// the first store wins, and both computed the same value.
+func (s *Session) minimized(top, st string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+	if v, ok := s.minMemo.Load(st); ok {
 		return v.(*searchResult), false, nil
 	}
 	params, memo, err := minimizeParams(s.design, top, ecache)
@@ -493,7 +505,7 @@ func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, s
 		return nil, true, err
 	}
 	sr = &searchResult{params: params, hits: memo.hits, misses: memo.misses}
-	s.minMemo.LoadOrStore(top, sr)
+	s.minMemo.LoadOrStore(st, sr)
 	return sr, true, nil
 }
 
@@ -506,9 +518,14 @@ func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, s
 // inside a generate loop, anywhere in the hierarchy. A false negative
 // is impossible; a false positive only costs the with/without sweeps a
 // shared synthesis, never correctness. Verdicts are memoized per
-// module name (the property is parameter-independent).
+// module StructuralHash (the property is parameter-independent and
+// survives a bijective renaming).
 func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, error) {
-	if v, ok := s.dedupMemo.Load(name); ok {
+	st, err := s.design.StructuralHash(name)
+	if err != nil {
+		return false, err
+	}
+	if v, ok := s.dedupMemo.Load(st); ok {
 		return v.(bool), nil
 	}
 	var v bool
@@ -539,7 +556,7 @@ func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, er
 		}
 	}
 	// A racing duplicate compute stores the same deterministic verdict.
-	s.dedupMemo.Store(name, v)
+	s.dedupMemo.Store(st, v)
 	return v, nil
 }
 
@@ -603,7 +620,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
 		f.err = fmt.Errorf("measure: synthesis of %s abandoned: %w", p.top, err)
-		s.evictFlight(p.sigKey)
+		s.evictFlight(p.sigKey, f)
 		return
 	}
 	compute := func() (*sigRecord, error) {
@@ -650,9 +667,8 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		}
 		return rec, nil
 	}
-	// A nil cache runs compute directly (p.diskSigKey is "" then and
-	// never consulted).
-	rec, _, err := cache.Do(opts.Cache, p.diskSigKey, sigRecordCodec, compute, compareSigRecords)
+	// A nil cache runs compute directly and never consults the key.
+	rec, _, err := cache.Do(opts.Cache, p.sigKey, sigRecordCodec, compute, compareSigRecords)
 	if err != nil {
 		f.err = err
 		return
@@ -699,6 +715,19 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	case <-f.done:
 	case <-ctx.Done():
 		return nil, fmt.Errorf("measure: assemble %s: %w", u.Top, ctx.Err())
+	}
+	if f.err != nil && f.top != u.Top {
+		// The error names the owning unit's modules. This unit runs
+		// its own synthesis, outside the table, so the error it
+		// returns names its own; a structurally equal design point
+		// fails alike, so this runs only on the way to an error (or
+		// after the owner's call was canceled).
+		own := *p
+		own.owned = &sigFlight{done: make(chan struct{}), top: u.Top}
+		ws := getWorkspace()
+		s.synthesizeFlight(ctx, &own, opts, elab.NewCache(), ws)
+		putWorkspace(ws)
+		f = own.owned
 	}
 	if f.err != nil {
 		return nil, f.err

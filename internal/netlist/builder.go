@@ -398,11 +398,11 @@ func (b *Builder) Build() (*Netlist, error) {
 			for pi, rp := range r.ReadPorts {
 				for _, o := range rp.Out {
 					if o == net {
-						return fmt.Sprintf("RAM %s read port %d", r.Name, pi)
+						return fmt.Sprintf("RAM %d read port %d", idx, pi)
 					}
 				}
 			}
-			return fmt.Sprintf("RAM %s read port", r.Name)
+			return fmt.Sprintf("RAM %d read port", idx)
 		default:
 			return "input " + b.inputs[idx].Name
 		}

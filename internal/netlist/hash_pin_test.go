@@ -34,7 +34,6 @@ func ramNetlist(t *testing.T) *netlist.Netlist {
 	}
 	out := []netlist.NetID{b.NewNet(true), b.NewNet(true)}
 	b.AddRAM(&netlist.RAM{
-		Name:  "mem",
 		Width: 2,
 		Depth: 4,
 		Clk:   clk,
@@ -63,12 +62,12 @@ func ramNetlist(t *testing.T) *netlist.Netlist {
 }
 
 func TestHashDigestsPinned(t *testing.T) {
-	if got, want := ramNetlist(t).Hash(), "9da616e99518dfd6ba60217e01302b5577767ee5d575ba8b10842031ced530d9"; got != want {
+	if got, want := ramNetlist(t).Hash(), "a998992b4bb263ce46dd5bb326b1f0540cf9209aca44260df89e87680d49a246"; got != want {
 		t.Errorf("hand-built RAM netlist hashes to %s, pinned %s", got, want)
 	}
 	for _, c := range []struct{ label, want string }{
-		{"IVM-Memory", "2b94aa0b7e6c5df5fae3ec18012caf95d88bff79a11992eac201b979b1ca19ea"},
-		{"RAT-Standard", "daac0515989da927a29528ec592a25265e5aa6a9c10f5ce11af70c2dd8803b22"},
+		{"IVM-Memory", "6c73f5a03d3cfa9e9a5c6a082b996f2f5711c2d00f0681e005e266636cf0360d"},
+		{"RAT-Standard", "8f22eca3b3b140d78170c911b095678dccac223bbe9abb825d354a6c7644e4a3"},
 	} {
 		comp, err := designs.ByLabel(c.label)
 		if err != nil {

@@ -113,7 +113,7 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	b.AddOutput("q", q)
 	addr := b.rawCell(Buf, q, Nil, Nil, Nil)
 	ram := &RAM{
-		Name: "m", Width: 1, Depth: 2, Clk: clk,
+		Width: 1, Depth: 2, Clk: clk,
 		WritePorts: []RAMWritePort{{En: b.Const1(), Addr: []NetID{addr}, Data: []NetID{d}}},
 		ReadPorts:  []RAMReadPort{{Addr: []NetID{addr}, Out: []NetID{b.NewNet(true)}}},
 	}

@@ -119,7 +119,6 @@ func (c *Cell) Inputs() []NetID { return c.In[:c.Type.NumInputs()] }
 // enabled ports target the same address — matching the sequential
 // semantics of the always block they were inferred from.
 type RAM struct {
-	Name  string
 	Width int
 	Depth int
 
@@ -235,7 +234,8 @@ func (n *Netlist) driversLocked() []int {
 }
 
 // Hash returns a stable structural hash of the netlist: cells (type
-// and pin wiring), RAM macros, constants, and port bindings, hashed
+// and pin wiring), RAM macros (shape and wiring; a RAM has no name),
+// constants, and port bindings, hashed
 // with SHA-256 and rendered as hex. The hash is computed once and
 // cached; it keys content-addressed caches of synthesis derivatives
 // (see internal/cache).
@@ -277,7 +277,7 @@ func (n *Netlist) Hash() string {
 			wInt(int64(id))
 		}
 	}
-	wStr("netlist-hash-v1")
+	wStr("netlist-hash-v2")
 	wInt(int64(n.NumNets()))
 	wInt(int64(n.Const0))
 	wInt(int64(n.Const1))
@@ -293,7 +293,6 @@ func (n *Netlist) Hash() string {
 	}
 	wInt(int64(len(n.RAMs)))
 	for _, r := range n.RAMs {
-		wStr(r.Name)
 		wInt(int64(r.Width))
 		wInt(int64(r.Depth))
 		wInt(int64(r.Clk))

@@ -271,7 +271,7 @@ func TestOptimizePreservesRAMLogic(t *testing.T) {
 	data := []NetID{b.And(en, addr[0])}
 	rout := []NetID{b.NewNet(true)}
 	b.AddRAM(&RAM{
-		Name: "m", Width: 1, Depth: 2,
+		Width: 1, Depth: 2,
 		Clk:        clk,
 		WritePorts: []RAMWritePort{{En: en, Addr: addr, Data: data}},
 		ReadPorts:  []RAMReadPort{{Addr: []NetID{addr[0]}, Out: rout}},

@@ -119,7 +119,7 @@ func TestWorkspaceNetlistsMatchFresh(t *testing.T) {
 func buildCycle(t *testing.T, ws *netlist.Workspace, n int) func() {
 	// The caller's RAM is made once: Build resolves its pins in place,
 	// which is idempotent, and copies it into the netlist.
-	ram := &netlist.RAM{Name: "m", Width: 2, Depth: 2}
+	ram := &netlist.RAM{Width: 2, Depth: 2}
 	return func() {
 		b := netlist.NewBuilder(ws)
 		clk := b.NewNet(true)

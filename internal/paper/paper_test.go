@@ -98,6 +98,71 @@ func TestAICBICReproduction(t *testing.T) {
 	}
 }
 
+// matchesPrinted reports whether a computed value matches a value the
+// paper prints to two decimals. A printed p stands for every value that
+// rounds to it, [p−0.005, p+0.005]; the computed value is rounded to
+// three decimals and must lie in that interval, ends included (AreaS
+// 2.0751 → 2.075 matches a printed 2.07). Both sides are compared in
+// integer thousandths, so float error never decides an end.
+func matchesPrinted(got, printed float64) bool {
+	d := math.Round(got*1000) - math.Round(printed*1000)
+	return math.Abs(d) <= 5
+}
+
+// TestPaperNumberGate is the paper-number gate as a test: every one of
+// Table 4's 24 σε cells (12 estimators, with and without productivity
+// adjustment) and DEE1's AIC/BIC of 34.87/38.44 match the published
+// values under matchesPrinted.
+func TestPaperNumberGate(t *testing.T) {
+	res, err := Table4N(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, r := range res.Rows {
+		for _, c := range []struct {
+			col            string
+			got, published float64
+		}{
+			{"σε", r.SigmaEps, r.SigmaEpsPaper},
+			{"σε ρ=1", r.SigmaEpsRho1, r.SigmaEpsRho1Paper},
+		} {
+			cells++
+			if !matchesPrinted(c.got, c.published) {
+				t.Errorf("Table 4 %s %s: %.4f, paper prints %.2f", r.Name, c.col, c.got, c.published)
+			}
+		}
+	}
+	if cells != 24 {
+		t.Errorf("Table 4 has %d σε cells, want 24", cells)
+	}
+	ab, err := AICBICN(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesPrinted(ab.DEE1AIC, 34.87) || !matchesPrinted(ab.DEE1BIC, 38.44) {
+		t.Errorf("DEE1 AIC/BIC = %.4f/%.4f, want 34.87/38.44", ab.DEE1AIC, ab.DEE1BIC)
+	}
+}
+
+func TestMatchesPrinted(t *testing.T) {
+	for _, c := range []struct {
+		got, printed float64
+		want         bool
+	}{
+		{2.0751, 2.07, true},
+		{2.0649, 2.07, true},
+		{2.0756, 2.07, false},
+		{2.0644, 2.07, false},
+		{34.8749, 34.87, true},
+		{38.436, 38.44, true},
+	} {
+		if got := matchesPrinted(c.got, c.printed); got != c.want {
+			t.Errorf("matchesPrinted(%v, %v) = %t, want %t", c.got, c.printed, got, c.want)
+		}
+	}
+}
+
 func TestFigure2Rendering(t *testing.T) {
 	f := Figure2()
 	if !strings.Contains(f, "mode=0.74") || !strings.Contains(f, "median=1.00") || !strings.Contains(f, "mean=1.16") {

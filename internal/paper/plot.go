@@ -137,4 +137,3 @@ func (t *table) String() string {
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f0(v float64) string { return fmt.Sprintf("%.0f", v) }

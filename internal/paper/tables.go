@@ -9,12 +9,10 @@ package paper
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // Table1 renders the design-characteristics table.
@@ -204,32 +202,4 @@ func sortedEstimatorNames() []string {
 		names = append(names, string(m))
 	}
 	return names
-}
-
-// rankNames returns names sorted by the given score map (ascending).
-func rankNames(score map[string]float64) []string {
-	names := make([]string, 0, len(score))
-	for n := range score {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return score[names[i]] < score[names[j]] })
-	return names
-}
-
-// spearman computes the rank correlation between two score maps over
-// their shared keys.
-func spearman(a, b map[string]float64) float64 {
-	var av, bv []float64
-	for k, x := range a {
-		y, ok := b[k]
-		if !ok {
-			continue
-		}
-		av = append(av, x)
-		bv = append(bv, y)
-	}
-	if len(av) < 3 {
-		return 0
-	}
-	return stats.SpearmanCorrelation(av, bv)
 }

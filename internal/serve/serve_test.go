@@ -401,9 +401,12 @@ func replaceOnce(t *testing.T, src, old, new string) string {
 // MetricsReused is the sum over the live sessions of each session's
 // netlist-memo hits. Two tenants measure one generated corpus at one
 // worker, so each session reuses exactly what a direct session does.
+// The corpus must repeat an optimized netlist across structurally
+// distinct design points: the 60-component one does (2 of 48 flights),
+// the 40-component one of the same seed repeats none.
 func TestMetricsSumsMetricsReused(t *testing.T) {
-	reqA := servetest.GeneratedRequest(t, "tenant-a", 40, 1)
-	reqB := servetest.GeneratedRequest(t, "tenant-b", 40, 1)
+	reqA := servetest.GeneratedRequest(t, "tenant-a", 60, 1)
+	reqB := servetest.GeneratedRequest(t, "tenant-b", 60, 1)
 	design, err := hdl.ParseDesign(reqA.Sources)
 	if err != nil {
 		t.Fatal(err)

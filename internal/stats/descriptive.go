@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs. It panics on an empty slice.
 func Mean(xs []float64) float64 {
@@ -39,36 +36,4 @@ func Correlation(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// SpearmanCorrelation returns the Spearman rank correlation between xs
-// and ys: the Pearson correlation of their ranks, with ties assigned
-// average ranks.
-func SpearmanCorrelation(xs, ys []float64) float64 {
-	return Correlation(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based ranks of xs, assigning tied values their
-// average rank.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group spanning sorted positions [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }

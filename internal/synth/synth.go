@@ -523,6 +523,8 @@ func (s *synthesizer) finalizeRAMs() error {
 	// (instance path, memory name) order so the netlist's RAM order —
 	// and with it every order-sensitive float accumulation downstream
 	// (areas, leakage, dynamic power) — is identical on every run.
+	// Every path starts with the top module's name, so the order does
+	// not depend on it; the macros themselves carry no name.
 	keys := s.ws.ramKeys[:0]
 	for k := range s.ws.rams {
 		keys = append(keys, k)
@@ -540,7 +542,6 @@ func (s *synthesizer) finalizeRAMs() error {
 			continue
 		}
 		r := &netlist.RAM{
-			Name:  k.path + "." + k.mem,
 			Width: rb.width,
 			Depth: int(rb.depth),
 			Clk:   netlist.Nil,

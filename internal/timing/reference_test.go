@@ -2,6 +2,7 @@ package timing
 
 import (
 	"sort"
+	"strconv"
 
 	"repro/internal/netlist"
 	"repro/internal/stdcell"
@@ -88,19 +89,19 @@ func Analyze(n *netlist.Netlist, lib *stdcell.Library) *Analysis {
 			}
 		}
 	}
-	for _, r := range n.RAMs {
+	for ri, r := range n.RAMs {
 		for _, wp := range r.WritePorts {
-			add("ram:"+r.Name+":wen", wp.En, setup)
+			add("ram:"+strconv.Itoa(ri)+":wen", wp.En, setup)
 			for _, b := range wp.Addr {
-				add("ram:"+r.Name+":waddr", b, setup)
+				add("ram:"+strconv.Itoa(ri)+":waddr", b, setup)
 			}
 			for _, b := range wp.Data {
-				add("ram:"+r.Name+":wdata", b, setup)
+				add("ram:"+strconv.Itoa(ri)+":wdata", b, setup)
 			}
 		}
 		for _, rp := range r.ReadPorts {
 			for _, b := range rp.Addr {
-				add("ram:"+r.Name+":raddr", b, setup)
+				add("ram:"+strconv.Itoa(ri)+":raddr", b, setup)
 			}
 		}
 	}

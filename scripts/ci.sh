@@ -18,8 +18,9 @@
 #
 # Performance is gated in two places, neither of them here. The
 # load-independent bounds (allocation budgets, the edit loop's dirty
-# cone, per-unit scaling, one metric-kernel run per distinct netlist)
-# are ordinary tests in gates_test.go and run in stage 1. Wall time is
+# cone, per-unit scaling, one metric-kernel run per distinct netlist,
+# one flight per structural design point and one search per structural
+# top) are ordinary tests in gates_test.go and run in stage 1. Wall time is
 # the bench/ module's job: `bash bench/run.sh` runs the end-to-end
 # workloads that BENCHMARK.json lists.
 #
@@ -62,7 +63,9 @@ fi
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# Short coverage-guided smoke on the fuzz targets: the parser's
-	# round-trip fuzzer, the synthesis-vs-RTL differential fuzzer, the
+	# round-trip fuzzer, the structural hash's fuzzer (invariant under a
+	# bijective module renaming, equal exactly when the canonically
+	# renamed sources are), the synthesis-vs-RTL differential fuzzer, the
 	# corpus generator's parse-and-synthesize fuzzer (every seed must
 	# yield a valid, synthesizable corpus), the cache codec's two
 	# decoder fuzzers, the cache's segment-scan fuzzer (arbitrary bytes
@@ -79,6 +82,7 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	fuzztime="${FUZZTIME:-10s}"
 	echo "== fuzz smoke (${fuzztime}/target) =="
 	go test -run '^$' -fuzz '^FuzzParseDesign$' -fuzztime "$fuzztime" ./internal/hdl
+	go test -run '^$' -fuzz '^FuzzStructuralHash$' -fuzztime "$fuzztime" ./internal/hdl
 	go test -run '^$' -fuzz '^FuzzEquivalence$' -fuzztime "$fuzztime" ./internal/equiv
 	go test -run '^$' -fuzz '^FuzzGenerate$' -fuzztime "$fuzztime" ./internal/gencorpus
 	go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime "$fuzztime" ./internal/codec
