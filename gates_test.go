@@ -309,15 +309,18 @@ func TestMetricKernelsOncePerNetlist(t *testing.T) {
 // TestStructuralKeysOncePerDesignPoint gates the session's name-blind
 // keys by the work they save: a cold sequential sweep of the
 // 100-component generated corpus, whose components are mostly renamed
-// copies of each other, synthesizes once per distinct structural
-// design point and searches once per distinct structural top.
+// copies of each other that also differ in parameter defaults no
+// elaboration reads, synthesizes once per distinct design point and
+// searches once per distinct structural top.
 //
-// A design point is (the top's hdl.Design.StructuralHash, its resolved
-// parameters under no module name, the dedup flag when the hierarchy
-// can stamp duplicate siblings). Searches are counted by their probes:
-// the probes the sweep ran must equal the sum, over one accounting
-// unit per structure, of the probes its search reports. A session that
-// keys any of these by module name runs more of both and fails; a
+// A design point is (the top's hdl.Design.DesignPointHash, its full
+// resolved parameters under no module name, the dedup flag when the
+// hierarchy can stamp duplicate siblings); a structural top is its
+// hdl.Design.StructuralHash, which keeps the top's own defaults.
+// Searches are counted by their probes: the probes the sweep ran must
+// equal the sum, over one accounting unit per structure, of the probes
+// its search reports. A session that keys any of these by module name,
+// or by a default no elaboration reads, runs more of both and fails; a
 // search with no candidate to probe is not seen by this count.
 func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
 	design, units := generatedUnits(t, 100)
@@ -328,9 +331,14 @@ func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := map[string]bool{}
+	named := map[string]bool{} // the same points keyed by StructuralHash
 	searched := map[string]*measure.ComponentResult{}
 	for i, u := range units {
 		st, err := design.StructuralHash(u.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := design.DesignPointHash(u.Top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +354,8 @@ func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
 		if duplicateSiblingsPossible(t, design, u.Top) {
 			dedup = strconv.FormatBool(u.UseAccounting)
 		}
-		points[st+"|"+elab.ParamSignature("", full)+"|"+dedup] = true
+		points[pt+"|"+elab.ParamSignature("", full)+"|"+dedup] = true
+		named[st+"|"+elab.ParamSignature("", full)+"|"+dedup] = true
 		if u.UseAccounting {
 			searched[st] = results[i]
 		}
@@ -354,8 +363,11 @@ func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
 	if len(searched) >= len(units)/2 {
 		t.Fatalf("%d structures for %d components: the corpus has no renamed copy", len(searched), len(units)/2)
 	}
+	if len(points) >= len(named) {
+		t.Fatalf("%d design points for %d structural ones: the corpus has no copy that differs only in dead defaults", len(points), len(named))
+	}
 	if st := sess.Stats(); st.Synthesized != len(points) {
-		t.Errorf("synthesized %d flights for %d distinct structural design points", st.Synthesized, len(points))
+		t.Errorf("synthesized %d flights for %d distinct design points", st.Synthesized, len(points))
 	}
 	var wantHits, wantMisses int
 	for _, r := range searched {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -17,10 +18,10 @@ type Design struct {
 	Files   []*SourceFile
 	modules map[string]decl
 
-	mu             sync.Mutex
-	fingerprint    string            // memoized Fingerprint; reset by AddFile
-	subtreeHash    map[string]string // memoized SubtreeHash per top; reset by AddFile
-	structuralHash map[string]string // memoized StructuralHash per top; reset by AddFile
+	mu          sync.Mutex
+	fingerprint string             // memoized Fingerprint; reset by AddFile
+	subtreeHash map[string]string  // memoized SubtreeHash per top; reset by AddFile
+	keys        map[string]keyPair // memoized StructuralHash and DesignPointHash per top; reset by AddFile
 }
 
 // decl locates a module declaration: file.Modules[i].
@@ -55,7 +56,7 @@ func (d *Design) AddFile(f *SourceFile) error {
 	d.mu.Lock()
 	d.fingerprint = ""
 	d.subtreeHash = nil
-	d.structuralHash = nil
+	d.keys = nil
 	d.mu.Unlock()
 	return nil
 }
@@ -146,21 +147,32 @@ func (d *Design) ModuleHash(name string) (string, error) {
 // Format pass: the ModuleHash and what StructuralHash reads.
 type moduleHashes struct {
 	named string // ModuleHash: hex SHA-256 over Format(m)
-	// blind is SHA-256 over Format(m) with every module name cut out:
-	// the count of text runs between the name sites, then each run,
-	// length-prefixed.
+	// blind is SHA-256 over Format(m) with every module name and every
+	// header parameter default cut out: the count of text runs between
+	// the cuts, then each run, length-prefixed.
 	blind [sha256.Size]byte
+	// defaults are the SHA-256 of each header parameter default's
+	// text, in declaration order: the texts blind leaves out.
+	defaults [][sha256.Size]byte
 	// children are the instantiated module names, one per instance,
 	// in printer order: the names blind leaves out, after the module's
-	// own.
+	// own. bound holds, per instance, the parameter names it binds
+	// with a value.
 	children []string
+	bound    [][]string
 }
 
 // hashModule computes m's hashes.
 func hashModule(m *Module) moduleHashes {
-	var sites nameSites
+	var sites keySites
 	text := []byte(format(m, &sites))
 	named := sha256.Sum256(text)
+	mh := moduleHashes{
+		named:    hex.EncodeToString(named[:]),
+		defaults: make([][sha256.Size]byte, len(sites.defaults)),
+		children: sites.names,
+		bound:    sites.bound,
+	}
 	h := sha256.New()
 	var n [8]byte
 	run := func(from, to int) {
@@ -168,16 +180,20 @@ func hashModule(m *Module) moduleHashes {
 		h.Write(n[:])
 		h.Write(text[from:to])
 	}
-	binary.LittleEndian.PutUint64(n[:], uint64(len(sites.offs)+2))
+	binary.LittleEndian.PutUint64(n[:], uint64(len(sites.defaults)+len(sites.offs)+2))
 	h.Write(n[:])
 	run(0, len(headerPrefix))
 	pos := len(headerPrefix) + len(m.Name)
+	for i, span := range sites.defaults {
+		run(pos, span[0])
+		mh.defaults[i] = sha256.Sum256(text[span[0]:span[1]])
+		pos = span[1]
+	}
 	for i, off := range sites.offs {
 		run(pos, off)
 		pos = off + len(sites.names[i])
 	}
 	run(pos, len(text))
-	mh := moduleHashes{named: hex.EncodeToString(named[:]), children: sites.names}
 	h.Sum(mh.blind[:0])
 	return mh
 }
@@ -216,18 +232,31 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 }
 
 // StructuralHash returns a content hash of the module subtree rooted at
-// top that no module name enters: two tops hash equal exactly when one
-// subtree is the other under a bijective renaming of modules. It
-// covers what SubtreeHash covers — every transitive module's formatted
-// source — so it can key anything that is a pure function of the
-// subtree and never reads a module name; the measurement session keys
-// its synthesis flights, searches and "sig" records by it.
+// top that no module name and no dead parameter default enters: two
+// tops hash equal exactly when one subtree is the other under a
+// bijective renaming of modules and a rewriting of dead defaults. It
+// covers the rest of what SubtreeHash covers — every transitive
+// module's formatted source — so it can key anything that is a pure
+// function of the subtree, reads no module name, and elaborates top
+// at its defaults or at any overrides; the measurement session keys
+// its accounting searches by it.
+//
+// A header parameter default of a module below top is dead when every
+// instance site of that module in the subtree binds the parameter with
+// a value. Elaboration (elab.ResolveParams) evaluates a default only
+// when no override names it, so no elaboration of top ever reads a
+// dead default. Sites in generate branches elaboration never takes
+// count too, which only keeps a default that could have been cut. A
+// localparam, or a parameter declared in a module body, has no
+// override and is never cut. top's own defaults are mixed in whole:
+// the accounting search starts from them.
 //
 // The modules are numbered breadth-first from top (0) in order of their
 // first instance in printer order. The hash mixes, per module in that
-// order, its name-blind source hash and, per instance site, the child's
-// number. Numbering rather than mixing each child's own hash is what
-// keeps the hash exact:
+// order, its name-blind source hash, each live default's text hash (a
+// marker for a dead one) and, per instance site, the child's number.
+// Numbering rather than mixing each child's own hash is what keeps the
+// hash exact:
 //   - Two sites of one module name are one number, two names with
 //     identical bodies are two. Lowering dedups sibling instances by
 //     module name, so P{A u1; A u2} and P{A u1; B u2} must differ even
@@ -238,53 +267,115 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 //   - An instantiation cycle is a back reference to a number; no
 //     recursion is needed to hash it.
 //
-// A name no module declares is mixed in literally. Memoized per top;
-// invalidated by AddFile.
+// A name no module declares is mixed in literally. Memoized per top,
+// with DesignPointHash; invalidated by AddFile.
 func (d *Design) StructuralHash(top string) (string, error) {
+	k, err := d.structuralKeys(top)
+	return k.structural, err
+}
+
+// DesignPointHash is StructuralHash with top's own defaults cut as
+// well, unless an instance site in the subtree leaves one unbound. It
+// names top's design points together with the full resolved parameter
+// binding of top (elab.ResolveParams), which holds every value a cut
+// default could contribute: an elaboration of top at that binding
+// reads no cut default. The measurement session keys its synthesis
+// flights and "sig" records by the pair.
+func (d *Design) DesignPointHash(top string) (string, error) {
+	k, err := d.structuralKeys(top)
+	return k.point, err
+}
+
+// keyPair is one top's StructuralHash and DesignPointHash.
+type keyPair struct {
+	structural, point string
+}
+
+// structuralKeys computes and memoizes top's StructuralHash and
+// DesignPointHash in one walk of the parse-time module hashes.
+func (d *Design) structuralKeys(top string) (keyPair, error) {
 	d.mu.Lock()
-	if h, ok := d.structuralHash[top]; ok {
+	if k, ok := d.keys[top]; ok {
 		d.mu.Unlock()
-		return h, nil
+		return k, nil
 	}
 	d.mu.Unlock()
 	if _, err := d.Module(top); err != nil {
-		return "", err
+		return keyPair{}, err
+	}
+	// Number the modules and mark, per module and header parameter,
+	// whether some instance site leaves it unbound: the live defaults.
+	c := d.modules[top]
+	number := map[string]int{top: 0}
+	params := [][]*ParamDecl{c.module().Params}
+	mhs := []moduleHashes{c.file.hashesOf(c.i)}
+	live := [][]bool{make([]bool, len(params[0]))}
+	for k := 0; k < len(mhs); k++ {
+		mh := mhs[k]
+		for s, name := range mh.children {
+			j, ok := number[name]
+			if !ok {
+				c, declared := d.modules[name]
+				if !declared {
+					continue
+				}
+				j = len(mhs)
+				number[name] = j
+				params = append(params, c.module().Params)
+				mhs = append(mhs, c.file.hashesOf(c.i))
+				live = append(live, make([]bool, len(c.module().Params)))
+			}
+			for i, p := range params[j] {
+				if !slices.Contains(mh.bound[s], p.Name) {
+					live[j][i] = true
+				}
+			}
+		}
 	}
 	h := sha256.New()
 	var n [9]byte
-	number := map[string]int{top: 0}
-	order := []string{top}
-	for k := 0; k < len(order); k++ {
-		c := d.modules[order[k]]
-		mh := c.file.hashesOf(c.i)
+	for k, mh := range mhs {
 		h.Write(mh.blind[:])
+		for i, dh := range mh.defaults {
+			if !live[k][i] {
+				n[0] = 'x'
+				h.Write(n[:1])
+				continue
+			}
+			n[0] = 'd'
+			h.Write(n[:1])
+			h.Write(dh[:])
+		}
 		for _, name := range mh.children {
 			j, ok := number[name]
-			if !ok && !d.HasModule(name) {
+			if !ok {
 				n[0] = 'u'
 				binary.LittleEndian.PutUint64(n[1:], uint64(len(name)))
 				h.Write(n[:])
 				h.Write([]byte(name))
 				continue
 			}
-			if !ok {
-				j = len(order)
-				number[name] = j
-				order = append(order, name)
-			}
 			n[0] = 'm'
 			binary.LittleEndian.PutUint64(n[1:], uint64(j))
 			h.Write(n[:])
 		}
 	}
-	sum := hex.EncodeToString(h.Sum(nil))
+	var point [sha256.Size]byte
+	h.Sum(point[:0])
+	// The structural hash adds every one of top's own defaults.
+	h.Reset()
+	h.Write(point[:])
+	for _, dh := range mhs[0].defaults {
+		h.Write(dh[:])
+	}
+	k := keyPair{structural: hex.EncodeToString(h.Sum(nil)), point: hex.EncodeToString(point[:])}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.structuralHash == nil {
-		d.structuralHash = map[string]string{}
+	if d.keys == nil {
+		d.keys = map[string]keyPair{}
 	}
-	d.structuralHash[top] = sum
-	return sum, nil
+	d.keys[top] = k
+	return k, nil
 }
 
 // Instantiated returns the set of module names instantiated (directly)

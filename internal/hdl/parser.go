@@ -21,8 +21,8 @@ type ParseError struct {
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Parse parses a µHDL source file and hashes each of its modules once
-// (the values Design.ModuleHash reports and Design.StructuralHash is
-// built from). It is the per-file step of
+// (the values Design.ModuleHash reports and Design.StructuralHash and
+// Design.DesignPointHash are built from). It is the per-file step of
 // both ParseDesign and ParseDesignParallel, which reuse its result for
 // unchanged text (see parseMemo).
 func Parse(file, src string) (*SourceFile, error) {

@@ -14,21 +14,27 @@ func Format(m *Module) string {
 	return format(m, nil)
 }
 
-// nameSites records where format wrote instantiated module names: the
-// byte offset of each in the output and the name, in printer order.
-// The module's own name is always at offset len(headerPrefix).
-type nameSites struct {
-	offs  []int
-	names []string
+// keySites records what format wrote that the name-blind hash cuts
+// out or reads: the byte offset of each instantiated module name in
+// the output and the name, in printer order, and the parameter names
+// each of those sites binds with a value; and the output span of each
+// header parameter's default, in declaration order. The module's own
+// name is always at offset len(headerPrefix), and every default span
+// precedes the first instance site.
+type keySites struct {
+	offs     []int
+	names    []string
+	bound    [][]string
+	defaults [][2]int
 }
 
 // headerPrefix is what Format writes before the module's own name.
 const headerPrefix = "module "
 
-// format is Format, also recording the instance name sites in sites
-// when it is non-nil. The module's own name and the instantiated
-// module names are the only module names the printer writes.
-func format(m *Module, sites *nameSites) string {
+// format is Format, also recording the key sites in sites when it is
+// non-nil. The module's own name and the instantiated module names are
+// the only module names the printer writes.
+func format(m *Module, sites *keySites) string {
 	var b strings.Builder
 	b.WriteString(headerPrefix)
 	b.WriteString(m.Name)
@@ -41,7 +47,11 @@ func format(m *Module, sites *nameSites) string {
 			b.WriteString("parameter ")
 			b.WriteString(p.Name)
 			b.WriteString(" = ")
+			from := b.Len()
 			appendExpr(&b, p.Value)
+			if sites != nil {
+				sites.defaults = append(sites.defaults, [2]int{from, b.Len()})
+			}
 		}
 		b.WriteString(")")
 	}
@@ -89,7 +99,7 @@ func appendRange(b *strings.Builder, r *Range) {
 	b.WriteByte(']')
 }
 
-func printItem(b *strings.Builder, it Item, depth int, sites *nameSites) {
+func printItem(b *strings.Builder, it Item, depth int, sites *keySites) {
 	indent(b, depth)
 	switch v := it.(type) {
 	case *ParamDecl:
@@ -148,6 +158,13 @@ func printItem(b *strings.Builder, it Item, depth int, sites *nameSites) {
 		if sites != nil {
 			sites.offs = append(sites.offs, b.Len())
 			sites.names = append(sites.names, v.ModuleName)
+			var bound []string
+			for _, p := range v.Params {
+				if p.Value != nil {
+					bound = append(bound, p.Name)
+				}
+			}
+			sites.bound = append(sites.bound, bound)
 		}
 		b.WriteString(v.ModuleName)
 		if len(v.Params) > 0 {

@@ -2,6 +2,7 @@ package hdl_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,32 +44,74 @@ func renamedItems(items []hdl.Item, rename func(string) string) []hdl.Item {
 	return out
 }
 
-// instanceNames appends the module names items instantiate, in printer
-// order (a generate-if's then branch before its else branch).
-func instanceNames(dst []string, items []hdl.Item) []string {
+// instances appends the instances items declare, in printer order (a
+// generate-if's then branch before its else branch).
+func instances(dst []*hdl.Instance, items []hdl.Item) []*hdl.Instance {
 	for _, it := range items {
 		switch v := it.(type) {
 		case *hdl.Instance:
-			dst = append(dst, v.ModuleName)
+			dst = append(dst, v)
 		case *hdl.GenFor:
-			dst = instanceNames(dst, v.Body)
+			dst = instances(dst, v.Body)
 		case *hdl.GenIf:
-			dst = instanceNames(instanceNames(dst, v.Then), v.Else)
+			dst = instances(instances(dst, v.Then), v.Else)
 		}
 	}
 	return dst
 }
 
-// canonicalText is the reference key StructuralHash stands for: top's
-// transitive modules renamed bijectively to "#0", "#1", ... in order of
-// first instance, breadth-first from top in printer order, then
-// formatted and concatenated in that order. "#" starts no identifier,
-// so no canonical name is a name the design uses; a name no module
-// declares stays as written.
-func canonicalText(t *testing.T, d *hdl.Design, top string) string {
+// numbered returns top's transitive modules in the order the keys
+// number them — breadth-first from top, in order of first instance in
+// printer order — and, per module and header parameter, whether some
+// instance site in the subtree leaves it unbound (binds it with no
+// value or not at all): the live defaults below top.
+func numbered(t *testing.T, d *hdl.Design, top string) ([]string, map[string][]bool) {
 	t.Helper()
-	number := map[string]string{top: "#0"}
 	order := []string{top}
+	live := map[string][]bool{}
+	for k := 0; k < len(order); k++ {
+		m, err := d.Module(order[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inst := range instances(nil, m.Items) {
+			child, err := d.Module(inst.ModuleName)
+			if err != nil {
+				continue // undeclared
+			}
+			if _, ok := live[child.Name]; !ok && child.Name != top {
+				order = append(order, child.Name)
+			}
+			if live[child.Name] == nil {
+				live[child.Name] = make([]bool, len(child.Params))
+			}
+			for i, p := range child.Params {
+				bound := false
+				for _, b := range inst.Params {
+					bound = bound || (b.Name == p.Name && b.Value != nil)
+				}
+				live[child.Name][i] = live[child.Name][i] || !bound
+			}
+		}
+	}
+	return order, live
+}
+
+// canonicalText is the reference key StructuralHash (DesignPointHash
+// when point is set) stands for: top's transitive modules, numbered,
+// renamed bijectively to "#0", "#1", ..., with every dead default
+// replaced by "#dead", formatted and concatenated in number order.
+// A default is dead when no instance site in the subtree leaves it
+// unbound; top's own defaults are dead only under point. "#" starts no
+// identifier, so no canonical name is a name the design uses; a name
+// no module declares stays as written.
+func canonicalText(t *testing.T, d *hdl.Design, top string, point bool) string {
+	t.Helper()
+	order, live := numbered(t, d, top)
+	number := map[string]string{}
+	for k, name := range order {
+		number[name] = fmt.Sprintf("#%d", k)
+	}
 	canon := func(name string) string {
 		if c, ok := number[name]; ok {
 			return c
@@ -76,20 +119,38 @@ func canonicalText(t *testing.T, d *hdl.Design, top string) string {
 		return name
 	}
 	var b strings.Builder
-	for k := 0; k < len(order); k++ {
-		m, err := d.Module(order[k])
+	for _, name := range order {
+		m, err := d.Module(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range instanceNames(nil, m.Items) {
-			if _, ok := number[name]; !ok && d.HasModule(name) {
-				number[name] = fmt.Sprintf("#%d", len(order))
-				order = append(order, name)
+		c := renamedModule(m, canon)
+		c.Params = make([]*hdl.ParamDecl, len(m.Params))
+		for i, p := range m.Params {
+			cp := *p
+			if !isLive(live, top, name, i, point) {
+				cp.Value = &hdl.Ident{Name: "#dead"}
 			}
+			c.Params[i] = &cp
 		}
-		b.WriteString(hdl.Format(renamedModule(m, canon)))
+		b.WriteString(hdl.Format(c))
 	}
 	return b.String()
+}
+
+// isLive is canonicalText's rule for the default of header parameter i
+// of module mod in top's subtree, given numbered's live marks.
+func isLive(live map[string][]bool, top, mod string, i int, point bool) bool {
+	return (mod == top && !point) || (live[mod] != nil && live[mod][i])
+}
+
+// defaultLive reports whether the default of header parameter i of
+// module mod enters top's StructuralHash (DesignPointHash when point
+// is set), by the reference rule of canonicalText.
+func defaultLive(t *testing.T, d *hdl.Design, top, mod string, i int, point bool) bool {
+	t.Helper()
+	order, live := numbered(t, d, top)
+	return slices.Contains(order, mod) && isLive(live, top, mod, i, point)
 }
 
 func structuralHash(t *testing.T, d *hdl.Design, top string) string {
@@ -99,6 +160,24 @@ func structuralHash(t *testing.T, d *hdl.Design, top string) string {
 		t.Fatal(err)
 	}
 	return h
+}
+
+func pointHash(t *testing.T, d *hdl.Design, top string) string {
+	t.Helper()
+	h, err := d.DesignPointHash(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// digest is pointHash when point is set, structuralHash otherwise.
+func digest(t *testing.T, d *hdl.Design, top string, point bool) string {
+	t.Helper()
+	if point {
+		return pointHash(t, d, top)
+	}
+	return structuralHash(t, d, top)
 }
 
 const structuralSrc = `
@@ -199,7 +278,7 @@ func TestStructuralHashPlantedPairs(t *testing.T) {
 		if (ha == hb) != c.equal {
 			t.Errorf("%s vs %s: equal hashes %t, want %t", c.a, c.b, ha == hb, c.equal)
 		}
-		if ta, tb := canonicalText(t, d, c.a), canonicalText(t, d, c.b); (ta == tb) != c.equal {
+		if ta, tb := canonicalText(t, d, c.a, false), canonicalText(t, d, c.b, false); (ta == tb) != c.equal {
 			t.Errorf("%s vs %s: equal canonical texts %t, want %t", c.a, c.b, ta == tb, c.equal)
 		}
 	}
@@ -245,12 +324,134 @@ func TestStructuralHashFollowsEdits(t *testing.T) {
 	}
 }
 
-// FuzzStructuralHash pins StructuralHash against its reference key on
-// arbitrary designs: the hash of every module is invariant under a
-// fuzzed bijective renaming of the design's modules, and two modules
-// hash equal exactly when their canonicalText is equal. The corpus is
-// seeded with a small generated corpus (each file alone, and all files
-// as one design) and the planted pairs.
+// defaultsSrc plants the dead-default pairs. lane_a and lane_b differ
+// only in W's default. top_w4 and top_w6 differ only in their own
+// default and bind the lane's at their one site; bound_* bind it at
+// every site; open_* leave it unbound at their one site; branch_*
+// bind it except at a site in a branch elaboration never takes.
+// local_* differ in a localparam, param_* in a body parameter, and
+// neither has an override.
+const defaultsSrc = `
+module lane_a #(parameter W = 20) (input [W-1:0] a, output [W-1:0] y);
+  assign y = ~a;
+endmodule
+module lane_b #(parameter W = 8) (input [W-1:0] a, output [W-1:0] y);
+  assign y = ~a;
+endmodule
+module top_w4 #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  lane_a #(.W(W)) u (.a(a), .y(y));
+endmodule
+module top_w6 #(parameter W = 6) (input [W-1:0] a, output [W-1:0] y);
+  lane_b #(.W(W)) u (.a(a), .y(y));
+endmodule
+module bound_a (input [3:0] a, output [3:0] y, output [3:0] z);
+  lane_a #(.W(4)) u (.a(a), .y(y));
+  lane_a #(.W(4)) v (.a(a), .y(z));
+endmodule
+module bound_b (input [3:0] a, output [3:0] y, output [3:0] z);
+  lane_b #(.W(4)) u (.a(a), .y(y));
+  lane_b #(.W(4)) v (.a(a), .y(z));
+endmodule
+module open_a (input [3:0] a, output [3:0] y);
+  lane_a u (.a(a), .y(y));
+endmodule
+module open_b (input [3:0] a, output [3:0] y);
+  lane_b u (.a(a), .y(y));
+endmodule
+module branch_a (input [3:0] a, output [3:0] y);
+  lane_a #(.W(4)) u (.a(a), .y(y));
+  generate if (0) begin : never
+    lane_a v (.a(a), .y());
+  end endgenerate
+endmodule
+module branch_b (input [3:0] a, output [3:0] y);
+  lane_b #(.W(4)) u (.a(a), .y(y));
+  generate if (0) begin : never
+    lane_b v (.a(a), .y());
+  end endgenerate
+endmodule
+module local_a #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  localparam K = 1;
+  assign y = a + K;
+endmodule
+module local_b #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  localparam K = 2;
+  assign y = a + K;
+endmodule
+module param_a #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  parameter K = 1;
+  assign y = a + K;
+endmodule
+module param_b #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
+  parameter K = 2;
+  assign y = a + K;
+endmodule
+module local_top_a (input [3:0] a, output [3:0] y);
+  local_a #(.W(4)) u (.a(a), .y(y));
+endmodule
+module local_top_b (input [3:0] a, output [3:0] y);
+  local_b #(.W(4)) u (.a(a), .y(y));
+endmodule
+module param_top_a (input [3:0] a, output [3:0] y);
+  param_a #(.W(4)) u (.a(a), .y(y));
+endmodule
+module param_top_b (input [3:0] a, output [3:0] y);
+  param_b #(.W(4)) u (.a(a), .y(y));
+endmodule
+`
+
+// TestDeadDefaultsPlantedPairs pins which defaults the two digests
+// erase. A top's own default enters StructuralHash but not
+// DesignPointHash; a child default every site binds enters neither; a
+// child default one site leaves unbound enters both, also when that
+// site sits in a generate branch elaboration never takes; a localparam
+// or body parameter always enters both. Every verdict must agree with
+// canonicalText.
+func TestDeadDefaultsPlantedPairs(t *testing.T) {
+	d, err := hdl.ParseDesign(map[string]string{"d.v": defaultsSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		a, b                    string
+		equalStruct, equalPoint bool
+	}{
+		{"lane_a", "lane_b", false, true},
+		{"top_w4", "top_w6", false, true},
+		{"bound_a", "bound_b", true, true},
+		{"open_a", "open_b", false, false},
+		{"branch_a", "branch_b", false, false},
+		{"local_top_a", "local_top_b", false, false},
+		{"param_top_a", "param_top_b", false, false},
+	} {
+		for _, point := range []bool{false, true} {
+			want := c.equalStruct
+			if point {
+				want = c.equalPoint
+			}
+			ha, hb := digest(t, d, c.a, point), digest(t, d, c.b, point)
+			if (ha == hb) != want {
+				t.Errorf("point=%t: %s vs %s: equal digests %t, want %t", point, c.a, c.b, ha == hb, want)
+			}
+			if ta, tb := canonicalText(t, d, c.a, point), canonicalText(t, d, c.b, point); (ta == tb) != want {
+				t.Errorf("point=%t: %s vs %s: equal canonical texts %t, want %t", point, c.a, c.b, ta == tb, want)
+			}
+		}
+	}
+	if _, err := d.DesignPointHash("no_such_module"); err == nil {
+		t.Error("DesignPointHash of a missing module did not error")
+	}
+}
+
+// FuzzStructuralHash pins StructuralHash and DesignPointHash against
+// their reference keys on arbitrary designs. Each digest of every
+// module is invariant under a fuzzed bijective renaming of the
+// design's modules; two modules' digests are equal exactly when their
+// canonicalText is; and rewriting one header default (to its value
+// plus one) leaves a top's digest as it was when the default is dead
+// in the top's subtree and changes it when the default is live. The
+// corpus is seeded with a small generated corpus (each file alone, and
+// all files as one design) and the planted pairs.
 func FuzzStructuralHash(f *testing.F) {
 	corpus, err := gencorpus.Generate(gencorpus.Config{Components: 4, Seed: 1})
 	if err != nil {
@@ -262,8 +463,11 @@ func FuzzStructuralHash(f *testing.F) {
 		all.WriteString(corpus.Files[name])
 	}
 	f.Add(all.String(), uint64(1))
+	f.Add(all.String(), uint64(0x310))
 	f.Add(structuralSrc, uint64(2))
 	f.Add(structuralSrc, uint64(7))
+	f.Add(defaultsSrc, uint64(3))
+	f.Add(defaultsSrc, uint64(0x504))
 
 	f.Fuzz(func(t *testing.T, src string, perm uint64) {
 		d, err := hdl.ParseDesign(map[string]string{"fuzz.v": src})
@@ -284,20 +488,62 @@ func FuzzStructuralHash(f *testing.F) {
 		if err != nil {
 			t.Fatalf("renamed design does not parse: %v\n%s", err, renamed.String())
 		}
-		hashes := make([]string, len(names))
-		texts := make([]string, len(names))
-		for i, name := range names {
-			hashes[i] = structuralHash(t, d, name)
-			if h := structuralHash(t, d2, rename(name)); h != hashes[i] {
-				t.Fatalf("%s renamed to %s: hash %s, was %s", name, rename(name), h, hashes[i])
+		for _, point := range []bool{false, true} {
+			hashes := make([]string, len(names))
+			texts := make([]string, len(names))
+			for i, name := range names {
+				hashes[i] = digest(t, d, name, point)
+				if h := digest(t, d2, rename(name), point); h != hashes[i] {
+					t.Fatalf("point=%t: %s renamed to %s: digest %s, was %s", point, name, rename(name), h, hashes[i])
+				}
+				texts[i] = canonicalText(t, d, name, point)
 			}
-			texts[i] = canonicalText(t, d, name)
+			for i := range names {
+				for j := i + 1; j < len(names); j++ {
+					if (hashes[i] == hashes[j]) != (texts[i] == texts[j]) {
+						t.Fatalf("point=%t: %s and %s: equal digests %t, equal canonical texts %t\n%s\n%s",
+							point, names[i], names[j], hashes[i] == hashes[j], texts[i] == texts[j], texts[i], texts[j])
+					}
+				}
+			}
 		}
-		for i := range names {
-			for j := i + 1; j < len(names); j++ {
-				if (hashes[i] == hashes[j]) != (texts[i] == texts[j]) {
-					t.Fatalf("%s and %s: equal hashes %t, equal canonical texts %t\n%s\n%s",
-						names[i], names[j], hashes[i] == hashes[j], texts[i] == texts[j], texts[i], texts[j])
+
+		// Rewrite one header default, picked by perm.
+		var withParams []string
+		for _, name := range names {
+			if m, _ := d.Module(name); len(m.Params) > 0 {
+				withParams = append(withParams, name)
+			}
+		}
+		if len(withParams) == 0 {
+			return
+		}
+		mod := withParams[(perm>>8)%uint64(len(withParams))]
+		m, _ := d.Module(mod)
+		pi := int((perm >> 16) % uint64(len(m.Params)))
+		var rewritten strings.Builder
+		for _, name := range names {
+			c, _ := d.Module(name)
+			if name == mod {
+				cp := *c
+				cp.Params = slices.Clone(c.Params)
+				p := *c.Params[pi]
+				p.Value = &hdl.Binary{Op: hdl.OpAdd, L: p.Value, R: &hdl.Number{Value: 1}}
+				cp.Params[pi] = &p
+				c = &cp
+			}
+			rewritten.WriteString(hdl.Format(c))
+		}
+		d3, err := hdl.ParseDesign(map[string]string{"rewritten.v": rewritten.String()})
+		if err != nil {
+			t.Fatalf("rewritten design does not parse: %v\n%s", err, rewritten.String())
+		}
+		for _, name := range names {
+			for _, point := range []bool{false, true} {
+				live := defaultLive(t, d, name, mod, pi, point)
+				if moved := digest(t, d, name, point) != digest(t, d3, name, point); moved != live {
+					t.Fatalf("point=%t: rewriting %s.%s's default moved %s's digest %t; the default is live there %t",
+						point, mod, m.Params[pi].Name, name, moved, live)
 				}
 			}
 		}
@@ -329,8 +575,8 @@ func fuzzRenaming(d *hdl.Design, names []string, perm uint64) func(string) strin
 		taken := map[string]bool{}
 		for _, name := range names {
 			m, _ := d.Module(name)
-			for _, child := range instanceNames(nil, m.Items) {
-				taken[child] = true
+			for _, inst := range instances(nil, m.Items) {
+				taken[inst.ModuleName] = true
 			}
 		}
 		for _, fresh := range to {

@@ -664,7 +664,7 @@ func TestSigAndOptionsKeysPinned(t *testing.T) {
 			sigs = append(sigs, key)
 		}
 	}
-	want := "sig-02d799b017925e59eea02c11332f7bf878b95a8fbc6104bf36ff717b79322393"
+	want := "sig-509e7d5b1f567e1bd5b414be1789a524b828e692a159e7a1e3acf5b041adf047"
 	if len(sigs) != 1 || sigs[0] != want {
 		t.Errorf("%s: sig records %v, want [%s]", c.Label(), sigs, want)
 	}

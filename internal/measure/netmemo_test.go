@@ -2,6 +2,8 @@ package measure_test
 
 import (
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -10,25 +12,49 @@ import (
 	"repro/internal/measure"
 )
 
-// generatedCorpus is a seeded 100-component generated corpus and its
-// 200 units, every component measured with and without accounting.
-func generatedCorpus(t *testing.T) (*hdl.Design, []measure.Unit) {
+// paddedCorpus is a seeded 100-component generated corpus plus, per
+// component, a copy of its top module named <top>_pad that declares
+// one more wire and never uses it: the copy's structural keys differ
+// from the original's, its optimized netlist does not. Its units
+// measure every original and every copy with and without accounting.
+func paddedCorpus(t *testing.T) (*hdl.Design, []measure.Unit) {
 	t.Helper()
 	corpus, err := gencorpus.Generate(gencorpus.Config{Components: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, err := corpus.Design(0)
+	files := maps.Clone(corpus.Files)
+	var pad strings.Builder
+	var tops []string
+	for _, c := range corpus.Components {
+		pad.WriteString(paddedCopy(t, corpus.Files[c.File], c.Top))
+		tops = append(tops, c.Top, c.Top+"_pad")
+	}
+	files["pad.v"] = pad.String()
+	design, err := hdl.ParseDesign(files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := make([]measure.Unit, 0, 2*len(corpus.Components))
+	units := make([]measure.Unit, 0, 2*len(tops))
 	for _, acct := range []bool{true, false} {
-		for _, c := range corpus.Components {
-			units = append(units, measure.Unit{Top: c.Top, UseAccounting: acct})
+		for _, top := range tops {
+			units = append(units, measure.Unit{Top: top, UseAccounting: acct})
 		}
 	}
 	return design, units
+}
+
+// paddedCopy returns the declaration of module top in src, renamed to
+// <top>_pad, with an unused wire added before its endmodule.
+func paddedCopy(t *testing.T, src, top string) string {
+	t.Helper()
+	from := strings.Index(src, "module "+top+" ")
+	to := strings.Index(src[max(from, 0):], "endmodule")
+	if from < 0 || to < 0 {
+		t.Fatalf("no module %s in its file", top)
+	}
+	body := src[from+len("module "+top) : from+to]
+	return "module " + top + "_pad" + body + "  wire pad_unused;\nendmodule\n"
 }
 
 // distinctHashes counts the distinct optimized netlists of a batch.
@@ -41,7 +67,8 @@ func distinctHashes(results []*measure.ComponentResult) int {
 }
 
 // TestNetlistMemoMatchesAlone pins the session's netlist memo: on a
-// generated corpus whose units repeat optimized netlists, every unit
+// corpus whose padded copies repeat optimized netlists under other
+// design-point keys, every unit
 // of a sweep at 1 and 8 workers is bit-identical to the same unit
 // measured alone in a fresh session, where the memo holds nothing to
 // reuse. At one worker the memo runs the metric kernels exactly once
@@ -49,7 +76,7 @@ func distinctHashes(results []*measure.ComponentResult) int {
 // distinct netlists; racing workers may both compute a netlist, so at
 // 8 it is at most that.
 func TestNetlistMemoMatchesAlone(t *testing.T) {
-	design, units := generatedCorpus(t)
+	design, units := paddedCorpus(t)
 	alone := make([]*measure.ComponentResult, len(units))
 	for i, u := range units {
 		res, err := measure.NewSession(design).MeasureAll([]measure.Unit{u}, measure.Options{Concurrency: 1})
@@ -86,7 +113,7 @@ func TestNetlistMemoMatchesAlone(t *testing.T) {
 // exists to recompute, reuses no metrics: every synthesized signature
 // runs the metric kernels, and the results still match a plain sweep.
 func TestNetlistMemoOffWhenVerifying(t *testing.T) {
-	design, units := generatedCorpus(t)
+	design, units := paddedCorpus(t)
 	want, err := measure.NewSession(design).MeasureAll(units, measure.Options{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)

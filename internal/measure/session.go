@@ -34,12 +34,14 @@ type SessionStats struct {
 	// this session, i.e. that requested a signature from the shared
 	// synthesis table (disk-cache hits skip planning entirely).
 	Planned int
-	// Synthesized counts the distinct signatures the table synthesized
-	// fresh.
+	// Synthesized counts the design points the session synthesized
+	// fresh: elaborated, lowered and optimized. A flight a disk "sig"
+	// record answered is not one.
 	Synthesized int
-	// Shared counts the signature requests answered by an entry some
+	// Shared counts the signature requests answered by a flight some
 	// earlier unit — possibly in a previous MeasureAll call — already
-	// synthesized.
+	// owned. With the disk cache off, every owned flight synthesizes,
+	// so Synthesized + Shared = Planned.
 	Shared int
 	// MetricsReused counts the synthesized signatures whose optimized
 	// netlist hashed as one the session had already measured (or a
@@ -53,12 +55,14 @@ type SessionStats struct {
 // elaboration cache per top module (subtree memoization across that
 // component's minimization search, reference elaboration, and final
 // trees), and a single-flight synthesis table keyed by design point —
-// the top's hdl.Design.StructuralHash, its resolved parameters and the
-// dedup flag, no module name — so each distinct design point is
-// synthesized and metric-extracted exactly once no matter how many
-// units, renamed copies of one component, or MeasureAll calls land on
-// it. The accounting search and the dedup verdict are memoized by
-// structural hash too. What names modules stays per unit: the disk
+// the top's hdl.Design.DesignPointHash, its full resolved parameters
+// and the dedup flag, no module name and no parameter default — so
+// each distinct design point is synthesized exactly once no matter how
+// many units, renamed copies of one component, copies whose defaults
+// differ, or MeasureAll calls land on it. The accounting search is
+// memoized by the top's hdl.Design.StructuralHash, which keeps the
+// top's defaults the search starts from, and the dedup verdict by the
+// design-point digest. What names modules stays per unit: the disk
 // component key, UniqueModules, the source metrics, and every error.
 //
 // Every result is bit-identical to measuring the component alone with
@@ -86,7 +90,7 @@ type Session struct {
 	shards [flightShards]flightShard
 
 	minMemo   sync.Map // top's structural hash → *searchResult: the accounting search
-	dedupMemo sync.Map // module's structural hash → bool: could produce duplicate siblings
+	dedupMemo sync.Map // module's design-point digest → bool: could produce duplicate siblings
 	srcMemo   sync.Map // module name → srcmetrics.Counts
 	netMemo   sync.Map // optimized netlist hash → memoEntry
 
@@ -414,19 +418,20 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 		}
 	}
 
-	// The design point is named by structure, never by module name:
-	// the subtree's StructuralHash, the full resolved parameter map
-	// under no module name (so a unit measured at defaults and a unit
-	// whose minimization landed on the defaults name the same point),
-	// and the dedup flag. Renamed copies of a component share one
-	// search, one flight and one "sig" record.
-	st, err := s.design.StructuralHash(u.Top)
+	// The design point is named by structure, never by module name or
+	// default: the subtree's DesignPointHash, the full resolved
+	// parameter map under no module name (so a unit measured at
+	// defaults and a unit whose minimization landed on the defaults
+	// name the same point), and the dedup flag. Renamed copies of a
+	// component share one search, one flight and one "sig" record;
+	// copies whose defaults differ share the flights they resolve alike.
+	pt, err := s.design.DesignPointHash(u.Top)
 	if err != nil {
 		return &plan{err: err}
 	}
 	p := &plan{top: u.Top, compKey: compKey}
 	if u.UseAccounting {
-		sr, searched, err := s.minimized(u.Top, st, ecache)
+		sr, searched, err := s.minimized(u.Top, ecache)
 		if err != nil {
 			return &plan{err: err}
 		}
@@ -460,7 +465,7 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	// The flight table and the disk use one key, so a sweep looks each
 	// "sig" record up at most once.
 	p.sigKey = cache.KindKey("sig", append([]string{
-		st, elab.ParamSignature("", full), "dedup=" + dedupKey,
+		pt, elab.ParamSignature("", full), "dedup=" + dedupKey,
 	}, opts.CacheKeyParts()...)...)
 
 	s.components.Add(1)
@@ -468,7 +473,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	f, owned := s.flightFor(p.sigKey, u.Top)
 	p.flight = f
 	if owned {
-		s.synthesized.Add(1)
 		p.owned = f
 	} else {
 		s.shared.Add(1)
@@ -486,17 +490,23 @@ type searchResult struct {
 
 // minimized returns top's accounting search result, running the search
 // (against the group's elaboration cache) only the first time the
-// session asks for a top of structural hash st; searched reports
+// session asks for a top of its StructuralHash; searched reports
 // whether this call ran it. The memo is sound for the reasons the dedup
 // and source-metric memos are: the session's design never changes, and
 // the minimized parameters do not depend on the worker count or on what
 // the elaboration cache already holds. Nor do they depend on a module
-// name: the search reads parameter names, which the structural hash
-// keeps, and two tops of one structural hash elaborate alike at every
-// probe. Failed searches are not stored, so each unit's search error
-// recurs and names its own modules. Two racing first calls both search;
-// the first store wins, and both computed the same value.
-func (s *Session) minimized(top, st string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+// name or a dead default: the search reads parameter names, which the
+// structural hash keeps, starts from the top's defaults, which it keeps
+// too, and two tops of one structural hash elaborate alike at every
+// probe, since a probe reads no default the hash cuts. Failed searches
+// are not stored, so each unit's search error recurs and names its own
+// modules. Two racing first calls both search; the first store wins,
+// and both computed the same value.
+func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+	st, err := s.design.StructuralHash(top)
+	if err != nil {
+		return nil, false, err
+	}
 	if v, ok := s.minMemo.Load(st); ok {
 		return v.(*searchResult), false, nil
 	}
@@ -518,14 +528,15 @@ func (s *Session) minimized(top, st string, ecache *elab.Cache) (sr *searchResul
 // inside a generate loop, anywhere in the hierarchy. A false negative
 // is impossible; a false positive only costs the with/without sweeps a
 // shared synthesis, never correctness. Verdicts are memoized per
-// module StructuralHash (the property is parameter-independent and
-// survives a bijective renaming).
+// module DesignPointHash (the property is parameter-independent and
+// survives a bijective renaming). A name the design does not declare
+// is skipped: elaboration reports it if a branch it takes reaches it.
 func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, error) {
-	st, err := s.design.StructuralHash(name)
+	pt, err := s.design.DesignPointHash(name)
 	if err != nil {
 		return false, err
 	}
-	if v, ok := s.dedupMemo.Load(st); ok {
+	if v, ok := s.dedupMemo.Load(pt); ok {
 		return v.(bool), nil
 	}
 	var v bool
@@ -545,6 +556,9 @@ func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, er
 	v = scanDedupItems(mod.Items, false, counts, children)
 	if !v {
 		for ch := range children {
+			if !s.design.HasModule(ch) {
+				continue
+			}
 			cv, err := s.dedupPossible(ch, visiting)
 			if err != nil {
 				return false, err
@@ -556,7 +570,7 @@ func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, er
 		}
 	}
 	// A racing duplicate compute stores the same deterministic verdict.
-	s.dedupMemo.Store(st, v)
+	s.dedupMemo.Store(pt, v)
 	return v, nil
 }
 
@@ -624,6 +638,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 		return
 	}
 	compute := func() (*sigRecord, error) {
+		s.synthesized.Add(1)
 		inst, report, err := elab.ElaborateOpts(s.design, p.top, p.overrides, elab.Options{Cache: ecache})
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package measure_test
 import (
 	"fmt"
 	"maps"
+	"strings"
 	"sync"
 	"testing"
 
@@ -447,6 +448,48 @@ endmodule
 				t.Fatalf("design %d %s: %v", i, u.Top, err)
 			}
 			sameResult(t, fmt.Sprintf("design %d %s(acct=%t)", i, u.Top, u.UseAccounting), got[j], want)
+		}
+	}
+}
+
+// TestUndeclaredModuleInUntakenBranch: a module instantiated only in a
+// generate branch elaboration never takes need not be declared. The
+// session measures such a top in both accounting modes, equal to the
+// reference pipeline; a top whose taken branch reaches the undeclared
+// module still fails, naming it.
+func TestUndeclaredModuleInUntakenBranch(t *testing.T) {
+	const src = `
+module top #(parameter N = 2) (input [3:0] a, output [3:0] y);
+  generate if (N > 8) begin : big
+    missing u (.a(a), .y(y));
+  end else begin : small
+    assign y = a + N;
+  end endgenerate
+endmodule
+module taken (input [3:0] a, output [3:0] y);
+  generate if (1) begin : big
+    missing u (.a(a), .y(y));
+  end endgenerate
+endmodule
+`
+	d, err := hdl.ParseDesign(map[string]string{"u.v": src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, acct := range []bool{true, false} {
+		got, err := measure.NewSession(d).MeasureAll([]measure.Unit{{Top: "top", UseAccounting: acct}}, measure.Options{Concurrency: 1})
+		if err != nil {
+			t.Fatalf("acct=%t: %v", acct, err)
+		}
+		want, err := measure.MeasureComponentRef(d, "top", acct, measure.Options{Concurrency: 1})
+		if err != nil {
+			t.Fatalf("acct=%t reference: %v", acct, err)
+		}
+		sameResult(t, fmt.Sprintf("top(acct=%t)", acct), got[0], want)
+
+		_, err = measure.NewSession(d).MeasureAll([]measure.Unit{{Top: "taken", UseAccounting: acct}}, measure.Options{Concurrency: 1})
+		if err == nil || !strings.Contains(err.Error(), `"missing"`) {
+			t.Errorf("taken(acct=%t): error %v, want one naming the undeclared module", acct, err)
 		}
 	}
 }

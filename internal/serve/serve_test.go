@@ -397,16 +397,39 @@ func replaceOnce(t *testing.T, src, old, new string) string {
 	return src[:i] + new + src[i+len(old):]
 }
 
+// paddedRequest is a generated request of n components plus, per
+// component, a copy of its top module named <top>_pad that declares
+// one more wire and never uses it, measured as one more unit: the
+// copy's design-point key differs from the original's, its optimized
+// netlist does not.
+func paddedRequest(t *testing.T, tenant string, n int) *serve.Request {
+	t.Helper()
+	req := servetest.GeneratedRequest(t, tenant, n, 1)
+	var pad strings.Builder
+	for _, u := range req.Units {
+		for _, src := range req.Sources {
+			from := strings.Index(src, "module "+u.Top+" ")
+			if from < 0 {
+				continue
+			}
+			to := from + strings.Index(src[from:], "endmodule")
+			pad.WriteString("module " + u.Top + "_pad" + src[from+len("module "+u.Top):to] + "  wire pad_unused;\nendmodule\n")
+		}
+		req.Units = append(req.Units, serve.UnitRequest{Top: u.Top + "_pad"})
+	}
+	req.Sources["pad.v"] = pad.String()
+	return req
+}
+
 // TestMetricsSumsMetricsReused pins /metrics' session object: its
 // MetricsReused is the sum over the live sessions of each session's
-// netlist-memo hits. Two tenants measure one generated corpus at one
-// worker, so each session reuses exactly what a direct session does.
-// The corpus must repeat an optimized netlist across structurally
-// distinct design points: the 60-component one does (2 of 48 flights),
-// the 40-component one of the same seed repeats none.
+// netlist-memo hits. Two tenants measure one corpus at one worker, so
+// each session reuses exactly what a direct session does. The corpus
+// must repeat an optimized netlist across design points: its padded
+// copies do.
 func TestMetricsSumsMetricsReused(t *testing.T) {
-	reqA := servetest.GeneratedRequest(t, "tenant-a", 60, 1)
-	reqB := servetest.GeneratedRequest(t, "tenant-b", 60, 1)
+	reqA := paddedRequest(t, "tenant-a", 20)
+	reqB := paddedRequest(t, "tenant-b", 20)
 	design, err := hdl.ParseDesign(reqA.Sources)
 	if err != nil {
 		t.Fatal(err)

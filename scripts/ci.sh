@@ -19,8 +19,9 @@
 # Performance is gated in two places, neither of them here. The
 # load-independent bounds (allocation budgets, the edit loop's dirty
 # cone, per-unit scaling, one metric-kernel run per distinct netlist,
-# one flight per structural design point and one search per structural
-# top) are ordinary tests in gates_test.go and run in stage 1. Wall time is
+# one flight per design point — name-blind, and blind to parameter
+# defaults no elaboration reads — and one search per structural top)
+# are ordinary tests in gates_test.go and run in stage 1. Wall time is
 # the bench/ module's job: `bash bench/run.sh` runs the end-to-end
 # workloads that BENCHMARK.json lists.
 #
@@ -63,9 +64,11 @@ fi
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# Short coverage-guided smoke on the fuzz targets: the parser's
-	# round-trip fuzzer, the structural hash's fuzzer (invariant under a
-	# bijective module renaming, equal exactly when the canonically
-	# renamed sources are), the synthesis-vs-RTL differential fuzzer, the
+	# round-trip fuzzer, the structural keys' fuzzer (StructuralHash and
+	# DesignPointHash: invariant under a bijective module renaming, equal
+	# exactly when the canonically renamed sources with dead parameter
+	# defaults cut are, and moved by rewriting a default exactly when it
+	# is live), the synthesis-vs-RTL differential fuzzer, the
 	# corpus generator's parse-and-synthesize fuzzer (every seed must
 	# yield a valid, synthesizable corpus), the cache codec's two
 	# decoder fuzzers, the cache's segment-scan fuzzer (arbitrary bytes
