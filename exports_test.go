@@ -32,6 +32,7 @@ var exportAllowlist = map[string]string{
 	"serve.Config.OnAdmitted":             "a test seam: tests block admitted requests on it to observe the admission queue",
 	"fpga.Options.K":                      "the only field of fpga.Options, which bench/replay.go passes to fpga.MapWS; the struct goes when bench/ stops calling MapWS (ROADMAP)",
 	"measure.ComponentResult.Synth":       "bench/edit.go reads it for measure.neutral_dirty_share; goes when bench/ switches to NetlistHash (ROADMAP)",
+	"hdl.Format":                          "the printer whose output defines ModuleHash and LoC; the round-trip and reference-pipeline tests of several packages recompute those from it",
 }
 
 // exportExemptPackages are internal/ packages whose exported names

@@ -443,26 +443,54 @@ func (c *Cache) kind(key string) *kindCounter {
 // Parts are length-prefixed (so {"ab","c"} and {"a","bc"} differ) and
 // the schema version is mixed in.
 func Key(parts ...string) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(SchemaVersion))
-	h.Write(buf[:])
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(p)))
-		h.Write(buf[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	var out [2 * sha256.Size]byte
+	sum := keySum("", parts)
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // KindKey derives a cache key like Key but tagged with an entry kind:
 // the returned key is "<kind>-<hash>", so per-kind disk stats read the
 // kind back with KindOf and the runtime counters attribute
-// hits/misses/puts to it. The kind is also mixed into the hash, so
-// identical parts under different kinds are distinct entries. Kinds
-// must be non-empty and free of '-' (the separator).
+// hits/misses/puts to it. The kind is also mixed into the hash, as a
+// first part "kind=<kind>", so identical parts under different kinds
+// are distinct entries. Kinds must be non-empty and free of '-' (the
+// separator).
 func KindKey(kind string, parts ...string) string {
-	return kind + "-" + Key(append([]string{"kind=" + kind}, parts...)...)
+	var stack [16 + 1 + 2*sha256.Size]byte
+	sum := keySum(kind, parts)
+	out := append(append(stack[:0], kind...), '-')
+	return string(hex.AppendEncode(out, sum[:]))
+}
+
+// keySum hashes the schema version and the length-prefixed parts, led
+// by the part "kind=<kind>" when kind is non-empty. It lays the hashed
+// bytes out in one buffer, on the stack unless the parts are large, so
+// deriving a short key allocates only the key string.
+func keySum(kind string, parts []string) [sha256.Size]byte {
+	const prefix = "kind="
+	n := 8
+	if kind != "" {
+		n += 8 + len(prefix) + len(kind)
+	}
+	for _, p := range parts {
+		n += 8 + len(p)
+	}
+	var stack [512]byte
+	b := stack[:0]
+	if n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(SchemaVersion))
+	if kind != "" {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(prefix)+len(kind)))
+		b = append(append(b, prefix...), kind...)
+	}
+	for _, p := range parts {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	return sha256.Sum256(b)
 }
 
 // KindOf extracts the kind tag from a key: the prefix before the first
@@ -571,8 +599,9 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 
 // Do returns the entry for key, computing and storing it on a miss.
 // The boolean reports whether the result came from the cache.
-// Concurrent calls for the same key are single-flighted: one computes,
-// the rest receive its result. A nil cache just runs compute.
+// Concurrent misses of the same key are single-flighted: one
+// computes, the rest receive its result; a hit outside verify mode is
+// read without a flight. A nil cache just runs compute.
 //
 // In verify mode a hit recomputes anyway and compares the two results
 // with eq, which receives the cached and the recomputed value and
@@ -585,6 +614,14 @@ func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error
 		return v, false, err
 	}
 
+	// A hit needs no flight: its record is already whole in the index.
+	// A miss registers one and looks again inside it, so a record some
+	// other flight wrote meanwhile still answers.
+	if !c.Verifying() {
+		if v, ok := Get(c, key, cd); ok {
+			return v, true, nil
+		}
+	}
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	if f, ok := sh.flights[key]; ok {

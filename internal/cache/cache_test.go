@@ -3,7 +3,9 @@ package cache
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -232,6 +234,36 @@ func TestKindKey(t *testing.T) {
 	// Kind tag must not collide with the kind-in-hash mixing.
 	if strings.TrimPrefix(KindKey("sig", "a"), "sig-") == Key("a") {
 		t.Error("kind not mixed into the hash")
+	}
+}
+
+// TestKeysMatchStreamedDefinition pins Key and KindKey to their
+// definition, hashed part by part: SHA-256 over the little-endian
+// schema version, then each part as its little-endian length and its
+// bytes, KindKey's parts led by "kind=<kind>". Keys name records on
+// disk, so the one-buffer derivation must not move one. Short parts
+// take the stack buffer, long ones the heap.
+func TestKeysMatchStreamedDefinition(t *testing.T) {
+	streamed := func(parts ...string) string {
+		h := sha256.New()
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(SchemaVersion))
+		h.Write(n[:])
+		for _, p := range parts {
+			binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+			h.Write(n[:])
+			h.Write([]byte(p))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	long := strings.Repeat("module m; endmodule\n", 100)
+	for _, parts := range [][]string{nil, {""}, {"a", "bc"}, {"ab", "c"}, {long}, {"x", long, "y"}} {
+		if got, want := Key(parts...), streamed(parts...); got != want {
+			t.Errorf("Key(%d parts) = %s, want %s", len(parts), got, want)
+		}
+		if got, want := KindKey("sig", parts...), "sig-"+streamed(append([]string{"kind=sig"}, parts...)...); got != want {
+			t.Errorf("KindKey(sig, %d parts) = %s, want %s", len(parts), got, want)
+		}
 	}
 }
 

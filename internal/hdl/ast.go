@@ -6,20 +6,18 @@ package hdl
 type SourceFile struct {
 	File    string
 	Modules []*Module
-	// CodeLines is the set of source lines carrying at least one token,
-	// used for the paper's LoC metric.
-	CodeLines map[int]bool
 
 	hashes []moduleHashes // hashes of Modules[i], filled by Parse
 }
 
 // hashesOf returns the hashes of f.Modules[i]: the ones Parse stored,
 // or, for a SourceFile assembled by hand, freshly computed ones.
-func (f *SourceFile) hashesOf(i int) moduleHashes {
+func (f *SourceFile) hashesOf(i int) *moduleHashes {
 	if len(f.hashes) == len(f.Modules) {
-		return f.hashes[i]
+		return &f.hashes[i]
 	}
-	return hashModule(f.Modules[i])
+	mh := hashModule(f.Modules[i])
+	return &mh
 }
 
 // Module is a module declaration.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -143,8 +144,24 @@ func (d *Design) ModuleHash(name string) (string, error) {
 	return c.file.hashesOf(c.i).named, nil
 }
 
-// moduleHashes are one module's source hashes, all taken from one
-// Format pass: the ModuleHash and what StructuralHash reads.
+// SourceCounts returns the software metrics of the module named name
+// (internal/srcmetrics defines them): the non-blank lines of its
+// formatted declaration, so layout and comments in the original text
+// do not change the count, and its statement count (CountStmts). Both
+// were taken once, when Parse read the module's file.
+func (d *Design) SourceCounts(name string) (loc, stmts int, err error) {
+	c, ok := d.modules[name]
+	if !ok {
+		_, err := d.Module(name)
+		return 0, 0, err
+	}
+	mh := c.file.hashesOf(c.i)
+	return mh.loc, mh.stmts, nil
+}
+
+// moduleHashes are one module's source hashes and counts, all taken
+// from one Format pass: the ModuleHash, what StructuralHash reads, and
+// what SourceCounts reports.
 type moduleHashes struct {
 	named string // ModuleHash: hex SHA-256 over Format(m)
 	// blind is SHA-256 over Format(m) with every module name and every
@@ -160,18 +177,30 @@ type moduleHashes struct {
 	// with a value.
 	children []string
 	bound    [][]string
+	// loc and stmts are the module's source counts: the non-blank
+	// lines of Format(m) and CountStmts(m).
+	loc, stmts int
 }
 
-// hashModule computes m's hashes.
+// hashModule computes m's hashes and source counts.
 func hashModule(m *Module) moduleHashes {
 	var sites keySites
-	text := []byte(format(m, &sites))
+	formatted := format(m, &sites)
+	text := []byte(formatted)
 	named := sha256.Sum256(text)
 	mh := moduleHashes{
 		named:    hex.EncodeToString(named[:]),
 		defaults: make([][sha256.Size]byte, len(sites.defaults)),
 		children: sites.names,
 		bound:    sites.bound,
+		stmts:    CountStmts(m),
+	}
+	for rest := formatted; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if strings.TrimSpace(line) != "" {
+			mh.loc++
+		}
 	}
 	h := sha256.New()
 	var n [8]byte
@@ -305,13 +334,16 @@ func (d *Design) structuralKeys(top string) (keyPair, error) {
 	}
 	// Number the modules and mark, per module and header parameter,
 	// whether some instance site leaves it unbound: the live defaults.
+	type numbered struct {
+		mh     *moduleHashes
+		params []*ParamDecl
+		live   []bool
+	}
 	c := d.modules[top]
 	number := map[string]int{top: 0}
-	params := [][]*ParamDecl{c.module().Params}
-	mhs := []moduleHashes{c.file.hashesOf(c.i)}
-	live := [][]bool{make([]bool, len(params[0]))}
-	for k := 0; k < len(mhs); k++ {
-		mh := mhs[k]
+	mods := []numbered{{c.file.hashesOf(c.i), c.module().Params, make([]bool, len(c.module().Params))}}
+	for k := 0; k < len(mods); k++ {
+		mh := mods[k].mh
 		for s, name := range mh.children {
 			j, ok := number[name]
 			if !ok {
@@ -319,25 +351,25 @@ func (d *Design) structuralKeys(top string) (keyPair, error) {
 				if !declared {
 					continue
 				}
-				j = len(mhs)
+				j = len(mods)
 				number[name] = j
-				params = append(params, c.module().Params)
-				mhs = append(mhs, c.file.hashesOf(c.i))
-				live = append(live, make([]bool, len(c.module().Params)))
+				params := c.module().Params
+				mods = append(mods, numbered{c.file.hashesOf(c.i), params, make([]bool, len(params))})
 			}
-			for i, p := range params[j] {
+			for i, p := range mods[j].params {
 				if !slices.Contains(mh.bound[s], p.Name) {
-					live[j][i] = true
+					mods[j].live[i] = true
 				}
 			}
 		}
 	}
 	h := sha256.New()
 	var n [9]byte
-	for k, mh := range mhs {
+	for _, m := range mods {
+		mh := m.mh
 		h.Write(mh.blind[:])
 		for i, dh := range mh.defaults {
-			if !live[k][i] {
+			if !m.live[i] {
 				n[0] = 'x'
 				h.Write(n[:1])
 				continue
@@ -360,19 +392,21 @@ func (d *Design) structuralKeys(top string) (keyPair, error) {
 			h.Write(n[:])
 		}
 	}
-	var point [sha256.Size]byte
+	var point, structural [sha256.Size]byte
 	h.Sum(point[:0])
 	// The structural hash adds every one of top's own defaults.
 	h.Reset()
 	h.Write(point[:])
-	for _, dh := range mhs[0].defaults {
+	for _, dh := range mods[0].mh.defaults {
 		h.Write(dh[:])
 	}
-	k := keyPair{structural: hex.EncodeToString(h.Sum(nil)), point: hex.EncodeToString(point[:])}
+	h.Sum(structural[:0])
+	k := keyPair{structural: hex.EncodeToString(structural[:]), point: hex.EncodeToString(point[:])}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.keys == nil {
-		d.keys = map[string]keyPair{}
+		// Planning asks for the keys of most modules: size for all.
+		d.keys = make(map[string]keyPair, len(d.modules))
 	}
 	d.keys[top] = k
 	return k, nil

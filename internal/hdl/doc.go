@@ -42,9 +42,9 @@
 //
 // ParseDesign and ParseDesignParallel reuse the *SourceFile of a file
 // whose name and text they have seen before, so one parsed file — its
-// modules, every AST node under them, CodeLines, and the module hashes
-// Parse stored — may belong to many designs, measurement sessions and
-// daemon tenants at once, on many goroutines. Nothing may write to a
-// SourceFile or anything reachable from it once Parse has returned. Code
-// that needs a modified tree builds a new one.
+// modules, every AST node under them, and the module hashes and source
+// counts Parse stored — may belong to many designs, measurement
+// sessions and daemon tenants at once, on many goroutines. Nothing may
+// write to a SourceFile or anything reachable from it once Parse has
+// returned. Code that needs a modified tree builds a new one.
 package hdl

@@ -6,28 +6,20 @@ import (
 )
 
 // Lexer turns µHDL source text into tokens. Comments (// and /* */)
-// and whitespace are skipped, but the lexer records which lines carry
-// code so that internal/srcmetrics can count lines of code the way the
-// paper does (non-blank, non-comment lines).
+// and whitespace are skipped.
 type Lexer struct {
-	src      string
-	file     string
-	off      int
-	line     int
-	col      int
-	codeLine map[int]bool
-	lastCode int // the line most recently recorded in codeLine
+	src  string
+	file string
+	off  int
+	line int
+	col  int
 }
 
 // NewLexer returns a lexer over src. file is used in positions and
 // error messages.
 func NewLexer(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1, codeLine: map[int]bool{}}
+	return &Lexer{src: src, file: file, line: 1, col: 1}
 }
-
-// CodeLines returns the set of 1-based line numbers that contain at
-// least one token (i.e. lines that are neither blank nor pure comment).
-func (l *Lexer) CodeLines() map[int]bool { return l.codeLine }
 
 // A LexError reports a lexical problem with its position.
 type LexError struct {
@@ -115,10 +107,6 @@ func (l *Lexer) Next() (Token, error) {
 	pos := l.pos()
 	if l.off >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: pos}, nil
-	}
-	if pos.Line != l.lastCode { // lines only grow: one map write per line
-		l.codeLine[pos.Line] = true
-		l.lastCode = pos.Line
 	}
 	c := l.peek()
 

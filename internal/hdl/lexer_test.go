@@ -155,11 +155,14 @@ func TestLexPositions(t *testing.T) {
 
 func TestLexCodeLines(t *testing.T) {
 	src := "a b\n\n// only comment\nc\n/* block */\n"
-	_, lx, err := lexAll("t.v", src)
+	toks, _, err := lexAll("t.v", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := lx.CodeLines()
+	lines := map[int]bool{}
+	for _, tok := range toks {
+		lines[tok.Pos.Line] = true
+	}
 	if !lines[1] || !lines[4] {
 		t.Errorf("lines 1 and 4 must be code lines: %v", lines)
 	}

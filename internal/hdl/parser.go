@@ -22,7 +22,8 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 
 // Parse parses a µHDL source file and hashes each of its modules once
 // (the values Design.ModuleHash reports and Design.StructuralHash and
-// Design.DesignPointHash are built from). It is the per-file step of
+// Design.DesignPointHash are built from), taking each module's source
+// counts (Design.SourceCounts) from the same pass. It is the per-file step of
 // both ParseDesign and ParseDesignParallel, which reuse its result for
 // unchanged text (see parseMemo).
 func Parse(file, src string) (*SourceFile, error) {
@@ -38,7 +39,6 @@ func Parse(file, src string) (*SourceFile, error) {
 		}
 		sf.Modules = append(sf.Modules, m)
 	}
-	sf.CodeLines = p.lex.CodeLines()
 	sf.hashes = make([]moduleHashes, len(sf.Modules))
 	for i, m := range sf.Modules {
 		sf.hashes[i] = hashModule(m)

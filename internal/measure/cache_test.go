@@ -24,9 +24,10 @@ import (
 // The cache contract: a component measured with the cache off, with a
 // cold cache, and from a warm cache yields bit-identical paper-facing
 // results, and a warm hit carries the optimized netlist's hash and
-// timing summary, so downstream readers see the identical values. A cold one-unit batch
-// writes two entries: the unit's "component" record and its
-// signature's "sig" record.
+// timing summary, so downstream readers see the identical values. A
+// cold one-unit accounting batch writes two entries: its search's
+// "search" record and its signature's "sig" record. No record is kept
+// per unit: the unit is assembled in memory from the two.
 
 func execDesign(t *testing.T) (*hdl.Design, string) {
 	t.Helper()
@@ -81,11 +82,11 @@ func TestCacheOffColdWarmBitIdentical(t *testing.T) {
 	}
 
 	s := ch.Stats()
-	if s.Misses != 2 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 2 misses (cold component + sig) and 1 hit (warm component)", s)
+	if s.Misses != 2 || s.Hits != 2 || s.Puts != 2 {
+		t.Errorf("stats = %+v, want 2 misses and 2 puts (cold search + sig) and 2 hits (warm search + sig)", s)
 	}
 	// The search counters describe a run, not a result: the cold run
-	// searched, the warm hit ran no search and reports none.
+	// searched, the warm run read its search from disk and reports none.
 	if cold.ElabCacheHits+cold.ElabCacheMisses == 0 {
 		t.Errorf("cold result carries no search counters: %d/%d", cold.ElabCacheHits, cold.ElabCacheMisses)
 	}
@@ -103,8 +104,8 @@ func TestCacheOffColdWarmBitIdentical(t *testing.T) {
 	if *again.Metrics != *off.Metrics {
 		t.Error("reopened cache served diverging metrics")
 	}
-	if s := ch2.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("reopened cache stats = %+v, want pure hit", s)
+	if s := ch2.Stats(); s.Hits != 2 || s.Misses != 0 {
+		t.Errorf("reopened cache stats = %+v, want pure hits (search + sig)", s)
 	}
 }
 
@@ -121,7 +122,7 @@ func TestCacheVerifyModePassesOnConsistentEntry(t *testing.T) {
 	}
 	s := ch.Stats()
 	if s.VerifyChecks != 2 || s.VerifyMismatches != 0 {
-		t.Errorf("stats = %+v, want 2 clean verify checks (component + sig)", s)
+		t.Errorf("stats = %+v, want 2 clean verify checks (search + sig)", s)
 	}
 }
 
@@ -133,23 +134,26 @@ func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
 	}
 	first := measureExec(t, Options{Cache: ch})
 
-	d, top := execDesign(t)
-	compKey, err := componentKey(d, top, true, Options{Cache: ch})
-	if err != nil {
-		t.Fatal(err)
+	cold := recordKeys(t, dir)
+	if len(cold) != 2 {
+		t.Fatalf("cold records %v, want a search and a sig record", cold)
 	}
-	damageRecord(t, dir, compKey)
+	for _, key := range cold {
+		damageRecord(t, dir, key)
+	}
 
 	again := measureExec(t, Options{Cache: ch})
-	if *again.Metrics != *first.Metrics {
-		t.Error("recomputed measurement diverged after corruption")
+	if diff := sameMeasurement(again, first); diff != "" {
+		t.Errorf("recomputed measurement diverged after corruption: %s", diff)
 	}
-	// Cold: component + sig misses. Again: the damaged component record
-	// fails its CRC on read, is dropped and missed; the intact sig
-	// record hits.
+	// Cold: search + sig misses. Again: both damaged records fail
+	// their CRC on read, are dropped, missed and rewritten.
 	s := ch.Stats()
-	if s.DecodeErrors == 0 || s.Misses != 3 {
-		t.Errorf("stats = %+v, want the corrupt entry discarded and recomputed", s)
+	if s.DecodeErrors != 2 || s.Misses != 4 || s.Hits != 0 || s.Puts != 4 {
+		t.Errorf("stats = %+v, want both corrupt entries discarded and recomputed", s)
+	}
+	if got := recordKeys(t, dir); !slices.Equal(got, cold) {
+		t.Errorf("records after recompute %v, want the cold run's %v", got, cold)
 	}
 }
 
@@ -213,8 +217,8 @@ func TestTruncatedSegmentRecomputes(t *testing.T) {
 	if got := measureExec(t, Options{Cache: warm}); sameMeasurement(got, off) != "" {
 		t.Error("warm run after the repair diverged from cache-off")
 	}
-	if s := warm.Stats(); s.DecodeErrors != 0 || s.Misses != 0 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want one clean hit after the repair", s)
+	if s := warm.Stats(); s.DecodeErrors != 0 || s.Misses != 0 || s.Hits != 2 {
+		t.Errorf("stats = %+v, want two clean hits (search + sig) after the repair", s)
 	}
 }
 
@@ -280,8 +284,8 @@ func TestTwoWritersOneDirectory(t *testing.T) {
 			t.Errorf("%s: %s", j.top, diff)
 		}
 	}
-	if s := third.Stats(); s.Hits != int64(len(jobs)) || s.Misses != 0 {
-		t.Errorf("third handle stats = %+v, want every unit a hit", s)
+	if s := third.Stats(); s.Hits != 2*int64(len(jobs)) || s.Misses != 0 {
+		t.Errorf("third handle stats = %+v, want every unit's search and sig a hit", s)
 	}
 }
 
@@ -314,9 +318,9 @@ func TestOldLayoutEntriesIgnored(t *testing.T) {
 	payloads := map[string][]byte{}
 	for key := range CacheRecords(t, other.Dir()) {
 		switch cache.KindOf(key) {
-		case "component":
-			rec, _ := cache.Get(other, key, recordCodec)
-			payloads["component"] = recordCodec.Append(nil, rec)
+		case "search":
+			sr, _ := cache.Get(other, key, searchCodec)
+			payloads["search"] = searchCodec.Append(nil, sr)
 		case "sig":
 			sig, _ := cache.Get(other, key, sigRecordCodec)
 			payloads["sig"] = sigRecordCodec.Append(nil, sig)
@@ -369,61 +373,76 @@ func TestOldLayoutEntriesIgnored(t *testing.T) {
 	}
 }
 
+// legacyComponentKey is the key the removed per-unit "component"
+// records lived under: the unit's subtree hash, its top's name, the
+// accounting flag and the measurement options.
+func legacyComponentKey(t *testing.T, d *hdl.Design, top string, acct bool) string {
+	t.Helper()
+	st, err := d.SubtreeHash(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache.KindKey("component", st, top, fmt.Sprintf("acct=%t", acct),
+		targetLib, targetFPGA, fmt.Sprintf("dedup=%t", acct))
+}
+
 // appendLegacyAccounting writes the modules and sorted parameters
 // every component record layout shares.
-func appendLegacyAccounting(dst []byte, rec *componentRecord) []byte {
-	dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
-	for _, name := range rec.UniqueModules {
+func appendLegacyAccounting(dst []byte, res *ComponentResult) []byte {
+	dst = codec.AppendUvarint(dst, uint64(len(res.UniqueModules)))
+	for _, name := range res.UniqueModules {
 		dst = codec.AppendString(dst, name)
 	}
-	names := make([]string, 0, len(rec.MinimizedParams))
-	for name := range rec.MinimizedParams {
+	names := make([]string, 0, len(res.MinimizedParams))
+	for name := range res.MinimizedParams {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	dst = codec.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
 		dst = codec.AppendString(dst, name)
-		dst = codec.AppendVarint(dst, rec.MinimizedParams[name])
+		dst = codec.AppendVarint(dst, res.MinimizedParams[name])
 	}
-	dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
-	return codec.AppendVarint(dst, int64(rec.DedupedInstances))
+	dst = codec.AppendVarint(dst, int64(res.InstanceCount))
+	return codec.AppendVarint(dst, int64(res.DedupedInstances))
 }
 
-// Payloads of the earlier record layouts, each carrying the whole
-// optimized netlist behind a presence byte (1). The record version and
-// the presence byte are written raw. Component version 1 also
-// stored the search's probe counters and the subtree counters of
-// whichever run populated the entry.
-func componentV1Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
+// Payloads of the earlier record layouts. The record version and any
+// presence byte are written raw. Component versions 1 and 2 and sig
+// version 1 carry the whole optimized netlist behind a presence byte
+// (1); component version 1 also stored the search's probe counters and
+// the subtree counters of whichever run populated the entry.
+func componentV1Payload(res *ComponentResult, _ *sigRecord, nl *netlist.Netlist) []byte {
 	dst := []byte{1, 1}
-	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
+	dst = appendLegacyAccounting(appendMetrics(dst, res.Metrics), res)
 	for _, counter := range []int64{7, 3, 11, 5, 13} {
 		dst = codec.AppendVarint(dst, counter)
 	}
 	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
-func componentV2Payload(rec *componentRecord, _ *sigRecord, nl *netlist.Netlist) []byte {
+func componentV2Payload(res *ComponentResult, _ *sigRecord, nl *netlist.Netlist) []byte {
 	dst := []byte{2, 1}
-	dst = appendLegacyAccounting(appendMetrics(dst, rec.Metrics), rec)
+	dst = appendLegacyAccounting(appendMetrics(dst, res.Metrics), res)
 	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
-func sigV1Payload(_ *componentRecord, sig *sigRecord, nl *netlist.Netlist) []byte {
+func sigV1Payload(_ *ComponentResult, sig *sigRecord, nl *netlist.Netlist) []byte {
 	dst := appendMetrics([]byte{1, 1}, sig.Metrics)
 	dst = codec.AppendVarint(dst, int64(sig.InstanceCount))
 	dst = codec.AppendVarint(dst, int64(sig.Deduped))
 	return codec.AppendNetlist(append(dst, 1), nl)
 }
 
-// componentV3Payload and sigV2Payload are the current layouts under the
-// versions whose netlist hashes still covered RAM names.
-func componentV3Payload(rec *componentRecord, _ *sigRecord, _ *netlist.Netlist) []byte {
-	return relabel(recordCodec.Append(nil, rec), 3)
+// componentV3Payload is the last component layout, whose netlist
+// hashes still covered RAM names; sigV2Payload is the current sig
+// layout under that version.
+func componentV3Payload(res *ComponentResult, _ *sigRecord, _ *netlist.Netlist) []byte {
+	dst := appendLegacyAccounting(appendMetrics([]byte{3}, res.Metrics), res)
+	return appendTiming(codec.AppendString(dst, res.NetlistHash), res.Timing)
 }
 
-func sigV2Payload(_ *componentRecord, sig *sigRecord, _ *netlist.Netlist) []byte {
+func sigV2Payload(_ *ComponentResult, sig *sigRecord, _ *netlist.Netlist) []byte {
 	return relabel(sigRecordCodec.Append(nil, sig), 2)
 }
 
@@ -479,13 +498,15 @@ func damageRecord(t *testing.T, dir, key string) {
 }
 
 // TestOldRecordVersionsRecompute plants a record of each earlier
-// layout — component versions 1 and 2 and sig version 1, all still
-// carrying the optimized netlist — under its real key. Each must
-// decode as corrupt (one DecodeErrors), be recomputed bit-identically
-// to the reference pipeline with this run's search counters, and be
-// rewritten under the same key. A planted sig record is only read when
-// its unit's component record misses, so that row plants into a fresh
-// directory that holds no component record and expects both written.
+// layout, each into a fresh directory. A sig record of versions 1 and
+// 2 sits under its real key: it must decode as corrupt (one
+// DecodeErrors), be recomputed bit-identically to the reference
+// pipeline, and be rewritten under the same key. A component record of
+// versions 1 to 3 sits under the key the removed per-unit records used:
+// no read ever reaches it, so it costs no decode error, the run writes
+// the cold run's search and sig records beside it, and it stays on
+// disk as an orphan. Either way the result carries this run's search
+// counters.
 func TestOldRecordVersionsRecompute(t *testing.T) {
 	d, top := execDesign(t)
 	want, err := measureComponentRef(d, top, true, Options{})
@@ -505,59 +526,50 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 		t.Fatal("reference netlist hash does not match its synthesis")
 	}
 
+	dir := t.TempDir()
+	ch, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := measureExec(t, Options{Cache: ch})
+	cold := recordKeys(t, dir)
+	var sigKey string
+	for _, key := range cold {
+		if cache.KindOf(key) == "sig" {
+			sigKey = key
+		}
+	}
+	sig, ok := cache.Get(ch, sigKey, sigRecordCodec)
+	if !ok {
+		t.Fatal("cold run wrote no sig record")
+	}
+	compKey := legacyComponentKey(t, d, top, true)
+
 	for _, tc := range []struct {
-		name    string
-		kind    string
-		payload func(*componentRecord, *sigRecord, *netlist.Netlist) []byte
-		puts    int64
+		name       string
+		kind       string
+		payload    func(*ComponentResult, *sigRecord, *netlist.Netlist) []byte
+		decodeErrs int64
 	}{
-		{"component v1", "component", componentV1Payload, 1},
-		{"component v2", "component", componentV2Payload, 1},
-		{"component v3", "component", componentV3Payload, 1},
-		{"sig v1", "sig", sigV1Payload, 2},
-		{"sig v2", "sig", sigV2Payload, 2},
+		{"component v1", "component", componentV1Payload, 0},
+		{"component v2", "component", componentV2Payload, 0},
+		{"component v3", "component", componentV3Payload, 0},
+		{"sig v1", "sig", sigV1Payload, 1},
+		{"sig v2", "sig", sigV2Payload, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			ch, err := cache.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := measureExec(t, Options{Cache: ch})
-			cold := recordKeys(t, dir)
-			compKey, err := componentKey(d, top, true, Options{Cache: ch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sigKey string
-			for _, key := range cold {
-				if cache.KindOf(key) == "sig" {
-					sigKey = key
-				}
-			}
-			rec, ok := cache.Get(ch, compKey, recordCodec)
-			if !ok {
-				t.Fatal("cold run wrote no component record")
-			}
-			sig, ok := cache.Get(ch, sigKey, sigRecordCodec)
-			if !ok {
-				t.Fatal("cold run wrote no sig record")
-			}
-
-			payload := tc.payload(rec, sig, nl)
-			key := compKey
-			var decodeErr error
+			payload := tc.payload(want, sig, nl)
+			key, wantKeys := compKey, append(slices.Clone(cold), compKey)
 			if tc.kind == "sig" {
-				key = sigKey
-				_, decodeErr = sigRecordCodec.Decode(codec.NewReader(payload))
-				if ch, err = cache.Open(t.TempDir()); err != nil {
-					t.Fatal(err)
+				key, wantKeys = sigKey, cold
+				if _, err := sigRecordCodec.Decode(codec.NewReader(payload)); !errors.Is(err, codec.ErrCorrupt) {
+					t.Fatalf("old payload decoded with err %v, want ErrCorrupt", err)
 				}
-			} else {
-				_, decodeErr = recordCodec.Decode(codec.NewReader(payload))
 			}
-			if !errors.Is(decodeErr, codec.ErrCorrupt) {
-				t.Fatalf("old payload decoded with err %v, want ErrCorrupt", decodeErr)
+			sort.Strings(wantKeys)
+			ch, err := cache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := cache.Put(ch, key, rawPayload, payload); err != nil {
 				t.Fatal(err)
@@ -566,28 +578,26 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 			before := ch.Stats()
 			again := measureExec(t, Options{Cache: ch})
 			after := ch.Stats()
-			if got := after.DecodeErrors - before.DecodeErrors; got != 1 {
-				t.Errorf("decode errors grew by %d, want 1 (the planted record)", got)
+			if got := after.DecodeErrors - before.DecodeErrors; got != tc.decodeErrs {
+				t.Errorf("decode errors grew by %d, want %d", got, tc.decodeErrs)
 			}
-			if got := after.Puts - before.Puts; got != tc.puts {
-				t.Errorf("puts grew by %d, want %d", got, tc.puts)
+			if got := after.Hits - before.Hits; got != 0 {
+				t.Errorf("%d hits, want none", got)
+			}
+			if got := after.Puts - before.Puts; got != 2 {
+				t.Errorf("puts grew by %d, want 2 (search + sig)", got)
 			}
 			for name, got := range map[string]*ComponentResult{"first": first, "recomputed": again} {
-				if *got.Metrics != *want.Metrics || !maps.Equal(got.MinimizedParams, want.MinimizedParams) ||
-					got.InstanceCount != want.InstanceCount || got.DedupedInstances != want.DedupedInstances ||
-					got.NetlistHash != want.NetlistHash || got.Timing != want.Timing {
-					t.Errorf("%s result diverged from the reference", name)
+				if diff := sameMeasurement(got, want); diff != "" {
+					t.Errorf("%s result diverged from the reference: %s", name, diff)
 				}
 			}
 			if again.ElabCacheHits != first.ElabCacheHits || again.ElabCacheMisses != first.ElabCacheMisses {
 				t.Errorf("recomputed search counters %d/%d, want this run's %d/%d",
 					again.ElabCacheHits, again.ElabCacheMisses, first.ElabCacheHits, first.ElabCacheMisses)
 			}
-			if got := recordKeys(t, ch.Dir()); !slices.Equal(got, cold) {
-				t.Errorf("records after recompute %v, want the cold run's %v", got, cold)
-			}
-			if _, ok := cache.Get(ch, compKey, recordCodec); !ok {
-				t.Error("component record not readable at the current version")
+			if got := recordKeys(t, ch.Dir()); !slices.Equal(got, wantKeys) {
+				t.Errorf("records after recompute %v, want %v", got, wantKeys)
 			}
 			if _, ok := cache.Get(ch, sigKey, sigRecordCodec); !ok {
 				t.Error("sig record not readable at the current version")
@@ -596,33 +606,47 @@ func TestOldRecordVersionsRecompute(t *testing.T) {
 	}
 }
 
-// TestComponentKeyPinned pins component- keys byte for byte, accounting
-// on and off, with and without a namespace: the key is the name a
-// persisted record lives under, so a layout change would leave every
-// existing entry orphaned on disk instead of overwritten.
-func TestComponentKeyPinned(t *testing.T) {
+// TestSearchKeyPinned pins search- keys byte for byte, with and
+// without a namespace, and checks a cold accounting measurement writes
+// its search under the key: the key is the name a persisted search
+// lives under, so a layout change would leave every existing entry
+// orphaned on disk instead of overwritten.
+func TestSearchKeyPinned(t *testing.T) {
 	c := designs.All()[0]
 	d, err := designs.Design(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		"component-e2d387254b367064c7f80a259bc1e31a92547159086e792f131d5af662c67098",
-		"component-14123b1e8c2f84fb225dda35bd1cecf320998aa04fdf3916faee2c5214e79538",
-		"component-2968ec4e0fc19089ca14fe6a2bcdf430dc6a94236b1de3587229f42d6589c9fd",
-		"component-7b4e2d9ccdd19f4f2ceb8da83b55b93275f983ead890c665ade12fc98f40d9c1",
+	if c.Label() != "Leon3-Pipeline" {
+		t.Fatalf("first corpus component is %s, want Leon3-Pipeline", c.Label())
 	}
-	i := 0
-	for _, ns := range []string{"", "t"} {
-		for _, acct := range []bool{false, true} {
-			got, err := componentKey(d, c.Top, acct, Options{Namespace: ns})
-			if err != nil {
-				t.Fatal(err)
+	st, err := d.StructuralHash(c.Top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ ns, want string }{
+		{"", "search-ba8344bf687a1e901058128ec308eb3cb4bb2781feeac221674730466142967c"},
+		{"t", "search-9ea9092a64b7effdca2f656efb91ebd3d9f657e76f1bceafc0bc6de47331d68c"},
+	} {
+		key := searchKey(st, Options{Namespace: tc.ns})
+		if key != tc.want {
+			t.Errorf("%s ns=%q: key %s, want %s", c.Label(), tc.ns, key, tc.want)
+		}
+		ch, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MeasureComponent(d, c.Top, true, Options{Cache: ch, Namespace: tc.ns}); err != nil {
+			t.Fatal(err)
+		}
+		var searches []string
+		for _, k := range recordKeys(t, ch.Dir()) {
+			if cache.KindOf(k) == "search" {
+				searches = append(searches, k)
 			}
-			if got != want[i] {
-				t.Errorf("%s acct=%t ns=%q: key %s, want %s", c.Label(), acct, ns, got, want[i])
-			}
-			i++
+		}
+		if len(searches) != 1 || searches[0] != key {
+			t.Errorf("ns=%q: search records %v, want [%s]", tc.ns, searches, key)
 		}
 	}
 }

@@ -2,16 +2,16 @@ package measure
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/timing"
 )
 
-// Binary codecs for the two records the disk cache persists: the full
-// component record (metrics, accounting details, the optimized
-// netlist's hash and its timing summary) and the signature record of
-// one synthesized design point. Explicit field-by-field encoders over
+// Binary codecs for the two records the disk cache persists: the
+// minimized parameters of one accounting search and the signature
+// record of one synthesized design point. Explicit field-by-field encoders over
 // internal/codec's primitives — what encoding/gob did by reflection,
 // without the reflection. Each payload opens with its own structure
 // version byte so the layout can evolve under one cache schema: an
@@ -19,14 +19,11 @@ import (
 // recomputed.
 
 const (
-	// recordVersion 2 dropped the search counters version 1 stored:
-	// they described whichever run wrote the entry, not the result.
-	// Version 3 (with sigVersion 2) replaced the optimized netlist by
-	// its hash and timing summary, and made the metrics mandatory.
-	// Version 4 (with sigVersion 3) stores netlist hashes that no
-	// longer cover RAM names (netlist-hash-v2).
-	recordVersion = 4
+	// sigVersion 2 replaced the optimized netlist by its hash and
+	// timing summary, and made the metrics mandatory. Version 3 stores
+	// netlist hashes that no longer cover RAM names (netlist-hash-v2).
 	sigVersion    = 3
+	searchVersion = 1
 )
 
 func appendMetrics(dst []byte, m *Metrics) []byte {
@@ -142,66 +139,57 @@ func compareSigRecords(cached, fresh *sigRecord) string {
 	return ""
 }
 
-// recordCodec persists *componentRecord — the shape a Session stores
-// and serves per unit. The MinimizedParams map is written in sorted key
-// order so identical records encode to identical bytes (the cache's
-// verify mode and the golden tests rely on byte-stable encodes).
-var recordCodec = codec.Codec[*componentRecord]{
-	Name: "measure.componentRecord",
-	Append: func(dst []byte, rec *componentRecord) []byte {
-		dst = codec.AppendByte(dst, recordVersion)
-		dst = appendMetrics(dst, rec.Metrics)
-		dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
-		for _, name := range rec.UniqueModules {
-			dst = codec.AppendString(dst, name)
-		}
-		dst = codec.AppendUvarint(dst, uint64(len(rec.MinimizedParams)))
-		names := make([]string, 0, len(rec.MinimizedParams))
-		for name := range rec.MinimizedParams {
+// searchCodec persists *searchResult (the "search" cache entries): the
+// minimized parameters, in sorted name order so equal maps encode to
+// equal bytes (the cache's verify mode and the golden tests rely on
+// byte-stable encodes). The search counters are not stored: they
+// describe the run that searched, not the result, so a decoded search
+// reports none. Decoding rejects a name that does not sort strictly
+// after the one before it, so no decoded search holds a duplicate
+// parameter or silently drops one.
+var searchCodec = codec.Codec[*searchResult]{
+	Name: "measure.searchResult",
+	Append: func(dst []byte, sr *searchResult) []byte {
+		dst = codec.AppendByte(dst, searchVersion)
+		dst = codec.AppendUvarint(dst, uint64(len(sr.params)))
+		names := make([]string, 0, len(sr.params))
+		for name := range sr.params {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
 			dst = codec.AppendString(dst, name)
-			dst = codec.AppendVarint(dst, rec.MinimizedParams[name])
+			dst = codec.AppendVarint(dst, sr.params[name])
 		}
-		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
-		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
-		dst = codec.AppendString(dst, rec.NetlistHash)
-		return appendTiming(dst, rec.Timing)
+		return dst
 	},
-	Decode: func(r *codec.Reader) (*componentRecord, error) {
-		if v := r.Byte(); r.Err() == nil && v != recordVersion {
-			return nil, fmt.Errorf("%w: record structure version %d, want %d", codec.ErrCorrupt, v, recordVersion)
+	Decode: func(r *codec.Reader) (*searchResult, error) {
+		if v := r.Byte(); r.Err() == nil && v != searchVersion {
+			return nil, fmt.Errorf("%w: search record structure version %d, want %d", codec.ErrCorrupt, v, searchVersion)
 		}
-		m, err := decodeMetrics(r)
-		if err != nil {
-			return nil, err
-		}
-		rec := &componentRecord{Metrics: m}
-		if n := r.Count(1); n > 0 {
-			rec.UniqueModules = make([]string, n)
-			for i := range rec.UniqueModules {
-				rec.UniqueModules[i] = r.String()
+		n := r.Count(2)
+		params := make(map[string]int64, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			name := r.String()
+			if r.Err() == nil && i > 0 && name <= prev {
+				return nil, fmt.Errorf("%w: search record parameter %q after %q", codec.ErrCorrupt, name, prev)
 			}
+			params[name] = r.Varint()
+			prev = name
 		}
-		if n := r.Count(2); n > 0 {
-			rec.MinimizedParams = make(map[string]int64, n)
-			for i := 0; i < n; i++ {
-				name := r.String()
-				rec.MinimizedParams[name] = r.Varint()
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-			}
-		}
-		rec.InstanceCount = int(r.Varint())
-		rec.DedupedInstances = int(r.Varint())
-		rec.NetlistHash = r.String()
-		rec.Timing = decodeTiming(r)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return rec, nil
+		return &searchResult{params: params}, nil
 	},
+}
+
+// compareSearches is the verify-mode comparator for "search" entries:
+// the minimized parameters must match; the counters are not stored.
+func compareSearches(cached, fresh *searchResult) string {
+	if !maps.Equal(cached.params, fresh.params) {
+		return fmt.Sprintf("minimized parameters differ: cached %v, fresh %v", cached.params, fresh.params)
+	}
+	return ""
 }

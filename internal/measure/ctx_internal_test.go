@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/elab"
 	"repro/internal/hdl"
 )
 
@@ -43,7 +42,7 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	defer putWorkspace(ws)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ecache := elab.NewCache()
+	ecache := &groupCache{}
 	p := s.planUnit(ctx, u, opts, ecache)
 	if p.err != nil {
 		t.Fatal(p.err)
@@ -95,7 +94,7 @@ func TestAssembleWaiterRespectsContext(t *testing.T) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 
-	ecache := elab.NewCache()
+	ecache := &groupCache{}
 	owner := s.planUnit(context.Background(), u, opts, ecache)
 	if owner.owned == nil {
 		t.Fatal("first plan did not own its flight")

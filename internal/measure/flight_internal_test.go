@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/elab"
 	"repro/internal/hdl"
 )
 
@@ -30,7 +29,7 @@ endmodule
 	var opts Options
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	ecache := elab.NewCache()
+	ecache := &groupCache{}
 	ctx := context.Background()
 
 	owner := s.planUnit(ctx, Unit{Top: "bad_b"}, opts, ecache)

@@ -91,10 +91,11 @@ type Options struct {
 	// worker): 0 means GOMAXPROCS, 1 forces the exact sequential path.
 	// Measured metrics are identical for every value.
 	Concurrency int
-	// Cache, when non-nil, stores measurement results on disk keyed by
-	// the design fingerprint, parameter signature, and measurement
-	// options, so repeated runs skip elaboration and synthesis
-	// entirely. Concurrency is deliberately excluded from the key:
+	// Cache, when non-nil, stores each accounting search (keyed by its
+	// top's structural hash) and each synthesized design point (keyed
+	// by its design-point hash, resolved parameters and dedup flag) on
+	// disk, with the measurement options, so repeated runs skip
+	// elaboration and synthesis entirely. Concurrency is deliberately excluded from the key:
 	// results are identical for every worker count.
 	Cache *cache.Cache
 	// ElabStats, when non-nil, accumulates the session elaboration
@@ -104,7 +105,7 @@ type Options struct {
 	// and never affects a measured value.
 	ElabStats *elab.StatsRecorder
 	// Namespace, when non-empty, partitions every cache key this
-	// measurement derives — component and signature records alike —
+	// measurement derives — search and signature records alike —
 	// into its own namespace: it is mixed
 	// into CacheKeyParts, so two namespaces sharing one cache directory
 	// never read each other's entries (the daemon's per-tenant
@@ -122,24 +123,30 @@ type Options struct {
 // space; the empty namespace appends nothing, keeping every
 // pre-namespace key bit-identical.
 func (o Options) CacheKeyParts() []string {
-	return o.keyParts()
+	return o.appendKeyParts(nil)
 }
 
-// keyParts is CacheKeyParts with extra parts placed before the
-// namespace.
-func (o Options) keyParts(extra ...string) []string {
-	// The first two parts name the fixed measurement target in the
-	// spelling of the library and FPGA options it replaced (K and five
-	// timing values, zero meaning the default), so entries written
-	// under those options stay warm.
-	parts := append([]string{
-		"lib=" + stdcell.Default180nm().Name,
-		"fpga=K0;0;0;0;0;0",
-	}, extra...)
+// keyPartsMax is the most parts appendKeyParts appends.
+const keyPartsMax = 3
+
+// targetLib and targetFPGA name the fixed measurement target in the
+// spelling of the library and FPGA options it replaced (K and five
+// timing values, zero meaning the default), so entries written under
+// those options stay warm.
+var (
+	targetLib  = "lib=" + stdcell.Default180nm().Name
+	targetFPGA = "fpga=K0;0;0;0;0;0"
+)
+
+// appendKeyParts appends CacheKeyParts to dst. A caller that passes a
+// stack array's slice with room for keyPartsMax more builds a key
+// without allocating for its parts.
+func (o Options) appendKeyParts(dst []string) []string {
+	dst = append(dst, targetLib, targetFPGA)
 	if o.Namespace != "" {
-		parts = append(parts, "ns="+o.Namespace)
+		dst = append(dst, "ns="+o.Namespace)
 	}
-	return parts
+	return dst
 }
 
 // synthMetrics extracts the synthesis-derived metrics of a

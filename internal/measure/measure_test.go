@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hdl"
-	"repro/internal/srcmetrics"
 )
 
 const sampleSrc = `
@@ -39,8 +38,8 @@ func TestMeasureComponentProducesAllMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc := srcmetrics.MeasureModule(mod); m.Stmts != sc.Stmts || m.LoC != sc.LoC || sc.Stmts <= 0 {
-		t.Errorf("software metrics %d/%d, source counts %+v", m.Stmts, m.LoC, sc)
+	if loc, stmts := refSourceCounts(mod); m.Stmts != stmts || m.LoC != loc || stmts <= 0 {
+		t.Errorf("software metrics %d/%d, source counts %d/%d", m.Stmts, m.LoC, stmts, loc)
 	}
 	if m.Cells <= 0 || m.Nets <= 0 || m.FFs != 8 {
 		t.Errorf("synthesis metrics wrong: %+v", m)

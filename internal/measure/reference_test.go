@@ -1,12 +1,13 @@
 package measure
 
 import (
+	"strings"
+
 	"repro/internal/cones"
 	"repro/internal/elab"
 	"repro/internal/fpga"
 	"repro/internal/hdl"
 	"repro/internal/power"
-	"repro/internal/srcmetrics"
 	"repro/internal/stdcell"
 	"repro/internal/synth"
 	"repro/internal/timing"
@@ -79,10 +80,23 @@ func measureComponentRef(design *hdl.Design, top string, useAccounting bool, opt
 		if err != nil {
 			return nil, err
 		}
-		sc := srcmetrics.MeasureModule(mod)
-		m.Stmts += sc.Stmts
-		m.LoC += sc.LoC
+		loc, stmts := refSourceCounts(mod)
+		m.Stmts += stmts
+		m.LoC += loc
 	}
 	res.Metrics = m
 	return res, nil
+}
+
+// refSourceCounts measures one module's software metrics from scratch:
+// the non-blank lines of a fresh Format of the module and its statement
+// count, the definitions the parse-time counts the session sums must
+// equal.
+func refSourceCounts(mod *hdl.Module) (loc, stmts int) {
+	for _, line := range strings.Split(hdl.Format(mod), "\n") {
+		if strings.TrimSpace(line) != "" {
+			loc++
+		}
+	}
+	return loc, hdl.CountStmts(mod)
 }

@@ -363,7 +363,7 @@ func remeasureOn(t *testing.T, sources map[string]string, prev *measure.Baseline
 
 // TestCutoffWritesFromScratchBytes pins that the early cutoff changes
 // no persisted byte: the records a cut-off save writes are sig- and
-// component- records byte-identical to those a fresh session's
+// search- records byte-identical to those a fresh session's
 // MeasureAll of the same sources writes into an empty cache, so a
 // later process reads them warm.
 func TestCutoffWritesFromScratchBytes(t *testing.T) {
@@ -402,7 +402,7 @@ func TestCutoffWritesFromScratchBytes(t *testing.T) {
 			continue
 		}
 		written++
-		if kind := cache.KindOf(key); kind != "sig" && kind != "component" {
+		if kind := cache.KindOf(key); kind != "sig" && kind != "search" {
 			t.Errorf("cut-off save wrote a %q record %s", kind, key)
 		} else if w, ok := want[key]; !ok {
 			t.Errorf("cut-off save wrote %s, which a from-scratch run does not", key)

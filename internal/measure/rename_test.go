@@ -93,9 +93,11 @@ func paperUnits(rename func(string) string) []measure.Unit {
 // design, in both accounting modes, has every result field of the
 // original unit (netlist hash and search counters included), and its
 // UniqueModules are the original's mapped through the renaming. On a
-// cache the original's sweep warmed, every flight of the renamed sweep
-// is answered by a "sig" record the original wrote: the flight and
-// disk keys name no module.
+// cache the original's sweep warmed, every search of the renamed sweep
+// is answered by a "search" record and every flight by a "sig" record
+// the original wrote: the memo, flight and disk keys name no module.
+// A search the disk answered ran no search, so those results carry no
+// search counters; everything else is equal.
 func TestRenamedDesignMeasuresIdentically(t *testing.T) {
 	orig, err := designs.FullDesign()
 	if err != nil {
@@ -117,7 +119,7 @@ func TestRenamedDesignMeasuresIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ch.KindStats()["sig"]
+	before := ch.KindStats()
 	warmSess := measure.NewSession(ren)
 	warm, err := warmSess.MeasureAll(renUnits, measure.Options{Cache: ch})
 	if err != nil {
@@ -125,11 +127,15 @@ func TestRenamedDesignMeasuresIdentically(t *testing.T) {
 	}
 
 	for _, got := range []struct {
-		label   string
-		results []*measure.ComponentResult
-	}{{"renamed", fresh}, {"renamed, warm sig records", warm}} {
+		label    string
+		results  []*measure.ComponentResult
+		searched bool
+	}{{"renamed", fresh, true}, {"renamed, warm records", warm, false}} {
 		for i, u := range units {
 			w := *want[i]
+			if !got.searched {
+				w.ElabCacheHits, w.ElabCacheMisses = 0, 0
+			}
 			var mapped []string
 			for _, name := range w.UniqueModules {
 				mapped = append(mapped, to[name])
@@ -143,13 +149,17 @@ func TestRenamedDesignMeasuresIdentically(t *testing.T) {
 	}
 
 	st := warmSess.Stats()
-	sig := ch.KindStats()["sig"]
-	// The paper corpus's 36 units own 35 flights; on a warm cache
-	// every one is a sig record hit and none synthesizes.
+	ks := ch.KindStats()
+	sig, search := ks["sig"], ks["search"]
+	// The paper corpus's 36 units own 35 flights and 18 searches; on a
+	// warm cache every one is a record hit and none synthesizes.
 	owned := int64(st.Planned - st.Shared)
-	if hits, misses := sig.Hits-before.Hits, sig.Misses-before.Misses; owned != 35 || hits != owned || misses != 0 || st.Synthesized != 0 {
+	if hits, misses := sig.Hits-before["sig"].Hits, sig.Misses-before["sig"].Misses; owned != 35 || hits != owned || misses != 0 || st.Synthesized != 0 {
 		t.Errorf("renamed sweep on a warm cache: %d flights owned, %d answered by sig records, %d sig misses, %d synthesized; want 35 owned, all answered, none synthesized",
 			owned, hits, misses, st.Synthesized)
+	}
+	if hits, misses := search.Hits-before["search"].Hits, search.Misses-before["search"].Misses; hits != 18 || misses != 0 {
+		t.Errorf("renamed sweep on a warm cache: %d searches answered by search records, %d missed; want 18 answered", hits, misses)
 	}
 }
 

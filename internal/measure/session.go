@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,12 +28,12 @@ type Unit struct {
 // SessionStats summarizes the cross-component sharing one Session
 // achieved. Counters accumulate across MeasureAll calls.
 type SessionStats struct {
-	// Components is the number of units measured (disk-cache hits
-	// included).
+	// Components is the number of units measured.
 	Components int
 	// Planned counts the units whose parameter binding was resolved
 	// this session, i.e. that requested a signature from the shared
-	// synthesis table (disk-cache hits skip planning entirely).
+	// synthesis table. Every unit is planned, with the disk cache off,
+	// cold or warm, so Planned always equals Components.
 	Planned int
 	// Synthesized counts the design points the session synthesized
 	// fresh: elaborated, lowered and optimized. A flight a disk "sig"
@@ -62,8 +63,13 @@ type SessionStats struct {
 // differ, or MeasureAll calls land on it. The accounting search is
 // memoized by the top's hdl.Design.StructuralHash, which keeps the
 // top's defaults the search starts from, and the dedup verdict by the
-// design-point digest. What names modules stays per unit: the disk
-// component key, UniqueModules, the source metrics, and every error.
+// design-point digest. The disk cache persists exactly these two
+// memos, under keys of the same structure: one "search" record per
+// structural hash and one "sig" record per design point. Every unit is
+// planned and assembled in memory from them, its TransitiveModules
+// and the parse-time source counts of those modules; what names
+// modules stays per unit: UniqueModules, the source metrics, and every
+// error.
 //
 // Every result is bit-identical to measuring the component alone with
 // fresh, uncached elaboration and synthesis (the golden tests pin this
@@ -77,21 +83,20 @@ type SessionStats struct {
 //
 // All session state is sharded or lock-free: the flight table is
 // split across flightShards key-hashed shards, the sharing counters
-// are atomics, and the search, dedup, source-metric and netlist memos
-// are sync.Maps (their values are pure functions of the design or of
-// the netlist, so a racing duplicate compute stores the identical
-// value). At
-// thousand-component batch sizes the old single session mutex
-// serialized the whole planning front end; nothing here is contended
-// now.
+// are atomics, and the search, dedup and netlist memos are sync.Maps.
+// The search memo holds single-flight entries, so a session runs or
+// reads each search once; the dedup and netlist memos' values are pure
+// functions of the design or of the netlist, so a racing duplicate
+// compute stores the identical value. At thousand-component batch
+// sizes the old single session mutex serialized the whole planning
+// front end; nothing here is contended now.
 type Session struct {
 	design *hdl.Design
 
 	shards [flightShards]flightShard
 
-	minMemo   sync.Map // top's structural hash → *searchResult: the accounting search
+	minMemo   sync.Map // top's structural hash → *searchFlight: the accounting search
 	dedupMemo sync.Map // module's design-point digest → bool: could produce duplicate siblings
-	srcMemo   sync.Map // module name → srcmetrics.Counts
 	netMemo   sync.Map // optimized netlist hash → memoEntry
 
 	components, planned, synthesized, shared, reused atomic.Int64
@@ -214,18 +219,28 @@ func (s *Session) addElabStats(st elab.CacheStats) {
 
 // plan is the outcome of resolving one unit before synthesis.
 type plan struct {
-	rec       *componentRecord // non-nil: answered from the disk cache
 	top       string
 	overrides map[string]int64 // minimized parameters (nil without accounting)
 	sigKey    string           // the design point's key: flight table and disk "sig" record
-	compKey   string           // unit's disk key ("" without a cache)
 	dedup     bool             // effective dedup flag for lowering
 	hits      int              // minimization memo point-verdict hits
 	misses    int
-	searched  bool       // this call ran the search (minMemo missed)
+	searched  bool       // this call owned the search (minMemo missed)
 	flight    *sigFlight // the registered flight (owner or waiter)
 	owned     *sigFlight // non-nil: this call must synthesize the entry
 	err       error      // deferred so one failed unit does not strand flights
+}
+
+// groupCache is one component group's elaboration cache, created on
+// first use: a group whose searches and flights the disk or the
+// session answers never elaborates, so it never builds one.
+type groupCache struct{ c *elab.Cache }
+
+func (g *groupCache) get() *elab.Cache {
+	if g.c == nil {
+		g.c = elab.NewCache()
+	}
+	return g.c
 }
 
 // MeasureAll measures every unit of the batch, sharing the parse, the
@@ -308,12 +323,13 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 // across a cold sweep outweighs the extra hits.
 //
 // Each group plans its units — the minimization search for accounting
-// units, the declared defaults otherwise (units with a warm disk-cache
-// record skip planning entirely) — registers their canonical signatures
-// in the shared flight table, synthesizes the distinct signatures it
-// owns exactly once, then assembles each unit from its signature's
-// shared entry plus its own per-module source metrics, persists it
-// through the disk cache, and hands it to yield (calls serialized).
+// units (run once per structure, or read from its disk "search"
+// record), the declared defaults otherwise — registers their canonical
+// signatures in the shared flight table, synthesizes the distinct
+// signatures it owns exactly once (or reads their "sig" records), then
+// assembles each unit in memory from its signature's shared entry plus
+// its own per-module source metrics and hands it to yield (calls
+// serialized).
 // The group's flights stay in the table for later calls on the session.
 // cutoffs, when non-nil, counts the units whose flight a remeasurement
 // baseline's memo entry answered.
@@ -341,7 +357,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 	// extraction reuse buffers instead of reallocating per flight.
 	locals := parallel.NewLocal(opts.Concurrency, getWorkspace)
 	err := parallel.ForEachWorker(opts.Concurrency, len(tops), func(worker, gi int) error {
-		ecache := elab.NewCache()
+		var ecache groupCache
 		idx := groups[tops[gi]]
 		// Planning errors are carried in the plan, not returned, so every
 		// registered flight has an owner that resolves it even when a
@@ -351,7 +367,7 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 		plans := make([]*plan, len(idx))
 		var owned []*plan
 		for j, i := range idx {
-			p := s.planUnit(ctx, units[i], opts, ecache)
+			p := s.planUnit(ctx, units[i], opts, &ecache)
 			plans[j] = p
 			if p.searched {
 				hits.Add(int64(p.hits))
@@ -362,12 +378,14 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 			}
 		}
 		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker))
+			s.synthesizeFlight(ctx, p, opts, &ecache, locals.Get(worker))
 		}
 		// Every signature of this component this call can ever own is
 		// now resolved; later hits come from the flight table, not from
 		// re-elaboration, so the component's cache retires here.
-		s.addElabStats(ecache.Stats())
+		if ecache.c != nil {
+			s.addElabStats(ecache.c.Stats())
+		}
 		for j, i := range idx {
 			res, err := s.assembleUnit(ctx, units[i], plans[j], opts)
 			if err != nil {
@@ -399,25 +417,10 @@ func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options,
 // shared table. A context already canceled at entry yields an error
 // plan without registering a flight (so cancellation never strands a
 // waiter).
-func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *elab.Cache) *plan {
+func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *groupCache) *plan {
 	if err := ctx.Err(); err != nil {
 		return &plan{err: fmt.Errorf("measure: plan %s: %w", u.Top, err)}
 	}
-	var compKey string
-	if opts.Cache != nil {
-		k, err := componentKey(s.design, u.Top, u.UseAccounting, opts)
-		if err != nil {
-			return &plan{err: err}
-		}
-		compKey = k
-		if !opts.Cache.Verifying() {
-			if rec, ok := cache.Get(opts.Cache, compKey, recordCodec); ok {
-				s.components.Add(1)
-				return &plan{rec: rec}
-			}
-		}
-	}
-
 	// The design point is named by structure, never by module name or
 	// default: the subtree's DesignPointHash, the full resolved
 	// parameter map under no module name (so a unit measured at
@@ -429,9 +432,9 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	if err != nil {
 		return &plan{err: err}
 	}
-	p := &plan{top: u.Top, compKey: compKey}
+	p := &plan{top: u.Top}
 	if u.UseAccounting {
-		sr, searched, err := s.minimized(u.Top, ecache)
+		sr, searched, err := s.minimized(u.Top, opts, ecache)
 		if err != nil {
 			return &plan{err: err}
 		}
@@ -453,20 +456,22 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 	// (module, parameters) twice, the single-instance rule never fires
 	// and lowering is bit-identical with the flag on or off, so the
 	// with- and without-accounting sweeps share one synthesis.
-	possible, err := s.dedupPossible(u.Top, map[string]bool{})
+	possible, err := s.dedupPossible(u.Top, nil)
 	if err != nil {
 		return &plan{err: err, hits: p.hits, misses: p.misses}
 	}
 	p.dedup = u.UseAccounting
-	dedupKey := "any"
-	if possible {
-		dedupKey = fmt.Sprintf("%t", p.dedup)
+	dedupKey := "dedup=any"
+	if possible && p.dedup {
+		dedupKey = "dedup=true"
+	} else if possible {
+		dedupKey = "dedup=false"
 	}
 	// The flight table and the disk use one key, so a sweep looks each
 	// "sig" record up at most once.
-	p.sigKey = cache.KindKey("sig", append([]string{
-		pt, elab.ParamSignature("", full), "dedup=" + dedupKey,
-	}, opts.CacheKeyParts()...)...)
+	var parts [keyPartsMax + 3]string
+	p.sigKey = cache.KindKey("sig", opts.appendKeyParts(append(parts[:0],
+		pt, elab.ParamSignature("", full), dedupKey))...)
 
 	s.components.Add(1)
 	s.planned.Add(1)
@@ -482,41 +487,90 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, ecache *el
 
 // searchResult is the outcome of one top module's accounting search:
 // the minimized parameters and the search's point-verdict counters.
-// It is shared by every plan that reads it and is never mutated.
+// It is shared by every plan that reads it and is never mutated. One
+// decoded from a "search" record carries no counters: no search ran.
 type searchResult struct {
 	params       map[string]int64
 	hits, misses int
 }
 
-// minimized returns top's accounting search result, running the search
-// (against the group's elaboration cache) only the first time the
-// session asks for a top of its StructuralHash; searched reports
-// whether this call ran it. The memo is sound for the reasons the dedup
-// and source-metric memos are: the session's design never changes, and
-// the minimized parameters do not depend on the worker count or on what
-// the elaboration cache already holds. Nor do they depend on a module
-// name or a dead default: the search reads parameter names, which the
-// structural hash keeps, starts from the top's defaults, which it keeps
-// too, and two tops of one structural hash elaborate alike at every
-// probe, since a probe reads no default the hash cuts. Failed searches
-// are not stored, so each unit's search error recurs and names its own
-// modules. Two racing first calls both search; the first store wins,
-// and both computed the same value.
-func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, searched bool, err error) {
+// searchFlight is the single-flight accounting search of one
+// structural hash: the first unit to ask owns it and runs the search
+// or reads its "search" record, and every later unit waits on done and
+// reads sr. A failed flight is evicted from the memo before done
+// closes, so no failure is ever served from it.
+type searchFlight struct {
+	done chan struct{}
+	sr   *searchResult
+	err  error
+}
+
+// minimized returns top's accounting search result. The first call for
+// a top of its StructuralHash owns the search (searched reports that);
+// the others wait for it, so the session consults the disk at most
+// once per structure and never reads, inside a cold batch, a record it
+// wrote itself. The memo is sound for the reasons the dedup memo is:
+// the session's design never changes, and the minimized parameters do
+// not depend on the worker count or on what the elaboration cache
+// already holds. Nor do they depend on a module name or a dead
+// default: the search reads parameter names, which the structural hash
+// keeps, starts from the top's defaults, which it keeps too, and two
+// tops of one structural hash elaborate alike at every probe, since a
+// probe reads no default the hash cuts. The same argument keys the
+// disk record by the structural hash, so a renamed copy reads its
+// original's search. A unit that waited on a failed search searches
+// again, so each unit's search error names its own modules.
+func (s *Session) minimized(top string, opts Options, ecache *groupCache) (sr *searchResult, searched bool, err error) {
 	st, err := s.design.StructuralHash(top)
 	if err != nil {
 		return nil, false, err
 	}
-	if v, ok := s.minMemo.Load(st); ok {
-		return v.(*searchResult), false, nil
+	for {
+		v, ok := s.minMemo.Load(st)
+		if !ok {
+			f := &searchFlight{done: make(chan struct{})}
+			if v, ok = s.minMemo.LoadOrStore(st, f); !ok {
+				s.search(f, st, top, opts, ecache)
+				return f.sr, true, f.err
+			}
+		}
+		f := v.(*searchFlight)
+		<-f.done
+		if f.err == nil {
+			return f.sr, false, nil
+		}
 	}
-	params, memo, err := minimizeParams(s.design, top, ecache)
-	if err != nil {
-		return nil, true, err
+}
+
+// searchKey is the disk key of the "search" record of the tops of
+// structural hash st.
+func searchKey(st string, opts Options) string {
+	var parts [keyPartsMax + 1]string
+	return cache.KindKey("search", opts.appendKeyParts(append(parts[:0], st))...)
+}
+
+// search resolves one owned search flight through the disk cache's
+// "search" record: a hit answers it without elaborating; a miss runs
+// the search against the group's elaboration cache and stores the
+// minimized parameters. A failed search is neither stored on disk nor
+// kept in the memo. done is always closed.
+func (s *Session) search(f *searchFlight, st, top string, opts Options, ecache *groupCache) {
+	defer close(f.done)
+	var key string
+	if opts.Cache != nil {
+		key = searchKey(st, opts)
 	}
-	sr = &searchResult{params: params, hits: memo.hits, misses: memo.misses}
-	s.minMemo.LoadOrStore(st, sr)
-	return sr, true, nil
+	// A nil cache runs compute directly and never consults the key.
+	f.sr, _, f.err = cache.Do(opts.Cache, key, searchCodec, func() (*searchResult, error) {
+		params, memo, err := minimizeParams(s.design, top, ecache.get())
+		if err != nil {
+			return nil, err
+		}
+		return &searchResult{params: params, hits: memo.hits, misses: memo.misses}, nil
+	}, compareSearches)
+	if f.err != nil {
+		s.minMemo.CompareAndDelete(st, f)
+	}
 }
 
 // dedupPossible reports whether elaborating module name could ever
@@ -531,7 +585,8 @@ func (s *Session) minimized(top string, ecache *elab.Cache) (sr *searchResult, s
 // module DesignPointHash (the property is parameter-independent and
 // survives a bijective renaming). A name the design does not declare
 // is skipped: elaboration reports it if a branch it takes reaches it.
-func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, error) {
+// path holds the modules being visited above name.
+func (s *Session) dedupPossible(name string, path []string) (bool, error) {
 	pt, err := s.design.DesignPointHash(name)
 	if err != nil {
 		return false, err
@@ -539,27 +594,24 @@ func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, er
 	if v, ok := s.dedupMemo.Load(pt); ok {
 		return v.(bool), nil
 	}
-	var v bool
-	if visiting[name] {
+	if slices.Contains(path, name) {
 		// Instantiation cycle: elaboration will reject the design; stay
 		// conservative here and let that error surface downstream.
 		return true, nil
 	}
-	visiting[name] = true
-	defer delete(visiting, name)
 	mod, err := s.design.Module(name)
 	if err != nil {
 		return false, err
 	}
-	counts := map[string]int{}
-	children := map[string]bool{}
-	v = scanDedupItems(mod.Items, false, counts, children)
+	var stack [8]string
+	children, v := scanDedupItems(mod.Items, false, stack[:0])
 	if !v {
-		for ch := range children {
+		path = append(path, name)
+		for _, ch := range children {
 			if !s.design.HasModule(ch) {
 				continue
 			}
-			cv, err := s.dedupPossible(ch, visiting)
+			cv, err := s.dedupPossible(ch, path)
 			if err != nil {
 				return false, err
 			}
@@ -577,36 +629,31 @@ func (s *Session) dedupPossible(name string, visiting map[string]bool) (bool, er
 // scanDedupItems walks one module body (descending into generate
 // blocks) and reports whether it can stamp the same child module name
 // twice: two instantiation statements of one module, or any
-// instantiation inside a generate for loop. Instantiated module names
-// are collected into children for the hierarchy recursion.
-func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, children map[string]bool) bool {
+// instantiation inside a generate for loop. It appends the distinct
+// instantiated module names to children, for the hierarchy recursion.
+func scanDedupItems(items []hdl.Item, inLoop bool, children []string) ([]string, bool) {
 	for _, it := range items {
+		var dup bool
 		switch v := it.(type) {
 		case *hdl.Instance:
-			children[v.ModuleName] = true
-			if inLoop {
-				return true
+			if inLoop || slices.Contains(children, v.ModuleName) {
+				return children, true
 			}
-			counts[v.ModuleName]++
-			if counts[v.ModuleName] > 1 {
-				return true
-			}
+			children = append(children, v.ModuleName)
 		case *hdl.GenFor:
-			if scanDedupItems(v.Body, true, counts, children) {
-				return true
-			}
+			children, dup = scanDedupItems(v.Body, true, children)
 		case *hdl.GenIf:
 			// Branches are exclusive at elaboration time; counting both
 			// into one tally only over-approximates.
-			if scanDedupItems(v.Then, inLoop, counts, children) {
-				return true
-			}
-			if scanDedupItems(v.Else, inLoop, counts, children) {
-				return true
+			if children, dup = scanDedupItems(v.Then, inLoop, children); !dup {
+				children, dup = scanDedupItems(v.Else, inLoop, children)
 			}
 		}
+		if dup {
+			return children, true
+		}
 	}
-	return false
+	return children, false
 }
 
 // synthesizeFlight computes one shared-table entry, routed through the
@@ -629,7 +676,7 @@ func scanDedupItems(items []hdl.Item, inLoop bool, counts map[string]int, childr
 // cancellation, but any later request for the signature registers a
 // fresh flight and synthesizes it — an abandoned flight is never left
 // to poison the session.
-func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *elab.Cache, ws *Workspace) {
+func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *groupCache, ws *Workspace) {
 	f := p.owned
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
@@ -639,7 +686,7 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 	}
 	compute := func() (*sigRecord, error) {
 		s.synthesized.Add(1)
-		inst, report, err := elab.ElaborateOpts(s.design, p.top, p.overrides, elab.Options{Cache: ecache})
+		inst, report, err := elab.ElaborateOpts(s.design, p.top, p.overrides, elab.Options{Cache: ecache.get()})
 		if err != nil {
 			return nil, err
 		}
@@ -694,34 +741,12 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 	f.rec = rec
 }
 
-// sourceCounts memoizes one module's software metrics for the life of
-// the session. The counts are a pure function of the parsed design, and
-// every unit sums them over its transitive module set, so without the
-// memo a batch re-formats each shared library module's source once per
-// unit that includes it.
-func (s *Session) sourceCounts(name string) (srcmetrics.Counts, error) {
-	if c, ok := s.srcMemo.Load(name); ok {
-		return c.(srcmetrics.Counts), nil
-	}
-	mod, err := s.design.Module(name)
-	if err != nil {
-		return srcmetrics.Counts{}, err
-	}
-	c := srcmetrics.MeasureModule(mod)
-	// Racing duplicates compute the identical pure-function value.
-	s.srcMemo.Store(name, c)
-	return c, nil
-}
-
-// assembleUnit builds one unit's result from its plan and the shared
-// synthesis table, persisting it through the disk cache. Waiting on a
-// flight another goroutine owns is bounded by the context: a canceled
-// waiter stops waiting and returns the context error (the flight
-// itself, owned elsewhere, is unaffected).
+// assembleUnit builds one unit's result in memory from its plan, the
+// shared synthesis table, and the parse-time source counts of its
+// modules. Waiting on a flight another goroutine owns is bounded by
+// the context: a canceled waiter stops waiting and returns the context
+// error (the flight itself, owned elsewhere, is unaffected).
 func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Options) (*ComponentResult, error) {
-	if p.rec != nil {
-		return p.rec.toResult(), nil
-	}
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -740,7 +765,7 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 		own := *p
 		own.owned = &sigFlight{done: make(chan struct{}), top: u.Top}
 		ws := getWorkspace()
-		s.synthesizeFlight(ctx, &own, opts, elab.NewCache(), ws)
+		s.synthesizeFlight(ctx, &own, opts, &groupCache{}, ws)
 		putWorkspace(ws)
 		f = own.owned
 	}
@@ -762,31 +787,12 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 		return nil, err
 	}
 	res.UniqueModules = modules
-	m := *f.rec.Metrics // copy: the record is shared across units
-	for _, name := range modules {
-		src, err := s.sourceCounts(name)
-		if err != nil {
-			return nil, err
-		}
-		m.Stmts += src.Stmts
-		m.LoC += src.LoC
-	}
-	res.Metrics = &m
-
-	if opts.Cache == nil {
-		return res, nil
-	}
-	// In verify mode the assembled result is compared against the
-	// stored record. A hit serves the record, which carries no search
-	// counters; a miss keeps this run's.
-	rec, hit, err := cache.Do(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
-		return recordOf(res), nil
-	}, compareRecords)
+	src, err := srcmetrics.Sum(s.design, modules)
 	if err != nil {
 		return nil, err
 	}
-	if hit {
-		return rec.toResult(), nil
-	}
+	m := *f.rec.Metrics // copy: the record is shared across units
+	m.Stmts, m.LoC = src.Stmts, src.LoC
+	res.Metrics = &m
 	return res, nil
 }

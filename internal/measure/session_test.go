@@ -119,17 +119,23 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				check(t, got)
-				// Cold traffic splits by kind: every unit misses its
-				// component record, and every distinct signature the
-				// session synthesized misses (then writes) its "sig"
-				// record.
+				// Cold traffic splits by kind: every distinct structure
+				// the session searched misses (then writes) its
+				// "search" record — the corpus's 18 components are 18
+				// structures — and every distinct signature it
+				// synthesized its "sig" record: 18 + 35 = 53. No record
+				// is kept per unit.
+				searched := int64(len(comps))
 				synthesized := int64(sess.Stats().Synthesized)
-				if cs := cold.Stats(); cs.Hits != 0 || cs.Misses != int64(len(units))+synthesized {
-					t.Errorf("cold cache stats %+v: want 0 hits, %d misses", cs, int64(len(units))+synthesized)
+				if cs := cold.Stats(); cs.Hits != 0 || cs.Misses != searched+synthesized || cs.Misses != 53 {
+					t.Errorf("cold cache stats %+v: want 0 hits, %d misses", cs, searched+synthesized)
 				}
 				ks := cold.KindStats()
-				if kc := ks["component"]; kc.Hits != 0 || kc.Misses != int64(len(units)) || kc.Puts != int64(len(units)) {
-					t.Errorf("cold component-kind counters %+v: want 0/%d/%d", kc, len(units), len(units))
+				if kc := ks["search"]; kc.Hits != 0 || kc.Misses != searched || kc.Puts != searched {
+					t.Errorf("cold search-kind counters %+v: want 0/%d/%d", kc, searched, searched)
+				}
+				if kc, ok := ks["component"]; ok {
+					t.Errorf("cold component-kind counters %+v: want no component traffic", kc)
 				}
 				if kc := ks["sig"]; kc.Hits != 0 || kc.Misses != synthesized || kc.Puts != synthesized {
 					t.Errorf("cold sig-kind counters %+v: want 0/%d/%d", kc, synthesized, synthesized)
@@ -146,8 +152,8 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, comps[0].Label()+"(per-component warm)", one, want[0])
-				if cs := warm0.Stats(); cs.Hits != 1 || cs.Misses != 0 {
-					t.Errorf("per-component warm read: stats %+v, want exactly one hit", cs)
+				if cs := warm0.Stats(); cs.Hits != 2 || cs.Misses != 0 {
+					t.Errorf("per-component warm read: stats %+v, want exactly two hits (search + sig)", cs)
 				}
 
 				warm, err := cache.Open(dir)
@@ -160,11 +166,13 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				check(t, got2)
-				if s := sess2.Stats(); s.Components != len(units) || s.Planned != 0 || s.Synthesized != 0 {
-					t.Errorf("warm session stats %+v: want all %d units answered from disk", s, len(units))
+				// Warm, every unit is planned and assembled in memory,
+				// and every search and flight is read from disk once.
+				if s := sess2.Stats(); s.Components != len(units) || s.Planned != len(units) || s.Synthesized != 0 {
+					t.Errorf("warm session stats %+v: want all %d units planned from disk records", s, len(units))
 				}
-				if cs := warm.Stats(); cs.Misses != 0 || cs.Hits != int64(len(units)) {
-					t.Errorf("warm cache stats %+v: want %d hits, 0 misses", cs, len(units))
+				if cs := warm.Stats(); cs.Misses != 0 || cs.Puts != 0 || cs.Hits != searched+synthesized {
+					t.Errorf("warm cache stats %+v: want %d hits, 0 misses", cs, searched+synthesized)
 				}
 
 				// A baseline anchored on warm results, which carry only

@@ -12,17 +12,17 @@ import (
 )
 
 // astSnapshot renders everything a measurement reads from parsed
-// files: each module's formatted declaration and position, and each
-// file's code lines.
+// files: each module's formatted declaration, position, and the
+// source counts Parse took.
 func astSnapshot(ds ...*hdl.Design) map[*hdl.SourceFile]string {
 	out := map[*hdl.SourceFile]string{}
 	for _, d := range ds {
 		for _, f := range d.Files {
 			var b strings.Builder
 			for _, m := range f.Modules {
-				fmt.Fprintf(&b, "%s\n%s\n", m.Pos, hdl.Format(m))
+				loc, stmts, _ := d.SourceCounts(m.Name)
+				fmt.Fprintf(&b, "%s\n%s\nloc=%d stmts=%d\n", m.Pos, hdl.Format(m), loc, stmts)
 			}
-			fmt.Fprint(&b, f.CodeLines) // fmt prints maps in key order
 			out[f] = b.String()
 		}
 	}

@@ -132,8 +132,8 @@ func TestMeasureStreamMatchesBatchGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := check("stream warm cache", measure.Options{Concurrency: 4, Cache: c2})
-	if st := warm.Stats(); st.Planned != 0 || st.Synthesized != 0 {
-		t.Fatalf("warm stream did work: %+v (want everything served from disk)", st)
+	if st := warm.Stats(); st.Planned != len(units) || st.Synthesized != 0 {
+		t.Fatalf("warm stream did work: %+v (want every unit planned from disk records, none synthesized)", st)
 	}
 	if s := c2.Stats(); s.Misses != 0 {
 		t.Fatalf("warm stream missed the cache %d times", s.Misses)

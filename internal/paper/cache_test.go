@@ -34,14 +34,18 @@ func TestMeasureCorpusCacheDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(plain, warm) {
 		t.Error("warm-cache parallel corpus diverged from uncached corpus")
 	}
-	// The cold pass misses each component record once (plus one "sig"
-	// record per distinct signature, counted under its own kind); the
-	// warm pass answers every component from disk.
+	// The cold pass misses each search record once and each "sig"
+	// record once per distinct signature; the warm pass reads every
+	// one of them back, once, and writes nothing. No record is kept
+	// per component.
 	ks := ch.KindStats()
-	if kc := ks["component"]; int(kc.Misses) != len(plain) || int(kc.Hits) != len(plain) {
-		t.Errorf("component-kind counters = %+v, want %d misses then %d hits", kc, len(plain), len(plain))
+	if kc := ks["search"]; int(kc.Misses) != len(plain) || int(kc.Hits) != len(plain) || int(kc.Puts) != len(plain) {
+		t.Errorf("search-kind counters = %+v, want %d misses then %d hits", kc, len(plain), len(plain))
 	}
-	if kc := ks["sig"]; kc.Misses == 0 || kc.Hits != 0 {
-		t.Errorf("sig-kind counters = %+v, want cold misses and no warm traffic", kc)
+	if kc, ok := ks["component"]; ok {
+		t.Errorf("component-kind counters = %+v, want no component traffic", kc)
+	}
+	if kc := ks["sig"]; kc.Misses == 0 || kc.Hits != kc.Misses || kc.Puts != kc.Misses {
+		t.Errorf("sig-kind counters = %+v, want cold misses, each read back once warm", kc)
 	}
 }

@@ -137,16 +137,22 @@ func TestServedCacheColdWarm(t *testing.T) {
 	}
 
 	// A fresh daemon process (same cache dir) must answer from disk:
-	// the session never plans or synthesizes a single signature.
+	// the session plans every unit from the search and sig records,
+	// reads each of them once, and never synthesizes a signature.
+	before := c.Stats()
 	h2 := servetest.Start(t, serve.Config{Concurrency: 4, Cache: c})
 	warm, err := h2.Client().Measure(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareResults(t, "warm", warm.Results, ref)
-	if warm.Session.Planned != 0 || warm.Session.Synthesized != 0 {
-		t.Fatalf("warm restart planned %d / synthesized %d, want 0/0 (disk-served)",
-			warm.Session.Planned, warm.Session.Synthesized)
+	if warm.Session.Planned != len(req.Units) || warm.Session.Synthesized != 0 {
+		t.Fatalf("warm restart planned %d / synthesized %d, want %d/0 (disk-served)",
+			warm.Session.Planned, warm.Session.Synthesized, len(req.Units))
+	}
+	if after := c.Stats(); after.Misses != before.Misses || after.Puts != before.Puts || after.Hits-before.Hits != before.Puts {
+		t.Errorf("warm restart: %d hits, %d misses, %d puts; want every one of the cold run's %d records read once",
+			after.Hits-before.Hits, after.Misses-before.Misses, after.Puts-before.Puts, before.Puts)
 	}
 }
 
