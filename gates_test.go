@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/designs"
 	"repro/internal/elab"
 	"repro/internal/hdl"
@@ -377,6 +378,64 @@ func TestStructuralKeysOncePerDesignPoint(t *testing.T) {
 	if _, hits, misses := rec.Snapshot(); hits != wantHits || misses != wantMisses {
 		t.Errorf("searches ran %d/%d probe hits/misses; one search per %d structures runs %d/%d",
 			hits, misses, len(searched), wantHits, wantMisses)
+	}
+}
+
+// TestCacheRecordsPerStructure gates what the disk cache persists: a
+// cold sweep of the 100-component generated corpus writes one "search"
+// record per structure searched and one "sig" record per design point,
+// no per-unit record, and reads nothing back, at one worker and at
+// eight. A warm rerun in a fresh session reads every record once,
+// writes none, synthesizes nothing and runs no search probe.
+func TestCacheRecordsPerStructure(t *testing.T) {
+	design, units := generatedUnits(t, 100)
+	structures := map[string]bool{}
+	for _, u := range units {
+		if !u.UseAccounting {
+			continue
+		}
+		st, err := design.StructuralHash(u.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		structures[st] = true
+	}
+	for _, workers := range []int{1, 8} {
+		dir := t.TempDir()
+		cold, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := measure.NewSession(design)
+		if _, err := sess.MeasureAll(units, measure.Options{Concurrency: workers, Cache: cold}); err != nil {
+			t.Fatal(err)
+		}
+		st := sess.Stats()
+		points := int64(st.Planned - st.Shared)
+		cs := cold.Stats()
+		if cs.Hits != 0 || cs.Puts != int64(len(structures))+points {
+			t.Errorf("workers=%d cold: %d hits, %d puts; want 0 hits, %d puts (%d structures + %d design points)",
+				workers, cs.Hits, cs.Puts, int64(len(structures))+points, len(structures), points)
+		}
+		if ds, _ := cold.DiskStats(); ds.Kinds["component"].Entries != 0 {
+			t.Errorf("workers=%d cold: %d component records, want none", workers, ds.Kinds["component"].Entries)
+		}
+
+		warm, err := cache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &elab.StatsRecorder{}
+		wsess := measure.NewSession(design)
+		if _, err := wsess.MeasureAll(units, measure.Options{Concurrency: workers, Cache: warm, ElabStats: rec}); err != nil {
+			t.Fatal(err)
+		}
+		ws := warm.Stats()
+		_, hits, misses := rec.Snapshot()
+		if ws.Hits != cs.Puts || ws.Misses != 0 || ws.Puts != 0 || wsess.Stats().Synthesized != 0 || hits+misses != 0 {
+			t.Errorf("workers=%d warm: %d hits, %d misses, %d puts, %d synthesized, %d probes; want %d hits and nothing else",
+				workers, ws.Hits, ws.Misses, ws.Puts, wsess.Stats().Synthesized, hits+misses, cs.Puts)
+		}
 	}
 }
 

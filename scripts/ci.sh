@@ -20,8 +20,9 @@
 # load-independent bounds (allocation budgets, the edit loop's dirty
 # cone, per-unit scaling, one metric-kernel run per distinct netlist,
 # one flight per design point — name-blind, and blind to parameter
-# defaults no elaboration reads — and one search per structural top)
-# are ordinary tests in gates_test.go and run in stage 1. Wall time is
+# defaults no elaboration reads — one search per structural top, and
+# one disk record per searched structure and per design point) are
+# ordinary tests in gates_test.go and run in stage 1. Wall time is
 # the bench/ module's job: `bash bench/run.sh` runs the end-to-end
 # workloads that BENCHMARK.json lists.
 #
