@@ -11,13 +11,15 @@
 // entry envelope — to a segment file of its own, and Open indexes
 // every segment in memory, so an absent key costs a map miss.
 //
-// The cache is safe for concurrent use. Lookups of the same key are
-// single-flighted: when several workers (e.g. an internal/parallel
-// pool measuring a corpus) miss on one key at the same time, exactly
-// one runs the computation and the rest wait for its result. Damaged
-// records (a torn tail, a failed CRC, schema or key echo) are misses,
-// never errors, and no reader sees part of a record, so a damaged
-// cache directory degrades to cold-start performance, not failure.
+// The cache is safe for concurrent use. It is a read-through store,
+// not a single-flight table: two callers that miss one key at the same
+// time both compute it and append identical bytes, as two processes
+// sharing a directory do. Computing each key once is the caller's
+// concern — internal/measure's session memos hold the single-flight
+// entries in front of Do. Damaged records (a torn tail, a failed CRC,
+// schema or key echo) are misses, never errors, and no reader sees
+// part of a record, so a damaged cache directory degrades to
+// cold-start performance, not failure.
 package cache
 
 import (
@@ -43,12 +45,12 @@ import (
 // the key derivation and each record's envelope, so bumping it orphans
 // every existing record (never decoded; compaction drops them).
 // Version 3 introduced the binary codec format (versions 1-2 were
-// gob); version 4 re-keys measurement entries from whole-design
-// fingerprints to per-subtree source hashes and adds signature-level
-// and dependency-graph entry kinds (the incremental remeasurement
-// layer) — the payload encodings are unchanged, but the key semantics
-// are not, so the bump keeps v3 entries from shadowing subtree-keyed
-// results.
+// gob); version 4 re-keyed measurement entries, and the bump kept v3
+// entries from shadowing the new keys. Later re-keyings needed no
+// bump: measurement now stores one "search" record per structural
+// hash and one "sig" record per design point, and no record per unit,
+// and keys hash their parts, so a record keyed the older way is
+// simply never looked up.
 const SchemaVersion = 4
 
 // CompressThreshold is the encoded payload size at which entries are
@@ -124,15 +126,14 @@ type KindCounters struct {
 
 // shardCount is the key space's shard count. Keys are SHA-256-derived,
 // so any byte of the key spreads them uniformly; 32 shards keep a
-// thousand-component batch's lookups and flights from serializing on
-// one mutex while costing a few hundred bytes idle.
+// thousand-component batch's lookups and index updates from
+// serializing on one mutex while costing a few hundred bytes idle.
 const shardCount = 32
 
-// shard is one shard of the single-flight table and the record index.
+// shard is one shard of the record index.
 type shard struct {
-	mu      sync.Mutex
-	flights map[string]*flight
-	index   map[string]record
+	mu    sync.Mutex
+	index map[string]record
 }
 
 // record locates one record's envelope: n bytes at off in segment f.
@@ -157,13 +158,6 @@ type Cache struct {
 
 	hits, misses, puts, decodeErrs, verifyChecks, verifyMismatches atomic.Int64
 	decodeNanos, bytesStored, bytesRaw                             atomic.Int64
-}
-
-type flight struct {
-	done chan struct{}
-	val  any
-	hit  bool
-	err  error
 }
 
 // kindCounter is the lock-free form of KindCounters.
@@ -598,10 +592,13 @@ func Put[T any](c *Cache, key string, cd codec.Codec[T], val T) error {
 }
 
 // Do returns the entry for key, computing and storing it on a miss.
-// The boolean reports whether the result came from the cache.
-// Concurrent misses of the same key are single-flighted: one
-// computes, the rest receive its result; a hit outside verify mode is
-// read without a flight. A nil cache just runs compute.
+// The boolean reports whether the result came from the cache. It is a
+// read-through, not a single-flight: two calls that miss one key at
+// once both compute and both append the same bytes (the later record
+// supersedes the earlier, and Open's compaction drops it). Callers
+// that must compute a key once — the measurement session's search and
+// flight memos — hold their own single-flight entry around Do. A nil
+// cache just runs compute.
 //
 // In verify mode a hit recomputes anyway and compares the two results
 // with eq, which receives the cached and the recomputed value and
@@ -613,79 +610,38 @@ func Do[T any](c *Cache, key string, cd codec.Codec[T], compute func() (T, error
 		v, err := compute()
 		return v, false, err
 	}
-
-	// A hit needs no flight: its record is already whole in the index.
-	// A miss registers one and looks again inside it, so a record some
-	// other flight wrote meanwhile still answers.
-	if !c.Verifying() {
-		if v, ok := Get(c, key, cd); ok {
-			return v, true, nil
+	cached, ok := Get(c, key, cd)
+	if !ok {
+		c.misses.Add(1)
+		c.kind(key).misses.Add(1)
+		v, err := compute()
+		if err != nil {
+			return zero, false, err
+		}
+		// A failed write is not fatal — the caller still has the value —
+		// but it is counted as a decode error so a read-only or full
+		// cache directory is visible in the stats.
+		if err := Put(c, key, cd, v); err != nil {
+			c.decodeErrs.Add(1)
+		}
+		return v, false, nil
+	}
+	if c.Verifying() {
+		c.verifyChecks.Add(1)
+		fresh, err := compute()
+		if err != nil {
+			return zero, false, fmt.Errorf("cache: verify recompute of %s: %w", key, err)
+		}
+		diff := ""
+		if eq != nil {
+			diff = eq(cached, fresh)
+		} else if !reflect.DeepEqual(cached, fresh) {
+			diff = "values differ (DeepEqual)"
+		}
+		if diff != "" {
+			c.verifyMismatches.Add(1)
+			return zero, false, fmt.Errorf("%w: key %s: %s", ErrVerifyMismatch, key, diff)
 		}
 	}
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if f, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return zero, false, f.err
-		}
-		v, ok := f.val.(T)
-		if !ok {
-			return zero, false, fmt.Errorf("cache: key %s used with mismatched types %T and %T", key, f.val, zero)
-		}
-		return v, f.hit, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	if sh.flights == nil {
-		sh.flights = map[string]*flight{}
-	}
-	sh.flights[key] = f
-	sh.mu.Unlock()
-	defer func() {
-		close(f.done)
-		sh.mu.Lock()
-		delete(sh.flights, key)
-		sh.mu.Unlock()
-	}()
-
-	if cached, ok := Get(c, key, cd); ok {
-		if c.Verifying() {
-			c.verifyChecks.Add(1)
-			fresh, err := compute()
-			if err != nil {
-				f.err = fmt.Errorf("cache: verify recompute of %s: %w", key, err)
-				return zero, false, f.err
-			}
-			diff := ""
-			if eq != nil {
-				diff = eq(cached, fresh)
-			} else if !reflect.DeepEqual(cached, fresh) {
-				diff = "values differ (DeepEqual)"
-			}
-			if diff != "" {
-				c.verifyMismatches.Add(1)
-				f.err = fmt.Errorf("%w: key %s: %s", ErrVerifyMismatch, key, diff)
-				return zero, false, f.err
-			}
-		}
-		f.val, f.hit = cached, true
-		return cached, true, nil
-	}
-
-	c.misses.Add(1)
-	c.kind(key).misses.Add(1)
-	v, err := compute()
-	if err != nil {
-		f.err = err
-		return zero, false, err
-	}
-	// A failed write is not fatal — the caller still has the value —
-	// but it is counted as a decode error so a read-only or full cache
-	// directory is visible in the stats.
-	if err := Put(c, key, cd, v); err != nil {
-		c.decodeErrs.Add(1)
-	}
-	f.val = v
-	return v, false, nil
+	return cached, true, nil
 }

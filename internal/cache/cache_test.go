@@ -12,8 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -674,42 +672,6 @@ func FuzzLoadSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestSingleFlight(t *testing.T) {
-	c := open(t)
-	key := Key("flight")
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	const n = 16
-	var wg sync.WaitGroup
-	results := make([]payload, n)
-	hits := make([]bool, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, hit, err := Do(c, key, payloadCodec, func() (payload, error) {
-				calls.Add(1)
-				<-gate // hold the flight open until everyone has joined
-				return payload{Name: "shared"}, nil
-			}, nil)
-			if err != nil {
-				t.Error(err)
-			}
-			results[i], hits[i] = v, hit
-		}(i)
-	}
-	close(gate)
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("compute ran %d times under concurrent Do, want 1", got)
-	}
-	for i := range results {
-		if results[i].Name != "shared" {
-			t.Errorf("goroutine %d got %+v", i, results[i])
-		}
-	}
 }
 
 func TestDoErrorNotCached(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -226,7 +227,8 @@ func TestTruncatedSegmentRecomputes(t *testing.T) {
 // before either writes — two processes sharing a cache — measure
 // different units concurrently, each appending to its own segment. A
 // third Open sees both sets of records: it answers every unit from
-// disk, bit-identically to cache-off.
+// disk, bit-identically to cache-off. Two sessions on one handle that
+// race on one unit are the same case inside a process.
 func TestTwoWritersOneDirectory(t *testing.T) {
 	labels := []string{"IVM-Execute", "IVM-Decode"}
 	dir := t.TempDir()
@@ -286,6 +288,59 @@ func TestTwoWritersOneDirectory(t *testing.T) {
 	}
 	if s := third.Stats(); s.Hits != 2*int64(len(jobs)) || s.Misses != 0 {
 		t.Errorf("third handle stats = %+v, want every unit's search and sig a hit", s)
+	}
+
+	// One handle, two sessions, the same unit at once. The cache does
+	// not coalesce them, so both may compute a key and append it twice;
+	// the duplicates hold identical bytes, so both results equal
+	// cache-off and a fresh Open answers every search and sig from disk.
+	d, top := execDesign(t)
+	want, err := MeasureComponent(d, top, true, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := t.TempDir()
+	ch, err := cache.Open(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]*ComponentResult
+	var gotErr [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], gotErr[i] = NewSession(d).MeasureAll([]Unit{{Top: top, UseAccounting: true}}, Options{Cache: ch})
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if gotErr[i] != nil {
+			t.Fatal(gotErr[i])
+		}
+		if diff := sameMeasurement(got[i][0], want); diff != "" {
+			t.Errorf("session %d on the shared handle: %s", i, diff)
+		}
+	}
+	fresh, err := cache.Open(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MeasureComponent(d, top, true, Options{Cache: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameMeasurement(res, want); diff != "" {
+		t.Errorf("fresh handle after duplicate writers: %s", diff)
+	}
+	if s := fresh.Stats(); s.Misses != 0 || s.DecodeErrors != 0 {
+		t.Errorf("fresh handle stats = %+v, want no miss and no decode error", s)
+	}
+	for _, kind := range []string{"search", "sig"} {
+		if k := fresh.KindStats()[kind]; k.Hits != 1 || k.Misses != 0 {
+			t.Errorf("fresh handle %s stats = %+v, want one hit", kind, k)
+		}
 	}
 }
 

@@ -31,9 +31,11 @@ endmodule
 // TestAbandonedFlightEvicted pins the cancellation invariant the serve
 // daemon depends on: a flight whose owner's context is canceled between
 // planning and synthesis is resolved with the context error AND evicted
-// from the shared table, so (a) waiters already holding the flight fail
-// with the owner's cancellation instead of hanging, and (b) the next
-// request for the signature registers a fresh flight and succeeds.
+// from the shared table, so (a) a waiter already holding the flight,
+// whose own context is live, neither hangs nor inherits the owner's
+// cancellation — it synthesizes the design point itself and its result
+// equals measuring the component alone — and (b) the next request for
+// the signature registers a fresh flight and succeeds.
 func TestAbandonedFlightEvicted(t *testing.T) {
 	s := NewSession(tinyDesign(t))
 	u := Unit{Top: "m"}
@@ -60,8 +62,19 @@ func TestAbandonedFlightEvicted(t *testing.T) {
 	// flight with the context error and evict it.
 	cancel()
 	s.synthesizeFlight(ctx, p, opts, ecache, ws)
-	if _, err := s.assembleUnit(context.Background(), u, waiter, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter on the abandoned flight got %v, want context.Canceled", err)
+	if !errors.Is(p.flight.err, context.Canceled) {
+		t.Fatalf("abandoned flight resolved with %v, want context.Canceled", p.flight.err)
+	}
+	got, err := s.assembleUnit(context.Background(), u, waiter, opts)
+	if err != nil {
+		t.Fatalf("waiter with a live context on the abandoned flight: %v", err)
+	}
+	want, err := MeasureComponent(s.design, u.Top, u.UseAccounting, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := sameMeasurement(got, want); diff != "" {
+		t.Errorf("waiter on the abandoned flight vs MeasureComponent: %s", diff)
 	}
 
 	// The key must be gone from the table: a fresh plan owns a fresh

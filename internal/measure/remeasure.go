@@ -16,10 +16,10 @@ import (
 // results — and Session.Remeasure diffs an edited design against it,
 // re-measuring only the units whose top's subtree hash changed. The
 // other units are served from the baseline's results unchanged, which
-// is sound for the same reason the subtree-keyed disk cache is: every
-// measurement of a top module is a pure function of its subtree's
-// formatted sources and the options, so an unchanged subtree measures
-// bit-identically (the session golden tests pin this against
+// is sound for the same reason the structurally keyed disk cache is:
+// every measurement of a top module is a pure function of its
+// subtree's formatted sources and the options, so an unchanged subtree
+// measures bit-identically (the session golden tests pin this against
 // from-scratch MeasureAll).
 
 // Baseline is the remeasurement anchor of one measured batch: the

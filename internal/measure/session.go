@@ -81,20 +81,18 @@ type SessionStats struct {
 // A Session must not outlive its design and must not be shared across
 // designs. It is safe for concurrent use.
 //
-// All session state is sharded or lock-free: the flight table is
-// split across flightShards key-hashed shards, the sharing counters
-// are atomics, and the search, dedup and netlist memos are sync.Maps.
-// The search memo holds single-flight entries, so a session runs or
-// reads each search once; the dedup and netlist memos' values are pure
-// functions of the design or of the netlist, so a racing duplicate
-// compute stores the identical value. At thousand-component batch
-// sizes the old single session mutex serialized the whole planning
-// front end; nothing here is contended now.
+// The search memo and the flight table are where computing each key
+// once lives: both hold single-flight entries, so a session runs or
+// reads each search and each design point once, and the disk cache
+// behind them is a plain read-through. The dedup and netlist memos'
+// values are pure functions of the design or of the netlist, so a
+// racing duplicate compute stores the identical value. The four memos
+// are sync.Maps and the sharing counters atomics, so no session mutex
+// serializes the planning of a thousand-component batch.
 type Session struct {
 	design *hdl.Design
 
-	shards [flightShards]flightShard
-
+	flights   sync.Map // design point's "sig" key → *sigFlight: the synthesis
 	minMemo   sync.Map // top's structural hash → *searchFlight: the accounting search
 	dedupMemo sync.Map // module's design-point digest → bool: could produce duplicate siblings
 	netMemo   sync.Map // optimized netlist hash → memoEntry
@@ -105,53 +103,17 @@ type Session struct {
 	elabStats elab.CacheStats // aggregated across component elaboration caches
 }
 
-// flightShards is the flight table's shard count; signature keys are
-// SHA-256-derived so any hash of them spreads uniformly.
-const flightShards = 32
-
-// flightShard is one shard of the single-flight synthesis table.
-type flightShard struct {
-	mu sync.Mutex
-	m  map[string]*sigFlight
-}
-
-// shardOf picks the shard owning key (FNV-1a over the key bytes).
-func (s *Session) shardOf(key string) *flightShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.shards[h%flightShards]
-}
-
 // flightFor returns key's flight, creating it, owned by a unit of top,
 // when absent.
 func (s *Session) flightFor(key, top string) (f *sigFlight, owned bool) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f, ok := sh.m[key]; ok {
-		return f, false
-	}
-	if sh.m == nil {
-		sh.m = map[string]*sigFlight{}
+	if v, ok := s.flights.Load(key); ok {
+		return v.(*sigFlight), false
 	}
 	f = &sigFlight{done: make(chan struct{}), top: top}
-	sh.m[key] = f
-	return f, true
-}
-
-// evictFlight drops f from the flight table if key still maps to it.
-// Its one caller is an owner that abandons its flight to cancellation;
-// a unit's private flight (see assembleUnit) was never in the table.
-func (s *Session) evictFlight(key string, f *sigFlight) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	if sh.m[key] == f {
-		delete(sh.m, key)
+	if v, loaded := s.flights.LoadOrStore(key, f); loaded {
+		return v.(*sigFlight), false
 	}
-	sh.mu.Unlock()
+	return f, true
 }
 
 // sigFlight is the single-flight synthesis of one signature: the first
@@ -161,11 +123,12 @@ func (s *Session) evictFlight(key string, f *sigFlight) {
 // hash, and the timing summary — a few hundred bytes — so the table
 // keeps every flight for the session's lifetime.
 type sigFlight struct {
-	done   chan struct{}
-	top    string // the owning unit's top module, which err names
-	rec    *sigRecord
-	err    error
-	cutoff bool // rec reuses a remeasurement baseline's metrics
+	done      chan struct{}
+	top       string // the owning unit's top module, which err names
+	rec       *sigRecord
+	err       error
+	abandoned bool // err is the owner's cancellation, not the design's
+	cutoff    bool // rec reuses a remeasurement baseline's metrics
 }
 
 // memoEntry is one netlist memo entry: the record whose synthesis-only
@@ -265,11 +228,12 @@ func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, er
 // never interrupted mid-kernel.
 //
 // A flight this call owned but abandoned to cancellation is resolved
-// with the context error and evicted from the shared table, so a
-// concurrent or later call on the same session re-registers and
-// synthesizes it fresh: cancellation can fail the calls that raced with
-// it, but can never poison the session (the ctx tests pin a post-cancel
-// MeasureAll bit-identical to a fresh session's).
+// with the context error and evicted from the shared table. A
+// concurrent call already waiting on it synthesizes the design point
+// itself, and a later call re-registers it, so one call's cancellation
+// fails only that call and never poisons the session (the ctx tests
+// pin a waiter's result and a post-cancel MeasureAll bit-identical to
+// a fresh session's).
 func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options) ([]*ComponentResult, error) {
 	return s.measureAll(ctx, units, opts, nil)
 }
@@ -305,7 +269,8 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 
 // MeasureStreamCtx is MeasureStream under a context, with MeasureAllCtx's
 // cancellation contract: unit-granular checks, abandoned flights
-// resolved with the context error and evicted.
+// resolved with the context error and evicted, and their waiters in
+// other calls unharmed.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
 	return s.measureGroups(ctx, units, opts, nil, yield)
 }
@@ -671,17 +636,18 @@ func scanDedupItems(items []hdl.Item, inLoop bool, children []string) ([]string,
 // closed, error or not.
 //
 // A context canceled before the entry is computed resolves the flight
-// with the context error and evicts its key from the shared table: the
-// waiters that already hold the flight fail with the owner's
-// cancellation, but any later request for the signature registers a
-// fresh flight and synthesizes it — an abandoned flight is never left
-// to poison the session.
+// as abandoned, with the context error, and evicts its key from the
+// shared table: a waiter that already holds the flight synthesizes the
+// design point itself under its own context (see assembleUnit), and
+// any later request for the signature registers a fresh flight — an
+// abandoned flight never fails another call or poisons the session.
 func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, ecache *groupCache, ws *Workspace) {
 	f := p.owned
 	defer close(f.done)
 	if err := ctx.Err(); err != nil {
 		f.err = fmt.Errorf("measure: synthesis of %s abandoned: %w", p.top, err)
-		s.evictFlight(p.sigKey, f)
+		f.abandoned = true
+		s.flights.CompareAndDelete(p.sigKey, f)
 		return
 	}
 	compute := func() (*sigRecord, error) {
@@ -745,7 +711,10 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 // shared synthesis table, and the parse-time source counts of its
 // modules. Waiting on a flight another goroutine owns is bounded by
 // the context: a canceled waiter stops waiting and returns the context
-// error (the flight itself, owned elsewhere, is unaffected).
+// error (the flight itself, owned elsewhere, is unaffected). A waiter
+// whose flight's owner abandoned it to the owner's own cancellation
+// does not inherit that error: under a live context it synthesizes
+// the design point itself.
 func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Options) (*ComponentResult, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -756,12 +725,13 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	case <-ctx.Done():
 		return nil, fmt.Errorf("measure: assemble %s: %w", u.Top, ctx.Err())
 	}
-	if f.err != nil && f.top != u.Top {
-		// The error names the owning unit's modules. This unit runs
-		// its own synthesis, outside the table, so the error it
-		// returns names its own; a structurally equal design point
-		// fails alike, so this runs only on the way to an error (or
-		// after the owner's call was canceled).
+	if f.err != nil && (f.top != u.Top || f.abandoned) {
+		// The error names the owning unit's modules, or is the owner's
+		// cancellation, not this unit's. This unit runs its own
+		// synthesis, outside the table, so the error it returns names
+		// its own modules and its own context; a structurally equal
+		// design point fails alike, so past a cancellation this runs
+		// only on the way to an error.
 		own := *p
 		own.owned = &sigFlight{done: make(chan struct{}), top: u.Top}
 		ws := getWorkspace()

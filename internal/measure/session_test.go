@@ -280,7 +280,12 @@ endmodule`}
 // TestSessionConcurrentMeasureAll hammers one shared Session from 8
 // goroutines measuring the same batch — the configuration the race
 // detector checks in CI. Every goroutine must see results identical
-// to a sequential private-session reference.
+// to a sequential private-session reference. The session's search
+// memo and flight table are the only single-flight layer, so they
+// alone must make the session compute each key exactly once: it
+// synthesizes what the reference synthesizes, and on a cold disk
+// cache it misses and writes each "search" and "sig" record exactly
+// as often as the reference, reading none.
 func TestSessionConcurrentMeasureAll(t *testing.T) {
 	src := map[string]string{"t.v": `
 module leaf #(parameter W = 4) (input [W-1:0] a, output [W-1:0] y);
@@ -310,44 +315,81 @@ endmodule`}
 		{Top: "pair", UseAccounting: true},
 		{Top: "pair", UseAccounting: false},
 	}
-	ref := measure.NewSession(d)
-	want, err := ref.MeasureAll(units, measure.Options{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, cold := range []bool{false, true} {
+		name := "cache-off"
+		if cold {
+			name = "cold-cache"
+		}
+		t.Run(name, func(t *testing.T) {
+			open := func() *cache.Cache {
+				if !cold {
+					return nil
+				}
+				ch, err := cache.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ch
+			}
+			refCache := open()
+			ref := measure.NewSession(d)
+			want, err := ref.MeasureAll(units, measure.Options{Concurrency: 1, Cache: refCache})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	sess := measure.NewSession(d)
-	const goroutines = 8
-	results := make([][]*measure.ComponentResult, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := range goroutines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[g], errs[g] = sess.MeasureAll(units, measure.Options{Concurrency: 2})
-		}()
-	}
-	wg.Wait()
-	for g := range goroutines {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
-		}
-		for i, u := range units {
-			sameResult(t, fmt.Sprintf("goroutine %d %s(acct=%t)", g, u.Top, u.UseAccounting), results[g][i], want[i])
-		}
-	}
-	// All 8 goroutines planned every unit, but each distinct signature
-	// was synthesized at most once across the whole session.
-	s := sess.Stats()
-	if s.Planned != goroutines*len(units) {
-		t.Errorf("stats %+v: want %d planned", s, goroutines*len(units))
-	}
-	if s.Synthesized > len(units) {
-		t.Errorf("stats %+v: more synthesis flights than distinct units", s)
-	}
-	if s.Shared != s.Planned-s.Synthesized {
-		t.Errorf("stats %+v: shared != planned-synthesized", s)
+			ch := open()
+			sess := measure.NewSession(d)
+			const goroutines = 8
+			results := make([][]*measure.ComponentResult, goroutines)
+			errs := make([]error, goroutines)
+			start := make(chan struct{}) // release every goroutine at once
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					results[g], errs[g] = sess.MeasureAll(units, measure.Options{Concurrency: 2, Cache: ch})
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for g := range goroutines {
+				if errs[g] != nil {
+					t.Fatalf("goroutine %d: %v", g, errs[g])
+				}
+				for i, u := range units {
+					sameResult(t, fmt.Sprintf("goroutine %d %s(acct=%t)", g, u.Top, u.UseAccounting), results[g][i], want[i])
+				}
+			}
+			// All 8 goroutines planned every unit, but each distinct
+			// design point was synthesized exactly once across the
+			// whole session, as in the sequential reference.
+			s, rs := sess.Stats(), ref.Stats()
+			if s.Planned != goroutines*len(units) {
+				t.Errorf("stats %+v: want %d planned", s, goroutines*len(units))
+			}
+			if s.Synthesized != rs.Synthesized {
+				t.Errorf("stats %+v: synthesized %d, reference synthesized %d", s, s.Synthesized, rs.Synthesized)
+			}
+			if s.Shared != s.Planned-s.Synthesized {
+				t.Errorf("stats %+v: shared != planned-synthesized", s)
+			}
+			if !cold {
+				return
+			}
+			kinds, refKinds := ch.KindStats(), refCache.KindStats()
+			for _, kind := range []string{"search", "sig"} {
+				k, rk := kinds[kind], refKinds[kind]
+				if rk.Misses == 0 || rk.Puts != rk.Misses {
+					t.Fatalf("reference %s stats %+v: want misses = puts > 0", kind, rk)
+				}
+				if k.Hits != 0 || k.Misses != rk.Misses || k.Puts != rk.Puts {
+					t.Errorf("%s stats %+v, want 0 hits and the reference's %d misses and puts", kind, k, rk.Misses)
+				}
+			}
+		})
 	}
 }
 

@@ -301,8 +301,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // handleMeasure serves POST /measure and (remeasure=true) POST
 // /remeasure. The two share everything but the middle: /remeasure
 // consults and rolls the tenant's baseline, /measure always measures
-// through the session (which still coalesces via the single-flight
-// table and disk cache).
+// through the session (which still coalesces via its flight table and
+// reads through the disk cache).
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, remeasure bool) {
 	endpoint := "/measure"
 	if remeasure {

@@ -74,8 +74,9 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# yield a valid, synthesizable corpus), the cache codec's two
 	# decoder fuzzers, the cache's segment-scan fuzzer (arbitrary bytes
 	# beside a valid segment: Open never panics, a Get misses or returns
-	# a value a Put wrote), the measurement record decoder fuzzer (component
-	# and sig payloads: never a record without metrics), incremental
+	# a value a Put wrote), the measurement record decoder fuzzer (search
+	# and sig payloads: never a sig record without metrics, nor a search
+	# with a missing or duplicate parameter), incremental
 	# remeasurement over fuzzed edit scripts (Remeasure must equal a
 	# from-scratch MeasureAll, errors included), the daemon's request
 	# fuzzer, and the request decoder's differential fuzzer (the same
