@@ -166,7 +166,8 @@ type moduleHashes struct {
 	named string // ModuleHash: hex SHA-256 over Format(m)
 	// blind is SHA-256 over Format(m) with every module name and every
 	// header parameter default cut out: the count of text runs between
-	// the cuts, then each run, length-prefixed.
+	// the cuts, then each run, length-prefixed. Every dead declaration
+	// (deadDecls) is deleted from the runs.
 	blind [sha256.Size]byte
 	// defaults are the SHA-256 of each header parameter default's
 	// text, in declaration order: the texts blind leaves out.
@@ -202,11 +203,23 @@ func hashModule(m *Module) moduleHashes {
 			mh.loc++
 		}
 	}
+	// A run holds a dead declaration whole: no declaration line holds
+	// a module name or a default.
+	dead := deadDecls(text, &sites)
 	h := sha256.New()
 	var n [8]byte
 	run := func(from, to int) {
-		binary.LittleEndian.PutUint64(n[:], uint64(to-from))
+		size, j := to-from, 0
+		for ; j < len(dead) && dead[j][1] <= to; j++ {
+			size -= dead[j][1] - dead[j][0]
+		}
+		binary.LittleEndian.PutUint64(n[:], uint64(size))
 		h.Write(n[:])
+		for _, span := range dead[:j] {
+			h.Write(text[from:span[0]])
+			from = span[1]
+		}
+		dead = dead[j:]
 		h.Write(text[from:to])
 	}
 	binary.LittleEndian.PutUint64(n[:], uint64(len(sites.defaults)+len(sites.offs)+2))
@@ -225,6 +238,61 @@ func hashModule(m *Module) moduleHashes {
 	run(pos, len(text))
 	h.Sum(mh.blind[:0])
 	return mh
+}
+
+// deadDecls returns the output lines of the module-level scalar
+// declarations in sites.decls whose every name occurs exactly once as
+// an identifier token of text, module names left out: no other text of
+// the module reads or drives them. The lines are in text order. It
+// counts only when the module has such a declaration.
+func deadDecls(text []byte, sites *keySites) [][2]int {
+	if len(sites.decls) == 0 {
+		return nil
+	}
+	slot := map[string]int{}
+	for _, d := range sites.decls {
+		for _, name := range d.names {
+			if _, ok := slot[name]; !ok {
+				slot[name] = len(slot)
+			}
+		}
+	}
+	counts := make([]int, len(slot))
+	next := 0 // the next instance site, whose module name is skipped
+	for i := 0; i < len(text); {
+		if !isIdentPart(text[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(text) && isIdentPart(text[j]) {
+			j++
+		}
+		switch {
+		case i == len(headerPrefix):
+			// The module's own name.
+		case next < len(sites.offs) && i == sites.offs[next]:
+			next++
+		case !isIdentStart(text[i]) || i > 0 && text[i-1] == '\'':
+			// A number, or a based literal's digits.
+		default:
+			if k, ok := slot[string(text[i:j])]; ok {
+				counts[k]++
+			}
+		}
+		i = j
+	}
+	var dead [][2]int
+	for _, d := range sites.decls {
+		once := true
+		for _, name := range d.names {
+			once = once && counts[slot[name]] == 1
+		}
+		if once {
+			dead = append(dead, d.span)
+		}
+	}
+	return dead
 }
 
 // SubtreeHash returns a stable content hash of the module subtree
@@ -261,9 +329,10 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 }
 
 // StructuralHash returns a content hash of the module subtree rooted at
-// top that no module name and no dead parameter default enters: two
-// tops hash equal exactly when one subtree is the other under a
-// bijective renaming of modules and a rewriting of dead defaults. It
+// top that no module name, no dead parameter default and no dead
+// declaration enters: two tops hash equal exactly when one subtree is
+// the other under a bijective renaming of modules, a rewriting of dead
+// defaults, and an adding or deleting of dead declarations. It
 // covers the rest of what SubtreeHash covers — every transitive
 // module's formatted source — so it can key anything that is a pure
 // function of the subtree, reads no module name, and elaborates top
@@ -279,6 +348,17 @@ func (d *Design) SubtreeHash(top string) (string, error) {
 // localparam, or a parameter declared in a module body, has no
 // override and is never cut. top's own defaults are mixed in whole:
 // the accounting search starts from them.
+//
+// A declaration is dead when it is a module-level wire or reg with no
+// range and no memory range whose every name occurs exactly once among
+// the module's identifier tokens, module names left out (deadDecls):
+// no other text of the module reads, drives or redeclares it. Such a
+// declaration can fail elaboration only as a duplicate, and nothing
+// downstream reads a net no text names (lowering allocates nets on
+// first use), so no elaboration, netlist or report depends on it. Its
+// line is deleted from the name-blind text. A ranged declaration stays
+// in: its range can fail at some parameter values, which moves the
+// accounting search.
 //
 // The modules are numbered breadth-first from top (0) in order of their
 // first instance in printer order. The hash mixes, per module in that

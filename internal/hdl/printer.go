@@ -17,15 +17,35 @@ func Format(m *Module) string {
 // keySites records what format wrote that the name-blind hash cuts
 // out or reads: the byte offset of each instantiated module name in
 // the output and the name, in printer order, and the parameter names
-// each of those sites binds with a value; and the output span of each
-// header parameter's default, in declaration order. The module's own
-// name is always at offset len(headerPrefix), and every default span
-// precedes the first instance site.
+// each of those sites binds with a value; the output span of each
+// header parameter's default, in declaration order; and the output
+// line of each module-level scalar declaration (scalarDecl), in
+// declaration order. The module's own name is always at offset
+// len(headerPrefix), and every default span precedes the first
+// declaration line and the first instance site.
 type keySites struct {
 	offs     []int
 	names    []string
 	bound    [][]string
 	defaults [][2]int
+	decls    []declSite
+}
+
+// declSite is one scalar declaration's output line, indent and newline
+// included, and the names it declares.
+type declSite struct {
+	span  [2]int
+	names []string
+}
+
+// scalarDecl returns the names it declares when it is a wire or reg
+// declaration with no range and no memory range, and nil otherwise.
+func scalarDecl(it Item) []string {
+	d, ok := it.(*NetDecl)
+	if !ok || (d.Kind != KindWire && d.Kind != KindReg) || d.Range != nil || d.ArrayRange != nil {
+		return nil
+	}
+	return d.Names
 }
 
 // headerPrefix is what Format writes before the module's own name.
@@ -72,7 +92,11 @@ func format(m *Module, sites *keySites) string {
 	}
 	b.WriteString(");\n")
 	for _, it := range m.Items {
+		from := b.Len()
 		printItem(&b, it, 1, sites)
+		if names := scalarDecl(it); sites != nil && names != nil {
+			sites.decls = append(sites.decls, declSite{[2]int{from, b.Len()}, names})
+		}
 	}
 	b.WriteString("endmodule\n")
 	return b.String()

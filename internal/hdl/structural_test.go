@@ -100,11 +100,12 @@ func numbered(t *testing.T, d *hdl.Design, top string) ([]string, map[string][]b
 // canonicalText is the reference key StructuralHash (DesignPointHash
 // when point is set) stands for: top's transitive modules, numbered,
 // renamed bijectively to "#0", "#1", ..., with every dead default
-// replaced by "#dead", formatted and concatenated in number order.
-// A default is dead when no instance site in the subtree leaves it
-// unbound; top's own defaults are dead only under point. "#" starts no
-// identifier, so no canonical name is a name the design uses; a name
-// no module declares stays as written.
+// replaced by "#dead" and every dead declaration deleted, formatted
+// and concatenated in number order. A default is dead when no instance
+// site in the subtree leaves it unbound; top's own defaults are dead
+// only under point. A declaration is dead by liveItems' rule. "#"
+// starts no identifier, so no canonical name is a name the design
+// uses; a name no module declares stays as written.
 func canonicalText(t *testing.T, d *hdl.Design, top string, point bool) string {
 	t.Helper()
 	order, live := numbered(t, d, top)
@@ -125,6 +126,7 @@ func canonicalText(t *testing.T, d *hdl.Design, top string, point bool) string {
 			t.Fatal(err)
 		}
 		c := renamedModule(m, canon)
+		c.Items = liveItems(m, c.Items)
 		c.Params = make([]*hdl.ParamDecl, len(m.Params))
 		for i, p := range m.Params {
 			cp := *p
@@ -136,6 +138,39 @@ func canonicalText(t *testing.T, d *hdl.Design, top string, point bool) string {
 		b.WriteString(hdl.Format(c))
 	}
 	return b.String()
+}
+
+// liveItems returns items, m's module-level items (or a renamed copy
+// of them), less every dead declaration of m: a wire or reg
+// declaration with no range and no memory range, at module level,
+// whose every name the lexer finds exactly once among the identifier
+// tokens of m's formatted text with every module name replaced by "#".
+func liveItems(m *hdl.Module, items []hdl.Item) []hdl.Item {
+	counts := map[string]int{}
+	lex := hdl.NewLexer("count.v", hdl.Format(renamedModule(m, func(string) string { return "#" })))
+	for {
+		tok, err := lex.Next()
+		if err != nil || tok.Kind == hdl.TokEOF {
+			break
+		}
+		if tok.Kind == hdl.TokIdent {
+			counts[tok.Text]++
+		}
+	}
+	var live []hdl.Item
+	for _, it := range items {
+		if d, ok := it.(*hdl.NetDecl); ok && (d.Kind == hdl.KindWire || d.Kind == hdl.KindReg) && d.Range == nil && d.ArrayRange == nil {
+			dead := true
+			for _, name := range d.Names {
+				dead = dead && counts[name] == 1
+			}
+			if dead {
+				continue
+			}
+		}
+		live = append(live, it)
+	}
+	return live
 }
 
 // isLive is canonicalText's rule for the default of header parameter i
@@ -443,15 +478,219 @@ func TestDeadDefaultsPlantedPairs(t *testing.T) {
 	}
 }
 
+// deadDeclsSrc plants the dead-declaration pairs: each <case>_with is
+// <case>_without plus the declaration lines the case names. The first
+// cases add dead declarations — beside instances, after a parameter
+// header, named like a module or like a based literal's digits. The
+// rest add declarations some other text of the module names (an
+// assign, a sensitivity list, a port binding, a port, another
+// declaration) or that the rule leaves in the key (ranged, memory,
+// inside a generate block, integer, genvar).
+const deadDeclsSrc = `
+module dd_leaf (input a, output y);
+  assign y = ~a;
+endmodule
+module wire_without (input a, b, output y);
+  assign y = a & b;
+endmodule
+module wire_with (input a, b, output y);
+  wire spare;
+  assign y = a & b;
+endmodule
+module reg_without (input a, b, output y);
+  assign y = a & b;
+endmodule
+module reg_with (input a, b, output y);
+  assign y = a & b;
+  reg spare;
+endmodule
+module two_without (input a, b, output y);
+  assign y = a | b;
+endmodule
+module two_with (input a, b, output y);
+  wire spare_a;
+  assign y = a | b;
+  wire spare_b, spare_c;
+endmodule
+module inst_without (input a, output y);
+  wire t;
+  dd_leaf u (.a(a), .y(t));
+  dd_leaf v (.a(t), .y(y));
+endmodule
+module inst_with (input a, output y);
+  wire t;
+  dd_leaf u (.a(a), .y(t));
+  wire spare;
+  dd_leaf v (.a(t), .y(y));
+endmodule
+module param_without #(parameter W = 2) (input [W-1:0] a, output y);
+  assign y = ^a;
+endmodule
+module param_with #(parameter W = 2) (input [W-1:0] a, output y);
+  reg spare;
+  assign y = ^a;
+endmodule
+module modname_without (input a, output y);
+  dd_leaf u (.a(a), .y(y));
+endmodule
+module modname_with (input a, output y);
+  wire dd_leaf;
+  dd_leaf u (.a(a), .y(y));
+endmodule
+module literal_without (input [3:0] a, output y);
+  assign y = a == 4'd10;
+endmodule
+module literal_with (input [3:0] a, output y);
+  wire d10;
+  assign y = a == 4'd10;
+endmodule
+module ranged_without (input a, b, output y);
+  assign y = a & b;
+endmodule
+module ranged_with (input a, b, output y);
+  wire [1:0] spare;
+  assign y = a & b;
+endmodule
+module memory_without (input a, b, output y);
+  assign y = a & b;
+endmodule
+module memory_with (input a, b, output y);
+  reg [1:0] spare [0:3];
+  assign y = a & b;
+endmodule
+module assign_without (input a, b, output y);
+  assign y = a & spare;
+endmodule
+module assign_with (input a, b, output y);
+  wire spare;
+  assign y = a & spare;
+endmodule
+module sens_without (input a, b, output reg y);
+  always @(spare) y = a;
+endmodule
+module sens_with (input a, b, output reg y);
+  wire spare;
+  always @(spare) y = a;
+endmodule
+module binding_without (input a, output y);
+  dd_leaf u (.a(spare), .y(y));
+endmodule
+module binding_with (input a, output y);
+  wire spare;
+  dd_leaf u (.a(spare), .y(y));
+endmodule
+module port_without (input a, spare, output y);
+  assign y = a;
+endmodule
+module port_with (input a, spare, output y);
+  wire spare;
+  assign y = a;
+endmodule
+module twice_without (input a, output y);
+  wire spare;
+  assign y = a;
+endmodule
+module twice_with (input a, output y);
+  wire spare;
+  wire spare;
+  assign y = a;
+endmodule
+module generate_without (input a, output y);
+  assign y = a;
+  generate if (1) begin : g
+  end endgenerate
+endmodule
+module generate_with (input a, output y);
+  assign y = a;
+  generate if (1) begin : g
+    wire spare;
+  end endgenerate
+endmodule
+module integer_without (input a, output y);
+  assign y = a;
+endmodule
+module integer_with (input a, output y);
+  integer spare;
+  assign y = a;
+endmodule
+module genvar_without (input a, output y);
+  assign y = a;
+endmodule
+module genvar_with (input a, output y);
+  genvar spare;
+  assign y = a;
+endmodule
+`
+
+// TestDeadDeclarationsPlantedPairs pins which declarations the two
+// digests delete: a module-level wire or reg with no range whose names
+// no other text of the module holds. Every verdict must agree with
+// canonicalText. The dead-wire edit still moves ModuleHash, SubtreeHash
+// and Fingerprint, which keep the full text.
+func TestDeadDeclarationsPlantedPairs(t *testing.T) {
+	d, err := hdl.ParseDesign(map[string]string{"dd.v": deadDeclsSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		equal bool
+	}{
+		{"wire", true}, {"reg", true}, {"two", true}, {"inst", true},
+		{"param", true}, {"modname", true}, {"literal", true},
+		{"ranged", false}, {"memory", false}, {"assign", false},
+		{"sens", false}, {"binding", false}, {"port", false},
+		{"twice", false}, {"generate", false}, {"integer", false},
+		{"genvar", false},
+	} {
+		a, b := c.name+"_without", c.name+"_with"
+		for _, point := range []bool{false, true} {
+			ha, hb := digest(t, d, a, point), digest(t, d, b, point)
+			if (ha == hb) != c.equal {
+				t.Errorf("point=%t: %s vs %s: equal digests %t, want %t", point, a, b, ha == hb, c.equal)
+			}
+			if ta, tb := canonicalText(t, d, a, point), canonicalText(t, d, b, point); (ta == tb) != c.equal {
+				t.Errorf("point=%t: %s vs %s: equal canonical texts %t, want %t", point, a, b, ta == tb, c.equal)
+			}
+		}
+	}
+
+	const top = "module dd_top (input a, b, output y);\n  assign y = a & b;\nendmodule\n"
+	before, err := hdl.ParseDesign(map[string]string{"t.v": top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := hdl.ParseDesign(map[string]string{"t.v": strings.Replace(top, "  assign", "  wire spare;\n  assign", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, point := range []bool{false, true} {
+		if digest(t, before, "dd_top", point) != digest(t, after, "dd_top", point) {
+			t.Errorf("point=%t: a dead wire moved the digest", point)
+		}
+	}
+	mb, _ := before.ModuleHash("dd_top")
+	ma, _ := after.ModuleHash("dd_top")
+	sb, _ := before.SubtreeHash("dd_top")
+	sa, _ := after.SubtreeHash("dd_top")
+	if mb == ma || sb == sa || before.Fingerprint() == after.Fingerprint() {
+		t.Errorf("a dead wire left ModuleHash moved %t, SubtreeHash moved %t, Fingerprint moved %t; want all moved",
+			mb != ma, sb != sa, before.Fingerprint() != after.Fingerprint())
+	}
+}
+
 // FuzzStructuralHash pins StructuralHash and DesignPointHash against
 // their reference keys on arbitrary designs. Each digest of every
 // module is invariant under a fuzzed bijective renaming of the
 // design's modules; two modules' digests are equal exactly when their
-// canonicalText is; and rewriting one header default (to its value
-// plus one) leaves a top's digest as it was when the default is dead
-// in the top's subtree and changes it when the default is live. The
-// corpus is seeded with a small generated corpus (each file alone, and
-// all files as one design) and the planted pairs.
+// canonicalText is; inserting a fresh scalar wire into one module
+// leaves every digest as it was, and then adding "assign <it> = 1'd0;"
+// moves exactly the digests of the tops whose subtree holds the
+// module; and rewriting one header default (to its value plus one)
+// leaves a top's digest as it was when the default is dead in the
+// top's subtree and changes it when the default is live. The corpus is
+// seeded with a small generated corpus (each file alone, and all files
+// as one design) and the planted pairs.
 func FuzzStructuralHash(f *testing.F) {
 	corpus, err := gencorpus.Generate(gencorpus.Config{Components: 4, Seed: 1})
 	if err != nil {
@@ -468,6 +707,8 @@ func FuzzStructuralHash(f *testing.F) {
 	f.Add(structuralSrc, uint64(7))
 	f.Add(defaultsSrc, uint64(3))
 	f.Add(defaultsSrc, uint64(0x504))
+	f.Add(deadDeclsSrc, uint64(5))
+	f.Add(deadDeclsSrc, uint64(0x2_0000_1b00_0000))
 
 	f.Fuzz(func(t *testing.T, src string, perm uint64) {
 		d, err := hdl.ParseDesign(map[string]string{"fuzz.v": src})
@@ -503,6 +744,50 @@ func FuzzStructuralHash(f *testing.F) {
 					if (hashes[i] == hashes[j]) != (texts[i] == texts[j]) {
 						t.Fatalf("point=%t: %s and %s: equal digests %t, equal canonical texts %t\n%s\n%s",
 							point, names[i], names[j], hashes[i] == hashes[j], texts[i] == texts[j], texts[i], texts[j])
+					}
+				}
+			}
+		}
+
+		// Insert a fresh scalar wire into one module at one item, both
+		// picked by perm: no digest moves. Drive it: every digest whose
+		// subtree holds the module moves.
+		const fresh = "fz_dead_wire"
+		if len(names) > 0 && !strings.Contains(src, fresh) {
+			mod := names[(perm>>24)%uint64(len(names))]
+			m, _ := d.Module(mod)
+			at := int((perm >> 32) % uint64(len(m.Items)+1))
+			insert := func(extra ...hdl.Item) *hdl.Design {
+				var b strings.Builder
+				for _, name := range names {
+					c, _ := d.Module(name)
+					if name == mod {
+						cp := *c
+						cp.Items = slices.Concat(c.Items[:at], extra, c.Items[at:])
+						c = &cp
+					}
+					b.WriteString(hdl.Format(c))
+				}
+				d, err := hdl.ParseDesign(map[string]string{"wired.v": b.String()})
+				if err != nil {
+					t.Fatalf("design with %s does not parse: %v\n%s", fresh, err, b.String())
+				}
+				return d
+			}
+			decl := &hdl.NetDecl{Kind: hdl.KindWire, Names: []string{fresh}}
+			wired := insert(decl)
+			driven := insert(decl, &hdl.ContAssign{LHS: &hdl.Ident{Name: fresh}, RHS: &hdl.Number{Width: 1}})
+			for _, name := range names {
+				order, _ := numbered(t, d, name)
+				holds := slices.Contains(order, mod)
+				for _, point := range []bool{false, true} {
+					h := digest(t, d, name, point)
+					if digest(t, wired, name, point) != h {
+						t.Fatalf("point=%t: a dead wire in %s moved %s's digest", point, mod, name)
+					}
+					if moved := digest(t, driven, name, point) != h; moved != holds {
+						t.Fatalf("point=%t: driving the wire in %s moved %s's digest %t; its subtree holds %s %t",
+							point, mod, name, moved, mod, holds)
 					}
 				}
 			}

@@ -45,7 +45,9 @@ func paddedCorpus(t *testing.T) (*hdl.Design, []measure.Unit) {
 }
 
 // paddedCopy returns the declaration of module top in src, renamed to
-// <top>_pad, with an unused wire added before its endmodule.
+// <top>_pad, with an unused two-bit wire added before its endmodule: a
+// ranged declaration stays in the design-point key (a scalar one would
+// not), so the copy keys apart from the original.
 func paddedCopy(t *testing.T, src, top string) string {
 	t.Helper()
 	from := strings.Index(src, "module "+top+" ")
@@ -54,7 +56,7 @@ func paddedCopy(t *testing.T, src, top string) string {
 		t.Fatalf("no module %s in its file", top)
 	}
 	body := src[from+len("module "+top) : from+to]
-	return "module " + top + "_pad" + body + "  wire pad_unused;\nendmodule\n"
+	return "module " + top + "_pad" + body + "  wire [1:0] pad_unused;\nendmodule\n"
 }
 
 // distinctHashes counts the distinct optimized netlists of a batch.

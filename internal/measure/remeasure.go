@@ -89,7 +89,10 @@ type RemeasureStats struct {
 	DirtyUnits, CleanUnits int
 	// CutoffUnits counts the dirty units whose optimized netlist hashed
 	// as a baseline unit's, so their synthesis metrics and timing were
-	// reused instead of recomputed (the early cutoff).
+	// reused instead of recomputed (the early cutoff). A unit a disk
+	// "sig" record answered ran no flight and is not one: an edit that
+	// leaves its keys as they were, such as an unused scalar wire,
+	// reads its records instead.
 	CutoffUnits int
 }
 

@@ -396,3 +396,77 @@ func TestDeadDefaultsShareFlightsAndSearches(t *testing.T) {
 		t.Errorf("searches ran %d/%d probe hits/misses; top_a's and top_c's run %d/%d", hits, misses, wantHits, wantMisses)
 	}
 }
+
+// deadDeclSrc plants tops that differ only in an unused declaration.
+// dd_b is dd_a plus a scalar wire no text reads, which leaves every
+// key as it was. dd_c is dd_a plus an unused [W-1:0] wire, which stays
+// in the keys: it fails elaboration at W = 0, so its search lands
+// higher.
+const deadDeclSrc = `
+module dd_a #(parameter W = 4) (input [W:0] a, b, output [W:0] y);
+  assign y = a ^ b;
+endmodule
+module dd_b #(parameter W = 4) (input [W:0] a, b, output [W:0] y);
+  wire spare;
+  assign y = a ^ b;
+endmodule
+module dd_c #(parameter W = 4) (input [W:0] a, b, output [W:0] y);
+  wire [W-1:0] spare;
+  assign y = a ^ b;
+endmodule
+`
+
+// TestDeadDeclarationSharesSearchAndFlight measures the planted tops in
+// one batch and each alone. Every unit equals itself alone, LoC
+// included: dd_b's counts its own declaration line. dd_b shares dd_a's
+// search and both its flights. dd_c's search lands at W = 1, not at
+// dd_a's W = 0, and both its units are design points of their own.
+func TestDeadDeclarationSharesSearchAndFlight(t *testing.T) {
+	d, err := hdl.ParseDesign(map[string]string{"dd.v": deadDeclSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []measure.Unit
+	for _, acct := range []bool{true, false} {
+		for _, top := range []string{"dd_a", "dd_b", "dd_c"} {
+			units = append(units, measure.Unit{Top: top, UseAccounting: acct})
+		}
+	}
+	rec := &elab.StatsRecorder{}
+	sess := measure.NewSession(d)
+	got, err := sess.MeasureAll(units, measure.Options{Concurrency: 1, ElabStats: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range units {
+		alone, err := measure.MeasureComponent(d, u.Top, u.UseAccounting, measure.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], alone) {
+			t.Errorf("%s(acct=%t): batch %+v, alone %+v", u.Top, u.UseAccounting, got[i], alone)
+		}
+	}
+	a, b, c := got[0], got[1], got[2]
+	if a.MinimizedParams["W"] != 0 || c.MinimizedParams["W"] != 1 {
+		t.Fatalf("dd_a minimized to %v, dd_c to %v; the planted searches land at W=0 and W=1", a.MinimizedParams, c.MinimizedParams)
+	}
+	for _, r := range []*measure.ComponentResult{b, got[4]} {
+		loc, _, err := d.SourceCounts("dd_b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Metrics.LoC != loc || loc != a.Metrics.LoC+1 {
+			t.Errorf("dd_b LoC %d, parse-time count %d, dd_a's %d; want the count, one more than dd_a's", r.Metrics.LoC, loc, a.Metrics.LoC)
+		}
+	}
+	// Four design points: dd_a's at W=0 and W=4, dd_c's at W=1 and W=4.
+	if st := sess.Stats(); st.Synthesized != 4 || st.Shared != 2 {
+		t.Errorf("stats %+v: want 4 flights synthesized and 2 units shared", st)
+	}
+	// Two searches, dd_a's and dd_c's.
+	_, hits, misses := rec.Snapshot()
+	if wantHits, wantMisses := a.ElabCacheHits+c.ElabCacheHits, a.ElabCacheMisses+c.ElabCacheMisses; hits != wantHits || misses != wantMisses {
+		t.Errorf("searches ran %d/%d probe hits/misses; dd_a's and dd_c's run %d/%d", hits, misses, wantHits, wantMisses)
+	}
+}

@@ -405,9 +405,9 @@ func replaceOnce(t *testing.T, src, old, new string) string {
 
 // paddedRequest is a generated request of n components plus, per
 // component, a copy of its top module named <top>_pad that declares
-// one more wire and never uses it, measured as one more unit: the
-// copy's design-point key differs from the original's, its optimized
-// netlist does not.
+// one more two-bit wire and never uses it, measured as one more unit:
+// the copy's design-point key differs from the original's (a ranged
+// declaration stays in the key), its optimized netlist does not.
 func paddedRequest(t *testing.T, tenant string, n int) *serve.Request {
 	t.Helper()
 	req := servetest.GeneratedRequest(t, tenant, n, 1)
@@ -419,7 +419,7 @@ func paddedRequest(t *testing.T, tenant string, n int) *serve.Request {
 				continue
 			}
 			to := from + strings.Index(src[from:], "endmodule")
-			pad.WriteString("module " + u.Top + "_pad" + src[from+len("module "+u.Top):to] + "  wire pad_unused;\nendmodule\n")
+			pad.WriteString("module " + u.Top + "_pad" + src[from+len("module "+u.Top):to] + "  wire [1:0] pad_unused;\nendmodule\n")
 		}
 		req.Units = append(req.Units, serve.UnitRequest{Top: u.Top + "_pad"})
 	}
